@@ -1,15 +1,18 @@
 """Statistical estimators: cross-correlation, state reconstruction, metrics.
 
-The reconstruction parameterizes a density matrix through a lower-triangular
-factor (see linalg.density_from_params) and minimizes either a
-sigma-weighted squared residual on measured joint probabilities or a
-Poisson negative log-likelihood on counts.  Both objectives share one
-analytic gradient: with rho = T^H T / s, s = tr(T^H T),
+The reconstruction minimizes, over the density matrices rho, either a
+sigma-weighted squared residual on measured joint probabilities or a Poisson
+negative log-likelihood on counts.  Both are convex in rho, so one local
+method finds the optimum: accelerated projected gradient (FISTA with
+adaptive restart) with the gradient
 
-    d p_k / d conj(T) = (T (P_k - p_k I)) / s
+    G = sum_k (d f / d p_k) E_k,   p_k = tr(E_k rho),
 
-so the Wirtinger gradient of the objective is T (G - (c.p) I)/s with
-G = sum_k c_k P_k and c_k the per-row objective derivative d f / d p_k.
+followed by the Frobenius projection onto the states, which projects the
+eigenvalues onto the probability simplex (Shang, Zhang & Ng, PRA 95, 062336;
+Smolin, Gambetta & Smith, PRL 108, 070502).  Fits of inputs that share their
+settings run batched on (B, 4, 4) stacks, which is how the Monte-Carlo
+uncertainties fit every resampled trial of one input at once.
 """
 
 import csv
@@ -19,7 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize, signal, stats
+# `optimize` is unused here; bench/tracing.py still wraps optimize.minimize.
+from scipy import optimize, signal, stats  # noqa: F401
 
 from .detection import CoincidenceHistogram, coincidence_rate
 from .errors import EstimationError, UndefinedEstimateError
@@ -27,15 +31,12 @@ from .linalg import (
     DensityMatrix,
     ProjectorSetting,
     bell_phi_plus,
-    density_from_params,
     hermitian_eigensystem,
     matrix_sqrt_psd,
     projector,
 )
 
 DEFAULT_SIDE_PEAKS = tuple(range(-5, 0)) + tuple(range(1, 6))
-MLE_TOL = 1e-10
-MLE_STARTS = 20
 MC_MIN_TRIALS = 100
 MC_MAX_FAILURE_FRACTION = 0.2
 
@@ -217,110 +218,57 @@ def tomography_from_csv(path) -> TomographyInput:
 WEIGHTING_GAUSSIAN = "gaussian"
 WEIGHTING_POISSON = "poisson"
 
-# Parameter index -> (row, column, takes imaginary part) of the triangular
-# factor; must match linalg.density_from_params.
-_PARAM_SLOTS = [
-    (0, 0, False),
-    (1, 1, False),
-    (2, 2, False),
-    (3, 3, False),
-    (1, 0, False),
-    (1, 0, True),
-    (2, 0, False),
-    (2, 0, True),
-    (2, 1, False),
-    (2, 1, True),
-    (3, 0, False),
-    (3, 0, True),
-    (3, 1, False),
-    (3, 1, True),
-    (3, 2, False),
-    (3, 2, True),
-]
+# Relative duality gap at which a fit counts as converged (see _certified).
+MLE_TOL = 1e-10
+MLE_MAX_ITER = 10_000
+_MAX_BACKTRACKS = 60
+_PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class _MleData:
-    effects: np.ndarray  # (n, 4, 4)
-    measured: np.ndarray  # (n,)
-    weights: np.ndarray | None  # gaussian weighting
-    counts: np.ndarray | None  # poisson weighting
-    trials: np.ndarray | None
+    """The rows of one input with B measured vectors stacked on top."""
+
+    effects: np.ndarray  # (n, 4, 4) joint projectors
+    measured: np.ndarray  # (B, n)
+    # Curvature weights of the objective in the probabilities, f ~ sum w r^2:
+    # exact for the gaussian weighting, the Gaussian approximation at the data
+    # for the poisson one.  They set the first step length.
+    weights: np.ndarray  # (B, n)
+    counts: np.ndarray | None  # (B, n), poisson weighting
+    trials: np.ndarray | None  # (n,), poisson weighting
 
 
-def _build_mle_data(tin: TomographyInput, weighting: str) -> _MleData:
-    if not tin.rows:
+def _build_mle_data(tins: Sequence[TomographyInput], weighting: str) -> _MleData:
+    first = tins[0]
+    if not first.rows:
         raise ValueError("tomography input has no rows")
+    def layout(tin):
+        return [(r.setting_a, r.setting_b, r.sigma, r.trials) for r in tin.rows]
+
+    if any(layout(tin) != layout(first) for tin in tins[1:]):
+        raise ValueError("batched inputs must share settings, sigmas and trials")
     effects = np.stack(
-        [np.kron(projector(r.setting_a), projector(r.setting_b)) for r in tin.rows]
+        [np.kron(projector(r.setting_a), projector(r.setting_b)) for r in first.rows]
     )
-    measured = np.array([r.probability for r in tin.rows])
+    measured = np.array([[r.probability for r in t.rows] for t in tins])
     if weighting == WEIGHTING_GAUSSIAN:
-        sigmas = np.array([r.sigma for r in tin.rows])
+        sigmas = np.array([r.sigma for r in first.rows])
         positive = sigmas[sigmas > 0.0]
         # Zero-sigma rows are exact in resampling; give them the tightest
         # available finite weight instead of an infinite one.
         fallback = positive.min() if positive.size else 1.0
         eff_sigma = np.where(sigmas > 0.0, sigmas, fallback)
-        weights = 1.0 / (2.0 * eff_sigma**2)
+        weights = np.broadcast_to(1.0 / (2.0 * eff_sigma**2), measured.shape)
         return _MleData(effects, measured, weights, None, None)
     if weighting == WEIGHTING_POISSON:
-        if any(r.trials is None for r in tin.rows):
+        if any(r.trials is None for r in first.rows):
             raise ValueError("poisson weighting needs `trials` on every row")
-        trials = np.array([float(r.trials) for r in tin.rows])
+        trials = np.array([float(r.trials) for r in first.rows])
         counts = np.round(measured * trials)
-        return _MleData(effects, measured, None, counts, trials)
+        weights = trials**2 / (2.0 * np.maximum(counts, 1.0))
+        return _MleData(effects, measured, weights, counts, trials)
     raise ValueError(f"unknown weighting {weighting!r}")
-
-
-def _triangular_factor(t: np.ndarray) -> np.ndarray:
-    tm = np.zeros((4, 4), dtype=complex)
-    for i, (a, b, imag) in enumerate(_PARAM_SLOTS):
-        tm[a, b] += 1j * t[i] if imag else t[i]
-    return tm
-
-
-def _objective(t: np.ndarray, data: _MleData) -> tuple[float, np.ndarray]:
-    tm = _triangular_factor(t)
-    ssq = float(np.dot(t, t))
-    if ssq < 1e-300:
-        raise FloatingPointError("parameter vector collapsed to zero")
-    rho = (tm.conj().T @ tm) / ssq
-    probs = np.einsum("kij,ji->k", data.effects, rho).real
-    if data.weights is not None:
-        resid = probs - data.measured
-        f = float(np.dot(data.weights, resid**2))
-        dfdp = 2.0 * data.weights * resid
-    else:
-        p = np.clip(probs, 1e-12, None)
-        f = float(np.sum(data.trials * p - data.counts * np.log(p)))
-        dfdp = data.trials - data.counts / p
-    g = np.einsum("k,kij->ij", dfdp, data.effects)
-    m = (tm @ (g - np.dot(dfdp, probs) * np.eye(4))) / ssq
-    grad = np.empty(16)
-    for i, (a, b, imag) in enumerate(_PARAM_SLOTS):
-        grad[i] = 2.0 * (m[a, b].imag if imag else m[a, b].real)
-    # The state only depends on the ray of t, leaving the objective flat
-    # along it; pinning the norm removes that degeneracy for the optimizer
-    # without moving the optimal state.
-    f += (ssq - 1.0) ** 2
-    grad += 4.0 * (ssq - 1.0) * t
-    return f, grad
-
-
-def mle_objective(
-    t: np.ndarray, tin: TomographyInput, weighting: str = WEIGHTING_GAUSSIAN
-) -> tuple[float, np.ndarray]:
-    """Objective value and analytic gradient at parameter vector `t`."""
-    return _objective(np.asarray(t, dtype=float), _build_mle_data(tin, weighting))
-
-
-@dataclass(frozen=True)
-class TomographyResult:
-    rho: DensityMatrix
-    residual: float
-    params: np.ndarray
-    n_converged: int
 
 
 def _check_rank(effects: np.ndarray) -> None:
@@ -338,97 +286,201 @@ _PAULI_ONE = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-_PAIR_BASIS = [np.kron(a, b) for a in _PAULI_ONE for b in _PAULI_ONE]
+# The 15 traceless Pauli pairs; with the identity they span the Hermitian
+# 4x4 matrices, orthogonal under tr(A B) with tr(P_i P_j) = 4 delta_ij.
+_TRACELESS_PAIRS = np.stack([np.kron(a, b) for a in _PAULI_ONE for b in _PAULI_ONE][1:])
 
 
-def _params_from_state(rho: np.ndarray) -> np.ndarray:
-    """Invert density_from_params via a flipped Cholesky factorization."""
-    flip = np.eye(4)[::-1]
-    chol = np.linalg.cholesky(flip @ rho @ flip)
-    upper = flip @ chol @ flip  # rho = upper @ upper^H
-    tri = upper.conj().T
-    t = np.empty(16)
-    for i, (a, b, imag) in enumerate(_PARAM_SLOTS):
-        t[i] = tri[a, b].imag if imag else tri[a, b].real
-    return t
-
-
-def _linear_inversion_start(data: _MleData) -> np.ndarray | None:
-    """Least-squares state estimate projected into the state space.
-
-    Exact or near-exact data puts this start at (or next to) the optimum,
-    which the boundary-hugging likelihood landscape rewards: random starts
-    alone crawl when the target state is nearly rank deficient.
-    """
+def _objective(data: _MleData, rho: np.ndarray, idx: np.ndarray):
+    """Objective values at the states `rho` of batch elements `idx`, and
+    d f / d p_k with p_k = tr(E_k rho) per row."""
     n = data.effects.shape[0]
-    design = np.empty((n, 15))
-    base = np.empty(n)
-    for k in range(n):
-        base[k] = np.trace(data.effects[k]).real / 4.0
-        for j in range(1, 16):
-            design[k, j - 1] = np.trace(data.effects[k] @ _PAIR_BASIS[j]).real
-    try:
-        coef, _, _, _ = np.linalg.lstsq(design, data.measured - base, rcond=None)
-        rho = np.eye(4, dtype=complex) / 4.0
-        for j in range(1, 16):
-            rho = rho + coef[j - 1] * _PAIR_BASIS[j]
-        w, v = hermitian_eigensystem(rho)
-        w = np.clip(w, 1e-6, None)
-        rho = (v * (w / w.sum())) @ v.conj().T
-        return _params_from_state(rho)
-    except np.linalg.LinAlgError:
-        return None
+    probs = (rho.reshape(-1, 16) @ data.effects.conj().reshape(n, 16).T).real
+    if data.counts is None:
+        weights = data.weights[idx]
+        resid = probs - data.measured[idx]
+        return np.sum(weights * resid**2, axis=1), 2.0 * weights * resid
+    counts = data.counts[idx]
+    p = np.clip(probs, _PROB_FLOOR, None)
+    return np.sum(data.trials * p - counts * np.log(p), axis=1), data.trials - counts / p
 
 
-def _run_mle(data: _MleData, starts: list[np.ndarray], tol: float):
-    best = None
-    n_converged = 0
-    for x0 in starts:
-        res = optimize.minimize(
-            _objective,
-            x0,
-            args=(data,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"ftol": tol, "gtol": 1e-10, "maxiter": 2000},
+def _gradient(effects: np.ndarray, dfdp: np.ndarray) -> np.ndarray:
+    """The Hermitian gradient sum_k (d f / d p_k) E_k of each batch element."""
+    n = effects.shape[0]
+    return (dfdp @ effects.reshape(n, 16)).reshape(-1, 4, 4)
+
+
+def _project_to_states(h: np.ndarray) -> np.ndarray:
+    """Nearest density matrices in Frobenius norm to a stack of Hermitian
+    matrices: keep the eigenvectors, project the eigenvalues onto the simplex
+    (Smolin, Gambetta & Smith, PRL 108, 070502)."""
+    w, v = np.linalg.eigh(h)
+    desc = w[:, ::-1]
+    excess = (np.cumsum(desc, axis=1) - 1.0) / np.arange(1, 5)
+    # The number of kept eigenvalues is the last k with desc_k > excess_k.
+    kept = np.count_nonzero(desc > excess, axis=1)
+    shift = excess[np.arange(w.shape[0]), kept - 1]
+    w = np.clip(w - shift[:, None], 0.0, None)
+    return (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def _frobenius_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a^H b) for each pair of the two stacks."""
+    return np.einsum("bij,bij->b", a.conj(), b).real
+
+
+def _start(data: _MleData) -> tuple[np.ndarray, np.ndarray]:
+    """Starting state and first step length of each batch element.
+
+    In the orthonormal basis P_j / 2 of the traceless Hermitian matrices the
+    objective is (for the poisson weighting, near the data)
+    sum_k w_k (a_k . c + tr(E_k) / 4 - m_k)^2, with a_k the coordinates of
+    E_k.  The start is its minimizer, the weighted linear inversion, projected
+    onto the states; the step is 1/L with L = 2 lambda_max(A^T W A), the
+    Lipschitz constant of its gradient.
+    """
+    design = np.einsum("kij,pji->kp", data.effects, _TRACELESS_PAIRS).real / 2.0
+    offset = np.trace(data.effects, axis1=1, axis2=2).real / 4.0
+    curvature = np.einsum("kp,bk,kq->bpq", design, data.weights, design)
+    rhs = (data.weights * (data.measured - offset)) @ design
+    coef = np.linalg.solve(curvature, rhs[..., None])[..., 0]
+    rho = np.eye(4) / 4.0 + np.einsum("bp,pij->bij", coef, _TRACELESS_PAIRS / 2.0)
+    return _project_to_states(rho), 1.0 / (2.0 * np.linalg.eigvalsh(curvature)[:, -1])
+
+
+def _certified(rho: np.ndarray, grad: np.ndarray, tol: float) -> np.ndarray:
+    """Whether the duality gap tr(G rho) - lambda_min(G), an upper bound on
+    f(rho) - min f over the states, is at most tol * max(1, |G|)."""
+    gap = _frobenius_inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
+    return gap <= tol * np.maximum(1.0, np.sqrt(_frobenius_inner(grad, grad)))
+
+
+def _backtracking_step(data, active, y, f_y, grad, step):
+    """Projected gradient steps from the points y of batch elements `active`.
+
+    An element's step length is halved, in `step`, until the sufficient
+    decrease test of Beck & Teboulle (SIAM J. Imaging Sci. 2, 183) holds.
+    Returns the new points with their objective values and d f / d p."""
+    x_new = np.empty_like(y)
+    f_new = np.empty(active.size)
+    dfdp_new = np.empty((active.size, data.effects.shape[0]))
+    pending = np.arange(active.size)
+    for attempt in range(_MAX_BACKTRACKS + 1):
+        t = step[active[pending]]
+        cand = _project_to_states(y[pending] - t[:, None, None] * grad[pending])
+        f_cand, dfdp = _objective(data, cand, active[pending])
+        d = cand - y[pending]
+        bound = (
+            f_y[pending]
+            + _frobenius_inner(grad[pending], d)
+            + _frobenius_inner(d, d) / (2.0 * t)
         )
-        if res.success or np.max(np.abs(res.jac)) <= 1e-6 * (1.0 + abs(res.fun)):
-            n_converged += 1
-        if best is None or res.fun < best.fun:
-            best = res
-    return best, n_converged
+        # The slack absorbs rounding in f once steps reach round-off size.
+        ok = f_cand <= bound + 1e-12 * np.abs(f_y[pending])
+        ok |= attempt == _MAX_BACKTRACKS
+        x_new[pending[ok]] = cand[ok]
+        f_new[pending[ok]] = f_cand[ok]
+        dfdp_new[pending[ok]] = dfdp[ok]
+        pending = pending[~ok]
+        if pending.size == 0:
+            break
+        step[active[pending]] *= 0.5
+    return x_new, f_new, dfdp_new
+
+
+@dataclass(frozen=True)
+class BatchFit:
+    """Fitted states of a batch of inputs, in input order."""
+
+    rho: np.ndarray  # (B, 4, 4)
+    residual: np.ndarray  # (B,) objective value at the fitted state
+    iterations: np.ndarray  # (B,)
+    converged: np.ndarray  # (B,) bool
+
+
+def fit_batch(
+    tins: Sequence[TomographyInput],
+    weighting: str = WEIGHTING_GAUSSIAN,
+    tol: float = MLE_TOL,
+) -> BatchFit:
+    """Maximum-likelihood states of inputs that share settings and sigmas.
+
+    Accelerated projected gradient (FISTA with adaptive restart) on the
+    (B, 4, 4) stack: a gradient step, then the projection onto the states.
+    Each element starts from its projected linear inversion, takes its first
+    step length from its Lipschitz constant and halves it while the sufficient
+    decrease test fails (which only the poisson weighting needs).  An element
+    stops once its duality gap certifies it (see _certified), so its result
+    does not depend, beyond rounding, on the rest of the batch.
+    """
+    data = _build_mle_data(tins, weighting)
+    _check_rank(data.effects)
+    size = data.measured.shape[0]
+    x, step = _start(data)
+    residual, dfdp = _objective(data, x, np.arange(size))
+    converged = _certified(x, _gradient(data.effects, dfdp), tol)
+    iterations = np.zeros(size, dtype=int)
+    y = x.copy()
+    theta = np.ones(size)
+    active = np.flatnonzero(~converged)
+    for it in range(1, MLE_MAX_ITER + 1):
+        if active.size == 0:
+            break
+        y_act = y[active]
+        f_y, dfdp = _objective(data, y_act, active)
+        grad = _gradient(data.effects, dfdp)
+        x_new, f_new, dfdp_new = _backtracking_step(data, active, y_act, f_y, grad, step)
+        x_old = x[active]
+        x[active] = x_new
+        residual[active] = f_new
+        iterations[active] = it
+        done = _certified(x_new, _gradient(data.effects, dfdp_new), tol)
+        converged[active[done]] = True
+        # Restart the momentum when it points against the last step
+        # (O'Donoghue & Candes, Found. Comput. Math. 15, 715).
+        restart = _frobenius_inner(y_act - x_new, x_new - x_old) > 0.0
+        theta_old = np.where(restart, 1.0, theta[active])
+        theta[active] = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta_old**2))
+        beta = (theta_old - 1.0) / theta[active]
+        y[active] = x_new + beta[:, None, None] * (x_new - x_old)
+        active = active[~done]
+    return BatchFit(x, residual, iterations, converged)
+
+
+@dataclass(frozen=True)
+class TomographyResult:
+    rho: DensityMatrix
+    residual: float
+    n_converged: int
+    iterations: int
 
 
 def tomography_mle(
     tin: TomographyInput,
-    n_starts: int = MLE_STARTS,
-    seed: int = 0,
     weighting: str = WEIGHTING_GAUSSIAN,
     tol: float = MLE_TOL,
+    *,
+    n_starts: int | None = None,
+    seed: int | None = None,
 ) -> TomographyResult:
-    """Best-fit density matrix by multi-start local likelihood optimization."""
-    data = _build_mle_data(tin, weighting)
-    _check_rank(data.effects)
-    rng = np.random.default_rng(seed)
-    # A data-driven start, a flat-state start, then randomized ones.
-    starts = []
-    seeded = _linear_inversion_start(data)
-    if seeded is not None:
-        starts.append(seeded)
-    starts.append(np.array([0.5, 0.5, 0.5, 0.5] + [0.0] * 12))
-    while len(starts) < max(int(n_starts), 1):
-        starts.append(rng.standard_normal(16))
-    starts = starts[: max(int(n_starts), 1)]
-    best, n_converged = _run_mle(data, starts, tol)
-    if n_converged == 0:
+    """Maximum-likelihood density matrix: fit_batch on a batch of one.
+
+    The objective is convex in the state, so there is one start and no seed;
+    `n_starts` and `seed` are accepted and ignored because bench/reference.py
+    still passes them.
+    """
+    fit = fit_batch([tin], weighting, tol)
+    if not fit.converged[0]:
         raise EstimationError(
-            f"no start converged; best residual {best.fun!r}"
+            f"fit did not converge in {MLE_MAX_ITER} iterations; "
+            f"residual {fit.residual[0]!r}"
         )
     return TomographyResult(
-        rho=DensityMatrix(density_from_params(best.x)),
-        residual=float(best.fun),
-        params=np.array(best.x),
-        n_converged=n_converged,
+        rho=DensityMatrix(fit.rho[0]),
+        residual=float(fit.residual[0]),
+        n_converged=1,
+        iterations=int(fit.iterations[0]),
     )
 
 
@@ -631,57 +683,67 @@ def resample_rows(tin: TomographyInput, rng: np.random.Generator) -> TomographyI
     return TomographyInput(tuple(rows), tin.normalization)
 
 
+def monte_carlo_samples(
+    tins: Sequence[TomographyInput],
+    trials: int,
+    rng: np.random.Generator,
+    evaluate: Callable[[tuple[DensityMatrix, ...]], Sequence[float]],
+    weighting: str = WEIGHTING_GAUSSIAN,
+) -> tuple[np.ndarray, int]:
+    """Metric samples under joint resampling of the inputs `tins`.
+
+    Every trial redraws each input within its uncertainties (resample_rows,
+    inputs in order within a trial, trials in order), so the random stream
+    does not depend on fit outcomes.  All trials of one input are then fitted
+    in one batched call, and `evaluate` maps the states of one trial (one per
+    input) to its metric values.  A trial whose fit does not converge or whose
+    evaluation raises is dropped and counted; more than 20% dropped trials
+    raise EstimationError.  Returns the (kept trials, metrics) samples and the
+    number of dropped trials.
+    """
+    draws = [[resample_rows(tin, rng) for tin in tins] for _ in range(trials)]
+    fits = [
+        fit_batch([trial[i] for trial in draws], weighting) for i in range(len(tins))
+    ]
+    samples = []
+    failures = 0
+    for trial in range(trials):
+        if not all(fit.converged[trial] for fit in fits):
+            failures += 1
+            continue
+        try:
+            states = tuple(DensityMatrix(fit.rho[trial]) for fit in fits)
+            samples.append([float(v) for v in evaluate(states)])
+        except Exception:  # a trial whose metric fails is dropped and counted
+            failures += 1
+    if failures > MC_MAX_FAILURE_FRACTION * trials:
+        raise EstimationError(
+            f"{failures}/{trials} Monte-Carlo trials failed; results unreliable"
+        )
+    return np.array(samples), failures
+
+
 def monte_carlo_uncertainty(
     tin: TomographyInput,
     trials: int,
     metric,
     seed: int = 0,
     weighting: str = WEIGHTING_GAUSSIAN,
-    n_starts: int = MLE_STARTS,
 ) -> tuple[float, float]:
-    """Mean and standard deviation of `metric` under input resampling.
-
-    Each trial redraws the measured probabilities within their uncertainties,
-    refits the state (warm-started from the base fit plus one fresh random
-    start) and evaluates the metric.  More than 20% failed trials aborts.
-    """
+    """Mean and standard deviation of `metric` under input resampling
+    (monte_carlo_samples on one input)."""
     if trials < MC_MIN_TRIALS:
         raise ValueError(f"at least {MC_MIN_TRIALS} trials required, got {trials}")
     metric_fn = _resolve_metric(metric)
-    base = tomography_mle(tin, n_starts=n_starts, seed=seed, weighting=weighting)
     if all(r.sigma == 0.0 for r in tin.rows):
         # Degenerate resampling: every trial sees identical data.
+        base = tomography_mle(tin, weighting=weighting)
         return float(metric_fn(base.rho)), 0.0
-    data_template = _build_mle_data(tin, weighting)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    values = []
-    failures = 0
-    for _ in range(trials):
-        resampled = resample_rows(tin, rng)
-        data = _MleData(
-            data_template.effects,
-            np.array([r.probability for r in resampled.rows]),
-            data_template.weights,
-            np.round(np.array([r.probability for r in resampled.rows]) * data_template.trials)
-            if data_template.trials is not None
-            else None,
-            data_template.trials,
-        )
-        starts = [base.params.copy(), rng.standard_normal(16)]
-        best, n_converged = _run_mle(data, starts, MLE_TOL)
-        if n_converged == 0:
-            failures += 1
-            continue
-        try:
-            values.append(float(metric_fn(DensityMatrix(density_from_params(best.x)))))
-        except Exception:
-            failures += 1
-    if failures > MC_MAX_FAILURE_FRACTION * trials:
-        raise EstimationError(
-            f"{failures}/{trials} Monte-Carlo trials failed; results unreliable"
-        )
-    arr = np.array(values)
-    return float(arr.mean()), float(arr.std(ddof=1))
+    samples, _ = monte_carlo_samples(
+        [tin], trials, rng, lambda states: (metric_fn(states[0]),), weighting
+    )
+    return float(samples[:, 0].mean()), float(samples[:, 0].std(ddof=1))
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,10 @@ from .detection import (
     single_outcome_table,
     tdc_histogram_from_times,
 )
-from .errors import EstimationError, UndefinedEstimateError
+from .errors import UndefinedEstimateError
 from .estimation import (
-    MC_MAX_FAILURE_FRACTION,
     MC_MIN_TRIALS,
     METRIC_FUNCTIONS,
-    MLE_STARTS,
     ChshEstimate,
     ChshSettings,
     MetricsReport,
@@ -45,7 +43,7 @@ from .estimation import (
     fidelity,
     find_histogram_peaks,
     g2_cross,
-    resample_rows,
+    monte_carlo_samples,
     tomography_from_csv,
     tomography_mle,
 )
@@ -773,7 +771,9 @@ class AnalysisReport:
     """Tomography fits, state metrics and Bell sums from measured tables.
 
     Metric values are fractions in [0, 1]; `metrics` repeats the headline
-    numbers on the percent scale once both stages are available."""
+    numbers on the percent scale once both stages are available.
+    `mc_failures` counts the Monte-Carlo trials dropped because a fit did not
+    converge or a metric failed."""
 
     input_state: TomographyResult
     output_state: TomographyResult | None
@@ -784,6 +784,7 @@ class AnalysisReport:
     chsh_in: ChshEstimate | None
     chsh_out: ChshEstimate | None
     trials: int
+    mc_failures: int
 
     def rows(self) -> list[tuple[str, str, float, float]]:
         rows = [
@@ -811,6 +812,7 @@ class AnalysisReport:
             "input": {
                 "residual": self.input_state.residual,
                 "n_converged": self.input_state.n_converged,
+                "iterations": self.input_state.iterations,
                 "metrics": {k: pair(v) for k, v in self.input_metrics.items()},
             }
         }
@@ -818,9 +820,14 @@ class AnalysisReport:
             states["output"] = {
                 "residual": self.output_state.residual,
                 "n_converged": self.output_state.n_converged,
+                "iterations": self.output_state.iterations,
                 "metrics": {k: pair(v) for k, v in self.output_metrics.items()},
             }
-        payload: dict = {"trials": self.trials, "states": states}
+        payload: dict = {
+            "trials": self.trials,
+            "mc_failures": self.mc_failures,
+            "states": states,
+        }
         if self.io_fidelity is not None:
             payload["input_output_fidelity"] = pair(self.io_fidelity)
         chsh = {}
@@ -841,11 +848,15 @@ def _point_metrics(result: TomographyResult) -> dict[str, float]:
     return {name: float(METRIC_FUNCTIONS[name](result.rho)) for name in _STATE_METRICS}
 
 
-def _spread(values: list[float]) -> float:
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        return 0.0
-    return float(arr.std(ddof=1))
+def _trial_metrics(states) -> list[float]:
+    """State metrics of every stage of one Monte-Carlo trial, then the
+    input-output fidelity when both stages are present."""
+    values = [
+        float(METRIC_FUNCTIONS[name](rho)) for rho in states for name in _STATE_METRICS
+    ]
+    if len(states) == 2:
+        values.append(float(fidelity(*states)))
+    return values
 
 
 def analyze_paper_data(
@@ -854,7 +865,6 @@ def analyze_paper_data(
     chsh=None,
     trials: int = 200,
     seed: int = 0,
-    n_starts: int = MLE_STARTS,
 ) -> AnalysisReport:
     """Reconstruct the measured states and evaluate every headline number.
 
@@ -865,54 +875,30 @@ def analyze_paper_data(
     if trials != 0 and trials < MC_MIN_TRIALS:
         raise ValueError(f"trials must be 0 or at least {MC_MIN_TRIALS}, got {trials}")
     tin_in = tomography_from_csv(tomography_in)
-    base_in = tomography_mle(tin_in, n_starts=n_starts, seed=seed)
+    base_in = tomography_mle(tin_in)
     point_in = _point_metrics(base_in)
 
     tin_out = base_out = point_out = io_point = None
     if tomography_out is not None:
         tin_out = tomography_from_csv(tomography_out)
-        base_out = tomography_mle(tin_out, n_starts=n_starts, seed=seed + 1)
+        base_out = tomography_mle(tin_out)
         point_out = _point_metrics(base_out)
         io_point = float(fidelity(base_in.rho, base_out.rho))
 
     sigma_in = {name: 0.0 for name in _STATE_METRICS}
     sigma_out = {name: 0.0 for name in _STATE_METRICS}
     io_sigma = 0.0
+    mc_failures = 0
     if trials:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-        in_samples: dict[str, list[float]] = {name: [] for name in _STATE_METRICS}
-        out_samples: dict[str, list[float]] = {name: [] for name in _STATE_METRICS}
-        io_samples: list[float] = []
-        failures = 0
-        for trial in range(trials):
-            # Resample before fitting so the random stream does not depend on
-            # fit outcomes; failed trials stay reproducible.
-            trial_in = resample_rows(tin_in, rng)
-            trial_out = resample_rows(tin_out, rng) if tin_out is not None else None
-            try:
-                fit_in = tomography_mle(trial_in, n_starts=2, seed=seed + 10_000 + trial)
-                fit_out = (
-                    tomography_mle(trial_out, n_starts=2, seed=seed + 20_000 + trial)
-                    if trial_out is not None
-                    else None
-                )
-            except EstimationError:
-                failures += 1
-                continue
-            for name in _STATE_METRICS:
-                in_samples[name].append(float(METRIC_FUNCTIONS[name](fit_in.rho)))
-            if fit_out is not None:
-                for name in _STATE_METRICS:
-                    out_samples[name].append(float(METRIC_FUNCTIONS[name](fit_out.rho)))
-                io_samples.append(float(fidelity(fit_in.rho, fit_out.rho)))
-        if failures > MC_MAX_FAILURE_FRACTION * trials:
-            raise EstimationError(
-                f"{failures}/{trials} Monte-Carlo trials failed; results unreliable"
-            )
-        sigma_in = {name: _spread(in_samples[name]) for name in _STATE_METRICS}
+        tins = (tin_in,) if tin_out is None else (tin_in, tin_out)
+        samples, mc_failures = monte_carlo_samples(tins, trials, rng, _trial_metrics)
+        sigmas = samples.std(axis=0, ddof=1)
+        count = len(_STATE_METRICS)
+        sigma_in = dict(zip(_STATE_METRICS, map(float, sigmas[:count])))
         if tin_out is not None:
-            sigma_out = {name: _spread(out_samples[name]) for name in _STATE_METRICS}
-            io_sigma = _spread(io_samples)
+            sigma_out = dict(zip(_STATE_METRICS, map(float, sigmas[count : 2 * count])))
+            io_sigma = float(sigmas[-1])
 
     input_metrics = {name: (point_in[name], sigma_in[name]) for name in _STATE_METRICS}
     output_metrics = None
@@ -950,6 +936,7 @@ def analyze_paper_data(
         chsh_in=chsh_in,
         chsh_out=chsh_out,
         trials=trials,
+        mc_failures=mc_failures,
     )
 
 

@@ -11,11 +11,10 @@ Conventions used everywhere in this package:
   transmitted (+1) port, onto (|e> + e^{i theta}|l>)/sqrt(2); the -1 port is
   the orthogonal state.
 
-All matrices here are 2x2 or 4x4.  The eigensolver is written in-package
-(closed form for 2x2, cyclic Jacobi sweeps for 4x4) because the rest of the
-code leans on it for positivity checks and matrix square roots; robustness on
-degenerate spectra matters more than speed at this size.  The test suite
-cross-checks it against numpy.linalg.eigh.
+All matrices here are 2x2 or 4x4.  hermitian_eigensystem wraps
+numpy.linalg.eigh (LAPACK heevd) with a Hermiticity check and descending
+order; positivity checks, matrix square roots and the state metrics all go
+through it.
 """
 
 from __future__ import annotations
@@ -204,73 +203,6 @@ def bell_phi_plus(relative_phase: float = 0.0) -> Ket:
     return Ket(amps / np.sqrt(2.0))
 
 
-def _eig2_closed_form(m: np.ndarray):
-    a = m[0, 0].real
-    c = m[1, 1].real
-    b = m[0, 1]
-    half_sum = 0.5 * (a + c)
-    h = np.hypot(0.5 * (a - c), abs(b))
-    w = np.array([half_sum + h, half_sum - h])
-    if abs(b) < 1e-300 * max(1.0, abs(a), abs(c)) or h == 0.0:
-        v = np.eye(2, dtype=complex)
-        if a < c:
-            v = v[:, ::-1]
-        return w, v
-    v0 = np.array([b, w[0] - a], dtype=complex)
-    n0 = np.linalg.norm(v0)
-    if n0 == 0.0:  # b == 0 handled above; defensive
-        v0 = np.array([1.0, 0.0], dtype=complex)
-        n0 = 1.0
-    v0 /= n0
-    v1 = np.array([-np.conj(v0[1]), np.conj(v0[0])])
-    return w, np.column_stack([v0, v1])
-
-
-def _eig_jacobi(m: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
-    """Cyclic Jacobi sweeps for a small complex Hermitian matrix."""
-    n = m.shape[0]
-    a = m.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
-    scale = max(np.linalg.norm(a), 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-2 * tol * scale / n:
-                    continue
-                phi = apq / r
-                # Annihilation condition: t^2 - 2*tau*t - 1 = 0; take the
-                # smaller-magnitude root for stability.
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (tau - np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Right-multiply by the rotation, then left-multiply by its
-                # adjoint; only rows/columns p and q change.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phi) * col_q
-                a[:, q] = -s * phi * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phi * row_q
-                a[q, :] = -s * np.conj(phi) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p + s * np.conj(phi) * vcol_q
-                v[:, q] = -s * phi * vcol_p + c * vcol_q
-    return np.diag(a).real.copy(), v
-
-
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching orthonormal eigenvector columns.
 
@@ -282,13 +214,8 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.conj().T).max() > HERMITICITY_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = 0.5 * (a + a.conj().T)
-    if a.shape[0] == 2:
-        w, v = _eig2_closed_form(a)
-    else:
-        w, v = _eig_jacobi(a)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return w[::-1], v[:, ::-1]
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:

@@ -21,6 +21,9 @@ from afclink.estimation import (
     MetricsReport,
     TomographyInput,
     TomographyRow,
+    _build_mle_data,
+    _gradient,
+    _objective,
     born_correlation,
     chsh_s,
     concurrence,
@@ -30,11 +33,13 @@ from afclink.estimation import (
     eof_from_concurrence,
     fidelity,
     find_histogram_peaks,
+    fit_batch,
     g2_cross,
     informationally_complete_pairs,
-    mle_objective,
+    monte_carlo_samples,
     monte_carlo_uncertainty,
     purity,
+    resample_rows,
     synthesize_input,
     tomography_from_csv,
     tomography_mle,
@@ -56,6 +61,33 @@ PHI_PLUS = bell_phi_plus().density()
 
 def werner(p: float) -> DensityMatrix:
     return DensityMatrix(p * PHI_PLUS.matrix + (1.0 - p) * np.eye(4) / 4.0)
+
+
+def objective_and_gradient(rho, tin, weighting="gaussian"):
+    """The fit objective at a 4x4 matrix and its Hermitian gradient."""
+    data = _build_mle_data([tin], weighting)
+    f, dfdp = _objective(data, rho[None], np.arange(1))
+    return f[0], _gradient(data.effects, dfdp)[0]
+
+
+def noisy_input(truth, sigma, weighting, rng):
+    """Informationally complete rows drawn around `truth`: Gaussian noise of
+    width sigma, or Poisson counts of 1/(4 sigma^2) trials per row."""
+    exact = synthesize_input(truth, informationally_complete_pairs(), sigma)
+    if weighting == "gaussian":
+        return resample_rows(exact, rng)
+    trials = int(round(0.25 / sigma**2))
+    rows = [
+        TomographyRow(
+            r.setting_a,
+            r.setting_b,
+            min(rng.poisson(trials * r.probability), trials) / trials,
+            sigma,
+            trials=trials,
+        )
+        for r in exact.rows
+    ]
+    return TomographyInput(tuple(rows))
 
 
 def flat_histogram(level: int = 0, window_ps: int = 70_000) -> CoincidenceHistogram:
@@ -133,25 +165,25 @@ class TestTomography:
         return synthesize_input(rho, informationally_complete_pairs(), sigma)
 
     def test_exact_phi_plus(self):
-        result = tomography_mle(self.exact_input(PHI_PLUS), seed=1)
+        result = tomography_mle(self.exact_input(PHI_PLUS))
         assert fidelity(result.rho, PHI_PLUS) >= 0.999
 
     def test_exact_werner(self):
         truth = werner(0.75)
-        result = tomography_mle(self.exact_input(truth), seed=2)
+        result = tomography_mle(self.exact_input(truth))
         assert trace_distance(result.rho, truth) < 0.01
 
     def test_forward_model_consistency_property(self):
         rng = np.random.default_rng(3)
         for _ in range(60):
             truth = DensityMatrix(density_from_params(rng.standard_normal(16)))
-            result = tomography_mle(self.exact_input(truth), n_starts=4, seed=4)
+            result = tomography_mle(self.exact_input(truth))
             assert trace_distance(result.rho, truth) < 0.01
 
     def test_deterministic_given_seed(self):
         tin = self.exact_input(werner(0.6))
-        a = tomography_mle(tin, seed=9)
-        b = tomography_mle(tin, seed=9)
+        a = tomography_mle(tin)
+        b = tomography_mle(tin)
         assert np.array_equal(a.rho.matrix, b.rho.matrix)
 
     def test_rank_deficient_set_rejected(self):
@@ -161,21 +193,57 @@ class TestTomography:
             for pb in (+1, -1)
         ]
         with pytest.raises(ValueError):
-            tomography_mle(TomographyInput(tuple(rows)), seed=0)
+            tomography_mle(TomographyInput(tuple(rows)))
 
     def test_gradient_matches_finite_differences(self):
+        # f(rho + eps H) - f(rho - eps H) = 2 eps tr(G H) for Hermitian H.
         rng = np.random.default_rng(17)
-        tin = self.exact_input(werner(0.8))
-        t = rng.standard_normal(16)
-        f0, grad = mle_objective(t, tin)
-        eps = 1e-6
-        for i in range(16):
-            tp = t.copy()
-            tp[i] += eps
-            tm = t.copy()
-            tm[i] -= eps
-            fd = (mle_objective(tp, tin)[0] - mle_objective(tm, tin)[0]) / (2 * eps)
-            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        rho = werner(0.7).matrix
+        for weighting in ("gaussian", "poisson"):
+            tin = noisy_input(werner(0.8), 0.01, weighting, rng)
+            _, grad = objective_and_gradient(rho, tin, weighting)
+            for _ in range(16):
+                g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                h = (g + g.conj().T) / 2.0
+                eps = 1e-6
+                fd = (
+                    objective_and_gradient(rho + eps * h, tin, weighting)[0]
+                    - objective_and_gradient(rho - eps * h, tin, weighting)[0]
+                ) / (2 * eps)
+                assert np.trace(grad @ h).real == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+    def test_optimality_certificate(self):
+        # rho* minimizes a convex f over the states iff its gradient G has
+        # lambda_min(G) >= tr(G rho*).
+        rng = np.random.default_rng(29)
+        for k in range(6):
+            if k % 2:
+                truth = DensityMatrix(density_from_params(rng.standard_normal(16)))
+            else:
+                v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                truth = Ket(v / np.linalg.norm(v)).density()
+            for sigma in (0.002, 0.01, 0.05):
+                for weighting in ("gaussian", "poisson"):
+                    tin = noisy_input(truth, sigma, weighting, rng)
+                    rho = tomography_mle(tin, weighting=weighting).rho.matrix
+                    _, grad = objective_and_gradient(rho, tin, weighting)
+                    lowest = np.linalg.eigvalsh(grad)[0]
+                    slack = 1e-8 * np.linalg.norm(grad)
+                    assert lowest >= np.trace(grad @ rho).real - slack
+
+    def test_single_fit_matches_batched_fit(self):
+        rng = np.random.default_rng(31)
+        # Noise around a pure state puts most fits on the boundary, where the
+        # solver iterates and elements stop at different iterations.
+        exact = synthesize_input(PHI_PLUS, informationally_complete_pairs(), 0.02)
+        tins = [resample_rows(exact, rng) for _ in range(12)]
+        batch = fit_batch(tins)
+        assert batch.converged.all()
+        assert len(set(batch.iterations.tolist())) > 3
+        for k in (0, 5, 11):
+            single = tomography_mle(tins[k])
+            assert np.abs(single.rho.matrix - batch.rho[k]).max() <= 1e-12
+            assert single.iterations == batch.iterations[k]
 
     def test_poisson_weighting_variant(self):
         pairs = informationally_complete_pairs()
@@ -191,7 +259,7 @@ class TestTomography:
             rows.append(
                 TomographyRow(a, b, n / trials, max(math.sqrt(n), 1.0) / trials, trials=trials)
             )
-        result = tomography_mle(TomographyInput(tuple(rows)), weighting="poisson", seed=5)
+        result = tomography_mle(TomographyInput(tuple(rows)), weighting="poisson")
         assert fidelity(result.rho, PHI_PLUS) >= 0.99
 
     def test_poisson_weighting_requires_trials(self):
@@ -421,6 +489,21 @@ class TestMonteCarlo:
 
         with pytest.raises(EstimationError):
             monte_carlo_uncertainty(tin, trials=100, metric=broken_metric, seed=1)
+
+    def test_failed_trials_are_counted(self):
+        tin = synthesize_input(werner(0.75), informationally_complete_pairs(), 0.01)
+        calls = []
+
+        def every_tenth_fails(states):
+            calls.append(None)
+            if len(calls) % 10 == 0:
+                raise RuntimeError("boom")
+            return (purity(states[0]),)
+
+        rng = np.random.default_rng(3)
+        samples, failures = monte_carlo_samples([tin], 100, rng, every_tenth_fails)
+        assert failures == 10
+        assert samples.shape == (90, 1)
 
     def test_minimum_trials(self):
         tin = synthesize_input(werner(0.75), informationally_complete_pairs(), 0.01)

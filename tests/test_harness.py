@@ -417,6 +417,10 @@ class TestAnalyzePaperData:
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["chsh"]["in"]["value"] == pytest.approx(2.5194)
         assert "input" in payload["states"]
+        assert payload["mc_failures"] == 0
+        for stage in ("input", "output"):
+            assert payload["states"][stage]["n_converged"] == 1
+            assert payload["states"][stage]["iterations"] >= 0
         rows = report.rows()
         assert ("input", "fidelity_phi_plus") in [(r[0], r[1]) for r in rows]
 
