@@ -13,6 +13,11 @@ eigenvalues onto the probability simplex (Shang, Zhang & Ng, PRA 95, 062336;
 Smolin, Gambetta & Smith, PRL 108, 070502).  Fits of inputs that share their
 settings run batched on (B, 4, 4) stacks, which is how the Monte-Carlo
 uncertainties fit every resampled trial of one input at once.
+
+Everything here needs numpy alone.  The histogram peak finder (find_peaks,
+with the semantics of scipy.signal.find_peaks) and the truncated-normal
+resampler (resample_rows, exact rejection sampling) are written out, so that
+no CLI command other than the comb fit pays for importing scipy.
 """
 
 import csv
@@ -22,8 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-# `optimize` is unused here; bench/tracing.py still wraps optimize.minimize.
-from scipy import optimize, signal, stats  # noqa: F401
 
 from .detection import CoincidenceHistogram, coincidence_rate
 from .errors import EstimationError, UndefinedEstimateError
@@ -43,6 +46,18 @@ MC_MAX_FAILURE_FRACTION = 0.2
 _PHI_PLUS = bell_phi_plus().density()
 
 TOMOGRAPHY_CSV_HEADER = ("setting_a", "setting_b", "probability", "sigma")
+
+
+def __getattr__(name):
+    # `optimize` is scipy.optimize, imported on first access and used by
+    # nothing here: bench/tracing.py still wraps optimize.minimize.  It goes
+    # with the benchmark change of ROADMAP item 2, which points that span at
+    # fit_batch.
+    if name == "optimize":
+        import scipy.optimize
+
+        return scipy.optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +85,8 @@ def g2_cross(
     The peak rate is divided by the mean rate of the accidental peaks offset
     by n repetition periods; uncorrelated channels therefore give 1.  The
     uncertainty follows from Poisson counting on both numerator and the
-    pooled reference counts.
+    pooled reference counts; an empty peak is given the one-count Poisson
+    bound, so it reports 0 with a nonzero sigma.
     """
     if n_values is None:
         n_values = DEFAULT_SIDE_PEAKS
@@ -89,7 +105,8 @@ def g2_cross(
         raise UndefinedEstimateError("all reference peaks are empty")
     mean_ref = total_ref / len(references)
     value = peak / mean_ref
-    sigma = value * math.sqrt(1.0 / peak + 1.0 / total_ref) if peak > 0 else 0.0
+    n_peak = max(peak, 1)
+    sigma = (n_peak / mean_ref) * math.sqrt(1.0 / n_peak + 1.0 / total_ref)
     return G2Estimate(value, sigma, peak, total_ref, len(references))
 
 
@@ -114,8 +131,8 @@ class TomographyRow:
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability {self.probability!r} outside [0, 1]")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         if self.trials is not None and self.trials <= 0:
             raise ValueError("trials must be positive when given")
 
@@ -666,17 +683,21 @@ def _resolve_metric(metric) -> Callable[[DensityMatrix], float]:
 
 
 def resample_rows(tin: TomographyInput, rng: np.random.Generator) -> TomographyInput:
-    """Redraw each probability from its Gaussian truncated to [0, 1]."""
+    """Redraw each probability from its Gaussian truncated to [0, 1].
+
+    Exact rejection sampling: every row with sigma > 0 draws N(p, sigma), then
+    only the draws outside [0, 1] are redrawn, until none is left.  A row
+    accepts with probability P(0 <= N(p, sigma) <= 1), which is positive
+    because TomographyRow keeps p in [0, 1] and sigma finite, so the loop
+    ends.  Rows with sigma = 0 keep their probability.
+    """
     probs = np.array([r.probability for r in tin.rows])
     sigmas = np.array([r.sigma for r in tin.rows])
     drawn = probs.copy()
-    mask = sigmas > 0.0
-    if mask.any():
-        a = (0.0 - probs[mask]) / sigmas[mask]
-        b = (1.0 - probs[mask]) / sigmas[mask]
-        drawn[mask] = stats.truncnorm.rvs(
-            a, b, loc=probs[mask], scale=sigmas[mask], random_state=rng
-        )
+    todo = np.flatnonzero(sigmas > 0.0)
+    while todo.size:
+        drawn[todo] = rng.normal(probs[todo], sigmas[todo])
+        todo = todo[(drawn[todo] < 0.0) | (drawn[todo] > 1.0)]
     rows = [
         replace(row, probability=float(p)) for row, p in zip(tin.rows, drawn)
     ]
@@ -845,6 +866,39 @@ class HistogramPeak:
     count: int
 
 
+def find_peaks(x, height: float | None = None, distance: float | None = None) -> np.ndarray:
+    """Indices of the local maxima of a 1-d array, ascending.
+
+    The semantics are those of scipy.signal.find_peaks(x, height=, distance=):
+    a flat top counts once, at its midpoint (left + right) // 2, and flat tops
+    at either end are not peaks; peaks with x < height are dropped; then,
+    from the tallest down (np.argsort order of the heights), each peak still
+    kept drops its neighbours closer than ceil(distance) >= 1 samples.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp)
+    # Runs of equal values: run k covers starts[k] .. ends[k].
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], x.size] - 1
+    level = x[starts]
+    inner = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = (starts[inner] + ends[inner]) // 2
+    if height is not None:
+        peaks = peaks[x[peaks] >= height]
+    if distance is not None:
+        reach = math.ceil(distance)
+        lo = np.searchsorted(peaks, peaks - reach + 1).tolist()
+        hi = np.searchsorted(peaks, peaks + reach).tolist()
+        keep = np.ones(peaks.size, dtype=bool)
+        for j in np.argsort(x[peaks])[::-1].tolist():
+            if keep[j]:
+                keep[lo[j] : j] = False
+                keep[j + 1 : hi[j]] = False
+        peaks = peaks[keep]
+    return peaks
+
+
 def find_histogram_peaks(
     hist: CoincidenceHistogram,
     min_height_fraction: float = 0.1,
@@ -855,9 +909,7 @@ def find_histogram_peaks(
     if counts.max() <= 0:
         return []
     distance = max(1, int(min_separation_ps // hist.bin_width_ps))
-    idx, _ = signal.find_peaks(
-        counts, height=min_height_fraction * counts.max(), distance=distance
-    )
+    idx = find_peaks(counts, height=min_height_fraction * counts.max(), distance=distance)
     centers = hist.bin_starts() + hist.bin_width_ps // 2
     return [HistogramPeak(int(centers[i]), int(hist.counts[i])) for i in idx]
 

@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 
 from . import events
 from .errors import FitError
+from .estimation import find_peaks
 
 FOUR_LN2 = 4.0 * math.log(2.0)
 
@@ -168,7 +167,7 @@ def echo_response(
     delays_ns = np.fft.rfftfreq(transmission.shape[0], d=comb.grid_step_mhz) * 1000.0
     bin_ns = delays_ns[1] - delays_ns[0]
     distance = max(1, int(round(min_separation_ns / bin_ns)))
-    idx, _ = find_peaks(mag, distance=distance)
+    idx = find_peaks(mag, distance=distance)
     idx = idx[delays_ns[idx] >= min_delay_ns]
     if idx.size == 0:
         return []
@@ -205,6 +204,10 @@ def _comb_model(detuning: np.ndarray, d0, d1, finesse, delta, offset) -> np.ndar
 def fit_comb(detuning_mhz, od) -> FittedComb:
     """Fit (d0, d1, F, Delta) to a sampled profile; raises FitError when the
     input carries no resolvable periodic structure."""
+    # Imported here, not at module level, so that only the comb fit pays
+    # for loading scipy.
+    from scipy.optimize import least_squares
+
     det = np.asarray(detuning_mhz, dtype=float)
     y = np.asarray(od, dtype=float)
     if det.ndim != 1 or det.shape != y.shape or det.shape[0] < 16:

@@ -33,6 +33,7 @@ from afclink.estimation import (
     eof_from_concurrence,
     fidelity,
     find_histogram_peaks,
+    find_peaks,
     fit_batch,
     g2_cross,
     informationally_complete_pairs,
@@ -158,6 +159,14 @@ class TestG2Cross:
             h = put(h, 26_230 + n * 12_500, 30)
         est = g2_cross(h, delay_ps=26_230, n_values=tuple(range(-5, 0)) + (1, 2))
         assert est.value == pytest.approx(10.0, abs=1e-12)
+
+    def test_empty_peak_has_one_count_poisson_bound(self):
+        est = g2_cross(self.synthetic(peak=0, side=40), delay_ps=0)
+        assert est.value == 0.0
+        assert est.peak_counts == 0
+        # One count over the mean reference of 40 counts, with the Poisson
+        # errors of 1 and of the 400 pooled reference counts.
+        assert est.sigma == pytest.approx(math.sqrt(1.0 + 1.0 / 400) / 40.0, rel=1e-12)
 
 
 class TestTomography:
@@ -590,6 +599,107 @@ class TestPeakDetection:
         peaks = find_histogram_peaks(h, min_height_fraction=0.1, min_separation_ps=1_000)
         assert len(peaks) == 1
         assert abs(peaks[0].delay_ps) <= 80
+
+
+class TestFindPeaks:
+    """find_peaks against scipy.signal.find_peaks, index for index."""
+
+    def same_as_scipy(self, x, height=None, distance=None):
+        signal = pytest.importorskip("scipy.signal")
+        expected, _ = signal.find_peaks(x, height=height, distance=distance)
+        got = find_peaks(x, height=height, distance=distance)
+        assert got.tolist() == expected.tolist(), (x, height, distance)
+        return got
+
+    def test_plateau_peak_at_midpoint(self):
+        assert self.same_as_scipy(np.array([0, 2, 2, 2, 2, 0])).tolist() == [2]
+        assert self.same_as_scipy(np.array([0, 1, 3, 3, 3, 1, 0])).tolist() == [3]
+
+    def test_plateau_below_a_rise_is_no_peak(self):
+        assert self.same_as_scipy(np.array([0, 2, 2, 3, 1])).tolist() == [3]
+
+    def test_edge_plateaus_are_no_peaks(self):
+        assert self.same_as_scipy(np.array([5, 5, 1, 3, 1, 4, 4])).tolist() == [3]
+        assert self.same_as_scipy(np.array([5, 1, 2, 1, 6])).tolist() == [2]
+
+    def test_all_equal_and_short_arrays(self):
+        for x in ([], [1], [1, 2], [2, 1], [3, 3, 3], [4] * 50):
+            assert self.same_as_scipy(np.array(x, dtype=np.int64)).size == 0
+
+    def test_height_is_inclusive(self):
+        x = np.array([0, 3, 0, 5, 0])
+        assert self.same_as_scipy(x, height=3).tolist() == [1, 3]
+        assert self.same_as_scipy(x, height=3.5).tolist() == [3]
+
+    def test_distance_keeps_the_taller_and_rounds_up(self):
+        x = np.array([0, 4, 0, 6, 0, 0, 5, 0])
+        assert self.same_as_scipy(x, distance=2).tolist() == [1, 3, 6]
+        assert self.same_as_scipy(x, distance=2.1).tolist() == [3, 6]
+        assert self.same_as_scipy(x, distance=3).tolist() == [3, 6]
+        assert self.same_as_scipy(x, distance=4).tolist() == [3]
+
+    def test_random_integer_arrays(self):
+        rng = np.random.default_rng(20240611)
+        for trial in range(1200):
+            n = int(rng.integers(0, 400))
+            x = rng.poisson(rng.uniform(0.3, 30.0), n)
+            if trial % 3 == 0:
+                x = np.minimum(x, int(rng.integers(1, 6)))  # wide plateaus
+            height = None if trial % 4 == 1 else float(rng.uniform(0.0, x.max(initial=1)))
+            distance = None if trial % 4 == 2 else float(rng.uniform(1.0, 40.0))
+            self.same_as_scipy(x, height=height, distance=distance)
+
+
+class TestResampleRows:
+    def rows(self, p, sigma, n):
+        setting = ProjectorSetting.z()
+        return TomographyInput(
+            tuple(TomographyRow(setting, setting, p, sigma) for _ in range(n))
+        )
+
+    def draws(self, p, sigma, n=4000, seed=0):
+        tin = resample_rows(self.rows(p, sigma, n), np.random.default_rng(seed))
+        return np.array([r.probability for r in tin.rows])
+
+    @pytest.mark.parametrize("p, sigma", [(0.0, 0.05), (1.0, 0.05), (0.5, 0.3), (0.02, 2.0)])
+    def test_matches_truncated_normal(self, p, sigma):
+        stats = pytest.importorskip("scipy.stats")
+        drawn = self.draws(p, sigma, seed=int(1000 * p + 100 * sigma))
+        assert drawn.min() >= 0.0 and drawn.max() <= 1.0
+        reference = stats.truncnorm((0.0 - p) / sigma, (1.0 - p) / sigma, loc=p, scale=sigma)
+        assert stats.kstest(drawn, reference.cdf).pvalue > 1e-3
+
+    def test_draws_stay_in_unit_interval(self):
+        pairs = informationally_complete_pairs()
+        rng = np.random.default_rng(11)
+        for sigma in (0.01, 0.2, 5.0):
+            tin = synthesize_input(werner(0.75), pairs, sigma)
+            for _ in range(20):
+                probs = [r.probability for r in resample_rows(tin, rng).rows]
+                assert min(probs) >= 0.0 and max(probs) <= 1.0
+
+    def test_zero_sigma_rows_unchanged(self):
+        setting = ProjectorSetting.z()
+        rows = (
+            TomographyRow(setting, setting, 0.3, 0.0),
+            TomographyRow(setting, setting, 0.4, 0.1),
+            TomographyRow(setting, setting, 1.0, 0.0),
+        )
+        drawn = resample_rows(TomographyInput(rows), np.random.default_rng(2)).rows
+        assert drawn[0] == rows[0] and drawn[2] == rows[2]
+        assert drawn[1].probability != 0.4
+
+    def test_same_generator_state_same_draws(self):
+        a = self.draws(0.1, 0.2, n=500, seed=5)
+        b = self.draws(0.1, 0.2, n=500, seed=5)
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != self.draws(0.1, 0.2, n=500, seed=6).tolist()
+
+    def test_non_finite_sigma_rejected(self):
+        setting = ProjectorSetting.z()
+        for sigma in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TomographyRow(setting, setting, 0.5, sigma)
 
 
 class TestMetricsReport:
