@@ -37,6 +37,10 @@ HISTOGRAM_CSV_HEADER = ("bin_start_ps", "count")
 
 DEFAULT_PEAK_HALFWIDTH_PS = 500
 
+# Start-stop pairs expanded at once by tdc_histogram_from_times; one start
+# whose own window holds more is expanded alone.
+HISTOGRAM_CHUNK_PAIRS = 2**18
+
 
 @dataclass(frozen=True)
 class AnalyzerSetting:
@@ -402,22 +406,29 @@ def tdc_histogram_from_times(
     bin_width_ps: int,
     window_ps: int,
 ) -> CoincidenceHistogram:
-    """Array-level histogram accumulation (the core of tdc_histogram)."""
+    """Array-level histogram accumulation (the core of tdc_histogram).
+
+    Every stop in [start - window, start + window) counts once per start.
+    The start-stop pairs are expanded chunk by chunk of starts, at most
+    HISTOGRAM_CHUNK_PAIRS at a time, so memory stays bounded."""
     starts = np.sort(np.asarray(start_times_ps, dtype=np.int64))
     stops = np.sort(np.asarray(stop_times_ps, dtype=np.int64))
     hist = CoincidenceHistogram.empty(bin_width_ps, window_ps)
     counts = np.zeros(hist.n_bins, dtype=np.int64)
-    if starts.size and stops.size:
-        lo = np.searchsorted(stops, starts - window_ps, side="left")
-        hi = np.searchsorted(stops, starts + window_ps, side="left")
-        m = hi - lo
-        total = int(m.sum())
-        if total:
-            # Expand the [lo, hi) ranges without a Python loop.
-            offsets = np.repeat(np.cumsum(m) - m, m)
-            pos = np.arange(total) - offsets + np.repeat(lo, m)
-            dts = stops[pos] - np.repeat(starts, m)
-            np.add.at(counts, (dts + window_ps) // bin_width_ps, 1)
+    lo = np.searchsorted(stops, starts - window_ps, side="left")
+    m = np.searchsorted(stops, starts + window_ps, side="left") - lo
+    ends = np.cumsum(m)
+    first = 0
+    while first < starts.size:
+        limit = ends[first] - m[first] + HISTOGRAM_CHUNK_PAIRS
+        last = max(first + 1, int(np.searchsorted(ends, limit, side="right")))
+        mm = m[first:last]
+        # Expand the [lo, lo + m) ranges without a Python loop.
+        offsets = lo[first:last] - (np.cumsum(mm) - mm)
+        pos = np.arange(int(mm.sum())) + np.repeat(offsets, mm)
+        dts = stops[pos] - np.repeat(starts[first:last], mm)
+        counts += np.bincount((dts + window_ps) // bin_width_ps, minlength=counts.size)
+        first = last
     return hist.with_counts(counts, n_starts=int(starts.size))
 
 

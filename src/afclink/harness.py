@@ -2,11 +2,15 @@
 sweeps and report generation.
 
 The simulation engine works on whole arrays of photons instead of one event
-at a time.  Cycles are processed in fixed-size shards, each with its own
-generator seeded from (master seed, shard index); the draw order inside a
-shard is fixed (pair counts, memory outcomes per channel, analyzer outcomes
-for pairs then lone photons, detector thinning and jitter per channel, dark
-counts per channel).  Changing that order would change every seeded result.
+at a time, and its cost scales with pairs and survivors, not with cycles.
+Cycles are processed in fixed-size shards, each with its own generator seeded
+from (master seed, shard index).  The draw order inside a shard is fixed:
+the shard's pair total from Poisson(mu * cycles) and each pair's cycle,
+uniform over the shard; per channel, the memory survivors (geometric gaps at
+the survival probability) and then their outcomes; analyzer outcomes for
+pairs with both photons alive, then for lone photons per channel; detector
+thinning and jitter per channel; dark counts per channel.  Changing that
+order would change every seeded result.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ from .linalg import partial_trace
 from .memory import MemoryConfig
 
 SHARD_CYCLES = 1_000_000
+# events.csv rows formatted per write; bounds the writer's memory.
+_EVENTS_CHUNK_ROWS = 1 << 14
 
 STAGE_INPUT = "in"
 STAGE_OUTPUT = "out"
@@ -92,13 +98,6 @@ def data_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
-def _outcome_label_array(codes: np.ndarray) -> np.ndarray:
-    top = int(codes.max(initial=_OUTCOME_TRANSMITTED))
-    lut = [events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED]
-    lut += [events.recalled_token(k) for k in range(max(0, top - 1))]
-    return np.asarray(lut, dtype=object)[codes]
-
-
 # ---------------------------------------------------------------------------
 # Simulation engine
 
@@ -118,15 +117,6 @@ class ChannelRecord:
     @property
     def dark_count(self) -> int:
         return int((self.origins == _ORIGIN_CODE[events.ORIGIN_DARK]).sum())
-
-    def bin_labels(self) -> np.ndarray:
-        return np.asarray(_BIN_LABELS, dtype=object)[self.bins]
-
-    def origin_labels(self) -> np.ndarray:
-        return np.asarray(_ORIGIN_LABELS, dtype=object)[self.origins]
-
-    def outcome_labels(self) -> np.ndarray:
-        return _outcome_label_array(self.outcomes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +138,13 @@ class SimulationData:
 
 @dataclass(frozen=True, eq=False)
 class _MemoryTable:
+    """The outcomes a photon can survive with; p_alive = 1 - p_lost."""
+
+    p_alive: float
     cumulative: np.ndarray
     delay_ps: np.ndarray
     codes: np.ndarray
     spurious: np.ndarray
-    lost_index: int
 
 
 def _memory_table(config: MemoryConfig | None) -> _MemoryTable | None:
@@ -160,19 +152,17 @@ def _memory_table(config: MemoryConfig | None) -> _MemoryTable | None:
         return None
     _, probs = config.outcome_table()
     n_echo = len(config.echo_delays)
-    delays = [0] + [config.echo_delay_ps(k) for k in range(n_echo)] + [0]
+    delays = [0] + [config.echo_delay_ps(k) for k in range(n_echo)]
     codes = [_OUTCOME_TRANSMITTED]
     codes += [_OUTCOME_RECALL_BASE + k for k in range(n_echo)]
-    codes.append(_OUTCOME_NONE)
     spurious = [False]
     spurious += [k != config.primary_echo_index for k in range(n_echo)]
-    spurious.append(False)
     return _MemoryTable(
-        cumulative=np.cumsum(probs),
+        p_alive=min(1.0, max(0.0, 1.0 - float(probs[-1]))),
+        cumulative=np.cumsum(probs[:-1]),
         delay_ps=np.asarray(delays, dtype=np.int64),
         codes=np.asarray(codes, dtype=np.int16),
         spurious=np.asarray(spurious, dtype=bool),
-        lost_index=len(probs) - 1,
     )
 
 
@@ -245,29 +235,50 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
 
 @dataclass(frozen=True, eq=False)
 class _MemoryDraw:
-    alive: np.ndarray
+    """The surviving photons of one channel: sorted pair indices and outcomes."""
+
+    index: np.ndarray
     delay: np.ndarray
     code: np.ndarray
     spurious: np.ndarray
 
 
+def _survivors(p_alive: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of the successes of n Bernoulli(p_alive) trials, placed
+    by geometric gaps; draws continue until the gaps pass n, so no success
+    is ever cut off."""
+    if p_alive >= 1.0:
+        return np.arange(n)
+    if p_alive <= 0.0 or n == 0:
+        return np.zeros(0, dtype=np.int64)
+    gaps, total = [], 0
+    while total < n:
+        mean = (n - total) * p_alive
+        gaps.append(rng.geometric(p_alive, int(mean + 5.0 * mean**0.5) + 16))
+        total += int(gaps[-1].sum())
+    positions = np.cumsum(np.concatenate(gaps)) - 1
+    return positions[: np.searchsorted(positions, n)]
+
+
 def _draw_memory(
     table: _MemoryTable | None, n: int, rng: np.random.Generator
 ) -> _MemoryDraw:
-    if table is None or n == 0:
+    if table is None:
         return _MemoryDraw(
-            alive=np.ones(n, dtype=bool),
+            index=np.arange(n),
             delay=np.zeros(n, dtype=np.int64),
             code=np.full(n, _OUTCOME_NONE, dtype=np.int16),
             spurious=np.zeros(n, dtype=bool),
         )
-    idx = np.searchsorted(table.cumulative, rng.random(n), side="right")
-    idx = np.minimum(idx, table.cumulative.size - 1)
+    index = _survivors(table.p_alive, n, rng)
+    # The outcome of each survivor, from the table conditioned on survival.
+    u = rng.random(index.size) * table.cumulative[-1]
+    k = np.minimum(np.searchsorted(table.cumulative, u, side="right"), table.codes.size - 1)
     return _MemoryDraw(
-        alive=idx != table.lost_index,
-        delay=table.delay_ps[idx],
-        code=table.codes[idx],
-        spurious=table.spurious[idx],
+        index=index,
+        delay=table.delay_ps[k],
+        code=table.codes[k],
+        spurious=table.spurious[k],
     )
 
 
@@ -284,23 +295,22 @@ def _simulate_shard(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=t.seed, spawn_key=(shard_index,))
     )
-    counts = rng.poisson(t.mu, n_cycles)
-    n_pairs = int(counts.sum())
-    pair_cycles = np.repeat(np.arange(n_cycles, dtype=np.int64), counts) + first_cycle
+    n_pairs = int(rng.poisson(t.mu * n_cycles))
+    pair_cycles = np.sort(rng.integers(0, n_cycles, n_pairs)) + first_cycle
     base_times = pair_cycles * t.rep_period_ps
 
     draws = {ch: _draw_memory(t.memory[ch], n_pairs, rng) for ch in _CHANNELS}
-    sig, idl = draws[events.SIGNAL_794], draws[events.IDLER_1535]
-    both = sig.alive & idl.alive
-    only = {
-        events.SIGNAL_794: sig.alive & ~idl.alive,
-        events.IDLER_1535: idl.alive & ~sig.alive,
-    }
+    # Per channel, which of its survivors have a surviving partner.
+    paired = {}
+    for ch, other in zip(_CHANNELS, reversed(_CHANNELS)):
+        alive = np.zeros(n_pairs, dtype=bool)
+        alive[draws[other].index] = True
+        paired[ch] = alive[draws[ch].index]
 
-    k = _draw_outcomes(t.joint_cum, int(both.sum()), rng)
+    k = _draw_outcomes(t.joint_cum, int(paired[events.SIGNAL_794].sum()), rng)
     joint_idx = dict(zip(_CHANNELS, np.divmod(k, t.n_out_idler)))
     single_idx = {
-        ch: _draw_outcomes(t.single_cum[ch], int(only[ch].sum()), rng)
+        ch: _draw_outcomes(t.single_cum[ch], int((~paired[ch]).sum()), rng)
         for ch in _CHANNELS
     }
 
@@ -308,21 +318,21 @@ def _simulate_shard(
     for ch in _CHANNELS:
         out = t.outcomes[ch]
         draw = draws[ch]
-        picks = np.concatenate([joint_idx[ch], single_idx[ch]])
-        sel = np.concatenate([np.flatnonzero(both), np.flatnonzero(only[ch])])
-        times = base_times[sel] + draw.delay[sel] + out.slots[picks]
+        picks = np.empty(draw.index.size, dtype=np.intp)
+        picks[paired[ch]] = joint_idx[ch]
+        picks[~paired[ch]] = single_idx[ch]
         origins = np.where(
-            draw.spurious[sel],
+            draw.spurious,
             _ORIGIN_CODE[events.ORIGIN_SPURIOUS_ECHO],
             _ORIGIN_CODE[events.ORIGIN_PAIR],
         ).astype(np.int8)
         shard[ch] = {
-            "times": times,
-            "cycles": pair_cycles[sel],
+            "times": base_times[draw.index] + draw.delay + out.slots[picks],
+            "cycles": pair_cycles[draw.index],
             "ports": out.ports[picks],
             "bins": out.bins[picks],
             "origins": origins,
-            "outcomes": draw.code[sel],
+            "outcomes": draw.code,
         }
 
     # Detector response, channel by channel: thinning, then timing jitter.
@@ -416,32 +426,33 @@ class SimulationResult:
 
 
 def _write_events_csv(data: SimulationData, path: Path) -> None:
+    """events.csv rows in (time, channel, cycle) order, formatted straight
+    from the code arrays into the bytes csv.writer would write."""
     recs = [data.channels[ch] for ch in sorted(_CHANNELS)]
-    times = np.concatenate([r.times for r in recs])
-    cycles = np.concatenate([r.cycles for r in recs])
-    chan_codes = np.concatenate(
+    cycles, times, bins, origins, outcomes = (
+        np.concatenate([getattr(r, key) for r in recs])
+        for key in ("cycles", "times", "bins", "origins", "outcomes")
+    )
+    chans = np.concatenate(
         [np.full(r.times.size, i, dtype=np.int8) for i, r in enumerate(recs)]
     )
-    labels = np.concatenate(
-        [np.full(r.times.size, r.channel, dtype=object) for r in recs]
-    )
-    bins = np.concatenate([r.bin_labels() for r in recs])
-    origins = np.concatenate([r.origin_labels() for r in recs])
-    outcomes = np.concatenate([r.outcome_labels() for r in recs])
-    order = np.lexsort((cycles, chan_codes, times))
+    order = np.lexsort((cycles, chans, times))
+    chan_labels = [r.channel for r in recs]
+    outcome_labels = [events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED]
+    top = int(outcomes.max(initial=_OUTCOME_TRANSMITTED))
+    outcome_labels += [events.recalled_token(k) for k in range(top - 1)]
+    columns = (cycles, chans, times, bins, origins, outcomes)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_CSV_HEADER)
-        writer.writerows(
-            zip(
-                cycles[order].tolist(),
-                labels[order],
-                times[order].tolist(),
-                bins[order],
-                origins[order],
-                outcomes[order],
+        fh.write(",".join(EVENT_CSV_HEADER) + "\r\n")
+        for first in range(0, order.size, _EVENTS_CHUNK_ROWS):
+            rows = order[first : first + _EVENTS_CHUNK_ROWS]
+            fh.write(
+                "".join(
+                    f"{c},{chan_labels[h]},{t},{_BIN_LABELS[b]},"
+                    f"{_ORIGIN_LABELS[o]},{outcome_labels[u]}\r\n"
+                    for c, h, t, b, o, u in zip(*(col[rows].tolist() for col in columns))
+                )
             )
-        )
 
 
 def _g2_payload(hist, delay_ps: int, cfg: ExperimentConfig) -> dict | None:
@@ -957,16 +968,6 @@ class SweepResult:
             writer.writerows(self.rows)
 
 
-def _g2_point(cfg: ExperimentConfig):
-    est = g2_cross(
-        simulate(cfg).histogram(),
-        0,
-        rep_period_ps=cfg.source.rep_period_ps,
-        peak_halfwidth_ps=cfg.tdc.peak_halfwidth_ps,
-    )
-    return est
-
-
 def sweep(
     cfg: ExperimentConfig,
     parameter: str,
@@ -979,7 +980,8 @@ def sweep(
     acts as a multiplier on the configured pair rate); analyzer_phase sweeps
     the signal analyzer phase and reports central-slot (+1, +1) coincidences.
     Every point reuses the master seed, so a single-value sweep reproduces a
-    direct run exactly."""
+    direct run exactly.  A point whose g2 is undefined raises an
+    UndefinedEstimateError that names the parameter and the value."""
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
@@ -990,24 +992,24 @@ def sweep(
     run = cfg.run if cycles_per_point is None else replace(cfg.run, cycles=int(cycles_per_point))
     base = replace(cfg, run=run)
     rows = []
-    if parameter == "mu":
-        columns = ("mu", "g2_zero", "g2_sigma")
+    if parameter in ("mu", "pump_power"):
+        columns = ("mu" if parameter == "mu" else "power_factor", "g2_zero", "g2_sigma")
+        scale = 1.0 if parameter == "mu" else base.source.mean_pairs_per_pulse
         for value in points:
-            sub = replace(
-                base, source=replace(base.source, mean_pairs_per_pulse=value)
-            )
-            est = _g2_point(sub)
-            rows.append((value, est.value, est.sigma))
-    elif parameter == "pump_power":
-        columns = ("power_factor", "g2_zero", "g2_sigma")
-        mu = base.source.mean_pairs_per_pulse
-        for value in points:
-            if value <= 0.0:
+            if parameter == "pump_power" and value <= 0.0:
                 raise ValueError("pump power factors must be positive")
             sub = replace(
-                base, source=replace(base.source, mean_pairs_per_pulse=mu * value)
+                base, source=replace(base.source, mean_pairs_per_pulse=scale * value)
             )
-            est = _g2_point(sub)
+            try:
+                est = g2_cross(
+                    simulate(sub).histogram(),
+                    0,
+                    rep_period_ps=sub.source.rep_period_ps,
+                    peak_halfwidth_ps=sub.tdc.peak_halfwidth_ps,
+                )
+            except UndefinedEstimateError as exc:
+                raise UndefinedEstimateError(f"{parameter}={value:g}: {exc}") from exc
             rows.append((value, est.value, est.sigma))
     else:
         columns = ("phase_rad", "central_coincidences")

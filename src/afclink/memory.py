@@ -203,10 +203,13 @@ def _comb_model(detuning: np.ndarray, d0, d1, finesse, delta, offset) -> np.ndar
 
 def fit_comb(detuning_mhz, od) -> FittedComb:
     """Fit (d0, d1, F, Delta) to a sampled profile; raises FitError when the
-    input carries no resolvable periodic structure."""
-    # Imported here, not at module level, so that only the comb fit pays
-    # for loading scipy.
-    from scipy.optimize import least_squares
+    input carries no resolvable periodic structure or scipy is missing."""
+    # Imported here, not at module level: scipy is the optional `comb` extra,
+    # and only the comb fit loads it.
+    try:
+        from scipy.optimize import least_squares
+    except ImportError as exc:
+        raise FitError("the comb fit needs scipy: pip install afclink[comb]") from exc
 
     det = np.asarray(detuning_mhz, dtype=float)
     y = np.asarray(od, dtype=float)

@@ -291,6 +291,26 @@ class TestSweep:
         assert excinfo.value.code == 2
         assert json.loads(capsys.readouterr().err)["type"] == "UsageError"
 
+    def test_undefined_point_is_named(self, tmp_path, capsys):
+        path = tmp_path / "blind.json"
+        blind = {"efficiency": 0.0, "dark_rate_hz": 0.0}
+        path.write_text(
+            json.dumps(
+                {
+                    "run": {"seed": 5, "cycles": 5_000},
+                    "detectors": {"signal_794": blind, "idler_1535": blind},
+                }
+            )
+        )
+        obj = stderr_error(
+            capsys,
+            ["sweep", "--config", str(path), "--parameter", "mu", "--values", "0.05,0.1"],
+        )
+        assert obj == {
+            "error": "mu=0.05: all reference peaks are empty",
+            "type": "UndefinedEstimateError",
+        }
+
     def test_bad_values_string_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         obj = stderr_error(

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from afclink import events
+from afclink import detection, events
 from afclink.detection import (
     AnalyzerSetting,
     CoincidenceHistogram,
@@ -30,6 +30,7 @@ from afclink.detection import (
     single_outcome_counts,
     single_outcome_table,
     tdc_histogram,
+    tdc_histogram_from_times,
 )
 from afclink.linalg import bell_phi_plus, partial_trace
 from afclink.source import PairEmission, SourceConfig
@@ -513,6 +514,53 @@ class TestTdcHistogram:
         hist = CoincidenceHistogram.empty(80, 800)
         with pytest.raises(ValueError):
             coincidence_rate(hist, 5_000)
+
+
+def brute_force_histogram(starts, stops, bin_width_ps, window_ps):
+    counts = np.zeros(2 * window_ps // bin_width_ps, dtype=np.int64)
+    for start in starts:
+        for stop in stops:
+            dt = int(stop) - int(start)
+            if -window_ps <= dt < window_ps:
+                counts[(dt + window_ps) // bin_width_ps] += 1
+    return counts
+
+
+class TestHistogramFromTimes:
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64, detection.HISTOGRAM_CHUNK_PAIRS])
+    def test_equals_brute_force(self, chunk, monkeypatch):
+        monkeypatch.setattr(detection, "HISTOGRAM_CHUNK_PAIRS", chunk)
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n_start, n_stop = rng.integers(0, 60, 2)
+            starts = rng.integers(0, 6_000, n_start)
+            stops = rng.integers(0, 6_000, n_stop)
+            hist = tdc_histogram_from_times(starts, stops, 80, 800)
+            assert hist.n_starts == n_start
+            assert np.array_equal(
+                hist.counts, brute_force_histogram(starts, stops, 80, 800)
+            )
+
+    def test_window_edges_and_chunk_edge(self, monkeypatch):
+        # Chunks of 3 pairs: the first start's 3 stops fill one chunk, so
+        # the second start begins the next chunk.
+        monkeypatch.setattr(detection, "HISTOGRAM_CHUNK_PAIRS", 3)
+        starts = np.array([10_000, 20_000])
+        stops = np.array([10_000 - 800, 10_000, 10_000 + 799, 10_000 + 800,
+                          20_000 - 800, 20_000 + 800])
+        hist = tdc_histogram_from_times(starts, stops, 80, 800)
+        expected = brute_force_histogram(starts, stops, 80, 800)
+        assert np.array_equal(hist.counts, expected)
+        # -window lands in the first bin, +window is excluded.
+        assert hist.counts[0] == 2
+        assert hist.counts[-1] == 1
+        assert hist.counts.sum() == 4
+
+    def test_empty_inputs(self):
+        assert tdc_histogram_from_times([], [5], 80, 800).counts.sum() == 0
+        hist = tdc_histogram_from_times([5, 6], [], 80, 800)
+        assert hist.counts.sum() == 0
+        assert hist.n_starts == 2
 
 
 class TestCsvRoundTrips:

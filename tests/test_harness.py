@@ -6,20 +6,22 @@ any seed); exact assertions pin determinism and pure arithmetic.
 """
 
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from afclink import events
+from afclink import events, harness
 from afclink.config import config_from_dict
 from afclink.detection import (
+    EVENT_CSV_HEADER,
     coincidence_rate,
     events_from_csv,
     histogram_from_csv,
 )
-from afclink.errors import ConfigError
+from afclink.errors import ConfigError, UndefinedEstimateError
 from afclink.estimation import g2_cross, visibility_fit
 from afclink.harness import (
     CHSH_CSV_HEADER,
@@ -40,7 +42,7 @@ from afclink.harness import (
     sweep,
     wavelength_table_from_csv,
 )
-from afclink.memory import comb_from_csv, fit_comb
+from afclink.memory import MemoryConfig, comb_from_csv, fit_comb
 
 
 def make_config(seed=7, cycles=50_000, mu=0.05, **overrides):
@@ -228,6 +230,168 @@ class TestRunSimulation:
         target = tmp_path / "deep" / "nested" / "dir"
         res = run_simulation(cfg, target)
         assert res.summary_path.exists()
+
+
+def within_5_sigma(count, n, p):
+    """count successes of n trials agree with probability p within 5 sigma."""
+    return abs(count / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+# Three echoes, the middle one primary, so both spurious-echo outcomes occur.
+THREE_ECHO_MEMORY = MemoryConfig(
+    coupling_efficiency=0.6,
+    device_efficiency=0.5,
+    mean_od=0.7,
+    echo_delays=((16.129, 0.5), (32.258, 1.0), (64.516, 0.3)),
+)
+
+
+class TestEngineDraws:
+    def test_pair_counts_per_cycle_are_poisson(self):
+        mu, n_cycles, first = 0.5, 200_000, 3_000_000
+        cfg = make_config(seed=9, cycles=n_cycles, mu=mu, detectors=IDEAL_DETECTORS)
+        n_pairs, shard = harness._simulate_shard(
+            harness._build_tables(cfg), 3, first, n_cycles
+        )
+        # Lossless chain: every pair leaves exactly one signal click.
+        cycles = shard[events.SIGNAL_794]["cycles"]
+        assert cycles.size == n_pairs
+        assert cycles.min() >= first and cycles.max() < first + n_cycles
+        per_cycle = np.bincount(cycles - first, minlength=n_cycles)
+        pmf = [math.exp(-mu) * mu**k / math.factorial(k) for k in range(3)]
+        for k, p in enumerate(pmf):
+            assert within_5_sigma(int((per_cycle == k).sum()), n_cycles, p), k
+        assert within_5_sigma(int((per_cycle >= 3).sum()), n_cycles, 1.0 - sum(pmf))
+
+    def test_survivor_outcome_frequencies(self):
+        n = 400_000
+        mem = THREE_ECHO_MEMORY
+        draw = harness._draw_memory(
+            harness._memory_table(mem), n, np.random.default_rng(5)
+        )
+        assert np.all(np.diff(draw.index) > 0)
+        assert draw.index[0] >= 0 and draw.index[-1] < n
+        _, probs = mem.outcome_table()
+        codes = [harness._OUTCOME_TRANSMITTED] + [
+            harness._OUTCOME_RECALL_BASE + k for k in range(3)
+        ]
+        counts = [int((draw.code == c).sum()) for c in codes]
+        counts.append(n - draw.index.size)  # lost
+        assert sum(counts) == n
+        for count, p in zip(counts, probs):
+            assert within_5_sigma(count, n, p)
+        for k in range(3):
+            echo = draw.code == harness._OUTCOME_RECALL_BASE + k
+            assert np.all(draw.delay[echo] == mem.echo_delay_ps(k))
+            assert np.all(draw.spurious[echo] == (k != mem.primary_echo_index))
+        transmitted = draw.code == harness._OUTCOME_TRANSMITTED
+        assert np.all(draw.delay[transmitted] == 0)
+        assert not draw.spurious[transmitted].any()
+
+    def test_channels_survive_independently(self):
+        # The shard draws the signal memory, then the idler memory, from one
+        # generator; pairs alive in both must occur at p_s * p_i.
+        n = 400_000
+        cfg = make_config(
+            memories={
+                "signal_794": {
+                    "coupling_efficiency": 0.5,
+                    "device_efficiency": 0.4,
+                    "mean_od": 1.0,
+                    "echo_delays": [[32.258, 1.0]],
+                },
+                "idler_1535": {
+                    "coupling_efficiency": 0.3,
+                    "device_efficiency": 0.6,
+                    "mean_od": 2.0,
+                    "echo_delays": [[6.024, 1.0]],
+                },
+            }
+        )
+        tables = harness._build_tables(cfg)
+        rng = np.random.default_rng(11)
+        sig, idl = (
+            harness._draw_memory(tables.memory[ch], n, rng)
+            for ch in (events.SIGNAL_794, events.IDLER_1535)
+        )
+        p_s = tables.memory[events.SIGNAL_794].p_alive
+        p_i = tables.memory[events.IDLER_1535].p_alive
+        assert within_5_sigma(sig.index.size, n, p_s)
+        assert within_5_sigma(idl.index.size, n, p_i)
+        both = np.intersect1d(sig.index, idl.index).size
+        assert within_5_sigma(both, n, p_s * p_i)
+
+    def test_survival_edge_cases(self):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        # No memory: every photon passes with no outcome and no draw.
+        draw = harness._draw_memory(None, 1_000, rng)
+        assert np.array_equal(draw.index, np.arange(1_000))
+        assert np.all(draw.code == harness._OUTCOME_NONE)
+        assert np.all(draw.delay == 0) and not draw.spurious.any()
+        assert rng.bit_generator.state == state
+        # p_alive = 0: zero coupling loses every photon.
+        dead = harness._memory_table(MemoryConfig(0.0, 0.5, 1.0, ((32.258, 1.0),)))
+        assert dead.p_alive == 0.0
+        assert harness._draw_memory(dead, 1_000, rng).index.size == 0
+        # p_alive = 1: full coupling, no absorption, every photon transmitted.
+        clear = harness._memory_table(MemoryConfig(1.0, 0.0, 0.0, ((32.258, 1.0),)))
+        assert clear.p_alive == 1.0
+        draw = harness._draw_memory(clear, 1_000, rng)
+        assert np.array_equal(draw.index, np.arange(1_000))
+        assert np.all(draw.code == harness._OUTCOME_TRANSMITTED)
+        # No photons at all.
+        middle = harness._memory_table(THREE_ECHO_MEMORY)
+        assert harness._draw_memory(middle, 0, rng).index.size == 0
+
+    def test_events_csv_matches_csv_writer(self, tmp_path):
+        cfg = make_config(
+            seed=17,
+            cycles=100_000,
+            mu=0.1,
+            memories={
+                "signal_794": {
+                    "coupling_efficiency": 0.6,
+                    "device_efficiency": 0.5,
+                    "mean_od": 0.7,
+                    "echo_delays": [[16.129, 0.5], [32.258, 1.0], [64.516, 0.3]],
+                }
+            },
+            detectors={
+                ch: {"efficiency": 0.7, "jitter_fwhm_ps": 250.0, "dark_rate_hz": 1e5}
+                for ch in ("signal_794", "idler_1535")
+            },
+        )
+        data = simulate(cfg)
+        path = tmp_path / "events.csv"
+        harness._write_events_csv(data, path)
+
+        outcome_labels = [events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED] + [
+            events.recalled_token(k) for k in range(3)
+        ]
+        keyed = []
+        for i, ch in enumerate(sorted(data.channels)):
+            rec = data.channels[ch]
+            for t, c, b, o, u in zip(
+                rec.times.tolist(),
+                rec.cycles.tolist(),
+                rec.bins.tolist(),
+                rec.origins.tolist(),
+                rec.outcomes.tolist(),
+            ):
+                row = [c, ch, t, events.BINS[b], events.ORIGINS[o], outcome_labels[u]]
+                keyed.append(((t, i, c), row))
+        keyed.sort(key=lambda item: item[0])
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(EVENT_CSV_HEADER)
+        writer.writerows(row for _, row in keyed)
+        assert path.read_bytes() == buf.getvalue().encode()
+        # Every label kind was rendered.
+        text = buf.getvalue()
+        for label in (events.ORIGIN_DARK, events.ORIGIN_SPURIOUS_ECHO,
+                      events.recalled_token(2), events.OUTCOME_TRANSMITTED):
+            assert f",{label}" in text
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +705,23 @@ class TestSweep:
         )
         assert result.rows[0][1] == direct.value
         assert result.rows[0][2] == direct.sigma
+
+    @pytest.mark.parametrize(
+        "parameter, values, message",
+        [
+            ("mu", [0.05, 0.1], "mu=0.05"),
+            ("pump_power", [2.0], "pump_power=2"),
+        ],
+    )
+    def test_undefined_point_names_parameter_and_value(self, parameter, values, message):
+        # Blind detectors: no clicks, so every reference window is empty.
+        blind = {"efficiency": 0.0, "dark_rate_hz": 0.0}
+        cfg = make_config(
+            cycles=5_000, detectors={"signal_794": blind, "idler_1535": blind}
+        )
+        with pytest.raises(UndefinedEstimateError) as excinfo:
+            sweep(cfg, parameter, values)
+        assert str(excinfo.value) == f"{message}: all reference peaks are empty"
 
     def test_unknown_parameter(self):
         cfg = make_config()

@@ -33,13 +33,14 @@ def shrunk(name):
 
 
 small = shrunk("demo.json")
-# Lossless detectors and both time bins pumped, so every setting pair counts.
+# Lossless detectors and both time bins pumped, so every setting pair counts,
+# and 200-1200 accidental coincidences keep each sweep point's g2 defined.
 bell = shrunk("source_only.json")
 
 codes = [
     cli.main(["simulate", "--config", str(small), "--out-dir", str(work / "sim")]),
     cli.main(
-        ["sweep", "--config", str(small), "--parameter", "mu",
+        ["sweep", "--config", str(bell), "--parameter", "mu",
          "--values", "0.05,0.1", "--cycles", "20000"]
     ),
     cli.main(["report", "--out-dir", str(work / "report"), "--trials", "100"]),

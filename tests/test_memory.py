@@ -6,6 +6,7 @@ fit is checked as a synthetic round trip.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -249,6 +250,12 @@ class TestFitComb:
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError):
             fit_comb(np.arange(10.0), np.arange(9.0))
+
+    def test_missing_scipy_names_the_extra(self, monkeypatch):
+        comb = era_comb()
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        with pytest.raises(FitError, match=r"pip install afclink\[comb\]"):
+            fit_comb(comb.detuning_mhz, comb.od)
 
 
 class TestCombCsv:
