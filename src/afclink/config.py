@@ -37,7 +37,6 @@ from .source import SourceConfig
 
 # JSON section keys for the two photon channels.
 CHANNEL_KEYS = {"signal_794": SIGNAL_794, "idler_1535": IDLER_1535}
-_KEY_OF_CHANNEL = {v: k for k, v in CHANNEL_KEYS.items()}
 
 _MODE_TOKENS = {
     "time_of_arrival": MODE_TIME_OF_ARRIVAL,

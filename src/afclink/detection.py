@@ -16,13 +16,12 @@ photon's nominal arrival, with T the bin separation.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import events
-from .linalg import ProjectorSetting, partial_trace, projector
-from .source import PairEmission, SourceConfig
+from .linalg import ProjectorSetting, projector
 
 MODE_TIME_OF_ARRIVAL = "TIME_OF_ARRIVAL"
 MODE_INTERFEROMETER = "INTERFEROMETER"
@@ -32,7 +31,6 @@ ANALYZER_MODES = (MODE_TIME_OF_ARRIVAL, MODE_INTERFEROMETER)
 FWHM_TO_SIGMA = 2.355
 DEFAULT_JITTER_FWHM_PS = 250.0
 
-EVENT_CSV_HEADER = ("cycle", "channel", "time_ps", "bin", "origin", "memory_outcome")
 HISTOGRAM_CSV_HEADER = ("bin_start_ps", "count")
 
 DEFAULT_PEAK_HALFWIDTH_PS = 500
@@ -140,108 +138,6 @@ def single_outcome_table(
     return (1.0 - depolarizing) * pure + depolarizing * mixed
 
 
-def _multinomial_counts(table: np.ndarray, n_samples: int, rng: np.random.Generator):
-    if n_samples < 0:
-        raise ValueError("n_samples must be non-negative")
-    p = np.clip(table.reshape(-1), 0.0, None)
-    counts = rng.multinomial(int(n_samples), p / p.sum())
-    return counts.reshape(table.shape)
-
-
-def joint_outcome_counts(
-    rho: np.ndarray,
-    outcomes_a: list[AnalyzerOutcome],
-    outcomes_b: list[AnalyzerOutcome],
-    n_samples: int,
-    rng: np.random.Generator,
-    depolarizing: float = 0.0,
-) -> np.ndarray:
-    """Outcome counts for n_samples identically prepared pairs.
-
-    One multinomial draw over the joint table: distributed identically to
-    n_samples single-pair samples, at batch cost.
-    """
-    return _multinomial_counts(
-        joint_outcome_table(rho, outcomes_a, outcomes_b, depolarizing), n_samples, rng
-    )
-
-
-def single_outcome_counts(
-    rho2: np.ndarray,
-    outcomes: list[AnalyzerOutcome],
-    n_samples: int,
-    rng: np.random.Generator,
-    depolarizing: float = 0.0,
-) -> np.ndarray:
-    """Outcome counts for n_samples identically prepared lone photons."""
-    return _multinomial_counts(
-        single_outcome_table(rho2, outcomes, depolarizing), n_samples, rng
-    )
-
-
-def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    p = np.clip(probs, 0.0, None)
-    cum = np.cumsum(p)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-
-
-def _resolve(event: events.PhotonEvent, outcome: AnalyzerOutcome) -> events.PhotonEvent:
-    return replace(
-        event,
-        timestamp_ps=event.timestamp_ps + outcome.slot_offset_ps,
-        bin=outcome.bin,
-        port=outcome.port,
-    )
-
-
-def analyzer_sample(
-    pair: PairEmission,
-    survivors: list[events.PhotonEvent],
-    settings: dict[str, AnalyzerSetting],
-    source_config: SourceConfig,
-    rng: np.random.Generator,
-) -> list[events.PhotonEvent]:
-    """Collapse one pair's surviving photons through the analyzers.
-
-    Photons of an entangled pair are sampled jointly; if only one photon
-    survived the other arm is traced out.  Returned events carry resolved
-    bins, output ports and slot-shifted timestamps, in input order.
-    """
-    if not survivors:
-        return []
-    binsep = source_config.bin_separation_ps
-    noise = source_config.depolarizing_noise
-    if pair.joint_state is None:
-        rho4 = np.zeros((4, 4), dtype=complex)
-        rho4[0, 0] = 1.0  # both photons in the early bin
-    else:
-        rho4 = pair.joint_state.density().matrix
-    if len(survivors) == 2:
-        channels = {ev.channel for ev in survivors}
-        if channels != {events.SIGNAL_794, events.IDLER_1535}:
-            raise ValueError("a pair must have one photon per channel")
-        by_channel = {ev.channel: ev for ev in survivors}
-        outs_a = analyzer_outcomes(settings[events.SIGNAL_794], binsep)
-        outs_b = analyzer_outcomes(settings[events.IDLER_1535], binsep)
-        table = joint_outcome_table(rho4, outs_a, outs_b, depolarizing=noise)
-        k = _sample_index(table.ravel(), rng)
-        ia, ib = divmod(k, len(outs_b))
-        resolved = {
-            events.SIGNAL_794: _resolve(by_channel[events.SIGNAL_794], outs_a[ia]),
-            events.IDLER_1535: _resolve(by_channel[events.IDLER_1535], outs_b[ib]),
-        }
-        return [resolved[ev.channel] for ev in survivors]
-    if len(survivors) > 2:
-        raise ValueError("a pair emits at most two photons")
-    ev = survivors[0]
-    # Tracing out the lost arm commutes with the depolarizing mix, so the
-    # single-qubit table uses the same noise parameter.
-    rho2 = partial_trace(rho4, keep=0 if ev.channel == events.SIGNAL_794 else 1)
-    outs = analyzer_outcomes(settings[ev.channel], binsep)
-    probs = single_outcome_table(rho2, outs, depolarizing=noise)
-    return [_resolve(ev, outs[_sample_index(probs, rng)])]
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     efficiency: float = 0.70
@@ -255,48 +151,6 @@ class DetectorConfig:
             raise ValueError("jitter_sigma_ps must be nonnegative")
         if self.dark_rate_hz < 0.0:
             raise ValueError("dark_rate_hz must be nonnegative")
-
-
-def detect(
-    event: events.PhotonEvent, config: DetectorConfig, rng: np.random.Generator
-) -> events.PhotonEvent | None:
-    """Detector response for one photon: None if it goes unregistered."""
-    if event.memory_outcome == events.OUTCOME_LOST:
-        return None
-    if config.efficiency < 1.0 and rng.random() >= config.efficiency:
-        return None
-    if config.jitter_sigma_ps > 0.0:
-        return event.shifted(int(round(rng.normal(0.0, config.jitter_sigma_ps))))
-    return event
-
-
-def dark_events(
-    config: DetectorConfig,
-    rng: np.random.Generator,
-    channels: list[str],
-    n_cycles: int,
-    rep_period_ps: int,
-) -> list[events.PhotonEvent]:
-    """Uniformly timed noise clicks over the full acquisition span."""
-    span_ps = int(n_cycles) * int(rep_period_ps)
-    expected = config.dark_rate_hz * span_ps * 1e-12
-    out: list[events.PhotonEvent] = []
-    for channel in channels:
-        n = int(rng.poisson(expected))
-        if n == 0:
-            continue
-        times = np.sort(rng.integers(0, span_ps, size=n))
-        for t in times:
-            out.append(
-                events.PhotonEvent(
-                    cycle=int(t // rep_period_ps),
-                    channel=channel,
-                    timestamp_ps=int(t),
-                    bin=events.BIN_NONE,
-                    origin=events.ORIGIN_DARK,
-                )
-            )
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,9 +193,6 @@ class CoincidenceHistogram:
     def bin_starts(self) -> np.ndarray:
         return -self.window_ps + self.bin_width_ps * np.arange(self.n_bins)
 
-    def bin_centers(self) -> np.ndarray:
-        return self.bin_starts() + self.bin_width_ps / 2.0
-
     def merge(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
         if (self.bin_width_ps, self.window_ps) != (other.bin_width_ps, other.window_ps):
             raise ValueError("histograms must share their binning to merge")
@@ -356,48 +207,38 @@ class CoincidenceHistogram:
 
 
 def histogram_from_csv(path) -> CoincidenceHistogram:
+    """Read a histogram written by CoincidenceHistogram.to_csv."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        try:
+            header = tuple(next(reader))
+        except StopIteration:
+            raise ValueError(f"{path}: empty histogram file") from None
         if header != HISTOGRAM_CSV_HEADER:
-            raise ValueError(f"unexpected histogram header {header!r}")
-        rows = [(int(a), int(b)) for a, b in reader]
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        for line_no, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(HISTOGRAM_CSV_HEADER):
+                raise ValueError(
+                    f"{path}: line {line_no}: expected 2 fields, got {len(raw)}"
+                )
+            try:
+                rows.append((int(raw[0]), int(raw[1])))
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: non-integer field") from None
     if len(rows) < 2:
-        raise ValueError("histogram needs at least two bins")
+        raise ValueError(f"{path}: histogram needs at least two bins")
     starts = np.array([r[0] for r in rows])
     widths = np.diff(starts)
     if not np.all(widths == widths[0]):
-        raise ValueError("histogram bins must be uniform")
-    bin_width = int(widths[0])
-    window = -int(starts[0])
+        raise ValueError(f"{path}: histogram bins must be uniform")
     counts = np.array([r[1] for r in rows], dtype=np.int64)
-    return CoincidenceHistogram(bin_width, window, counts, n_starts=0)
-
-
-def tdc_histogram(
-    detections: list[events.PhotonEvent],
-    rep_period_ps: int,
-    bin_width_ps: int,
-    window_ps: int,
-    start_channel: str = events.IDLER_1535,
-    stop_channel: str = events.SIGNAL_794,
-) -> CoincidenceHistogram:
-    """Histogram stop-minus-start delays for every start within the window.
-
-    Starts are clicks on `start_channel` coincident with the pulse clock;
-    the clock ticks every repetition period, so each start-channel click is
-    within half a period of a tick and the gate passes all of them.  The
-    recorded start time is the click's own timestamp.
-    """
-    if rep_period_ps <= 0:
-        raise ValueError("rep_period_ps must be positive")
-    starts = np.array(
-        [e.timestamp_ps for e in detections if e.channel == start_channel], dtype=np.int64
-    )
-    stops = np.array(
-        [e.timestamp_ps for e in detections if e.channel == stop_channel], dtype=np.int64
-    )
-    return tdc_histogram_from_times(starts, stops, bin_width_ps, window_ps)
+    try:
+        return CoincidenceHistogram(int(widths[0]), -int(starts[0]), counts, n_starts=0)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def tdc_histogram_from_times(
@@ -406,7 +247,7 @@ def tdc_histogram_from_times(
     bin_width_ps: int,
     window_ps: int,
 ) -> CoincidenceHistogram:
-    """Array-level histogram accumulation (the core of tdc_histogram).
+    """Histogram stop-minus-start delays for every start.
 
     Every stop in [start - window, start + window) counts once per start.
     The start-stop pairs are expanded chunk by chunk of starts, at most
@@ -445,35 +286,3 @@ def coincidence_rate(
     starts = hist.bin_starts()
     mask = (starts < hi) & (starts + hist.bin_width_ps > lo)
     return int(hist.counts[mask].sum())
-
-
-def events_to_csv(event_list: list[events.PhotonEvent], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_CSV_HEADER)
-        for ev in event_list:
-            writer.writerow(
-                [ev.cycle, ev.channel, ev.timestamp_ps, ev.bin, ev.origin, ev.memory_outcome]
-            )
-
-
-def events_from_csv(path) -> list[events.PhotonEvent]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != EVENT_CSV_HEADER:
-            raise ValueError(f"unexpected event header {header!r}")
-        out = []
-        for row in reader:
-            cycle, channel, time_ps, bin_tag, origin, outcome = row
-            out.append(
-                events.PhotonEvent(
-                    cycle=int(cycle),
-                    channel=channel,
-                    timestamp_ps=int(time_ps),
-                    bin=bin_tag,
-                    origin=origin,
-                    memory_outcome=outcome,
-                )
-            )
-    return out

@@ -1,18 +1,13 @@
-"""Photon event records shared by the source, memory and detection stages.
+"""Labels of the click records shared by every stage and by events.csv.
 
 Channels are named by their role: SIGNAL_794 is the short-wavelength pair
-member, IDLER_1535 the telecom member, CLOCK the down-sampled laser clock.
-Timestamps are integer picoseconds from the start of the run.
+member, IDLER_1535 the telecom member.  Timestamps are integer picoseconds
+from the start of the run.  The order of BINS and ORIGINS fixes the integer
+codes the simulation engine stores.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 SIGNAL_794 = "SIGNAL_794"
 IDLER_1535 = "IDLER_1535"
-CLOCK = "CLOCK"
-CHANNELS = (SIGNAL_794, IDLER_1535, CLOCK)
 
 BIN_EARLY = "EARLY"
 BIN_LATE = "LATE"
@@ -32,38 +27,3 @@ OUTCOME_LOST = "LOST"
 
 def recalled_token(echo_index: int) -> str:
     return f"RECALLED_{echo_index}"
-
-
-def is_recalled(outcome: str) -> bool:
-    return outcome.startswith("RECALLED_")
-
-
-@dataclass(frozen=True)
-class PhotonEvent:
-    """One photon (or dark count) on one channel.
-
-    port is the analyzer output port (+1/-1) once resolved, 0 before; it is
-    internal bookkeeping and not part of the serialized event format.
-    """
-
-    cycle: int
-    channel: str
-    timestamp_ps: int
-    bin: str = BIN_SUPERPOSED
-    origin: str = ORIGIN_PAIR
-    pair_id: int = -1
-    memory_outcome: str = OUTCOME_NONE
-    port: int = 0
-
-    def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}")
-        if self.bin not in BINS:
-            raise ValueError(f"unknown bin {self.bin!r}")
-        if self.origin not in ORIGINS:
-            raise ValueError(f"unknown origin {self.origin!r}")
-        if not isinstance(self.timestamp_ps, (int,)) or isinstance(self.timestamp_ps, bool):
-            raise ValueError("timestamp_ps must be an integer picosecond count")
-
-    def shifted(self, delta_ps: int) -> "PhotonEvent":
-        return replace(self, timestamp_ps=self.timestamp_ps + int(delta_ps))

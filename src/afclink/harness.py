@@ -26,7 +26,6 @@ from . import events
 from .config import AnalyzerSpec, ExperimentConfig
 from .detection import (
     MODE_INTERFEROMETER,
-    EVENT_CSV_HEADER,
     CoincidenceHistogram,
     DetectorConfig,
     analyzer_outcomes,
@@ -58,6 +57,8 @@ SHARD_CYCLES = 1_000_000
 # events.csv rows formatted per write; bounds the writer's memory.
 _EVENTS_CHUNK_ROWS = 1 << 14
 
+EVENT_CSV_HEADER = ("cycle", "channel", "time_ps", "bin", "origin", "memory_outcome")
+
 STAGE_INPUT = "in"
 STAGE_OUTPUT = "out"
 
@@ -81,9 +82,9 @@ SWEEP_PARAMETERS = ("mu", "pump_power", "analyzer_phase")
 
 _CHANNELS = (events.SIGNAL_794, events.IDLER_1535)
 
-_BIN_LABELS = (events.BIN_EARLY, events.BIN_LATE, events.BIN_SUPERPOSED, events.BIN_NONE)
+_BIN_LABELS = events.BINS
 _BIN_CODE = {label: i for i, label in enumerate(_BIN_LABELS)}
-_ORIGIN_LABELS = (events.ORIGIN_PAIR, events.ORIGIN_DARK, events.ORIGIN_SPURIOUS_ECHO)
+_ORIGIN_LABELS = events.ORIGINS
 _ORIGIN_CODE = {label: i for i, label in enumerate(_ORIGIN_LABELS)}
 
 # Memory outcome codes: 0 none, 1 transmitted, 2 + k for echo k.  Lost photons
@@ -214,6 +215,9 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     joint = joint_outcome_table(
         rho4, outs[events.SIGNAL_794], outs[events.IDLER_1535], depolarizing=noise
     )
+    # A photon whose partner died sees the reduced state.  Tracing out the
+    # lost arm commutes with the depolarizing mix, so the single-arm table
+    # takes the same noise parameter.
     single_cum = {}
     for keep, ch in ((0, events.SIGNAL_794), (1, events.IDLER_1535)):
         rho2 = partial_trace(rho4, keep=keep)
@@ -453,6 +457,56 @@ def _write_events_csv(data: SimulationData, path: Path) -> None:
                     for c, h, t, b, o, u in zip(*(col[rows].tolist() for col in columns))
                 )
             )
+
+
+def _is_outcome_label(label: str) -> bool:
+    """NONE, TRANSMITTED or RECALLED_k: the labels _write_events_csv writes."""
+    if label in (events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED):
+        return True
+    k = label.rpartition("_")[2]
+    return k.isdecimal() and events.recalled_token(int(k)) == label
+
+
+def events_from_csv(path) -> list[tuple]:
+    """Read events.csv back as rows of (cycle, channel, time_ps, bin, origin,
+    memory_outcome), cycle and time_ps as integers, the rest as labels."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(next(reader))
+        except StopIteration:
+            raise ValueError(f"{path}: empty events file") from None
+        if header != EVENT_CSV_HEADER:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        for line_no, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(EVENT_CSV_HEADER):
+                raise ValueError(
+                    f"{path}: line {line_no}: expected {len(EVENT_CSV_HEADER)} "
+                    f"fields, got {len(raw)}"
+                )
+            cycle, channel, time_ps, bin_label, origin, outcome = raw
+            try:
+                cycle, time_ps = int(cycle), int(time_ps)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {line_no}: non-integer cycle or time_ps"
+                ) from None
+            for kind, label, known in (
+                ("channel", channel, _CHANNELS),
+                ("bin", bin_label, _BIN_LABELS),
+                ("origin", origin, _ORIGIN_LABELS),
+            ):
+                if label not in known:
+                    raise ValueError(f"{path}: line {line_no}: unknown {kind} {label!r}")
+            if not _is_outcome_label(outcome):
+                raise ValueError(
+                    f"{path}: line {line_no}: unknown memory outcome {outcome!r}"
+                )
+            rows.append((cycle, channel, time_ps, bin_label, origin, outcome))
+    return rows
 
 
 def _g2_payload(hist, delay_ps: int, cfg: ExperimentConfig) -> dict | None:

@@ -28,10 +28,6 @@ TRACE_TOL = 1e-10
 NORM_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class Ket:
@@ -179,22 +175,6 @@ def projector(setting: ProjectorSetting) -> np.ndarray:
     return 0.5 * np.array([[1.0, np.conj(amp)], [amp, 1.0]], dtype=complex)
 
 
-def tensor_product(a, b):
-    """Kronecker product with the 794 nm factor first.
-
-    Two qubit Kets give a pair Ket; two 2x2 matrices give a 4x4 matrix.
-    """
-    if isinstance(a, Ket) and isinstance(b, Ket):
-        if a.dim != 2 or b.dim != 2:
-            raise ValueError("pair states are built from two single-qubit kets")
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
-    am = np.asarray(a, dtype=complex)
-    bm = np.asarray(b, dtype=complex)
-    if am.shape != (2, 2) or bm.shape != (2, 2):
-        raise ValueError(f"expected two 2x2 matrices, got shapes {am.shape} and {bm.shape}")
-    return np.kron(am, bm)
-
-
 def bell_phi_plus(relative_phase: float = 0.0) -> Ket:
     """(|ee> + e^{i phase}|ll>)/sqrt(2)."""
     amps = np.zeros(4, dtype=complex)
@@ -229,33 +209,6 @@ def matrix_sqrt_psd(m) -> np.ndarray:
         raise ValueError(f"matrix has eigenvalue {w.min()!r}; not positive semidefinite")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
-
-
-def density_from_params(t) -> np.ndarray:
-    """Map 16 real parameters to a valid 4x4 density matrix.
-
-    The parameters fill a lower-triangular T (4 real diagonal entries, then
-    real/imaginary pairs for the 6 sub-diagonal entries, row by row); the
-    result is T^dagger T normalized to unit trace, which is Hermitian and
-    positive by construction for any nonzero t.
-    """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if t.shape[0] != 16:
-        raise ValueError(f"expected 16 parameters, got {t.shape[0]}")
-    ssq = float(np.dot(t, t))
-    if ssq < 1e-300:
-        raise ValueError("parameter vector is numerically zero")
-    tm = np.zeros((4, 4), dtype=complex)
-    tm[0, 0], tm[1, 1], tm[2, 2], tm[3, 3] = t[0], t[1], t[2], t[3]
-    tm[1, 0] = t[4] + 1j * t[5]
-    tm[2, 0] = t[6] + 1j * t[7]
-    tm[2, 1] = t[8] + 1j * t[9]
-    tm[3, 0] = t[10] + 1j * t[11]
-    tm[3, 1] = t[12] + 1j * t[13]
-    tm[3, 2] = t[14] + 1j * t[15]
-    a = tm.conj().T @ tm
-    # trace(T^dagger T) is exactly the parameter norm
-    return a / ssq
 
 
 def partial_trace(rho, keep: int) -> np.ndarray:

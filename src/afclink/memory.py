@@ -7,7 +7,8 @@ comb re-emerges after the rephasing time 1/Delta; imperfect periodicity
 rephasing at half and at twice that delay.  Frequencies are in MHz
 throughout, so storage times come out in ns via 1000/Delta.
 
-The phenomenological recall model used by :func:`apply_memory`:
+MemoryConfig holds the phenomenological recall model; the simulation engine
+in harness draws each photon's outcome from its outcome table:
 
 * transmitted (not absorbed): exp(-mean OD), then the coupling efficiency;
 * recalled in echo k: device efficiency times the echo's relative weight
@@ -19,7 +20,7 @@ The phenomenological recall model used by :func:`apply_memory`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +73,6 @@ class CombSpectrum:
     def storage_time_ns(self) -> float:
         """Rephasing delay 1/Delta, in ns for Delta in MHz."""
         return 1000.0 / self.delta_mhz
-
-    @property
-    def tooth_count(self) -> int:
-        return int(math.floor(self.bandwidth_mhz / self.delta_mhz))
 
     @property
     def mean_od(self) -> float:
@@ -367,45 +364,5 @@ class MemoryConfig:
         probs.append(self.lost_probability)
         return labels, np.array(probs)
 
-    def _sampling_table(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """Cached (labels, cumulative probabilities) for per-event sampling."""
-        cached = getattr(self, "_sampling_cache", None)
-        if cached is None:
-            labels, probs = self.outcome_table()
-            cached = (tuple(labels), np.cumsum(probs))
-            object.__setattr__(self, "_sampling_cache", cached)
-        return cached
-
     def echo_delay_ps(self, echo_index: int) -> int:
         return int(round(self.echo_delays[echo_index][0] * 1000.0))
-
-
-def apply_memory(
-    event: events.PhotonEvent, config: MemoryConfig, rng: np.random.Generator
-) -> events.PhotonEvent:
-    """Sample one memory outcome for one photon.
-
-    Transmitted photons pass unshifted; recalled photons are delayed by the
-    echo time, with non-primary echoes tagged SPURIOUS_ECHO; lost photons are
-    tagged LOST (downstream stages drop them).  The time-bin qubit itself is
-    untouched: storage preserves the superposition.
-    """
-    labels, cumulative = config._sampling_table()
-    u = rng.random()
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    idx = min(idx, len(labels) - 1)
-    label = labels[idx]
-    if label == events.OUTCOME_TRANSMITTED:
-        return dc_replace(event, memory_outcome=events.OUTCOME_TRANSMITTED)
-    if label == events.OUTCOME_LOST:
-        return dc_replace(event, memory_outcome=events.OUTCOME_LOST)
-    echo_index = idx - 1
-    origin = event.origin
-    if echo_index != config.primary_echo_index:
-        origin = events.ORIGIN_SPURIOUS_ECHO
-    return dc_replace(
-        event,
-        timestamp_ps=event.timestamp_ps + config.echo_delay_ps(echo_index),
-        memory_outcome=events.recalled_token(echo_index),
-        origin=origin,
-    )

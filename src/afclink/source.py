@@ -9,9 +9,8 @@ EARLY_ONLY pumping (no interferometer) emits both photons in the early bin
 with no qubit degree of freedom, the configuration used for autocorrelation
 measurements.
 
-Randomness: callers hand every sampling function an explicit generator.
-cycle_rng derives a counter-based per-cycle stream so cycles can be sampled
-independently (and therefore in parallel) with byte-identical results.
+SourceConfig holds the parameters and the emitted state; the simulation
+engine in harness draws the pairs.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import events
 from .linalg import Ket, bell_phi_plus
 
 PUMP_BOTH_ARMS = "BOTH_ARMS"
@@ -69,61 +65,3 @@ class SourceConfig:
         if self.pump_mode == PUMP_EARLY_ONLY:
             return None
         return bell_phi_plus(2.0 * self.pump_phase)
-
-
-@dataclass(frozen=True)
-class PairEmission:
-    """One emitted pair: where it came from and its joint qubit state."""
-
-    cycle: int
-    pair_id: int
-    joint_state: Ket | None
-
-    @property
-    def single_mode(self) -> bool:
-        return self.joint_state is None
-
-
-def cycle_rng(seed: int, cycle: int) -> np.random.Generator:
-    """Counter-derived stream for one cycle: reproducible and independent."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cycle,)))
-
-
-def sample_cycle(
-    config: SourceConfig, rng: np.random.Generator, cycle: int, first_pair_id: int = 0
-) -> list[PairEmission]:
-    """Draw the pairs emitted in one pump cycle (Poisson with mean mu)."""
-    n = int(rng.poisson(config.mean_pairs_per_pulse))
-    state = config.joint_state()
-    return [
-        PairEmission(cycle=cycle, pair_id=first_pair_id + i, joint_state=state)
-        for i in range(n)
-    ]
-
-
-def emit_photon_events(
-    pairs: list[PairEmission], config: SourceConfig, rng: np.random.Generator | None = None
-) -> list[events.PhotonEvent]:
-    """Expand pairs into per-photon events on the two output channels.
-
-    Timestamps sit on the cycle grid; the time-bin content stays in the `bin`
-    field (SUPERPOSED until an analyzer resolves it, EARLY for single-mode
-    pumping).  rng is accepted for interface symmetry; emission itself is
-    deterministic once the pair list is drawn.
-    """
-    bin_tag = events.BIN_EARLY if config.pump_mode == PUMP_EARLY_ONLY else events.BIN_SUPERPOSED
-    out = []
-    for pair in pairs:
-        t0 = pair.cycle * config.rep_period_ps
-        for channel in (events.SIGNAL_794, events.IDLER_1535):
-            out.append(
-                events.PhotonEvent(
-                    cycle=pair.cycle,
-                    channel=channel,
-                    timestamp_ps=t0,
-                    bin=bin_tag,
-                    origin=events.ORIGIN_PAIR,
-                    pair_id=pair.pair_id,
-                )
-            )
-    return out

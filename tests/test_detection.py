@@ -12,28 +12,21 @@ import math
 import numpy as np
 import pytest
 
-from afclink import detection, events
+from afclink import detection, events, harness
+from afclink.config import config_from_dict
 from afclink.detection import (
     AnalyzerSetting,
     CoincidenceHistogram,
     DetectorConfig,
     analyzer_outcomes,
-    analyzer_sample,
     coincidence_rate,
-    dark_events,
-    detect,
-    events_from_csv,
-    events_to_csv,
     histogram_from_csv,
-    joint_outcome_counts,
     joint_outcome_table,
-    single_outcome_counts,
     single_outcome_table,
-    tdc_histogram,
     tdc_histogram_from_times,
 )
+from afclink.harness import run_simulation, simulate
 from afclink.linalg import bell_phi_plus, partial_trace
-from afclink.source import PairEmission, SourceConfig
 
 BIN_SEP = 1400
 
@@ -146,262 +139,260 @@ class TestJointTable:
         assert np.allclose(probs, expected, atol=1e-12)
 
 
-class TestBatchSampling:
-    """Vectorized outcome counts for many identically prepared photons.
+IDEAL_DETECTORS = {
+    ch: {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0}
+    for ch in ("signal_794", "idler_1535")
+}
+TIME_OF_ARRIVAL = {
+    ch: {"mode": "time_of_arrival"} for ch in ("signal_794", "idler_1535")
+}
+# Zero coupling: the memory loses every photon it is offered.
+DEAD_MEMORY = {
+    "coupling_efficiency": 0.0,
+    "device_efficiency": 0.5,
+    "mean_od": 1.0,
+    "echo_delays": [[32.258, 1.0]],
+}
+REP = 12_500
 
-    A batch of n draws from the outcome table is one multinomial sample,
-    distributed identically to n per-pair analyzer_sample calls (which sample
-    the same table one event at a time).
-    """
+
+def engine_config(seed=1, cycles=20_000, mu=0.05, source=None, analyzers=None,
+                  detectors=None, memories=None):
+    """A validated config; ideal detectors unless `detectors` is given."""
+    data = {
+        "run": {"seed": seed, "cycles": cycles},
+        "source": {"mean_pairs_per_pulse": mu, **(source or {})},
+        "detectors": IDEAL_DETECTORS if detectors is None else detectors,
+    }
+    if analyzers is not None:
+        data["analyzers"] = analyzers
+    if memories is not None:
+        data["memories"] = memories
+    return config_from_dict(data)
+
+
+def interferometers(alpha, beta):
+    return {
+        "signal_794": {"mode": "interferometer", "phase": float(alpha)},
+        "idler_1535": {"mode": "interferometer", "phase": float(beta)},
+    }
+
+
+def slot_offsets(rec):
+    """Each click's delay from the start of its pump cycle."""
+    return rec.times - rec.cycles * REP
+
+
+def draw_counts(cum, n, rng):
+    """Outcome counts of n engine analyzer draws from a cumulative table."""
+    return np.bincount(harness._draw_outcomes(cum, n, rng), minlength=cum.size)
+
+
+def within(count, n, p, n_sigma):
+    return abs(count / n - p) <= n_sigma * math.sqrt(p * (1.0 - p) / n) + 1e-12
+
+
+class TestBatchSampling:
+    """The engine's analyzer stage, harness._draw_outcomes on the tables that
+    harness._build_tables derives, samples the joint and single-arm outcome
+    tables.  Outcome order per interferometer arm: (early, central, late) x
+    ports (+1, -1), as in hand_effects; joint index 6 * signal + idler."""
 
     def test_born_rule_on_phase_grid_million_pairs(self):
+        # 10**6 pairs in all, 15625 per setting pair.
         rho = bell_phi_plus(1.2).density().matrix
         phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
         rng = np.random.default_rng(61)
-        n = 1_000_000
+        n = 1_000_000 // phases.size**2
         for alpha in phases:
-            outs_a = analyzer_outcomes(AnalyzerSetting.interferometer(alpha), BIN_SEP)
             for beta in phases:
-                outs_b = analyzer_outcomes(AnalyzerSetting.interferometer(beta), BIN_SEP)
-                table = joint_outcome_table(rho, outs_a, outs_b)
-                counts = joint_outcome_counts(rho, outs_a, outs_b, n, rng)
-                assert counts.shape == (6, 6)
+                cfg = engine_config(
+                    source={"pump_phase": 0.6}, analyzers=interferometers(alpha, beta)
+                )
+                counts = draw_counts(harness._build_tables(cfg).joint_cum, n, rng)
                 assert counts.sum() == n
-                freq = counts / n
-                sigma = np.sqrt(table * (1.0 - table) / n)
-                assert np.all(np.abs(freq - table) <= 4.0 * sigma + 1e-12), (alpha, beta)
+                for i, (_, _, ea, _) in enumerate(hand_effects(alpha)):
+                    for j, (_, _, eb, _) in enumerate(hand_effects(beta)):
+                        p = np.trace(np.kron(ea, eb) @ rho).real
+                        assert within(counts[6 * i + j], n, p, 4.0), (alpha, beta, i, j)
 
     def test_single_arm_counts_million_photons(self):
-        rho = bell_phi_plus().density().matrix
-        reduced = partial_trace(rho, keep=0)
-        outs = analyzer_outcomes(AnalyzerSetting.interferometer(0.4), BIN_SEP)
-        table = single_outcome_table(reduced, outs)
-        rng = np.random.default_rng(62)
+        cfg = engine_config(analyzers=interferometers(0.4, 0.0))
+        cum = harness._build_tables(cfg).single_cum[events.SIGNAL_794]
         n = 1_000_000
-        counts = single_outcome_counts(reduced, outs, n, rng)
-        assert counts.shape == (6,)
+        counts = draw_counts(cum, n, np.random.default_rng(62))
         assert counts.sum() == n
-        sigma = np.sqrt(table * (1.0 - table) / n)
-        assert np.all(np.abs(counts / n - table) <= 4.0 * sigma + 1e-12)
+        # Reduced state I/2: early 1/8 per port, central 1/4 per port, late 1/8.
+        for count, p in zip(counts, (0.125, 0.125, 0.25, 0.25, 0.125, 0.125)):
+            assert within(count, n, p, 4.0)
 
     def test_no_signaling_at_sample_level(self):
         # Arm-A marginal frequencies must not depend on arm B's phase.
-        rho = bell_phi_plus().density().matrix
-        outs_a = analyzer_outcomes(AnalyzerSetting.interferometer(0.3), BIN_SEP)
         rng = np.random.default_rng(63)
         n = 1_000_000
         marginals = []
         for beta in (0.0, 2.2):
-            outs_b = analyzer_outcomes(AnalyzerSetting.interferometer(beta), BIN_SEP)
-            counts = joint_outcome_counts(rho, outs_a, outs_b, n, rng)
-            marginals.append(counts.sum(axis=1) / n)
+            cfg = engine_config(analyzers=interferometers(0.3, beta))
+            counts = draw_counts(harness._build_tables(cfg).joint_cum, n, rng)
+            marginals.append(counts.reshape(6, 6).sum(axis=1) / n)
         p0, p1 = marginals
         base = (p0 + p1) / 2.0
         sigma = np.sqrt(base * (1.0 - base) * 2.0 / n)
         assert np.all(np.abs(p0 - p1) <= 5.0 * sigma + 1e-12)
 
     def test_deterministic_given_seed(self):
-        rho = bell_phi_plus().density().matrix
-        outs = analyzer_outcomes(AnalyzerSetting.interferometer(0.9), BIN_SEP)
-        a = joint_outcome_counts(rho, outs, outs, 10_000, np.random.default_rng(5))
-        b = joint_outcome_counts(rho, outs, outs, 10_000, np.random.default_rng(5))
+        cfg = engine_config(analyzers=interferometers(0.9, 0.9))
+        cum = harness._build_tables(cfg).joint_cum
+        a = harness._draw_outcomes(cum, 10_000, np.random.default_rng(5))
+        b = harness._draw_outcomes(cum, 10_000, np.random.default_rng(5))
         assert np.array_equal(a, b)
-
-    def test_negative_count_rejected(self):
-        rho = bell_phi_plus().density().matrix
-        outs = analyzer_outcomes(AnalyzerSetting.interferometer(0.0), BIN_SEP)
-        with pytest.raises(ValueError):
-            joint_outcome_counts(rho, outs, outs, -1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            single_outcome_counts(np.eye(2) / 2.0, outs, -1, np.random.default_rng(0))
-
-
-def make_pair(cycle=0, pair_id=0, phi_p=0.0):
-    cfg = SourceConfig(pump_phase=phi_p)
-    return PairEmission(cycle=cycle, pair_id=pair_id, joint_state=cfg.joint_state())
-
-
-def pair_events(pair, cfg):
-    t0 = pair.cycle * cfg.rep_period_ps
-    return [
-        events.PhotonEvent(
-            cycle=pair.cycle,
-            channel=ch,
-            timestamp_ps=t0,
-            bin=events.BIN_SUPERPOSED,
-            pair_id=pair.pair_id,
-        )
-        for ch in (events.SIGNAL_794, events.IDLER_1535)
-    ]
 
 
 class TestAnalyzerSample:
-    def settings(self, alpha, beta):
-        return {
-            events.SIGNAL_794: AnalyzerSetting.interferometer(alpha),
-            events.IDLER_1535: AnalyzerSetting.interferometer(beta),
-        }
+    """Analyzer outcomes as the engine draws them: stage draws on the joint
+    and single tables, and the slots, ports and bins `simulate` reports."""
 
     def test_timestamps_ports_and_bins(self):
-        cfg = SourceConfig()
-        pair = make_pair(cycle=5)
-        rng = np.random.default_rng(7)
-        seen_offsets = set()
-        for _ in range(400):
-            resolved = analyzer_sample(
-                pair, pair_events(pair, cfg), self.settings(0.0, 0.0), cfg, rng
-            )
-            assert len(resolved) == 2
-            for ev in resolved:
-                offset = ev.timestamp_ps - 5 * cfg.rep_period_ps
-                assert offset in (0, BIN_SEP, 2 * BIN_SEP)
-                assert ev.port in (+1, -1)
-                if offset == 0:
-                    assert ev.bin == events.BIN_EARLY
-                elif offset == BIN_SEP:
-                    assert ev.bin == events.BIN_SUPERPOSED
-                else:
-                    assert ev.bin == events.BIN_LATE
-                seen_offsets.add(offset)
-        assert seen_offsets == {0, BIN_SEP, 2 * BIN_SEP}
+        data = simulate(engine_config(seed=7, analyzers=interferometers(0.0, 0.0)))
+        bin_of_offset = {0: "EARLY", BIN_SEP: "SUPERPOSED", 2 * BIN_SEP: "LATE"}
+        for rec in data.channels.values():
+            assert rec.times.size == data.n_pairs > 0
+            offsets = slot_offsets(rec)
+            assert set(offsets.tolist()) == set(bin_of_offset)
+            for offset, label in bin_of_offset.items():
+                assert np.all(rec.bins[offsets == offset] == events.BINS.index(label))
+            assert set(rec.ports.tolist()) == {+1, -1}
 
     def test_entangled_pair_never_splits_early_late(self):
         # |ee> + |ll> has no |el>/|le> component: one photon early-slot and the
         # other late-slot cannot happen.
-        cfg = SourceConfig()
-        pair = make_pair()
-        rng = np.random.default_rng(3)
-        for _ in range(2000):
-            a, b = analyzer_sample(
-                pair, pair_events(pair, cfg), self.settings(0.4, 1.3), cfg, rng
-            )
-            offsets = {a.timestamp_ps, b.timestamp_ps}
-            assert offsets != {0, 2 * BIN_SEP}
+        cfg = engine_config(analyzers=interferometers(0.4, 1.3))
+        counts = draw_counts(
+            harness._build_tables(cfg).joint_cum, 200_000, np.random.default_rng(3)
+        ).reshape(3, 2, 3, 2)
+        assert counts[0, :, 2, :].sum() == 0 and counts[2, :, 0, :].sum() == 0
+        assert counts[0, :, 0, :].sum() > 0 and counts[2, :, 2, :].sum() > 0
 
     def test_central_coincidence_statistics(self):
-        cfg = SourceConfig()
-        pair = make_pair()
         alpha, beta = 0.5, 0.9
-        rng = np.random.default_rng(42)
-        n = 20_000
-        hits = 0
-        for _ in range(n):
-            a, b = analyzer_sample(
-                pair, pair_events(pair, cfg), self.settings(alpha, beta), cfg, rng
-            )
-            if (
-                a.timestamp_ps == BIN_SEP
-                and b.timestamp_ps == BIN_SEP
-                and a.port == +1
-                and b.port == +1
-            ):
-                hits += 1
+        cfg = engine_config(analyzers=interferometers(alpha, beta))
+        n = 200_000
+        counts = draw_counts(
+            harness._build_tables(cfg).joint_cum, n, np.random.default_rng(42)
+        )
+        # Central slot, port +1 on both arms: outcome 2 of each arm.
         p = (1.0 + math.cos(alpha + beta)) / 16.0
-        sigma = math.sqrt(p * (1.0 - p) / n)
-        assert abs(hits / n - p) < 4.0 * sigma
+        assert within(counts[6 * 2 + 2], n, p, 4.0)
 
     def test_lost_partner_uses_reduced_state(self):
-        cfg = SourceConfig()
-        pair = make_pair()
-        rng = np.random.default_rng(9)
-        evs = pair_events(pair, cfg)
-        survivor = [evs[0]]  # only the 794 nm photon made it
-        counts = {0: 0, BIN_SEP: 0, 2 * BIN_SEP: 0}
-        n = 8000
-        for _ in range(n):
-            (resolved,) = analyzer_sample(pair, survivor, self.settings(0.7, 0.0), cfg, rng)
-            counts[resolved.timestamp_ps] += 1
-        # Reduced state is I/2: early 1/4, central 1/2, late 1/4.
+        # The idler memory loses every photon, so each signal photon is
+        # analyzed alone and sees the reduced state I/2: early 1/4,
+        # central 1/2, late 1/4, whatever the phase.
+        cfg = engine_config(
+            seed=9,
+            cycles=100_000,
+            mu=0.1,
+            analyzers=interferometers(0.7, 0.0),
+            memories={"idler_1535": DEAD_MEMORY},
+        )
+        data = simulate(cfg)
+        offsets = slot_offsets(data.channels[events.SIGNAL_794])
+        n = offsets.size
+        assert n == data.n_pairs > 0
         for offset, p in ((0, 0.25), (BIN_SEP, 0.5), (2 * BIN_SEP, 0.25)):
-            sigma = math.sqrt(p * (1 - p) / n)
-            assert abs(counts[offset] / n - p) < 4.5 * sigma
+            assert within(int((offsets == offset).sum()), n, p, 4.5)
 
     def test_no_survivors(self):
-        cfg = SourceConfig()
-        pair = make_pair()
-        rng = np.random.default_rng(1)
-        assert analyzer_sample(pair, [], self.settings(0, 0), cfg, rng) == []
+        cfg = engine_config(
+            mu=0.2, memories={"signal_794": DEAD_MEMORY, "idler_1535": DEAD_MEMORY}
+        )
+        data = simulate(cfg)
+        assert data.n_pairs > 0
+        assert all(rec.times.size == 0 for rec in data.channels.values())
 
     def test_time_of_arrival_on_entangled_pair(self):
-        cfg = SourceConfig()
-        pair = make_pair()
-        rng = np.random.default_rng(17)
-        settings = {
-            events.SIGNAL_794: AnalyzerSetting.time_of_arrival(),
-            events.IDLER_1535: AnalyzerSetting.time_of_arrival(),
-        }
-        same = 0
-        n = 4000
-        for _ in range(n):
-            a, b = analyzer_sample(pair, pair_events(pair, cfg), settings, cfg, rng)
-            assert a.bin in (events.BIN_EARLY, events.BIN_LATE)
-            # Perfect correlations in the arrival-time basis.
-            assert a.bin == b.bin
-            assert a.timestamp_ps == b.timestamp_ps
-            same += 1
-        assert same == n
+        # Perfect correlations in the arrival-time basis: in every cycle that
+        # holds one pair, both photons arrive in the same bin.
+        data = simulate(engine_config(seed=17, mu=0.1, analyzers=TIME_OF_ARRIVAL))
+        sig = data.channels[events.SIGNAL_794]
+        idl = data.channels[events.IDLER_1535]
+        single = np.flatnonzero(np.bincount(sig.cycles) == 1)
+        assert single.size > 1000
+        sig_offset = dict(zip(sig.cycles.tolist(), slot_offsets(sig).tolist()))
+        idl_offset = dict(zip(idl.cycles.tolist(), slot_offsets(idl).tolist()))
+        same = [sig_offset[c] == idl_offset[c] for c in single.tolist()]
+        assert all(same)
+        early = sum(sig_offset[c] == 0 for c in single.tolist())
+        assert within(early, single.size, 0.5, 5.0)
 
     def test_single_mode_pair_time_of_arrival(self):
-        cfg = SourceConfig(pump_mode="EARLY_ONLY")
-        pair = PairEmission(cycle=0, pair_id=0, joint_state=None)
-        rng = np.random.default_rng(23)
-        settings = {
-            events.SIGNAL_794: AnalyzerSetting.time_of_arrival(),
-            events.IDLER_1535: AnalyzerSetting.time_of_arrival(),
-        }
-        evs = [
-            events.PhotonEvent(cycle=0, channel=ch, timestamp_ps=0, bin=events.BIN_EARLY)
-            for ch in (events.SIGNAL_794, events.IDLER_1535)
-        ]
-        for _ in range(50):
-            a, b = analyzer_sample(pair, evs, settings, cfg, rng)
-            assert a.bin == events.BIN_EARLY and b.bin == events.BIN_EARLY
-            assert a.timestamp_ps == 0 and b.timestamp_ps == 0
+        data = simulate(
+            engine_config(
+                seed=23, source={"pump_mode": "EARLY_ONLY"}, analyzers=TIME_OF_ARRIVAL
+            )
+        )
+        for rec in data.channels.values():
+            assert rec.times.size == data.n_pairs > 0
+            assert np.all(rec.bins == events.BINS.index(events.BIN_EARLY))
+            assert np.all(slot_offsets(rec) == 0)
 
 
 class TestDetect:
+    """The engine's detector stage, seen through `simulate`: thinning at the
+    detector efficiency, Gaussian timing jitter, nothing from lost photons."""
+
     def test_ideal_detector_is_identity(self):
-        cfg = DetectorConfig(efficiency=1.0, jitter_sigma_ps=0.0, dark_rate_hz=0.0)
-        ev = events.PhotonEvent(cycle=0, channel=events.SIGNAL_794, timestamp_ps=123)
-        rng = np.random.default_rng(0)
-        out = detect(ev, cfg, rng)
-        assert out is not None and out.timestamp_ps == 123
+        data = simulate(engine_config(seed=3, analyzers=TIME_OF_ARRIVAL))
+        for rec in data.channels.values():
+            assert rec.times.size == data.n_pairs > 0
+            assert set(slot_offsets(rec).tolist()) == {0, BIN_SEP}
 
     def test_zero_efficiency_drops_everything(self):
-        cfg = DetectorConfig(efficiency=0.0, jitter_sigma_ps=0.0, dark_rate_hz=0.0)
-        ev = events.PhotonEvent(cycle=0, channel=events.SIGNAL_794, timestamp_ps=123)
-        rng = np.random.default_rng(0)
-        assert all(detect(ev, cfg, rng) is None for _ in range(100))
+        dead = {"efficiency": 0.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0}
+        cfg = engine_config(
+            mu=0.2, detectors={"signal_794": dead, "idler_1535": dead}
+        )
+        data = simulate(cfg)
+        assert data.n_pairs > 0
+        assert all(rec.times.size == 0 for rec in data.channels.values())
 
     def test_lost_photons_never_detected(self):
-        cfg = DetectorConfig(efficiency=1.0, jitter_sigma_ps=0.0, dark_rate_hz=0.0)
-        ev = events.PhotonEvent(
-            cycle=0,
-            channel=events.SIGNAL_794,
-            timestamp_ps=5,
-            memory_outcome=events.OUTCOME_LOST,
-        )
-        assert detect(ev, cfg, np.random.default_rng(0)) is None
+        data = simulate(engine_config(mu=0.2, memories={"signal_794": DEAD_MEMORY}))
+        assert data.channels[events.SIGNAL_794].times.size == 0
+        assert data.channels[events.IDLER_1535].times.size == data.n_pairs > 0
 
     def test_efficiency_thinning_statistics(self):
-        cfg = DetectorConfig(efficiency=0.7, jitter_sigma_ps=0.0, dark_rate_hz=0.0)
-        ev = events.PhotonEvent(cycle=0, channel=events.SIGNAL_794, timestamp_ps=0)
-        rng = np.random.default_rng(4)
-        n = 20_000
-        kept = sum(detect(ev, cfg, rng) is not None for _ in range(n))
-        sigma = math.sqrt(0.7 * 0.3 / n)
-        assert abs(kept / n - 0.7) < 4.0 * sigma
+        # Lossless source and no memories: every pair offers one photon per
+        # detector, so clicks / pairs estimates the efficiency.
+        det = {"efficiency": 0.7, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0}
+        cfg = engine_config(
+            seed=4, cycles=1_000_000, mu=0.2,
+            detectors={"signal_794": det, "idler_1535": det},
+        )
+        data = simulate(cfg)
+        assert data.n_pairs > 150_000
+        for rec in data.channels.values():
+            assert within(rec.times.size, data.n_pairs, 0.7, 5.0)
 
     def test_jitter_statistics(self):
-        sigma_ps = 250.0 / 2.355
-        cfg = DetectorConfig(efficiency=1.0, jitter_sigma_ps=sigma_ps, dark_rate_hz=0.0)
-        ev = events.PhotonEvent(cycle=0, channel=events.SIGNAL_794, timestamp_ps=100_000)
-        rng = np.random.default_rng(8)
-        shifts = np.array(
-            [detect(ev, cfg, rng).timestamp_ps - 100_000 for _ in range(20_000)], dtype=float
+        # Time-of-arrival slots sit at 0 and T = 1400 ps, over 6 jitter sigmas
+        # apart, so each click's nearest slot is the one it was drawn in.
+        fwhm = 250.0
+        sigma_ps = fwhm / 2.355
+        det = {"efficiency": 1.0, "jitter_fwhm_ps": fwhm, "dark_rate_hz": 0.0}
+        cfg = engine_config(
+            seed=8, cycles=200_000, mu=0.1, analyzers=TIME_OF_ARRIVAL,
+            detectors={"signal_794": det, "idler_1535": det},
         )
-        assert abs(shifts.mean()) < 4.0 * sigma_ps / math.sqrt(len(shifts))
-        assert shifts.std() == pytest.approx(sigma_ps, rel=0.05)
+        data = simulate(cfg)
+        for rec in data.channels.values():
+            offsets = slot_offsets(rec)
+            shifts = (offsets - np.where(offsets > BIN_SEP / 2, BIN_SEP, 0)).astype(float)
+            n = shifts.size
+            assert n == data.n_pairs > 10_000
+            assert abs(shifts.mean()) < 5.0 * sigma_ps / math.sqrt(n)
+            # s.d. of a sample s.d. of n Gaussian draws: sigma / sqrt(2 n).
+            assert abs(shifts.std() - sigma_ps) < 5.0 * sigma_ps / math.sqrt(2.0 * n)
 
     def test_default_jitter_value(self):
         cfg = DetectorConfig()
@@ -411,60 +402,52 @@ class TestDetect:
 
 
 class TestDarkEvents:
+    """Dark counts as `simulate` reports them, on a source that emits nothing."""
+
+    def dark_run(self, rate_hz, cycles, seed):
+        det = {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": rate_hz}
+        return simulate(
+            engine_config(
+                seed=seed, cycles=cycles, mu=0.0,
+                detectors={"signal_794": det, "idler_1535": det},
+            )
+        )
+
     def test_poisson_rate(self):
-        cfg = DetectorConfig(dark_rate_hz=100.0)
-        rng = np.random.default_rng(12)
+        # Two shards; 1e5 Hz over 25 ms is 2500 expected per channel.
         n_cycles = 2_000_000
-        rep = 12_500
-        span_s = n_cycles * rep * 1e-12  # 25 ms
-        expected = 100.0 * span_s  # 2.5 per channel
-        totals = []
-        for _ in range(200):
-            evs = dark_events(cfg, rng, [events.SIGNAL_794], n_cycles, rep)
-            totals.append(len(evs))
-        mean = np.mean(totals)
-        sigma = math.sqrt(expected / 200)
-        assert abs(mean - expected) < 5.0 * sigma
+        data = self.dark_run(1e5, n_cycles, seed=12)
+        expected = 1e5 * n_cycles * REP * 1e-12
+        assert data.n_pairs == 0
+        for rec in data.channels.values():
+            assert abs(rec.times.size - expected) < 5.0 * math.sqrt(expected)
+            assert rec.dark_count == rec.times.size
 
     def test_fields_and_range(self):
-        cfg = DetectorConfig(dark_rate_hz=1e7)
-        rng = np.random.default_rng(1)
-        evs = dark_events(cfg, rng, [events.IDLER_1535], 1000, 12_500)
-        assert len(evs) > 0
-        for ev in evs[:50]:
-            assert ev.origin == events.ORIGIN_DARK
-            assert ev.bin == events.BIN_NONE
-            assert 0 <= ev.timestamp_ps < 1000 * 12_500
-            assert ev.cycle == ev.timestamp_ps // 12_500
-
-
-def det(channel, t):
-    return events.PhotonEvent(cycle=int(t // 12_500), channel=channel, timestamp_ps=int(t))
+        data = self.dark_run(1e7, 1_000, seed=1)
+        for rec in data.channels.values():
+            assert rec.times.size > 0
+            assert np.all(rec.origins == events.ORIGINS.index(events.ORIGIN_DARK))
+            assert np.all(rec.bins == events.BINS.index(events.BIN_NONE))
+            assert np.all(rec.outcomes == harness._OUTCOME_NONE)
+            assert np.all(rec.ports == 0)
+            assert np.all((rec.times >= 0) & (rec.times < 1_000 * REP))
+            assert np.array_equal(rec.cycles, rec.times // REP)
 
 
 class TestTdcHistogram:
     def test_hand_built_case(self):
-        herald = [det(events.IDLER_1535, 50_000)]
-        stops = [
-            det(events.SIGNAL_794, 50_000 - 100),
-            det(events.SIGNAL_794, 50_000 + 30),
-            det(events.SIGNAL_794, 50_000 + 85),
-            det(events.SIGNAL_794, 50_000 + 10_000),  # outside the window
-        ]
-        hist = tdc_histogram(
-            herald + stops,
-            rep_period_ps=12_500,
-            bin_width_ps=80,
-            window_ps=240,
-        )
+        stops = [50_000 - 100, 50_000 + 30, 50_000 + 85, 50_000 + 10_000]
+        hist = tdc_histogram_from_times([50_000], stops, bin_width_ps=80, window_ps=240)
         assert hist.n_starts == 1
-        # Bins: [-240,-160) [-160,-80) [-80,0) [0,80) [80,160) [160,240)
+        # Bins: [-240,-160) [-160,-80) [-80,0) [0,80) [80,160) [160,240);
+        # the stop 10 ns late is outside the window.
         assert hist.counts.tolist() == [0, 1, 0, 1, 1, 0]
 
     def test_multiple_starts_accumulate(self):
-        herald = [det(events.IDLER_1535, 12_500), det(events.IDLER_1535, 25_000)]
-        stops = [det(events.SIGNAL_794, 12_530), det(events.SIGNAL_794, 25_030)]
-        hist = tdc_histogram(herald + stops, 12_500, bin_width_ps=80, window_ps=240)
+        hist = tdc_histogram_from_times(
+            [12_500, 25_000], [12_530, 25_030], bin_width_ps=80, window_ps=240
+        )
         assert hist.n_starts == 2
         center = int((30 + 240) // 80)
         assert hist.counts[center] == 2
@@ -472,9 +455,7 @@ class TestTdcHistogram:
         assert hist.counts.sum() == 2
 
     def test_cross_cycle_coincidences_visible_in_wide_window(self):
-        herald = [det(events.IDLER_1535, 12_500)]
-        stops = [det(events.SIGNAL_794, 25_010)]
-        hist = tdc_histogram(herald + stops, 12_500, bin_width_ps=80, window_ps=20_000)
+        hist = tdc_histogram_from_times([12_500], [25_010], bin_width_ps=80, window_ps=20_000)
         idx = int((12_510 + 20_000) // 80)
         assert hist.counts[idx] == 1
 
@@ -501,11 +482,8 @@ class TestTdcHistogram:
             a.merge(b)
 
     def test_coincidence_rate_window(self):
-        herald = [det(events.IDLER_1535, 100_000)]
-        stops = [
-            det(events.SIGNAL_794, 100_000 + dt) for dt in (-450, -30, 0, 200, 480, 900)
-        ]
-        hist = tdc_histogram(herald + stops, 12_500, bin_width_ps=80, window_ps=2_000)
+        stops = [100_000 + dt for dt in (-450, -30, 0, 200, 480, 900)]
+        hist = tdc_histogram_from_times([100_000], stops, bin_width_ps=80, window_ps=2_000)
         # Default halfwidth 500 ps picks up everything but the 900 ps stop.
         assert coincidence_rate(hist, 0) == 5
         assert coincidence_rate(hist, 0, peak_halfwidth_ps=100) == 2
@@ -565,41 +543,66 @@ class TestHistogramFromTimes:
 
 class TestCsvRoundTrips:
     def test_event_csv(self, tmp_path):
-        evs = [
-            events.PhotonEvent(
-                cycle=2,
-                channel=events.SIGNAL_794,
-                timestamp_ps=25_123,
-                bin=events.BIN_EARLY,
-                origin=events.ORIGIN_PAIR,
-                pair_id=4,
-                memory_outcome=events.recalled_token(0),
-            ),
-            events.PhotonEvent(
-                cycle=3,
-                channel=events.IDLER_1535,
-                timestamp_ps=37_600,
-                bin=events.BIN_NONE,
-                origin=events.ORIGIN_DARK,
-            ),
-        ]
-        path = tmp_path / "events.csv"
-        events_to_csv(evs, path)
-        header = path.read_text().splitlines()[0]
+        # Signal stored in a three-echo memory, darks on both channels: every
+        # label kind reaches the file.
+        cfg = engine_config(
+            seed=2,
+            cycles=50_000,
+            mu=0.1,
+            detectors={
+                ch: {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 1e6}
+                for ch in ("signal_794", "idler_1535")
+            },
+            memories={
+                "signal_794": {
+                    "coupling_efficiency": 0.6,
+                    "device_efficiency": 0.5,
+                    "mean_od": 0.7,
+                    "echo_delays": [[16.129, 0.5], [32.258, 1.0], [64.516, 0.3]],
+                }
+            },
+        )
+        res = run_simulation(cfg, tmp_path)
+        header = res.events_path.read_text().splitlines()[0]
         assert header == "cycle,channel,time_ps,bin,origin,memory_outcome"
-        back = events_from_csv(path)
-        assert len(back) == 2
-        assert back[0].timestamp_ps == 25_123
-        assert back[0].memory_outcome == events.recalled_token(0)
-        assert back[1].origin == events.ORIGIN_DARK
+        back = harness.events_from_csv(res.events_path)
+        assert len(back) == sum(rec.times.size for rec in res.data.channels.values())
+        for channel, rec in res.data.channels.items():
+            rows = [row for row in back if row[1] == channel]
+            assert sorted(row[2] for row in rows) == sorted(rec.times.tolist())
+            assert sorted(row[0] for row in rows) == sorted(rec.cycles.tolist())
+        labels = {field for row in back for field in row[3:]}
+        assert {events.ORIGIN_DARK, events.ORIGIN_SPURIOUS_ECHO,
+                events.recalled_token(0), events.recalled_token(2),
+                events.OUTCOME_TRANSMITTED, events.OUTCOME_NONE} <= labels
 
     def test_histogram_csv(self, tmp_path):
-        herald = [det(events.IDLER_1535, 50_000)]
-        stops = [det(events.SIGNAL_794, 50_030)]
-        hist = tdc_histogram(herald + stops, 12_500, bin_width_ps=80, window_ps=240)
+        hist = tdc_histogram_from_times([50_000], [50_030], bin_width_ps=80, window_ps=240)
         path = tmp_path / "hist.csv"
         hist.to_csv(path)
         assert path.read_text().splitlines()[0] == "bin_start_ps,count"
         back = histogram_from_csv(path)
         assert np.array_equal(back.counts, hist.counts)
         assert back.bin_width_ps == 80
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty histogram file"),
+            ("bin_start_ps,count\n-80,1\n0,2,3\n", "line 3: expected 2 fields, got 3"),
+            ("bin_start_ps,count\n-80,1\n0,12.5\n", "line 3: non-integer field"),
+            ("bin_start_ps,count\n-80,1\nzero,2\n", "line 3: non-integer field"),
+            ("start,count\n-80,1\n0,2\n", "unexpected header"),
+            ("bin_start_ps,count\n-80,1\n", "at least two bins"),
+            ("bin_start_ps,count\n0,1\n80,2\n", "window_ps must be a positive multiple"),
+        ],
+        ids=["empty", "field-count", "float-count", "word-start", "header", "one-bin",
+             "no-negative-delays"],
+    )
+    def test_histogram_reader_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "hist.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            histogram_from_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)

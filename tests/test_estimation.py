@@ -54,10 +54,15 @@ from afclink.linalg import (
     Ket,
     ProjectorSetting,
     bell_phi_plus,
-    density_from_params,
 )
 
 PHI_PLUS = bell_phi_plus().density()
+
+
+def random_density(rng) -> DensityMatrix:
+    """A full-rank random state A A^dagger / tr(A A^dagger), A complex Ginibre."""
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T).real)
 
 
 def werner(p: float) -> DensityMatrix:
@@ -185,7 +190,7 @@ class TestTomography:
     def test_forward_model_consistency_property(self):
         rng = np.random.default_rng(3)
         for _ in range(60):
-            truth = DensityMatrix(density_from_params(rng.standard_normal(16)))
+            truth = random_density(rng)
             result = tomography_mle(self.exact_input(truth))
             assert trace_distance(result.rho, truth) < 0.01
 
@@ -227,7 +232,7 @@ class TestTomography:
         rng = np.random.default_rng(29)
         for k in range(6):
             if k % 2:
-                truth = DensityMatrix(density_from_params(rng.standard_normal(16)))
+                truth = random_density(rng)
             else:
                 v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 truth = Ket(v / np.linalg.norm(v)).density()
@@ -378,7 +383,7 @@ class TestEntanglementMetrics:
         assert purity(PHI_PLUS) == pytest.approx(1.0, abs=1e-9)
         rng = np.random.default_rng(37)
         for _ in range(1000):
-            rho = DensityMatrix(density_from_params(rng.standard_normal(16)))
+            rho = random_density(rng)
             p = purity(rho)
             assert 0.25 - 1e-12 <= p <= 1.0 + 1e-12
             # Unit purity certifies a single nonzero eigenvalue and vice versa.
@@ -449,7 +454,7 @@ class TestChsh:
         rng = np.random.default_rng(41)
         bound = 2.0 * math.sqrt(2.0) + 1e-9
         for _ in range(1000):
-            rho = DensityMatrix(density_from_params(rng.standard_normal(16)))
+            rho = random_density(rng)
             e = [born_correlation(rho, a, b) for a, b in settings.pairs()]
             assert chsh_s(e, (0.0,) * 4).value <= bound
 

@@ -15,12 +15,7 @@ import pytest
 
 from afclink import events, harness
 from afclink.config import config_from_dict
-from afclink.detection import (
-    EVENT_CSV_HEADER,
-    coincidence_rate,
-    events_from_csv,
-    histogram_from_csv,
-)
+from afclink.detection import coincidence_rate, histogram_from_csv
 from afclink.errors import ConfigError, UndefinedEstimateError
 from afclink.estimation import g2_cross, visibility_fit
 from afclink.harness import (
@@ -30,6 +25,7 @@ from afclink.harness import (
     DATA_TOMOGRAPHY_IN,
     DATA_TOMOGRAPHY_OUT,
     DATA_WAVELENGTH,
+    EVENT_CSV_HEADER,
     SHARD_CYCLES,
     STAGE_INPUT,
     STAGE_OUTPUT,
@@ -37,6 +33,7 @@ from afclink.harness import (
     chsh_from_csv,
     chsh_simulation,
     data_path,
+    events_from_csv,
     run_simulation,
     simulate,
     sweep,
@@ -93,7 +90,7 @@ class TestRunSimulation:
     def test_events_sorted_by_timestamp(self, tmp_path):
         cfg = make_config(seed=5, cycles=20_000, mu=0.05)
         res = run_simulation(cfg, tmp_path)
-        times = [ev.timestamp_ps for ev in events_from_csv(res.events_path)]
+        times = [row[2] for row in events_from_csv(res.events_path)]
         assert times == sorted(times)
 
     def test_zero_detector_efficiency_clean(self, tmp_path):
@@ -392,6 +389,82 @@ class TestEngineDraws:
         for label in (events.ORIGIN_DARK, events.ORIGIN_SPURIOUS_ECHO,
                       events.recalled_token(2), events.OUTCOME_TRANSMITTED):
             assert f",{label}" in text
+
+
+    def test_dark_times_uniform_over_span(self):
+        # No pairs; darks over two shards, counted per tenth of the span.
+        n_cycles = 2 * SHARD_CYCLES
+        det = {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 1e6}
+        cfg = make_config(
+            seed=19, cycles=n_cycles, mu=0.0,
+            detectors={"signal_794": det, "idler_1535": det},
+        )
+        span = n_cycles * cfg.source.rep_period_ps
+        for rec in simulate(cfg).channels.values():
+            n = rec.times.size
+            assert n > 20_000
+            deciles = np.bincount(rec.times * 10 // span, minlength=10)
+            assert deciles.size == 10
+            for count in deciles:
+                assert within_5_sigma(int(count), n, 0.1)
+
+    def test_shards_draw_independent_streams(self):
+        # Each shard seeds its own generator from (seed, shard index): the
+        # same shard redraws identically, another shard draws afresh.
+        cfg = make_config(seed=3, cycles=10_000, mu=0.3, detectors=IDEAL_DETECTORS)
+        tables = harness._build_tables(cfg)
+
+        def pair_cycles(shard_index):
+            _, shard = harness._simulate_shard(tables, shard_index, 0, 10_000)
+            return shard[events.SIGNAL_794]["cycles"]
+
+        assert np.array_equal(pair_cycles(0), pair_cycles(0))
+        assert not np.array_equal(pair_cycles(0), pair_cycles(1))
+
+
+HEAD = ",".join(EVENT_CSV_HEADER) + "\n"
+
+
+class TestEventsCsv:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty events file"),
+            ("cycle,channel,time\n", "unexpected header"),
+            (HEAD + "1,SIGNAL_794,12500,EARLY,PAIR\n", "line 2: expected 6 fields, got 5"),
+            (HEAD + "1,SIGNAL_794,12.5,EARLY,PAIR,NONE\n", "line 2: non-integer"),
+            (HEAD + "x,SIGNAL_794,12500,EARLY,PAIR,NONE\n", "line 2: non-integer"),
+            (HEAD + "1,CLOCK,12500,EARLY,PAIR,NONE\n", "line 2: unknown channel 'CLOCK'"),
+            (HEAD + "1,SIGNAL_794,12500,MIDDLE,PAIR,NONE\n", "line 2: unknown bin 'MIDDLE'"),
+            (HEAD + "1,SIGNAL_794,12500,EARLY,STRAY,NONE\n", "line 2: unknown origin 'STRAY'"),
+            (HEAD + "1,SIGNAL_794,12500,EARLY,PAIR,LOST\n", "line 2: unknown memory outcome"),
+            (HEAD + "1,SIGNAL_794,12500,EARLY,PAIR,RECALLED_x\n", "unknown memory outcome"),
+            (HEAD + "1,SIGNAL_794,12500,EARLY,PAIR,RECALLED_-1\n", "unknown memory outcome"),
+        ],
+        ids=["empty", "header", "field-count", "float-time", "word-cycle", "channel",
+             "bin", "origin", "lost-outcome", "recall-word", "recall-negative"],
+    )
+    def test_reader_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            events_from_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
+    def test_reader_returns_one_field_per_column(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text(
+            ",".join(EVENT_CSV_HEADER)
+            + "\r\n2,SIGNAL_794,57123,LATE,SPURIOUS_ECHO,RECALLED_1\r\n"
+            + "3,IDLER_1535,37600,NONE,DARK,NONE\r\n"
+        )
+        assert events_from_csv(path) == [
+            (2, events.SIGNAL_794, 57_123, events.BIN_LATE,
+             events.ORIGIN_SPURIOUS_ECHO, events.recalled_token(1)),
+            (3, events.IDLER_1535, 37_600, events.BIN_NONE,
+             events.ORIGIN_DARK, events.OUTCOME_NONE),
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the dense two-qubit linear algebra layer.
 
-Expected numbers are frozen from independent derivations: Kronecker products
-expanded by hand, projectors written out from the basis convention
+Expected numbers are frozen from independent derivations: the pair basis
+order written out by hand, projectors written out from the basis convention
 |+y> = (|e> + i|l>)/sqrt(2), and eigensystems cross-checked against
 numpy.linalg.eigh (the in-package solver must agree with numpy, not wrap it).
 """
@@ -14,12 +14,10 @@ from afclink.linalg import (
     Ket,
     ProjectorSetting,
     bell_phi_plus,
-    density_from_params,
     hermitian_eigensystem,
     matrix_sqrt_psd,
     partial_trace,
     projector,
-    tensor_product,
 )
 
 
@@ -69,65 +67,6 @@ class TestDensityMatrix:
     def test_werner_state_accepted(self):
         dm = DensityMatrix(werner(0.75))
         assert dm.dim == 4
-
-
-class TestTensorProduct:
-    def test_pair_basis_order(self):
-        # |l>_794 (x) |e>_1535 must land on index 2 of (|ee>,|el>,|le>,|ll>).
-        late = Ket(np.array([0.0, 1.0]))
-        early = Ket(np.array([1.0, 0.0]))
-        joint = tensor_product(late, early)
-        assert np.allclose(joint.amplitudes, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
-
-    def test_index_formula(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a = rng.normal(size=2) + 1j * rng.normal(size=2)
-            b = rng.normal(size=2) + 1j * rng.normal(size=2)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            joint = tensor_product(Ket(a), Ket(b)).amplitudes
-            for i in range(2):
-                for j in range(2):
-                    assert joint[2 * i + j] == pytest.approx(a[i] * b[j], abs=1e-14)
-
-    def test_matrix_tensor(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        xz = tensor_product(x, z)
-        expected = np.array(
-            [
-                [0, 0, 1, 0],
-                [0, 0, 0, -1],
-                [1, 0, 0, 0],
-                [0, -1, 0, 0],
-            ],
-            dtype=complex,
-        )
-        assert np.allclose(xz, expected, atol=1e-15)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor_product(np.eye(2), np.eye(3))
-
-    def test_bilinear_in_both_slots_property(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10_000):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            x, y = rng.normal(size=2)
-            combo = x * a + y * b
-            assert np.allclose(
-                tensor_product(combo, c),
-                x * tensor_product(a, c) + y * tensor_product(b, c),
-                atol=1e-12,
-            )
-            assert np.allclose(
-                tensor_product(c, combo),
-                x * tensor_product(c, a) + y * tensor_product(c, b),
-                atol=1e-12,
-            )
 
 
 class TestEigensystem:
@@ -266,35 +205,6 @@ class TestProjectors:
             ProjectorSetting.from_token("Q")
 
 
-class TestDensityFromParams:
-    def test_identity_params(self):
-        t = np.zeros(16)
-        t[0] = t[1] = t[2] = t[3] = 0.5
-        rho = density_from_params(t)
-        assert np.allclose(rho, np.eye(4) / 4.0, atol=1e-12)
-
-    def test_pure_corner(self):
-        t = np.zeros(16)
-        t[0] = 3.0  # scale invariance: only the direction of t matters
-        rho = density_from_params(t)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = 1.0
-        assert np.allclose(rho, expected, atol=1e-12)
-
-    def test_always_valid_density_property(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10_000):
-            t = rng.normal(size=16)
-            if np.linalg.norm(t) < 1e-6:
-                continue
-            rho = density_from_params(t)
-            assert np.allclose(rho, rho.conj().T, atol=1e-12)
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
-            assert np.linalg.eigvalsh(rho).min() > -1e-9
-        # And it constructs a DensityMatrix without complaint.
-        DensityMatrix(density_from_params(rng.normal(size=16)))
-
-
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
         rho = bell_phi_plus().density().matrix
@@ -305,9 +215,17 @@ class TestPartialTrace:
     def test_product_state_factors(self):
         a = Ket(np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)]))
         b = Ket(np.array([np.cos(1.1), np.sin(1.1) * np.exp(-0.2j)]))
-        rho = tensor_product(a, b).density().matrix
+        rho = Ket(np.kron(a.amplitudes, b.amplitudes)).density().matrix
         assert np.allclose(partial_trace(rho, keep=0), a.density().matrix, atol=1e-12)
         assert np.allclose(partial_trace(rho, keep=1), b.density().matrix, atol=1e-12)
+
+    def test_pair_basis_order(self):
+        # |l>_794 (x) |e>_1535 sits at index 2 of (|ee>,|el>,|le>,|ll>), and
+        # keep=0 returns the 794 nm factor.
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[2, 2] = 1.0
+        assert np.allclose(partial_trace(rho, keep=0), np.diag([0.0, 1.0]), atol=1e-15)
+        assert np.allclose(partial_trace(rho, keep=1), np.diag([1.0, 0.0]), atol=1e-15)
 
 
 class TestBellState:

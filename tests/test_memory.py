@@ -11,8 +11,11 @@ import sys
 import numpy as np
 import pytest
 
-from afclink import events
+from afclink import events, harness
+from afclink.config import config_from_dict
 from afclink.errors import FitError
+from afclink.estimation import find_peaks
+from afclink.harness import simulate
 from afclink.memory import (
     CombSpectrum,
     MemoryConfig,
@@ -22,7 +25,6 @@ from afclink.memory import (
     device_efficiency,
     echo_response,
     fit_comb,
-    apply_memory,
 )
 
 
@@ -40,16 +42,16 @@ def era_comb(**overrides):
 
 
 class TestBuildComb:
-    def test_tooth_count_and_storage_time(self):
+    def test_teeth_and_storage_time(self):
         comb = era_comb()
-        assert comb.tooth_count == 48  # floor(8000 / 166)
+        assert find_peaks(comb.od).size == 48  # floor(8000 / 166) teeth
         assert comb.storage_time_ns == pytest.approx(1000.0 / 166.0, abs=1e-9)
         assert comb.storage_time_ns == pytest.approx(6.02, abs=0.01)
 
     def test_long_storage_comb(self):
         comb = build_comb(31.0, 2.0, 0.0, 2.0, bandwidth_ghz=10.0, grid_step_mhz=1.0)
         assert comb.storage_time_ns == pytest.approx(32.26, abs=0.01)
-        assert comb.tooth_count == 322
+        assert find_peaks(comb.od).size == 322
 
     def test_profile_levels(self):
         comb = era_comb()
@@ -312,81 +314,79 @@ class TestMemoryConfig:
 
 
 class TestApplyMemory:
-    def make_config(self):
-        return MemoryConfig(
-            coupling_efficiency=0.5,
-            device_efficiency=0.4,
-            mean_od=1.0,
-            echo_delays=((32.0, 1.0), (16.0, 0.25)),
-        )
+    """The engine's memory stage as `simulate` reports it: the signal photon
+    of every pair meets this memory; ideal detectors, no darks."""
 
-    def make_event(self):
-        return events.PhotonEvent(
-            cycle=3,
-            channel=events.SIGNAL_794,
-            timestamp_ps=3 * 12_500,
-            bin=events.BIN_SUPERPOSED,
-            origin=events.ORIGIN_PAIR,
-            pair_id=7,
+    MEMORY = {
+        "coupling_efficiency": 0.5,
+        "device_efficiency": 0.4,
+        "mean_od": 1.0,
+        "echo_delays": [[32.0, 1.0], [16.0, 0.25]],
+    }
+
+    def run(self, seed, cycles, mu=0.2):
+        return simulate(
+            config_from_dict(
+                {
+                    "run": {"seed": seed, "cycles": cycles},
+                    "source": {"mean_pairs_per_pulse": mu},
+                    "memories": {"signal_794": self.MEMORY},
+                    "detectors": {
+                        ch: {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0}
+                        for ch in ("signal_794", "idler_1535")
+                    },
+                }
+            )
         )
 
     def test_outcome_frequencies(self):
-        cfg = self.make_config()
-        rng = np.random.default_rng(2024)
-        n = 40_000
-        counts = {}
-        for _ in range(n):
-            out = apply_memory(self.make_event(), cfg, rng)
-            counts[out.memory_outcome] = counts.get(out.memory_outcome, 0) + 1
-        labels, probs = cfg.outcome_table()
-        for label, p in zip(labels, probs):
-            observed = counts.get(label, 0) / n
-            sigma = math.sqrt(p * (1.0 - p) / n)
-            assert abs(observed - p) < 5.0 * sigma + 1e-12, label
-
-    def test_outcome_frequencies_million_trials(self):
-        cfg = self.make_config()
-        rng = np.random.default_rng(90_210)
-        n = 1_000_000
-        base = self.make_event()
-        counts = {}
-        for _ in range(n):
-            out = apply_memory(base, cfg, rng)
-            counts[out.memory_outcome] = counts.get(out.memory_outcome, 0) + 1
-        labels, probs = cfg.outcome_table()
-        for label, p in zip(labels, probs):
-            observed = counts.get(label, 0) / n
-            sigma = math.sqrt(p * (1.0 - p) / n)
-            assert abs(observed - p) < 4.0 * sigma + 1e-12, label
+        data = self.run(seed=2024, cycles=200_000)
+        n = data.n_pairs
+        assert n > 30_000
+        codes = data.channels[events.SIGNAL_794].outcomes
+        counts = [int((codes == harness._OUTCOME_TRANSMITTED).sum())]
+        counts += [int((codes == harness._OUTCOME_RECALL_BASE + k).sum()) for k in range(2)]
+        counts.append(n - codes.size)  # lost photons leave no click
+        _, probs = data.config.memory_config(events.SIGNAL_794).outcome_table()
+        for count, p in zip(counts, probs):
+            assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
 
     def test_timestamps_and_tags(self):
-        cfg = self.make_config()
-        rng = np.random.default_rng(11)
-        base = self.make_event()
-        saw = set()
-        for _ in range(5000):
-            out = apply_memory(base, cfg, rng)
-            saw.add(out.memory_outcome)
-            if out.memory_outcome == events.OUTCOME_TRANSMITTED:
-                assert out.timestamp_ps == base.timestamp_ps
-                assert out.origin == events.ORIGIN_PAIR
-            elif out.memory_outcome == events.recalled_token(0):
-                assert out.timestamp_ps == base.timestamp_ps + 32_000
-                assert out.origin == events.ORIGIN_PAIR
-            elif out.memory_outcome == events.recalled_token(1):
-                assert out.timestamp_ps == base.timestamp_ps + 16_000
-                # Secondary echoes are tagged as spurious.
-                assert out.origin == events.ORIGIN_SPURIOUS_ECHO
-        assert events.OUTCOME_TRANSMITTED in saw
-        assert events.OUTCOME_LOST in saw
-        assert events.recalled_token(0) in saw
+        # Time-of-arrival analyzers: an EARLY click leaves its slot at 0, a
+        # LATE one at the bin separation; the rest of the delay is the memory's.
+        data = self.run(seed=11, cycles=50_000)
+        rec = data.channels[events.SIGNAL_794]
+        late = rec.bins == events.BINS.index(events.BIN_LATE)
+        delay = rec.times - rec.cycles * 12_500 - np.where(late, 1_400, 0)
+        pair = events.ORIGINS.index(events.ORIGIN_PAIR)
+        spurious = events.ORIGINS.index(events.ORIGIN_SPURIOUS_ECHO)
+        for code, expected_delay, origin in (
+            (harness._OUTCOME_TRANSMITTED, 0, pair),
+            (harness._OUTCOME_RECALL_BASE, 32_000, pair),
+            # Secondary echoes are tagged as spurious.
+            (harness._OUTCOME_RECALL_BASE + 1, 16_000, spurious),
+        ):
+            hit = rec.outcomes == code
+            assert hit.any(), code
+            assert np.all(delay[hit] == expected_delay)
+            assert np.all(rec.origins[hit] == origin)
 
     def test_lost_partner_keeps_qubit_fields(self):
-        cfg = self.make_config()
-        rng = np.random.default_rng(0)
-        out = apply_memory(self.make_event(), cfg, rng)
-        assert out.pair_id == 7
-        assert out.bin == events.BIN_SUPERPOSED
+        # Storage leaves the time-bin qubit alone: in every cycle that holds
+        # one pair, the stored signal photon and its direct idler partner
+        # still share their arrival bin.
+        data = self.run(seed=0, cycles=200_000, mu=0.05)
+        sig = data.channels[events.SIGNAL_794]
+        idl = data.channels[events.IDLER_1535]
+        single = np.flatnonzero(
+            (np.bincount(sig.cycles, minlength=200_000) == 1)
+            & (np.bincount(idl.cycles, minlength=200_000) == 1)
+        )
+        sig_row = dict(zip(sig.cycles.tolist(), range(sig.cycles.size)))
+        idl_row = dict(zip(idl.cycles.tolist(), range(idl.cycles.size)))
+        rows = [(sig_row[c], idl_row[c]) for c in single.tolist()]
+        assert sum(sig.outcomes[i] >= harness._OUTCOME_RECALL_BASE for i, _ in rows) > 100
+        assert all(sig.bins[i] == idl.bins[j] for i, j in rows)
 
 
 class TestCombSpectrumValidation:

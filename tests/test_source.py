@@ -1,18 +1,12 @@
-"""Tests for the pulsed down-conversion pair source."""
+"""Tests for the pulsed down-conversion pair source and the engine's pair draw."""
 
 import numpy as np
 import pytest
 
-from afclink import events
-from afclink.source import (
-    PUMP_BOTH_ARMS,
-    PUMP_EARLY_ONLY,
-    PairEmission,
-    SourceConfig,
-    cycle_rng,
-    emit_photon_events,
-    sample_cycle,
-)
+from afclink import events, harness
+from afclink.config import config_from_dict
+from afclink.harness import simulate
+from afclink.source import PUMP_BOTH_ARMS, PUMP_EARLY_ONLY, SourceConfig
 
 
 class TestSourceConfig:
@@ -46,132 +40,89 @@ class TestSourceConfig:
             SourceConfig(depolarizing_noise=1.5)
 
 
+def lossless_config(seed=1, cycles=20_000, mu=0.1, **source):
+    """No memories, ideal detectors, time-of-arrival analyzers."""
+    return config_from_dict(
+        {
+            "run": {"seed": seed, "cycles": cycles},
+            "source": {"mean_pairs_per_pulse": mu, **source},
+            "detectors": {
+                ch: {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0}
+                for ch in ("signal_794", "idler_1535")
+            },
+        }
+    )
+
+
 class TestSampleCycle:
-    def test_deterministic_given_seed(self):
-        cfg = SourceConfig(mean_pairs_per_pulse=0.3)
-        a = [sample_cycle(cfg, cycle_rng(99, c), c) for c in range(200)]
-        b = [sample_cycle(cfg, cycle_rng(99, c), c) for c in range(200)]
-        assert [len(x) for x in a] == [len(x) for x in b]
-        for pairs_a, pairs_b in zip(a, b):
-            for pa, pb in zip(pairs_a, pairs_b):
-                assert (pa.cycle, pa.pair_id) == (pb.cycle, pb.pair_id)
+    """The emitted state, and the engine's pair draw as `simulate` reports it."""
 
     def test_poisson_mean(self):
-        cfg = SourceConfig(mean_pairs_per_pulse=0.1)
-        rng = np.random.default_rng(5)
         n = 50_000
-        total = sum(len(sample_cycle(cfg, rng, c)) for c in range(n))
-        mean = total / n
+        data = simulate(lossless_config(seed=5, cycles=n, mu=0.1))
         sigma = np.sqrt(0.1 / n)
-        assert abs(mean - 0.1) < 4.0 * sigma
+        assert abs(data.n_pairs / n - 0.1) < 4.0 * sigma
 
     def test_pair_fields(self):
-        cfg = SourceConfig(pump_phase=0.3)
-        rng = np.random.default_rng(1)
-        pairs = []
-        cycle = 0
-        while len(pairs) < 5:
-            pairs.extend(sample_cycle(cfg, rng, cycle))
-            cycle += 1
-        for pair in pairs:
-            assert isinstance(pair, PairEmission)
-            expected = np.array([1.0, 0.0, 0.0, np.exp(2j * 0.3)]) / np.sqrt(2.0)
-            assert np.allclose(pair.joint_state.amplitudes, expected, atol=1e-12)
+        state = SourceConfig(pump_phase=0.3).joint_state()
+        expected = np.array([1.0, 0.0, 0.0, np.exp(2j * 0.3)]) / np.sqrt(2.0)
+        assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
     def test_early_only_is_single_mode(self):
-        cfg = SourceConfig(pump_mode=PUMP_EARLY_ONLY)
-        rng = np.random.default_rng(2)
-        pairs = []
-        cycle = 0
-        while not pairs:
-            pairs = sample_cycle(cfg, rng, cycle)
-            cycle += 1
-        assert pairs[0].joint_state is None
-        assert pairs[0].single_mode
+        cfg = lossless_config(pump_mode=PUMP_EARLY_ONLY)
+        assert cfg.source.joint_state() is None
+        # Both photons early: the joint arrival-time table is all (EARLY, EARLY).
+        joint = np.diff(harness._build_tables(cfg).joint_cum, prepend=0.0)
+        assert np.allclose(joint, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
-class TestEmitPhotonEvents:
+class TestEmittedPairs:
+    """Pairs as they leave a lossless chain: one photon per channel each."""
+
     def test_two_events_per_pair(self):
-        cfg = SourceConfig()
-        pairs = [
-            PairEmission(cycle=4, pair_id=0, joint_state=None),
-            PairEmission(cycle=9, pair_id=1, joint_state=None),
-        ]
-        evs = emit_photon_events(pairs, cfg)
-        assert len(evs) == 4
-        channels = {(e.pair_id, e.channel) for e in evs}
-        assert (0, events.SIGNAL_794) in channels
-        assert (0, events.IDLER_1535) in channels
-        assert (1, events.SIGNAL_794) in channels
-        assert (1, events.IDLER_1535) in channels
+        data = simulate(lossless_config(seed=4, mu=0.3))
+        sig = data.channels[events.SIGNAL_794]
+        idl = data.channels[events.IDLER_1535]
+        assert sig.times.size == idl.times.size == data.n_pairs > 0
+        # Partners share their cycle, so both channels count alike per cycle.
+        assert np.array_equal(np.sort(sig.cycles), np.sort(idl.cycles))
 
     def test_timestamps_on_cycle_grid(self):
-        cfg = SourceConfig()
-        pairs = [PairEmission(cycle=7, pair_id=0, joint_state=None)]
-        for ev in emit_photon_events(pairs, cfg):
-            assert ev.timestamp_ps == 7 * 12_500
+        cfg = lossless_config(seed=7)
+        data = simulate(cfg)
+        for rec in data.channels.values():
+            offsets = rec.times - rec.cycles * cfg.source.rep_period_ps
+            assert set(offsets.tolist()) == {0, cfg.source.bin_separation_ps}
 
     def test_bins_follow_pump_mode(self):
-        both = SourceConfig()
-        early = SourceConfig(pump_mode=PUMP_EARLY_ONLY)
-        from afclink.linalg import bell_phi_plus
-
-        pair_super = [PairEmission(cycle=0, pair_id=0, joint_state=bell_phi_plus())]
-        pair_single = [PairEmission(cycle=0, pair_id=0, joint_state=None)]
-        for ev in emit_photon_events(pair_super, both):
-            assert ev.bin == events.BIN_SUPERPOSED
-        for ev in emit_photon_events(pair_single, early):
-            assert ev.bin == events.BIN_EARLY
+        early = events.BINS.index(events.BIN_EARLY)
+        late = events.BINS.index(events.BIN_LATE)
+        both = simulate(lossless_config(seed=2))
+        for rec in both.channels.values():
+            assert set(rec.bins.tolist()) == {early, late}
+        single = simulate(lossless_config(seed=2, pump_mode=PUMP_EARLY_ONLY))
+        for rec in single.channels.values():
+            assert rec.times.size > 0
+            assert set(rec.bins.tolist()) == {early}
 
     def test_origin_is_pair(self):
-        cfg = SourceConfig()
-        pairs = [PairEmission(cycle=0, pair_id=0, joint_state=None)]
-        for ev in emit_photon_events(pairs, cfg):
-            assert ev.origin == events.ORIGIN_PAIR
-            assert ev.memory_outcome == events.OUTCOME_NONE
+        data = simulate(lossless_config(seed=3))
+        for rec in data.channels.values():
+            assert rec.times.size > 0
+            assert np.all(rec.origins == events.ORIGINS.index(events.ORIGIN_PAIR))
+            assert np.all(rec.outcomes == harness._OUTCOME_NONE)
 
 
 class TestChannelBalance:
     def test_equal_counts_per_channel_property(self):
-        # Photons are created strictly in pairs: before any loss stage the
-        # stream holds one 794 nm event per 1535 nm event, whatever the pump
-        # mode or brightness.
+        # Photons are created strictly in pairs: without loss every pair gives
+        # one 794 nm and one 1535 nm click, whatever the pump mode or
+        # brightness.
         for case in range(1000):
             rng = np.random.default_rng(10_000 + case)
             mu = float(rng.uniform(0.05, 0.45))
             mode = PUMP_BOTH_ARMS if case % 2 == 0 else PUMP_EARLY_ONLY
-            cfg = SourceConfig(mean_pairs_per_pulse=mu, pump_mode=mode)
-            pairs = []
-            for cycle in range(20):
-                pairs.extend(sample_cycle(cfg, rng, cycle))
-            evs = emit_photon_events(pairs, cfg)
-            n_signal = sum(1 for e in evs if e.channel == events.SIGNAL_794)
-            n_idler = sum(1 for e in evs if e.channel == events.IDLER_1535)
-            assert n_signal == n_idler == len(pairs)
-
-
-class TestStreamDeterminism:
-    def test_event_stream_bytes_identical(self, tmp_path):
-        from afclink.detection import events_to_csv
-
-        def stream(path):
-            cfg = SourceConfig(mean_pairs_per_pulse=0.3)
-            evs = []
-            for cycle in range(500):
-                evs.extend(
-                    emit_photon_events(sample_cycle(cfg, cycle_rng(7, cycle), cycle), cfg)
-                )
-            events_to_csv(evs, path)
-            return path.read_bytes()
-
-        assert stream(tmp_path / "a.csv") == stream(tmp_path / "b.csv")
-
-
-class TestCycleRng:
-    def test_streams_differ_by_cycle(self):
-        a = cycle_rng(3, 0).random(4)
-        b = cycle_rng(3, 1).random(4)
-        assert not np.allclose(a, b)
-
-    def test_streams_reproducible(self):
-        assert np.allclose(cycle_rng(3, 5).random(8), cycle_rng(3, 5).random(8))
+            data = simulate(lossless_config(seed=case, cycles=20, mu=mu, pump_mode=mode))
+            n_signal = data.channels[events.SIGNAL_794].times.size
+            n_idler = data.channels[events.IDLER_1535].times.size
+            assert n_signal == n_idler == data.n_pairs
