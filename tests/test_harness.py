@@ -408,18 +408,6 @@ class TestEngineDraws:
             for count in deciles:
                 assert within_5_sigma(int(count), n, 0.1)
 
-    def test_shards_draw_independent_streams(self):
-        # Each shard seeds its own generator from (seed, shard index): the
-        # same shard redraws identically, another shard draws afresh.
-        cfg = make_config(seed=3, cycles=10_000, mu=0.3, detectors=IDEAL_DETECTORS)
-        tables = harness._build_tables(cfg)
-
-        def pair_cycles(shard_index):
-            _, shard = harness._simulate_shard(tables, shard_index, 0, 10_000)
-            return shard[events.SIGNAL_794]["cycles"]
-
-        assert np.array_equal(pair_cycles(0), pair_cycles(0))
-        assert not np.array_equal(pair_cycles(0), pair_cycles(1))
 
 
 HEAD = ",".join(EVENT_CSV_HEADER) + "\n"

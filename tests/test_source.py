@@ -76,6 +76,25 @@ class TestSampleCycle:
         assert np.allclose(joint, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
+class TestCycleRng:
+    """Each shard seeds its own stream from (seed, shard index)."""
+
+    def _pair_cycles(self, shard_index):
+        cfg = lossless_config(seed=3, cycles=10_000, mu=0.3)
+        _, shard = harness._simulate_shard(
+            harness._build_tables(cfg), shard_index, 0, 10_000
+        )
+        return shard[events.SIGNAL_794]["cycles"]
+
+    def test_streams_differ_by_cycle(self):
+        a, b = self._pair_cycles(0), self._pair_cycles(1)
+        assert a.size > 0 and b.size > 0
+        assert not np.array_equal(a, b)
+
+    def test_streams_reproducible(self):
+        assert np.array_equal(self._pair_cycles(5), self._pair_cycles(5))
+
+
 class TestEmittedPairs:
     """Pairs as they leave a lossless chain: one photon per channel each."""
 
