@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import events
+from .csvio import csv_rows
 from .linalg import ProjectorSetting, projector
 
 MODE_TIME_OF_ARRIVAL = "TIME_OF_ARRIVAL"
@@ -209,25 +210,11 @@ class CoincidenceHistogram:
 def histogram_from_csv(path) -> CoincidenceHistogram:
     """Read a histogram written by CoincidenceHistogram.to_csv."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for line_no, raw in csv_rows(path, HISTOGRAM_CSV_HEADER, "histogram"):
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ValueError(f"{path}: empty histogram file") from None
-        if header != HISTOGRAM_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(HISTOGRAM_CSV_HEADER):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 2 fields, got {len(raw)}"
-                )
-            try:
-                rows.append((int(raw[0]), int(raw[1])))
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: non-integer field") from None
+            rows.append((int(raw[0]), int(raw[1])))
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: non-integer field") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: histogram needs at least two bins")
     starts = np.array([r[0] for r in rows])

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .csvio import csv_rows
 from .detection import CoincidenceHistogram, coincidence_rate
 from .errors import EstimationError, UndefinedEstimateError
 from .linalg import (
@@ -200,30 +201,20 @@ def tomography_to_csv(tin: TomographyInput, path) -> None:
 
 
 def tomography_from_csv(path) -> TomographyInput:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    rows = []
+    for line_no, raw in csv_rows(path, TOMOGRAPHY_CSV_HEADER, "tomography"):
+        token_a, token_b, prob, sig = raw
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ValueError(f"{path}: empty tomography file") from None
-        if header != TOMOGRAPHY_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        rows = []
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            try:
-                token_a, token_b, prob, sig = raw
-                rows.append(
-                    TomographyRow(
-                        ProjectorSetting.from_token(token_a),
-                        ProjectorSetting.from_token(token_b),
-                        float(prob),
-                        float(sig),
-                    )
+            rows.append(
+                TomographyRow(
+                    ProjectorSetting.from_token(token_a),
+                    ProjectorSetting.from_token(token_b),
+                    float(prob),
+                    float(sig),
                 )
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+            )
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
     return TomographyInput(tuple(rows))

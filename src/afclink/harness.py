@@ -24,6 +24,7 @@ import numpy as np
 
 from . import events
 from .config import AnalyzerSpec, ExperimentConfig
+from .csvio import csv_rows
 from .detection import (
     MODE_INTERFEROMETER,
     CoincidenceHistogram,
@@ -471,41 +472,26 @@ def events_from_csv(path) -> list[tuple]:
     """Read events.csv back as rows of (cycle, channel, time_ps, bin, origin,
     memory_outcome), cycle and time_ps as integers, the rest as labels."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for line_no, raw in csv_rows(path, EVENT_CSV_HEADER, "events"):
+        cycle, channel, time_ps, bin_label, origin, outcome = raw
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ValueError(f"{path}: empty events file") from None
-        if header != EVENT_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(EVENT_CSV_HEADER):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {len(EVENT_CSV_HEADER)} "
-                    f"fields, got {len(raw)}"
-                )
-            cycle, channel, time_ps, bin_label, origin, outcome = raw
-            try:
-                cycle, time_ps = int(cycle), int(time_ps)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line_no}: non-integer cycle or time_ps"
-                ) from None
-            for kind, label, known in (
-                ("channel", channel, _CHANNELS),
-                ("bin", bin_label, _BIN_LABELS),
-                ("origin", origin, _ORIGIN_LABELS),
-            ):
-                if label not in known:
-                    raise ValueError(f"{path}: line {line_no}: unknown {kind} {label!r}")
-            if not _is_outcome_label(outcome):
-                raise ValueError(
-                    f"{path}: line {line_no}: unknown memory outcome {outcome!r}"
-                )
-            rows.append((cycle, channel, time_ps, bin_label, origin, outcome))
+            cycle, time_ps = int(cycle), int(time_ps)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {line_no}: non-integer cycle or time_ps"
+            ) from None
+        for kind, label, known in (
+            ("channel", channel, _CHANNELS),
+            ("bin", bin_label, _BIN_LABELS),
+            ("origin", origin, _ORIGIN_LABELS),
+        ):
+            if label not in known:
+                raise ValueError(f"{path}: line {line_no}: unknown {kind} {label!r}")
+        if not _is_outcome_label(outcome):
+            raise ValueError(
+                f"{path}: line {line_no}: unknown memory outcome {outcome!r}"
+            )
+        rows.append((cycle, channel, time_ps, bin_label, origin, outcome))
     return rows
 
 
@@ -697,51 +683,37 @@ def chsh_from_csv(
     slot_of = {(a.token(), b.token()): i for i, (a, b) in enumerate(pairs)}
     stages: dict[str, dict[int, tuple[float, float]]] = {}
     n_rows = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for line_no, raw in csv_rows(path, CHSH_CSV_HEADER, "correlator"):
+        stage, tok_a, tok_b, corr_s, sigma_s = (v.strip() for v in raw)
+        if stage not in (STAGE_INPUT, STAGE_OUTPUT):
+            raise ValueError(f"{path}: line {line_no}: unknown stage {stage!r}")
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ValueError(f"{path}: empty correlator file") from None
-        if header != CHSH_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != 5:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected 5 fields, got {len(raw)}"
-                )
-            stage, tok_a, tok_b, corr_s, sigma_s = (v.strip() for v in raw)
-            if stage not in (STAGE_INPUT, STAGE_OUTPUT):
-                raise ValueError(f"{path}: line {line_no}: unknown stage {stage!r}")
-            try:
-                corr = float(corr_s)
-                sigma = float(sigma_s)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line_no}: non-numeric correlation or sigma"
-                ) from None
-            if not -1.0 <= corr <= 1.0:
-                raise ValueError(
-                    f"{path}: line {line_no}: correlation {corr!r} outside [-1, 1]"
-                )
-            if sigma < 0.0:
-                raise ValueError(f"{path}: line {line_no}: negative sigma")
-            slot = slot_of.get((tok_a, tok_b))
-            if slot is None:
-                raise ValueError(
-                    f"{path}: line {line_no}: ({tok_a}, {tok_b}) is not one of "
-                    "the four correlator setting pairs"
-                )
-            per = stages.setdefault(stage, {})
-            if slot in per:
-                raise ValueError(
-                    f"{path}: line {line_no}: duplicate correlator for "
-                    f"({tok_a}, {tok_b})"
-                )
-            per[slot] = (corr, sigma)
-            n_rows += 1
+            corr = float(corr_s)
+            sigma = float(sigma_s)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {line_no}: non-numeric correlation or sigma"
+            ) from None
+        if not -1.0 <= corr <= 1.0:
+            raise ValueError(
+                f"{path}: line {line_no}: correlation {corr!r} outside [-1, 1]"
+            )
+        if sigma < 0.0:
+            raise ValueError(f"{path}: line {line_no}: negative sigma")
+        slot = slot_of.get((tok_a, tok_b))
+        if slot is None:
+            raise ValueError(
+                f"{path}: line {line_no}: ({tok_a}, {tok_b}) is not one of "
+                "the four correlator setting pairs"
+            )
+        per = stages.setdefault(stage, {})
+        if slot in per:
+            raise ValueError(
+                f"{path}: line {line_no}: duplicate correlator for "
+                f"({tok_a}, {tok_b})"
+            )
+        per[slot] = (corr, sigma)
+        n_rows += 1
     if n_rows == 0:
         raise ValueError(f"{path}: no correlator rows")
     out = {}
@@ -779,42 +751,28 @@ class WavelengthTable:
 
 def wavelength_table_from_csv(path) -> WavelengthTable:
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for line_no, raw in csv_rows(path, WAVELENGTH_CSV_HEADER, "wavelength"):
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ValueError(f"{path}: empty wavelength file") from None
-        if header != WAVELENGTH_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != 5:
+            values = [float(v) for v in raw]
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {line_no}: non-numeric field"
+            ) from None
+        row = WavelengthRow(*values)
+        if row.signal_nm <= 0.0 or row.idler_nm <= 0.0:
+            raise ValueError(f"{path}: line {line_no}: wavelengths must be positive")
+        for eff in (row.efficiency_794, row.efficiency_1535):
+            if not 0.0 <= eff <= 1.0:
                 raise ValueError(
-                    f"{path}: line {line_no}: expected 5 fields, got {len(raw)}"
+                    f"{path}: line {line_no}: efficiency {eff!r} outside [0, 1]"
                 )
-            try:
-                values = [float(v) for v in raw]
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line_no}: non-numeric field"
-                ) from None
-            row = WavelengthRow(*values)
-            if row.signal_nm <= 0.0 or row.idler_nm <= 0.0:
-                raise ValueError(f"{path}: line {line_no}: wavelengths must be positive")
-            for eff in (row.efficiency_794, row.efficiency_1535):
-                if not 0.0 <= eff <= 1.0:
-                    raise ValueError(
-                        f"{path}: line {line_no}: efficiency {eff!r} outside [0, 1]"
-                    )
-            product = row.efficiency_794 * row.efficiency_1535
-            if abs(row.link_efficiency - product) > 1e-6:
-                raise ValueError(
-                    f"{path}: line {line_no}: link efficiency {row.link_efficiency!r} "
-                    f"is not the per-memory product {product!r}"
-                )
-            rows.append(row)
+        product = row.efficiency_794 * row.efficiency_1535
+        if abs(row.link_efficiency - product) > 1e-6:
+            raise ValueError(
+                f"{path}: line {line_no}: link efficiency {row.link_efficiency!r} "
+                f"is not the per-memory product {product!r}"
+            )
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no wavelength rows")
     return WavelengthTable(tuple(rows))

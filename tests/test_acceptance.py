@@ -13,6 +13,7 @@ import math
 import time
 
 import pytest
+from conftest import IDEAL_DETECTORS
 
 from afclink.config import config_from_dict
 from afclink.estimation import efficiencies, find_histogram_peaks, g2_cross
@@ -26,12 +27,6 @@ from afclink.harness import (
     simulate,
 )
 from afclink.memory import build_comb, device_efficiency, echo_response
-
-IDEAL_DETECTORS = {
-    "signal_794": {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0},
-    "idler_1535": {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0},
-}
-
 
 def test_criterion_1_bell_sums_from_shipped_correlators():
     """Bell sums recomputed from the shipped correlator table, in under 1 s."""

@@ -8,12 +8,13 @@ tr((E_a (x) E_b) rho), which the implementation must reproduce exactly.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import IDEAL_DETECTORS, make_config
 
 from afclink import detection, events, harness
-from afclink.config import config_from_dict
 from afclink.detection import (
     AnalyzerSetting,
     CoincidenceHistogram,
@@ -139,10 +140,6 @@ class TestJointTable:
         assert np.allclose(probs, expected, atol=1e-12)
 
 
-IDEAL_DETECTORS = {
-    ch: {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0}
-    for ch in ("signal_794", "idler_1535")
-}
 TIME_OF_ARRIVAL = {
     ch: {"mode": "time_of_arrival"} for ch in ("signal_794", "idler_1535")
 }
@@ -156,19 +153,8 @@ DEAD_MEMORY = {
 REP = 12_500
 
 
-def engine_config(seed=1, cycles=20_000, mu=0.05, source=None, analyzers=None,
-                  detectors=None, memories=None):
-    """A validated config; ideal detectors unless `detectors` is given."""
-    data = {
-        "run": {"seed": seed, "cycles": cycles},
-        "source": {"mean_pairs_per_pulse": mu, **(source or {})},
-        "detectors": IDEAL_DETECTORS if detectors is None else detectors,
-    }
-    if analyzers is not None:
-        data["analyzers"] = analyzers
-    if memories is not None:
-        data["memories"] = memories
-    return config_from_dict(data)
+# Ideal detectors unless `detectors` is given; one 20k-cycle shard.
+engine_config = partial(make_config, seed=1, cycles=20_000, detectors=IDEAL_DETECTORS)
 
 
 def interferometers(alpha, beta):
@@ -199,22 +185,27 @@ class TestBatchSampling:
     ports (+1, -1), as in hand_effects; joint index 6 * signal + idler."""
 
     def test_born_rule_on_phase_grid_million_pairs(self):
-        # 10**6 pairs in all, 15625 per setting pair.
+        # 10**6 pairs per setting, on the alpha = 0 row and the beta = 0
+        # column of the 8 x 8 phase grid: 15 settings.  The joint table
+        # depends on the phases through alpha + beta only, and these settings
+        # reach all eight grid values of it through each arm's own phase.
+        # TestJointTable checks the table itself on the whole grid.
         rho = bell_phi_plus(1.2).density().matrix
         phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        settings = [(alpha, 0.0) for alpha in phases]
+        settings += [(0.0, beta) for beta in phases[1:]]
         rng = np.random.default_rng(61)
-        n = 1_000_000 // phases.size**2
-        for alpha in phases:
-            for beta in phases:
-                cfg = engine_config(
-                    source={"pump_phase": 0.6}, analyzers=interferometers(alpha, beta)
-                )
-                counts = draw_counts(harness._build_tables(cfg).joint_cum, n, rng)
-                assert counts.sum() == n
-                for i, (_, _, ea, _) in enumerate(hand_effects(alpha)):
-                    for j, (_, _, eb, _) in enumerate(hand_effects(beta)):
-                        p = np.trace(np.kron(ea, eb) @ rho).real
-                        assert within(counts[6 * i + j], n, p, 4.0), (alpha, beta, i, j)
+        n = 1_000_000
+        for alpha, beta in settings:
+            cfg = engine_config(
+                source={"pump_phase": 0.6}, analyzers=interferometers(alpha, beta)
+            )
+            counts = draw_counts(harness._build_tables(cfg).joint_cum, n, rng)
+            assert counts.sum() == n
+            for i, (_, _, ea, _) in enumerate(hand_effects(alpha)):
+                for j, (_, _, eb, _) in enumerate(hand_effects(beta)):
+                    p = np.trace(np.kron(ea, eb) @ rho).real
+                    assert within(counts[6 * i + j], n, p, 4.0), (alpha, beta, i, j)
 
     def test_single_arm_counts_million_photons(self):
         cfg = engine_config(analyzers=interferometers(0.4, 0.0))
@@ -390,7 +381,7 @@ class TestDetect:
             shifts = (offsets - np.where(offsets > BIN_SEP / 2, BIN_SEP, 0)).astype(float)
             n = shifts.size
             assert n == data.n_pairs > 10_000
-            assert abs(shifts.mean()) < 5.0 * sigma_ps / math.sqrt(n)
+            assert abs(shifts.mean()) < 4.0 * sigma_ps / math.sqrt(n)
             # s.d. of a sample s.d. of n Gaussian draws: sigma / sqrt(2 n).
             assert abs(shifts.std() - sigma_ps) < 5.0 * sigma_ps / math.sqrt(2.0 * n)
 
@@ -543,38 +534,16 @@ class TestHistogramFromTimes:
 
 class TestCsvRoundTrips:
     def test_event_csv(self, tmp_path):
-        # Signal stored in a three-echo memory, darks on both channels: every
-        # label kind reaches the file.
-        cfg = engine_config(
-            seed=2,
-            cycles=50_000,
-            mu=0.1,
-            detectors={
-                ch: {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 1e6}
-                for ch in ("signal_794", "idler_1535")
-            },
-            memories={
-                "signal_794": {
-                    "coupling_efficiency": 0.6,
-                    "device_efficiency": 0.5,
-                    "mean_od": 0.7,
-                    "echo_delays": [[16.129, 0.5], [32.258, 1.0], [64.516, 0.3]],
-                }
-            },
-        )
-        res = run_simulation(cfg, tmp_path)
-        header = res.events_path.read_text().splitlines()[0]
-        assert header == "cycle,channel,time_ps,bin,origin,memory_outcome"
-        back = harness.events_from_csv(res.events_path)
-        assert len(back) == sum(rec.times.size for rec in res.data.channels.values())
-        for channel, rec in res.data.channels.items():
-            rows = [row for row in back if row[1] == channel]
-            assert sorted(row[2] for row in rows) == sorted(rec.times.tolist())
-            assert sorted(row[0] for row in rows) == sorted(rec.cycles.tolist())
-        labels = {field for row in back for field in row[3:]}
-        assert {events.ORIGIN_DARK, events.ORIGIN_SPURIOUS_ECHO,
-                events.recalled_token(0), events.recalled_token(2),
-                events.OUTCOME_TRANSMITTED, events.OUTCOME_NONE} <= labels
+        # No memories: every click's memory outcome is NONE.
+        res = run_simulation(engine_config(seed=2), tmp_path)
+        expected = [
+            (c, channel, t, events.BINS[b], events.ORIGINS[o], events.OUTCOME_NONE)
+            for channel, rec in res.data.channels.items()
+            for c, t, b, o in zip(rec.cycles.tolist(), rec.times.tolist(),
+                                  rec.bins.tolist(), rec.origins.tolist())
+        ]
+        assert len(expected) > 0
+        assert sorted(harness.events_from_csv(res.events_path)) == sorted(expected)
 
     def test_histogram_csv(self, tmp_path):
         hist = tdc_histogram_from_times([50_000], [50_030], bin_width_ps=80, window_ps=240)

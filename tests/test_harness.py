@@ -12,9 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import IDEAL_DETECTORS, make_config
 
 from afclink import events, harness
-from afclink.config import config_from_dict
 from afclink.detection import coincidence_rate, histogram_from_csv
 from afclink.errors import ConfigError, UndefinedEstimateError
 from afclink.estimation import g2_cross, visibility_fit
@@ -40,23 +40,6 @@ from afclink.harness import (
     wavelength_table_from_csv,
 )
 from afclink.memory import MemoryConfig, comb_from_csv, fit_comb
-
-
-def make_config(seed=7, cycles=50_000, mu=0.05, **overrides):
-    """Build a validated config from a nested dict, with common knobs lifted
-    to keyword arguments.  `overrides` replaces whole top-level sections."""
-    data = {
-        "run": {"seed": seed, "cycles": cycles},
-        "source": {"mean_pairs_per_pulse": mu},
-    }
-    data.update(overrides)
-    return config_from_dict(data)
-
-
-IDEAL_DETECTORS = {
-    "signal_794": {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0},
-    "idler_1535": {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +373,6 @@ class TestEngineDraws:
                       events.recalled_token(2), events.OUTCOME_TRANSMITTED):
             assert f",{label}" in text
 
-
     def test_dark_times_uniform_over_span(self):
         # No pairs; darks over two shards, counted per tenth of the span.
         n_cycles = 2 * SHARD_CYCLES
@@ -407,7 +389,6 @@ class TestEngineDraws:
             assert deciles.size == 10
             for count in deciles:
                 assert within_5_sigma(int(count), n, 0.1)
-
 
 
 HEAD = ",".join(EVENT_CSV_HEADER) + "\n"

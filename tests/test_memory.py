@@ -10,9 +10,9 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import IDEAL_DETECTORS, make_config
 
 from afclink import events, harness
-from afclink.config import config_from_dict
 from afclink.errors import FitError
 from afclink.estimation import find_peaks
 from afclink.harness import simulate
@@ -326,16 +326,9 @@ class TestApplyMemory:
 
     def run(self, seed, cycles, mu=0.2):
         return simulate(
-            config_from_dict(
-                {
-                    "run": {"seed": seed, "cycles": cycles},
-                    "source": {"mean_pairs_per_pulse": mu},
-                    "memories": {"signal_794": self.MEMORY},
-                    "detectors": {
-                        ch: {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0}
-                        for ch in ("signal_794", "idler_1535")
-                    },
-                }
+            make_config(
+                seed=seed, cycles=cycles, mu=mu,
+                memories={"signal_794": self.MEMORY}, detectors=IDEAL_DETECTORS,
             )
         )
 

@@ -1,10 +1,12 @@
 """Tests for the pulsed down-conversion pair source and the engine's pair draw."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from conftest import IDEAL_DETECTORS, make_config
 
 from afclink import events, harness
-from afclink.config import config_from_dict
 from afclink.harness import simulate
 from afclink.source import PUMP_BOTH_ARMS, PUMP_EARLY_ONLY, SourceConfig
 
@@ -40,18 +42,10 @@ class TestSourceConfig:
             SourceConfig(depolarizing_noise=1.5)
 
 
-def lossless_config(seed=1, cycles=20_000, mu=0.1, **source):
-    """No memories, ideal detectors, time-of-arrival analyzers."""
-    return config_from_dict(
-        {
-            "run": {"seed": seed, "cycles": cycles},
-            "source": {"mean_pairs_per_pulse": mu, **source},
-            "detectors": {
-                ch: {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0}
-                for ch in ("signal_794", "idler_1535")
-            },
-        }
-    )
+# No memories, ideal detectors, time-of-arrival analyzers.
+lossless_config = partial(
+    make_config, seed=1, cycles=20_000, mu=0.1, detectors=IDEAL_DETECTORS
+)
 
 
 class TestSampleCycle:
@@ -69,7 +63,7 @@ class TestSampleCycle:
         assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
     def test_early_only_is_single_mode(self):
-        cfg = lossless_config(pump_mode=PUMP_EARLY_ONLY)
+        cfg = lossless_config(source={"pump_mode": PUMP_EARLY_ONLY})
         assert cfg.source.joint_state() is None
         # Both photons early: the joint arrival-time table is all (EARLY, EARLY).
         joint = np.diff(harness._build_tables(cfg).joint_cum, prepend=0.0)
@@ -119,7 +113,7 @@ class TestEmittedPairs:
         both = simulate(lossless_config(seed=2))
         for rec in both.channels.values():
             assert set(rec.bins.tolist()) == {early, late}
-        single = simulate(lossless_config(seed=2, pump_mode=PUMP_EARLY_ONLY))
+        single = simulate(lossless_config(seed=2, source={"pump_mode": PUMP_EARLY_ONLY}))
         for rec in single.channels.values():
             assert rec.times.size > 0
             assert set(rec.bins.tolist()) == {early}
@@ -141,7 +135,8 @@ class TestChannelBalance:
             rng = np.random.default_rng(10_000 + case)
             mu = float(rng.uniform(0.05, 0.45))
             mode = PUMP_BOTH_ARMS if case % 2 == 0 else PUMP_EARLY_ONLY
-            data = simulate(lossless_config(seed=case, cycles=20, mu=mu, pump_mode=mode))
+            cfg = lossless_config(seed=case, cycles=20, mu=mu, source={"pump_mode": mode})
+            data = simulate(cfg)
             n_signal = data.channels[events.SIGNAL_794].times.size
             n_idler = data.channels[events.IDLER_1535].times.size
             assert n_signal == n_idler == data.n_pairs
