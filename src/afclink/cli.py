@@ -23,6 +23,7 @@ from .harness import (
     DATA_CHSH,
     DATA_TOMOGRAPHY_IN,
     DATA_TOMOGRAPHY_OUT,
+    METRICS_CSV_HEADER,
     SWEEP_PARAMETERS,
     data_path,
     analyze_paper_data,
@@ -30,6 +31,7 @@ from .harness import (
     generate_report,
     run_simulation,
     sweep,
+    write_report_files,
 )
 from .memory import (
     CombSpectrum,
@@ -107,14 +109,9 @@ def _cmd_analyze(args):
         seed=args.seed,
     )
     payload = report.to_json_dict()
-    rows = [("stage", "metric", "value", "sigma"), *report.rows()]
     if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-        with open(out / "state_metrics.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    return payload, rows
+        write_report_files(args.out_dir, payload, report)
+    return payload, [METRICS_CSV_HEADER, *report.rows()]
 
 
 def _cmd_comb_build(args):
@@ -216,12 +213,7 @@ def _cmd_sweep(args):
 
 def _cmd_report(args):
     bundle = generate_report(args.out_dir, trials=args.trials, seed=args.seed)
-    rows = [("stage", "metric", "value", "sigma")]
-    analysis = bundle.payload["state_analysis"]
-    for stage, entry in analysis["states"].items():
-        for metric, pair in entry["metrics"].items():
-            rows.append((stage, metric, pair["value"], pair["sigma"]))
-    return bundle.payload, rows
+    return bundle.payload, [METRICS_CSV_HEADER, *bundle.report.rows()]
 
 
 def build_parser() -> _Parser:

@@ -2,29 +2,36 @@
 
 A config file is one JSON object with sections run, source, memories,
 analyzers, detectors, tdc and duty_cycle.  Only `run` (with its seed) is
-mandatory; everything else defaults to the nominal operating point.  The
-schema is strict: any key outside the documented set is an error carrying
-the full key path, so typos cannot silently turn into defaults.
+mandatory; everything else defaults to the nominal operating point.
+
+Each section's dataclass is the only statement of its schema: the JSON keys
+are its field names, a key is required exactly when its field has no default
+(plus `run.seed`), and the field's type picks the reader (integer, finite
+number, string, nested comb, or echo-delay list).  Any other key, any value
+of the wrong type and any NaN or infinity is an error carrying the full key
+path, so typos cannot silently turn into defaults.  `config_to_dict` walks
+the same fields back out.
 
 Memories are configured per channel under `memories.signal_794` and
 `memories.idler_1535`, each either from explicit recall parameters
 (device_efficiency, mean_od, echo_delays) or from comb parameters (a `comb`
 object), in which case the recall model is derived from the comb's spectrum.
 `efficiency_scale` multiplies the device efficiency, for statistics-boosted
-runs that keep the configured echo structure.
+runs that keep the configured echo structure.  Analyzers take `mode`
+(`time_of_arrival` or `interferometer`) and, for the interferometer, `phase`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
 
 from .detection import (
-    ANALYZER_MODES,
-    DEFAULT_JITTER_FWHM_PS,
     DEFAULT_PEAK_HALFWIDTH_PS,
-    FWHM_TO_SIGMA,
     MODE_INTERFEROMETER,
     MODE_TIME_OF_ARRIVAL,
     AnalyzerSetting,
@@ -35,8 +42,13 @@ from .events import IDLER_1535, SIGNAL_794
 from .memory import CombSpectrum, MemoryConfig, build_comb
 from .source import SourceConfig
 
-# JSON section keys for the two photon channels.
-CHANNEL_KEYS = {"signal_794": SIGNAL_794, "idler_1535": IDLER_1535}
+# Sections read into the ExperimentConfig field of the same name.
+_SECTIONS = ("run", "source", "tdc", "duty_cycle")
+# Per-channel sections -> ExperimentConfig field prefix; JSON channel key ->
+# field suffix, so memories.signal_794 is read into memory_794.
+_PER_CHANNEL = {"memories": "memory", "analyzers": "analyzer", "detectors": "detector"}
+_SUFFIX = {"signal_794": "794", "idler_1535": "1535"}
+_REQUIRED = {"run.seed"}  # required although RunConfig gives it a default
 
 _MODE_TOKENS = {
     "time_of_arrival": MODE_TIME_OF_ARRIVAL,
@@ -98,47 +110,6 @@ class TdcConfig:
 
 
 @dataclass(frozen=True)
-class AnalyzerSpec:
-    """Per-arm analyzer choice as written in the config file."""
-
-    mode: str = MODE_TIME_OF_ARRIVAL
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ANALYZER_MODES:
-            raise ValueError(f"unknown analyzer mode {self.mode!r}")
-
-    def to_setting(self) -> AnalyzerSetting:
-        if self.mode == MODE_TIME_OF_ARRIVAL:
-            return AnalyzerSetting.time_of_arrival()
-        return AnalyzerSetting.interferometer(self.phase)
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Detector parameters with the jitter quoted as FWHM, as in datasheets."""
-
-    efficiency: float = 0.70
-    jitter_fwhm_ps: float = DEFAULT_JITTER_FWHM_PS
-    dark_rate_hz: float = 100.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in [0, 1]")
-        if self.jitter_fwhm_ps < 0.0:
-            raise ValueError("jitter_fwhm_ps must be nonnegative")
-        if self.dark_rate_hz < 0.0:
-            raise ValueError("dark_rate_hz must be nonnegative")
-
-    def to_config(self) -> DetectorConfig:
-        return DetectorConfig(
-            efficiency=self.efficiency,
-            jitter_sigma_ps=self.jitter_fwhm_ps / FWHM_TO_SIGMA,
-            dark_rate_hz=self.dark_rate_hz,
-        )
-
-
-@dataclass(frozen=True)
 class CombSpec:
     """Comb-construction parameters for a memory configured from its spectrum."""
 
@@ -151,15 +122,7 @@ class CombSpec:
     modulation_depth: float = 0.0
 
     def build(self) -> CombSpectrum:
-        return build_comb(
-            self.delta_mhz,
-            self.finesse,
-            self.background_od,
-            self.tooth_od,
-            self.bandwidth_ghz,
-            self.grid_step_mhz,
-            self.modulation_depth,
-        )
+        return build_comb(**asdict(self))
 
 
 @dataclass(frozen=True)
@@ -191,23 +154,17 @@ class MemorySpec:
             raise ValueError("efficiency_scale must be positive")
 
     def build(self) -> MemoryConfig:
-        if self.comb is not None:
-            base = MemoryConfig.from_comb(self.comb.build(), self.coupling_efficiency)
-            if self.efficiency_scale == 1.0:
-                return base
+        if self.comb is None:
             return MemoryConfig(
-                coupling_efficiency=base.coupling_efficiency,
-                device_efficiency=base.device_efficiency * self.efficiency_scale,
-                mean_od=base.mean_od,
-                echo_delays=base.echo_delays,
-                comb=base.comb,
+                coupling_efficiency=self.coupling_efficiency,
+                device_efficiency=self.device_efficiency * self.efficiency_scale,
+                mean_od=self.mean_od,
+                echo_delays=self.echo_delays,
             )
-        return MemoryConfig(
-            coupling_efficiency=self.coupling_efficiency,
-            device_efficiency=self.device_efficiency * self.efficiency_scale,
-            mean_od=self.mean_od,
-            echo_delays=self.echo_delays,
-        )
+        base = MemoryConfig.from_comb(self.comb.build(), self.coupling_efficiency)
+        if self.efficiency_scale == 1.0:
+            return base
+        return replace(base, device_efficiency=base.device_efficiency * self.efficiency_scale)
 
 
 @dataclass(frozen=True)
@@ -218,10 +175,10 @@ class ExperimentConfig:
     source: SourceConfig = field(default_factory=SourceConfig)
     memory_794: MemorySpec | None = None
     memory_1535: MemorySpec | None = None
-    analyzer_794: AnalyzerSpec = field(default_factory=AnalyzerSpec)
-    analyzer_1535: AnalyzerSpec = field(default_factory=AnalyzerSpec)
-    detector_794: DetectorSpec = field(default_factory=DetectorSpec)
-    detector_1535: DetectorSpec = field(default_factory=DetectorSpec)
+    analyzer_794: AnalyzerSetting = field(default_factory=AnalyzerSetting)
+    analyzer_1535: AnalyzerSetting = field(default_factory=AnalyzerSetting)
+    detector_794: DetectorConfig = field(default_factory=DetectorConfig)
+    detector_1535: DetectorConfig = field(default_factory=DetectorConfig)
     tdc: TdcConfig = field(default_factory=TdcConfig)
     duty_cycle: DutyCycleConfig = field(default_factory=DutyCycleConfig)
 
@@ -233,10 +190,10 @@ class ExperimentConfig:
         raise ValueError(f"unknown channel {channel!r}")
 
     def analyzer_setting(self, channel: str) -> AnalyzerSetting:
-        return self._per_channel("analyzer", channel).to_setting()
+        return self._per_channel("analyzer", channel)
 
     def detector_config(self, channel: str) -> DetectorConfig:
-        return self._per_channel("detector", channel).to_config()
+        return self._per_channel("detector", channel)
 
     def memory_config(self, channel: str) -> MemoryConfig | None:
         spec = self._per_channel("memory", channel)
@@ -253,39 +210,10 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
+def _check_keys(mapping: dict, allowed, path: str) -> None:
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"unknown key: {path}.{key}" if path else f"unknown key: {key}")
-
-
-def _get_int(mapping: dict, key: str, path: str, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{path}.{key} is required")
-        return default
-    value = mapping[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _get_float(mapping: dict, key: str, path: str, default=None):
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _get_str(mapping: dict, key: str, path: str, default=None):
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
 
 
 def _build(path: str, factory, **kwargs):
@@ -296,209 +224,97 @@ def _build(path: str, factory, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_run(section: dict) -> RunConfig:
-    _check_keys(section, {"cycles", "seed"}, "run")
-    seed = _get_int(section, "seed", "run")
-    cycles = _get_int(section, "cycles", "run", default=RunConfig.cycles)
-    return _build("run", RunConfig, cycles=cycles, seed=seed)
-
-
-def _parse_source(section: dict) -> SourceConfig:
-    path = "source"
-    allowed = {
-        "mean_pairs_per_pulse",
-        "rep_period_ps",
-        "bin_separation_ps",
-        "pump_mode",
-        "pump_phase",
-        "depolarizing_noise",
-    }
-    _check_keys(section, allowed, path)
-    defaults = SourceConfig()
-    return _build(
-        path,
-        SourceConfig,
-        mean_pairs_per_pulse=_get_float(
-            section, "mean_pairs_per_pulse", path, defaults.mean_pairs_per_pulse
-        ),
-        rep_period_ps=_get_int(section, "rep_period_ps", path, defaults.rep_period_ps),
-        bin_separation_ps=_get_int(
-            section, "bin_separation_ps", path, defaults.bin_separation_ps
-        ),
-        pump_mode=_get_str(section, "pump_mode", path, defaults.pump_mode),
-        pump_phase=_get_float(section, "pump_phase", path, defaults.pump_phase),
-        depolarizing_noise=_get_float(
-            section, "depolarizing_noise", path, defaults.depolarizing_noise
-        ),
-    )
-
-
-def _parse_comb(section: dict, path: str) -> CombSpec:
-    allowed = {
-        "delta_mhz",
-        "finesse",
-        "background_od",
-        "tooth_od",
-        "bandwidth_ghz",
-        "grid_step_mhz",
-        "modulation_depth",
-    }
-    _check_keys(section, allowed, path)
-    for key in allowed - {"modulation_depth"}:
-        if key not in section:
-            raise ConfigError(f"{path}.{key} is required")
-    return _build(
-        path,
-        CombSpec,
-        delta_mhz=_get_float(section, "delta_mhz", path),
-        finesse=_get_float(section, "finesse", path),
-        background_od=_get_float(section, "background_od", path),
-        tooth_od=_get_float(section, "tooth_od", path),
-        bandwidth_ghz=_get_float(section, "bandwidth_ghz", path),
-        grid_step_mhz=_get_float(section, "grid_step_mhz", path),
-        modulation_depth=_get_float(section, "modulation_depth", path, 0.0),
-    )
-
-
-def _parse_memory(section: dict, path: str) -> MemorySpec:
-    allowed = {
-        "coupling_efficiency",
-        "comb",
-        "device_efficiency",
-        "mean_od",
-        "echo_delays",
-        "efficiency_scale",
-    }
-    _check_keys(section, allowed, path)
-    if "coupling_efficiency" not in section:
-        raise ConfigError(f"{path}.coupling_efficiency is required")
-    comb = None
-    if "comb" in section:
-        comb = _parse_comb(_require_mapping(section["comb"], f"{path}.comb"), f"{path}.comb")
-    echo_delays = None
-    if "echo_delays" in section:
-        raw = section["echo_delays"]
-        if not isinstance(raw, list) or not all(
-            isinstance(row, list) and len(row) == 2 for row in raw
-        ):
-            raise ConfigError(f"{path}.echo_delays: expected a list of [delay_ns, weight] pairs")
-        echo_delays = tuple((float(d), float(w)) for d, w in raw)
-    spec = _build(
-        path,
-        MemorySpec,
-        coupling_efficiency=_get_float(section, "coupling_efficiency", path),
-        comb=comb,
-        device_efficiency=_get_float(section, "device_efficiency", path),
-        mean_od=_get_float(section, "mean_od", path),
-        echo_delays=echo_delays,
-        efficiency_scale=_get_float(section, "efficiency_scale", path, 1.0),
-    )
-    # Surface recall-model invariant violations (probabilities, weights) now,
-    # with the config path, not later inside the harness.
-    _build(path, spec.build)
-    return spec
-
-
-def _parse_analyzer(section: dict, path: str) -> AnalyzerSpec:
-    _check_keys(section, {"mode", "phase"}, path)
-    token = _get_str(section, "mode", path, "time_of_arrival")
-    if token not in _MODE_TOKENS:
-        raise ConfigError(
-            f"{path}.mode: expected one of {sorted(_MODE_TOKENS)}, got {token!r}"
-        )
-    mode = _MODE_TOKENS[token]
-    if mode == MODE_TIME_OF_ARRIVAL and "phase" in section:
-        raise ConfigError(f"{path}.phase: only valid for interferometer mode")
-    return _build(
-        path, AnalyzerSpec, mode=mode, phase=_get_float(section, "phase", path, 0.0)
-    )
-
-
-def _parse_detector(section: dict, path: str) -> DetectorSpec:
-    _check_keys(section, {"efficiency", "jitter_fwhm_ps", "dark_rate_hz"}, path)
-    defaults = DetectorSpec()
-    return _build(
-        path,
-        DetectorSpec,
-        efficiency=_get_float(section, "efficiency", path, defaults.efficiency),
-        jitter_fwhm_ps=_get_float(section, "jitter_fwhm_ps", path, defaults.jitter_fwhm_ps),
-        dark_rate_hz=_get_float(section, "dark_rate_hz", path, defaults.dark_rate_hz),
-    )
-
-
-def _parse_tdc(section: dict) -> TdcConfig:
-    path = "tdc"
-    _check_keys(section, {"bin_width_ps", "window_ps", "peak_halfwidth_ps"}, path)
-    defaults = TdcConfig()
-    return _build(
-        path,
-        TdcConfig,
-        bin_width_ps=_get_int(section, "bin_width_ps", path, defaults.bin_width_ps),
-        window_ps=_get_int(section, "window_ps", path, defaults.window_ps),
-        peak_halfwidth_ps=_get_int(
-            section, "peak_halfwidth_ps", path, defaults.peak_halfwidth_ps
-        ),
-    )
-
-
-def _parse_duty(section: dict) -> DutyCycleConfig:
-    path = "duty_cycle"
-    _check_keys(section, {"burn_ms", "wait_ms", "storage_ms"}, path)
-    defaults = DutyCycleConfig()
-    return _build(
-        path,
-        DutyCycleConfig,
-        burn_ms=_get_float(section, "burn_ms", path, defaults.burn_ms),
-        wait_ms=_get_float(section, "wait_ms", path, defaults.wait_ms),
-        storage_ms=_get_float(section, "storage_ms", path, defaults.storage_ms),
-    )
-
-
-def _parse_per_channel(section: dict, path: str, parser):
-    _check_keys(section, set(CHANNEL_KEYS), path)
+@cache
+def _field_types(cls) -> dict:
+    """Field name -> reader type, with `X | None` narrowed to X."""
     out = {}
-    for key in CHANNEL_KEYS:
-        if key in section:
-            out[key] = parser(
-                _require_mapping(section[key], f"{path}.{key}"), f"{path}.{key}"
-            )
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        out[name] = args[0] if type(None) in args else hint
     return out
+
+
+def _read_number(value, path: str) -> float:
+    # abs(v) <= max is False for NaN and infinities, and exact for huge ints.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _read_echo_delays(value, path: str) -> tuple:
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and len(row) == 2 for row in value
+    ):
+        raise ConfigError(f"{path}: expected a list of [delay_ns, weight] pairs")
+    return tuple(
+        tuple(_read_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row))
+        for i, row in enumerate(value)
+    )
+
+
+def _read_value(kind, value, path: str):
+    if is_dataclass(kind):
+        return _read_section(kind, value, path)
+    if kind is float:
+        return _read_number(value, path)
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string, got {value!r}")
+        return value
+    return _read_echo_delays(value, path)  # the one tuple field
+
+
+def _read_section(cls, data, path: str):
+    """Read one section into `cls`, walking its dataclass fields."""
+    data = _require_mapping(data, path)
+    types = _field_types(cls)
+    _check_keys(data, types, path)
+    kwargs = {}
+    for f in fields(cls):
+        key = f"{path}.{f.name}"
+        if f.name in data:
+            kwargs[f.name] = _read_value(types[f.name], data[f.name], key)
+        elif key in _REQUIRED or f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{key} is required")
+    if cls is AnalyzerSetting:
+        token = kwargs.get("mode", "time_of_arrival")
+        if token not in _MODE_TOKENS:
+            raise ConfigError(
+                f"{path}.mode: expected one of {sorted(_MODE_TOKENS)}, got {token!r}"
+            )
+        kwargs["mode"] = _MODE_TOKENS[token]
+        if kwargs["mode"] == MODE_TIME_OF_ARRIVAL and "phase" in kwargs:
+            raise ConfigError(f"{path}.phase: only valid for interferometer mode")
+    section = _build(path, cls, **kwargs)
+    if cls is MemorySpec:
+        # Surface recall-model invariant violations (probabilities, weights)
+        # now, with the config path, not later inside the harness.
+        _build(path, section.build)
+    return section
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated config from a parsed JSON object (strict schema)."""
     data = _require_mapping(data, "config")
-    top = {"run", "source", "memories", "analyzers", "detectors", "tdc", "duty_cycle"}
-    _check_keys(data, top, "")
+    _check_keys(data, {*_SECTIONS, *_PER_CHANNEL}, "")
     if "run" not in data:
         raise ConfigError("run section is required (run.seed has no default)")
-
-    run = _parse_run(_require_mapping(data["run"], "run"))
-    source = _parse_source(_require_mapping(data.get("source", {}), "source"))
-    memories = _parse_per_channel(
-        _require_mapping(data.get("memories", {}), "memories"), "memories", _parse_memory
-    )
-    analyzers = _parse_per_channel(
-        _require_mapping(data.get("analyzers", {}), "analyzers"), "analyzers", _parse_analyzer
-    )
-    detectors = _parse_per_channel(
-        _require_mapping(data.get("detectors", {}), "detectors"), "detectors", _parse_detector
-    )
-    tdc = _parse_tdc(_require_mapping(data.get("tdc", {}), "tdc"))
-    duty = _parse_duty(_require_mapping(data.get("duty_cycle", {}), "duty_cycle"))
-
-    return ExperimentConfig(
-        run=run,
-        source=source,
-        memory_794=memories.get("signal_794"),
-        memory_1535=memories.get("idler_1535"),
-        analyzer_794=analyzers.get("signal_794", AnalyzerSpec()),
-        analyzer_1535=analyzers.get("idler_1535", AnalyzerSpec()),
-        detector_794=detectors.get("signal_794", DetectorSpec()),
-        detector_1535=detectors.get("idler_1535", DetectorSpec()),
-        tdc=tdc,
-        duty_cycle=duty,
-    )
+    types = _field_types(ExperimentConfig)
+    kwargs = {name: _read_section(types[name], data.get(name, {}), name) for name in _SECTIONS}
+    for section, prefix in _PER_CHANNEL.items():
+        channels = _require_mapping(data.get(section, {}), section)
+        _check_keys(channels, _SUFFIX, section)
+        for key, suffix in _SUFFIX.items():
+            if key in channels:
+                name = f"{prefix}_{suffix}"
+                kwargs[name] = _read_section(types[name], channels[key], f"{section}.{key}")
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -519,80 +335,36 @@ def load_config(path) -> ExperimentConfig:
 # Serialization
 
 
-def _memory_to_dict(spec: MemorySpec) -> dict:
-    out: dict = {"coupling_efficiency": spec.coupling_efficiency}
-    if spec.comb is not None:
-        out["comb"] = {
-            "delta_mhz": spec.comb.delta_mhz,
-            "finesse": spec.comb.finesse,
-            "background_od": spec.comb.background_od,
-            "tooth_od": spec.comb.tooth_od,
-            "bandwidth_ghz": spec.comb.bandwidth_ghz,
-            "grid_step_mhz": spec.comb.grid_step_mhz,
-            "modulation_depth": spec.comb.modulation_depth,
-        }
-    else:
-        out["device_efficiency"] = spec.device_efficiency
-        out["mean_od"] = spec.mean_od
-        out["echo_delays"] = [[d, w] for d, w in spec.echo_delays]
-    if spec.efficiency_scale != 1.0:
-        out["efficiency_scale"] = spec.efficiency_scale
-    return out
-
-
-def _analyzer_to_dict(spec: AnalyzerSpec) -> dict:
-    out = {"mode": _TOKEN_OF_MODE[spec.mode]}
-    if spec.mode == MODE_INTERFEROMETER:
-        out["phase"] = spec.phase
+def _section_to_dict(section) -> dict:
+    out = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            out[f.name] = _section_to_dict(value)
+        elif isinstance(value, tuple):
+            out[f.name] = [list(row) for row in value]
+        elif value is not None:
+            out[f.name] = value
+    if isinstance(section, MemorySpec) and section.efficiency_scale == 1.0:
+        del out["efficiency_scale"]
+    if isinstance(section, AnalyzerSetting):
+        out["mode"] = _TOKEN_OF_MODE[section.mode]
+        if section.mode == MODE_TIME_OF_ARRIVAL:
+            del out["phase"]
     return out
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The full explicit form: every default spelled out."""
-    out: dict = {
-        "run": {"cycles": cfg.run.cycles, "seed": cfg.run.seed},
-        "source": {
-            "mean_pairs_per_pulse": cfg.source.mean_pairs_per_pulse,
-            "rep_period_ps": cfg.source.rep_period_ps,
-            "bin_separation_ps": cfg.source.bin_separation_ps,
-            "pump_mode": cfg.source.pump_mode,
-            "pump_phase": cfg.source.pump_phase,
-            "depolarizing_noise": cfg.source.depolarizing_noise,
-        },
-        "analyzers": {
-            "signal_794": _analyzer_to_dict(cfg.analyzer_794),
-            "idler_1535": _analyzer_to_dict(cfg.analyzer_1535),
-        },
-        "detectors": {
-            "signal_794": {
-                "efficiency": cfg.detector_794.efficiency,
-                "jitter_fwhm_ps": cfg.detector_794.jitter_fwhm_ps,
-                "dark_rate_hz": cfg.detector_794.dark_rate_hz,
-            },
-            "idler_1535": {
-                "efficiency": cfg.detector_1535.efficiency,
-                "jitter_fwhm_ps": cfg.detector_1535.jitter_fwhm_ps,
-                "dark_rate_hz": cfg.detector_1535.dark_rate_hz,
-            },
-        },
-        "tdc": {
-            "bin_width_ps": cfg.tdc.bin_width_ps,
-            "window_ps": cfg.tdc.window_ps,
-            "peak_halfwidth_ps": cfg.tdc.peak_halfwidth_ps,
-        },
-        "duty_cycle": {
-            "burn_ms": cfg.duty_cycle.burn_ms,
-            "wait_ms": cfg.duty_cycle.wait_ms,
-            "storage_ms": cfg.duty_cycle.storage_ms,
-        },
-    }
-    memories = {}
-    if cfg.memory_794 is not None:
-        memories["signal_794"] = _memory_to_dict(cfg.memory_794)
-    if cfg.memory_1535 is not None:
-        memories["idler_1535"] = _memory_to_dict(cfg.memory_1535)
-    if memories:
-        out["memories"] = memories
+    out = {name: _section_to_dict(getattr(cfg, name)) for name in _SECTIONS}
+    for section, prefix in _PER_CHANNEL.items():
+        channels = {
+            key: _section_to_dict(spec)
+            for key, suffix in _SUFFIX.items()
+            if (spec := getattr(cfg, f"{prefix}_{suffix}")) is not None
+        }
+        if channels:
+            out[section] = channels
     return out
 
 

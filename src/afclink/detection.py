@@ -45,7 +45,7 @@ HISTOGRAM_CHUNK_PAIRS = 2**18
 class AnalyzerSetting:
     """One arm's measurement choice: arrival time, or interference phase."""
 
-    mode: str
+    mode: str = MODE_TIME_OF_ARRIVAL
     phase: float = 0.0
 
     def __post_init__(self):
@@ -141,17 +141,23 @@ def single_outcome_table(
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """Detector parameters with the jitter quoted as FWHM, as in datasheets."""
+
     efficiency: float = 0.70
-    jitter_sigma_ps: float = DEFAULT_JITTER_FWHM_PS / FWHM_TO_SIGMA
+    jitter_fwhm_ps: float = DEFAULT_JITTER_FWHM_PS
     dark_rate_hz: float = 100.0
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if self.jitter_sigma_ps < 0.0:
-            raise ValueError("jitter_sigma_ps must be nonnegative")
+        if self.jitter_fwhm_ps < 0.0:
+            raise ValueError("jitter_fwhm_ps must be nonnegative")
         if self.dark_rate_hz < 0.0:
             raise ValueError("dark_rate_hz must be nonnegative")
+
+    @property
+    def jitter_sigma_ps(self) -> float:
+        return self.jitter_fwhm_ps / FWHM_TO_SIGMA
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import events
-from .config import AnalyzerSpec, ExperimentConfig
+from .config import ExperimentConfig
 from .csvio import csv_rows
 from .detection import (
     MODE_INTERFEROMETER,
+    AnalyzerSetting,
     CoincidenceHistogram,
     DetectorConfig,
     analyzer_outcomes,
@@ -72,6 +73,7 @@ WAVELENGTH_CSV_HEADER = (
     "link_efficiency",
 )
 ECHOES_CSV_HEADER = ("delay_ns", "relative_amplitude")
+METRICS_CSV_HEADER = ("stage", "metric", "value", "sigma")
 
 DATA_TOMOGRAPHY_IN = "tomography_before_storage.csv"
 DATA_TOMOGRAPHY_OUT = "tomography_after_storage.csv"
@@ -642,12 +644,8 @@ def chsh_simulation(
         sub = replace(
             cfg,
             run=replace(cfg.run, cycles=cycles, seed=seed),
-            analyzer_794=AnalyzerSpec(
-                mode=MODE_INTERFEROMETER, phase=sa.analyzer_phase()
-            ),
-            analyzer_1535=AnalyzerSpec(
-                mode=MODE_INTERFEROMETER, phase=sb.analyzer_phase()
-            ),
+            analyzer_794=AnalyzerSetting.interferometer(sa.analyzer_phase()),
+            analyzer_1535=AnalyzerSetting.interferometer(sb.analyzer_phase()),
         )
         counts = _central_port_counts(simulate(sub))
         same = counts[(+1, +1)] + counts[(-1, -1)]
@@ -1027,11 +1025,11 @@ def sweep(
         columns = ("phase_rad", "central_coincidences")
         idler = base.analyzer_1535
         if idler.mode != MODE_INTERFEROMETER:
-            idler = AnalyzerSpec(mode=MODE_INTERFEROMETER, phase=0.0)
+            idler = AnalyzerSetting.interferometer(0.0)
         for value in points:
             sub = replace(
                 base,
-                analyzer_794=AnalyzerSpec(mode=MODE_INTERFEROMETER, phase=value),
+                analyzer_794=AnalyzerSetting.interferometer(value),
                 analyzer_1535=idler,
             )
             counts = _central_port_counts(simulate(sub))
@@ -1051,17 +1049,25 @@ def echoes_to_csv(echoes, path) -> None:
         writer.writerows((float(d), float(a)) for d, a in echoes)
 
 
+def write_report_files(out_dir, payload: dict, report: AnalysisReport) -> None:
+    """Write payload to report.json and report.rows() to state_metrics.csv."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    with open(out / "state_metrics.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_CSV_HEADER)
+        writer.writerows(report.rows())
+
+
 @dataclass(frozen=True, eq=False)
 class ReportBundle:
     payload: dict
-    report_path: Path
-    metrics_path: Path
+    report: AnalysisReport
 
 
 def generate_report(out_dir, trials: int = 200, seed: int = 0) -> ReportBundle:
     """Analyze every shipped data table and write the combined report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = analyze_paper_data(
         data_path(DATA_TOMOGRAPHY_IN),
         tomography_out=data_path(DATA_TOMOGRAPHY_OUT),
@@ -1087,11 +1093,5 @@ def generate_report(out_dir, trials: int = 200, seed: int = 0) -> ReportBundle:
             "best": {"signal_nm": best.signal_nm, "link_efficiency": best.link_efficiency},
         },
     }
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(payload, indent=2) + "\n")
-    metrics_path = out / "state_metrics.csv"
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("stage", "metric", "value", "sigma"))
-        writer.writerows(report.rows())
-    return ReportBundle(payload=payload, report_path=report_path, metrics_path=metrics_path)
+    write_report_files(out_dir, payload, report)
+    return ReportBundle(payload=payload, report=report)

@@ -340,6 +340,23 @@ class TestReport:
             2.5194, abs=1e-9
         )
 
+    @pytest.mark.parametrize("command", ["report", "analyze"])
+    def test_csv_stdout_equals_metrics_file(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys,
+            [command, "--trials", "0", "--out-dir", str(out_dir), "--format", "csv"],
+        )
+        assert code == 0, err
+        with open(out_dir / "state_metrics.csv", newline="") as fh:
+            file_rows = list(csv.reader(fh))
+        assert list(csv.reader(out.splitlines())) == file_rows
+        assert ["link", "input_output_fidelity"] == file_rows[-3][:2]
+        assert [row[:2] for row in file_rows[-2:]] == [
+            ["input", "chsh_s"],
+            ["output", "chsh_s"],
+        ]
+
 
 def test_module_runs_as_script():
     proc = subprocess.run(

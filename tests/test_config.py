@@ -6,12 +6,14 @@ a typo in a physics parameter cannot silently fall back to a default.
 
 import json
 import math
+import re
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 
 from afclink.config import (
-    AnalyzerSpec,
-    DetectorSpec,
+    CombSpec,
     DutyCycleConfig,
     ExperimentConfig,
     MemorySpec,
@@ -20,9 +22,15 @@ from afclink.config import (
     load_config,
     save_config,
 )
-from afclink.detection import MODE_INTERFEROMETER, MODE_TIME_OF_ARRIVAL
+from afclink.detection import (
+    MODE_INTERFEROMETER,
+    MODE_TIME_OF_ARRIVAL,
+    AnalyzerSetting,
+    DetectorConfig,
+)
 from afclink.errors import ConfigError
 from afclink.memory import device_efficiency
+from afclink.source import PUMP_EARLY_ONLY, SourceConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -317,6 +325,166 @@ class TestRoundTrip:
         assert load_config(out) == cfg
 
 
+    def test_every_field_round_trips(self, tmp_path):
+        """Every field of every section away from its default, both memory
+        forms, and the interferometer phases survive save and load."""
+        comb = CombSpec(
+            delta_mhz=31.0,
+            finesse=2.5,
+            background_od=0.3,
+            tooth_od=2.0,
+            bandwidth_ghz=4.0,
+            grid_step_mhz=0.25,
+            modulation_depth=0.5,
+        )
+        cfg = ExperimentConfig(
+            run=RunConfig(cycles=500, seed=11),
+            source=SourceConfig(
+                mean_pairs_per_pulse=0.02,
+                rep_period_ps=12_000,
+                bin_separation_ps=1_500,
+                pump_mode=PUMP_EARLY_ONLY,
+                pump_phase=0.1,
+                depolarizing_noise=0.05,
+            ),
+            memory_794=MemorySpec(coupling_efficiency=0.3, comb=comb, efficiency_scale=3.0),
+            memory_1535=MemorySpec(
+                coupling_efficiency=0.4,
+                device_efficiency=0.01,
+                mean_od=0.8,
+                echo_delays=((6.02, 1.0), (12.04, 0.25)),
+                efficiency_scale=2.0,
+            ),
+            analyzer_794=AnalyzerSetting.interferometer(0.3),
+            analyzer_1535=AnalyzerSetting.interferometer(-0.785),
+            detector_794=DetectorConfig(efficiency=0.6, jitter_fwhm_ps=200.0, dark_rate_hz=50.0),
+            detector_1535=DetectorConfig(efficiency=0.5, jitter_fwhm_ps=300.0, dark_rate_hz=20.0),
+            tdc=TdcConfig(bin_width_ps=40, window_ps=40_000, peak_halfwidth_ps=400),
+            duty_cycle=DutyCycleConfig(burn_ms=20.0, wait_ms=5.0, storage_ms=600.0),
+        )
+        # Each (section class, field) with a default is set away from it in
+        # at least one section; a memory's form decides which fields it sets.
+        with_default, changed = set(), set()
+
+        def walk(section):
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if f.default is not MISSING or f.default_factory is not MISSING:
+                    default = f.default if f.default is not MISSING else f.default_factory()
+                    with_default.add((type(section).__name__, f.name))
+                    if value != default:
+                        changed.add((type(section).__name__, f.name))
+                if is_dataclass(value):
+                    walk(value)
+
+        walk(cfg)
+        assert with_default - changed == set()
+        out = tmp_path / "saved.json"
+        save_config(cfg, out)
+        assert load_config(out) == cfg
+
+
+COMB = {
+    "delta_mhz": 31.0,
+    "finesse": 2.0,
+    "background_od": 0.0,
+    "tooth_od": 2.0,
+    "bandwidth_ghz": 4.0,
+    "grid_step_mhz": 1.0,
+    "modulation_depth": 0.0,
+}
+# A valid config with every section present: the direct memory form on the
+# signal, the comb form on the idler, and interferometers on both arms.
+EVERY_SECTION = {
+    "run": {"seed": 1},
+    "memories": {
+        "signal_794": {
+            "coupling_efficiency": 0.5,
+            "device_efficiency": 0.02,
+            "mean_od": 1.0,
+            "echo_delays": [[32.26, 1.0]],
+        },
+        "idler_1535": {"coupling_efficiency": 0.2, "comb": COMB},
+    },
+    "analyzers": {
+        ch: {"mode": "interferometer", "phase": 0.0} for ch in ("signal_794", "idler_1535")
+    },
+}
+SECTION_CLASSES = {
+    "run": RunConfig,
+    "source": SourceConfig,
+    "memories.signal_794": MemorySpec,
+    "memories.idler_1535": MemorySpec,
+    "analyzers.signal_794": AnalyzerSetting,
+    "analyzers.idler_1535": AnalyzerSetting,
+    "detectors.signal_794": DetectorConfig,
+    "detectors.idler_1535": DetectorConfig,
+    "tdc": TdcConfig,
+    "duty_cycle": DutyCycleConfig,
+}
+
+
+def numeric_key_paths():
+    """Key paths (as tuples) of every int or float field of every section,
+    of the comb where EVERY_SECTION has one, and of the direct memory's
+    echo-delay entries."""
+    out = []
+
+    def walk(cls, keys, node):
+        for name, hint in typing.get_type_hints(cls).items():
+            kind = next(a for a in (*typing.get_args(hint), hint) if a is not type(None))
+            if is_dataclass(kind) and name in node:
+                walk(kind, (*keys, name), node[name])
+            elif kind in (int, float):
+                out.append((*keys, name))
+
+    for section, cls in SECTION_CLASSES.items():
+        keys = tuple(section.split("."))
+        node = EVERY_SECTION
+        for key in keys:
+            node = node.get(key, {})
+        walk(cls, keys, node)
+    out += [("memories", "signal_794", "echo_delays", 0, j) for j in (0, 1)]
+    return out
+
+
+def dotted(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, "1"], ids=repr)
+@pytest.mark.parametrize("keys", numeric_key_paths(), ids=dotted)
+def test_numeric_key_rejects_non_finite_and_non_numbers(tmp_path, keys, bad):
+    payload = json.loads(json.dumps(EVERY_SECTION))
+    node = payload
+    for key in keys[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[keys[-1]] = bad
+    with pytest.raises(ConfigError, match="^" + re.escape(dotted(keys)) + ": "):
+        load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "row, bad_index",
+    [(["32.2", "1.0"], 0), ([32.2, True], 1), (["abc", 1.0], 0), ([None, 1.0], 0)],
+)
+def test_echo_delay_entries_are_numbers(tmp_path, row, bad_index):
+    payload = {
+        "run": {"seed": 1},
+        "memories": {
+            "signal_794": {
+                "coupling_efficiency": 0.5,
+                "device_efficiency": 0.02,
+                "mean_od": 1.0,
+                "echo_delays": [[16.13, 0.5], row],
+            }
+        },
+    }
+    path = rf"^memories\.signal_794\.echo_delays\[1\]\[{bad_index}\]: "
+    with pytest.raises(ConfigError, match=path):
+        load_config(write_config(tmp_path, payload))
+
+
 class TestDirectConstruction:
     def test_programmatic_config(self):
         cfg = ExperimentConfig(
@@ -354,12 +522,16 @@ class TestDirectConstruction:
 
     def test_detector_spec_validation(self):
         with pytest.raises(ValueError):
-            DetectorSpec(efficiency=1.5)
+            DetectorConfig(efficiency=1.5)
         with pytest.raises(ValueError):
-            DetectorSpec(jitter_fwhm_ps=-1.0)
+            DetectorConfig(jitter_fwhm_ps=-1.0)
+        assert DetectorConfig(jitter_fwhm_ps=200.0).jitter_sigma_ps == 200.0 / 2.355
 
     def test_analyzer_spec_validation(self):
         with pytest.raises(ValueError):
-            AnalyzerSpec(mode="nope")
-        spec = AnalyzerSpec(mode=MODE_INTERFEROMETER, phase=math.pi / 4)
-        assert spec.to_setting().phase == pytest.approx(math.pi / 4)
+            AnalyzerSetting(mode="nope")
+        with pytest.raises(ValueError):
+            AnalyzerSetting(mode=MODE_INTERFEROMETER, phase=math.nan)
+        assert AnalyzerSetting().mode == MODE_TIME_OF_ARRIVAL
+        setting = AnalyzerSetting(mode=MODE_INTERFEROMETER, phase=math.pi / 4)
+        assert setting.phase == pytest.approx(math.pi / 4)
