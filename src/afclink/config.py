@@ -81,8 +81,8 @@ class DutyCycleConfig:
 
     def __post_init__(self):
         for name in ("burn_ms", "wait_ms", "storage_ms"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.storage_ms <= 0.0:
             raise ValueError("storage_ms must be positive")
 

@@ -150,10 +150,9 @@ class DetectorConfig:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if self.jitter_fwhm_ps < 0.0:
-            raise ValueError("jitter_fwhm_ps must be nonnegative")
-        if self.dark_rate_hz < 0.0:
-            raise ValueError("dark_rate_hz must be nonnegative")
+        for name in ("jitter_fwhm_ps", "dark_rate_hz"):
+            if not 0.0 <= getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     @property
     def jitter_sigma_ps(self) -> float:

@@ -1,16 +1,20 @@
 """End-to-end pipelines: simulation runs, measured-data analysis, parameter
 sweeps and report generation.
 
-The simulation engine works on whole arrays of photons instead of one event
-at a time, and its cost scales with pairs and survivors, not with cycles.
+The simulation engine works on whole arrays of photons, and its cost scales
+with detected photons, not with pairs or cycles.  A photon is detected with
+q = p_alive * eta_det; by the colouring theorem (Kingman, Poisson Processes,
+1993, sec. 5.1) a shard's Poisson(mu * cycles) pairs split into four
+independent Poisson classes (PAIR_CLASSES) of means mu * cycles times
+q_s q_i, q_s (1 - q_i), (1 - q_s) q_i and (1 - q_s)(1 - q_i).
 Cycles are processed in fixed-size shards, each with its own generator seeded
-from (master seed, shard index).  The draw order inside a shard is fixed:
-the shard's pair total from Poisson(mu * cycles) and each pair's cycle,
-uniform over the shard; per channel, the memory survivors (geometric gaps at
-the survival probability) and then their outcomes; analyzer outcomes for
-pairs with both photons alive, then for lone photons per channel; detector
-thinning and jitter per channel; dark counts per channel.  Changing that
-order would change every seeded result.
+from (master seed, shard index).  The draw order inside a shard is fixed: the
+four class counts; the cycles of the both-detected pairs (shared by the two
+photons), then of the lone signal and idler photons; joint analyzer outcomes,
+then single-arm outcomes per channel; memory outcomes conditioned on survival
+per channel; then, channel by channel, detector jitter and dark counts.
+Changing that order would change every seeded result.  Click arrays are not
+time-sorted within a shard.
 """
 
 from __future__ import annotations
@@ -84,6 +88,9 @@ DATA_SYNTHETIC_COMB = "synthetic_comb.csv"
 SWEEP_PARAMETERS = ("mu", "pump_power", "analyzer_phase")
 
 _CHANNELS = (events.SIGNAL_794, events.IDLER_1535)
+# Emitted pairs by which of their photons are detected: both, the signal
+# alone, the idler alone, neither.
+PAIR_CLASSES = ("both", "signal_only", "idler_only", "neither")
 
 _BIN_LABELS = events.BINS
 _BIN_CODE = {label: i for i, label in enumerate(_BIN_LABELS)}
@@ -108,7 +115,8 @@ def data_path(name: str) -> Path:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRecord:
-    """All detected clicks of one channel, parallel arrays in shard order."""
+    """All detected clicks of one channel as parallel arrays, shard after
+    shard; within a shard the clicks are not in time order."""
 
     channel: str
     times: np.ndarray
@@ -125,10 +133,18 @@ class ChannelRecord:
 
 @dataclass(frozen=True, eq=False)
 class SimulationData:
+    """Click arrays per channel, the emitted pairs counted per PAIR_CLASSES
+    class, and the configured detection probability of each channel."""
+
     config: ExperimentConfig
     n_cycles: int
-    n_pairs: int
+    pair_classes: dict[str, int]
+    p_detect: dict[str, float]
     channels: dict[str, ChannelRecord]
+
+    @property
+    def n_pairs(self) -> int:
+        return sum(self.pair_classes.values())
 
     def histogram(self) -> CoincidenceHistogram:
         tdc = self.config.tdc
@@ -188,6 +204,7 @@ class _EngineTables:
     single_cum: dict[str, np.ndarray]
     memory: dict[str, _MemoryTable | None]
     detectors: dict[str, DetectorConfig]
+    p_detect: dict[str, float]
 
 
 def _cumulative(table: np.ndarray) -> np.ndarray:
@@ -218,7 +235,7 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     joint = joint_outcome_table(
         rho4, outs[events.SIGNAL_794], outs[events.IDLER_1535], depolarizing=noise
     )
-    # A photon whose partner died sees the reduced state.  Tracing out the
+    # A photon whose partner goes undetected sees the reduced state.  Tracing out the
     # lost arm commutes with the depolarizing mix, so the single-arm table
     # takes the same noise parameter.
     single_cum = {}
@@ -227,6 +244,13 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
         single_cum[ch] = _cumulative(
             single_outcome_table(rho2, outs[ch], depolarizing=noise)
         )
+    memory = {ch: _memory_table(cfg.memory_config(ch)) for ch in _CHANNELS}
+    detectors = {ch: cfg.detector_config(ch) for ch in _CHANNELS}
+    # The detector efficiency is the same for every memory outcome and port.
+    p_detect = {
+        ch: (1.0 if memory[ch] is None else memory[ch].p_alive) * detectors[ch].efficiency
+        for ch in _CHANNELS
+    }
     return _EngineTables(
         seed=cfg.run.seed,
         mu=src.mean_pairs_per_pulse,
@@ -235,57 +259,36 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
         joint_cum=_cumulative(joint),
         n_out_idler=len(outs[events.IDLER_1535]),
         single_cum=single_cum,
-        memory={ch: _memory_table(cfg.memory_config(ch)) for ch in _CHANNELS},
-        detectors={ch: cfg.detector_config(ch) for ch in _CHANNELS},
+        memory=memory,
+        detectors=detectors,
+        p_detect=p_detect,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class _MemoryDraw:
-    """The surviving photons of one channel: sorted pair indices and outcomes."""
+    """The memory outcomes of one channel's detected photons."""
 
-    index: np.ndarray
     delay: np.ndarray
     code: np.ndarray
     spurious: np.ndarray
 
 
-def _survivors(p_alive: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted indices of the successes of n Bernoulli(p_alive) trials, placed
-    by geometric gaps; draws continue until the gaps pass n, so no success
-    is ever cut off."""
-    if p_alive >= 1.0:
-        return np.arange(n)
-    if p_alive <= 0.0 or n == 0:
-        return np.zeros(0, dtype=np.int64)
-    gaps, total = [], 0
-    while total < n:
-        mean = (n - total) * p_alive
-        gaps.append(rng.geometric(p_alive, int(mean + 5.0 * mean**0.5) + 16))
-        total += int(gaps[-1].sum())
-    positions = np.cumsum(np.concatenate(gaps)) - 1
-    return positions[: np.searchsorted(positions, n)]
-
-
 def _draw_memory(
     table: _MemoryTable | None, n: int, rng: np.random.Generator
 ) -> _MemoryDraw:
+    """Outcomes of n detected photons, from the table conditioned on survival;
+    with no memory every photon passes unchanged and nothing is drawn."""
     if table is None:
         return _MemoryDraw(
-            index=np.arange(n),
             delay=np.zeros(n, dtype=np.int64),
             code=np.full(n, _OUTCOME_NONE, dtype=np.int16),
             spurious=np.zeros(n, dtype=bool),
         )
-    index = _survivors(table.p_alive, n, rng)
-    # The outcome of each survivor, from the table conditioned on survival.
-    u = rng.random(index.size) * table.cumulative[-1]
+    u = rng.random(n) * table.cumulative[-1]
     k = np.minimum(np.searchsorted(table.cumulative, u, side="right"), table.codes.size - 1)
     return _MemoryDraw(
-        index=index,
-        delay=table.delay_ps[k],
-        code=table.codes[k],
-        spurious=table.spurious[k],
+        delay=table.delay_ps[k], code=table.codes[k], spurious=table.spurious[k]
     )
 
 
@@ -296,102 +299,70 @@ def _draw_outcomes(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
     return np.minimum(k, cum.size - 1)
 
 
+# A dark click has no port, bin or memory outcome.
+_DARK_FIELDS = {
+    "ports": 0,
+    "bins": _BIN_CODE[events.BIN_NONE],
+    "origins": _ORIGIN_CODE[events.ORIGIN_DARK],
+    "outcomes": _OUTCOME_NONE,
+}
+
+
 def _simulate_shard(
     t: _EngineTables, shard_index: int, first_cycle: int, n_cycles: int
-) -> tuple[int, dict[str, dict[str, np.ndarray]]]:
+) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
+    """The class counts (PAIR_CLASSES order) and click arrays of one shard."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=t.seed, spawn_key=(shard_index,))
     )
-    n_pairs = int(rng.poisson(t.mu * n_cycles))
-    pair_cycles = np.sort(rng.integers(0, n_cycles, n_pairs)) + first_cycle
-    base_times = pair_cycles * t.rep_period_ps
+    q_s, q_i = (t.p_detect[ch] for ch in _CHANNELS)
+    probs = np.array([q_s * q_i, q_s * (1 - q_i), (1 - q_s) * q_i, (1 - q_s) * (1 - q_i)])
+    classes = rng.poisson(t.mu * n_cycles * probs)
+    n_both, n_sig, n_idl, _ = classes.tolist()
+    both_cycles = rng.integers(0, n_cycles, n_both)
+    lone_cycles = [rng.integers(0, n_cycles, n) for n in (n_sig, n_idl)]
 
-    draws = {ch: _draw_memory(t.memory[ch], n_pairs, rng) for ch in _CHANNELS}
-    # Per channel, which of its survivors have a surviving partner.
-    paired = {}
-    for ch, other in zip(_CHANNELS, reversed(_CHANNELS)):
-        alive = np.zeros(n_pairs, dtype=bool)
-        alive[draws[other].index] = True
-        paired[ch] = alive[draws[ch].index]
+    joint_idx = np.divmod(_draw_outcomes(t.joint_cum, n_both, rng), t.n_out_idler)
+    picks = [
+        np.concatenate([joint, _draw_outcomes(t.single_cum[ch], lone.size, rng)])
+        for ch, joint, lone in zip(_CHANNELS, joint_idx, lone_cycles)
+    ]
+    cycles = [np.concatenate([both_cycles, lone]) + first_cycle for lone in lone_cycles]
+    draws = [_draw_memory(t.memory[ch], c.size, rng) for ch, c in zip(_CHANNELS, cycles)]
 
-    k = _draw_outcomes(t.joint_cum, int(paired[events.SIGNAL_794].sum()), rng)
-    joint_idx = dict(zip(_CHANNELS, np.divmod(k, t.n_out_idler)))
-    single_idx = {
-        ch: _draw_outcomes(t.single_cum[ch], int((~paired[ch]).sum()), rng)
-        for ch in _CHANNELS
-    }
-
-    shard: dict[str, dict[str, np.ndarray]] = {}
-    for ch in _CHANNELS:
-        out = t.outcomes[ch]
-        draw = draws[ch]
-        picks = np.empty(draw.index.size, dtype=np.intp)
-        picks[paired[ch]] = joint_idx[ch]
-        picks[~paired[ch]] = single_idx[ch]
-        origins = np.where(
-            draw.spurious,
-            _ORIGIN_CODE[events.ORIGIN_SPURIOUS_ECHO],
-            _ORIGIN_CODE[events.ORIGIN_PAIR],
-        ).astype(np.int8)
-        shard[ch] = {
-            "times": base_times[draw.index] + draw.delay + out.slots[picks],
-            "cycles": pair_cycles[draw.index],
-            "ports": out.ports[picks],
-            "bins": out.bins[picks],
-            "origins": origins,
-            "outcomes": draw.code,
-        }
-
-    # Detector response, channel by channel: thinning, then timing jitter.
-    for ch in _CHANNELS:
-        det = t.detectors[ch]
-        arrays = shard[ch]
-        if det.efficiency < 1.0:
-            keep = rng.random(arrays["times"].size) < det.efficiency
-            arrays = {key: val[keep] for key, val in arrays.items()}
-        if det.jitter_sigma_ps > 0.0:
-            shift = rng.normal(0.0, det.jitter_sigma_ps, arrays["times"].size)
-            arrays = dict(arrays)
-            arrays["times"] = arrays["times"] + np.rint(shift).astype(np.int64)
-        shard[ch] = arrays
-
-    # Dark counts, uniform over the shard's span.
     span = n_cycles * t.rep_period_ps
     lo = first_cycle * t.rep_period_ps
-    for ch in _CHANNELS:
-        det = t.detectors[ch]
-        n_dark = int(rng.poisson(det.dark_rate_hz * span * 1e-12))
-        if n_dark == 0:
-            continue
-        dark_times = np.sort(rng.integers(lo, lo + span, size=n_dark))
-        arrays = shard[ch]
-        shard[ch] = {
-            "times": np.concatenate([arrays["times"], dark_times]),
-            "cycles": np.concatenate(
-                [arrays["cycles"], dark_times // t.rep_period_ps]
-            ),
-            "ports": np.concatenate(
-                [arrays["ports"], np.zeros(n_dark, dtype=np.int8)]
-            ),
-            "bins": np.concatenate(
-                [
-                    arrays["bins"],
-                    np.full(n_dark, _BIN_CODE[events.BIN_NONE], dtype=np.int8),
-                ]
-            ),
-            "origins": np.concatenate(
-                [
-                    arrays["origins"],
-                    np.full(
-                        n_dark, _ORIGIN_CODE[events.ORIGIN_DARK], dtype=np.int8
-                    ),
-                ]
-            ),
-            "outcomes": np.concatenate(
-                [arrays["outcomes"], np.full(n_dark, _OUTCOME_NONE, dtype=np.int16)]
-            ),
+    shard: dict[str, dict[str, np.ndarray]] = {}
+    for ch, pick, cyc, draw in zip(_CHANNELS, picks, cycles, draws):
+        out, det = t.outcomes[ch], t.detectors[ch]
+        times = cyc * t.rep_period_ps + draw.delay + out.slots[pick]
+        if det.jitter_sigma_ps > 0.0:
+            shift = rng.normal(0.0, det.jitter_sigma_ps, times.size)
+            times += np.rint(shift).astype(np.int64)
+        arrays = {
+            "times": times,
+            "cycles": cyc,
+            "ports": out.ports[pick],
+            "bins": out.bins[pick],
+            "origins": np.where(
+                draw.spurious,
+                _ORIGIN_CODE[events.ORIGIN_SPURIOUS_ECHO],
+                _ORIGIN_CODE[events.ORIGIN_PAIR],
+            ).astype(np.int8),
+            "outcomes": draw.code,
         }
-    return n_pairs, shard
+        # Dark counts, uniform over the shard's span.
+        n_dark = int(rng.poisson(det.dark_rate_hz * span * 1e-12))
+        if n_dark:
+            dark = rng.integers(lo, lo + span, size=n_dark)
+            fill = {"times": dark, "cycles": dark // t.rep_period_ps}
+            fill.update(
+                (key, np.full(n_dark, code, dtype=arrays[key].dtype))
+                for key, code in _DARK_FIELDS.items()
+            )
+            arrays = {key: np.concatenate([val, fill[key]]) for key, val in arrays.items()}
+        shard[ch] = arrays
+    return classes, shard
 
 
 def simulate(cfg: ExperimentConfig) -> SimulationData:
@@ -399,11 +370,11 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
     tables = _build_tables(cfg)
     n_cycles = cfg.run.cycles
     parts: dict[str, list[dict[str, np.ndarray]]] = {ch: [] for ch in _CHANNELS}
-    n_pairs = 0
+    totals = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
     for shard_index, first in enumerate(range(0, n_cycles, SHARD_CYCLES)):
         count = min(SHARD_CYCLES, n_cycles - first)
-        pairs, shard = _simulate_shard(tables, shard_index, first, count)
-        n_pairs += pairs
+        classes, shard = _simulate_shard(tables, shard_index, first, count)
+        totals += classes
         for ch in _CHANNELS:
             parts[ch].append(shard[ch])
     channels = {}
@@ -413,9 +384,8 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
             for key in ("times", "cycles", "ports", "bins", "origins", "outcomes")
         }
         channels[ch] = ChannelRecord(channel=ch, **merged)
-    return SimulationData(
-        config=cfg, n_cycles=n_cycles, n_pairs=n_pairs, channels=channels
-    )
+    classes = dict(zip(PAIR_CLASSES, map(int, totals)))
+    return SimulationData(cfg, n_cycles, classes, dict(tables.p_detect), channels)
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +414,32 @@ def _write_events_csv(data: SimulationData, path: Path) -> None:
         [np.full(r.times.size, i, dtype=np.int8) for i, r in enumerate(recs)]
     )
     order = np.lexsort((cycles, chans, times))
-    chan_labels = [r.channel for r in recs]
     outcome_labels = [events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED]
     top = int(outcomes.max(initial=_OUTCOME_TRANSMITTED))
     outcome_labels += [events.recalled_token(k) for k in range(top - 1)]
-    columns = (cycles, chans, times, bins, origins, outcomes)
+    # Each row is cycle, mid[channel], time, then one of the label tails,
+    # indexed by (bin, origin, outcome) in row-major order.
+    mid = [f",{r.channel}," for r in recs]
+    tails = [
+        f",{b},{o},{u}\r\n"
+        for b in _BIN_LABELS for o in _ORIGIN_LABELS for u in outcome_labels
+    ]
+    n_origin, n_outcome = len(_ORIGIN_LABELS), len(outcome_labels)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(EVENT_CSV_HEADER) + "\r\n")
         for first in range(0, order.size, _EVENTS_CHUNK_ROWS):
             rows = order[first : first + _EVENTS_CHUNK_ROWS]
+            # intp: int8 bins times the label counts would overflow.
+            tail = bins[rows].astype(np.intp)
+            tail *= n_origin
+            tail += origins[rows]
+            tail *= n_outcome
+            tail += outcomes[rows]
+            columns = (col[rows].tolist() for col in (cycles, chans, times))
             fh.write(
                 "".join(
-                    f"{c},{chan_labels[h]},{t},{_BIN_LABELS[b]},"
-                    f"{_ORIGIN_LABELS[o]},{outcome_labels[u]}\r\n"
-                    for c, h, t, b, o, u in zip(*(col[rows].tolist() for col in columns))
+                    f"{c}{mid[h]}{t}{tails[k]}"
+                    for c, h, t, k in zip(*columns, tail.tolist())
                 )
             )
 
@@ -545,6 +527,8 @@ def _build_summary(
         "mean_pairs_per_pulse": float(cfg.source.mean_pairs_per_pulse),
         "duty_factor": float(duty),
         "pairs_emitted": int(data.n_pairs),
+        "pair_classes": dict(data.pair_classes),
+        "detection_probability": {ch.lower(): q for ch, q in data.p_detect.items()},
         "detections": detections,
         "histogram": {
             "bin_width_ps": int(hist.bin_width_ps),
@@ -605,7 +589,8 @@ def _central_port_counts(data: SimulationData) -> dict[tuple[int, int], int]:
     for pa in (+1, -1):
         stops = np.sort(sig.times[(sig.bins == sup) & (sig.ports == pa)])
         for pb in (+1, -1):
-            starts = idl.times[(idl.bins == sup) & (idl.ports == pb)]
+            # Sorted keys keep the two searches cache-friendly.
+            starts = np.sort(idl.times[(idl.bins == sup) & (idl.ports == pb)])
             lo = np.searchsorted(stops, starts + (delta - hw), side="left")
             hi = np.searchsorted(stops, starts + (delta + hw), side="right")
             counts[(pa, pb)] = int((hi - lo).sum())
@@ -990,8 +975,9 @@ def sweep(
     acts as a multiplier on the configured pair rate); analyzer_phase sweeps
     the signal analyzer phase and reports central-slot (+1, +1) coincidences.
     Every point reuses the master seed, so a single-value sweep reproduces a
-    direct run exactly.  A point whose g2 is undefined raises an
-    UndefinedEstimateError that names the parameter and the value."""
+    direct run exactly.  A point that fails (an undefined g2, or a value
+    the config rejects) raises an error that names the parameter and the
+    value."""
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
@@ -1001,39 +987,45 @@ def sweep(
         raise ValueError("sweep needs at least one value")
     run = cfg.run if cycles_per_point is None else replace(cfg.run, cycles=int(cycles_per_point))
     base = replace(cfg, run=run)
-    rows = []
     if parameter in ("mu", "pump_power"):
         columns = ("mu" if parameter == "mu" else "power_factor", "g2_zero", "g2_sigma")
         scale = 1.0 if parameter == "mu" else base.source.mean_pairs_per_pulse
-        for value in points:
+
+        def point(value):
             if parameter == "pump_power" and value <= 0.0:
                 raise ValueError("pump power factors must be positive")
             sub = replace(
                 base, source=replace(base.source, mean_pairs_per_pulse=scale * value)
             )
-            try:
-                est = g2_cross(
-                    simulate(sub).histogram(),
-                    0,
-                    rep_period_ps=sub.source.rep_period_ps,
-                    peak_halfwidth_ps=sub.tdc.peak_halfwidth_ps,
-                )
-            except UndefinedEstimateError as exc:
-                raise UndefinedEstimateError(f"{parameter}={value:g}: {exc}") from exc
-            rows.append((value, est.value, est.sigma))
+            est = g2_cross(
+                simulate(sub).histogram(),
+                0,
+                rep_period_ps=sub.source.rep_period_ps,
+                peak_halfwidth_ps=sub.tdc.peak_halfwidth_ps,
+            )
+            return value, est.value, est.sigma
+
     else:
         columns = ("phase_rad", "central_coincidences")
         idler = base.analyzer_1535
         if idler.mode != MODE_INTERFEROMETER:
             idler = AnalyzerSetting.interferometer(0.0)
-        for value in points:
+
+        def point(value):
             sub = replace(
                 base,
                 analyzer_794=AnalyzerSetting.interferometer(value),
                 analyzer_1535=idler,
             )
             counts = _central_port_counts(simulate(sub))
-            rows.append((value, float(counts[(+1, +1)])))
+            return value, float(counts[(+1, +1)])
+
+    rows = []
+    for value in points:
+        try:
+            rows.append(point(value))
+        except (UndefinedEstimateError, ValueError) as exc:
+            raise type(exc)(f"{parameter}={value:g}: {exc}") from exc
     return SweepResult(parameter, columns, tuple(tuple(row) for row in rows))
 
 

@@ -292,17 +292,17 @@ class MemoryConfig:
             raise ValueError("coupling efficiency must lie in [0, 1]")
         if not 0.0 <= self.device_efficiency <= 1.0:
             raise ValueError("device efficiency must lie in [0, 1]")
-        if self.mean_od < 0.0:
-            raise ValueError("mean optical depth must be non-negative")
+        if not 0.0 <= self.mean_od < math.inf:
+            raise ValueError("mean optical depth must be finite and non-negative")
         echoes = tuple((float(d), float(w)) for d, w in self.echo_delays)
         if not echoes:
             raise ValueError("at least one echo delay is required")
         weights = np.array([w for _, w in echoes])
         delays = np.array([d for d, _ in echoes])
-        if np.any(delays <= 0.0):
-            raise ValueError("echo delays must be positive")
-        if np.any(weights <= 0.0) or np.any(weights > 1.0 + 1e-12):
-            raise ValueError("echo weights must lie in (0, 1]")
+        if not np.all((delays > 0.0) & (delays < math.inf)):
+            raise ValueError("echo delays must be finite and positive")
+        if not np.all((weights > 0.0) & (weights <= 1.0 + 1e-12)):
+            raise ValueError("echo weights must be finite and lie in (0, 1]")
         if abs(weights.max() - 1.0) > 1e-9:
             raise ValueError("the primary echo weight must be 1")
         object.__setattr__(self, "echo_delays", echoes)

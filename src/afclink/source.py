@@ -15,6 +15,7 @@ engine in harness draws the pairs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,8 +40,10 @@ class SourceConfig:
     depolarizing_noise: float = 0.0
 
     def __post_init__(self):
-        if self.mean_pairs_per_pulse < 0.0:
-            raise ValueError("mean pair number must be non-negative")
+        if not 0.0 <= self.mean_pairs_per_pulse < math.inf:
+            raise ValueError("mean pair number must be finite and non-negative")
+        if not math.isfinite(self.pump_phase):
+            raise ValueError("pump phase must be finite")
         if self.rep_period_ps <= 0 or self.bin_separation_ps <= 0:
             raise ValueError("periods must be positive")
         if self.rep_period_ps <= 2 * self.bin_separation_ps:

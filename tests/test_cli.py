@@ -311,6 +311,21 @@ class TestSweep:
             "type": "UndefinedEstimateError",
         }
 
+    @pytest.mark.parametrize(
+        "parameter, values, message",
+        [
+            ("mu", "nan", "mu=nan: mean pair number must be finite and non-negative"),
+            ("analyzer_phase", "0,inf", "analyzer_phase=inf: analyzer phase must be finite"),
+        ],
+    )
+    def test_non_finite_value_is_named(self, tmp_path, capsys, parameter, values, message):
+        cfg = write_config(tmp_path, cycles=1_000)
+        obj = stderr_error(
+            capsys,
+            ["sweep", "--config", str(cfg), "--parameter", parameter, "--values", values],
+        )
+        assert obj == {"error": message, "type": "ValueError"}
+
     def test_bad_values_string_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         obj = stderr_error(

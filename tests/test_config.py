@@ -29,7 +29,7 @@ from afclink.detection import (
     DetectorConfig,
 )
 from afclink.errors import ConfigError
-from afclink.memory import device_efficiency
+from afclink.memory import MemoryConfig, device_efficiency
 from afclink.source import PUMP_EARLY_ONLY, SourceConfig
 
 
@@ -526,6 +526,36 @@ class TestDirectConstruction:
         with pytest.raises(ValueError):
             DetectorConfig(jitter_fwhm_ps=-1.0)
         assert DetectorConfig(jitter_fwhm_ps=200.0).jitter_sigma_ps == 200.0 / 2.355
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SourceConfig(mean_pairs_per_pulse=math.nan),
+            lambda: SourceConfig(mean_pairs_per_pulse=math.inf),
+            lambda: SourceConfig(pump_phase=math.nan),
+            lambda: MemorySpec(
+                coupling_efficiency=0.5, device_efficiency=0.1, mean_od=1.0,
+                echo_delays=((math.nan, 1.0),),
+            ).build(),
+            lambda: MemoryConfig(0.5, 0.1, 1.0, ((math.inf, 1.0),)),
+            lambda: MemoryConfig(0.5, 0.1, 1.0, ((32.258, 1.0), (6.0, math.nan))),
+            lambda: MemoryConfig(0.5, 0.1, math.nan, ((32.258, 1.0),)),
+            lambda: DutyCycleConfig(storage_ms=math.inf),
+            lambda: DutyCycleConfig(burn_ms=math.nan),
+            lambda: DetectorConfig(dark_rate_hz=math.nan),
+            lambda: DetectorConfig(jitter_fwhm_ps=math.inf),
+        ],
+        ids=[
+            "mu-nan", "mu-inf", "pump-phase-nan", "spec-echo-delay-nan",
+            "echo-delay-inf", "echo-weight-nan", "mean-od-nan", "storage-inf",
+            "burn-nan", "dark-rate-nan", "jitter-inf",
+        ],
+    )
+    def test_non_finite_rejected_when_built_directly(self, build):
+        # sweep and chsh_simulation build configs with dataclasses.replace,
+        # which never passes through the JSON reader's finiteness check.
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
     def test_analyzer_spec_validation(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,15 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import IDEAL_DETECTORS, make_config
 
 from afclink import events, harness
+from afclink.config import load_config
 from afclink.detection import coincidence_rate, histogram_from_csv
 from afclink.errors import ConfigError, UndefinedEstimateError
 from afclink.estimation import g2_cross, visibility_fit
@@ -40,6 +43,8 @@ from afclink.harness import (
     wavelength_table_from_csv,
 )
 from afclink.memory import MemoryConfig, comb_from_csv, fit_comb
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +235,10 @@ class TestEngineDraws:
     def test_pair_counts_per_cycle_are_poisson(self):
         mu, n_cycles, first = 0.5, 200_000, 3_000_000
         cfg = make_config(seed=9, cycles=n_cycles, mu=mu, detectors=IDEAL_DETECTORS)
-        n_pairs, shard = harness._simulate_shard(
+        classes, shard = harness._simulate_shard(
             harness._build_tables(cfg), 3, first, n_cycles
         )
+        n_pairs = int(classes.sum())
         # Lossless chain: every pair leaves exactly one signal click.
         cycles = shard[events.SIGNAL_794]["cycles"]
         assert cycles.size == n_pairs
@@ -244,21 +250,21 @@ class TestEngineDraws:
         assert within_5_sigma(int((per_cycle >= 3).sum()), n_cycles, 1.0 - sum(pmf))
 
     def test_survivor_outcome_frequencies(self):
+        # A detected photon draws its outcome conditioned on survival: the
+        # outcome table without its lost entry, renormalised.
         n = 400_000
         mem = THREE_ECHO_MEMORY
         draw = harness._draw_memory(
             harness._memory_table(mem), n, np.random.default_rng(5)
         )
-        assert np.all(np.diff(draw.index) > 0)
-        assert draw.index[0] >= 0 and draw.index[-1] < n
         _, probs = mem.outcome_table()
+        alive = probs[:-1] / probs[:-1].sum()
         codes = [harness._OUTCOME_TRANSMITTED] + [
             harness._OUTCOME_RECALL_BASE + k for k in range(3)
         ]
         counts = [int((draw.code == c).sum()) for c in codes]
-        counts.append(n - draw.index.size)  # lost
         assert sum(counts) == n
-        for count, p in zip(counts, probs):
+        for count, p in zip(counts, alive):
             assert within_5_sigma(count, n, p)
         for k in range(3):
             echo = draw.code == harness._OUTCOME_RECALL_BASE + k
@@ -269,10 +275,14 @@ class TestEngineDraws:
         assert not draw.spurious[transmitted].any()
 
     def test_channels_survive_independently(self):
-        # The shard draws the signal memory, then the idler memory, from one
-        # generator; pairs alive in both must occur at p_s * p_i.
-        n = 400_000
+        # The four class counts of one shard are independent Poisson counts
+        # with means mu N q_s q_i, mu N q_s (1 - q_i), mu N (1 - q_s) q_i and
+        # mu N (1 - q_s)(1 - q_i), where q = p_alive * detector efficiency.
+        mu, n_cycles = 0.05, SHARD_CYCLES
+        det = {"jitter_fwhm_ps": 0.0, "dark_rate_hz": 0.0}
         cfg = make_config(
+            cycles=n_cycles,
+            mu=mu,
             memories={
                 "signal_794": {
                     "coupling_efficiency": 0.5,
@@ -286,43 +296,125 @@ class TestEngineDraws:
                     "mean_od": 2.0,
                     "echo_delays": [[6.024, 1.0]],
                 },
-            }
+            },
+            detectors={
+                "signal_794": {"efficiency": 0.8, **det},
+                "idler_1535": {"efficiency": 0.6, **det},
+            },
         )
         tables = harness._build_tables(cfg)
-        rng = np.random.default_rng(11)
-        sig, idl = (
-            harness._draw_memory(tables.memory[ch], n, rng)
+        q_s, q_i = (
+            tables.memory[ch].p_alive * cfg.detector_config(ch).efficiency
             for ch in (events.SIGNAL_794, events.IDLER_1535)
         )
-        p_s = tables.memory[events.SIGNAL_794].p_alive
-        p_i = tables.memory[events.IDLER_1535].p_alive
-        assert within_5_sigma(sig.index.size, n, p_s)
-        assert within_5_sigma(idl.index.size, n, p_i)
-        both = np.intersect1d(sig.index, idl.index).size
-        assert within_5_sigma(both, n, p_s * p_i)
+        assert tables.p_detect == {events.SIGNAL_794: q_s, events.IDLER_1535: q_i}
+        classes, shard = harness._simulate_shard(tables, 0, 0, n_cycles)
+        probs = (q_s * q_i, q_s * (1 - q_i), (1 - q_s) * q_i, (1 - q_s) * (1 - q_i))
+        for count, p in zip(classes.tolist(), probs):
+            mean = mu * n_cycles * p
+            assert abs(count - mean) <= 5.0 * math.sqrt(mean), (count, mean)
+        n_both, n_sig, n_idl, _ = classes.tolist()
+        sig = shard[events.SIGNAL_794]["cycles"]
+        idl = shard[events.IDLER_1535]["cycles"]
+        assert (sig.size, idl.size) == (n_both + n_sig, n_both + n_idl)
+        # The two photons of a both-detected pair share their cycle.
+        assert np.array_equal(sig[:n_both], idl[:n_both])
 
     def test_survival_edge_cases(self):
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
         # No memory: every photon passes with no outcome and no draw.
         draw = harness._draw_memory(None, 1_000, rng)
-        assert np.array_equal(draw.index, np.arange(1_000))
         assert np.all(draw.code == harness._OUTCOME_NONE)
+        assert draw.code.size == 1_000
         assert np.all(draw.delay == 0) and not draw.spurious.any()
         assert rng.bit_generator.state == state
-        # p_alive = 0: zero coupling loses every photon.
-        dead = harness._memory_table(MemoryConfig(0.0, 0.5, 1.0, ((32.258, 1.0),)))
-        assert dead.p_alive == 0.0
-        assert harness._draw_memory(dead, 1_000, rng).index.size == 0
-        # p_alive = 1: full coupling, no absorption, every photon transmitted.
-        clear = harness._memory_table(MemoryConfig(1.0, 0.0, 0.0, ((32.258, 1.0),)))
-        assert clear.p_alive == 1.0
-        draw = harness._draw_memory(clear, 1_000, rng)
-        assert np.array_equal(draw.index, np.arange(1_000))
-        assert np.all(draw.code == harness._OUTCOME_TRANSMITTED)
         # No photons at all.
         middle = harness._memory_table(THREE_ECHO_MEMORY)
-        assert harness._draw_memory(middle, 0, rng).index.size == 0
+        assert harness._draw_memory(middle, 0, rng).code.size == 0
+        # q = 0: zero coupling loses every signal photon, so no pair is
+        # detected on that side.
+        dead = {
+            "coupling_efficiency": 0.0,
+            "device_efficiency": 0.5,
+            "mean_od": 1.0,
+            "echo_delays": [[32.258, 1.0]],
+        }
+        cfg = make_config(
+            mu=0.2, memories={"signal_794": dead}, detectors=IDEAL_DETECTORS
+        )
+        tables = harness._build_tables(cfg)
+        assert tables.p_detect[events.SIGNAL_794] == 0.0
+        classes, shard = harness._simulate_shard(tables, 0, 0, 10_000)
+        n_both, n_sig, n_idl, n_none = classes.tolist()
+        assert n_both == n_sig == n_none == 0 and n_idl > 0
+        assert shard[events.SIGNAL_794]["times"].size == 0
+        assert shard[events.IDLER_1535]["times"].size == n_idl
+        # q = 1: full coupling, no absorption and ideal detectors; every pair
+        # is detected on both sides and every photon is transmitted.
+        clear = dict(dead, coupling_efficiency=1.0, device_efficiency=0.0, mean_od=0.0)
+        cfg = make_config(
+            mu=0.2, memories={"signal_794": clear}, detectors=IDEAL_DETECTORS
+        )
+        tables = harness._build_tables(cfg)
+        assert tables.p_detect[events.SIGNAL_794] == 1.0
+        classes, shard = harness._simulate_shard(tables, 0, 0, 10_000)
+        n_both, n_sig, n_idl, n_none = classes.tolist()
+        assert n_both > 0 and n_sig == n_idl == n_none == 0
+        outcomes = shard[events.SIGNAL_794]["outcomes"]
+        assert outcomes.size == n_both
+        assert np.all(outcomes == harness._OUTCOME_TRANSMITTED)
+
+    @pytest.mark.parametrize("pump_mode", ["BOTH_ARMS", "EARLY_ONLY"])
+    @pytest.mark.parametrize("noise", [0.0, 0.4, 1.0])
+    def test_joint_marginals_equal_single_tables(self, pump_mode, noise):
+        # The colouring draws a lone photon from its single-arm table even
+        # when its partner survived the memory; that is exact only because
+        # each marginal of the joint table is the single-arm table.
+        analyzers = [{"mode": "time_of_arrival"}] + [
+            {"mode": "interferometer", "phase": phase}
+            for phase in (0.0, 0.7, -1.9, math.pi)
+        ]
+        for signal in analyzers:
+            for idler in analyzers:
+                cfg = make_config(
+                    source={"pump_mode": pump_mode, "depolarizing_noise": noise,
+                            "pump_phase": 0.3},
+                    analyzers={"signal_794": signal, "idler_1535": idler},
+                )
+                tables = harness._build_tables(cfg)
+                n_i = tables.n_out_idler
+                joint = np.diff(tables.joint_cum, prepend=0.0).reshape(-1, n_i)
+                for axis, ch in ((1, events.SIGNAL_794), (0, events.IDLER_1535)):
+                    marginal = np.cumsum(joint.sum(axis=axis))
+                    assert np.allclose(marginal, tables.single_cum[ch], rtol=0.0, atol=1e-12)
+
+    def test_pair_classes_match_configured_detection(self, tmp_path):
+        # configs/realistic.json at 1e7 cycles: each observed class fraction
+        # lies within 5 sigma of its configured probability, and summary.json
+        # reports the classes and the configured q per channel.
+        cfg = load_config(ROOT / "configs" / "realistic.json")
+        cfg = replace(cfg, run=replace(cfg.run, cycles=10_000_000))
+        res = run_simulation(cfg, tmp_path)
+        data = res.data
+        assert res.summary["pair_classes"] == data.pair_classes
+        assert res.summary["detection_probability"] == {
+            ch.lower(): q for ch, q in data.p_detect.items()
+        }
+        q_s, q_i = (data.p_detect[ch] for ch in (events.SIGNAL_794, events.IDLER_1535))
+        probs = {
+            "both": q_s * q_i,
+            "signal_only": q_s * (1 - q_i),
+            "idler_only": (1 - q_s) * q_i,
+            "neither": (1 - q_s) * (1 - q_i),
+        }
+        n = data.n_pairs
+        assert set(data.pair_classes) == set(probs)
+        for name, p in probs.items():
+            assert within_5_sigma(data.pair_classes[name], n, p), name
+        for ch, q in data.p_detect.items():
+            clicks = data.channels[ch].times.size - data.channels[ch].dark_count
+            assert within_5_sigma(clicks, n, q), ch
 
     def test_events_csv_matches_csv_writer(self, tmp_path):
         cfg = make_config(
@@ -467,6 +559,32 @@ class TestChshSimulation:
         )
         result = chsh_simulation(cfg)
         assert result.estimate.value < 2.0
+
+    def test_central_counts_ignore_click_order(self):
+        # Clicks leave a shard in no time order; the central-slot matcher
+        # must count the same coincidences on any order of the arrays.
+        cfg = make_config(
+            seed=64,
+            cycles=50_000,
+            mu=0.1,
+            analyzers={
+                "signal_794": {"mode": "interferometer", "phase": 0.4},
+                "idler_1535": {"mode": "interferometer", "phase": 0.0},
+            },
+        )
+        data = simulate(cfg)
+        rng = np.random.default_rng(0)
+        shuffled = {}
+        for ch, rec in data.channels.items():
+            perm = rng.permutation(rec.times.size)
+            arrays = {
+                key: getattr(rec, key)[perm]
+                for key in ("times", "cycles", "ports", "bins", "origins", "outcomes")
+            }
+            shuffled[ch] = harness.ChannelRecord(channel=ch, **arrays)
+        counts = harness._central_port_counts(data)
+        assert all(c > 0 for c in counts.values())
+        assert harness._central_port_counts(replace(data, channels=shuffled)) == counts
 
     def test_deterministic(self):
         cfg = make_config(seed=63, cycles=50_000, mu=0.1, detectors=IDEAL_DETECTORS)
@@ -764,6 +882,21 @@ class TestSweep:
         with pytest.raises(UndefinedEstimateError) as excinfo:
             sweep(cfg, parameter, values)
         assert str(excinfo.value) == f"{message}: all reference peaks are empty"
+
+    @pytest.mark.parametrize(
+        "parameter, value, message",
+        [
+            ("mu", math.nan, "mu=nan: mean pair number must be finite"),
+            ("mu", math.inf, "mu=inf: mean pair number must be finite"),
+            ("pump_power", math.nan, "pump_power=nan: mean pair number must be finite"),
+            ("analyzer_phase", math.inf, "analyzer_phase=inf: analyzer phase must be finite"),
+        ],
+    )
+    def test_non_finite_point_names_parameter_and_value(self, parameter, value, message):
+        cfg = make_config(cycles=1_000)
+        with pytest.raises(ValueError) as excinfo:
+            sweep(cfg, parameter, [value])
+        assert str(excinfo.value).startswith(message)
 
     def test_unknown_parameter(self):
         cfg = make_config()
