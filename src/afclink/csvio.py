@@ -6,6 +6,7 @@ with n the 1-based line number and the header on line 1.
 """
 
 import csv
+import math
 
 
 def csv_rows(path, header: tuple[str, ...], kind: str):
@@ -30,3 +31,15 @@ def csv_rows(path, header: tuple[str, ...], kind: str):
                     f"got {len(raw)}"
                 )
             yield line_no, raw
+
+
+def float_fields(path, line_no: int, fields) -> list[float]:
+    """The fields of one row as finite floats; raises ValueError naming the
+    line for a non-numeric or non-finite (nan, inf) field."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise ValueError(f"{path}: line {line_no}: non-numeric field") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}: line {line_no}: non-finite field")
+    return values

@@ -1,10 +1,9 @@
 """Statistical estimators: cross-correlation, state reconstruction, metrics.
 
-The reconstruction minimizes, over the density matrices rho, either a
-sigma-weighted squared residual on measured joint probabilities or a Poisson
-negative log-likelihood on counts.  Both are convex in rho, so one local
-method finds the optimum: accelerated projected gradient (FISTA with
-adaptive restart) with the gradient
+The reconstruction minimizes, over the density matrices rho, a
+sigma-weighted squared residual on measured joint probabilities.  It is
+convex in rho, so one local method finds the optimum: accelerated projected
+gradient (FISTA with adaptive restart) with the gradient
 
     G = sum_k (d f / d p_k) E_k,   p_k = tr(E_k rho),
 
@@ -117,45 +116,32 @@ def g2_cross(
 
 @dataclass(frozen=True)
 class TomographyRow:
-    """One measured joint probability with its uncertainty.
-
-    `trials` carries the number of measurement repetitions when the row came
-    from counted data; it is required by the Poisson weighting.
-    """
+    """One measured joint probability with its uncertainty."""
 
     setting_a: ProjectorSetting
     setting_b: ProjectorSetting
     probability: float
     sigma: float
-    trials: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability {self.probability!r} outside [0, 1]")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and nonnegative")
-        if self.trials is not None and self.trials <= 0:
-            raise ValueError("trials must be positive when given")
-
-
-NORMALIZATION_CONDITIONAL = "conditional"
 
 
 @dataclass(frozen=True)
 class TomographyInput:
-    """Measurement rows plus the convention their probabilities follow.
+    """Measurement rows whose probabilities are conditional.
 
-    `conditional` means each probability is P(joint outcome | measurement
-    basis), so the four outcomes of one full basis sum to about one and the
-    model prediction is trace(rho * Pa (x) Pb) with no extra scaling.
+    Each probability is P(joint outcome | measurement basis), so the four
+    outcomes of one full basis sum to about one and the model prediction is
+    trace(rho * Pa (x) Pb) with no extra scaling.
     """
 
     rows: tuple[TomographyRow, ...]
-    normalization: str = NORMALIZATION_CONDITIONAL
 
     def __post_init__(self):
-        if self.normalization != NORMALIZATION_CONDITIONAL:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         object.__setattr__(self, "rows", tuple(self.rows))
 
 
@@ -223,14 +209,9 @@ def tomography_from_csv(path) -> TomographyInput:
 # ---------------------------------------------------------------------------
 # Maximum-likelihood reconstruction
 
-WEIGHTING_GAUSSIAN = "gaussian"
-WEIGHTING_POISSON = "poisson"
-
 # Relative duality gap at which a fit counts as converged (see _certified).
 MLE_TOL = 1e-10
 MLE_MAX_ITER = 10_000
-_MAX_BACKTRACKS = 60
-_PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -239,44 +220,31 @@ class _MleData:
 
     effects: np.ndarray  # (n, 4, 4) joint projectors
     measured: np.ndarray  # (B, n)
-    # Curvature weights of the objective in the probabilities, f ~ sum w r^2:
-    # exact for the gaussian weighting, the Gaussian approximation at the data
-    # for the poisson one.  They set the first step length.
+    # The objective is sum_k w_k (p_k - m_k)^2 with w_k = 1 / (2 sigma_k^2).
     weights: np.ndarray  # (B, n)
-    counts: np.ndarray | None  # (B, n), poisson weighting
-    trials: np.ndarray | None  # (n,), poisson weighting
 
 
-def _build_mle_data(tins: Sequence[TomographyInput], weighting: str) -> _MleData:
+def _build_mle_data(tins: Sequence[TomographyInput]) -> _MleData:
     first = tins[0]
     if not first.rows:
         raise ValueError("tomography input has no rows")
     def layout(tin):
-        return [(r.setting_a, r.setting_b, r.sigma, r.trials) for r in tin.rows]
+        return [(r.setting_a, r.setting_b, r.sigma) for r in tin.rows]
 
     if any(layout(tin) != layout(first) for tin in tins[1:]):
-        raise ValueError("batched inputs must share settings, sigmas and trials")
+        raise ValueError("batched inputs must share settings and sigmas")
     effects = np.stack(
         [np.kron(projector(r.setting_a), projector(r.setting_b)) for r in first.rows]
     )
     measured = np.array([[r.probability for r in t.rows] for t in tins])
-    if weighting == WEIGHTING_GAUSSIAN:
-        sigmas = np.array([r.sigma for r in first.rows])
-        positive = sigmas[sigmas > 0.0]
-        # Zero-sigma rows are exact in resampling; give them the tightest
-        # available finite weight instead of an infinite one.
-        fallback = positive.min() if positive.size else 1.0
-        eff_sigma = np.where(sigmas > 0.0, sigmas, fallback)
-        weights = np.broadcast_to(1.0 / (2.0 * eff_sigma**2), measured.shape)
-        return _MleData(effects, measured, weights, None, None)
-    if weighting == WEIGHTING_POISSON:
-        if any(r.trials is None for r in first.rows):
-            raise ValueError("poisson weighting needs `trials` on every row")
-        trials = np.array([float(r.trials) for r in first.rows])
-        counts = np.round(measured * trials)
-        weights = trials**2 / (2.0 * np.maximum(counts, 1.0))
-        return _MleData(effects, measured, weights, counts, trials)
-    raise ValueError(f"unknown weighting {weighting!r}")
+    sigmas = np.array([r.sigma for r in first.rows])
+    positive = sigmas[sigmas > 0.0]
+    # Zero-sigma rows are exact in resampling; give them the tightest
+    # available finite weight instead of an infinite one.
+    fallback = positive.min() if positive.size else 1.0
+    eff_sigma = np.where(sigmas > 0.0, sigmas, fallback)
+    weights = np.broadcast_to(1.0 / (2.0 * eff_sigma**2), measured.shape)
+    return _MleData(effects, measured, weights)
 
 
 def _check_rank(effects: np.ndarray) -> None:
@@ -304,13 +272,9 @@ def _objective(data: _MleData, rho: np.ndarray, idx: np.ndarray):
     d f / d p_k with p_k = tr(E_k rho) per row."""
     n = data.effects.shape[0]
     probs = (rho.reshape(-1, 16) @ data.effects.conj().reshape(n, 16).T).real
-    if data.counts is None:
-        weights = data.weights[idx]
-        resid = probs - data.measured[idx]
-        return np.sum(weights * resid**2, axis=1), 2.0 * weights * resid
-    counts = data.counts[idx]
-    p = np.clip(probs, _PROB_FLOOR, None)
-    return np.sum(data.trials * p - counts * np.log(p), axis=1), data.trials - counts / p
+    weights = data.weights[idx]
+    resid = probs - data.measured[idx]
+    return np.sum(weights * resid**2, axis=1), 2.0 * weights * resid
 
 
 def _gradient(effects: np.ndarray, dfdp: np.ndarray) -> np.ndarray:
@@ -339,14 +303,13 @@ def _frobenius_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _start(data: _MleData) -> tuple[np.ndarray, np.ndarray]:
-    """Starting state and first step length of each batch element.
+    """Starting state and step length of each batch element.
 
     In the orthonormal basis P_j / 2 of the traceless Hermitian matrices the
-    objective is (for the poisson weighting, near the data)
-    sum_k w_k (a_k . c + tr(E_k) / 4 - m_k)^2, with a_k the coordinates of
-    E_k.  The start is its minimizer, the weighted linear inversion, projected
-    onto the states; the step is 1/L with L = 2 lambda_max(A^T W A), the
-    Lipschitz constant of its gradient.
+    objective is sum_k w_k (a_k . c + tr(E_k) / 4 - m_k)^2, with a_k the
+    coordinates of E_k.  The start is its minimizer, the weighted linear
+    inversion, projected onto the states; the step is 1/L with
+    L = 2 lambda_max(A^T W A), the Lipschitz constant of its gradient.
     """
     design = np.einsum("kij,pji->kp", data.effects, _TRACELESS_PAIRS).real / 2.0
     offset = np.trace(data.effects, axis1=1, axis2=2).real / 4.0
@@ -364,39 +327,6 @@ def _certified(rho: np.ndarray, grad: np.ndarray, tol: float) -> np.ndarray:
     return gap <= tol * np.maximum(1.0, np.sqrt(_frobenius_inner(grad, grad)))
 
 
-def _backtracking_step(data, active, y, f_y, grad, step):
-    """Projected gradient steps from the points y of batch elements `active`.
-
-    An element's step length is halved, in `step`, until the sufficient
-    decrease test of Beck & Teboulle (SIAM J. Imaging Sci. 2, 183) holds.
-    Returns the new points with their objective values and d f / d p."""
-    x_new = np.empty_like(y)
-    f_new = np.empty(active.size)
-    dfdp_new = np.empty((active.size, data.effects.shape[0]))
-    pending = np.arange(active.size)
-    for attempt in range(_MAX_BACKTRACKS + 1):
-        t = step[active[pending]]
-        cand = _project_to_states(y[pending] - t[:, None, None] * grad[pending])
-        f_cand, dfdp = _objective(data, cand, active[pending])
-        d = cand - y[pending]
-        bound = (
-            f_y[pending]
-            + _frobenius_inner(grad[pending], d)
-            + _frobenius_inner(d, d) / (2.0 * t)
-        )
-        # The slack absorbs rounding in f once steps reach round-off size.
-        ok = f_cand <= bound + 1e-12 * np.abs(f_y[pending])
-        ok |= attempt == _MAX_BACKTRACKS
-        x_new[pending[ok]] = cand[ok]
-        f_new[pending[ok]] = f_cand[ok]
-        dfdp_new[pending[ok]] = dfdp[ok]
-        pending = pending[~ok]
-        if pending.size == 0:
-            break
-        step[active[pending]] *= 0.5
-    return x_new, f_new, dfdp_new
-
-
 @dataclass(frozen=True)
 class BatchFit:
     """Fitted states of a batch of inputs, in input order."""
@@ -407,27 +337,25 @@ class BatchFit:
     converged: np.ndarray  # (B,) bool
 
 
-def fit_batch(
-    tins: Sequence[TomographyInput],
-    weighting: str = WEIGHTING_GAUSSIAN,
-    tol: float = MLE_TOL,
-) -> BatchFit:
+def fit_batch(tins: Sequence[TomographyInput]) -> BatchFit:
     """Maximum-likelihood states of inputs that share settings and sigmas.
 
     Accelerated projected gradient (FISTA with adaptive restart) on the
     (B, 4, 4) stack: a gradient step, then the projection onto the states.
-    Each element starts from its projected linear inversion, takes its first
-    step length from its Lipschitz constant and halves it while the sufficient
-    decrease test fails (which only the poisson weighting needs).  An element
-    stops once its duality gap certifies it (see _certified), so its result
-    does not depend, beyond rounding, on the rest of the batch.
+    Each element starts from its projected linear inversion and always steps
+    1/L, with L the Lipschitz constant of its gradient (see _start).  The
+    objective is quadratic and L is exact, so the sufficient decrease test
+    of Beck & Teboulle (SIAM J. Imaging Sci. 2, 183) holds for that step
+    and no line search is needed.  An element stops once its duality gap
+    certifies it (see _certified), so its result does not depend, beyond
+    rounding, on the rest of the batch.
     """
-    data = _build_mle_data(tins, weighting)
+    data = _build_mle_data(tins)
     _check_rank(data.effects)
     size = data.measured.shape[0]
     x, step = _start(data)
     residual, dfdp = _objective(data, x, np.arange(size))
-    converged = _certified(x, _gradient(data.effects, dfdp), tol)
+    converged = _certified(x, _gradient(data.effects, dfdp), MLE_TOL)
     iterations = np.zeros(size, dtype=int)
     y = x.copy()
     theta = np.ones(size)
@@ -436,14 +364,15 @@ def fit_batch(
         if active.size == 0:
             break
         y_act = y[active]
-        f_y, dfdp = _objective(data, y_act, active)
+        _, dfdp = _objective(data, y_act, active)
         grad = _gradient(data.effects, dfdp)
-        x_new, f_new, dfdp_new = _backtracking_step(data, active, y_act, f_y, grad, step)
+        x_new = _project_to_states(y_act - step[active, None, None] * grad)
+        f_new, dfdp_new = _objective(data, x_new, active)
         x_old = x[active]
         x[active] = x_new
         residual[active] = f_new
         iterations[active] = it
-        done = _certified(x_new, _gradient(data.effects, dfdp_new), tol)
+        done = _certified(x_new, _gradient(data.effects, dfdp_new), MLE_TOL)
         converged[active[done]] = True
         # Restart the momentum when it points against the last step
         # (O'Donoghue & Candes, Found. Comput. Math. 15, 715).
@@ -465,12 +394,7 @@ class TomographyResult:
 
 
 def tomography_mle(
-    tin: TomographyInput,
-    weighting: str = WEIGHTING_GAUSSIAN,
-    tol: float = MLE_TOL,
-    *,
-    n_starts: int | None = None,
-    seed: int | None = None,
+    tin: TomographyInput, *, n_starts: int | None = None, seed: int | None = None
 ) -> TomographyResult:
     """Maximum-likelihood density matrix: fit_batch on a batch of one.
 
@@ -478,7 +402,7 @@ def tomography_mle(
     `n_starts` and `seed` are accepted and ignored because bench/reference.py
     still passes them.
     """
-    fit = fit_batch([tin], weighting, tol)
+    fit = fit_batch([tin])
     if not fit.converged[0]:
         raise EstimationError(
             f"fit did not converge in {MLE_MAX_ITER} iterations; "
@@ -603,30 +527,13 @@ def born_correlation(
     return float(np.trace(_as_pair_density(rho) @ obs).real)
 
 
-@dataclass(frozen=True)
-class ChshSettings:
-    a: ProjectorSetting
-    a_prime: ProjectorSetting
-    b: ProjectorSetting
-    b_prime: ProjectorSetting
-
-    @classmethod
-    def default(cls) -> "ChshSettings":
-        return cls(
-            a=ProjectorSetting.x(),
-            a_prime=ProjectorSetting.y(),
-            b=ProjectorSetting("XPY"),
-            b_prime=ProjectorSetting("XMY"),
-        )
-
-    def pairs(self) -> tuple[tuple[ProjectorSetting, ProjectorSetting], ...]:
-        """Setting pairs in correlator order: ab, ab', a'b, a'b'."""
-        return (
-            (self.a, self.b),
-            (self.a, self.b_prime),
-            (self.a_prime, self.b),
-            (self.a_prime, self.b_prime),
-        )
+# The CHSH setting pairs in correlator order ab, ab', a'b, a'b', with
+# a = X, a' = Y on the signal arm and b = X+Y, b' = X-Y on the idler arm.
+CHSH_PAIRS = tuple(
+    (a, b)
+    for a in (ProjectorSetting.x(), ProjectorSetting.y())
+    for b in (ProjectorSetting("XPY"), ProjectorSetting("XMY"))
+)
 
 
 @dataclass(frozen=True)
@@ -665,14 +572,6 @@ METRIC_FUNCTIONS: dict[str, Callable[[DensityMatrix], float]] = {
 }
 
 
-def _resolve_metric(metric) -> Callable[[DensityMatrix], float]:
-    if callable(metric):
-        return metric
-    if metric in METRIC_FUNCTIONS:
-        return METRIC_FUNCTIONS[metric]
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def resample_rows(tin: TomographyInput, rng: np.random.Generator) -> TomographyInput:
     """Redraw each probability from its Gaussian truncated to [0, 1].
 
@@ -692,7 +591,7 @@ def resample_rows(tin: TomographyInput, rng: np.random.Generator) -> TomographyI
     rows = [
         replace(row, probability=float(p)) for row, p in zip(tin.rows, drawn)
     ]
-    return TomographyInput(tuple(rows), tin.normalization)
+    return TomographyInput(tuple(rows))
 
 
 def monte_carlo_samples(
@@ -700,7 +599,6 @@ def monte_carlo_samples(
     trials: int,
     rng: np.random.Generator,
     evaluate: Callable[[tuple[DensityMatrix, ...]], Sequence[float]],
-    weighting: str = WEIGHTING_GAUSSIAN,
 ) -> tuple[np.ndarray, int]:
     """Metric samples under joint resampling of the inputs `tins`.
 
@@ -714,9 +612,7 @@ def monte_carlo_samples(
     number of dropped trials.
     """
     draws = [[resample_rows(tin, rng) for tin in tins] for _ in range(trials)]
-    fits = [
-        fit_batch([trial[i] for trial in draws], weighting) for i in range(len(tins))
-    ]
+    fits = [fit_batch([trial[i] for trial in draws]) for i in range(len(tins))]
     samples = []
     failures = 0
     for trial in range(trials):
@@ -733,29 +629,6 @@ def monte_carlo_samples(
             f"{failures}/{trials} Monte-Carlo trials failed; results unreliable"
         )
     return np.array(samples), failures
-
-
-def monte_carlo_uncertainty(
-    tin: TomographyInput,
-    trials: int,
-    metric,
-    seed: int = 0,
-    weighting: str = WEIGHTING_GAUSSIAN,
-) -> tuple[float, float]:
-    """Mean and standard deviation of `metric` under input resampling
-    (monte_carlo_samples on one input)."""
-    if trials < MC_MIN_TRIALS:
-        raise ValueError(f"at least {MC_MIN_TRIALS} trials required, got {trials}")
-    metric_fn = _resolve_metric(metric)
-    if all(r.sigma == 0.0 for r in tin.rows):
-        # Degenerate resampling: every trial sees identical data.
-        base = tomography_mle(tin, weighting=weighting)
-        return float(metric_fn(base.rho)), 0.0
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    samples, _ = monte_carlo_samples(
-        [tin], trials, rng, lambda states: (metric_fn(states[0]),), weighting
-    )
-    return float(samples[:, 0].mean()), float(samples[:, 0].std(ddof=1))
 
 
 # ---------------------------------------------------------------------------

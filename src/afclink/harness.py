@@ -28,7 +28,7 @@ import numpy as np
 
 from . import events
 from .config import ExperimentConfig
-from .csvio import csv_rows
+from .csvio import csv_rows, float_fields
 from .detection import (
     MODE_INTERFEROMETER,
     AnalyzerSetting,
@@ -41,10 +41,10 @@ from .detection import (
 )
 from .errors import UndefinedEstimateError
 from .estimation import (
+    CHSH_PAIRS,
     MC_MIN_TRIALS,
     METRIC_FUNCTIONS,
     ChshEstimate,
-    ChshSettings,
     MetricsReport,
     TomographyResult,
     chsh_s,
@@ -86,6 +86,9 @@ DATA_WAVELENGTH = "wavelength_efficiency.csv"
 DATA_SYNTHETIC_COMB = "synthetic_comb.csv"
 
 SWEEP_PARAMETERS = ("mu", "pump_power", "analyzer_phase")
+
+# summary.json lists the histogram peaks above this fraction of the tallest bin.
+_SUMMARY_PEAK_FRACTION = 0.05
 
 _CHANNELS = (events.SIGNAL_794, events.IDLER_1535)
 # Emitted pairs by which of their photons are detected: both, the signal
@@ -497,14 +500,12 @@ def _g2_payload(hist, delay_ps: int, cfg: ExperimentConfig) -> dict | None:
     }
 
 
-def _build_summary(
-    data: SimulationData, hist: CoincidenceHistogram, min_peak_fraction: float
-) -> dict:
+def _build_summary(data: SimulationData, hist: CoincidenceHistogram) -> dict:
     cfg = data.config
     span_s = data.n_cycles * cfg.source.rep_period_ps * 1e-12
     duty = cfg.duty_cycle.duty_factor
     peaks = []
-    for peak in find_histogram_peaks(hist, min_height_fraction=min_peak_fraction):
+    for peak in find_histogram_peaks(hist, min_height_fraction=_SUMMARY_PEAK_FRACTION):
         rate_storage = peak.count / span_s
         peaks.append(
             {
@@ -541,15 +542,13 @@ def _build_summary(
     }
 
 
-def run_simulation(
-    cfg: ExperimentConfig, out_dir, min_peak_fraction: float = 0.05
-) -> SimulationResult:
+def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     """Simulate, then write events.csv, histogram.csv and summary.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = simulate(cfg)
     hist = data.histogram()
-    summary = _build_summary(data, hist, min_peak_fraction)
+    summary = _build_summary(data, hist)
     events_path = out / "events.csv"
     histogram_path = out / "histogram.csv"
     summary_path = out / "summary.json"
@@ -599,28 +598,20 @@ def _central_port_counts(data: SimulationData) -> dict[tuple[int, int], int]:
 
 @dataclass(frozen=True)
 class ChshSimulation:
-    settings: ChshSettings
-    cycles_per_setting: int
     counts: tuple[tuple[int, int, int, int], ...]
     e_values: tuple[float, ...]
     sigmas: tuple[float, ...]
     estimate: ChshEstimate
 
 
-def chsh_simulation(
-    cfg: ExperimentConfig,
-    settings: ChshSettings | None = None,
-    cycles_per_setting: int | None = None,
-) -> ChshSimulation:
-    """One simulation run per correlator setting pair, then the Bell sum.
+def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
+    """One simulation run of cfg.run.cycles per setting pair of CHSH_PAIRS,
+    then the Bell sum.
 
     Each setting pair gets an independent seed derived from the master seed,
     and both analyzers are switched to the pair's interferometer phases."""
-    if settings is None:
-        settings = ChshSettings.default()
-    cycles = int(cycles_per_setting) if cycles_per_setting else cfg.run.cycles
     e_values, sigmas, per_counts = [], [], []
-    for i, (sa, sb) in enumerate(settings.pairs()):
+    for i, (sa, sb) in enumerate(CHSH_PAIRS):
         seed = int(
             np.random.SeedSequence(
                 entropy=cfg.run.seed, spawn_key=(9001 + i,)
@@ -628,7 +619,7 @@ def chsh_simulation(
         )
         sub = replace(
             cfg,
-            run=replace(cfg.run, cycles=cycles, seed=seed),
+            run=replace(cfg.run, seed=seed),
             analyzer_794=AnalyzerSetting.interferometer(sa.analyzer_phase()),
             analyzer_1535=AnalyzerSetting.interferometer(sb.analyzer_phase()),
         )
@@ -642,8 +633,6 @@ def chsh_simulation(
             (counts[(+1, +1)], counts[(+1, -1)], counts[(-1, +1)], counts[(-1, -1)])
         )
     return ChshSimulation(
-        settings=settings,
-        cycles_per_setting=cycles,
         counts=tuple(per_counts),
         e_values=tuple(e_values),
         sigmas=tuple(sigmas),
@@ -655,28 +644,17 @@ def chsh_simulation(
 # Measured-data loaders
 
 
-def chsh_from_csv(
-    path, settings: ChshSettings | None = None
-) -> dict[str, tuple[tuple[float, ...], tuple[float, ...]]]:
+def chsh_from_csv(path) -> dict[str, tuple[tuple[float, ...], tuple[float, ...]]]:
     """Read correlators per stage; returns {stage: (e_values, sigmas)} with
-    the four values in canonical (a,b), (a,b'), (a',b), (a',b') order."""
-    if settings is None:
-        settings = ChshSettings.default()
-    pairs = settings.pairs()
-    slot_of = {(a.token(), b.token()): i for i, (a, b) in enumerate(pairs)}
+    the four values in CHSH_PAIRS order (a,b), (a,b'), (a',b), (a',b')."""
+    slot_of = {(a.token(), b.token()): i for i, (a, b) in enumerate(CHSH_PAIRS)}
     stages: dict[str, dict[int, tuple[float, float]]] = {}
     n_rows = 0
     for line_no, raw in csv_rows(path, CHSH_CSV_HEADER, "correlator"):
         stage, tok_a, tok_b, corr_s, sigma_s = (v.strip() for v in raw)
         if stage not in (STAGE_INPUT, STAGE_OUTPUT):
             raise ValueError(f"{path}: line {line_no}: unknown stage {stage!r}")
-        try:
-            corr = float(corr_s)
-            sigma = float(sigma_s)
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {line_no}: non-numeric correlation or sigma"
-            ) from None
+        corr, sigma = float_fields(path, line_no, (corr_s, sigma_s))
         if not -1.0 <= corr <= 1.0:
             raise ValueError(
                 f"{path}: line {line_no}: correlation {corr!r} outside [-1, 1]"
@@ -703,7 +681,7 @@ def chsh_from_csv(
     for stage, per in stages.items():
         for i in range(4):
             if i not in per:
-                a, b = pairs[i]
+                a, b = CHSH_PAIRS[i]
                 raise ValueError(
                     f"{path}: stage {stage!r}: missing correlator for "
                     f"({a.token()}, {b.token()})"
@@ -735,13 +713,7 @@ class WavelengthTable:
 def wavelength_table_from_csv(path) -> WavelengthTable:
     rows = []
     for line_no, raw in csv_rows(path, WAVELENGTH_CSV_HEADER, "wavelength"):
-        try:
-            values = [float(v) for v in raw]
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {line_no}: non-numeric field"
-            ) from None
-        row = WavelengthRow(*values)
+        row = WavelengthRow(*float_fields(path, line_no, raw))
         if row.signal_nm <= 0.0 or row.idler_nm <= 0.0:
             raise ValueError(f"{path}: line {line_no}: wavelengths must be positive")
         for eff in (row.efficiency_794, row.efficiency_1535):

@@ -25,10 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import events
+from .csvio import csv_rows, float_fields
 from .errors import FitError
 from .estimation import find_peaks
 
 FOUR_LN2 = 4.0 * math.log(2.0)
+# echo_response skips the direct-transmission lobe below this delay and
+# spectral-leakage sidelobes closer than this to a taller peak.
+ECHO_MIN_DELAY_NS = 2.0
+ECHO_MIN_SEPARATION_NS = 2.0
 
 
 @dataclass(frozen=True)
@@ -146,26 +151,23 @@ def device_efficiency(background_od: float, tooth_od: float, finesse: float) -> 
 
 
 def echo_response(
-    comb: CombSpectrum,
-    rel_threshold: float = 0.05,
-    min_delay_ns: float = 2.0,
-    min_separation_ns: float = 2.0,
+    comb: CombSpectrum, rel_threshold: float = 0.05
 ) -> list[tuple[float, float]]:
     """Echo delays visible in the spectral transmission e^(-OD).
 
     Returns (delay_ns, relative magnitude) pairs, magnitudes normalized to the
     strongest non-DC peak, sorted by delay.  Peaks below rel_threshold of the
-    maximum are dropped; min_delay_ns excludes the direct-transmission lobe at
-    zero delay, min_separation_ns suppresses spectral-leakage sidelobes next
-    to a real peak.
+    maximum are dropped; ECHO_MIN_DELAY_NS excludes the direct-transmission
+    lobe at zero delay, ECHO_MIN_SEPARATION_NS suppresses spectral-leakage
+    sidelobes next to a real peak.
     """
     transmission = np.exp(-comb.od)
     mag = np.abs(np.fft.rfft(transmission))
     delays_ns = np.fft.rfftfreq(transmission.shape[0], d=comb.grid_step_mhz) * 1000.0
     bin_ns = delays_ns[1] - delays_ns[0]
-    distance = max(1, int(round(min_separation_ns / bin_ns)))
+    distance = max(1, int(round(ECHO_MIN_SEPARATION_NS / bin_ns)))
     idx = find_peaks(mag, distance=distance)
-    idx = idx[delays_ns[idx] >= min_delay_ns]
+    idx = idx[delays_ns[idx] >= ECHO_MIN_DELAY_NS]
     if idx.size == 0:
         return []
     top = float(mag[idx].max())
@@ -252,23 +254,24 @@ def fit_comb(detuning_mhz, od) -> FittedComb:
     )
 
 
-COMB_CSV_HEADER = "detuning_MHz,optical_depth"
+COMB_CSV_HEADER = ("detuning_MHz", "optical_depth")
 
 
 def comb_to_csv(comb: CombSpectrum, path) -> None:
     data = np.column_stack([comb.detuning_mhz, comb.od])
-    np.savetxt(path, data, delimiter=",", header=COMB_CSV_HEADER, comments="", fmt="%.9g")
+    header = ",".join(COMB_CSV_HEADER)
+    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.9g")
 
 
 def comb_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a (detuning, OD) profile; the header line is required."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != COMB_CSV_HEADER:
-            raise ValueError(f"expected header {COMB_CSV_HEADER!r}, got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError("comb CSV must have exactly two columns")
+    rows = [
+        float_fields(path, line_no, raw)
+        for line_no, raw in csv_rows(path, COMB_CSV_HEADER, "comb")
+    ]
+    if not rows:
+        raise ValueError(f"{path}: no comb rows")
+    data = np.array(rows)
     return data[:, 0], data[:, 1]
 
 
@@ -311,18 +314,12 @@ class MemoryConfig:
             raise ValueError(f"outcome probabilities sum to {total!r} > 1")
 
     @classmethod
-    def from_comb(
-        cls,
-        comb: CombSpectrum,
-        coupling_efficiency: float,
-        rel_threshold: float = 0.05,
-        min_delay_ns: float = 2.0,
-    ) -> "MemoryConfig":
+    def from_comb(cls, comb: CombSpectrum, coupling_efficiency: float) -> "MemoryConfig":
         """Derive the recall model from a comb: the efficiency formula sets the
         primary recall probability; spectral echo magnitudes (squared) set the
         relative weights of the other delays."""
         eta = device_efficiency(comb.background_od, comb.tooth_od, comb.finesse)
-        echoes = echo_response(comb, rel_threshold=rel_threshold, min_delay_ns=min_delay_ns)
+        echoes = echo_response(comb)
         if not echoes:
             raise ValueError("comb shows no echo peaks; cannot build a memory model")
         weighted = tuple((delay, mag**2) for delay, mag in echoes)

@@ -1,4 +1,5 @@
-"""Dead-code guard: every function, class and method in afclink is used.
+"""Dead-code guards: every function, class and method in afclink is used,
+and every defaulted parameter is passed by some call.
 
 A top-level function or class, or a method, counts as used when its name
 appears in the package source (as a name or an attribute) anywhere outside
@@ -6,6 +7,12 @@ its own definition.  Names are matched by spelling, not resolved, so two
 methods that share a name cover each other.  Dunder methods are called by
 Python itself and are skipped.  A name that no code in the package uses
 stays only with a reason in KEEP.
+
+A defaulted parameter of a function or method counts as passed when a call
+in the package, to a callee of the same spelling, passes it by keyword, by
+position (self and cls skipped) or through * or ** unpacking.  A parameter
+that no call passes is a constant in disguise; it stays only with a reason
+in KEEP_PARAMS.
 """
 
 import ast
@@ -31,7 +38,6 @@ KEEP = {
     "estimation.born_correlation": PUBLIC_API,
     "estimation.efficiencies": PUBLIC_API,
     "estimation.informationally_complete_pairs": "planned: simulated tomography (ROADMAP)",
-    "estimation.monte_carlo_uncertainty": PUBLIC_API,
     "estimation.synthesize_input": "planned: simulated tomography (ROADMAP)",
     "estimation.tomography_to_csv": ROUND_TRIP,
     "estimation.trace_distance": PUBLIC_API,
@@ -40,7 +46,22 @@ KEEP = {
     "harness.events_from_csv": ROUND_TRIP,
 }
 
+KEEP_PARAMS = {
+    "cli.main(argv)": "the console entry point calls main() and reads sys.argv",
+    "estimation.tomography_mle(n_starts)": (
+        "bench/reference.py passes it; goes with the next benchmark change (ROADMAP)"
+    ),
+    "estimation.tomography_mle(seed)": (
+        "bench/reference.py passes it; goes with the next benchmark change (ROADMAP)"
+    ),
+    "estimation.g2_cross(n_values)": "acceptance criterion 6 sets the reference peaks",
+    "estimation.find_histogram_peaks(min_separation_ps)": (
+        "acceptance criterion 6 sets the peak separation"
+    ),
+}
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _is_dunder(name: str) -> bool:
@@ -97,3 +118,69 @@ def test_keep_lists_only_existing_unused_names():
     assert set(KEEP) <= defined, sorted(set(KEEP) - defined)
     used = set(KEEP) - set(unreferenced())
     assert not used, f"used in src/afclink now, drop from KEEP: {sorted(used)}"
+
+
+def _defaulted(func: ast.FunctionDef, is_method: bool):
+    """(positional parameters after self/cls, defaulted parameter names)."""
+    args = func.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if is_method and positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(args.defaults) :] if args.defaults else []
+    defaulted += [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    return positional, defaulted
+
+
+def _passed_by(call: ast.Call, positional: list[str]) -> set[str] | None:
+    """The parameters a call passes, or None when unpacking may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    if any(k.arg is None for k in call.keywords):
+        return None
+    return set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def unset_parameters():
+    """module.qualname(parameter) of every defaulted parameter that no call
+    in the package passes."""
+    functions, calls = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, _FUNCS):
+                functions.append((f"{module}.{node.name}", node, False))
+            elif isinstance(node, ast.ClassDef):
+                functions += [
+                    (f"{module}.{node.name}.{sub.name}", sub, True)
+                    for sub in node.body
+                    if isinstance(sub, _FUNCS)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.append((name, node))
+    out = []
+    for qualname, func, is_method in functions:
+        positional, defaulted = _defaulted(func, is_method)
+        passed: set[str] = set()
+        for name, call in calls:
+            if name == func.name:
+                found = _passed_by(call, positional)
+                passed |= set(defaulted) if found is None else found
+        out += [f"{qualname}({p})" for p in defaulted if p not in passed]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    unset = [name for name in unset_parameters() if name not in KEEP_PARAMS]
+    assert not unset, f"defaulted but never passed in src/afclink: {unset}"
+
+
+def test_keep_params_lists_only_existing_unset_parameters():
+    unset = set(unset_parameters())
+    stale = sorted(set(KEEP_PARAMS) - unset)
+    assert not stale, f"passed in src/afclink now, or gone; drop from KEEP_PARAMS: {stale}"

@@ -17,13 +17,17 @@ import pytest
 
 from afclink.errors import EstimationError, FitError, UndefinedEstimateError
 from afclink.estimation import (
-    ChshSettings,
+    CHSH_PAIRS,
+    METRIC_FUNCTIONS,
     MetricsReport,
     TomographyInput,
     TomographyRow,
     _build_mle_data,
+    _frobenius_inner,
     _gradient,
     _objective,
+    _project_to_states,
+    _start,
     born_correlation,
     chsh_s,
     concurrence,
@@ -38,7 +42,6 @@ from afclink.estimation import (
     g2_cross,
     informationally_complete_pairs,
     monte_carlo_samples,
-    monte_carlo_uncertainty,
     purity,
     resample_rows,
     synthesize_input,
@@ -49,6 +52,7 @@ from afclink.estimation import (
     visibility_fit,
 )
 from afclink.detection import CoincidenceHistogram
+from afclink.harness import DATA_TOMOGRAPHY_IN, analyze_paper_data, data_path
 from afclink.linalg import (
     DensityMatrix,
     Ket,
@@ -69,31 +73,23 @@ def werner(p: float) -> DensityMatrix:
     return DensityMatrix(p * PHI_PLUS.matrix + (1.0 - p) * np.eye(4) / 4.0)
 
 
-def objective_and_gradient(rho, tin, weighting="gaussian"):
+def objective_and_gradient(rho, tin):
     """The fit objective at a 4x4 matrix and its Hermitian gradient."""
-    data = _build_mle_data([tin], weighting)
+    data = _build_mle_data([tin])
     f, dfdp = _objective(data, rho[None], np.arange(1))
     return f[0], _gradient(data.effects, dfdp)[0]
 
 
-def noisy_input(truth, sigma, weighting, rng):
-    """Informationally complete rows drawn around `truth`: Gaussian noise of
-    width sigma, or Poisson counts of 1/(4 sigma^2) trials per row."""
+def noisy_input(truth, sigma, rng):
+    """Informationally complete rows drawn around `truth` with Gaussian noise
+    of width sigma."""
     exact = synthesize_input(truth, informationally_complete_pairs(), sigma)
-    if weighting == "gaussian":
-        return resample_rows(exact, rng)
-    trials = int(round(0.25 / sigma**2))
-    rows = [
-        TomographyRow(
-            r.setting_a,
-            r.setting_b,
-            min(rng.poisson(trials * r.probability), trials) / trials,
-            sigma,
-            trials=trials,
-        )
-        for r in exact.rows
-    ]
-    return TomographyInput(tuple(rows))
+    return resample_rows(exact, rng)
+
+
+def random_pure(rng) -> DensityMatrix:
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return Ket(v / np.linalg.norm(v)).density()
 
 
 def flat_histogram(level: int = 0, window_ps: int = 70_000) -> CoincidenceHistogram:
@@ -213,37 +209,51 @@ class TestTomography:
         # f(rho + eps H) - f(rho - eps H) = 2 eps tr(G H) for Hermitian H.
         rng = np.random.default_rng(17)
         rho = werner(0.7).matrix
-        for weighting in ("gaussian", "poisson"):
-            tin = noisy_input(werner(0.8), 0.01, weighting, rng)
-            _, grad = objective_and_gradient(rho, tin, weighting)
-            for _ in range(16):
-                g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                h = (g + g.conj().T) / 2.0
-                eps = 1e-6
-                fd = (
-                    objective_and_gradient(rho + eps * h, tin, weighting)[0]
-                    - objective_and_gradient(rho - eps * h, tin, weighting)[0]
-                ) / (2 * eps)
-                assert np.trace(grad @ h).real == pytest.approx(fd, rel=1e-5, abs=1e-6)
+        tin = noisy_input(werner(0.8), 0.01, rng)
+        _, grad = objective_and_gradient(rho, tin)
+        for _ in range(16):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h = (g + g.conj().T) / 2.0
+            eps = 1e-6
+            fd = (
+                objective_and_gradient(rho + eps * h, tin)[0]
+                - objective_and_gradient(rho - eps * h, tin)[0]
+            ) / (2 * eps)
+            assert np.trace(grad @ h).real == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
     def test_optimality_certificate(self):
         # rho* minimizes a convex f over the states iff its gradient G has
         # lambda_min(G) >= tr(G rho*).
         rng = np.random.default_rng(29)
         for k in range(6):
-            if k % 2:
-                truth = random_density(rng)
-            else:
-                v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-                truth = Ket(v / np.linalg.norm(v)).density()
+            truth = random_density(rng) if k % 2 else random_pure(rng)
             for sigma in (0.002, 0.01, 0.05):
-                for weighting in ("gaussian", "poisson"):
-                    tin = noisy_input(truth, sigma, weighting, rng)
-                    rho = tomography_mle(tin, weighting=weighting).rho.matrix
-                    _, grad = objective_and_gradient(rho, tin, weighting)
-                    lowest = np.linalg.eigvalsh(grad)[0]
-                    slack = 1e-8 * np.linalg.norm(grad)
-                    assert lowest >= np.trace(grad @ rho).real - slack
+                tin = noisy_input(truth, sigma, rng)
+                rho = tomography_mle(tin).rho.matrix
+                _, grad = objective_and_gradient(rho, tin)
+                lowest = np.linalg.eigvalsh(grad)[0]
+                slack = 1e-8 * np.linalg.norm(grad)
+                assert lowest >= np.trace(grad @ rho).real - slack
+
+    def test_fixed_step_meets_sufficient_decrease(self):
+        # The fit steps 1/L with no line search.  That is safe because the
+        # objective is quadratic and L from _start is its exact Lipschitz
+        # constant on the states, so every projected step x = P(y - G/L) meets
+        # the Beck-Teboulle test f(x) <= f(y) + <G, x - y> + L/2 |x - y|^2.
+        rng = np.random.default_rng(47)
+        for sigma in (0.002, 0.01, 0.05):
+            truths = [random_density(rng) if k % 2 else random_pure(rng) for k in range(70)]
+            data = _build_mle_data([noisy_input(t, sigma, rng) for t in truths])
+            _, step = _start(data)
+            y = np.stack([random_density(rng).matrix for _ in truths])
+            idx = np.arange(len(truths))
+            f_y, dfdp = _objective(data, y, idx)
+            grad = _gradient(data.effects, dfdp)
+            x = _project_to_states(y - step[:, None, None] * grad)
+            f_x, _ = _objective(data, x, idx)
+            d = x - y
+            bound = f_y + _frobenius_inner(grad, d) + _frobenius_inner(d, d) / (2.0 * step)
+            assert np.all(f_x <= bound + 1e-12 * np.abs(f_y))
 
     def test_single_fit_matches_batched_fit(self):
         rng = np.random.default_rng(31)
@@ -259,44 +269,12 @@ class TestTomography:
             assert np.abs(single.rho.matrix - batch.rho[k]).max() <= 1e-12
             assert single.iterations == batch.iterations[k]
 
-    def test_poisson_weighting_variant(self):
-        pairs = informationally_complete_pairs()
-        probs = [
-            np.real(np.trace(PHI_PLUS.matrix @ np.kron(_proj(a), _proj(b))))
-            for a, b in pairs
-        ]
-        trials = 20_000
-        rng = np.random.default_rng(21)
-        rows = []
-        for (a, b), p in zip(pairs, probs):
-            n = int(rng.poisson(trials * p))
-            rows.append(
-                TomographyRow(a, b, n / trials, max(math.sqrt(n), 1.0) / trials, trials=trials)
-            )
-        result = tomography_mle(TomographyInput(tuple(rows)), weighting="poisson")
-        assert fidelity(result.rho, PHI_PLUS) >= 0.99
-
-    def test_poisson_weighting_requires_trials(self):
-        tin = self.exact_input(PHI_PLUS)
-        with pytest.raises(ValueError):
-            tomography_mle(tin, weighting="poisson")
-
-    def test_unknown_weighting(self):
-        with pytest.raises(ValueError):
-            tomography_mle(self.exact_input(PHI_PLUS), weighting="huber")
-
     def test_row_validation(self):
         a = ProjectorSetting.x()
         with pytest.raises(ValueError):
             TomographyRow(a, a, 1.3, 0.01)
         with pytest.raises(ValueError):
             TomographyRow(a, a, 0.5, -0.1)
-
-
-def _proj(setting):
-    from afclink.linalg import projector
-
-    return projector(setting)
 
 
 class TestCsv:
@@ -444,29 +422,26 @@ class TestChsh:
         assert est.minus_slot == 3
 
     def test_ideal_state_reaches_tsirelson(self):
-        settings = ChshSettings.default()
-        e = [born_correlation(PHI_PLUS, a, b) for a, b in settings.pairs()]
+        e = [born_correlation(PHI_PLUS, a, b) for a, b in CHSH_PAIRS]
         est = chsh_s(e, (0.0,) * 4)
         assert est.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_quantum_bound_property(self):
-        settings = ChshSettings.default()
         rng = np.random.default_rng(41)
         bound = 2.0 * math.sqrt(2.0) + 1e-9
         for _ in range(1000):
             rho = random_density(rng)
-            e = [born_correlation(rho, a, b) for a, b in settings.pairs()]
+            e = [born_correlation(rho, a, b) for a, b in CHSH_PAIRS]
             assert chsh_s(e, (0.0,) * 4).value <= bound
 
     def test_local_bound_for_product_states_property(self):
-        settings = ChshSettings.default()
         rng = np.random.default_rng(43)
         for _ in range(1000):
             va = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             vb = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             psi = np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb))
             rho = Ket(psi).density()
-            e = [born_correlation(rho, a, b) for a, b in settings.pairs()]
+            e = [born_correlation(rho, a, b) for a, b in CHSH_PAIRS]
             assert chsh_s(e, (0.0,) * 4).value <= 2.0 + 1e-9
 
     def test_requires_four_values(self):
@@ -474,10 +449,18 @@ class TestChsh:
             chsh_s((0.5, 0.5), (0.1, 0.1))
 
 
+def mc_mean_std(tin, metric, seed):
+    """Mean and sample standard deviation of one metric over 100
+    Monte-Carlo trials of one input."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    samples, _ = monte_carlo_samples([tin], 100, rng, lambda states: (metric(states[0]),))
+    return float(samples[:, 0].mean()), float(samples[:, 0].std(ddof=1))
+
+
 class TestMonteCarlo:
     def test_degenerate_resampling(self):
         tin = synthesize_input(werner(0.75), informationally_complete_pairs(), 0.0)
-        mean, std = monte_carlo_uncertainty(tin, trials=100, metric=purity, seed=7)
+        mean, std = mc_mean_std(tin, purity, seed=7)
         assert std == 0.0
         assert mean == pytest.approx(0.671875, abs=0.01)
 
@@ -485,13 +468,13 @@ class TestMonteCarlo:
         pairs = informationally_complete_pairs()
         tight = synthesize_input(werner(0.75), pairs, 0.01)
         loose = synthesize_input(werner(0.75), pairs, 0.04)
-        _, std_tight = monte_carlo_uncertainty(tight, trials=100, metric=purity, seed=13)
-        _, std_loose = monte_carlo_uncertainty(loose, trials=100, metric=purity, seed=13)
+        _, std_tight = mc_mean_std(tight, purity, seed=13)
+        _, std_loose = mc_mean_std(loose, purity, seed=13)
         assert std_loose > std_tight
 
     def test_metric_tag(self):
         tin = synthesize_input(werner(0.75), informationally_complete_pairs(), 0.01)
-        mean, std = monte_carlo_uncertainty(tin, trials=100, metric="fidelity_phi_plus", seed=3)
+        mean, std = mc_mean_std(tin, METRIC_FUNCTIONS["fidelity_phi_plus"], seed=3)
         assert mean == pytest.approx(0.8125, abs=0.03)
         assert std > 0.0
 
@@ -502,7 +485,7 @@ class TestMonteCarlo:
             raise RuntimeError("boom")
 
         with pytest.raises(EstimationError):
-            monte_carlo_uncertainty(tin, trials=100, metric=broken_metric, seed=1)
+            mc_mean_std(tin, broken_metric, seed=1)
 
     def test_failed_trials_are_counted(self):
         tin = synthesize_input(werner(0.75), informationally_complete_pairs(), 0.01)
@@ -520,9 +503,8 @@ class TestMonteCarlo:
         assert samples.shape == (90, 1)
 
     def test_minimum_trials(self):
-        tin = synthesize_input(werner(0.75), informationally_complete_pairs(), 0.01)
         with pytest.raises(ValueError):
-            monte_carlo_uncertainty(tin, trials=50, metric=purity, seed=1)
+            analyze_paper_data(data_path(DATA_TOMOGRAPHY_IN), trials=50)
 
 
 class TestVisibilityFit:

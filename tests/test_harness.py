@@ -20,7 +20,7 @@ from afclink import events, harness
 from afclink.config import load_config
 from afclink.detection import coincidence_rate, histogram_from_csv
 from afclink.errors import ConfigError, UndefinedEstimateError
-from afclink.estimation import g2_cross, visibility_fit
+from afclink.estimation import CHSH_PAIRS, g2_cross, visibility_fit
 from afclink.harness import (
     CHSH_CSV_HEADER,
     DATA_CHSH,
@@ -662,6 +662,17 @@ class TestChshFromCsv:
         with pytest.raises(ValueError, match="missing"):
             chsh_from_csv(path)
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_names_line(self, tmp_path, sigma):
+        path = tmp_path / "sigma.csv"
+        rows = [
+            f"in,{a.token()},{b.token()},0.6,{sigma if i == 2 else 0.01}"
+            for i, (a, b) in enumerate(CHSH_PAIRS)
+        ]
+        path.write_text("\n".join([",".join(CHSH_CSV_HEADER), *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"{path}: line 4: non-finite"):
+            chsh_from_csv(path)
+
 
 class TestAnalyzePaperData:
     def test_shipped_chsh_values_exact(self):
@@ -786,6 +797,23 @@ class TestWavelengthTable:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c,d,e\n1,2,3,4,5\n")
         with pytest.raises(ValueError, match="header"):
+            wavelength_table_from_csv(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "nan,1535.0,0.01,0.01,0.0001",
+            "794.0,inf,0.01,0.01,0.0001",
+            "794.0,1535.0,0.01,0.01,nan",
+        ],
+    )
+    def test_non_finite_field_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "signal_nm,idler_nm,efficiency_794,efficiency_1535,link_efficiency\n"
+            "794.0,1535.0,0.01,0.01,0.0001\n" + row + "\n"
+        )
+        with pytest.raises(ValueError, match=f"{path}: line 3: non-finite"):
             wavelength_table_from_csv(path)
 
 

@@ -277,6 +277,12 @@ class TestCombCsv:
         with pytest.raises(ValueError):
             comb_from_csv(path)
 
+    def test_non_finite_od_names_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("detuning_MHz,optical_depth\n0.0,1.0\n1.0,nan\n")
+        with pytest.raises(ValueError, match=f"{path}: line 3: non-finite"):
+            comb_from_csv(path)
+
 
 class TestMemoryConfig:
     def test_from_comb_probabilities(self):
