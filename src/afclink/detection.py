@@ -265,6 +265,37 @@ def tdc_histogram_from_times(
     return hist.with_counts(counts, n_starts=int(starts.size))
 
 
+def tdc_histogram_from_stream(pieces, bin_width_ps: int, window_ps: int) -> CoincidenceHistogram:
+    """tdc_histogram_from_times over clicks that arrive in pieces, equal bit
+    for bit to one pass over all of them.
+
+    Each piece is (start times, stop times, floor): no click of a later piece
+    lies below the floor, which is None on the last piece.  A start is
+    histogrammed once the floor has passed its window, against the stops
+    seen so far, so it counts once with every stop it reaches.  Between
+    pieces only the pending starts and the stops that they or later starts
+    can reach are kept, about one window of clicks."""
+    hist = CoincidenceHistogram.empty(bin_width_ps, window_ps)
+    starts = stops = np.zeros(0, dtype=np.int64)
+    bound = np.iinfo(np.int64).min  # the highest floor so far
+    for new_starts, new_stops, floor in pieces:
+        if any(t.size and t.min() < bound for t in (new_starts, new_stops)):
+            raise ValueError("a click lies below the floor of an earlier piece")
+        floor = np.iinfo(np.int64).max if floor is None else floor
+        starts = np.concatenate([starts, new_starts])
+        stops = np.concatenate([stops, new_stops])
+        # A start's stops lie below start + window: once the floor is there,
+        # no later click can join it.
+        early = starts + window_ps <= floor
+        ready, starts = starts[early], starts[~early]
+        if ready.size:
+            hist = hist.merge(tdc_histogram_from_times(ready, stops, bin_width_ps, window_ps))
+        reach = min(floor, int(starts.min(initial=floor))) - window_ps
+        stops = stops[stops >= reach]
+        bound = max(bound, floor)
+    return hist
+
+
 def coincidence_rate(
     hist: CoincidenceHistogram,
     delay_ps: int,

@@ -15,12 +15,19 @@ then single-arm outcomes per channel; memory outcomes conditioned on survival
 per channel; then, channel by channel, detector jitter and dark counts.
 Changing that order would change every seeded result.  Click arrays are not
 time-sorted within a shard.
+
+The start-stop histogram is streamed shard by shard through
+detection.tdc_histogram_from_stream, with the floor below which no later
+shard has a click; it equals one pass over the whole run bit for bit.  Click
+arrays are kept only where events.csv or the CHSH matching needs them
+(simulate); sweep --parameter mu keeps one shard and the carried window.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,7 +44,7 @@ from .detection import (
     analyzer_outcomes,
     joint_outcome_table,
     single_outcome_table,
-    tdc_histogram_from_times,
+    tdc_histogram_from_stream,
 )
 from .errors import UndefinedEstimateError
 from .estimation import (
@@ -60,6 +67,9 @@ from .linalg import partial_trace
 from .memory import MemoryConfig
 
 SHARD_CYCLES = 1_000_000
+# Detector jitter moves a click by less than this many sigma: a Gaussian draw
+# beyond it has P < 1e-300, and tdc_histogram_from_stream fails if one does.
+_JITTER_BOUND_SIGMAS = 40
 # events.csv rows formatted per write; bounds the writer's memory.
 _EVENTS_CHUNK_ROWS = 1 << 14
 
@@ -137,26 +147,32 @@ class ChannelRecord:
 @dataclass(frozen=True, eq=False)
 class SimulationData:
     """Click arrays per channel, the emitted pairs counted per PAIR_CLASSES
-    class, and the configured detection probability of each channel."""
+    class, and the configured detection probability of each channel.
+
+    `shards` holds, per shard, where its clicks end in the idler and the
+    signal arrays, and the floor of every later click (None after the last)."""
 
     config: ExperimentConfig
     n_cycles: int
     pair_classes: dict[str, int]
     p_detect: dict[str, float]
     channels: dict[str, ChannelRecord]
+    shards: tuple[tuple[int, int, int | None], ...]
 
     @property
     def n_pairs(self) -> int:
         return sum(self.pair_classes.values())
 
     def histogram(self) -> CoincidenceHistogram:
+        """Idler starts against signal stops, streamed shard by shard."""
+        starts = self.channels[events.IDLER_1535].times
+        stops = self.channels[events.SIGNAL_794].times
+        pieces, i0, s0 = [], 0, 0
+        for i1, s1, floor in self.shards:
+            pieces.append((starts[i0:i1], stops[s0:s1], floor))
+            i0, s0 = i1, s1
         tdc = self.config.tdc
-        return tdc_histogram_from_times(
-            self.channels[events.IDLER_1535].times,
-            self.channels[events.SIGNAL_794].times,
-            tdc.bin_width_ps,
-            tdc.window_ps,
-        )
+        return tdc_histogram_from_stream(pieces, tdc.bin_width_ps, tdc.window_ps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,17 +293,8 @@ class _MemoryDraw:
     spurious: np.ndarray
 
 
-def _draw_memory(
-    table: _MemoryTable | None, n: int, rng: np.random.Generator
-) -> _MemoryDraw:
-    """Outcomes of n detected photons, from the table conditioned on survival;
-    with no memory every photon passes unchanged and nothing is drawn."""
-    if table is None:
-        return _MemoryDraw(
-            delay=np.zeros(n, dtype=np.int64),
-            code=np.full(n, _OUTCOME_NONE, dtype=np.int16),
-            spurious=np.zeros(n, dtype=bool),
-        )
+def _draw_memory(table: _MemoryTable, n: int, rng: np.random.Generator) -> _MemoryDraw:
+    """Outcomes of n detected photons, from the table conditioned on survival."""
     u = rng.random(n) * table.cumulative[-1]
     k = np.minimum(np.searchsorted(table.cumulative, u, side="right"), table.codes.size - 1)
     return _MemoryDraw(
@@ -331,14 +338,29 @@ def _simulate_shard(
         for ch, joint, lone in zip(_CHANNELS, joint_idx, lone_cycles)
     ]
     cycles = [np.concatenate([both_cycles, lone]) + first_cycle for lone in lone_cycles]
-    draws = [_draw_memory(t.memory[ch], c.size, rng) for ch, c in zip(_CHANNELS, cycles)]
+    # A channel with no memory passes every photon unchanged; nothing is drawn.
+    draws = [
+        None if t.memory[ch] is None else _draw_memory(t.memory[ch], c.size, rng)
+        for ch, c in zip(_CHANNELS, cycles)
+    ]
 
     span = n_cycles * t.rep_period_ps
     lo = first_cycle * t.rep_period_ps
     shard: dict[str, dict[str, np.ndarray]] = {}
     for ch, pick, cyc, draw in zip(_CHANNELS, picks, cycles, draws):
         out, det = t.outcomes[ch], t.detectors[ch]
-        times = cyc * t.rep_period_ps + draw.delay + out.slots[pick]
+        times = cyc * t.rep_period_ps + out.slots[pick]
+        if draw is None:
+            origins = np.full(times.size, _ORIGIN_CODE[events.ORIGIN_PAIR], dtype=np.int8)
+            outcomes = np.full(times.size, _OUTCOME_NONE, dtype=np.int16)
+        else:
+            times += draw.delay
+            origins = np.where(
+                draw.spurious,
+                _ORIGIN_CODE[events.ORIGIN_SPURIOUS_ECHO],
+                _ORIGIN_CODE[events.ORIGIN_PAIR],
+            ).astype(np.int8)
+            outcomes = draw.code
         if det.jitter_sigma_ps > 0.0:
             shift = rng.normal(0.0, det.jitter_sigma_ps, times.size)
             times += np.rint(shift).astype(np.int64)
@@ -347,12 +369,8 @@ def _simulate_shard(
             "cycles": cyc,
             "ports": out.ports[pick],
             "bins": out.bins[pick],
-            "origins": np.where(
-                draw.spurious,
-                _ORIGIN_CODE[events.ORIGIN_SPURIOUS_ECHO],
-                _ORIGIN_CODE[events.ORIGIN_PAIR],
-            ).astype(np.int8),
-            "outcomes": draw.code,
+            "origins": origins,
+            "outcomes": outcomes,
         }
         # Dark counts, uniform over the shard's span.
         n_dark = int(rng.poisson(det.dark_rate_hz * span * 1e-12))
@@ -368,27 +386,46 @@ def _simulate_shard(
     return classes, shard
 
 
+def _shards(t: _EngineTables, n_cycles: int):
+    """The class counts and click arrays of every shard in cycle order, each
+    with the floor below which no later shard has a click (None after the
+    last).  Memory delays and analyzer slots only delay a click and dark
+    counts fall inside their shard, so only jitter moves a click before its
+    shard's first cycle."""
+    lead = max(
+        math.ceil(_JITTER_BOUND_SIGMAS * det.jitter_sigma_ps) for det in t.detectors.values()
+    )
+    for shard_index, first in enumerate(range(0, n_cycles, SHARD_CYCLES)):
+        end = min(first + SHARD_CYCLES, n_cycles)
+        floor = end * t.rep_period_ps - lead if end < n_cycles else None
+        yield (*_simulate_shard(t, shard_index, first, end - first), floor)
+
+
 def simulate(cfg: ExperimentConfig) -> SimulationData:
     """Run the full chain for every configured cycle; returns click arrays."""
     tables = _build_tables(cfg)
-    n_cycles = cfg.run.cycles
     parts: dict[str, list[dict[str, np.ndarray]]] = {ch: [] for ch in _CHANNELS}
     totals = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
-    for shard_index, first in enumerate(range(0, n_cycles, SHARD_CYCLES)):
-        count = min(SHARD_CYCLES, n_cycles - first)
-        classes, shard = _simulate_shard(tables, shard_index, first, count)
+    ends = dict.fromkeys(_CHANNELS, 0)
+    shards = []
+    for classes, shard, floor in _shards(tables, cfg.run.cycles):
         totals += classes
         for ch in _CHANNELS:
             parts[ch].append(shard[ch])
+            ends[ch] += shard[ch]["times"].size
+        shards.append((ends[events.IDLER_1535], ends[events.SIGNAL_794], floor))
     channels = {}
     for ch in _CHANNELS:
+        # Key by key, so each key's shard arrays are freed once joined.
         merged = {
-            key: np.concatenate([p[key] for p in parts[ch]])
+            key: np.concatenate([p.pop(key) for p in parts[ch]])
             for key in ("times", "cycles", "ports", "bins", "origins", "outcomes")
         }
         channels[ch] = ChannelRecord(channel=ch, **merged)
     classes = dict(zip(PAIR_CLASSES, map(int, totals)))
-    return SimulationData(cfg, n_cycles, classes, dict(tables.p_detect), channels)
+    return SimulationData(
+        cfg, cfg.run.cycles, classes, dict(tables.p_detect), channels, tuple(shards)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -969,8 +1006,13 @@ def sweep(
             sub = replace(
                 base, source=replace(base.source, mean_pairs_per_pulse=scale * value)
             )
+            # Straight from the shards: no run's click arrays are kept.
+            pieces = (
+                (clicks[events.IDLER_1535]["times"], clicks[events.SIGNAL_794]["times"], floor)
+                for _, clicks, floor in _shards(_build_tables(sub), sub.run.cycles)
+            )
             est = g2_cross(
-                simulate(sub).histogram(),
+                tdc_histogram_from_stream(pieces, sub.tdc.bin_width_ps, sub.tdc.window_ps),
                 0,
                 rep_period_ps=sub.source.rep_period_ps,
                 peak_halfwidth_ps=sub.tdc.peak_halfwidth_ps,

@@ -3,7 +3,7 @@
 bench/launch.py and bench/tracing.py hook package functions by name
 (harness._simulate_shard, tomography_mle, every span in
 tracing.install_layers).  A rename in src/ that breaks one of those hooks
-fails here, not only in a benchmark run.  The two engine workloads of
+fails here, not only in a benchmark run.  The three engine workloads of
 bench/run.py also run here once each, untraced, through their own output
 checks.
 """
@@ -44,7 +44,8 @@ def span_names(record):
 
 
 def test_traced_simulate_records_setup_and_spans(tmp_path):
-    config = json.loads((ROOT / "configs" / "source_only.json").read_text())
+    # Memories on both arms, so the memory draw is reached.
+    config = json.loads((ROOT / "configs" / "realistic.json").read_text())
     config["run"]["cycles"] = 20_000
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
@@ -85,7 +86,7 @@ def test_traced_bell_records_central_match(tmp_path):
     assert {"bell.chsh", "engine.shard", "bell.central_match"} <= span_names(record)
 
 
-@pytest.mark.parametrize("name", ["realistic-link", "bell-stored"])
+@pytest.mark.parametrize("name", ["realistic-link", "g2-sweep", "bell-stored"])
 def test_engine_workload_passes_its_check(tmp_path, monkeypatch, name):
     # bench/run.py imports its siblings (checks, common) by bare name.
     monkeypatch.syspath_prepend(str(BENCH))

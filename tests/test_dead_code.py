@@ -29,7 +29,6 @@ KEEP = {
     "cli._Parser.error": "argparse calls it to report a usage error",
     "config.save_config": "planned: summary.json provenance writes the resolved config (ROADMAP)",
     "detection.AnalyzerSetting.from_projector": "planned: simulated tomography (ROADMAP)",
-    "detection.CoincidenceHistogram.merge": "planned: streaming per-shard histograms (ROADMAP)",
     "detection.histogram_from_csv": ROUND_TRIP,
     "estimation.__getattr__": (
         "module hook for the lazy scipy.optimize that bench/tracing.py wraps; "

@@ -532,6 +532,50 @@ class TestHistogramFromTimes:
         assert hist.n_starts == 2
 
 
+def random_pieces(rng, n_pieces, span, spill):
+    """Unsorted start and stop times per piece; a piece's clicks fall in its
+    own span or up to `spill` before it, and each floor is the earliest
+    click of every later piece."""
+    raw = []
+    for k in range(n_pieces):
+        lo = k * span - int(rng.integers(0, spill + 1))
+        n_start, n_stop = rng.integers(0, 8, 2)
+        raw.append(
+            (rng.integers(lo, (k + 1) * span, n_start), rng.integers(lo, (k + 1) * span, n_stop))
+        )
+    pieces = []
+    for k, (starts, stops) in enumerate(raw):
+        later = [t for s, p in raw[k + 1 :] for t in (*s.tolist(), *p.tolist())]
+        floor = None if k == n_pieces - 1 else min(later, default=(k + 1) * span)
+        pieces.append((starts, stops, floor))
+    return pieces
+
+
+class TestHistogramFromStream:
+    @pytest.mark.parametrize("window", [80, 800, 8_000])
+    @pytest.mark.parametrize("span, spill", [(50, 0), (300, 200), (2_000, 1_500)])
+    def test_equals_single_pass(self, window, span, spill):
+        # Windows from a fraction of a piece to many pieces, with pieces
+        # that reach back into their predecessors.
+        rng = np.random.default_rng(window + span)
+        for _ in range(10):
+            pieces = random_pieces(rng, int(rng.integers(1, 30)), span, spill)
+            starts = np.concatenate([p[0] for p in pieces])
+            stops = np.concatenate([p[1] for p in pieces])
+            streamed = detection.tdc_histogram_from_stream(pieces, 80, window)
+            single = tdc_histogram_from_times(starts, stops, 80, window)
+            assert np.array_equal(streamed.counts, single.counts)
+            assert streamed.n_starts == single.n_starts == starts.size
+
+    def test_click_below_an_earlier_floor_fails(self):
+        pieces = [
+            (np.array([100]), np.array([120]), 1_000),
+            (np.array([1_500]), np.array([900]), None),
+        ]
+        with pytest.raises(ValueError, match="below the floor"):
+            detection.tdc_histogram_from_stream(pieces, 80, 800)
+
+
 class TestCsvRoundTrips:
     def test_event_csv(self, tmp_path):
         # No memories: every click's memory outcome is NONE.

@@ -9,8 +9,10 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,11 @@ from conftest import IDEAL_DETECTORS, make_config
 
 from afclink import events, harness
 from afclink.config import load_config
-from afclink.detection import coincidence_rate, histogram_from_csv
+from afclink.detection import (
+    coincidence_rate,
+    histogram_from_csv,
+    tdc_histogram_from_times,
+)
 from afclink.errors import ConfigError, UndefinedEstimateError
 from afclink.estimation import CHSH_PAIRS, g2_cross, visibility_fit
 from afclink.harness import (
@@ -320,15 +326,26 @@ class TestEngineDraws:
         # The two photons of a both-detected pair share their cycle.
         assert np.array_equal(sig[:n_both], idl[:n_both])
 
-    def test_survival_edge_cases(self):
+    def test_survival_edge_cases(self, monkeypatch):
         rng = np.random.default_rng(2)
-        state = rng.bit_generator.state
         # No memory: every photon passes with no outcome and no draw.
-        draw = harness._draw_memory(None, 1_000, rng)
-        assert np.all(draw.code == harness._OUTCOME_NONE)
-        assert draw.code.size == 1_000
-        assert np.all(draw.delay == 0) and not draw.spurious.any()
-        assert rng.bit_generator.state == state
+        cfg = make_config(mu=0.2, detectors=IDEAL_DETECTORS)
+        tables = harness._build_tables(cfg)
+
+        def no_draw(*args):
+            raise AssertionError("memory drawn for a channel with no memory")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_draw_memory", no_draw)
+            _, shard = harness._simulate_shard(tables, 0, 0, 1_000)
+        for ch, clicks in shard.items():
+            assert clicks["times"].size > 0
+            assert np.all(clicks["outcomes"] == harness._OUTCOME_NONE)
+            pair = harness._ORIGIN_CODE[events.ORIGIN_PAIR]
+            assert np.all(clicks["origins"] == pair)
+            # Arrival = cycle start + analyzer slot, with no memory delay.
+            offsets = clicks["times"] - clicks["cycles"] * cfg.source.rep_period_ps
+            assert set(offsets.tolist()) <= set(tables.outcomes[ch].slots.tolist())
         # No photons at all.
         middle = harness._memory_table(THREE_ECHO_MEMORY)
         assert harness._draw_memory(middle, 0, rng).code.size == 0
@@ -481,6 +498,95 @@ class TestEngineDraws:
             assert deciles.size == 10
             for count in deciles:
                 assert within_5_sigma(int(count), n, 0.1)
+
+
+def shipped_config(name, cycles, mu=None, dark_rate_hz=None):
+    cfg = load_config(ROOT / "configs" / f"{name}.json")
+    cfg = replace(cfg, run=replace(cfg.run, cycles=cycles))
+    if mu is not None:
+        cfg = replace(cfg, source=replace(cfg.source, mean_pairs_per_pulse=mu))
+    if dark_rate_hz is not None:
+        cfg = replace(
+            cfg,
+            detector_794=replace(cfg.detector_794, dark_rate_hz=dark_rate_hz),
+            detector_1535=replace(cfg.detector_1535, dark_rate_hz=dark_rate_hz),
+        )
+    return cfg
+
+
+def sweep_histogram(cfg, monkeypatch):
+    """The histogram that sweep --parameter mu takes g2 from, at cfg's mu."""
+    seen = []
+
+    def keep(hist, *args, **kwargs):
+        seen.append(hist)
+        return SimpleNamespace(value=0.0, sigma=0.0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "g2_cross", keep)
+        sweep(cfg, "mu", [cfg.source.mean_pairs_per_pulse])
+    (hist,) = seen
+    return hist
+
+
+class TestStreamedHistogram:
+    """The histogram streamed shard by shard equals one
+    tdc_histogram_from_times pass over a run's concatenated clicks: counts
+    bit for bit and the number of starts."""
+
+    @staticmethod
+    def assert_single_pass(hist, data):
+        tdc = data.config.tdc
+        single = tdc_histogram_from_times(
+            data.channels[events.IDLER_1535].times,
+            data.channels[events.SIGNAL_794].times,
+            tdc.bin_width_ps,
+            tdc.window_ps,
+        )
+        assert single.counts.sum() > 0
+        assert np.array_equal(hist.counts, single.counts)
+        assert hist.n_starts == single.n_starts
+
+    @pytest.mark.parametrize(
+        "name, mu",
+        [
+            ("realistic", None),  # jitter, dark counts and echoes
+            ("demo", None),  # comb memories
+            ("source_only", 0.128),
+        ],
+    )
+    def test_equals_single_pass(self, name, mu, monkeypatch):
+        cfg = shipped_config(name, 2 * SHARD_CYCLES + 12_345, mu)
+        data = simulate(cfg)
+        assert len(data.shards) == 3
+        self.assert_single_pass(data.histogram(), data)
+        self.assert_single_pass(sweep_histogram(cfg, monkeypatch), data)
+
+    def test_window_spans_several_shards(self, monkeypatch):
+        # Two-cycle shards are 25 ns long, so the +-70 ns window spans about
+        # six of them; comb echoes, jitter and dark counts all cross shard
+        # edges.
+        monkeypatch.setattr(harness, "SHARD_CYCLES", 2)
+        cfg = shipped_config("demo", 1_501, mu=0.5, dark_rate_hz=5e6)
+        data = simulate(cfg)
+        assert len(data.shards) == 751
+        assert min(rec.dark_count for rec in data.channels.values()) > 0
+        self.assert_single_pass(data.histogram(), data)
+        self.assert_single_pass(sweep_histogram(cfg, monkeypatch), data)
+
+    def test_sweep_peak_memory_independent_of_cycles(self):
+        # One sweep point keeps at most a shard and the carry, so
+        # quadrupling the cycles leaves its peak allocation where it was.
+        cfg = shipped_config("source_only", 1)
+        peaks = []
+        for cycles in (2_000_000, 8_000_000):
+            tracemalloc.start()
+            try:
+                sweep(cfg, "mu", [0.128], cycles_per_point=cycles)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 HEAD = ",".join(EVENT_CSV_HEADER) + "\n"
