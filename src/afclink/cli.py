@@ -18,6 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
+from .csvio import write_csv
 from .errors import ConfigError, EstimationError, FitError
 from .harness import (
     DATA_CHSH,
@@ -27,7 +28,6 @@ from .harness import (
     SWEEP_PARAMETERS,
     data_path,
     analyze_paper_data,
-    echoes_to_csv,
     generate_report,
     run_simulation,
     sweep,
@@ -45,6 +45,8 @@ from .memory import (
 
 _ERROR_EXIT = 1
 _USAGE_EXIT = 2
+
+ECHOES_CSV_HEADER = ("delay_ns", "relative_amplitude")
 
 
 def _emit_error(message: str, kind: str) -> None:
@@ -183,13 +185,13 @@ def _cmd_comb_echoes(args):
     comb = _comb_from_file(args.input)
     echoes = echo_response(comb, rel_threshold=args.rel_threshold)
     if args.out is not None:
-        echoes_to_csv(echoes, args.out)
+        write_csv(args.out, ECHOES_CSV_HEADER, echoes)
     payload = {
         "echoes": [
             {"delay_ns": delay, "relative_amplitude": amp} for delay, amp in echoes
         ]
     }
-    rows = [("delay_ns", "relative_amplitude"), *echoes]
+    rows = [ECHOES_CSV_HEADER, *echoes]
     return payload, rows
 
 
@@ -212,8 +214,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_report(args):
-    bundle = generate_report(args.out_dir, trials=args.trials, seed=args.seed)
-    return bundle.payload, [METRICS_CSV_HEADER, *bundle.report.rows()]
+    payload, report = generate_report(args.out_dir, trials=args.trials, seed=args.seed)
+    return payload, [METRICS_CSV_HEADER, *report.rows()]
 
 
 def build_parser() -> _Parser:

@@ -1,4 +1,5 @@
-"""Line-numbered reading of the CSV files the package reads back.
+"""Line-numbered reading of the CSV files the package reads back, and the
+one writer of the CSV files it writes.
 
 Every reader reports a bad file the same way: ValueError(f"{path}: ...") for
 the file as a whole and ValueError(f"{path}: line {n}: ...") for one row,
@@ -43,3 +44,11 @@ def float_fields(path, line_no: int, fields) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{path}: line {line_no}: non-finite field")
     return values
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header and then each row with csv.writer's defaults."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

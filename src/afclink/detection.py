@@ -15,13 +15,12 @@ which resolves the identity.  Slot offsets are 0, +T and +2T relative to the
 photon's nominal arrival, with T the bin separation.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import events
-from .csvio import csv_rows
+from .csvio import csv_rows, write_csv
 from .linalg import ProjectorSetting, projector
 
 MODE_TIME_OF_ARRIVAL = "TIME_OF_ARRIVAL"
@@ -205,11 +204,8 @@ class CoincidenceHistogram:
         return self.with_counts(self.counts + other.counts, self.n_starts + other.n_starts)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(HISTOGRAM_CSV_HEADER)
-            for start, count in zip(self.bin_starts(), self.counts):
-                writer.writerow([int(start), int(count)])
+        rows = ((int(s), int(c)) for s, c in zip(self.bin_starts(), self.counts))
+        write_csv(path, HISTOGRAM_CSV_HEADER, rows)
 
 
 def histogram_from_csv(path) -> CoincidenceHistogram:

@@ -19,15 +19,13 @@ resampler (resample_rows, exact rejection sampling) are written out, so that
 no CLI command other than the comb fit pays for importing scipy.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import csv_rows
+from .csvio import csv_rows, write_csv
 from .detection import CoincidenceHistogram, coincidence_rate
 from .errors import EstimationError, UndefinedEstimateError
 from .linalg import (
@@ -172,18 +170,11 @@ def synthesize_input(
 
 
 def tomography_to_csv(tin: TomographyInput, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TOMOGRAPHY_CSV_HEADER)
-        for row in tin.rows:
-            writer.writerow(
-                [
-                    row.setting_a.token(),
-                    row.setting_b.token(),
-                    f"{row.probability:.10g}",
-                    f"{row.sigma:.10g}",
-                ]
-            )
+    rows = (
+        (r.setting_a.token(), r.setting_b.token(), f"{r.probability:.10g}", f"{r.sigma:.10g}")
+        for r in tin.rows
+    )
+    write_csv(path, TOMOGRAPHY_CSV_HEADER, rows)
 
 
 def tomography_from_csv(path) -> TomographyInput:
@@ -776,42 +767,3 @@ def find_histogram_peaks(
     idx = find_peaks(counts, height=min_height_fraction * counts.max(), distance=distance)
     centers = hist.bin_starts() + hist.bin_width_ps // 2
     return [HistogramPeak(int(centers[i]), int(hist.counts[i])) for i in idx]
-
-
-# ---------------------------------------------------------------------------
-# Aggregate report
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Percent-scale state metrics with their Monte-Carlo uncertainties."""
-
-    entanglement_of_formation: tuple[float, float]
-    purity: tuple[float, float]
-    fidelity_phi_plus: tuple[float, float]
-    input_output_fidelity: tuple[float, float]
-
-    def __post_init__(self):
-        for name in (
-            "entanglement_of_formation",
-            "purity",
-            "fidelity_phi_plus",
-            "input_output_fidelity",
-        ):
-            value, sigma = getattr(self, name)
-            if not 0.0 <= value <= 100.0:
-                raise ValueError(f"{name} value {value!r} outside [0, 100] percent")
-            if sigma < 0.0:
-                raise ValueError(f"{name} uncertainty must be nonnegative")
-
-    def to_json(self) -> str:
-        payload = {
-            name: {"value": getattr(self, name)[0], "sigma": getattr(self, name)[1]}
-            for name in (
-                "entanglement_of_formation",
-                "purity",
-                "fidelity_phi_plus",
-                "input_output_fidelity",
-            )
-        }
-        return json.dumps(payload, indent=2)

@@ -25,17 +25,16 @@ arrays are kept only where events.csv or the CHSH matching needs them
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import events
 from .config import ExperimentConfig
-from .csvio import csv_rows, float_fields
+from .csvio import csv_rows, float_fields, write_csv
 from .detection import (
     MODE_INTERFEROMETER,
     AnalyzerSetting,
@@ -52,7 +51,6 @@ from .estimation import (
     MC_MIN_TRIALS,
     METRIC_FUNCTIONS,
     ChshEstimate,
-    MetricsReport,
     TomographyResult,
     chsh_s,
     correlation_coefficient,
@@ -86,7 +84,6 @@ WAVELENGTH_CSV_HEADER = (
     "efficiency_1535",
     "link_efficiency",
 )
-ECHOES_CSV_HEADER = ("delay_ns", "relative_amplitude")
 METRICS_CSV_HEADER = ("stage", "metric", "value", "sigma")
 
 DATA_TOMOGRAPHY_IN = "tomography_before_storage.csv"
@@ -95,7 +92,7 @@ DATA_CHSH = "chsh_correlations.csv"
 DATA_WAVELENGTH = "wavelength_efficiency.csv"
 DATA_SYNTHETIC_COMB = "synthetic_comb.csv"
 
-SWEEP_PARAMETERS = ("mu", "pump_power", "analyzer_phase")
+SWEEP_PARAMETERS = ("mu", "analyzer_phase")
 
 # summary.json lists the histogram peaks above this fraction of the tallest bin.
 _SUMMARY_PEAK_FRACTION = 0.05
@@ -779,93 +776,84 @@ _STATE_METRICS = (
     "concurrence",
     "entanglement_of_formation",
 )
+# Rows and states name the stages in full; the first tomography table is the
+# input stage.
+_STAGE_NAMES = {STAGE_INPUT: "input", STAGE_OUTPUT: "output"}
+_IO_FIDELITY = ("link", "input_output_fidelity")
+# report.json's summary_percent: these metrics entries times 100.
+_SUMMARY_PERCENT = (
+    ("input", "entanglement_of_formation"),
+    ("input", "purity"),
+    ("input", "fidelity_phi_plus"),
+    _IO_FIDELITY,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
     """Tomography fits, state metrics and Bell sums from measured tables.
 
-    Metric values are fractions in [0, 1]; `metrics` repeats the headline
-    numbers on the percent scale once both stages are available.
+    `metrics` maps (stage, metric) to (value, sigma), values as fractions in
+    [0, 1], in state_metrics.csv order: the four _STATE_METRICS of "input",
+    then of "output" when an output table was fitted, then
+    ("link", "input_output_fidelity") when both were.  `chsh` maps each
+    correlator stage of the table ("in", then "out") to its Bell sum.
     `mc_failures` counts the Monte-Carlo trials dropped because a fit did not
     converge or a metric failed."""
 
     input_state: TomographyResult
     output_state: TomographyResult | None
-    input_metrics: dict[str, tuple[float, float]]
-    output_metrics: dict[str, tuple[float, float]] | None
-    io_fidelity: tuple[float, float] | None
-    metrics: MetricsReport | None
-    chsh_in: ChshEstimate | None
-    chsh_out: ChshEstimate | None
+    metrics: dict[tuple[str, str], tuple[float, float]]
+    chsh: dict[str, ChshEstimate]
     trials: int
     mc_failures: int
 
     def rows(self) -> list[tuple[str, str, float, float]]:
-        rows = [
-            ("input", name, value, sigma)
-            for name, (value, sigma) in self.input_metrics.items()
+        rows = [(stage, name, *pair) for (stage, name), pair in self.metrics.items()]
+        rows += [
+            (_STAGE_NAMES[stage], "chsh_s", est.value, est.sigma)
+            for stage, est in self.chsh.items()
         ]
-        if self.output_metrics is not None:
-            rows += [
-                ("output", name, value, sigma)
-                for name, (value, sigma) in self.output_metrics.items()
-            ]
-        if self.io_fidelity is not None:
-            rows.append(("link", "input_output_fidelity", *self.io_fidelity))
-        if self.chsh_in is not None:
-            rows.append(("input", "chsh_s", self.chsh_in.value, self.chsh_in.sigma))
-        if self.chsh_out is not None:
-            rows.append(("output", "chsh_s", self.chsh_out.value, self.chsh_out.sigma))
         return rows
 
     def to_json_dict(self) -> dict:
         def pair(value_sigma):
             return {"value": value_sigma[0], "sigma": value_sigma[1]}
 
+        fits = (self.input_state, self.output_state)
         states = {
-            "input": {
-                "residual": self.input_state.residual,
-                "n_converged": self.input_state.n_converged,
-                "iterations": self.input_state.iterations,
-                "metrics": {k: pair(v) for k, v in self.input_metrics.items()},
+            stage: {
+                "residual": fit.residual,
+                "n_converged": fit.n_converged,
+                "iterations": fit.iterations,
+                "metrics": {},
             }
+            for stage, fit in zip(_STAGE_NAMES.values(), fits)
+            if fit is not None
         }
-        if self.output_state is not None:
-            states["output"] = {
-                "residual": self.output_state.residual,
-                "n_converged": self.output_state.n_converged,
-                "iterations": self.output_state.iterations,
-                "metrics": {k: pair(v) for k, v in self.output_metrics.items()},
-            }
         payload: dict = {
             "trials": self.trials,
             "mc_failures": self.mc_failures,
             "states": states,
         }
-        if self.io_fidelity is not None:
-            payload["input_output_fidelity"] = pair(self.io_fidelity)
-        chsh = {}
-        for stage, est in ((STAGE_INPUT, self.chsh_in), (STAGE_OUTPUT, self.chsh_out)):
-            if est is not None:
-                chsh[stage] = {
-                    "value": est.value,
-                    "sigma": est.sigma,
-                    "minus_slot": est.minus_slot,
-                }
-        payload["chsh"] = chsh
-        if self.metrics is not None:
-            payload["summary_percent"] = json.loads(self.metrics.to_json())
+        # The link entry has no state; it sits at the top level.
+        for (stage, name), value_sigma in self.metrics.items():
+            target = states[stage]["metrics"] if stage in states else payload
+            target[name] = pair(value_sigma)
+        payload["chsh"] = {stage: asdict(est) for stage, est in self.chsh.items()}
+        if _IO_FIDELITY in self.metrics:
+            payload["summary_percent"] = {
+                name: pair([100.0 * v for v in self.metrics[stage, name]])
+                for stage, name in _SUMMARY_PERCENT
+            }
         return payload
 
 
-def _point_metrics(result: TomographyResult) -> dict[str, float]:
-    return {name: float(METRIC_FUNCTIONS[name](result.rho)) for name in _STATE_METRICS}
-
-
 def _trial_metrics(states) -> list[float]:
-    """State metrics of every stage of one Monte-Carlo trial, then the
-    input-output fidelity when both stages are present."""
+    """State metrics of every stage, one state per tomography table, then the
+    input-output fidelity when both stages are present: the values of
+    AnalysisReport.metrics in order, for the fits and for each Monte-Carlo
+    trial."""
     values = [
         float(METRIC_FUNCTIONS[name](rho)) for rho in states for name in _STATE_METRICS
     ]
@@ -889,67 +877,31 @@ def analyze_paper_data(
     resampling and reports zero uncertainties."""
     if trials != 0 and trials < MC_MIN_TRIALS:
         raise ValueError(f"trials must be 0 or at least {MC_MIN_TRIALS}, got {trials}")
-    tin_in = tomography_from_csv(tomography_in)
-    base_in = tomography_mle(tin_in)
-    point_in = _point_metrics(base_in)
+    paths = [tomography_in] if tomography_out is None else [tomography_in, tomography_out]
+    tins, fits, keys = [], [], []
+    for stage, path in zip(_STAGE_NAMES.values(), paths):
+        tins.append(tomography_from_csv(path))
+        fits.append(tomography_mle(tins[-1]))
+        keys += [(stage, name) for name in _STATE_METRICS]
+    if len(fits) == 2:
+        keys.append(_IO_FIDELITY)
+    values = _trial_metrics([fit.rho for fit in fits])
 
-    tin_out = base_out = point_out = io_point = None
-    if tomography_out is not None:
-        tin_out = tomography_from_csv(tomography_out)
-        base_out = tomography_mle(tin_out)
-        point_out = _point_metrics(base_out)
-        io_point = float(fidelity(base_in.rho, base_out.rho))
-
-    sigma_in = {name: 0.0 for name in _STATE_METRICS}
-    sigma_out = {name: 0.0 for name in _STATE_METRICS}
-    io_sigma = 0.0
+    sigmas = [0.0] * len(keys)
     mc_failures = 0
     if trials:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-        tins = (tin_in,) if tin_out is None else (tin_in, tin_out)
         samples, mc_failures = monte_carlo_samples(tins, trials, rng, _trial_metrics)
-        sigmas = samples.std(axis=0, ddof=1)
-        count = len(_STATE_METRICS)
-        sigma_in = dict(zip(_STATE_METRICS, map(float, sigmas[:count])))
-        if tin_out is not None:
-            sigma_out = dict(zip(_STATE_METRICS, map(float, sigmas[count : 2 * count])))
-            io_sigma = float(sigmas[-1])
+        sigmas = samples.std(axis=0, ddof=1).tolist()
 
-    input_metrics = {name: (point_in[name], sigma_in[name]) for name in _STATE_METRICS}
-    output_metrics = None
-    io_fidelity = None
-    metrics = None
-    if point_out is not None:
-        output_metrics = {
-            name: (point_out[name], sigma_out[name]) for name in _STATE_METRICS
-        }
-        io_fidelity = (io_point, io_sigma)
-        metrics = MetricsReport(
-            entanglement_of_formation=tuple(
-                100.0 * v for v in input_metrics["entanglement_of_formation"]
-            ),
-            purity=tuple(100.0 * v for v in input_metrics["purity"]),
-            fidelity_phi_plus=tuple(100.0 * v for v in input_metrics["fidelity_phi_plus"]),
-            input_output_fidelity=tuple(100.0 * v for v in io_fidelity),
-        )
-
-    chsh_in = chsh_out = None
-    if chsh is not None:
-        stages = chsh_from_csv(chsh)
-        if STAGE_INPUT in stages:
-            chsh_in = chsh_s(*stages[STAGE_INPUT])
-        if STAGE_OUTPUT in stages:
-            chsh_out = chsh_s(*stages[STAGE_OUTPUT])
-
+    correlators = {} if chsh is None else chsh_from_csv(chsh)
     return AnalysisReport(
-        input_state=base_in,
-        output_state=base_out,
-        input_metrics=input_metrics,
-        output_metrics=output_metrics,
-        io_fidelity=io_fidelity,
-        metrics=metrics,
-        chsh_in=chsh_in,
-        chsh_out=chsh_out,
+        input_state=fits[0],
+        output_state=fits[1] if len(fits) == 2 else None,
+        metrics={key: (v, sigma) for key, v, sigma in zip(keys, values, sigmas)},
+        chsh={
+            stage: chsh_s(*correlators[stage]) for stage in _STAGE_NAMES if stage in correlators
+        },
         trials=trials,
         mc_failures=mc_failures,
     )
@@ -966,10 +918,7 @@ class SweepResult:
     rows: tuple[tuple[float, ...], ...]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)
+        write_csv(path, self.columns, self.rows)
 
 
 def sweep(
@@ -980,9 +929,8 @@ def sweep(
 ) -> SweepResult:
     """Repeat the simulation over one swept parameter.
 
-    mu and pump_power report the zero-delay cross-correlation (pump power
-    acts as a multiplier on the configured pair rate); analyzer_phase sweeps
-    the signal analyzer phase and reports central-slot (+1, +1) coincidences.
+    mu reports the zero-delay cross-correlation; analyzer_phase sweeps the
+    signal analyzer phase and reports central-slot (+1, +1) coincidences.
     Every point reuses the master seed, so a single-value sweep reproduces a
     direct run exactly.  A point that fails (an undefined g2, or a value
     the config rejects) raises an error that names the parameter and the
@@ -996,16 +944,11 @@ def sweep(
         raise ValueError("sweep needs at least one value")
     run = cfg.run if cycles_per_point is None else replace(cfg.run, cycles=int(cycles_per_point))
     base = replace(cfg, run=run)
-    if parameter in ("mu", "pump_power"):
-        columns = ("mu" if parameter == "mu" else "power_factor", "g2_zero", "g2_sigma")
-        scale = 1.0 if parameter == "mu" else base.source.mean_pairs_per_pulse
+    if parameter == "mu":
+        columns = ("mu", "g2_zero", "g2_sigma")
 
         def point(value):
-            if parameter == "pump_power" and value <= 0.0:
-                raise ValueError("pump power factors must be positive")
-            sub = replace(
-                base, source=replace(base.source, mean_pairs_per_pulse=scale * value)
-            )
+            sub = replace(base, source=replace(base.source, mean_pairs_per_pulse=value))
             # Straight from the shards: no run's click arrays are kept.
             pieces = (
                 (clicks[events.IDLER_1535]["times"], clicks[events.SIGNAL_794]["times"], floor)
@@ -1044,15 +987,7 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# Report bundle
-
-
-def echoes_to_csv(echoes, path) -> None:
-    """Write (delay_ns, relative amplitude) rows for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ECHOES_CSV_HEADER)
-        writer.writerows((float(d), float(a)) for d, a in echoes)
+# Report files
 
 
 def write_report_files(out_dir, payload: dict, report: AnalysisReport) -> None:
@@ -1060,20 +995,14 @@ def write_report_files(out_dir, payload: dict, report: AnalysisReport) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    with open(out / "state_metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_HEADER)
-        writer.writerows(report.rows())
+    write_csv(out / "state_metrics.csv", METRICS_CSV_HEADER, report.rows())
 
 
-@dataclass(frozen=True, eq=False)
-class ReportBundle:
-    payload: dict
-    report: AnalysisReport
-
-
-def generate_report(out_dir, trials: int = 200, seed: int = 0) -> ReportBundle:
-    """Analyze every shipped data table and write the combined report."""
+def generate_report(
+    out_dir, trials: int = 200, seed: int = 0
+) -> tuple[dict, AnalysisReport]:
+    """Analyze every shipped data table and write the combined report;
+    returns the report.json payload and the analysis."""
     report = analyze_paper_data(
         data_path(DATA_TOMOGRAPHY_IN),
         tomography_out=data_path(DATA_TOMOGRAPHY_OUT),
@@ -1086,18 +1015,9 @@ def generate_report(out_dir, trials: int = 200, seed: int = 0) -> ReportBundle:
     payload = {
         "state_analysis": report.to_json_dict(),
         "wavelength_link": {
-            "rows": [
-                {
-                    "signal_nm": row.signal_nm,
-                    "idler_nm": row.idler_nm,
-                    "efficiency_794": row.efficiency_794,
-                    "efficiency_1535": row.efficiency_1535,
-                    "link_efficiency": row.link_efficiency,
-                }
-                for row in table.rows
-            ],
+            "rows": [asdict(row) for row in table.rows],
             "best": {"signal_nm": best.signal_nm, "link_efficiency": best.link_efficiency},
         },
     }
     write_report_files(out_dir, payload, report)
-    return ReportBundle(payload=payload, report=report)
+    return payload, report

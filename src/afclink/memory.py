@@ -288,7 +288,6 @@ class MemoryConfig:
     device_efficiency: float
     mean_od: float
     echo_delays: tuple[tuple[float, float], ...]
-    comb: CombSpectrum | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.coupling_efficiency <= 1.0:
@@ -328,7 +327,6 @@ class MemoryConfig:
             device_efficiency=float(eta),
             mean_od=comb.mean_od,
             echo_delays=weighted,
-            comb=comb,
         )
 
     @property

@@ -35,8 +35,8 @@ def test_criterion_1_bell_sums_from_shipped_correlators():
         data_path(DATA_TOMOGRAPHY_IN), chsh=data_path(DATA_CHSH), trials=0
     )
     elapsed = time.perf_counter() - t0
-    s_in = report.chsh_in.value
-    s_out = report.chsh_out.value
+    s_in = report.chsh["in"].value
+    s_out = report.chsh["out"].value
     print(
         f"criterion 1: S_in={s_in:.4f} S_out={s_out:.4f} ({elapsed:.2f} s)"
     )
@@ -56,11 +56,11 @@ def test_criterion_2_state_metrics_from_shipped_tomography():
         seed=0,
     )
     elapsed = time.perf_counter() - t0
-    fid_in = 100.0 * report.input_metrics["fidelity_phi_plus"][0]
-    purity_in = 100.0 * report.input_metrics["purity"][0]
-    eof_in = 100.0 * report.input_metrics["entanglement_of_formation"][0]
-    fid_out = 100.0 * report.output_metrics["fidelity_phi_plus"][0]
-    fid_io = 100.0 * report.io_fidelity[0]
+    fid_in = 100.0 * report.metrics["input", "fidelity_phi_plus"][0]
+    purity_in = 100.0 * report.metrics["input", "purity"][0]
+    eof_in = 100.0 * report.metrics["input", "entanglement_of_formation"][0]
+    fid_out = 100.0 * report.metrics["output", "fidelity_phi_plus"][0]
+    fid_io = 100.0 * report.metrics["link", "input_output_fidelity"][0]
     print(
         f"criterion 2: F_in={fid_in:.2f} P_in={purity_in:.2f} EoF_in={eof_in:.2f} "
         f"F_out={fid_out:.2f} F_io={fid_io:.2f} ({elapsed:.1f} s)"
@@ -71,8 +71,8 @@ def test_criterion_2_state_metrics_from_shipped_tomography():
     assert fid_out == pytest.approx(87.68, abs=5.0)
     assert fid_io == pytest.approx(93.77, abs=4.0)
     # Error bars come from the Monte-Carlo resampling and must be present.
-    assert report.input_metrics["fidelity_phi_plus"][1] > 0.0
-    assert report.io_fidelity[1] > 0.0
+    assert report.metrics["input", "fidelity_phi_plus"][1] > 0.0
+    assert report.metrics["link", "input_output_fidelity"][1] > 0.0
     assert elapsed < 60.0
 
 

@@ -9,7 +9,6 @@ Oracle values used below and frozen by hand:
     -> 2.5911 with sigma 0.20210158336836453.
 """
 
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from afclink.errors import EstimationError, FitError, UndefinedEstimateError
 from afclink.estimation import (
     CHSH_PAIRS,
     METRIC_FUNCTIONS,
-    MetricsReport,
     TomographyInput,
     TomographyRow,
     _build_mle_data,
@@ -687,25 +685,3 @@ class TestResampleRows:
         for sigma in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 TomographyRow(setting, setting, 0.5, sigma)
-
-
-class TestMetricsReport:
-    def test_json_round_trip(self):
-        report = MetricsReport(
-            entanglement_of_formation=(81.10, 2.23),
-            purity=(84.57, 1.47),
-            fidelity_phi_plus=(91.68, 0.83),
-            input_output_fidelity=(93.77, 2.18),
-        )
-        data = json.loads(report.to_json())
-        assert data["fidelity_phi_plus"]["value"] == pytest.approx(91.68)
-        assert data["purity"]["sigma"] == pytest.approx(1.47)
-
-    def test_percent_bounds(self):
-        with pytest.raises(ValueError):
-            MetricsReport(
-                entanglement_of_formation=(120.0, 1.0),
-                purity=(84.0, 1.0),
-                fidelity_phi_plus=(90.0, 1.0),
-                input_output_fidelity=(90.0, 1.0),
-            )

@@ -19,6 +19,7 @@ import pytest
 from conftest import IDEAL_DETECTORS, make_config
 
 from afclink import events, harness
+from afclink.cli import main as cli_main
 from afclink.config import load_config
 from afclink.detection import (
     coincidence_rate,
@@ -789,11 +790,11 @@ class TestAnalyzePaperData:
             trials=0,
         )
         # Pure arithmetic on the shipped correlators; oracles frozen by hand.
-        assert report.chsh_in.value == pytest.approx(2.5194, abs=1e-9)
-        assert report.chsh_in.sigma == pytest.approx(0.02704625667259704, abs=1e-12)
-        assert report.chsh_in.minus_slot == 2
-        assert report.chsh_out.value == pytest.approx(2.5911, abs=1e-9)
-        assert report.chsh_out.sigma == pytest.approx(0.20210158336836453, abs=1e-12)
+        assert report.chsh["in"].value == pytest.approx(2.5194, abs=1e-9)
+        assert report.chsh["in"].sigma == pytest.approx(0.02704625667259704, abs=1e-12)
+        assert report.chsh["in"].minus_slot == 2
+        assert report.chsh["out"].value == pytest.approx(2.5911, abs=1e-9)
+        assert report.chsh["out"].sigma == pytest.approx(0.20210158336836453, abs=1e-12)
 
     def test_point_estimates_near_published(self):
         report = analyze_paper_data(
@@ -801,20 +802,22 @@ class TestAnalyzePaperData:
             tomography_out=data_path(DATA_TOMOGRAPHY_OUT),
             trials=0,
         )
-        fid_in = report.input_metrics["fidelity_phi_plus"]
+        fid_in = report.metrics["input", "fidelity_phi_plus"]
         assert fid_in[0] == pytest.approx(0.9168, abs=0.03)
-        assert report.input_metrics["purity"][0] == pytest.approx(0.8457, abs=0.04)
-        assert report.input_metrics["entanglement_of_formation"][0] == pytest.approx(
+        assert report.metrics["input", "purity"][0] == pytest.approx(0.8457, abs=0.04)
+        assert report.metrics["input", "entanglement_of_formation"][0] == pytest.approx(
             0.8110, abs=0.07
         )
-        assert report.output_metrics["fidelity_phi_plus"][0] == pytest.approx(
+        assert report.metrics["output", "fidelity_phi_plus"][0] == pytest.approx(
             0.8768, abs=0.07
         )
-        assert report.io_fidelity[0] == pytest.approx(0.9377, abs=0.06)
+        assert report.metrics["link", "input_output_fidelity"][0] == pytest.approx(
+            0.9377, abs=0.06
+        )
         # trials=0 leaves uncertainties at zero
         assert fid_in[1] == 0.0
-        assert report.metrics is not None
-        assert report.metrics.fidelity_phi_plus[0] == pytest.approx(
+        percent = report.to_json_dict()["summary_percent"]
+        assert percent["fidelity_phi_plus"]["value"] == pytest.approx(
             fid_in[0] * 100.0, rel=1e-12
         )
 
@@ -826,27 +829,25 @@ class TestAnalyzePaperData:
             seed=5,
         )
         for key in ("fidelity_phi_plus", "purity", "entanglement_of_formation"):
-            assert report.input_metrics[key][1] > 0.0
-        assert report.output_metrics["fidelity_phi_plus"][1] > 0.0
-        assert report.io_fidelity[1] > 0.0
+            assert report.metrics["input", key][1] > 0.0
+        assert report.metrics["output", "fidelity_phi_plus"][1] > 0.0
+        assert report.metrics["link", "input_output_fidelity"][1] > 0.0
         # Published uncertainties are a couple of percentage points; the MC
         # spread should be the same order, not wildly off.
-        assert 0.001 < report.input_metrics["fidelity_phi_plus"][1] < 0.05
+        assert 0.001 < report.metrics["input", "fidelity_phi_plus"][1] < 0.05
         assert report.trials == 100
 
     def test_input_only_report(self):
         report = analyze_paper_data(data_path(DATA_TOMOGRAPHY_IN), trials=0)
         assert report.output_state is None
-        assert report.output_metrics is None
-        assert report.io_fidelity is None
-        assert report.metrics is None
-        assert report.chsh_in is None
-        assert set(report.input_metrics) == {
-            "fidelity_phi_plus",
-            "purity",
-            "concurrence",
-            "entanglement_of_formation",
-        }
+        assert report.chsh == {}
+        assert list(report.metrics) == [
+            ("input", "fidelity_phi_plus"),
+            ("input", "purity"),
+            ("input", "concurrence"),
+            ("input", "entanglement_of_formation"),
+        ]
+        assert "summary_percent" not in report.to_json_dict()
 
     def test_json_payload_serializes(self):
         report = analyze_paper_data(
@@ -864,6 +865,43 @@ class TestAnalyzePaperData:
             assert payload["states"][stage]["iterations"] >= 0
         rows = report.rows()
         assert ("input", "fidelity_phi_plus") in [(r[0], r[1]) for r in rows]
+
+    def test_rows_json_and_percent_share_one_layout(self, tmp_path):
+        # The correlator table lists the out stage first.
+        lines = data_path(DATA_CHSH).read_text().splitlines()
+        chsh = tmp_path / "out_first.csv"
+        chsh.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n")
+        report = analyze_paper_data(
+            data_path(DATA_TOMOGRAPHY_IN),
+            tomography_out=data_path(DATA_TOMOGRAPHY_OUT),
+            chsh=chsh,
+            trials=100,
+        )
+        payload = report.to_json_dict()
+        assert list(report.chsh) == ["in", "out"]
+        assert list(payload["chsh"]) == ["in", "out"]
+        chsh_key = {"input": "in", "output": "out"}
+        for stage, name, value, sigma in report.rows():
+            if name == "chsh_s":
+                entry = payload["chsh"][chsh_key[stage]]
+            elif stage == "link":
+                entry = payload[name]
+            else:
+                entry = payload["states"][stage]["metrics"][name]
+            assert (entry["value"], entry["sigma"]) == (value, sigma)
+        sources = {
+            "entanglement_of_formation": ("input", "entanglement_of_formation"),
+            "purity": ("input", "purity"),
+            "fidelity_phi_plus": ("input", "fidelity_phi_plus"),
+            "input_output_fidelity": ("link", "input_output_fidelity"),
+        }
+        percent = payload["summary_percent"]
+        assert list(percent) == list(sources)
+        for name, key in sources.items():
+            value, sigma = report.metrics[key]
+            assert percent[name] == {"value": 100.0 * value, "sigma": 100.0 * sigma}
+            assert 0.0 <= percent[name]["value"] <= 100.0
+            assert percent[name]["sigma"] >= 0.0
 
     def test_trials_validation(self):
         with pytest.raises(ValueError, match="trials"):
@@ -956,18 +994,6 @@ class TestSweep:
         for (mu, g2, sigma) in result.rows:
             assert abs(g2 - (1.0 + 1.0 / mu)) <= 4.0 * sigma
 
-    def test_pump_power_sweep_scales_mu(self):
-        cfg = make_config(
-            seed=72,
-            cycles=400_000,
-            source={"mean_pairs_per_pulse": 0.02, "pump_mode": "EARLY_ONLY"},
-            detectors=IDEAL_DETECTORS,
-        )
-        result = sweep(cfg, "pump_power", [0.5, 1.0, 2.0])
-        assert result.columns == ("power_factor", "g2_zero", "g2_sigma")
-        values = [row[1] for row in result.rows]
-        assert values[0] > values[1] > values[2]
-
     def test_phase_sweep_visibility(self):
         cfg = make_config(
             seed=73,
@@ -1004,7 +1030,6 @@ class TestSweep:
         "parameter, values, message",
         [
             ("mu", [0.05, 0.1], "mu=0.05"),
-            ("pump_power", [2.0], "pump_power=2"),
         ],
     )
     def test_undefined_point_names_parameter_and_value(self, parameter, values, message):
@@ -1022,7 +1047,6 @@ class TestSweep:
         [
             ("mu", math.nan, "mu=nan: mean pair number must be finite"),
             ("mu", math.inf, "mu=inf: mean pair number must be finite"),
-            ("pump_power", math.nan, "pump_power=nan: mean pair number must be finite"),
             ("analyzer_phase", math.inf, "analyzer_phase=inf: analyzer phase must be finite"),
         ],
     )
@@ -1036,6 +1060,16 @@ class TestSweep:
         cfg = make_config()
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             sweep(cfg, "detuning", [1.0])
+
+    def test_pump_power_is_not_a_parameter(self, capsys):
+        # pump_power was mu times a factor; sweep mu instead.
+        with pytest.raises(ValueError, match="unknown sweep parameter 'pump_power'"):
+            sweep(make_config(), "pump_power", [1.0])
+        argv = ["sweep", "--config", str(ROOT / "configs" / "source_only.json")]
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([*argv, "--parameter", "pump_power", "--values", "1"])
+        assert excinfo.value.code == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "UsageError"
 
     def test_invalid_value_rejected(self):
         cfg = make_config()
