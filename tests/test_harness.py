@@ -1042,12 +1042,21 @@ class TestSweep:
             sweep(cfg, parameter, values)
         assert str(excinfo.value) == f"{message}: all reference peaks are empty"
 
+    def test_undefined_point_after_a_defined_one_names_its_value(self):
+        # mu=0 with dark-free detectors gives no clicks; mu=0.05 before it is fine.
+        cfg = make_config(cycles=20_000, detectors=IDEAL_DETECTORS)
+        assert len(sweep(cfg, "mu", [0.05]).rows) == 1
+        with pytest.raises(UndefinedEstimateError) as excinfo:
+            sweep(cfg, "mu", [0.05, 0.0])
+        assert str(excinfo.value) == "mu=0: all reference peaks are empty"
+
     @pytest.mark.parametrize(
         "parameter, value, message",
         [
             ("mu", math.nan, "mu=nan: mean pair number must be finite"),
             ("mu", math.inf, "mu=inf: mean pair number must be finite"),
             ("analyzer_phase", math.inf, "analyzer_phase=inf: analyzer phase must be finite"),
+            ("analyzer_phase", math.nan, "analyzer_phase=nan: analyzer phase must be finite"),
         ],
     )
     def test_non_finite_point_names_parameter_and_value(self, parameter, value, message):
