@@ -124,20 +124,6 @@ def joint_outcome_table(
     return (1.0 - depolarizing) * pure + depolarizing * mixed
 
 
-def single_outcome_table(
-    rho2: np.ndarray, outcomes: list[AnalyzerOutcome], depolarizing: float = 0.0
-) -> np.ndarray:
-    """Outcome probabilities for one arm given its reduced state."""
-    if not 0.0 <= depolarizing <= 1.0:
-        raise ValueError("depolarizing must lie in [0, 1]")
-    effects = np.stack([o.effect for o in outcomes])
-    pure = np.einsum("aij,ji->a", effects, np.asarray(rho2, dtype=complex)).real
-    if depolarizing == 0.0:
-        return pure
-    mixed = np.trace(effects, axis1=1, axis2=2).real / 2.0
-    return (1.0 - depolarizing) * pure + depolarizing * mixed
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Detector parameters with the jitter quoted as FWHM, as in datasheets."""

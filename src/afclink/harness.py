@@ -11,8 +11,9 @@ Cycles are processed in fixed-size shards, each with its own generator seeded
 from (master seed, shard index).  The draw order inside a shard is fixed: the
 four class counts; the cycles of the both-detected pairs (shared by the two
 photons), then of the lone signal and idler photons; joint analyzer outcomes,
-then single-arm outcomes per channel; memory outcomes conditioned on survival
-per channel; then, channel by channel, detector jitter and dark counts.
+then per channel the lone photons' outcomes, drawn from that arm's marginal of
+the joint table; memory outcomes conditioned on survival per channel; then,
+channel by channel, detector jitter and dark counts.
 Changing that order would change every seeded result.  Click arrays are not
 time-sorted within a shard.
 
@@ -42,7 +43,6 @@ from .detection import (
     DetectorConfig,
     analyzer_outcomes,
     joint_outcome_table,
-    single_outcome_table,
     tdc_histogram_from_stream,
 )
 from .errors import UndefinedEstimateError
@@ -61,7 +61,6 @@ from .estimation import (
     tomography_from_csv,
     tomography_mle,
 )
-from .linalg import partial_trace
 from .memory import MemoryConfig
 
 SHARD_CYCLES = 1_000_000
@@ -174,39 +173,45 @@ class SimulationData:
 
 @dataclass(frozen=True, eq=False)
 class _MemoryTable:
-    """The outcomes a photon can survive with; p_alive = 1 - p_lost."""
+    """The outcomes a photon can survive with, each with its code, delay and
+    origin; p_alive = 1 - p_lost."""
 
     p_alive: float
     cumulative: np.ndarray
     delay_ps: np.ndarray
     codes: np.ndarray
-    spurious: np.ndarray
+    origins: np.ndarray
 
 
 def _memory_table(config: MemoryConfig | None) -> _MemoryTable | None:
     if config is None:
         return None
     _, probs = config.outcome_table()
-    n_echo = len(config.echo_delays)
-    delays = [0] + [config.echo_delay_ps(k) for k in range(n_echo)]
-    codes = [_OUTCOME_TRANSMITTED]
-    codes += [_OUTCOME_RECALL_BASE + k for k in range(n_echo)]
-    spurious = [False]
-    spurious += [k != config.primary_echo_index for k in range(n_echo)]
+    echoes = range(len(config.echo_delays))
+    pair, spurious = (_ORIGIN_CODE[o] for o in (events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO))
+    origins = [pair if k == config.primary_echo_index else spurious for k in echoes]
     return _MemoryTable(
         p_alive=min(1.0, max(0.0, 1.0 - float(probs[-1]))),
         cumulative=np.cumsum(probs[:-1]),
-        delay_ps=np.asarray(delays, dtype=np.int64),
-        codes=np.asarray(codes, dtype=np.int16),
-        spurious=np.asarray(spurious, dtype=bool),
+        delay_ps=np.array([0] + [config.echo_delay_ps(k) for k in echoes], dtype=np.int64),
+        codes=np.arange(_OUTCOME_TRANSMITTED, _OUTCOME_RECALL_BASE + len(echoes), dtype=np.int16),
+        origins=np.array([pair] + origins, dtype=np.int8),
     )
 
 
 @dataclass(frozen=True, eq=False)
-class _AnalyzerTable:
+class _ChannelTable:
+    """One arm: its analyzer outcomes (slot, port, bin), the cumulative
+    outcome table of a lone photon, its memory and detector, and the
+    probability q that one of its photons is detected."""
+
     slots: np.ndarray
     ports: np.ndarray
     bins: np.ndarray
+    single_cum: np.ndarray
+    memory: _MemoryTable | None
+    detector: DetectorConfig
+    p_detect: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,89 +219,48 @@ class _EngineTables:
     seed: int
     mu: float
     rep_period_ps: int
-    outcomes: dict[str, _AnalyzerTable]
     joint_cum: np.ndarray
     n_out_idler: int
-    single_cum: dict[str, np.ndarray]
-    memory: dict[str, _MemoryTable | None]
-    detectors: dict[str, DetectorConfig]
-    p_detect: dict[str, float]
-
-
-def _cumulative(table: np.ndarray) -> np.ndarray:
-    return np.cumsum(np.clip(np.asarray(table, dtype=float).reshape(-1), 0.0, None))
+    channels: dict[str, _ChannelTable]
 
 
 def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     src = cfg.source
-    state = src.joint_state()
-    if state is None:
-        rho4 = np.zeros((4, 4), dtype=complex)
-        rho4[0, 0] = 1.0  # both photons in the early bin
-    else:
-        rho4 = state.density().matrix
-    outs = {
-        ch: analyzer_outcomes(cfg.analyzer_setting(ch), src.bin_separation_ps)
-        for ch in _CHANNELS
-    }
-    tables = {
-        ch: _AnalyzerTable(
-            slots=np.asarray([o.slot_offset_ps for o in outs[ch]], dtype=np.int64),
-            ports=np.asarray([o.port for o in outs[ch]], dtype=np.int8),
-            bins=np.asarray([_BIN_CODE[o.bin] for o in outs[ch]], dtype=np.int8),
+    outs = [analyzer_outcomes(cfg.analyzer_setting(ch), src.bin_separation_ps) for ch in _CHANNELS]
+    rho = src.joint_state().density().matrix
+    joint = joint_outcome_table(rho, *outs, depolarizing=src.depolarizing_noise).clip(0.0, None)
+    # Rows: the signal arm, columns: the idler arm.  A lone photon, whose
+    # partner goes undetected, draws from its arm's marginal.
+    marginals = (joint.sum(axis=1), joint.sum(axis=0))
+    channels = {}
+    for ch, out, marginal in zip(_CHANNELS, outs, marginals):
+        memory = _memory_table(cfg.memory_config(ch))
+        detector = cfg.detector_config(ch)
+        channels[ch] = _ChannelTable(
+            slots=np.array([o.slot_offset_ps for o in out], dtype=np.int64),
+            ports=np.array([o.port for o in out], dtype=np.int8),
+            bins=np.array([_BIN_CODE[o.bin] for o in out], dtype=np.int8),
+            single_cum=np.cumsum(marginal),
+            memory=memory,
+            detector=detector,
+            # The detector efficiency is the same for every memory outcome and port.
+            p_detect=(1.0 if memory is None else memory.p_alive) * detector.efficiency,
         )
-        for ch in _CHANNELS
-    }
-    noise = src.depolarizing_noise
-    joint = joint_outcome_table(
-        rho4, outs[events.SIGNAL_794], outs[events.IDLER_1535], depolarizing=noise
-    )
-    # A photon whose partner goes undetected sees the reduced state.  Tracing out the
-    # lost arm commutes with the depolarizing mix, so the single-arm table
-    # takes the same noise parameter.
-    single_cum = {}
-    for keep, ch in ((0, events.SIGNAL_794), (1, events.IDLER_1535)):
-        rho2 = partial_trace(rho4, keep=keep)
-        single_cum[ch] = _cumulative(
-            single_outcome_table(rho2, outs[ch], depolarizing=noise)
-        )
-    memory = {ch: _memory_table(cfg.memory_config(ch)) for ch in _CHANNELS}
-    detectors = {ch: cfg.detector_config(ch) for ch in _CHANNELS}
-    # The detector efficiency is the same for every memory outcome and port.
-    p_detect = {
-        ch: (1.0 if memory[ch] is None else memory[ch].p_alive) * detectors[ch].efficiency
-        for ch in _CHANNELS
-    }
     return _EngineTables(
         seed=cfg.run.seed,
         mu=src.mean_pairs_per_pulse,
         rep_period_ps=src.rep_period_ps,
-        outcomes=tables,
-        joint_cum=_cumulative(joint),
-        n_out_idler=len(outs[events.IDLER_1535]),
-        single_cum=single_cum,
-        memory=memory,
-        detectors=detectors,
-        p_detect=p_detect,
+        joint_cum=np.cumsum(joint.reshape(-1)),
+        n_out_idler=len(outs[1]),
+        channels=channels,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _MemoryDraw:
-    """The memory outcomes of one channel's detected photons."""
-
-    delay: np.ndarray
-    code: np.ndarray
-    spurious: np.ndarray
-
-
-def _draw_memory(table: _MemoryTable, n: int, rng: np.random.Generator) -> _MemoryDraw:
-    """Outcomes of n detected photons, from the table conditioned on survival."""
+def _draw_memory(table: _MemoryTable, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome indices into table's arrays of n detected photons, drawn from
+    the table conditioned on survival."""
     u = rng.random(n) * table.cumulative[-1]
-    k = np.minimum(np.searchsorted(table.cumulative, u, side="right"), table.codes.size - 1)
-    return _MemoryDraw(
-        delay=table.delay_ps[k], code=table.codes[k], spurious=table.spurious[k]
-    )
+    return np.minimum(np.searchsorted(table.cumulative, u, side="right"), table.codes.size - 1)
 
 
 def _draw_outcomes(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -322,7 +286,8 @@ def _simulate_shard(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=t.seed, spawn_key=(shard_index,))
     )
-    q_s, q_i = (t.p_detect[ch] for ch in _CHANNELS)
+    tabs = [t.channels[ch] for ch in _CHANNELS]
+    q_s, q_i = (tab.p_detect for tab in tabs)
     probs = np.array([q_s * q_i, q_s * (1 - q_i), (1 - q_s) * q_i, (1 - q_s) * (1 - q_i)])
     classes = rng.poisson(t.mu * n_cycles * probs)
     n_both, n_sig, n_idl, _ = classes.tolist()
@@ -331,41 +296,37 @@ def _simulate_shard(
 
     joint_idx = np.divmod(_draw_outcomes(t.joint_cum, n_both, rng), t.n_out_idler)
     picks = [
-        np.concatenate([joint, _draw_outcomes(t.single_cum[ch], lone.size, rng)])
-        for ch, joint, lone in zip(_CHANNELS, joint_idx, lone_cycles)
+        np.concatenate([joint, _draw_outcomes(tab.single_cum, lone.size, rng)])
+        for tab, joint, lone in zip(tabs, joint_idx, lone_cycles)
     ]
     cycles = [np.concatenate([both_cycles, lone]) + first_cycle for lone in lone_cycles]
     # A channel with no memory passes every photon unchanged; nothing is drawn.
-    draws = [
-        None if t.memory[ch] is None else _draw_memory(t.memory[ch], c.size, rng)
-        for ch, c in zip(_CHANNELS, cycles)
+    mem_picks = [
+        None if tab.memory is None else _draw_memory(tab.memory, c.size, rng)
+        for tab, c in zip(tabs, cycles)
     ]
 
     span = n_cycles * t.rep_period_ps
     lo = first_cycle * t.rep_period_ps
     shard: dict[str, dict[str, np.ndarray]] = {}
-    for ch, pick, cyc, draw in zip(_CHANNELS, picks, cycles, draws):
-        out, det = t.outcomes[ch], t.detectors[ch]
-        times = cyc * t.rep_period_ps + out.slots[pick]
-        if draw is None:
+    for ch, tab, pick, cyc, mpick in zip(_CHANNELS, tabs, picks, cycles, mem_picks):
+        mem, det = tab.memory, tab.detector
+        times = cyc * t.rep_period_ps + tab.slots[pick]
+        if mem is None:
             origins = np.full(times.size, _ORIGIN_CODE[events.ORIGIN_PAIR], dtype=np.int8)
             outcomes = np.full(times.size, _OUTCOME_NONE, dtype=np.int16)
         else:
-            times += draw.delay
-            origins = np.where(
-                draw.spurious,
-                _ORIGIN_CODE[events.ORIGIN_SPURIOUS_ECHO],
-                _ORIGIN_CODE[events.ORIGIN_PAIR],
-            ).astype(np.int8)
-            outcomes = draw.code
+            times += mem.delay_ps[mpick]
+            origins = mem.origins[mpick]
+            outcomes = mem.codes[mpick]
         if det.jitter_sigma_ps > 0.0:
             shift = rng.normal(0.0, det.jitter_sigma_ps, times.size)
             times += np.rint(shift).astype(np.int64)
         arrays = {
             "times": times,
             "cycles": cyc,
-            "ports": out.ports[pick],
-            "bins": out.bins[pick],
+            "ports": tab.ports[pick],
+            "bins": tab.bins[pick],
             "origins": origins,
             "outcomes": outcomes,
         }
@@ -389,9 +350,8 @@ def _shards(t: _EngineTables, n_cycles: int):
     last).  Memory delays and analyzer slots only delay a click and dark
     counts fall inside their shard, so only jitter moves a click before its
     shard's first cycle."""
-    lead = max(
-        math.ceil(_JITTER_BOUND_SIGMAS * det.jitter_sigma_ps) for det in t.detectors.values()
-    )
+    sigma = max(tab.detector.jitter_sigma_ps for tab in t.channels.values())
+    lead = math.ceil(_JITTER_BOUND_SIGMAS * sigma)
     for shard_index, first in enumerate(range(0, n_cycles, SHARD_CYCLES)):
         end = min(first + SHARD_CYCLES, n_cycles)
         floor = end * t.rep_period_ps - lead if end < n_cycles else None
@@ -420,9 +380,8 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
         }
         channels[ch] = ChannelRecord(channel=ch, **merged)
     classes = dict(zip(PAIR_CLASSES, map(int, totals)))
-    return SimulationData(
-        cfg, cfg.run.cycles, classes, dict(tables.p_detect), channels, tuple(shards)
-    )
+    p_detect = {ch: tab.p_detect for ch, tab in tables.channels.items()}
+    return SimulationData(cfg, cfg.run.cycles, classes, p_detect, channels, tuple(shards))
 
 
 # ---------------------------------------------------------------------------

@@ -209,16 +209,3 @@ def matrix_sqrt_psd(m) -> np.ndarray:
         raise ValueError(f"matrix has eigenvalue {w.min()!r}; not positive semidefinite")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
-
-
-def partial_trace(rho, keep: int) -> np.ndarray:
-    """Reduce a 4x4 pair state to one qubit (keep=0: 794 nm, keep=1: 1535 nm)."""
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {r.shape}")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 (first qubit) or 1 (second qubit)")
-    r4 = r.reshape(2, 2, 2, 2)
-    if keep == 0:
-        return np.einsum("abcb->ac", r4)
-    return np.einsum("abad->bd", r4)

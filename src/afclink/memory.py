@@ -36,6 +36,14 @@ ECHO_MIN_DELAY_NS = 2.0
 ECHO_MIN_SEPARATION_NS = 2.0
 
 
+def _bad_grid_steps(detuning: np.ndarray) -> np.ndarray:
+    """Per step: whether the grid up to it is not strictly increasing and uniform
+    (steps within 1e-6 of the largest, no NaN); once True, it stays True."""
+    steps = np.diff(detuning)
+    lo, hi = np.minimum.accumulate(steps), np.maximum.accumulate(steps)
+    return ~(lo > 0) | (hi - lo > 1e-6 * hi)
+
+
 @dataclass(frozen=True)
 class CombSpectrum:
     """A sampled comb profile together with the parameters that shape it."""
@@ -52,8 +60,7 @@ class CombSpectrum:
         od = np.asarray(self.od, dtype=float)
         if det.ndim != 1 or det.shape != od.shape or det.shape[0] < 8:
             raise ValueError("detuning and OD must be matching 1-d arrays (>= 8 points)")
-        steps = np.diff(det)
-        if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-6 * steps.max():
+        if _bad_grid_steps(det).any():
             raise ValueError("detuning grid must be strictly increasing and uniform")
         if od.min() < 0.0:
             raise ValueError("optical depth must be non-negative")
@@ -69,10 +76,6 @@ class CombSpectrum:
     @property
     def grid_step_mhz(self) -> float:
         return float(self.detuning_mhz[1] - self.detuning_mhz[0])
-
-    @property
-    def bandwidth_mhz(self) -> float:
-        return float(self.detuning_mhz[-1] - self.detuning_mhz[0])
 
     @property
     def storage_time_ns(self) -> float:
@@ -161,6 +164,8 @@ def echo_response(
     lobe at zero delay, ECHO_MIN_SEPARATION_NS suppresses spectral-leakage
     sidelobes next to a real peak.
     """
+    if not 0.0 <= rel_threshold <= 1.0:
+        raise ValueError(f"rel_threshold must lie in [0, 1], got {rel_threshold!r}")
     transmission = np.exp(-comb.od)
     mag = np.abs(np.fft.rfft(transmission))
     delays_ns = np.fft.rfftfreq(transmission.shape[0], d=comb.grid_step_mhz) * 1000.0
@@ -264,15 +269,22 @@ def comb_to_csv(comb: CombSpectrum, path) -> None:
 
 
 def comb_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a (detuning, OD) profile; the header line is required."""
+    """Read a (detuning, OD) profile; the header line is required, and the
+    detuning grid must be strictly increasing and uniform."""
     rows = [
-        float_fields(path, line_no, raw)
+        [line_no, *float_fields(path, line_no, raw)]
         for line_no, raw in csv_rows(path, COMB_CSV_HEADER, "comb")
     ]
     if not rows:
         raise ValueError(f"{path}: no comb rows")
-    data = np.array(rows)
-    return data[:, 0], data[:, 1]
+    lines, detuning, od = np.array(rows).T
+    bad = _bad_grid_steps(detuning)
+    if bad.any():
+        line_no = int(lines[np.argmax(bad) + 1])
+        raise ValueError(
+            f"{path}: line {line_no}: detuning grid is not strictly increasing and uniform"
+        )
+    return detuning, od
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,9 @@ class SourceConfig:
                 stacklevel=2,
             )
 
-    def joint_state(self) -> Ket | None:
-        """The emitted two-photon state, or None for single-mode pumping."""
+    def joint_state(self) -> Ket:
+        """The emitted two-photon state: |ee> for single-mode (EARLY_ONLY)
+        pumping, which has no late bin, else the entangled state above."""
         if self.pump_mode == PUMP_EARLY_ONLY:
-            return None
+            return Ket([1.0, 0.0, 0.0, 0.0])
         return bell_phi_plus(2.0 * self.pump_phase)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from afclink.cli import main
+from afclink.harness import DATA_SYNTHETIC_COMB, data_path
 
 
 def write_config(tmp_path, seed=5, cycles=20_000, mu=0.05):
@@ -238,6 +239,33 @@ class TestComb:
         bad.write_text("detuning_MHz,optical_depth\n0.0,not_a_number\n")
         obj = stderr_error(capsys, ["comb", "fit", "--input", str(bad)])
         assert obj["type"] in ("ValueError", "FitError")
+
+    @pytest.mark.parametrize("command", ["fit", "echoes"])
+    @pytest.mark.parametrize("grid, line", [("reversed", 3), ("uneven", 12)])
+    def test_bad_detuning_grid_names_file_and_line(self, tmp_path, capsys, command, grid, line):
+        header, *rows = data_path(DATA_SYNTHETIC_COMB).read_text().splitlines()
+        if grid == "reversed":
+            rows.reverse()
+        else:
+            # Row 10 (line 12) moves by a third of a step: the step into it
+            # is the first bad one.
+            detuning, od = rows[10].split(",")
+            rows[10] = f"{float(detuning) + 0.5 / 3},{od}"
+        path = tmp_path / "comb.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        obj = stderr_error(capsys, ["comb", command, "--input", str(path)])
+        assert obj["type"] == "ValueError"
+        assert obj["error"] == (
+            f"{path}: line {line}: detuning grid is not strictly increasing and uniform"
+        )
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1"])
+    def test_echoes_threshold_outside_unit_interval_exits_1(self, capsys, threshold):
+        comb = str(data_path(DATA_SYNTHETIC_COMB))
+        obj = stderr_error(
+            capsys, ["comb", "echoes", "--input", comb, "--rel-threshold", threshold]
+        )
+        assert obj["error"] == f"rel_threshold must lie in [0, 1], got {float(threshold)!r}"
 
     def test_too_coarse_grid_exits_1(self, tmp_path, capsys):
         obj = stderr_error(

@@ -1,10 +1,12 @@
 """Dead-code guards: every function, class and method in afclink is used,
 and every defaulted parameter is passed by some call.
 
-A top-level function or class, or a method, counts as used when its name
-appears in the package source (as a name or an attribute) anywhere outside
-its own definition.  Names are matched by spelling, not resolved, so two
-methods that share a name cover each other.  Dunder methods are called by
+A top-level function or class counts as used when its name appears in the
+package source (as a name or an attribute) anywhere outside its own
+definition; a method or property only when it appears as an attribute
+(`x.name`), since a bare name can only be a local or a global.  Names are
+matched by spelling, not resolved, so two methods that share a name cover
+each other.  Dunder methods are called by
 Python itself and are skipped.  A name that no code in the package uses
 stays only with a reason in KEEP.
 
@@ -69,7 +71,8 @@ def _is_dunder(name: str) -> bool:
 
 def scan():
     """(definitions, references) over the package: definitions as
-    (module.qualname, module, node), references as (name, module, line)."""
+    (module.qualname, module, node, is_method), references as (name, module,
+    line, is_attribute)."""
     defs, refs = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
@@ -77,30 +80,30 @@ def scan():
         for node in tree.body:
             if not isinstance(node, _DEFS):
                 continue
-            defs.append((f"{module}.{node.name}", module, node))
+            defs.append((f"{module}.{node.name}", module, node, False))
             if isinstance(node, ast.ClassDef):
                 defs += [
-                    (f"{module}.{node.name}.{sub.name}", module, sub)
+                    (f"{module}.{node.name}.{sub.name}", module, sub, True)
                     for sub in node.body
                     if isinstance(sub, _DEFS) and not _is_dunder(sub.name)
                 ]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((node.id, module, node.lineno))
+                refs.append((node.id, module, node.lineno, False))
             elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, module, node.lineno))
+                refs.append((node.attr, module, node.lineno, True))
     return defs, refs
 
 
 def unreferenced():
     defs, refs = scan()
     out = []
-    for qualname, module, node in defs:
+    for qualname, module, node, is_method in defs:
         name = node.name
         outside = (
             ref_module != module or not node.lineno <= line <= node.end_lineno
-            for ref_name, ref_module, line in refs
-            if ref_name == name
+            for ref_name, ref_module, line, is_attribute in refs
+            if ref_name == name and (is_attribute or not is_method)
         )
         if not any(outside):
             out.append(qualname)
@@ -113,7 +116,7 @@ def test_every_definition_is_used_or_kept_with_a_reason():
 
 
 def test_keep_lists_only_existing_unused_names():
-    defined = {qualname for qualname, _, _ in scan()[0]}
+    defined = {qualname for qualname, *_ in scan()[0]}
     assert set(KEEP) <= defined, sorted(set(KEEP) - defined)
     used = set(KEEP) - set(unreferenced())
     assert not used, f"used in src/afclink now, drop from KEEP: {sorted(used)}"

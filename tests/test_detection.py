@@ -23,11 +23,10 @@ from afclink.detection import (
     coincidence_rate,
     histogram_from_csv,
     joint_outcome_table,
-    single_outcome_table,
     tdc_histogram_from_times,
 )
 from afclink.harness import run_simulation, simulate
-from afclink.linalg import bell_phi_plus, partial_trace
+from afclink.linalg import bell_phi_plus
 
 BIN_SEP = 1400
 
@@ -131,13 +130,17 @@ class TestJointTable:
         assert np.allclose(half, 0.6 * pure + 0.4 * mixed, atol=1e-12)
 
     def test_single_arm_table_from_reduced_state(self):
-        rho = bell_phi_plus().density().matrix
-        reduced = partial_trace(rho, keep=0)
-        outs = analyzer_outcomes(AnalyzerSetting.interferometer(1.1), BIN_SEP)
-        probs = single_outcome_table(reduced, outs)
+        # The engine's lone-signal table against the Born rule on the signal
+        # arm's reduced state, traced out of the emitted state here.
+        cfg = engine_config(analyzers=interferometers(1.1, 0.0))
+        rho = bell_phi_plus().density().matrix.reshape(2, 2, 2, 2)
+        reduced = np.einsum("ajbj->ab", rho)
+        born = [np.trace(e @ reduced).real for _, _, e, _ in hand_effects(1.1)]
+        cum = harness._build_tables(cfg).channels[events.SIGNAL_794].single_cum
+        assert np.allclose(np.diff(cum, prepend=0.0), born, rtol=0.0, atol=1e-12)
         # Maximally mixed qubit: early 1/8 per port, central 1/4 per port, late 1/8.
         expected = np.array([0.125, 0.125, 0.25, 0.25, 0.125, 0.125])
-        assert np.allclose(probs, expected, atol=1e-12)
+        assert np.allclose(born, expected, atol=1e-12)
 
 
 TIME_OF_ARRIVAL = {
@@ -209,7 +212,7 @@ class TestBatchSampling:
 
     def test_single_arm_counts_million_photons(self):
         cfg = engine_config(analyzers=interferometers(0.4, 0.0))
-        cum = harness._build_tables(cfg).single_cum[events.SIGNAL_794]
+        cum = harness._build_tables(cfg).channels[events.SIGNAL_794].single_cum
         n = 1_000_000
         counts = draw_counts(cum, n, np.random.default_rng(62))
         assert counts.sum() == n

@@ -22,6 +22,7 @@ from afclink import events, harness
 from afclink.cli import main as cli_main
 from afclink.config import load_config
 from afclink.detection import (
+    analyzer_outcomes,
     coincidence_rate,
     histogram_from_csv,
     tdc_histogram_from_times,
@@ -261,25 +262,28 @@ class TestEngineDraws:
         # outcome table without its lost entry, renormalised.
         n = 400_000
         mem = THREE_ECHO_MEMORY
-        draw = harness._draw_memory(
-            harness._memory_table(mem), n, np.random.default_rng(5)
-        )
+        table = harness._memory_table(mem)
+        picks = harness._draw_memory(table, n, np.random.default_rng(5))
+        code, delay, origin = table.codes[picks], table.delay_ps[picks], table.origins[picks]
         _, probs = mem.outcome_table()
         alive = probs[:-1] / probs[:-1].sum()
         codes = [harness._OUTCOME_TRANSMITTED] + [
             harness._OUTCOME_RECALL_BASE + k for k in range(3)
         ]
-        counts = [int((draw.code == c).sum()) for c in codes]
+        counts = [int((code == c).sum()) for c in codes]
         assert sum(counts) == n
         for count, p in zip(counts, alive):
             assert within_5_sigma(count, n, p)
+        spurious = harness._ORIGIN_CODE[events.ORIGIN_SPURIOUS_ECHO]
+        pair = harness._ORIGIN_CODE[events.ORIGIN_PAIR]
         for k in range(3):
-            echo = draw.code == harness._OUTCOME_RECALL_BASE + k
-            assert np.all(draw.delay[echo] == mem.echo_delay_ps(k))
-            assert np.all(draw.spurious[echo] == (k != mem.primary_echo_index))
-        transmitted = draw.code == harness._OUTCOME_TRANSMITTED
-        assert np.all(draw.delay[transmitted] == 0)
-        assert not draw.spurious[transmitted].any()
+            echo = code == harness._OUTCOME_RECALL_BASE + k
+            assert np.all(delay[echo] == mem.echo_delay_ps(k))
+            expected = pair if k == mem.primary_echo_index else spurious
+            assert np.all(origin[echo] == expected)
+        transmitted = code == harness._OUTCOME_TRANSMITTED
+        assert np.all(delay[transmitted] == 0)
+        assert np.all(origin[transmitted] == pair)
 
     def test_channels_survive_independently(self):
         # The four class counts of one shard are independent Poisson counts
@@ -311,10 +315,11 @@ class TestEngineDraws:
         )
         tables = harness._build_tables(cfg)
         q_s, q_i = (
-            tables.memory[ch].p_alive * cfg.detector_config(ch).efficiency
+            tables.channels[ch].memory.p_alive * cfg.detector_config(ch).efficiency
             for ch in (events.SIGNAL_794, events.IDLER_1535)
         )
-        assert tables.p_detect == {events.SIGNAL_794: q_s, events.IDLER_1535: q_i}
+        assert tables.channels[events.SIGNAL_794].p_detect == q_s
+        assert tables.channels[events.IDLER_1535].p_detect == q_i
         classes, shard = harness._simulate_shard(tables, 0, 0, n_cycles)
         probs = (q_s * q_i, q_s * (1 - q_i), (1 - q_s) * q_i, (1 - q_s) * (1 - q_i))
         for count, p in zip(classes.tolist(), probs):
@@ -346,10 +351,10 @@ class TestEngineDraws:
             assert np.all(clicks["origins"] == pair)
             # Arrival = cycle start + analyzer slot, with no memory delay.
             offsets = clicks["times"] - clicks["cycles"] * cfg.source.rep_period_ps
-            assert set(offsets.tolist()) <= set(tables.outcomes[ch].slots.tolist())
+            assert set(offsets.tolist()) <= set(tables.channels[ch].slots.tolist())
         # No photons at all.
         middle = harness._memory_table(THREE_ECHO_MEMORY)
-        assert harness._draw_memory(middle, 0, rng).code.size == 0
+        assert harness._draw_memory(middle, 0, rng).size == 0
         # q = 0: zero coupling loses every signal photon, so no pair is
         # detected on that side.
         dead = {
@@ -362,7 +367,7 @@ class TestEngineDraws:
             mu=0.2, memories={"signal_794": dead}, detectors=IDEAL_DETECTORS
         )
         tables = harness._build_tables(cfg)
-        assert tables.p_detect[events.SIGNAL_794] == 0.0
+        assert tables.channels[events.SIGNAL_794].p_detect == 0.0
         classes, shard = harness._simulate_shard(tables, 0, 0, 10_000)
         n_both, n_sig, n_idl, n_none = classes.tolist()
         assert n_both == n_sig == n_none == 0 and n_idl > 0
@@ -375,7 +380,7 @@ class TestEngineDraws:
             mu=0.2, memories={"signal_794": clear}, detectors=IDEAL_DETECTORS
         )
         tables = harness._build_tables(cfg)
-        assert tables.p_detect[events.SIGNAL_794] == 1.0
+        assert tables.channels[events.SIGNAL_794].p_detect == 1.0
         classes, shard = harness._simulate_shard(tables, 0, 0, 10_000)
         n_both, n_sig, n_idl, n_none = classes.tolist()
         assert n_both > 0 and n_sig == n_idl == n_none == 0
@@ -386,9 +391,20 @@ class TestEngineDraws:
     @pytest.mark.parametrize("pump_mode", ["BOTH_ARMS", "EARLY_ONLY"])
     @pytest.mark.parametrize("noise", [0.0, 0.4, 1.0])
     def test_joint_marginals_equal_single_tables(self, pump_mode, noise):
-        # The colouring draws a lone photon from its single-arm table even
-        # when its partner survived the memory; that is exact only because
-        # each marginal of the joint table is the single-arm table.
+        # The colouring draws a lone photon from its arm's marginal of the
+        # joint table, even when its partner survived the memory; that is
+        # exact only because the marginal is the Born rule on the arm's
+        # reduced state.  That state is traced out here, and the
+        # depolarizing mix is applied to it, as I/2 on one qubit.
+        amplitudes = {
+            "BOTH_ARMS": np.array([1.0, 0.0, 0.0, np.exp(0.6j)]) / math.sqrt(2.0),
+            "EARLY_ONLY": np.array([1.0, 0.0, 0.0, 0.0]),
+        }[pump_mode]
+        rho = np.outer(amplitudes, amplitudes.conj()).reshape(2, 2, 2, 2)
+        reduced = {
+            events.SIGNAL_794: np.einsum("ajbj->ab", rho),
+            events.IDLER_1535: np.einsum("jajb->ab", rho),
+        }
         analyzers = [{"mode": "time_of_arrival"}] + [
             {"mode": "interferometer", "phase": phase}
             for phase in (0.0, 0.7, -1.9, math.pi)
@@ -401,11 +417,13 @@ class TestEngineDraws:
                     analyzers={"signal_794": signal, "idler_1535": idler},
                 )
                 tables = harness._build_tables(cfg)
-                n_i = tables.n_out_idler
-                joint = np.diff(tables.joint_cum, prepend=0.0).reshape(-1, n_i)
-                for axis, ch in ((1, events.SIGNAL_794), (0, events.IDLER_1535)):
-                    marginal = np.cumsum(joint.sum(axis=axis))
-                    assert np.allclose(marginal, tables.single_cum[ch], rtol=0.0, atol=1e-12)
+                for ch, red in reduced.items():
+                    state = (1.0 - noise) * red + noise * np.eye(2) / 2.0
+                    setting = cfg.analyzer_setting(ch)
+                    outs = analyzer_outcomes(setting, cfg.source.bin_separation_ps)
+                    born = [np.trace(o.effect @ state).real for o in outs]
+                    single = np.diff(tables.channels[ch].single_cum, prepend=0.0)
+                    assert np.allclose(single, born, rtol=0.0, atol=1e-12), ch
 
     def test_pair_classes_match_configured_detection(self, tmp_path):
         # configs/realistic.json at 1e7 cycles: each observed class fraction

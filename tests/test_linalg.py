@@ -8,7 +8,9 @@ numpy.linalg.eigh (the in-package solver must agree with numpy, not wrap it).
 
 import numpy as np
 import pytest
+from conftest import make_config
 
+from afclink import events, harness
 from afclink.linalg import (
     DensityMatrix,
     Ket,
@@ -16,9 +18,9 @@ from afclink.linalg import (
     bell_phi_plus,
     hermitian_eigensystem,
     matrix_sqrt_psd,
-    partial_trace,
     projector,
 )
+from afclink.source import SourceConfig
 
 
 def werner(p: float) -> np.ndarray:
@@ -205,27 +207,19 @@ class TestProjectors:
             ProjectorSetting.from_token("Q")
 
 
-class TestPartialTrace:
-    def test_bell_reduces_to_maximally_mixed(self):
-        rho = bell_phi_plus().density().matrix
-        for keep in (0, 1):
-            red = partial_trace(rho, keep=keep)
-            assert np.allclose(red, np.eye(2) / 2.0, atol=1e-12)
-
-    def test_product_state_factors(self):
-        a = Ket(np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)]))
-        b = Ket(np.array([np.cos(1.1), np.sin(1.1) * np.exp(-0.2j)]))
-        rho = Ket(np.kron(a.amplitudes, b.amplitudes)).density().matrix
-        assert np.allclose(partial_trace(rho, keep=0), a.density().matrix, atol=1e-12)
-        assert np.allclose(partial_trace(rho, keep=1), b.density().matrix, atol=1e-12)
-
-    def test_pair_basis_order(self):
-        # |l>_794 (x) |e>_1535 sits at index 2 of (|ee>,|el>,|le>,|ll>), and
-        # keep=0 returns the 794 nm factor.
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[2, 2] = 1.0
-        assert np.allclose(partial_trace(rho, keep=0), np.diag([0.0, 1.0]), atol=1e-15)
-        assert np.allclose(partial_trace(rho, keep=1), np.diag([1.0, 0.0]), atol=1e-15)
+class TestPairBasis:
+    def test_pair_basis_order(self, monkeypatch):
+        # |l>_794 (x) |e>_1535 sits at index 2 of (|ee>,|el>,|le>,|ll>).  Under
+        # arrival-time analyzers the engine's joint table puts it in the
+        # (late, early) cell, rows for the 794 nm arm, and the lone-photon
+        # tables give the signal (early, late) = (0, 1), the idler (1, 0).
+        monkeypatch.setattr(SourceConfig, "joint_state", lambda self: Ket([0, 0, 1, 0]))
+        tables = harness._build_tables(make_config())
+        joint = np.diff(tables.joint_cum, prepend=0.0)
+        assert np.array_equal(joint, [0.0, 0.0, 1.0, 0.0])
+        for ch, expected in ((events.SIGNAL_794, [0.0, 1.0]), (events.IDLER_1535, [1.0, 0.0])):
+            single = np.diff(tables.channels[ch].single_cum, prepend=0.0)
+            assert np.array_equal(single, expected), ch
 
 
 class TestBellState:

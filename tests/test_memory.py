@@ -191,6 +191,16 @@ class TestEchoResponse:
         # 8 GHz span at 2 MHz steps: one FFT bin is 0.125 ns.
         assert dominant[0] == pytest.approx(1000.0 / 166.0, abs=0.13)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -1e-9, 1.0 + 1e-9, float("inf")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        comb = build_comb(31.0, 2.0, 0.1, 2.0, 10.0, 1.0)
+        with pytest.raises(ValueError, match=r"rel_threshold must lie in \[0, 1\]"):
+            echo_response(comb, rel_threshold=threshold)
+        # The ends of the interval are accepted: 0 keeps every peak, 1 the
+        # strongest alone.
+        assert len(echo_response(comb, rel_threshold=0.0)) >= len(echo_response(comb))
+        assert [amp for _, amp in echo_response(comb, rel_threshold=1.0)] == [1.0]
+
     def test_dominant_echo_at_inverse_spacing_property(self):
         rng = np.random.default_rng(41)
         for _ in range(1000):
@@ -281,6 +291,18 @@ class TestCombCsv:
         path = tmp_path / "nan.csv"
         path.write_text("detuning_MHz,optical_depth\n0.0,1.0\n1.0,nan\n")
         with pytest.raises(ValueError, match=f"{path}: line 3: non-finite"):
+            comb_from_csv(path)
+
+
+    def test_bad_grid_names_first_bad_step(self, tmp_path):
+        # Steps 1, 1, 1.5: the third step (into line 5) is the first uneven one.
+        path = tmp_path / "uneven.csv"
+        path.write_text("detuning_MHz,optical_depth\n0,1\n1,1\n2,1\n3.5,1\n4.5,1\n")
+        with pytest.raises(ValueError, match=f"{path}: line 5: detuning grid"):
+            comb_from_csv(path)
+        # Equal detunings are not strictly increasing.
+        path.write_text("detuning_MHz,optical_depth\n0,1\n0,1\n")
+        with pytest.raises(ValueError, match=f"{path}: line 3: detuning grid"):
             comb_from_csv(path)
 
 
@@ -407,6 +429,25 @@ class TestCombSpectrumValidation:
                 od=np.ones(21),
                 delta_mhz=5.0,
                 finesse=0.8,
+                background_od=0.0,
+                tooth_od=1.0,
+            )
+
+    @pytest.mark.parametrize("bad", ["reversed", "uneven", "nan"])
+    def test_bad_detuning_grid_rejected(self, bad):
+        detuning = np.linspace(-10, 10, 21)
+        if bad == "reversed":
+            detuning = detuning[::-1]
+        elif bad == "uneven":
+            detuning[7] += 0.1
+        else:
+            detuning[7] = np.nan
+        with pytest.raises(ValueError, match="strictly increasing and uniform"):
+            CombSpectrum(
+                detuning_mhz=detuning,
+                od=np.ones(21),
+                delta_mhz=5.0,
+                finesse=2.0,
                 background_od=0.0,
                 tooth_od=1.0,
             )

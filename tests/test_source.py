@@ -64,7 +64,7 @@ class TestSampleCycle:
 
     def test_early_only_is_single_mode(self):
         cfg = lossless_config(source={"pump_mode": PUMP_EARLY_ONLY})
-        assert cfg.source.joint_state() is None
+        assert np.array_equal(cfg.source.joint_state().amplitudes, [1, 0, 0, 0])
         # Both photons early: the joint arrival-time table is all (EARLY, EARLY).
         joint = np.diff(harness._build_tables(cfg).joint_cum, prepend=0.0)
         assert np.allclose(joint, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
