@@ -34,13 +34,13 @@ from .harness import (
     write_report_files,
 )
 from .memory import (
-    CombSpectrum,
     build_comb,
     comb_from_csv,
     comb_to_csv,
     device_efficiency,
     echo_response,
     fit_comb,
+    storage_time_ns,
 )
 
 _ERROR_EXIT = 1
@@ -130,30 +130,16 @@ def _cmd_comb_build(args):
     payload = {
         "path": str(Path(args.out)),
         "points": int(comb.detuning_mhz.size),
-        "delta_mhz": comb.delta_mhz,
-        "finesse": comb.finesse,
-        "storage_time_ns": comb.storage_time_ns,
+        "delta_mhz": args.delta_mhz,
+        "finesse": args.finesse,
+        "storage_time_ns": storage_time_ns(args.delta_mhz),
         "mean_od": comb.mean_od,
     }
     return payload, _key_value_rows(payload)
 
 
-def _comb_from_file(path) -> CombSpectrum:
-    detuning, od = comb_from_csv(path)
-    fit = fit_comb(detuning, od)
-    return CombSpectrum(
-        detuning_mhz=detuning,
-        od=od,
-        delta_mhz=fit.delta_mhz,
-        finesse=fit.finesse,
-        background_od=fit.background_od,
-        tooth_od=fit.tooth_od,
-    )
-
-
 def _cmd_comb_fit(args):
-    detuning, od = comb_from_csv(args.input)
-    fit = fit_comb(detuning, od)
+    fit = fit_comb(comb_from_csv(args.input))
     payload = {
         "delta_mhz": fit.delta_mhz,
         "finesse": fit.finesse,
@@ -161,7 +147,7 @@ def _cmd_comb_fit(args):
         "tooth_od": fit.tooth_od,
         "offset_mhz": fit.offset_mhz,
         "residual_rms": fit.residual_rms,
-        "storage_time_ns": 1000.0 / fit.delta_mhz,
+        "storage_time_ns": storage_time_ns(fit.delta_mhz),
         "device_efficiency": device_efficiency(
             fit.background_od, fit.tooth_od, fit.finesse
         ),
@@ -182,8 +168,7 @@ def _cmd_comb_efficiency(args):
 
 
 def _cmd_comb_echoes(args):
-    comb = _comb_from_file(args.input)
-    echoes = echo_response(comb, rel_threshold=args.rel_threshold)
+    echoes = echo_response(comb_from_csv(args.input), rel_threshold=args.rel_threshold)
     if args.out is not None:
         write_csv(args.out, ECHOES_CSV_HEADER, echoes)
     payload = {

@@ -16,6 +16,9 @@ Memories are configured per channel under `memories.signal_794` and
 `memories.idler_1535`, each either from explicit recall parameters
 (device_efficiency, mean_od, echo_delays) or from comb parameters (a `comb`
 object), in which case the recall model is derived from the comb's spectrum.
+Each MemorySpec builds its recall model once, when it is constructed, so a
+bad memory fails at load time with its key path, and
+ExperimentConfig.memory_config hands back the same model on every call.
 `efficiency_scale` multiplies the device efficiency, for statistics-boosted
 runs that keep the configured echo structure.  Analyzers take `mode`
 (`time_of_arrival` or `interferometer`) and, for the interferometer, `phase`.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 import sys
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 
@@ -39,7 +42,7 @@ from .detection import (
 )
 from .errors import ConfigError
 from .events import IDLER_1535, SIGNAL_794
-from .memory import CombSpectrum, MemoryConfig, build_comb
+from .memory import CombSpectrum, MemoryConfig, build_comb, device_efficiency
 from .source import SourceConfig
 
 # Sections read into the ExperimentConfig field of the same name.
@@ -127,7 +130,10 @@ class CombSpec:
 
 @dataclass(frozen=True)
 class MemorySpec:
-    """One memory, given either directly or through comb parameters."""
+    """One memory, given either directly or through comb parameters.
+
+    Construction builds the recall model once, as the attribute `model`; it
+    is not a field, so the schema and config_to_dict never see it."""
 
     coupling_efficiency: float
     comb: CombSpec | None = None
@@ -141,6 +147,8 @@ class MemorySpec:
         has_direct = any(v is not None for v in direct)
         if self.comb is not None and has_direct:
             raise ValueError("give either comb parameters or direct recall parameters, not both")
+        if self.efficiency_scale <= 0.0:
+            raise ValueError("efficiency_scale must be positive")
         if self.comb is None:
             if not all(v is not None for v in direct):
                 raise ValueError(
@@ -150,21 +158,19 @@ class MemorySpec:
             object.__setattr__(
                 self, "echo_delays", tuple((float(d), float(w)) for d, w in self.echo_delays)
             )
-        if self.efficiency_scale <= 0.0:
-            raise ValueError("efficiency_scale must be positive")
-
-    def build(self) -> MemoryConfig:
-        if self.comb is None:
-            return MemoryConfig(
+            model = MemoryConfig(
                 coupling_efficiency=self.coupling_efficiency,
                 device_efficiency=self.device_efficiency * self.efficiency_scale,
                 mean_od=self.mean_od,
                 echo_delays=self.echo_delays,
             )
-        base = MemoryConfig.from_comb(self.comb.build(), self.coupling_efficiency)
-        if self.efficiency_scale == 1.0:
-            return base
-        return replace(base, device_efficiency=base.device_efficiency * self.efficiency_scale)
+        else:
+            comb = self.comb
+            eta = device_efficiency(comb.background_od, comb.tooth_od, comb.finesse)
+            model = MemoryConfig.from_comb(
+                comb.build(), self.coupling_efficiency, eta * self.efficiency_scale
+            )
+        object.__setattr__(self, "model", model)
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ class ExperimentConfig:
 
     def memory_config(self, channel: str) -> MemoryConfig | None:
         spec = self._per_channel("memory", channel)
-        return None if spec is None else spec.build()
+        return None if spec is None else spec.model
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +297,7 @@ def _read_section(cls, data, path: str):
         kwargs["mode"] = _MODE_TOKENS[token]
         if kwargs["mode"] == MODE_TIME_OF_ARRIVAL and "phase" in kwargs:
             raise ConfigError(f"{path}.phase: only valid for interferometer mode")
-    section = _build(path, cls, **kwargs)
-    if cls is MemorySpec:
-        # Surface recall-model invariant violations (probabilities, weights)
-        # now, with the config path, not later inside the harness.
-        _build(path, section.build)
-    return section
+    return _build(path, cls, **kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

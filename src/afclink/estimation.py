@@ -68,7 +68,6 @@ class G2Estimate:
     sigma: float
     peak_counts: int
     reference_counts: int
-    n_references: int
 
 
 def g2_cross(
@@ -105,7 +104,7 @@ def g2_cross(
     value = peak / mean_ref
     n_peak = max(peak, 1)
     sigma = (n_peak / mean_ref) * math.sqrt(1.0 / n_peak + 1.0 / total_ref)
-    return G2Estimate(value, sigma, peak, total_ref, len(references))
+    return G2Estimate(value, sigma, peak, total_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +479,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    if rho.dim != sigma.dim:
-        raise ValueError("states must share a dimension")
-    w, _ = hermitian_eigensystem(rho.matrix - sigma.matrix)
-    return 0.5 * float(np.abs(w).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ ORIGINS = (ORIGIN_PAIR, ORIGIN_DARK, ORIGIN_SPURIOUS_ECHO)
 
 OUTCOME_NONE = "NONE"
 OUTCOME_TRANSMITTED = "TRANSMITTED"
-OUTCOME_LOST = "LOST"
 
 
 def recalled_token(echo_index: int) -> str:

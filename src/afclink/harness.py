@@ -186,7 +186,7 @@ class _MemoryTable:
 def _memory_table(config: MemoryConfig | None) -> _MemoryTable | None:
     if config is None:
         return None
-    _, probs = config.outcome_table()
+    probs = config.outcome_table()
     echoes = range(len(config.echo_delays))
     pair, spurious = (_ORIGIN_CODE[o] for o in (events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO))
     origins = [pair if k == config.primary_echo_index else spurious for k in echoes]

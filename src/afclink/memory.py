@@ -7,6 +7,11 @@ comb re-emerges after the rephasing time 1/Delta; imperfect periodicity
 rephasing at half and at twice that delay.  Frequencies are in MHz
 throughout, so storage times come out in ns via 1000/Delta.
 
+CombSpectrum is the sampled profile alone: build_comb makes one from comb
+parameters and comb_from_csv reads one from a file.  The echo spectrum is
+read off the profile directly; only fit_comb, which recovers the parameters
+from a profile, needs scipy.
+
 MemoryConfig holds the phenomenological recall model; the simulation engine
 in harness draws each photon's outcome from its outcome table:
 
@@ -24,16 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import events
 from .csvio import csv_rows, float_fields
 from .errors import FitError
 from .estimation import find_peaks
 
 FOUR_LN2 = 4.0 * math.log(2.0)
 # echo_response skips the direct-transmission lobe below this delay and
-# spectral-leakage sidelobes closer than this to a taller peak.
+# spectral-leakage sidelobes closer than this to a taller peak, and finds no
+# echo when the tallest peak is below this fraction of the zero-delay term:
+# the rounding noise of a flat profile.
 ECHO_MIN_DELAY_NS = 2.0
 ECHO_MIN_SEPARATION_NS = 2.0
+ECHO_MIN_RELATIVE_MAGNITUDE = 1e-9
 
 
 def _bad_grid_steps(detuning: np.ndarray) -> np.ndarray:
@@ -46,14 +53,12 @@ def _bad_grid_steps(detuning: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CombSpectrum:
-    """A sampled comb profile together with the parameters that shape it."""
+    """A sampled comb profile: optical depth on a strictly increasing,
+    uniform detuning grid.  The comb parameters that shaped it live with
+    their source (CombSpec, the `comb build` arguments, FittedComb)."""
 
     detuning_mhz: np.ndarray
     od: np.ndarray
-    delta_mhz: float
-    finesse: float
-    background_od: float
-    tooth_od: float
 
     def __post_init__(self):
         det = np.asarray(self.detuning_mhz, dtype=float)
@@ -62,14 +67,6 @@ class CombSpectrum:
             raise ValueError("detuning and OD must be matching 1-d arrays (>= 8 points)")
         if _bad_grid_steps(det).any():
             raise ValueError("detuning grid must be strictly increasing and uniform")
-        if od.min() < 0.0:
-            raise ValueError("optical depth must be non-negative")
-        if not self.delta_mhz > 0.0:
-            raise ValueError("comb spacing must be positive")
-        if not self.finesse > 1.0:
-            raise ValueError("comb finesse must exceed 1")
-        if self.background_od < 0.0 or self.tooth_od < 0.0:
-            raise ValueError("optical depths must be non-negative")
         object.__setattr__(self, "detuning_mhz", det)
         object.__setattr__(self, "od", od)
 
@@ -78,13 +75,13 @@ class CombSpectrum:
         return float(self.detuning_mhz[1] - self.detuning_mhz[0])
 
     @property
-    def storage_time_ns(self) -> float:
-        """Rephasing delay 1/Delta, in ns for Delta in MHz."""
-        return 1000.0 / self.delta_mhz
-
-    @property
     def mean_od(self) -> float:
         return float(np.mean(self.od))
+
+
+def storage_time_ns(delta_mhz: float) -> float:
+    """Rephasing delay 1/Delta, in ns for Delta in MHz."""
+    return 1000.0 / delta_mhz
 
 
 def build_comb(
@@ -128,15 +125,7 @@ def build_comb(
     width = delta_mhz / finesse  # FWHM
     # (points, teeth) distance table; fine at these sizes.
     gauss = np.exp(-FOUR_LN2 * ((detuning[:, None] - centers[None, :]) / width) ** 2)
-    od = background_od + gauss @ heights
-    return CombSpectrum(
-        detuning_mhz=detuning,
-        od=od,
-        delta_mhz=float(delta_mhz),
-        finesse=float(finesse),
-        background_od=float(background_od),
-        tooth_od=float(tooth_od),
-    )
+    return CombSpectrum(detuning_mhz=detuning, od=background_od + gauss @ heights)
 
 
 def device_efficiency(background_od: float, tooth_od: float, finesse: float) -> float:
@@ -162,7 +151,8 @@ def echo_response(
     strongest non-DC peak, sorted by delay.  Peaks below rel_threshold of the
     maximum are dropped; ECHO_MIN_DELAY_NS excludes the direct-transmission
     lobe at zero delay, ECHO_MIN_SEPARATION_NS suppresses spectral-leakage
-    sidelobes next to a real peak.
+    sidelobes next to a real peak, and ECHO_MIN_RELATIVE_MAGNITUDE leaves a
+    flat profile with no echoes.
     """
     if not 0.0 <= rel_threshold <= 1.0:
         raise ValueError(f"rel_threshold must lie in [0, 1], got {rel_threshold!r}")
@@ -176,7 +166,7 @@ def echo_response(
     if idx.size == 0:
         return []
     top = float(mag[idx].max())
-    if top <= 0.0:
+    if top <= ECHO_MIN_RELATIVE_MAGNITUDE * mag[0]:
         return []
     keep = idx[mag[idx] >= rel_threshold * top]
     return [(float(delays_ns[i]), float(mag[i] / top)) for i in np.sort(keep)]
@@ -205,9 +195,9 @@ def _comb_model(detuning: np.ndarray, d0, d1, finesse, delta, offset) -> np.ndar
     return d0 + d1 * gauss.sum(axis=1)
 
 
-def fit_comb(detuning_mhz, od) -> FittedComb:
+def fit_comb(comb: CombSpectrum) -> FittedComb:
     """Fit (d0, d1, F, Delta) to a sampled profile; raises FitError when the
-    input carries no resolvable periodic structure or scipy is missing."""
+    profile carries no resolvable periodic structure or scipy is missing."""
     # Imported here, not at module level: scipy is the optional `comb` extra,
     # and only the comb fit loads it.
     try:
@@ -215,11 +205,10 @@ def fit_comb(detuning_mhz, od) -> FittedComb:
     except ImportError as exc:
         raise FitError("the comb fit needs scipy: pip install afclink[comb]") from exc
 
-    det = np.asarray(detuning_mhz, dtype=float)
-    y = np.asarray(od, dtype=float)
-    if det.ndim != 1 or det.shape != y.shape or det.shape[0] < 16:
-        raise ValueError("detuning and OD must be matching 1-d arrays (>= 16 points)")
-    step = float(det[1] - det[0])
+    det, y = comb.detuning_mhz, comb.od
+    if det.shape[0] < 16:
+        raise ValueError("the comb fit needs at least 16 points")
+    step = comb.grid_step_mhz
     contrast = float(np.ptp(y))
     if contrast <= 1e-9:
         raise FitError("profile is flat; no comb structure to fit")
@@ -268,7 +257,7 @@ def comb_to_csv(comb: CombSpectrum, path) -> None:
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.9g")
 
 
-def comb_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
+def comb_from_csv(path) -> CombSpectrum:
     """Read a (detuning, OD) profile; the header line is required, and the
     detuning grid must be strictly increasing and uniform."""
     rows = [
@@ -284,7 +273,10 @@ def comb_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"{path}: line {line_no}: detuning grid is not strictly increasing and uniform"
         )
-    return detuning, od
+    try:
+        return CombSpectrum(detuning_mhz=detuning, od=od)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -325,18 +317,20 @@ class MemoryConfig:
             raise ValueError(f"outcome probabilities sum to {total!r} > 1")
 
     @classmethod
-    def from_comb(cls, comb: CombSpectrum, coupling_efficiency: float) -> "MemoryConfig":
-        """Derive the recall model from a comb: the efficiency formula sets the
-        primary recall probability; spectral echo magnitudes (squared) set the
-        relative weights of the other delays."""
-        eta = device_efficiency(comb.background_od, comb.tooth_od, comb.finesse)
+    def from_comb(
+        cls, comb: CombSpectrum, coupling_efficiency: float, device_efficiency: float
+    ) -> "MemoryConfig":
+        """Derive the recall model from a comb profile: device_efficiency (the
+        efficiency formula on the comb's parameters) sets the primary recall
+        probability; spectral echo magnitudes (squared) set the relative
+        weights of the other delays."""
         echoes = echo_response(comb)
         if not echoes:
             raise ValueError("comb shows no echo peaks; cannot build a memory model")
         weighted = tuple((delay, mag**2) for delay, mag in echoes)
         return cls(
             coupling_efficiency=float(coupling_efficiency),
-            device_efficiency=float(eta),
+            device_efficiency=float(device_efficiency),
             mean_od=comb.mean_od,
             echo_delays=weighted,
         )
@@ -360,16 +354,12 @@ class MemoryConfig:
     def lost_probability(self) -> float:
         return 1.0 - self.transmitted_probability - sum(self.recall_probabilities)
 
-    def outcome_table(self) -> tuple[list[str], np.ndarray]:
-        """Outcome labels and probabilities (sums to 1 by construction)."""
-        labels = [events.OUTCOME_TRANSMITTED]
-        probs = [self.transmitted_probability]
-        for k, p in enumerate(self.recall_probabilities):
-            labels.append(events.recalled_token(k))
-            probs.append(p)
-        labels.append(events.OUTCOME_LOST)
-        probs.append(self.lost_probability)
-        return labels, np.array(probs)
+    def outcome_table(self) -> np.ndarray:
+        """Probabilities of transmitted, recalled in echo 0, 1, ..., and lost
+        (sums to 1 by construction)."""
+        return np.array(
+            [self.transmitted_probability, *self.recall_probabilities, self.lost_probability]
+        )
 
     def echo_delay_ps(self, echo_index: int) -> int:
         return int(round(self.echo_delays[echo_index][0] * 1000.0))

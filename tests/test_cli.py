@@ -259,6 +259,18 @@ class TestComb:
             f"{path}: line {line}: detuning grid is not strictly increasing and uniform"
         )
 
+    def test_flat_profile_has_no_echoes(self, tmp_path, capsys):
+        # The echo spectrum is read off the profile itself: a structureless
+        # profile lists no echoes, while the fit still finds no comb in it.
+        path = tmp_path / "flat.csv"
+        rows = "".join(f"{-2000 + 2 * k},0.7\n" for k in range(2001))
+        path.write_text("detuning_MHz,optical_depth\n" + rows)
+        code, out, _ = run_cli(capsys, ["comb", "echoes", "--input", str(path)])
+        assert code == 0
+        assert json.loads(out) == {"echoes": []}
+        obj = stderr_error(capsys, ["comb", "fit", "--input", str(path)])
+        assert obj == {"error": "profile is flat; no comb structure to fit", "type": "FitError"}
+
     @pytest.mark.parametrize("threshold", ["nan", "-0.1"])
     def test_echoes_threshold_outside_unit_interval_exits_1(self, capsys, threshold):
         comb = str(data_path(DATA_SYNTHETIC_COMB))

@@ -8,10 +8,12 @@ import json
 import math
 import re
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
+from afclink import config
 from afclink.config import (
     CombSpec,
     DutyCycleConfig,
@@ -29,8 +31,11 @@ from afclink.detection import (
     DetectorConfig,
 )
 from afclink.errors import ConfigError
-from afclink.memory import MemoryConfig, device_efficiency
+from afclink.harness import chsh_simulation, simulate
+from afclink.memory import MemoryConfig, build_comb, device_efficiency
 from afclink.source import PUMP_EARLY_ONLY, SourceConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -216,6 +221,35 @@ class TestMemorySpecs:
         }
         with pytest.raises(ConfigError, match=r"memories\.signal_794"):
             load_config(write_config(tmp_path, payload))
+
+    def test_bad_comb_model_names_path(self, tmp_path):
+        # The comb builds fine, but scaling its efficiency past 1 breaks the
+        # recall model built from it.
+        payload = self.comb_payload()
+        payload["memories"]["signal_794"]["efficiency_scale"] = 1000.0
+        with pytest.raises(
+            ConfigError, match=r"^memories\.signal_794: device efficiency must lie in \[0, 1\]"
+        ):
+            load_config(write_config(tmp_path, payload))
+
+    def test_each_memory_built_once(self, monkeypatch):
+        # Loading demo.json builds its two comb memories; a simulation and a
+        # CHSH simulation (eight runs) reuse them.
+        calls = []
+
+        def counting_build_comb(**kwargs):
+            calls.append(kwargs["delta_mhz"])
+            return build_comb(**kwargs)
+
+        monkeypatch.setattr(config, "build_comb", counting_build_comb)
+        cfg = load_config(ROOT / "configs" / "demo.json")
+        assert calls == [31.0, 166.0]
+        for ch in ("SIGNAL_794", "IDLER_1535"):
+            assert cfg.memory_config(ch) is cfg.memory_config(ch)
+        small = replace(cfg, run=replace(cfg.run, cycles=300_000))
+        simulate(small)
+        chsh_simulation(small)
+        assert calls == [31.0, 166.0]
 
 
 class TestAnalyzers:
@@ -536,7 +570,7 @@ class TestDirectConstruction:
             lambda: MemorySpec(
                 coupling_efficiency=0.5, device_efficiency=0.1, mean_od=1.0,
                 echo_delays=((math.nan, 1.0),),
-            ).build(),
+            ),
             lambda: MemoryConfig(0.5, 0.1, 1.0, ((math.inf, 1.0),)),
             lambda: MemoryConfig(0.5, 0.1, 1.0, ((32.258, 1.0), (6.0, math.nan))),
             lambda: MemoryConfig(0.5, 0.1, math.nan, ((32.258, 1.0),)),

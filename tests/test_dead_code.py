@@ -41,7 +41,6 @@ KEEP = {
     "estimation.informationally_complete_pairs": "planned: simulated tomography (ROADMAP)",
     "estimation.synthesize_input": "planned: simulated tomography (ROADMAP)",
     "estimation.tomography_to_csv": ROUND_TRIP,
-    "estimation.trace_distance": PUBLIC_API,
     "estimation.visibility_fit": PUBLIC_API,
     "harness.chsh_simulation": PUBLIC_API,
     "harness.events_from_csv": ROUND_TRIP,

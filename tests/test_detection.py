@@ -13,6 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 from conftest import IDEAL_DETECTORS, make_config
+from scipy.stats import chi2
 
 from afclink import detection, events, harness
 from afclink.detection import (
@@ -193,10 +194,16 @@ class TestBatchSampling:
         # depends on the phases through alpha + beta only, and these settings
         # reach all eight grid values of it through each arm's own phase.
         # TestJointTable checks the table itself on the whole grid.
+        #
+        # One Pearson chi-square per setting over the 28 possible outcomes
+        # (early-late pairings never occur), 27 degrees of freedom, at a
+        # false-alarm rate of 1e-4 for all 15 settings together.
         rho = bell_phi_plus(1.2).density().matrix
         phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
         settings = [(alpha, 0.0) for alpha in phases]
         settings += [(0.0, beta) for beta in phases[1:]]
+        bound = chi2.isf(1e-4 / len(settings), 27)
+        assert bound == pytest.approx(71.6, abs=0.05)
         rng = np.random.default_rng(61)
         n = 1_000_000
         for alpha, beta in settings:
@@ -205,10 +212,19 @@ class TestBatchSampling:
             )
             counts = draw_counts(harness._build_tables(cfg).joint_cum, n, rng)
             assert counts.sum() == n
-            for i, (_, _, ea, _) in enumerate(hand_effects(alpha)):
-                for j, (_, _, eb, _) in enumerate(hand_effects(beta)):
-                    p = np.trace(np.kron(ea, eb) @ rho).real
-                    assert within(counts[6 * i + j], n, p, 4.0), (alpha, beta, i, j)
+            born = np.array(
+                [
+                    np.trace(np.kron(ea, eb) @ rho).real
+                    for _, _, ea, _ in hand_effects(alpha)
+                    for _, _, eb, _ in hand_effects(beta)
+                ]
+            )
+            possible = born > 1e-12
+            assert possible.sum() == 28
+            assert np.all(counts[~possible] == 0), (alpha, beta)
+            expected = n * born[possible]
+            stat = float(((counts[possible] - expected) ** 2 / expected).sum())
+            assert stat < bound, (alpha, beta, stat)
 
     def test_single_arm_counts_million_photons(self):
         cfg = engine_config(analyzers=interferometers(0.4, 0.0))

@@ -265,7 +265,7 @@ class TestEngineDraws:
         table = harness._memory_table(mem)
         picks = harness._draw_memory(table, n, np.random.default_rng(5))
         code, delay, origin = table.codes[picks], table.delay_ps[picks], table.origins[picks]
-        _, probs = mem.outcome_table()
+        probs = mem.outcome_table()
         alive = probs[:-1] / probs[:-1].sum()
         codes = [harness._OUTCOME_TRANSMITTED] + [
             harness._OUTCOME_RECALL_BASE + k for k in range(3)
@@ -981,8 +981,7 @@ class TestWavelengthTable:
 
 class TestShippedCombFile:
     def test_fit_recovers_generation_parameters(self):
-        detuning, od = comb_from_csv(data_path(DATA_SYNTHETIC_COMB))
-        fit = fit_comb(detuning, od)
+        fit = fit_comb(comb_from_csv(data_path(DATA_SYNTHETIC_COMB)))
         assert fit.delta_mhz == pytest.approx(31.0, abs=0.3)
         assert fit.finesse == pytest.approx(2.0, abs=0.05)
         assert fit.background_od == pytest.approx(0.3, abs=0.02)

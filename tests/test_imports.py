@@ -1,7 +1,9 @@
 """scipy stays off every product path except the comb fit.
 
-The CLI, a simulation, a CHSH simulation, a sweep and a report run in a fresh
-interpreter, which then lists the scipy modules it has loaded.
+The CLI, a simulation, a CHSH simulation, a sweep, a report and the comb
+echo spectrum run in a fresh interpreter, which then lists the scipy modules
+it has loaded.  A comb fit, run last, must load scipy: the listing would
+miss nothing.
 """
 
 import json
@@ -44,14 +46,21 @@ codes = [
          "--values", "0.05,0.1", "--cycles", "20000"]
     ),
     cli.main(["report", "--out-dir", str(work / "report"), "--trials", "100"]),
+    cli.main(["comb", "echoes", "--input", str(harness.data_path(harness.DATA_SYNTHETIC_COMB))]),
 ]
 harness.chsh_simulation(config.load_config(bell))
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes.append(
+    cli.main(["comb", "fit", "--input", str(harness.data_path(harness.DATA_SYNTHETIC_COMB))])
+)
+fit_loaded = "scipy.optimize" in sys.modules
 
 from afclink import estimation
 
 minimize = estimation.optimize.minimize
-print(json.dumps({"codes": codes, "scipy": loaded, "minimize": minimize.__name__}))
+print(json.dumps(
+    {"codes": codes, "scipy": loaded, "fit_loaded": fit_loaded, "minimize": minimize.__name__}
+))
 """
 
 
@@ -69,7 +78,8 @@ def test_product_paths_never_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["scipy"] == []
+    assert result["fit_loaded"]
     # bench/tracing.py wraps estimation.optimize.minimize.
     assert result["minimize"] == "minimize"

@@ -15,7 +15,7 @@ from conftest import IDEAL_DETECTORS, make_config
 from afclink import events, harness
 from afclink.errors import FitError
 from afclink.estimation import find_peaks
-from afclink.harness import simulate
+from afclink.harness import DATA_SYNTHETIC_COMB, data_path, simulate
 from afclink.memory import (
     CombSpectrum,
     MemoryConfig,
@@ -25,6 +25,7 @@ from afclink.memory import (
     device_efficiency,
     echo_response,
     fit_comb,
+    storage_time_ns,
 )
 
 
@@ -45,12 +46,12 @@ class TestBuildComb:
     def test_teeth_and_storage_time(self):
         comb = era_comb()
         assert find_peaks(comb.od).size == 48  # floor(8000 / 166) teeth
-        assert comb.storage_time_ns == pytest.approx(1000.0 / 166.0, abs=1e-9)
-        assert comb.storage_time_ns == pytest.approx(6.02, abs=0.01)
+        assert storage_time_ns(166.0) == pytest.approx(1000.0 / 166.0, abs=1e-9)
+        assert storage_time_ns(166.0) == pytest.approx(6.02, abs=0.01)
 
     def test_long_storage_comb(self):
         comb = build_comb(31.0, 2.0, 0.0, 2.0, bandwidth_ghz=10.0, grid_step_mhz=1.0)
-        assert comb.storage_time_ns == pytest.approx(32.26, abs=0.01)
+        assert storage_time_ns(31.0) == pytest.approx(32.26, abs=0.01)
         assert find_peaks(comb.od).size == 322
 
     def test_profile_levels(self):
@@ -77,6 +78,8 @@ class TestBuildComb:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             era_comb(finesse=1.0)
+        with pytest.raises(ValueError):
+            era_comb(finesse=0.8)
         with pytest.raises(ValueError):
             era_comb(tooth_od=-0.5)
         with pytest.raises(ValueError):
@@ -226,20 +229,16 @@ class TestStorageTimeUnits:
     def test_inverse_spacing_round_trip_property(self):
         # tau[ns] * Delta[MHz] = 1000, i.e. tau * Delta = 1 in SI units.
         rng = np.random.default_rng(23)
-        det = np.linspace(-50.0, 50.0, 41)
-        od = np.ones(41)
         for _ in range(1000):
             delta = float(rng.uniform(1.0, 1000.0))
-            comb = CombSpectrum(det, od, delta, 2.0, 0.0, 1.0)
-            tau_s = comb.storage_time_ns * 1e-9
-            delta_hz = comb.delta_mhz * 1e6
+            tau_s = storage_time_ns(delta) * 1e-9
+            delta_hz = delta * 1e6
             assert tau_s * delta_hz == pytest.approx(1.0, rel=1e-12)
 
 
 class TestFitComb:
     def test_synthetic_round_trip(self):
-        comb = era_comb()
-        fit = fit_comb(comb.detuning_mhz, comb.od)
+        fit = fit_comb(era_comb())
         assert fit.delta_mhz == pytest.approx(166.0, rel=0.01)
         assert fit.finesse == pytest.approx(2.0, rel=0.01)
         assert fit.background_od == pytest.approx(0.1, abs=0.01 * 2.0)
@@ -249,7 +248,7 @@ class TestFitComb:
         comb = build_comb(31.0, 3.0, 0.2, 1.5, 10.0, 1.0)
         rng = np.random.default_rng(42)
         noisy = np.clip(comb.od + rng.normal(0.0, 0.01, comb.od.shape), 0.0, None)
-        fit = fit_comb(comb.detuning_mhz, noisy)
+        fit = fit_comb(CombSpectrum(comb.detuning_mhz, noisy))
         assert fit.delta_mhz == pytest.approx(31.0, rel=0.01)
         assert fit.finesse == pytest.approx(3.0, rel=0.05)
         assert fit.tooth_od == pytest.approx(1.5, rel=0.05)
@@ -257,17 +256,36 @@ class TestFitComb:
     def test_flat_input_rejected(self):
         det = np.linspace(-4000.0, 4000.0, 2001)
         with pytest.raises(FitError):
-            fit_comb(det, np.full_like(det, 0.7))
+            fit_comb(CombSpectrum(det, np.full_like(det, 0.7)))
 
     def test_mismatched_arrays_rejected(self):
-        with pytest.raises(ValueError):
-            fit_comb(np.arange(10.0), np.arange(9.0))
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            CombSpectrum(np.arange(10.0), np.arange(9.0))
+
+    def test_too_few_points_rejected(self):
+        det = np.arange(12.0)
+        with pytest.raises(ValueError, match="at least 16 points"):
+            fit_comb(CombSpectrum(det, np.cos(det) + 1.0))
+
+    @pytest.mark.parametrize("bad", ["reversed", "uneven"])
+    def test_bad_grid_cannot_reach_the_fit(self, bad):
+        # fit_comb takes only a CombSpectrum, and a reversed or uneven grid
+        # fails when that is built; scipy's fit would fail on such a grid
+        # with a bound error that names nothing.
+        comb = comb_from_csv(data_path(DATA_SYNTHETIC_COMB))
+        detuning, od = comb.detuning_mhz.copy(), comb.od
+        if bad == "reversed":
+            detuning, od = detuning[::-1], od[::-1]
+        else:
+            detuning[100] += comb.grid_step_mhz / 3.0
+        with pytest.raises(ValueError, match="strictly increasing and uniform"):
+            fit_comb(CombSpectrum(detuning, od))
 
     def test_missing_scipy_names_the_extra(self, monkeypatch):
         comb = era_comb()
         monkeypatch.setitem(sys.modules, "scipy.optimize", None)
         with pytest.raises(FitError, match=r"pip install afclink\[comb\]"):
-            fit_comb(comb.detuning_mhz, comb.od)
+            fit_comb(comb)
 
 
 class TestCombCsv:
@@ -277,9 +295,10 @@ class TestCombCsv:
         comb_to_csv(comb, path)
         text = path.read_text()
         assert text.splitlines()[0] == "detuning_MHz,optical_depth"
-        det, od = comb_from_csv(path)
-        assert np.allclose(det, comb.detuning_mhz, atol=1e-6)
-        assert np.allclose(od, comb.od, atol=1e-9)
+        read = comb_from_csv(path)
+        assert isinstance(read, CombSpectrum)
+        assert np.allclose(read.detuning_mhz, comb.detuning_mhz, atol=1e-6)
+        assert np.allclose(read.od, comb.od, atol=1e-9)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -305,19 +324,33 @@ class TestCombCsv:
         with pytest.raises(ValueError, match=f"{path}: line 3: detuning grid"):
             comb_from_csv(path)
 
+    def test_short_profile_names_file(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("detuning_MHz,optical_depth\n0,1\n1,1\n2,1\n")
+        with pytest.raises(ValueError, match=f"{path}: detuning and OD must be matching"):
+            comb_from_csv(path)
+
+    def test_negative_od_sample_loads(self, tmp_path):
+        # A measured profile may dip below zero OD through baseline noise;
+        # the reader keeps it, as only build_comb promises a non-negative OD.
+        path = tmp_path / "noisy.csv"
+        rows = "".join(f"{k},{-0.01 if k == 3 else 1.0}\n" for k in range(10))
+        path.write_text("detuning_MHz,optical_depth\n" + rows)
+        assert comb_from_csv(path).od.min() == pytest.approx(-0.01)
+
 
 class TestMemoryConfig:
     def test_from_comb_probabilities(self):
         comb = era_comb()
-        cfg = MemoryConfig.from_comb(comb, coupling_efficiency=0.2)
-        labels, probs = cfg.outcome_table()
+        eta = device_efficiency(0.1, 2.0, 2.0)
+        cfg = MemoryConfig.from_comb(comb, coupling_efficiency=0.2, device_efficiency=eta)
+        probs = cfg.outcome_table()
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs >= 0.0)
         # Transmission through the mean optical depth, then coupling loss.
         expected_trans = math.exp(-float(np.mean(comb.od))) * 0.2
         assert cfg.transmitted_probability == pytest.approx(expected_trans, rel=1e-9)
         # The primary echo carries the full device efficiency.
-        eta = device_efficiency(0.1, 2.0, 2.0)
         assert cfg.recall_probabilities[cfg.primary_echo_index] == pytest.approx(
             eta * 0.2, rel=1e-6
         )
@@ -368,7 +401,7 @@ class TestApplyMemory:
         counts = [int((codes == harness._OUTCOME_TRANSMITTED).sum())]
         counts += [int((codes == harness._OUTCOME_RECALL_BASE + k).sum()) for k in range(2)]
         counts.append(n - codes.size)  # lost photons leave no click
-        _, probs = data.config.memory_config(events.SIGNAL_794).outcome_table()
+        probs = data.config.memory_config(events.SIGNAL_794).outcome_table()
         for count, p in zip(counts, probs):
             assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
 
@@ -411,28 +444,6 @@ class TestApplyMemory:
 
 
 class TestCombSpectrumValidation:
-    def test_negative_od_rejected(self):
-        with pytest.raises(ValueError):
-            CombSpectrum(
-                detuning_mhz=np.linspace(-10, 10, 21),
-                od=np.linspace(-1, 1, 21),
-                delta_mhz=5.0,
-                finesse=2.0,
-                background_od=0.0,
-                tooth_od=1.0,
-            )
-
-    def test_finesse_above_one_required(self):
-        with pytest.raises(ValueError):
-            CombSpectrum(
-                detuning_mhz=np.linspace(-10, 10, 21),
-                od=np.ones(21),
-                delta_mhz=5.0,
-                finesse=0.8,
-                background_od=0.0,
-                tooth_od=1.0,
-            )
-
     @pytest.mark.parametrize("bad", ["reversed", "uneven", "nan"])
     def test_bad_detuning_grid_rejected(self, bad):
         detuning = np.linspace(-10, 10, 21)
@@ -443,11 +454,8 @@ class TestCombSpectrumValidation:
         else:
             detuning[7] = np.nan
         with pytest.raises(ValueError, match="strictly increasing and uniform"):
-            CombSpectrum(
-                detuning_mhz=detuning,
-                od=np.ones(21),
-                delta_mhz=5.0,
-                finesse=2.0,
-                background_od=0.0,
-                tooth_od=1.0,
-            )
+            CombSpectrum(detuning_mhz=detuning, od=np.ones(21))
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ValueError, match=r"\(>= 8 points\)"):
+            CombSpectrum(detuning_mhz=np.arange(7.0), od=np.ones(7))
