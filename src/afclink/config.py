@@ -1,27 +1,28 @@
 """Experiment configuration: a strict JSON schema over all pipeline stages.
 
-A config file is one JSON object with sections run, source, memories,
-analyzers, detectors, tdc and duty_cycle.  Only `run` (with its seed) is
-mandatory; everything else defaults to the nominal operating point.
+A config file is one JSON object whose sections are the fields of
+ExperimentConfig: run, source, memories, analyzers, detectors, tdc and
+duty_cycle.  Only `run` (with its seed) is mandatory; everything else
+defaults to the nominal operating point.
 
 Each section's dataclass is the only statement of its schema: the JSON keys
 are its field names, a key is required exactly when its field has no default
-(plus `run.seed`), and the field's type picks the reader (integer, finite
-number, string, nested comb, or echo-delay list).  Any other key, any value
-of the wrong type and any NaN or infinity is an error carrying the full key
-path, so typos cannot silently turn into defaults.  `config_to_dict` walks
-the same fields back out.
+(plus `run` and `run.seed`), and the field's type picks the reader (integer,
+finite number, string, nested section, per-channel map, or echo-delay list).
+Any other key, any value of the wrong type and any NaN or infinity is an
+error carrying the full key path, so typos cannot silently turn into
+defaults.  `config_to_dict` walks the same fields back out.
 
-Memories are configured per channel under `memories.signal_794` and
-`memories.idler_1535`, each either from explicit recall parameters
-(device_efficiency, mean_od, echo_delays) or from comb parameters (a `comb`
-object), in which case the recall model is derived from the comb's spectrum.
-Each MemorySpec builds its recall model once, when it is constructed, so a
-bad memory fails at load time with its key path, and
-ExperimentConfig.memory_config hands back the same model on every call.
-`efficiency_scale` multiplies the device efficiency, for statistics-boosted
-runs that keep the configured echo structure.  Analyzers take `mode`
-(`time_of_arrival` or `interferometer`) and, for the interferometer, `phase`.
+memories, analyzers and detectors map each channel of events.CHANNELS to its
+arm's section; in JSON the channel's key is its name in lower case
+(`memories.signal_794`).  A memory is given either by explicit recall
+parameters (device_efficiency, mean_od, echo_delays) or by a `comb` object,
+from whose spectrum the recall model is derived.  Each MemorySpec builds its
+model once, when constructed, so a bad memory fails at load time with its key
+path.  `efficiency_scale` multiplies the device efficiency, for
+statistics-boosted runs that keep the configured echo structure.  Analyzer
+modes are the tokens `time_of_arrival` and `interferometer` (the values of
+detection.MODE_*); `phase` is for the interferometer only.
 """
 
 from __future__ import annotations
@@ -35,29 +36,16 @@ from pathlib import Path
 
 from .detection import (
     DEFAULT_PEAK_HALFWIDTH_PS,
-    MODE_INTERFEROMETER,
     MODE_TIME_OF_ARRIVAL,
     AnalyzerSetting,
     DetectorConfig,
 )
 from .errors import ConfigError
-from .events import IDLER_1535, SIGNAL_794
+from .events import CHANNELS
 from .memory import CombSpectrum, MemoryConfig, build_comb, device_efficiency
 from .source import SourceConfig
 
-# Sections read into the ExperimentConfig field of the same name.
-_SECTIONS = ("run", "source", "tdc", "duty_cycle")
-# Per-channel sections -> ExperimentConfig field prefix; JSON channel key ->
-# field suffix, so memories.signal_794 is read into memory_794.
-_PER_CHANNEL = {"memories": "memory", "analyzers": "analyzer", "detectors": "detector"}
-_SUFFIX = {"signal_794": "794", "idler_1535": "1535"}
-_REQUIRED = {"run.seed"}  # required although RunConfig gives it a default
-
-_MODE_TOKENS = {
-    "time_of_arrival": MODE_TIME_OF_ARRIVAL,
-    "interferometer": MODE_INTERFEROMETER,
-}
-_TOKEN_OF_MODE = {v: k for k, v in _MODE_TOKENS.items()}
+_REQUIRED = {"run", "run.seed"}  # required although their fields have defaults
 
 
 @dataclass(frozen=True)
@@ -104,6 +92,10 @@ class TdcConfig:
     peak_halfwidth_ps: int = DEFAULT_PEAK_HALFWIDTH_PS
 
     def __post_init__(self):
+        for name in ("bin_width_ps", "window_ps", "peak_halfwidth_ps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer number of ps, got {value!r}")
         if self.bin_width_ps <= 0:
             raise ValueError("bin_width_ps must be positive")
         if self.window_ps <= 0 or self.window_ps % self.bin_width_ps != 0:
@@ -175,34 +167,33 @@ class MemorySpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every knob of one simulated run, validated at construction."""
+    """Every knob of one simulated run, validated at construction.
+
+    The fields are the JSON sections.  Each per-channel map is stored as a
+    copy in CHANNELS order; analyzers and detectors take the default section
+    for a channel not given, and a channel without a memory passes photons
+    straight through."""
 
     run: RunConfig = field(default_factory=RunConfig)
     source: SourceConfig = field(default_factory=SourceConfig)
-    memory_794: MemorySpec | None = None
-    memory_1535: MemorySpec | None = None
-    analyzer_794: AnalyzerSetting = field(default_factory=AnalyzerSetting)
-    analyzer_1535: AnalyzerSetting = field(default_factory=AnalyzerSetting)
-    detector_794: DetectorConfig = field(default_factory=DetectorConfig)
-    detector_1535: DetectorConfig = field(default_factory=DetectorConfig)
+    memories: dict[str, MemorySpec] = field(default_factory=dict)
+    analyzers: dict[str, AnalyzerSetting] = field(default_factory=dict)
+    detectors: dict[str, DetectorConfig] = field(default_factory=dict)
     tdc: TdcConfig = field(default_factory=TdcConfig)
     duty_cycle: DutyCycleConfig = field(default_factory=DutyCycleConfig)
 
-    def _per_channel(self, prefix: str, channel: str):
-        if channel == SIGNAL_794:
-            return getattr(self, f"{prefix}_794")
-        if channel == IDLER_1535:
-            return getattr(self, f"{prefix}_1535")
-        raise ValueError(f"unknown channel {channel!r}")
-
-    def analyzer_setting(self, channel: str) -> AnalyzerSetting:
-        return self._per_channel("analyzer", channel)
-
-    def detector_config(self, channel: str) -> DetectorConfig:
-        return self._per_channel("detector", channel)
+    def __post_init__(self):
+        defaults = {"memories": None, "analyzers": AnalyzerSetting(), "detectors": DetectorConfig()}
+        for name, default in defaults.items():
+            given = getattr(self, name)
+            for channel in given:
+                if channel not in CHANNELS:
+                    raise ValueError(f"{name}: unknown channel {channel!r}")
+            filled = {ch: given.get(ch) or default for ch in CHANNELS}
+            object.__setattr__(self, name, {ch: v for ch, v in filled.items() if v is not None})
 
     def memory_config(self, channel: str) -> MemoryConfig | None:
-        spec = self._per_channel("memory", channel)
+        spec = self.memories.get(channel)
         return None if spec is None else spec.model
 
 
@@ -263,6 +254,12 @@ def _read_echo_delays(value, path: str) -> tuple:
 def _read_value(kind, value, path: str):
     if is_dataclass(kind):
         return _read_section(kind, value, path)
+    if typing.get_origin(kind) is dict:  # a per-channel map
+        value = _require_mapping(value, path)
+        keys = {ch.lower(): ch for ch in CHANNELS}
+        _check_keys(value, keys, path)
+        kind = typing.get_args(kind)[1]
+        return {keys[k]: _read_section(kind, v, f"{path}.{k}") for k, v in value.items()}
     if kind is float:
         return _read_number(value, path)
     if kind is int:
@@ -283,39 +280,20 @@ def _read_section(cls, data, path: str):
     _check_keys(data, types, path)
     kwargs = {}
     for f in fields(cls):
-        key = f"{path}.{f.name}"
+        key = f"{path}.{f.name}" if path else f.name
         if f.name in data:
             kwargs[f.name] = _read_value(types[f.name], data[f.name], key)
         elif key in _REQUIRED or f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{key} is required")
-    if cls is AnalyzerSetting:
-        token = kwargs.get("mode", "time_of_arrival")
-        if token not in _MODE_TOKENS:
-            raise ConfigError(
-                f"{path}.mode: expected one of {sorted(_MODE_TOKENS)}, got {token!r}"
-            )
-        kwargs["mode"] = _MODE_TOKENS[token]
-        if kwargs["mode"] == MODE_TIME_OF_ARRIVAL and "phase" in kwargs:
-            raise ConfigError(f"{path}.phase: only valid for interferometer mode")
-    return _build(path, cls, **kwargs)
+    section = _build(path, cls, **kwargs)
+    if cls is AnalyzerSetting and "phase" in kwargs and section.mode == MODE_TIME_OF_ARRIVAL:
+        raise ConfigError(f"{path}.phase: only valid for interferometer mode")
+    return section
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated config from a parsed JSON object (strict schema)."""
-    data = _require_mapping(data, "config")
-    _check_keys(data, {*_SECTIONS, *_PER_CHANNEL}, "")
-    if "run" not in data:
-        raise ConfigError("run section is required (run.seed has no default)")
-    types = _field_types(ExperimentConfig)
-    kwargs = {name: _read_section(types[name], data.get(name, {}), name) for name in _SECTIONS}
-    for section, prefix in _PER_CHANNEL.items():
-        channels = _require_mapping(data.get(section, {}), section)
-        _check_keys(channels, _SUFFIX, section)
-        for key, suffix in _SUFFIX.items():
-            if key in channels:
-                name = f"{prefix}_{suffix}"
-                kwargs[name] = _read_section(types[name], channels[key], f"{section}.{key}")
-    return ExperimentConfig(**kwargs)
+    return _read_section(ExperimentConfig, _require_mapping(data, "config"), "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -342,31 +320,23 @@ def _section_to_dict(section) -> dict:
         value = getattr(section, f.name)
         if is_dataclass(value):
             out[f.name] = _section_to_dict(value)
+        elif isinstance(value, dict):  # a per-channel map; an empty one is left out
+            if value:
+                out[f.name] = {ch.lower(): _section_to_dict(v) for ch, v in value.items()}
         elif isinstance(value, tuple):
             out[f.name] = [list(row) for row in value]
         elif value is not None:
             out[f.name] = value
     if isinstance(section, MemorySpec) and section.efficiency_scale == 1.0:
         del out["efficiency_scale"]
-    if isinstance(section, AnalyzerSetting):
-        out["mode"] = _TOKEN_OF_MODE[section.mode]
-        if section.mode == MODE_TIME_OF_ARRIVAL:
-            del out["phase"]
+    if isinstance(section, AnalyzerSetting) and section.mode == MODE_TIME_OF_ARRIVAL:
+        del out["phase"]
     return out
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The full explicit form: every default spelled out."""
-    out = {name: _section_to_dict(getattr(cfg, name)) for name in _SECTIONS}
-    for section, prefix in _PER_CHANNEL.items():
-        channels = {
-            key: _section_to_dict(spec)
-            for key, suffix in _SUFFIX.items()
-            if (spec := getattr(cfg, f"{prefix}_{suffix}")) is not None
-        }
-        if channels:
-            out[section] = channels
-    return out
+    return _section_to_dict(cfg)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

@@ -23,8 +23,9 @@ from . import events
 from .csvio import csv_rows, write_csv
 from .linalg import ProjectorSetting, projector
 
-MODE_TIME_OF_ARRIVAL = "TIME_OF_ARRIVAL"
-MODE_INTERFEROMETER = "INTERFEROMETER"
+# The values are the config tokens of analyzers.<channel>.mode.
+MODE_TIME_OF_ARRIVAL = "time_of_arrival"
+MODE_INTERFEROMETER = "interferometer"
 ANALYZER_MODES = (MODE_TIME_OF_ARRIVAL, MODE_INTERFEROMETER)
 
 # Gaussian timing response quoted as FWHM; FWHM = 2 sqrt(2 ln 2) sigma.
@@ -49,7 +50,7 @@ class AnalyzerSetting:
 
     def __post_init__(self):
         if self.mode not in ANALYZER_MODES:
-            raise ValueError(f"unknown analyzer mode {self.mode!r}")
+            raise ValueError(f"mode must be one of {ANALYZER_MODES}, got {self.mode!r}")
         if not np.isfinite(self.phase):
             raise ValueError("analyzer phase must be finite")
 

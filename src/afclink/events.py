@@ -1,13 +1,14 @@
 """Labels of the click records shared by every stage and by events.csv.
 
 Channels are named by their role: SIGNAL_794 is the short-wavelength pair
-member, IDLER_1535 the telecom member.  Timestamps are integer picoseconds
-from the start of the run.  The order of BINS and ORIGINS fixes the integer
-codes the simulation engine stores.
+member, IDLER_1535 the telecom member; CHANNELS lists both, in that order.
+Timestamps are integer picoseconds from the start of the run.  The order of
+BINS and ORIGINS fixes the integer codes the simulation engine stores.
 """
 
 SIGNAL_794 = "SIGNAL_794"
 IDLER_1535 = "IDLER_1535"
+CHANNELS = (SIGNAL_794, IDLER_1535)
 
 BIN_EARLY = "EARLY"
 BIN_LATE = "LATE"

@@ -96,7 +96,6 @@ SWEEP_PARAMETERS = ("mu", "analyzer_phase")
 # summary.json lists the histogram peaks above this fraction of the tallest bin.
 _SUMMARY_PEAK_FRACTION = 0.05
 
-_CHANNELS = (events.SIGNAL_794, events.IDLER_1535)
 # Emitted pairs by which of their photons are detected: both, the signal
 # alone, the idler alone, neither.
 PAIR_CLASSES = ("both", "signal_only", "idler_only", "neither")
@@ -226,16 +225,16 @@ class _EngineTables:
 
 def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     src = cfg.source
-    outs = [analyzer_outcomes(cfg.analyzer_setting(ch), src.bin_separation_ps) for ch in _CHANNELS]
+    outs = [analyzer_outcomes(cfg.analyzers[ch], src.bin_separation_ps) for ch in events.CHANNELS]
     rho = src.joint_state().density().matrix
     joint = joint_outcome_table(rho, *outs, depolarizing=src.depolarizing_noise).clip(0.0, None)
     # Rows: the signal arm, columns: the idler arm.  A lone photon, whose
     # partner goes undetected, draws from its arm's marginal.
     marginals = (joint.sum(axis=1), joint.sum(axis=0))
     channels = {}
-    for ch, out, marginal in zip(_CHANNELS, outs, marginals):
+    for ch, out, marginal in zip(events.CHANNELS, outs, marginals):
         memory = _memory_table(cfg.memory_config(ch))
-        detector = cfg.detector_config(ch)
+        detector = cfg.detectors[ch]
         channels[ch] = _ChannelTable(
             slots=np.array([o.slot_offset_ps for o in out], dtype=np.int64),
             ports=np.array([o.port for o in out], dtype=np.int8),
@@ -286,7 +285,7 @@ def _simulate_shard(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=t.seed, spawn_key=(shard_index,))
     )
-    tabs = [t.channels[ch] for ch in _CHANNELS]
+    tabs = [t.channels[ch] for ch in events.CHANNELS]
     q_s, q_i = (tab.p_detect for tab in tabs)
     probs = np.array([q_s * q_i, q_s * (1 - q_i), (1 - q_s) * q_i, (1 - q_s) * (1 - q_i)])
     classes = rng.poisson(t.mu * n_cycles * probs)
@@ -309,7 +308,7 @@ def _simulate_shard(
     span = n_cycles * t.rep_period_ps
     lo = first_cycle * t.rep_period_ps
     shard: dict[str, dict[str, np.ndarray]] = {}
-    for ch, tab, pick, cyc, mpick in zip(_CHANNELS, tabs, picks, cycles, mem_picks):
+    for ch, tab, pick, cyc, mpick in zip(events.CHANNELS, tabs, picks, cycles, mem_picks):
         mem, det = tab.memory, tab.detector
         times = cyc * t.rep_period_ps + tab.slots[pick]
         if mem is None:
@@ -361,18 +360,18 @@ def _shards(t: _EngineTables, n_cycles: int):
 def simulate(cfg: ExperimentConfig) -> SimulationData:
     """Run the full chain for every configured cycle; returns click arrays."""
     tables = _build_tables(cfg)
-    parts: dict[str, list[dict[str, np.ndarray]]] = {ch: [] for ch in _CHANNELS}
+    parts: dict[str, list[dict[str, np.ndarray]]] = {ch: [] for ch in events.CHANNELS}
     totals = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
-    ends = dict.fromkeys(_CHANNELS, 0)
+    ends = dict.fromkeys(events.CHANNELS, 0)
     shards = []
     for classes, shard, floor in _shards(tables, cfg.run.cycles):
         totals += classes
-        for ch in _CHANNELS:
+        for ch in events.CHANNELS:
             parts[ch].append(shard[ch])
             ends[ch] += shard[ch]["times"].size
         shards.append((ends[events.IDLER_1535], ends[events.SIGNAL_794], floor))
     channels = {}
-    for ch in _CHANNELS:
+    for ch in events.CHANNELS:
         # Key by key, so each key's shard arrays are freed once joined.
         merged = {
             key: np.concatenate([p.pop(key) for p in parts[ch]])
@@ -401,7 +400,7 @@ class SimulationResult:
 def _write_events_csv(data: SimulationData, path: Path) -> None:
     """events.csv rows in (time, channel, cycle) order, formatted straight
     from the code arrays into the bytes csv.writer would write."""
-    recs = [data.channels[ch] for ch in sorted(_CHANNELS)]
+    recs = [data.channels[ch] for ch in sorted(events.CHANNELS)]
     cycles, times, bins, origins, outcomes = (
         np.concatenate([getattr(r, key) for r in recs])
         for key in ("cycles", "times", "bins", "origins", "outcomes")
@@ -461,7 +460,7 @@ def events_from_csv(path) -> list[tuple]:
                 f"{path}: line {line_no}: non-integer cycle or time_ps"
             ) from None
         for kind, label, known in (
-            ("channel", channel, _CHANNELS),
+            ("channel", channel, events.CHANNELS),
             ("bin", bin_label, _BIN_LABELS),
             ("origin", origin, _ORIGIN_LABELS),
         ):
@@ -511,7 +510,7 @@ def _build_summary(data: SimulationData, hist: CoincidenceHistogram) -> dict:
             }
         )
     detections = {}
-    for ch in _CHANNELS:
+    for ch in events.CHANNELS:
         rec = data.channels[ch]
         detections[ch.lower()] = {"total": int(rec.times.size), "dark": rec.dark_count}
     return {
@@ -613,8 +612,10 @@ def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
         sub = replace(
             cfg,
             run=replace(cfg.run, seed=seed),
-            analyzer_794=AnalyzerSetting.interferometer(sa.analyzer_phase()),
-            analyzer_1535=AnalyzerSetting.interferometer(sb.analyzer_phase()),
+            analyzers={
+                events.SIGNAL_794: AnalyzerSetting.interferometer(sa.analyzer_phase()),
+                events.IDLER_1535: AnalyzerSetting.interferometer(sb.analyzer_phase()),
+            },
         )
         counts = _central_port_counts(simulate(sub))
         same = counts[(+1, +1)] + counts[(-1, -1)]
@@ -923,16 +924,13 @@ def sweep(
 
     else:
         columns = ("phase_rad", "central_coincidences")
-        idler = base.analyzer_1535
+        idler = base.analyzers[events.IDLER_1535]
         if idler.mode != MODE_INTERFEROMETER:
             idler = AnalyzerSetting.interferometer(0.0)
 
         def point(value):
-            sub = replace(
-                base,
-                analyzer_794=AnalyzerSetting.interferometer(value),
-                analyzer_1535=idler,
-            )
+            signal = AnalyzerSetting.interferometer(value)
+            sub = replace(base, analyzers={events.SIGNAL_794: signal, events.IDLER_1535: idler})
             counts = _central_port_counts(simulate(sub))
             return value, float(counts[(+1, +1)])
 

@@ -36,11 +36,11 @@ from .estimation import find_peaks
 FOUR_LN2 = 4.0 * math.log(2.0)
 # echo_response skips the direct-transmission lobe below this delay and
 # spectral-leakage sidelobes closer than this to a taller peak, and finds no
-# echo when the tallest peak is below this fraction of the zero-delay term:
-# the rounding noise of a flat profile.
+# echo when the tallest peak is below this fraction of the zero-delay term: a
+# comb's primary echo carries 0.25-0.4 of it, the noise of a flat profile < 1e-3.
 ECHO_MIN_DELAY_NS = 2.0
 ECHO_MIN_SEPARATION_NS = 2.0
-ECHO_MIN_RELATIVE_MAGNITUDE = 1e-9
+ECHO_MIN_RELATIVE_MAGNITUDE = 1e-2
 
 
 def _bad_grid_steps(detuning: np.ndarray) -> np.ndarray:
@@ -152,7 +152,7 @@ def echo_response(
     maximum are dropped; ECHO_MIN_DELAY_NS excludes the direct-transmission
     lobe at zero delay, ECHO_MIN_SEPARATION_NS suppresses spectral-leakage
     sidelobes next to a real peak, and ECHO_MIN_RELATIVE_MAGNITUDE leaves a
-    flat profile with no echoes.
+    flat or noisy profile with no echoes.
     """
     if not 0.0 <= rel_threshold <= 1.0:
         raise ValueError(f"rel_threshold must lie in [0, 1], got {rel_threshold!r}")

@@ -40,6 +40,10 @@ class SourceConfig:
     depolarizing_noise: float = 0.0
 
     def __post_init__(self):
+        for name in ("rep_period_ps", "bin_separation_ps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer number of ps, got {value!r}")
         if not 0.0 <= self.mean_pairs_per_pulse < math.inf:
             raise ValueError("mean pair number must be finite and non-negative")
         if not math.isfinite(self.pump_phase):

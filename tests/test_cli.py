@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import noisy_flat_profile
 
 from afclink.cli import main
 from afclink.harness import DATA_SYNTHETIC_COMB, data_path
+from afclink.memory import comb_to_csv
 
 
 def write_config(tmp_path, seed=5, cycles=20_000, mu=0.05):
@@ -270,6 +272,13 @@ class TestComb:
         assert json.loads(out) == {"echoes": []}
         obj = stderr_error(capsys, ["comb", "fit", "--input", str(path)])
         assert obj == {"error": "profile is flat; no comb structure to fit", "type": "FitError"}
+
+    def test_noisy_flat_profile_has_no_echoes(self, tmp_path, capsys):
+        path = tmp_path / "noisy.csv"
+        comb_to_csv(noisy_flat_profile(0), path)
+        code, out, _ = run_cli(capsys, ["comb", "echoes", "--input", str(path)])
+        assert code == 0
+        assert json.loads(out) == {"echoes": []}
 
     @pytest.mark.parametrize("threshold", ["nan", "-0.1"])
     def test_echoes_threshold_outside_unit_interval_exits_1(self, capsys, threshold):

@@ -31,6 +31,7 @@ from afclink.detection import (
     DetectorConfig,
 )
 from afclink.errors import ConfigError
+from afclink.events import CHANNELS, IDLER_1535, SIGNAL_794
 from afclink.harness import chsh_simulation, simulate
 from afclink.memory import MemoryConfig, build_comb, device_efficiency
 from afclink.source import PUMP_EARLY_ONLY, SourceConfig
@@ -57,15 +58,16 @@ class TestLoadDefaults:
         assert cfg.tdc.bin_width_ps == 80
         assert cfg.tdc.window_ps == 70_000
         assert cfg.tdc.peak_halfwidth_ps == 500
-        assert cfg.detector_794.jitter_fwhm_ps == pytest.approx(250.0)
-        assert cfg.detector_1535.jitter_fwhm_ps == pytest.approx(250.0)
-        assert cfg.analyzer_794.mode == MODE_TIME_OF_ARRIVAL
-        assert cfg.memory_794 is None
-        assert cfg.memory_1535 is None
+        assert cfg.detectors[SIGNAL_794].jitter_fwhm_ps == pytest.approx(250.0)
+        assert cfg.detectors[IDLER_1535].jitter_fwhm_ps == pytest.approx(250.0)
+        assert cfg.analyzers[SIGNAL_794].mode == MODE_TIME_OF_ARRIVAL
+        assert cfg.memories == {}
+        assert cfg.memory_config(SIGNAL_794) is None
+        assert cfg.memory_config(IDLER_1535) is None
 
     def test_jitter_conversion_to_sigma(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
-        assert cfg.detector_config("SIGNAL_794").jitter_sigma_ps == pytest.approx(
+        assert cfg.detectors[SIGNAL_794].jitter_sigma_ps == pytest.approx(
             250.0 / 2.355
         )
 
@@ -262,10 +264,10 @@ class TestAnalyzers:
             },
         }
         cfg = load_config(write_config(tmp_path, payload))
-        setting = cfg.analyzer_setting("SIGNAL_794")
+        setting = cfg.analyzers[SIGNAL_794]
         assert setting.mode == MODE_INTERFEROMETER
         assert setting.phase == pytest.approx(0.25)
-        assert cfg.analyzer_setting("IDLER_1535").phase == pytest.approx(-0.5)
+        assert cfg.analyzers[IDLER_1535].phase == pytest.approx(-0.5)
 
     def test_phase_rejected_for_time_of_arrival(self, tmp_path):
         payload = {
@@ -280,8 +282,18 @@ class TestAnalyzers:
             "run": {"seed": 3},
             "analyzers": {"signal_794": {"mode": "polarizing"}},
         }
-        with pytest.raises(ConfigError, match="mode"):
+        with pytest.raises(ConfigError, match=r"^analyzers\.signal_794: mode") as err:
             load_config(write_config(tmp_path, payload))
+        for token in ("time_of_arrival", "interferometer", "polarizing"):
+            assert token in str(err.value)
+
+    def test_mode_constants_are_the_tokens(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {
+            "run": {"seed": 3},
+            "analyzers": {"idler_1535": {"mode": MODE_INTERFEROMETER, "phase": 0.1}},
+        }))
+        assert cfg.analyzers[IDLER_1535] == AnalyzerSetting.interferometer(0.1)
+        assert cfg.analyzers[SIGNAL_794] == AnalyzerSetting.time_of_arrival()
 
 
 class TestTdcValidation:
@@ -381,23 +393,31 @@ class TestRoundTrip:
                 pump_phase=0.1,
                 depolarizing_noise=0.05,
             ),
-            memory_794=MemorySpec(coupling_efficiency=0.3, comb=comb, efficiency_scale=3.0),
-            memory_1535=MemorySpec(
-                coupling_efficiency=0.4,
-                device_efficiency=0.01,
-                mean_od=0.8,
-                echo_delays=((6.02, 1.0), (12.04, 0.25)),
-                efficiency_scale=2.0,
-            ),
-            analyzer_794=AnalyzerSetting.interferometer(0.3),
-            analyzer_1535=AnalyzerSetting.interferometer(-0.785),
-            detector_794=DetectorConfig(efficiency=0.6, jitter_fwhm_ps=200.0, dark_rate_hz=50.0),
-            detector_1535=DetectorConfig(efficiency=0.5, jitter_fwhm_ps=300.0, dark_rate_hz=20.0),
+            memories={
+                SIGNAL_794: MemorySpec(coupling_efficiency=0.3, comb=comb, efficiency_scale=3.0),
+                IDLER_1535: MemorySpec(
+                    coupling_efficiency=0.4,
+                    device_efficiency=0.01,
+                    mean_od=0.8,
+                    echo_delays=((6.02, 1.0), (12.04, 0.25)),
+                    efficiency_scale=2.0,
+                ),
+            },
+            analyzers={
+                SIGNAL_794: AnalyzerSetting.interferometer(0.3),
+                IDLER_1535: AnalyzerSetting.interferometer(-0.785),
+            },
+            detectors={
+                SIGNAL_794: DetectorConfig(efficiency=0.6, jitter_fwhm_ps=200.0, dark_rate_hz=50.0),
+                IDLER_1535: DetectorConfig(efficiency=0.5, jitter_fwhm_ps=300.0, dark_rate_hz=20.0),
+            },
             tdc=TdcConfig(bin_width_ps=40, window_ps=40_000, peak_halfwidth_ps=400),
             duty_cycle=DutyCycleConfig(burn_ms=20.0, wait_ms=5.0, storage_ms=600.0),
         )
         # Each (section class, field) with a default is set away from it in
         # at least one section; a memory's form decides which fields it sets.
+        # The per-channel maps are walked channel by channel, so each
+        # channel's sections count.
         with_default, changed = set(), set()
 
         def walk(section):
@@ -408,11 +428,13 @@ class TestRoundTrip:
                     with_default.add((type(section).__name__, f.name))
                     if value != default:
                         changed.add((type(section).__name__, f.name))
-                if is_dataclass(value):
-                    walk(value)
+                for sub in value.values() if isinstance(value, dict) else [value]:
+                    if is_dataclass(sub):
+                        walk(sub)
 
         walk(cfg)
         assert with_default - changed == set()
+        assert len(cfg.memories) == len(cfg.analyzers) == len(cfg.detectors) == 2
         out = tmp_path / "saved.json"
         save_config(cfg, out)
         assert load_config(out) == cfg
@@ -523,16 +545,63 @@ class TestDirectConstruction:
     def test_programmatic_config(self):
         cfg = ExperimentConfig(
             run=RunConfig(cycles=100, seed=5),
-            memory_794=MemorySpec(
-                coupling_efficiency=1.0,
-                device_efficiency=0.1,
-                mean_od=2.3,
-                echo_delays=((32.26, 1.0),),
-            ),
+            memories={
+                SIGNAL_794: MemorySpec(
+                    coupling_efficiency=1.0,
+                    device_efficiency=0.1,
+                    mean_od=2.3,
+                    echo_delays=((32.26, 1.0),),
+                )
+            },
         )
         assert cfg.run.seed == 5
-        assert cfg.analyzer_1535.mode == MODE_TIME_OF_ARRIVAL
-        assert cfg.memory_config("SIGNAL_794").device_efficiency == pytest.approx(0.1)
+        assert cfg.analyzers[IDLER_1535].mode == MODE_TIME_OF_ARRIVAL
+        assert cfg.memory_config(SIGNAL_794).device_efficiency == pytest.approx(0.1)
+
+    def test_unknown_channel_rejected(self):
+        for section in ("memories", "analyzers", "detectors"):
+            with pytest.raises(ValueError, match=f"^{section}: unknown channel 'signal_794'"):
+                ExperimentConfig(**{section: {"signal_794": None}})
+
+    def test_partial_channel_maps_filled_with_defaults(self):
+        det = DetectorConfig(efficiency=0.3)
+        cfg = ExperimentConfig(
+            analyzers={IDLER_1535: AnalyzerSetting.interferometer(0.5)},
+            detectors={SIGNAL_794: det},
+        )
+        assert list(cfg.analyzers) == list(cfg.detectors) == list(CHANNELS)
+        assert cfg.analyzers[SIGNAL_794] == AnalyzerSetting()
+        assert cfg.analyzers[IDLER_1535] == AnalyzerSetting.interferometer(0.5)
+        assert cfg.detectors[SIGNAL_794] is det
+        assert cfg.detectors[IDLER_1535] == DetectorConfig()
+        assert cfg.memories == {}
+
+    def test_channel_maps_are_copied(self):
+        spec = MemorySpec(
+            coupling_efficiency=1.0, device_efficiency=0.1, mean_od=2.3,
+            echo_delays=((32.26, 1.0),),
+        )
+        memories = {IDLER_1535: spec}
+        analyzers = {SIGNAL_794: AnalyzerSetting.interferometer(0.2)}
+        cfg = ExperimentConfig(memories=memories, analyzers=analyzers)
+        memories[SIGNAL_794] = spec
+        analyzers[SIGNAL_794] = AnalyzerSetting()
+        assert cfg.memory_config(SIGNAL_794) is None
+        assert cfg.memory_config(IDLER_1535) is spec.model
+        assert cfg.analyzers[SIGNAL_794].phase == 0.2
+
+    @pytest.mark.parametrize("bad", [12500.5, 80.0, True], ids=repr)
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(SourceConfig, "rep_period_ps"), (SourceConfig, "bin_separation_ps"),
+         (TdcConfig, "bin_width_ps"), (TdcConfig, "window_ps"), (TdcConfig, "peak_halfwidth_ps")],
+        ids=lambda x: x if isinstance(x, str) else x.__name__,
+    )
+    def test_integer_ps_fields_reject_non_integers(self, cls, name, bad):
+        # Click times are integer picoseconds; a float period would turn them
+        # into float64 and a float bin width fails inside numpy.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            cls(**{name: bad})
 
     def test_run_config_validation(self):
         with pytest.raises(ValueError):

@@ -315,7 +315,7 @@ class TestEngineDraws:
         )
         tables = harness._build_tables(cfg)
         q_s, q_i = (
-            tables.channels[ch].memory.p_alive * cfg.detector_config(ch).efficiency
+            tables.channels[ch].memory.p_alive * cfg.detectors[ch].efficiency
             for ch in (events.SIGNAL_794, events.IDLER_1535)
         )
         assert tables.channels[events.SIGNAL_794].p_detect == q_s
@@ -419,7 +419,7 @@ class TestEngineDraws:
                 tables = harness._build_tables(cfg)
                 for ch, red in reduced.items():
                     state = (1.0 - noise) * red + noise * np.eye(2) / 2.0
-                    setting = cfg.analyzer_setting(ch)
+                    setting = cfg.analyzers[ch]
                     outs = analyzer_outcomes(setting, cfg.source.bin_separation_ps)
                     born = [np.trace(o.effect @ state).real for o in outs]
                     single = np.diff(tables.channels[ch].single_cum, prepend=0.0)
@@ -525,11 +525,10 @@ def shipped_config(name, cycles, mu=None, dark_rate_hz=None):
     if mu is not None:
         cfg = replace(cfg, source=replace(cfg.source, mean_pairs_per_pulse=mu))
     if dark_rate_hz is not None:
-        cfg = replace(
-            cfg,
-            detector_794=replace(cfg.detector_794, dark_rate_hz=dark_rate_hz),
-            detector_1535=replace(cfg.detector_1535, dark_rate_hz=dark_rate_hz),
-        )
+        detectors = {
+            ch: replace(det, dark_rate_hz=dark_rate_hz) for ch, det in cfg.detectors.items()
+        }
+        cfg = replace(cfg, detectors=detectors)
     return cfg
 
 

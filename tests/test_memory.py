@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import IDEAL_DETECTORS, make_config
+from conftest import IDEAL_DETECTORS, make_config, noisy_flat_profile
 
 from afclink import events, harness
 from afclink.errors import FitError
@@ -163,6 +163,15 @@ class TestDeviceEfficiency:
 
 
 class TestEchoResponse:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_flat_profile_has_no_echoes(self, seed):
+        # The tallest noise peak carries < 1e-3 of the zero-delay term; a
+        # comb's primary echo carries 0.25-0.4 of it.
+        comb = noisy_flat_profile(seed)
+        assert echo_response(comb) == []
+        with pytest.raises(ValueError, match="comb shows no echo peaks"):
+            MemoryConfig.from_comb(comb, coupling_efficiency=0.2, device_efficiency=0.1)
+
     def test_clean_comb_dominant_delay(self):
         comb = build_comb(31.0, 2.0, 0.1, 2.0, 10.0, 1.0)
         echoes = echo_response(comb)
