@@ -9,9 +9,14 @@ gradient (FISTA with adaptive restart) with the gradient
 
 followed by the Frobenius projection onto the states, which projects the
 eigenvalues onto the probability simplex (Shang, Zhang & Ng, PRA 95, 062336;
-Smolin, Gambetta & Smith, PRL 108, 070502).  Fits of inputs that share their
-settings run batched on (B, 4, 4) stacks, which is how the Monte-Carlo
-uncertainties fit every resampled trial of one input at once.
+Smolin, Gambetta & Smith, PRL 108, 070502).  fit_batch fits one input's rows
+against a (B, n) stack of measured vectors on (B, 4, 4) stacks of states.
+
+The Monte-Carlo works on arrays throughout: resample_rows draws probability
+vectors, one fit_batch call fits every trial of an input, and the state
+metrics take a (4, 4) matrix or a (B, 4, 4) stack, so they score every trial
+at once.  A trial whose fit did not converge or whose metrics are not all
+finite is dropped by mask.
 
 Everything here needs numpy alone.  The histogram peak finder (find_peaks,
 with the semantics of scipy.signal.find_peaks) and the truncated-normal
@@ -27,7 +32,7 @@ import numpy as np
 
 from .csvio import csv_rows, write_csv
 from .detection import CoincidenceHistogram, coincidence_rate
-from .errors import EstimationError, UndefinedEstimateError
+from .errors import EstimationError, FitError, UndefinedEstimateError
 from .linalg import (
     DensityMatrix,
     ProjectorSetting,
@@ -37,11 +42,10 @@ from .linalg import (
     projector,
 )
 
-DEFAULT_SIDE_PEAKS = tuple(range(-5, 0)) + tuple(range(1, 6))
 MC_MIN_TRIALS = 100
 MC_MAX_FAILURE_FRACTION = 0.2
 
-_PHI_PLUS = bell_phi_plus().density()
+_PHI_PLUS = bell_phi_plus().density().matrix
 
 TOMOGRAPHY_CSV_HEADER = ("setting_a", "setting_b", "probability", "sigma")
 
@@ -49,7 +53,7 @@ TOMOGRAPHY_CSV_HEADER = ("setting_a", "setting_b", "probability", "sigma")
 def __getattr__(name):
     # `optimize` is scipy.optimize, imported on first access and used by
     # nothing here: bench/tracing.py still wraps optimize.minimize.  It goes
-    # with the benchmark change of ROADMAP item 2, which points that span at
+    # with the benchmark change of ROADMAP item 1, which points that span at
     # fit_batch.
     if name == "optimize":
         import scipy.optimize
@@ -73,25 +77,26 @@ class G2Estimate:
 def g2_cross(
     hist: CoincidenceHistogram,
     delay_ps: int = 0,
-    n_values: Sequence[int] | None = None,
     rep_period_ps: int = 12_500,
     peak_halfwidth_ps: int = 500,
 ) -> G2Estimate:
     """Normalized cross-correlation at `delay_ps`.
 
     The peak rate is divided by the mean rate of the accidental peaks offset
-    by n repetition periods; uncorrelated channels therefore give 1.  The
-    uncertainty follows from Poisson counting on both numerator and the
-    pooled reference counts; an empty peak is given the one-count Poisson
-    bound, so it reports 0 with a nonzero sigma.
+    by n = +-1 .. +-5 repetition periods, those whose window lies inside the
+    histogram; uncorrelated channels therefore give 1.  The uncertainty
+    follows from Poisson counting on both numerator and the pooled reference
+    counts; an empty peak is given the one-count Poisson bound, so it reports
+    0 with a nonzero sigma.  Raises UndefinedEstimateError unless the peak
+    and at least two reference windows fit and some reference has counts.
     """
-    if n_values is None:
-        n_values = DEFAULT_SIDE_PEAKS
-    n_values = tuple(int(n) for n in n_values)
-    if not n_values:
-        raise ValueError("need at least one reference peak")
-    if 0 in n_values:
-        raise ValueError("reference peaks must exclude n = 0")
+    hw, window = peak_halfwidth_ps, hist.window_ps
+    n_values = [n for n in range(-5, 6) if n and abs(delay_ps + n * rep_period_ps) + hw <= window]
+    if abs(delay_ps) + hw > window or len(n_values) < 2:
+        raise UndefinedEstimateError(
+            f"g2 at {delay_ps} ps: the peak and 2 reference windows of +-{hw} ps must "
+            f"lie inside the +-{window} ps histogram; {len(n_values)} references do"
+        )
     peak = coincidence_rate(hist, delay_ps, peak_halfwidth_ps)
     references = [
         coincidence_rate(hist, delay_ps + n * rep_period_ps, peak_halfwidth_ps)
@@ -140,6 +145,12 @@ class TomographyInput:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
+
+    def probabilities(self) -> np.ndarray:
+        return np.array([r.probability for r in self.rows])
+
+    def sigmas(self) -> np.ndarray:
+        return np.array([r.sigma for r in self.rows])
 
 
 def informationally_complete_pairs() -> list[tuple[ProjectorSetting, ProjectorSetting]]:
@@ -214,20 +225,16 @@ class _MleData:
     weights: np.ndarray  # (B, n)
 
 
-def _build_mle_data(tins: Sequence[TomographyInput]) -> _MleData:
-    first = tins[0]
-    if not first.rows:
+def _build_mle_data(tin: TomographyInput, measured) -> _MleData:
+    if not tin.rows:
         raise ValueError("tomography input has no rows")
-    def layout(tin):
-        return [(r.setting_a, r.setting_b, r.sigma) for r in tin.rows]
-
-    if any(layout(tin) != layout(first) for tin in tins[1:]):
-        raise ValueError("batched inputs must share settings and sigmas")
+    measured = np.asarray(measured, dtype=float)
+    if measured.ndim != 2 or measured.shape[1] != len(tin.rows):
+        raise ValueError(f"measured must be (B, {len(tin.rows)}), got {measured.shape}")
     effects = np.stack(
-        [np.kron(projector(r.setting_a), projector(r.setting_b)) for r in first.rows]
+        [np.kron(projector(r.setting_a), projector(r.setting_b)) for r in tin.rows]
     )
-    measured = np.array([[r.probability for r in t.rows] for t in tins])
-    sigmas = np.array([r.sigma for r in first.rows])
+    sigmas = tin.sigmas()
     positive = sigmas[sigmas > 0.0]
     # Zero-sigma rows are exact in resampling; give them the tightest
     # available finite weight instead of an infinite one.
@@ -327,8 +334,9 @@ class BatchFit:
     converged: np.ndarray  # (B,) bool
 
 
-def fit_batch(tins: Sequence[TomographyInput]) -> BatchFit:
-    """Maximum-likelihood states of inputs that share settings and sigmas.
+def fit_batch(tin: TomographyInput, measured) -> BatchFit:
+    """Maximum-likelihood states of the settings and sigmas of `tin` against
+    each row of the (B, n) stack `measured`.
 
     Accelerated projected gradient (FISTA with adaptive restart) on the
     (B, 4, 4) stack: a gradient step, then the projection onto the states.
@@ -340,7 +348,7 @@ def fit_batch(tins: Sequence[TomographyInput]) -> BatchFit:
     certifies it (see _certified), so its result does not depend, beyond
     rounding, on the rest of the batch.
     """
-    data = _build_mle_data(tins)
+    data = _build_mle_data(tin, measured)
     _check_rank(data.effects)
     size = data.measured.shape[0]
     x, step = _start(data)
@@ -392,7 +400,7 @@ def tomography_mle(
     `n_starts` and `seed` are accepted and ignored because bench/reference.py
     still passes them.
     """
-    fit = fit_batch([tin])
+    fit = fit_batch(tin, tin.probabilities()[None])
     if not fit.converged[0]:
         raise EstimationError(
             f"fit did not converge in {MLE_MAX_ITER} iterations; "
@@ -414,71 +422,80 @@ _SIGMA_Y_PAIR = np.kron(
 )
 
 
-def _as_pair_density(rho: DensityMatrix) -> np.ndarray:
-    if rho.dim != 4:
-        raise ValueError("a two-qubit density matrix is required")
-    return rho.matrix
+def _as_pair_density(rho) -> np.ndarray:
+    m = np.asarray(rho, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+        raise ValueError(f"a two-qubit state or a (B, 4, 4) stack is required, got {m.shape}")
+    return m
 
 
-_PURE_PURITY_TOL = 1e-12
+def _scalar_or_stack(values: np.ndarray):
+    """A float for one state, the (B,) array for a stack."""
+    return values[()] if values.ndim == 0 else values
 
 
-def _pure_component(m: np.ndarray) -> np.ndarray | None:
-    """Dominant eigenvector if the state is pure to within round-off."""
-    if np.trace(m @ m).real < 1.0 - _PURE_PURITY_TOL:
-        return None
+def _pure_component(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each state is pure to within round-off (purity 1 - 1e-12), and
+    its dominant eigenvector (meaningful only where it is)."""
     _, v = hermitian_eigensystem(m)
-    return v[:, 0]
+    return purity(m) >= 1.0 - 1e-12, v[..., 0]
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit state."""
+def concurrence(rho):
+    """Wootters concurrence of a two-qubit state or of each state of a stack."""
     m = _as_pair_density(rho)
-    psi = _pure_component(m)
-    if psi is not None:
-        # Exact rank-one formula; the matrix-root chain loses digits here.
-        return float(np.abs(psi @ (_SIGMA_Y_PAIR @ psi)))
+    pure, psi = _pure_component(m)
+    # Exact rank-one formula |psi^T (sigma_y sigma_y) psi|; the matrix-root
+    # chain loses digits there.
+    c_pure = np.abs(np.einsum("...i,ij,...j->...", psi, _SIGMA_Y_PAIR, psi))
     flipped = _SIGMA_Y_PAIR @ m.conj() @ _SIGMA_Y_PAIR
     root = matrix_sqrt_psd(m)
     inner = root @ flipped @ root
-    w, _ = hermitian_eigensystem((inner + inner.conj().T) / 2.0)
+    w, _ = hermitian_eigensystem((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
     lams = np.sqrt(np.clip(w, 0.0, None))
-    return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+    c_mixed = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+    return _scalar_or_stack(np.where(pure, c_pure, c_mixed))
 
 
-def eof_from_concurrence(c: float) -> float:
-    if not -1e-12 <= c <= 1.0 + 1e-12:
+def eof_from_concurrence(c):
+    """Entanglement of formation of a concurrence or of an array of them."""
+    c = np.asarray(c, dtype=float)
+    if not np.all((c >= -1e-12) & (c <= 1.0 + 1e-12)):
         raise ValueError("concurrence must lie in [0, 1]")
-    c = min(max(c, 0.0), 1.0)
-    x = 0.5 + 0.5 * math.sqrt(1.0 - c * c)
-    if x >= 1.0 - 1e-15:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    c = np.clip(c, 0.0, 1.0)
+    x = 0.5 + 0.5 * np.sqrt(1.0 - c * c)
+    separable = x >= 1.0 - 1e-15
+    x = np.where(separable, 0.5, x)
+    entropy = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return _scalar_or_stack(np.where(separable, 0.0, entropy))
 
 
-def entanglement_of_formation(rho: DensityMatrix) -> float:
+def entanglement_of_formation(rho):
     return eof_from_concurrence(concurrence(rho))
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(trace sqrt(sqrt(rho) sigma sqrt(rho)))^2, symmetric in its arguments."""
-    if rho.dim != sigma.dim:
+def fidelity(rho, sigma):
+    """(trace sqrt(sqrt(rho) sigma sqrt(rho)))^2, symmetric in its arguments;
+    either argument may be a stack, and stacks pair up state by state."""
+    a, b = (np.asarray(x, dtype=complex) for x in (rho, sigma))
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError("states must share a dimension")
+    root = matrix_sqrt_psd(a)
+    inner = root @ b @ root
+    overlap_root = matrix_sqrt_psd((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
+    value = np.trace(overlap_root, axis1=-2, axis2=-1).real ** 2
     # Rank-one arguments admit the exact overlap form <psi|other|psi>.
-    for pure, other in ((rho, sigma), (sigma, rho)):
-        psi = _pure_component(pure.matrix)
-        if psi is not None:
-            value = float((psi.conj() @ (other.matrix @ psi)).real)
-            return min(max(value, 0.0), 1.0)
-    root = matrix_sqrt_psd(rho.matrix)
-    inner = root @ sigma.matrix @ root
-    overlap_root = matrix_sqrt_psd((inner + inner.conj().T) / 2.0)
-    value = float(np.trace(overlap_root).real) ** 2
-    return min(max(value, 0.0), 1.0)
+    for pure_one, other in ((b, a), (a, b)):
+        pure, psi = _pure_component(pure_one)
+        overlap = np.einsum("...i,...ij,...j->...", psi.conj(), other, psi).real
+        value = np.where(pure, overlap, value)
+    return _scalar_or_stack(np.clip(value, 0.0, 1.0))
 
 
-def purity(rho: DensityMatrix) -> float:
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+def purity(rho):
+    """tr(rho^2) of a state or of each state of a stack."""
+    m = np.asarray(rho, dtype=complex)
+    return _scalar_or_stack(np.trace(m @ m, axis1=-2, axis2=-1).real)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +524,7 @@ def born_correlation(
 ) -> float:
     """Expectation of the +-1 observable pair on `rho`."""
     obs = np.kron(_observable(setting_a), _observable(setting_b))
-    return float(np.trace(_as_pair_density(rho) @ obs).real)
+    return float(np.trace(_as_pair_density(rho.matrix) @ obs).real)
 
 
 # The CHSH setting pairs in correlator order ab, ab', a'b, a'b', with
@@ -547,7 +564,7 @@ def chsh_s(e_values: Sequence[float], sigmas: Sequence[float]) -> ChshEstimate:
 # ---------------------------------------------------------------------------
 # Monte-Carlo uncertainty propagation
 
-METRIC_FUNCTIONS: dict[str, Callable[[DensityMatrix], float]] = {
+METRIC_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "fidelity_phi_plus": lambda rho: fidelity(rho, _PHI_PLUS),
     "purity": purity,
     "concurrence": concurrence,
@@ -555,8 +572,8 @@ METRIC_FUNCTIONS: dict[str, Callable[[DensityMatrix], float]] = {
 }
 
 
-def resample_rows(tin: TomographyInput, rng: np.random.Generator) -> TomographyInput:
-    """Redraw each probability from its Gaussian truncated to [0, 1].
+def resample_rows(tin: TomographyInput, rng: np.random.Generator) -> np.ndarray:
+    """The probabilities of `tin`, each redrawn from its Gaussian truncated to [0, 1].
 
     Exact rejection sampling: every row with sigma > 0 draws N(p, sigma), then
     only the draws outside [0, 1] are redrawn, until none is left.  A row
@@ -564,54 +581,40 @@ def resample_rows(tin: TomographyInput, rng: np.random.Generator) -> TomographyI
     because TomographyRow keeps p in [0, 1] and sigma finite, so the loop
     ends.  Rows with sigma = 0 keep their probability.
     """
-    probs = np.array([r.probability for r in tin.rows])
-    sigmas = np.array([r.sigma for r in tin.rows])
+    probs, sigmas = tin.probabilities(), tin.sigmas()
     drawn = probs.copy()
     todo = np.flatnonzero(sigmas > 0.0)
     while todo.size:
         drawn[todo] = rng.normal(probs[todo], sigmas[todo])
         todo = todo[(drawn[todo] < 0.0) | (drawn[todo] > 1.0)]
-    rows = [
-        replace(row, probability=float(p)) for row, p in zip(tin.rows, drawn)
-    ]
-    return TomographyInput(tuple(rows))
+    return drawn
 
 
 def monte_carlo_samples(
     tins: Sequence[TomographyInput],
     trials: int,
     rng: np.random.Generator,
-    evaluate: Callable[[tuple[DensityMatrix, ...]], Sequence[float]],
+    evaluate: Callable[[tuple[np.ndarray, ...]], np.ndarray],
 ) -> tuple[np.ndarray, int]:
     """Metric samples under joint resampling of the inputs `tins`.
 
     Every trial redraws each input within its uncertainties (resample_rows,
     inputs in order within a trial, trials in order), so the random stream
     does not depend on fit outcomes.  All trials of one input are then fitted
-    in one batched call, and `evaluate` maps the states of one trial (one per
-    input) to its metric values.  A trial whose fit does not converge or whose
-    evaluation raises is dropped and counted; more than 20% dropped trials
-    raise EstimationError.  Returns the (kept trials, metrics) samples and the
-    number of dropped trials.
+    in one fit_batch call, and `evaluate` maps the fitted states, one
+    (trials, 4, 4) stack per input, to a (trials, metrics) array.  A trial
+    whose fit does not converge or that has a non-finite metric is dropped and
+    counted; more than 20% dropped trials raise EstimationError.  Returns the
+    (kept trials, metrics) samples and the number of dropped trials.
     """
     draws = [[resample_rows(tin, rng) for tin in tins] for _ in range(trials)]
-    fits = [fit_batch([trial[i] for trial in draws]) for i in range(len(tins))]
-    samples = []
-    failures = 0
-    for trial in range(trials):
-        if not all(fit.converged[trial] for fit in fits):
-            failures += 1
-            continue
-        try:
-            states = tuple(DensityMatrix(fit.rho[trial]) for fit in fits)
-            samples.append([float(v) for v in evaluate(states)])
-        except Exception:  # a trial whose metric fails is dropped and counted
-            failures += 1
+    fits = [fit_batch(tin, [trial[i] for trial in draws]) for i, tin in enumerate(tins)]
+    values = np.asarray(evaluate(tuple(fit.rho for fit in fits)), dtype=float)
+    kept = np.isfinite(values).all(axis=1) & np.all([fit.converged for fit in fits], axis=0)
+    failures = trials - int(kept.sum())
     if failures > MC_MAX_FAILURE_FRACTION * trials:
-        raise EstimationError(
-            f"{failures}/{trials} Monte-Carlo trials failed; results unreliable"
-        )
-    return np.array(samples), failures
+        raise EstimationError(f"{failures}/{trials} Monte-Carlo trials failed; results unreliable")
+    return values[kept], failures
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +650,9 @@ def visibility_fit(sweep: Sequence[tuple[float, float]]) -> VisibilityFitResult:
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
     coef, _, rank, _ = np.linalg.lstsq(design, counts, rcond=None)
     if rank < 3:
-        from .errors import FitError
-
         raise FitError("phase sweep design is rank deficient")
     n0, a, b = coef
     if n0 <= 0.0:
-        from .errors import FitError
-
         raise FitError("fitted mean level is not positive")
     resid = counts - design @ coef
     dof = len(pts) - 3

@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import events
-from .config import ExperimentConfig
+from . import __version__, events
+from .config import ExperimentConfig, save_config
 from .csvio import csv_rows, float_fields, write_csv
 from .detection import (
     MODE_INTERFEROMETER,
@@ -395,6 +395,7 @@ class SimulationResult:
     events_path: Path
     histogram_path: Path
     summary_path: Path
+    config_path: Path
 
 
 def _write_events_csv(data: SimulationData, path: Path) -> None:
@@ -482,7 +483,7 @@ def _g2_payload(hist, delay_ps: int, cfg: ExperimentConfig) -> dict | None:
             rep_period_ps=cfg.source.rep_period_ps,
             peak_halfwidth_ps=cfg.tdc.peak_halfwidth_ps,
         )
-    except (UndefinedEstimateError, ValueError):
+    except UndefinedEstimateError:
         return None
     return {
         "value": float(est.value),
@@ -509,6 +510,7 @@ def _build_summary(data: SimulationData, hist: CoincidenceHistogram) -> dict:
                 "g2": _g2_payload(hist, peak.delay_ps, cfg),
             }
         )
+    recall = recall_delay_ps(cfg)
     detections = {}
     for ch in events.CHANNELS:
         rec = data.channels[ch]
@@ -530,12 +532,15 @@ def _build_summary(data: SimulationData, hist: CoincidenceHistogram) -> dict:
             "total_counts": int(hist.counts.sum()),
         },
         "g2_zero_delay": _g2_payload(hist, 0, cfg),
+        "g2_recall": {"delay_ps": recall, "g2": _g2_payload(hist, recall, cfg)},
         "peaks": peaks,
+        "provenance": {"afclink": __version__, "numpy": np.__version__},
     }
 
 
 def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
-    """Simulate, then write events.csv, histogram.csv and summary.json."""
+    """Simulate, then write events.csv, histogram.csv, summary.json and the
+    resolved config as config.json, from which the run can be repeated."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = simulate(cfg)
@@ -544,25 +549,29 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     events_path = out / "events.csv"
     histogram_path = out / "histogram.csv"
     summary_path = out / "summary.json"
+    config_path = out / "config.json"
     _write_events_csv(data, events_path)
     hist.to_csv(histogram_path)
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    return SimulationResult(data, hist, summary, events_path, histogram_path, summary_path)
+    save_config(cfg, config_path)
+    return SimulationResult(
+        data, hist, summary, events_path, histogram_path, summary_path, config_path
+    )
 
 
 # ---------------------------------------------------------------------------
 # CHSH from simulated clicks
 
 
-def _expected_recall_delta_ps(cfg: ExperimentConfig) -> int:
-    delta = 0
-    mem = cfg.memory_config(events.SIGNAL_794)
-    if mem is not None:
-        delta += mem.echo_delay_ps(mem.primary_echo_index)
-    mem = cfg.memory_config(events.IDLER_1535)
-    if mem is not None:
-        delta -= mem.echo_delay_ps(mem.primary_echo_index)
-    return delta
+def recall_delay_ps(cfg: ExperimentConfig) -> int:
+    """Start-stop delay of a pair whose photons both leave their memories in
+    the primary echo: the signal's echo delay minus the idler's (0 for a
+    channel without a memory)."""
+    signal, idler = (
+        0 if mem is None else mem.echo_delay_ps(mem.primary_echo_index)
+        for mem in map(cfg.memory_config, events.CHANNELS)
+    )
+    return signal - idler
 
 
 def _central_port_counts(data: SimulationData) -> dict[tuple[int, int], int]:
@@ -572,7 +581,7 @@ def _central_port_counts(data: SimulationData) -> dict[tuple[int, int], int]:
     recall-to-recall delay, within the configured peak halfwidth."""
     cfg = data.config
     hw = cfg.tdc.peak_halfwidth_ps
-    delta = _expected_recall_delta_ps(cfg)
+    delta = recall_delay_ps(cfg)
     sup = _BIN_CODE[events.BIN_SUPERPOSED]
     sig = data.channels[events.SIGNAL_794]
     idl = data.channels[events.IDLER_1535]
@@ -730,12 +739,6 @@ def wavelength_table_from_csv(path) -> WavelengthTable:
 # ---------------------------------------------------------------------------
 # Measured-data analysis
 
-_STATE_METRICS = (
-    "fidelity_phi_plus",
-    "purity",
-    "concurrence",
-    "entanglement_of_formation",
-)
 # Rows and states name the stages in full; the first tomography table is the
 # input stage.
 _STAGE_NAMES = {STAGE_INPUT: "input", STAGE_OUTPUT: "output"}
@@ -754,7 +757,7 @@ class AnalysisReport:
     """Tomography fits, state metrics and Bell sums from measured tables.
 
     `metrics` maps (stage, metric) to (value, sigma), values as fractions in
-    [0, 1], in state_metrics.csv order: the four _STATE_METRICS of "input",
+    [0, 1], in state_metrics.csv order: the four METRIC_FUNCTIONS of "input",
     then of "output" when an output table was fitted, then
     ("link", "input_output_fidelity") when both were.  `chsh` maps each
     correlator stage of the table ("in", then "out") to its Bell sum.
@@ -809,17 +812,16 @@ class AnalysisReport:
         return payload
 
 
-def _trial_metrics(states) -> list[float]:
-    """State metrics of every stage, one state per tomography table, then the
-    input-output fidelity when both stages are present: the values of
-    AnalysisReport.metrics in order, for the fits and for each Monte-Carlo
-    trial."""
-    values = [
-        float(METRIC_FUNCTIONS[name](rho)) for rho in states for name in _STATE_METRICS
-    ]
+def _trial_metrics(states) -> np.ndarray:
+    """State metrics of every stage, from one (B, 4, 4) stack of states per
+    tomography table, then the input-output fidelity when both stages are
+    present: a (B, metrics) array whose columns are AnalysisReport.metrics in
+    order.  The point estimate is a batch of one, the Monte-Carlo a batch of
+    all trials."""
+    columns = [metric(rho) for rho in states for metric in METRIC_FUNCTIONS.values()]
     if len(states) == 2:
-        values.append(float(fidelity(*states)))
-    return values
+        columns.append(fidelity(*states))
+    return np.stack(columns, axis=-1)
 
 
 def analyze_paper_data(
@@ -842,10 +844,10 @@ def analyze_paper_data(
     for stage, path in zip(_STAGE_NAMES.values(), paths):
         tins.append(tomography_from_csv(path))
         fits.append(tomography_mle(tins[-1]))
-        keys += [(stage, name) for name in _STATE_METRICS]
+        keys += [(stage, name) for name in METRIC_FUNCTIONS]
     if len(fits) == 2:
         keys.append(_IO_FIDELITY)
-    values = _trial_metrics([fit.rho for fit in fits])
+    values = _trial_metrics([fit.rho.matrix[None] for fit in fits])[0].tolist()
 
     sigmas = [0.0] * len(keys)
     mc_failures = 0

@@ -11,10 +11,11 @@ Conventions used everywhere in this package:
   transmitted (+1) port, onto (|e> + e^{i theta}|l>)/sqrt(2); the -1 port is
   the orthogonal state.
 
-All matrices here are 2x2 or 4x4.  hermitian_eigensystem wraps
-numpy.linalg.eigh (LAPACK heevd) with a Hermiticity check and descending
-order; positivity checks, matrix square roots and the state metrics all go
-through it.
+States are 2x2 or 4x4.  hermitian_eigensystem wraps numpy.linalg.eigh
+(LAPACK heevd) with a Hermiticity check and descending order; positivity
+checks, matrix square roots and the state metrics all go through it.  It and
+matrix_sqrt_psd take one square matrix or a (..., n, n) stack, so the metrics
+score every Monte-Carlo trial in one call.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class Ket:
             raise ValueError(f"ket norm {norm!r} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
     def density(self) -> "DensityMatrix":
         """Rank-one density matrix |psi><psi|."""
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -79,10 +76,6 @@ class DensityMatrix:
         if w.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {w.min()!r} below {EIGENVALUE_FLOOR}")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 # Analyzer settings named by the single-qubit axis they project onto.  The
@@ -184,28 +177,32 @@ def bell_phi_plus(relative_phase: float = 0.0) -> Ket:
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
+    """Eigenvalues (descending) and matching orthonormal eigenvector columns
+    of a square matrix or of each matrix of a (..., n, n) stack.
 
-    Raises ValueError if the input is not Hermitian within 1e-10 of its scale.
+    Raises ValueError if any input is not Hermitian within 1e-10 of its scale.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.conj().T).max() > HERMITICITY_TOL * scale:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    a_h = a.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(a - a_h).max(axis=(-2, -1)) > HERMITICITY_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    return w[::-1], v[:, ::-1]
+    w, v = np.linalg.eigh(0.5 * (a + a_h))
+    return w[..., ::-1], v[..., ::-1]
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
+    """Hermitian square root of a positive-semidefinite matrix, or of each
+    matrix of a (..., n, n) stack.
 
-    Eigenvalues in [-1e-9, 0) are clamped to zero; more negative ones raise.
+    Eigenvalues in [-1e-9, 0) of the matrix's scale are clamped to zero; more
+    negative ones raise.
     """
     w, v = hermitian_eigensystem(m)
-    scale = max(abs(w).max(), 1.0)
-    if w.min() < EIGENVALUE_FLOOR * scale:
+    scale = np.maximum(np.abs(w).max(axis=-1), 1.0)
+    if np.any(w.min(axis=-1) < EIGENVALUE_FLOOR * scale):
         raise ValueError(f"matrix has eigenvalue {w.min()!r}; not positive semidefinite")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)

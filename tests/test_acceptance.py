@@ -241,14 +241,9 @@ def test_criterion_6_coincidence_peak_taxonomy():
     for k in (-2, -1, 1, 2):
         assert has_peak(targets[2] + k * 12_500), f"grid copy {k} missing"
 
-    # Reference windows are restricted to repetitions inside the histogram.
-    est = g2_cross(
-        hist,
-        targets[2],
-        n_values=(-5, -4, -3, -2, -1, 1, 2, 3),
-        rep_period_ps=12_500,
-        peak_halfwidth_ps=500,
-    )
+    # g2_cross takes only the reference windows inside the histogram:
+    # n = -5 .. -1 and 1 .. 3 periods around 26 ns in a +-70 ns window.
+    est = g2_cross(hist, targets[2], rep_period_ps=12_500, peak_halfwidth_ps=500)
     margin = (est.value - 2.0) / est.sigma
     print(
         f"criterion 6: peaks at {sorted(found)} ps; "

@@ -83,6 +83,20 @@ class TestSimulate:
         assert (a / "events.csv").read_bytes() != (b / "events.csv").read_bytes()
         assert json.loads((b / "summary.json").read_text())["seed"] == 9
 
+    def test_rerun_from_written_config_reproduces_files(self, tmp_path, capsys):
+        # The written config.json is the resolved config (seed override
+        # included), so simulating it again gives the same files byte for byte.
+        first, second = tmp_path / "first", tmp_path / "second"
+        demo = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+        argv = ["simulate", "--config", str(demo), "--seed", "7", "--out-dir", str(first)]
+        assert main(argv) == 0
+        rerun = ["simulate", "--config", str(first / "config.json"), "--out-dir", str(second)]
+        assert main(rerun) == 0
+        capsys.readouterr()
+        assert json.loads((first / "config.json").read_text())["run"]["seed"] == 7
+        for name in ("events.csv", "histogram.csv", "config.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
     def test_csv_format_key_value_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code, out, _ = run_cli(

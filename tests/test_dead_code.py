@@ -29,7 +29,6 @@ ROUND_TRIP = "round-trip reader or writer of a file format the package writes or
 
 KEEP = {
     "cli._Parser.error": "argparse calls it to report a usage error",
-    "config.save_config": "planned: summary.json provenance writes the resolved config (ROADMAP)",
     "detection.AnalyzerSetting.from_projector": "planned: simulated tomography (ROADMAP)",
     "detection.histogram_from_csv": ROUND_TRIP,
     "estimation.__getattr__": (
@@ -54,7 +53,6 @@ KEEP_PARAMS = {
     "estimation.tomography_mle(seed)": (
         "bench/reference.py passes it; goes with the next benchmark change (ROADMAP)"
     ),
-    "estimation.g2_cross(n_values)": "acceptance criterion 6 sets the reference peaks",
     "estimation.find_histogram_peaks(min_separation_ps)": (
         "acceptance criterion 6 sets the peak separation"
     ),

@@ -10,6 +10,7 @@ Oracle values used below and frozen by hand:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,13 @@ from afclink.estimation import (
     visibility_fit,
 )
 from afclink.detection import CoincidenceHistogram
-from afclink.harness import DATA_TOMOGRAPHY_IN, analyze_paper_data, data_path
+from afclink.harness import (
+    DATA_TOMOGRAPHY_IN,
+    DATA_TOMOGRAPHY_OUT,
+    _trial_metrics,
+    analyze_paper_data,
+    data_path,
+)
 from afclink.linalg import (
     DensityMatrix,
     Ket,
@@ -77,16 +84,23 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def objective_and_gradient(rho, tin):
     """The fit objective at a 4x4 matrix and its Hermitian gradient."""
-    data = _build_mle_data([tin])
+    data = _build_mle_data(tin, tin.probabilities()[None])
     f, dfdp = _objective(data, rho[None], np.arange(1))
     return f[0], _gradient(data.effects, dfdp)[0]
+
+
+def with_probabilities(tin, probs):
+    """tin's rows carrying the probabilities `probs` instead."""
+    return TomographyInput(
+        tuple(replace(row, probability=float(p)) for row, p in zip(tin.rows, probs))
+    )
 
 
 def noisy_input(truth, sigma, rng):
     """Informationally complete rows drawn around `truth` with Gaussian noise
     of width sigma."""
     exact = synthesize_input(truth, informationally_complete_pairs(), sigma)
-    return resample_rows(exact, rng)
+    return with_probabilities(exact, resample_rows(exact, rng))
 
 
 def random_pure(rng) -> DensityMatrix:
@@ -139,14 +153,19 @@ class TestG2Cross:
         with pytest.raises(UndefinedEstimateError):
             g2_cross(h, delay_ps=0)
 
-    def test_n_range_must_exclude_zero(self):
-        with pytest.raises(ValueError):
-            g2_cross(self.synthetic(), delay_ps=0, n_values=(0, 1, 2))
-
     def test_sidebands_must_fit_in_span(self):
-        h = flat_histogram(window_ps=20_000)
-        with pytest.raises(ValueError):
-            g2_cross(h, delay_ps=0)  # default n up to +-5 needs 62.5 ns
+        # +-20 ns holds the windows at n = +-1 (12.5 +- 0.5 ns) but not +-2.
+        h = put(put(put(flat_histogram(window_ps=20_000), 0, 90), -12_500, 20), 12_500, 10)
+        est = g2_cross(h, delay_ps=0)
+        assert est.reference_counts == 30
+        assert est.value == pytest.approx(6.0, abs=1e-12)
+        # +-12 ns holds no reference window at all.
+        with pytest.raises(UndefinedEstimateError, match="g2 at 0 ps: .*12000 ps histogram; 0 references"):
+            g2_cross(flat_histogram(level=1, window_ps=12_000), delay_ps=0)
+
+    def test_peak_must_fit_in_span(self):
+        with pytest.raises(UndefinedEstimateError, match="g2 at 69800 ps: .*70000 ps"):
+            g2_cross(flat_histogram(level=1), delay_ps=69_800)
 
     def test_uncorrelated_streams_give_unity(self):
         rng = np.random.default_rng(5)
@@ -158,9 +177,11 @@ class TestG2Cross:
     def test_offset_peak(self):
         h = flat_histogram()
         h = put(h, 26_230, 300)
-        for n in list(range(-5, 0)) + list(range(1, 3)):
+        # Inside +-70 ns: n = -5 .. -1 and 1 .. 3; n = 4 would end at 76.7 ns.
+        for n in list(range(-5, 0)) + list(range(1, 4)):
             h = put(h, 26_230 + n * 12_500, 30)
-        est = g2_cross(h, delay_ps=26_230, n_values=tuple(range(-5, 0)) + (1, 2))
+        est = g2_cross(h, delay_ps=26_230)
+        assert est.reference_counts == 8 * 30
         assert est.value == pytest.approx(10.0, abs=1e-12)
 
     def test_empty_peak_has_one_count_poisson_bound(self):
@@ -178,7 +199,7 @@ class TestTomography:
 
     def test_exact_phi_plus(self):
         result = tomography_mle(self.exact_input(PHI_PLUS))
-        assert fidelity(result.rho, PHI_PLUS) >= 0.999
+        assert fidelity(result.rho.matrix, PHI_PLUS.matrix) >= 0.999
 
     def test_exact_werner(self):
         truth = werner(0.75)
@@ -243,9 +264,11 @@ class TestTomography:
         # constant on the states, so every projected step x = P(y - G/L) meets
         # the Beck-Teboulle test f(x) <= f(y) + <G, x - y> + L/2 |x - y|^2.
         rng = np.random.default_rng(47)
+        pairs = informationally_complete_pairs()
         for sigma in (0.002, 0.01, 0.05):
             truths = [random_density(rng) if k % 2 else random_pure(rng) for k in range(70)]
-            data = _build_mle_data([noisy_input(t, sigma, rng) for t in truths])
+            measured = [resample_rows(synthesize_input(t, pairs, sigma), rng) for t in truths]
+            data = _build_mle_data(synthesize_input(truths[0], pairs, sigma), measured)
             _, step = _start(data)
             y = np.stack([random_density(rng).matrix for _ in truths])
             idx = np.arange(len(truths))
@@ -262,14 +285,20 @@ class TestTomography:
         # Noise around a pure state puts most fits on the boundary, where the
         # solver iterates and elements stop at different iterations.
         exact = synthesize_input(PHI_PLUS, informationally_complete_pairs(), 0.02)
-        tins = [resample_rows(exact, rng) for _ in range(12)]
-        batch = fit_batch(tins)
+        measured = np.stack([resample_rows(exact, rng) for _ in range(12)])
+        batch = fit_batch(exact, measured)
         assert batch.converged.all()
         assert len(set(batch.iterations.tolist())) > 3
         for k in (0, 5, 11):
-            single = tomography_mle(tins[k])
+            single = tomography_mle(with_probabilities(exact, measured[k]))
             assert np.abs(single.rho.matrix - batch.rho[k]).max() <= 1e-12
             assert single.iterations == batch.iterations[k]
+
+    def test_measured_stack_must_match_rows(self):
+        exact = self.exact_input(werner(0.75))
+        for bad in (exact.probabilities(), np.zeros((3, 35))):
+            with pytest.raises(ValueError, match=r"\(B, 36\)"):
+                fit_batch(exact, bad)
 
     def test_row_validation(self):
         a = ProjectorSetting.x()
@@ -308,22 +337,22 @@ class TestCsv:
 
 class TestEntanglementMetrics:
     def test_concurrence_oracles(self):
-        assert concurrence(PHI_PLUS) == pytest.approx(1.0, abs=1e-9)
-        assert concurrence(bell_phi_plus(0.77).density()) == pytest.approx(1.0, abs=1e-9)
-        assert concurrence(DensityMatrix(np.eye(4) / 4)) == pytest.approx(0.0, abs=1e-9)
-        assert concurrence(werner(0.75)) == pytest.approx(0.625, abs=1e-9)
+        assert concurrence(PHI_PLUS.matrix) == pytest.approx(1.0, abs=1e-9)
+        assert concurrence(bell_phi_plus(0.77).density().matrix) == pytest.approx(1.0, abs=1e-9)
+        assert concurrence(np.eye(4) / 4) == pytest.approx(0.0, abs=1e-9)
+        assert concurrence(werner(0.75).matrix) == pytest.approx(0.625, abs=1e-9)
         ee = Ket(np.array([1, 0, 0, 0], dtype=complex)).density()
-        assert concurrence(ee) == pytest.approx(0.0, abs=1e-9)
+        assert concurrence(ee.matrix) == pytest.approx(0.0, abs=1e-9)
 
     def test_concurrence_requires_two_qubits(self):
-        single = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            concurrence(single)
+        for bad in (np.eye(2) / 2, np.stack([np.eye(2) / 2] * 3), np.eye(4)[None, None] / 4):
+            with pytest.raises(ValueError, match="two-qubit"):
+                concurrence(bad)
 
     def test_eof_oracles(self):
-        assert entanglement_of_formation(PHI_PLUS) == pytest.approx(1.0, abs=1e-9)
-        assert entanglement_of_formation(DensityMatrix(np.eye(4) / 4)) == 0.0
-        assert entanglement_of_formation(werner(0.75)) == pytest.approx(
+        assert entanglement_of_formation(PHI_PLUS.matrix) == pytest.approx(1.0, abs=1e-9)
+        assert entanglement_of_formation(np.eye(4) / 4) == 0.0
+        assert entanglement_of_formation(werner(0.75).matrix) == pytest.approx(
             0.49897302161497825, abs=1e-9
         )
 
@@ -332,17 +361,23 @@ class TestEntanglementMetrics:
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(1.0, abs=1e-12)
         assert all(b >= a for a, b in zip(grid, grid[1:]))
+        assert eof_from_concurrence(np.arange(11) / 10.0).tolist() == grid
+
+    def test_eof_range_check(self):
+        for bad in (1.1, -0.01, math.nan, [0.5, 1.1]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                eof_from_concurrence(bad)
 
     def test_fidelity_oracles(self):
-        assert fidelity(werner(0.75), werner(0.75)) == pytest.approx(1.0, abs=1e-9)
+        assert fidelity(werner(0.75).matrix, werner(0.75).matrix) == pytest.approx(1.0, abs=1e-9)
         ee = Ket(np.array([1, 0, 0, 0], dtype=complex)).density()
         ll = Ket(np.array([0, 0, 0, 1], dtype=complex)).density()
-        assert fidelity(ee, ll) == pytest.approx(0.0, abs=1e-9)
-        assert fidelity(werner(0.75), PHI_PLUS) == pytest.approx(0.8125, abs=1e-9)
+        assert fidelity(ee.matrix, ll.matrix) == pytest.approx(0.0, abs=1e-9)
+        assert fidelity(werner(0.75).matrix, PHI_PLUS.matrix) == pytest.approx(0.8125, abs=1e-9)
 
     def test_fidelity_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity(DensityMatrix(np.eye(2) / 2), PHI_PLUS)
+            fidelity(np.eye(2) / 2, PHI_PLUS.matrix)
 
     def test_fidelity_symmetry_and_pure_overlap_property(self):
         rng = np.random.default_rng(31)
@@ -351,27 +386,47 @@ class TestEntanglementMetrics:
             vb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             ka = Ket(va / np.linalg.norm(va))
             kb = Ket(vb / np.linalg.norm(vb))
-            f_ab = fidelity(ka.density(), kb.density())
-            f_ba = fidelity(kb.density(), ka.density())
+            f_ab = fidelity(ka.density().matrix, kb.density().matrix)
+            f_ba = fidelity(kb.density().matrix, ka.density().matrix)
             assert abs(f_ab - f_ba) < 1e-9
             overlap = abs(np.vdot(ka.amplitudes, kb.amplitudes)) ** 2
             assert f_ab == pytest.approx(overlap, abs=1e-9)
 
     def test_purity_oracles_and_range_property(self):
-        assert purity(DensityMatrix(np.eye(4) / 4)) == pytest.approx(0.25, abs=1e-12)
-        assert purity(werner(0.75)) == pytest.approx(0.671875, abs=1e-12)
-        assert purity(PHI_PLUS) == pytest.approx(1.0, abs=1e-9)
+        assert purity(np.eye(4) / 4) == pytest.approx(0.25, abs=1e-12)
+        assert purity(werner(0.75).matrix) == pytest.approx(0.671875, abs=1e-12)
+        assert purity(PHI_PLUS.matrix) == pytest.approx(1.0, abs=1e-9)
         rng = np.random.default_rng(37)
         for _ in range(1000):
-            rho = random_density(rng)
+            rho = random_density(rng).matrix
             p = purity(rho)
             assert 0.25 - 1e-12 <= p <= 1.0 + 1e-12
             # Unit purity certifies a single nonzero eigenvalue and vice versa.
-            evals = np.linalg.eigvalsh(rho.matrix)
+            evals = np.linalg.eigvalsh(rho)
             if p >= 1.0 - 1e-9:
                 assert sorted(evals)[-2] < 2e-5
             if sorted(evals)[-2] > 1e-3:
                 assert p < 1.0 - 1e-6
+
+    def test_stacks_equal_one_state_at_a_time(self):
+        # Pure and mixed states in one stack: the rank-one branch is picked
+        # state by state.
+        rng = np.random.default_rng(53)
+        states = [PHI_PLUS, werner(0.75), DensityMatrix(np.eye(4) / 4)]
+        states += [random_pure(rng) for _ in range(4)] + [random_density(rng) for _ in range(4)]
+        stack = np.stack([rho.matrix for rho in states])
+        other = stack[::-1]
+        for metric in (purity, concurrence, entanglement_of_formation):
+            batched = metric(stack)
+            assert batched.shape == (len(states),)
+            single = [metric(m) for m in stack]
+            assert np.abs(batched - single).max() <= 1e-12
+        pairs = fidelity(stack, other)
+        assert np.abs(pairs - [fidelity(a, b) for a, b in zip(stack, other)]).max() <= 1e-12
+        against_one = fidelity(stack, PHI_PLUS.matrix)
+        single = [fidelity(m, PHI_PLUS.matrix) for m in stack]
+        assert np.abs(against_one - single).max() <= 1e-12
+
 
 class TestCorrelation:
     def test_balanced_counts(self):
@@ -445,7 +500,7 @@ def mc_mean_std(tin, metric, seed):
     """Mean and sample standard deviation of one metric over 100
     Monte-Carlo trials of one input."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    samples, _ = monte_carlo_samples([tin], 100, rng, lambda states: (metric(states[0]),))
+    samples, _ = monte_carlo_samples([tin], 100, rng, lambda states: metric(states[0])[:, None])
     return float(samples[:, 0].mean()), float(samples[:, 0].std(ddof=1))
 
 
@@ -473,26 +528,55 @@ class TestMonteCarlo:
     def test_failure_threshold(self):
         tin = synthesize_input(werner(0.75), informationally_complete_pairs(), 0.01)
 
-        def broken_metric(rho):
-            raise RuntimeError("boom")
+        def undefined_metric(rho):
+            return np.full(len(rho), np.nan)
 
-        with pytest.raises(EstimationError):
-            mc_mean_std(tin, broken_metric, seed=1)
+        with pytest.raises(EstimationError, match="100/100"):
+            mc_mean_std(tin, undefined_metric, seed=1)
 
     def test_failed_trials_are_counted(self):
         tin = synthesize_input(werner(0.75), informationally_complete_pairs(), 0.01)
-        calls = []
 
         def every_tenth_fails(states):
-            calls.append(None)
-            if len(calls) % 10 == 0:
-                raise RuntimeError("boom")
-            return (purity(states[0]),)
+            values = np.stack([purity(states[0]), concurrence(states[0])], axis=1)
+            values[9::10, 1] = np.inf
+            return values
 
         rng = np.random.default_rng(3)
         samples, failures = monte_carlo_samples([tin], 100, rng, every_tenth_fails)
         assert failures == 10
-        assert samples.shape == (90, 1)
+        assert samples.shape == (90, 2)
+        assert np.isfinite(samples).all()
+
+    def test_batched_samples_equal_per_trial_reference(self):
+        # Each drawn vector fitted alone gives the batched state to within
+        # 1e-12, and each batched state scored as a single (4, 4) matrix gives
+        # its sample to within 1e-12.  (Scoring the single fits instead moves
+        # concurrence by up to ~1e-8: its sqrt(lambda) turns the ~1e-15
+        # rounding of a rank-deficient optimum into ~1e-8.)
+        tins = [
+            tomography_from_csv(data_path(name))
+            for name in (DATA_TOMOGRAPHY_IN, DATA_TOMOGRAPHY_OUT)
+        ]
+        fitted = []
+
+        def evaluate(states):
+            fitted.extend(states)
+            return _trial_metrics(states)
+
+        samples, failures = monte_carlo_samples(tins, 20, np.random.default_rng(19), evaluate)
+        assert failures == 0 and samples.shape == (20, 9)
+        rng = np.random.default_rng(19)
+        names = ("fidelity_phi_plus", "purity", "concurrence", "entanglement_of_formation")
+        for trial in range(20):
+            for tin, stack in zip(tins, fitted):
+                alone = tomography_mle(with_probabilities(tin, resample_rows(tin, rng)))
+                assert np.abs(alone.rho.matrix - stack[trial]).max() <= 1e-12
+            states = [stack[trial] for stack in fitted]
+            reference = [METRIC_FUNCTIONS[name](rho) for rho in states for name in names]
+            reference.append(fidelity(*states))
+            assert all(np.ndim(v) == 0 for v in reference)
+            assert np.abs(samples[trial] - reference).max() <= 1e-12
 
     def test_minimum_trials(self):
         with pytest.raises(ValueError):
@@ -637,8 +721,7 @@ class TestResampleRows:
         )
 
     def draws(self, p, sigma, n=4000, seed=0):
-        tin = resample_rows(self.rows(p, sigma, n), np.random.default_rng(seed))
-        return np.array([r.probability for r in tin.rows])
+        return resample_rows(self.rows(p, sigma, n), np.random.default_rng(seed))
 
     @pytest.mark.parametrize("p, sigma", [(0.0, 0.05), (1.0, 0.05), (0.5, 0.3), (0.02, 2.0)])
     def test_matches_truncated_normal(self, p, sigma):
@@ -654,7 +737,8 @@ class TestResampleRows:
         for sigma in (0.01, 0.2, 5.0):
             tin = synthesize_input(werner(0.75), pairs, sigma)
             for _ in range(20):
-                probs = [r.probability for r in resample_rows(tin, rng).rows]
+                probs = resample_rows(tin, rng)
+                assert probs.shape == (36,)
                 assert min(probs) >= 0.0 and max(probs) <= 1.0
 
     def test_zero_sigma_rows_unchanged(self):
@@ -664,15 +748,36 @@ class TestResampleRows:
             TomographyRow(setting, setting, 0.4, 0.1),
             TomographyRow(setting, setting, 1.0, 0.0),
         )
-        drawn = resample_rows(TomographyInput(rows), np.random.default_rng(2)).rows
-        assert drawn[0] == rows[0] and drawn[2] == rows[2]
-        assert drawn[1].probability != 0.4
+        drawn = resample_rows(TomographyInput(rows), np.random.default_rng(2))
+        assert drawn[0] == 0.3 and drawn[2] == 1.0
+        assert drawn[1] != 0.4
 
     def test_same_generator_state_same_draws(self):
         a = self.draws(0.1, 0.2, n=500, seed=5)
         b = self.draws(0.1, 0.2, n=500, seed=5)
         assert a.tolist() == b.tolist()
         assert a.tolist() != self.draws(0.1, 0.2, n=500, seed=6).tolist()
+
+    def test_draws_equal_explicit_normal_calls(self):
+        # Trial by trial: one normal draw per sigma > 0 row, then one per row
+        # still outside [0, 1], in row order, from the same generator.
+        setting = ProjectorSetting.z()
+        probs, sigmas = [0.02, 0.5, 0.7, 0.98, 0.3], [0.05, 0.0, 0.2, 0.05, 0.4]
+        tin = TomographyInput(
+            tuple(TomographyRow(setting, setting, p, s) for p, s in zip(probs, sigmas))
+        )
+        probs, sigmas = np.array(probs), np.array(sigmas)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        redraws = 0
+        for _ in range(50):
+            expected = probs.copy()
+            todo = np.flatnonzero(sigmas > 0.0)
+            while todo.size:
+                expected[todo] = [ref.normal(probs[k], sigmas[k]) for k in todo]
+                todo = todo[(expected[todo] < 0.0) | (expected[todo] > 1.0)]
+                redraws += todo.size
+            assert resample_rows(tin, rng).tolist() == expected.tolist()
+        assert redraws > 10
 
     def test_non_finite_sigma_rejected(self):
         setting = ProjectorSetting.z()

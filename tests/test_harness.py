@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from conftest import IDEAL_DETECTORS, make_config
 
+import afclink
 from afclink import events, harness
 from afclink.cli import main as cli_main
 from afclink.config import load_config
@@ -45,6 +46,7 @@ from afclink.harness import (
     chsh_simulation,
     data_path,
     events_from_csv,
+    recall_delay_ps,
     run_simulation,
     simulate,
     sweep,
@@ -137,6 +139,8 @@ class TestRunSimulation:
         )
         res = run_simulation(cfg, tmp_path)
         entry = res.summary["g2_zero_delay"]
+        # Without memories the recall peak is the zero-delay peak.
+        assert res.summary["g2_recall"] == {"delay_ps": 0, "g2": entry}
         oracle = 1.0 + 1.0 / mu
         assert abs(entry["value"] - oracle) <= 4.0 * entry["sigma"]
         # The summary g2 must match a recomputation from the emitted file.
@@ -217,6 +221,30 @@ class TestRunSimulation:
             assert peak["rate_hz_wall_clock"] == pytest.approx(
                 peak["rate_hz_storage"] * duty, rel=1e-12
             )
+
+    def test_summary_reports_recall_g2_and_provenance(self, tmp_path):
+        # demo.json stores both photons: the pair peak sits at the signal's
+        # primary echo (32.248 ns) minus the idler's (5.999 ns).
+        cfg = load_config(ROOT / "configs" / "demo.json")
+        res = run_simulation(cfg, tmp_path)
+        recall = res.summary["g2_recall"]
+        assert recall["delay_ps"] == recall_delay_ps(cfg) == 26_249
+        # A direct count on the same histogram: the references inside
+        # +-70 ns are n = -5 .. -1 and 1 .. 3 periods away.
+        peak = coincidence_rate(res.histogram, 26_249, 500)
+        refs = [
+            coincidence_rate(res.histogram, 26_249 + n * 12_500, 500)
+            for n in (-5, -4, -3, -2, -1, 1, 2, 3)
+        ]
+        assert recall["g2"]["peak_counts"] == peak > 0
+        assert recall["g2"]["reference_counts"] == sum(refs) > 0
+        assert recall["g2"]["value"] == pytest.approx(peak / (sum(refs) / 8), rel=1e-12)
+        assert recall["g2"]["value"] > 10.0
+        assert res.summary["provenance"] == {
+            "afclink": afclink.__version__,
+            "numpy": np.__version__,
+        }
+        assert json.loads(res.summary_path.read_text()) == res.summary
 
     def test_out_dir_created(self, tmp_path):
         cfg = make_config(seed=1, cycles=1_000, mu=0.05)

@@ -64,11 +64,11 @@ class TestDensityMatrix:
         # Eigenvalues in [-1e-9, 0) are numerical noise, not a failure.
         m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         dm = DensityMatrix(m)
-        assert dm.dim == 2
+        assert dm.matrix.shape == (2, 2)
 
     def test_werner_state_accepted(self):
         dm = DensityMatrix(werner(0.75))
-        assert dm.dim == 4
+        assert dm.matrix.shape == (4, 4)
 
 
 class TestEigensystem:
@@ -112,6 +112,26 @@ class TestEigensystem:
         assert np.allclose(w, [0.25] * 4, atol=1e-14)
         assert np.allclose(v @ v.conj().T, np.eye(4), atol=1e-12)
 
+    def test_stack_equals_matrix_by_matrix(self):
+        rng = np.random.default_rng(13)
+        g = rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4))
+        stack = (g + g.conj().swapaxes(-1, -2)) / 2.0
+        w, v = hermitian_eigensystem(stack)
+        assert w.shape == (3, 5, 4) and v.shape == (3, 5, 4, 4)
+        for i in range(3):
+            for j in range(5):
+                w1, v1 = hermitian_eigensystem(stack[i, j])
+                assert np.abs(w[i, j] - w1).max() <= 1e-13
+                assert np.abs(v[i, j] - v1).max() <= 1e-13
+
+    def test_one_non_hermitian_member_rejects_the_stack(self):
+        stack = np.stack([np.eye(4, dtype=complex)] * 3)
+        stack[1, 0, 1] = 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigensystem(stack)
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigensystem(np.zeros((3, 4, 2)))
+
 
 class TestMatrixSqrt:
     def test_diagonal(self):
@@ -136,6 +156,18 @@ class TestMatrixSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             matrix_sqrt_psd(np.diag([1.0, -0.5]).astype(complex))
+
+    def test_stack_equals_matrix_by_matrix(self):
+        # Each member is checked against its own scale: -5e-10 is clamped,
+        # and -1e-8 fails next to a member of scale 400 that would allow it.
+        members = [np.diag([400.0, 9.0]), np.diag([1.0, -5e-10]), werner(0.75)[:2, :2] * 2]
+        stack = np.stack(members).astype(complex)
+        roots = matrix_sqrt_psd(stack)
+        for root, m in zip(roots, stack):
+            assert np.abs(root - matrix_sqrt_psd(m)).max() <= 1e-13
+        stack[1, 1, 1] = -1e-8
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            matrix_sqrt_psd(stack)
 
 
 class TestProjectors:
