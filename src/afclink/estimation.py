@@ -2,15 +2,15 @@
 
 The reconstruction minimizes, over the density matrices rho, a
 sigma-weighted squared residual on measured joint probabilities.  It is
-convex in rho, so one local method finds the optimum: accelerated projected
-gradient (FISTA with adaptive restart) with the gradient
+convex in rho, so one local method finds the optimum: from the projected
+linear inversion (Smolin, Gambetta & Smith, PRL 108, 070502), a log-barrier
+interior-point method on the 15 traceless coordinates c of rho (Vandenberghe
+& Boyd, SIAM Rev. 38, 49), until the duality gap of the gradient
 
     G = sum_k (d f / d p_k) E_k,   p_k = tr(E_k rho),
 
-followed by the Frobenius projection onto the states, which projects the
-eigenvalues onto the probability simplex (Shang, Zhang & Ng, PRA 95, 062336;
-Smolin, Gambetta & Smith, PRL 108, 070502).  fit_batch fits one input's rows
-against a (B, n) stack of measured vectors on (B, 4, 4) stacks of states.
+certifies the fit.  fit_batch fits one input's rows against a (B, n) stack
+of measured vectors on (B, 4, 4) stacks of states.
 
 The Monte-Carlo works on arrays throughout: resample_rows draws probability
 vectors, one fit_batch call fits every trial of an input, and the state
@@ -212,7 +212,9 @@ def tomography_from_csv(path) -> TomographyInput:
 
 # Relative duality gap at which a fit counts as converged (see _certified).
 MLE_TOL = 1e-10
-MLE_MAX_ITER = 10_000
+# Newton steps after which a fit that has not certified is given up; the
+# shipped tables and the test inputs certify within 50.
+MLE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -262,6 +264,7 @@ _PAULI_ONE = (
 # The 15 traceless Pauli pairs; with the identity they span the Hermitian
 # 4x4 matrices, orthogonal under tr(A B) with tr(P_i P_j) = 4 delta_ij.
 _TRACELESS_PAIRS = np.stack([np.kron(a, b) for a in _PAULI_ONE for b in _PAULI_ONE][1:])
+_HALF_PAIRS = _TRACELESS_PAIRS.reshape(15, 16) / 2.0  # P_p / 2, flattened
 
 
 def _objective(data: _MleData, rho: np.ndarray, idx: np.ndarray):
@@ -282,8 +285,7 @@ def _gradient(effects: np.ndarray, dfdp: np.ndarray) -> np.ndarray:
 
 def _project_to_states(h: np.ndarray) -> np.ndarray:
     """Nearest density matrices in Frobenius norm to a stack of Hermitian
-    matrices: keep the eigenvectors, project the eigenvalues onto the simplex
-    (Smolin, Gambetta & Smith, PRL 108, 070502)."""
+    matrices: keep the eigenvectors, project the eigenvalues onto the simplex."""
     w, v = np.linalg.eigh(h)
     desc = w[:, ::-1]
     excess = (np.cumsum(desc, axis=1) - 1.0) / np.arange(1, 5)
@@ -299,29 +301,39 @@ def _frobenius_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bij->b", a.conj(), b).real
 
 
-def _start(data: _MleData) -> tuple[np.ndarray, np.ndarray]:
-    """Starting state and step length of each batch element.
-
-    In the orthonormal basis P_j / 2 of the traceless Hermitian matrices the
-    objective is sum_k w_k (a_k . c + tr(E_k) / 4 - m_k)^2, with a_k the
-    coordinates of E_k.  The start is its minimizer, the weighted linear
-    inversion, projected onto the states; the step is 1/L with
-    L = 2 lambda_max(A^T W A), the Lipschitz constant of its gradient.
-    """
+def _start(data: _MleData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In the orthonormal basis P_p / 2 of the traceless Hermitian matrices
+    the objective is sum_k w_k (a_k . c + tr(E_k) / 4 - m_k)^2: the rows'
+    coordinates A, its curvature A^T W A (one (15, 15) matrix, the weights
+    being equal across the batch) and each element's start, the weighted
+    linear inversion projected onto the states."""
     design = np.einsum("kij,pji->kp", data.effects, _TRACELESS_PAIRS).real / 2.0
     offset = np.trace(data.effects, axis1=1, axis2=2).real / 4.0
-    curvature = np.einsum("kp,bk,kq->bpq", design, data.weights, design)
+    curvature = np.einsum("kp,bk,kq->bpq", design, data.weights[:1], design)[0]
     rhs = (data.weights * (data.measured - offset)) @ design
-    coef = np.linalg.solve(curvature, rhs[..., None])[..., 0]
+    coef = np.linalg.solve(curvature, rhs.T).T
     rho = np.eye(4) / 4.0 + np.einsum("bp,pij->bij", coef, _TRACELESS_PAIRS / 2.0)
-    return _project_to_states(rho), 1.0 / (2.0 * np.linalg.eigvalsh(curvature)[:, -1])
+    return design, curvature, _project_to_states(rho)
+
+
+def _duality_gap(rho: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """tr(G rho) - lambda_min(G), an upper bound on f(rho) - min f over the states."""
+    return _frobenius_inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
 
 
 def _certified(rho: np.ndarray, grad: np.ndarray, tol: float) -> np.ndarray:
-    """Whether the duality gap tr(G rho) - lambda_min(G), an upper bound on
-    f(rho) - min f over the states, is at most tol * max(1, |G|)."""
-    gap = _frobenius_inner(grad, rho) - np.linalg.eigvalsh(grad)[:, 0]
-    return gap <= tol * np.maximum(1.0, np.sqrt(_frobenius_inner(grad, grad)))
+    """Whether the duality gap is at most tol * max(1, |G|)."""
+    return _duality_gap(rho, grad) <= tol * np.maximum(1.0, np.sqrt(_frobenius_inner(grad, grad)))
+
+
+def _barrier(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """-tr(Z_p) and tr(Z_p Z_q), the gradient and Hessian of -log det rho in
+    the coordinates, with Z_p = W^H (P_p / 2) W and W W^H = rho^-1; and lambda_min."""
+    lam, vec = np.linalg.eigh(rho)
+    w = vec / np.sqrt(lam)[:, None, :]
+    scaled = _HALF_PAIRS @ (w.conj()[:, :, None, :, None] * w[:, None, :, None]).reshape(-1, 16, 16)
+    hessian = (scaled @ scaled.conj().transpose(0, 2, 1)).real
+    return -scaled[:, :, ::5].sum(axis=2).real, hessian, lam[:, 0]
 
 
 @dataclass(frozen=True)
@@ -338,48 +350,38 @@ def fit_batch(tin: TomographyInput, measured) -> BatchFit:
     """Maximum-likelihood states of the settings and sigmas of `tin` against
     each row of the (B, n) stack `measured`.
 
-    Accelerated projected gradient (FISTA with adaptive restart) on the
-    (B, 4, 4) stack: a gradient step, then the projection onto the states.
-    Each element starts from its projected linear inversion and always steps
-    1/L, with L the Lipschitz constant of its gradient (see _start).  The
-    objective is quadratic and L is exact, so the sufficient decrease test
-    of Beck & Teboulle (SIAM J. Imaging Sci. 2, 183) holds for that step
-    and no line search is needed.  An element stops once its duality gap
-    certifies it (see _certified), so its result does not depend, beyond
-    rounding, on the rest of the batch.
+    An element whose start certifies (see _certified) keeps it; the others take
+    log-barrier interior-point Newton steps on t f(c) - log det rho(c) until certified,
+    each 0.9 of the way to the Dikin ellipsoid's edge (inside the states), t rising tenfold
+    from 4 / gap whenever the Newton decrement is below 1; `iterations` counts Newton steps.
     """
     data = _build_mle_data(tin, measured)
     _check_rank(data.effects)
-    size = data.measured.shape[0]
-    x, step = _start(data)
-    residual, dfdp = _objective(data, x, np.arange(size))
+    design, curvature, x = _start(data)
+    residual, dfdp = _objective(data, x, np.arange(len(x)))
     converged = _certified(x, _gradient(data.effects, dfdp), MLE_TOL)
-    iterations = np.zeros(size, dtype=int)
-    y = x.copy()
-    theta = np.ones(size)
+    iterations = np.zeros(len(x), dtype=int)
     active = np.flatnonzero(~converged)
+    coef = 0.99 * (x[active].reshape(-1, 16) @ _HALF_PAIRS.conj().T).real  # 1% toward I/4
+    rho = np.eye(4) / 4.0 + (coef @ _HALF_PAIRS).reshape(-1, 4, 4)
+    _, dfdp = _objective(data, rho, active)
+    t = 4.0 / _duality_gap(rho, _gradient(data.effects, dfdp))
     for it in range(1, MLE_MAX_ITER + 1):
         if active.size == 0:
             break
-        y_act = y[active]
-        _, dfdp = _objective(data, y_act, active)
-        grad = _gradient(data.effects, dfdp)
-        x_new = _project_to_states(y_act - step[active, None, None] * grad)
-        f_new, dfdp_new = _objective(data, x_new, active)
-        x_old = x[active]
-        x[active] = x_new
-        residual[active] = f_new
-        iterations[active] = it
-        done = _certified(x_new, _gradient(data.effects, dfdp_new), MLE_TOL)
-        converged[active[done]] = True
-        # Restart the momentum when it points against the last step
-        # (O'Donoghue & Candes, Found. Comput. Math. 15, 715).
-        restart = _frobenius_inner(y_act - x_new, x_new - x_old) > 0.0
-        theta_old = np.where(restart, 1.0, theta[active])
-        theta[active] = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta_old**2))
-        beta = (theta_old - 1.0) / theta[active]
-        y[active] = x_new + beta[:, None, None] * (x_new - x_old)
-        active = active[~done]
+        barrier_grad, barrier_hess, lam_min = _barrier(rho)
+        grad = t[:, None] * (dfdp @ design) + barrier_grad
+        hess = 2.0 * t[:, None, None] * curvature + barrier_hess
+        step = -np.linalg.solve(hess, grad[..., None])[..., 0]
+        reach = np.sqrt(np.einsum("bp,bpq,bq->b", step, barrier_hess, step))
+        coef = coef + step / np.maximum(1.0, reach / 0.9)[:, None]
+        # Below lam_min ~ 1e-13 eigh cannot resolve the barrier: t stops growing.
+        t = np.where((np.einsum("bp,bp->b", grad, step) > -1.0) & (lam_min > 1e-13), 10.0 * t, t)
+        rho = np.eye(4) / 4.0 + (coef @ _HALF_PAIRS).reshape(-1, 4, 4)
+        f, dfdp = _objective(data, rho, active)
+        done = _certified(rho, _gradient(data.effects, dfdp), MLE_TOL)
+        x[active], residual[active], iterations[active], converged[active] = rho, f, it, done
+        active, coef, rho, dfdp, t = (v[~done] for v in (active, coef, rho, dfdp, t))
     return BatchFit(x, residual, iterations, converged)
 
 
@@ -389,6 +391,11 @@ class TomographyResult:
     residual: float
     n_converged: int
     iterations: int
+    dof: int  # rows - 15
+
+    def p_value(self) -> float:
+        """P(chi2 >= 2 residual): the residual is chi2 / 2 of the stated sigmas."""
+        return chi2_sf(2.0 * self.residual, self.dof)
 
 
 def tomography_mle(
@@ -403,7 +410,7 @@ def tomography_mle(
     fit = fit_batch(tin, tin.probabilities()[None])
     if not fit.converged[0]:
         raise EstimationError(
-            f"fit did not converge in {MLE_MAX_ITER} iterations; "
+            f"fit did not converge in {MLE_MAX_ITER} Newton steps; "
             f"residual {fit.residual[0]!r}"
         )
     return TomographyResult(
@@ -411,7 +418,24 @@ def tomography_mle(
         residual=float(fit.residual[0]),
         n_converged=1,
         iterations=int(fit.iterations[0]),
+        dof=len(tin.rows) - 15,
     )
+
+
+def chi2_sf(chi2: float, dof: int) -> float:
+    """P(X >= chi2) for X chi-squared with an integer dof >= 1, in closed form:
+    e^(-x) sum_j x^j / j! for even dof, and erfc(sqrt(x)) plus
+    e^(-x) sum_j x^(j + 1/2) / Gamma(j + 3/2) for odd dof, with x = chi2 / 2."""
+    half = chi2 / 2.0
+    odd = dof % 2
+    total = math.erfc(math.sqrt(half)) if odd else 0.0
+    term = math.exp(-half) * (2.0 * math.sqrt(half / math.pi) if odd else 1.0)
+    order = 1.5 if odd else 1.0
+    for _ in range(dof // 2):
+        total += term
+        term *= half / order
+        order += 1.0
+    return min(total, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +476,9 @@ def concurrence(rho):
     root = matrix_sqrt_psd(m)
     inner = root @ flipped @ root
     w, _ = hermitian_eigensystem((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
-    lams = np.sqrt(np.clip(w, 0.0, None))
+    # An eigenvalue below 1e-12 of the largest is round-off (or a fit's
+    # interior residue), which sqrt would inflate to ~1e-6 of lambda_1.
+    lams = np.sqrt(np.where(w > 1e-12 * w[..., :1], w, 0.0))
     c_mixed = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
     return _scalar_or_stack(np.where(pure, c_pure, c_mixed))
 

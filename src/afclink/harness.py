@@ -787,6 +787,11 @@ class AnalysisReport:
         states = {
             stage: {
                 "residual": fit.residual,
+                "chi2": 2.0 * fit.residual,
+                "dof": fit.dof,
+                "p_value": fit.p_value(),
+                # A table that fits this well has sigmas far above its scatter.
+                "fits_inside_sigmas": fit.p_value() > 0.999,
                 "n_converged": fit.n_converged,
                 "iterations": fit.iterations,
                 "metrics": {},

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from afclink import estimation
 from afclink.errors import EstimationError, FitError, UndefinedEstimateError
 from afclink.estimation import (
     CHSH_PAIRS,
@@ -22,12 +23,10 @@ from afclink.estimation import (
     TomographyInput,
     TomographyRow,
     _build_mle_data,
-    _frobenius_inner,
     _gradient,
     _objective,
-    _project_to_states,
-    _start,
     born_correlation,
+    chi2_sf,
     chsh_s,
     concurrence,
     correlation_coefficient,
@@ -258,27 +257,57 @@ class TestTomography:
                 slack = 1e-8 * np.linalg.norm(grad)
                 assert lowest >= np.trace(grad @ rho).real - slack
 
-    def test_fixed_step_meets_sufficient_decrease(self):
-        # The fit steps 1/L with no line search.  That is safe because the
-        # objective is quadratic and L from _start is its exact Lipschitz
-        # constant on the states, so every projected step x = P(y - G/L) meets
-        # the Beck-Teboulle test f(x) <= f(y) + <G, x - y> + L/2 |x - y|^2.
+    def test_iterates_stay_interior_unit_trace_states(self, monkeypatch):
+        # The barrier steps stay inside the Dikin ellipsoid, so every iterate
+        # is positive definite with unit trace.  Each state the solver visits
+        # passes through _objective once; the first call scores the projected
+        # start, which may lie on the boundary.
+        seen = []
+
+        def recording_objective(data, rho, idx):
+            seen.append(rho.copy())
+            return _objective(data, rho, idx)
+
+        monkeypatch.setattr(estimation, "_objective", recording_objective)
         rng = np.random.default_rng(47)
         pairs = informationally_complete_pairs()
         for sigma in (0.002, 0.01, 0.05):
             truths = [random_density(rng) if k % 2 else random_pure(rng) for k in range(70)]
             measured = [resample_rows(synthesize_input(t, pairs, sigma), rng) for t in truths]
-            data = _build_mle_data(synthesize_input(truths[0], pairs, sigma), measured)
-            _, step = _start(data)
-            y = np.stack([random_density(rng).matrix for _ in truths])
-            idx = np.arange(len(truths))
-            f_y, dfdp = _objective(data, y, idx)
-            grad = _gradient(data.effects, dfdp)
-            x = _project_to_states(y - step[:, None, None] * grad)
-            f_x, _ = _objective(data, x, idx)
-            d = x - y
-            bound = f_y + _frobenius_inner(grad, d) + _frobenius_inner(d, d) / (2.0 * step)
-            assert np.all(f_x <= bound + 1e-12 * np.abs(f_y))
+            seen.clear()
+            fit = fit_batch(synthesize_input(truths[0], pairs, sigma), measured)
+            assert fit.converged.all() and fit.iterations.max() > 0
+            iterates = np.concatenate(seen[1:])
+            assert len(iterates) >= fit.iterations.sum()
+            assert np.abs(np.trace(iterates, axis1=1, axis2=2) - 1.0).max() <= 1e-12
+            assert np.linalg.eigvalsh(iterates)[:, 0].min() > 0.0
+            stepped = fit.rho[fit.iterations > 0]
+            assert np.linalg.eigvalsh(stepped)[:, 0].min() > 0.0
+
+    def test_output_table_certifies_within_100_steps(self):
+        # The interior-point step count grows with log(1 / gap), not with
+        # the curvature's condition number (676 here).
+        tin = tomography_from_csv(data_path(DATA_TOMOGRAPHY_OUT))
+        rng = np.random.default_rng(0)
+        fit = fit_batch(tin, [resample_rows(tin, rng) for _ in range(200)])
+        assert fit.converged.all()
+        assert fit.iterations.max() <= 100
+
+    def test_uncertifiable_fit_stops_at_the_cap(self, monkeypatch):
+        # A negative tolerance certifies nothing: every element runs to the
+        # cap and comes back unconverged, as a finite interior state.  The
+        # output table's optima are rank-deficient, so without a bound on t
+        # the barrier would drive an eigenvalue below eigh's resolution.
+        monkeypatch.setattr(estimation, "MLE_TOL", -1.0)
+        tin = tomography_from_csv(data_path(DATA_TOMOGRAPHY_OUT))
+        rng = np.random.default_rng(5)
+        fit = fit_batch(tin, [resample_rows(tin, rng) for _ in range(4)])
+        assert not fit.converged.any()
+        assert (fit.iterations == estimation.MLE_MAX_ITER).all()
+        assert np.isfinite(fit.rho).all() and np.isfinite(fit.residual).all()
+        assert np.linalg.eigvalsh(fit.rho)[:, 0].min() > 0.0
+        with pytest.raises(EstimationError, match="Newton steps"):
+            tomography_mle(tin)
 
     def test_single_fit_matches_batched_fit(self):
         rng = np.random.default_rng(31)
@@ -551,9 +580,9 @@ class TestMonteCarlo:
     def test_batched_samples_equal_per_trial_reference(self):
         # Each drawn vector fitted alone gives the batched state to within
         # 1e-12, and each batched state scored as a single (4, 4) matrix gives
-        # its sample to within 1e-12.  (Scoring the single fits instead moves
-        # concurrence by up to ~1e-8: its sqrt(lambda) turns the ~1e-15
-        # rounding of a rank-deficient optimum into ~1e-8.)
+        # its sample to within 1e-12.  Concurrence and EoF of the single fit
+        # agree with the batched ones within 1e-10: the rank-deficient
+        # optima's round-off eigenvalues no longer reach sqrt(lambda).
         tins = [
             tomography_from_csv(data_path(name))
             for name in (DATA_TOMOGRAPHY_IN, DATA_TOMOGRAPHY_OUT)
@@ -572,15 +601,50 @@ class TestMonteCarlo:
             for tin, stack in zip(tins, fitted):
                 alone = tomography_mle(with_probabilities(tin, resample_rows(tin, rng)))
                 assert np.abs(alone.rho.matrix - stack[trial]).max() <= 1e-12
+                for metric in (concurrence, entanglement_of_formation):
+                    assert abs(metric(alone.rho.matrix) - metric(stack[trial])) <= 1e-10
             states = [stack[trial] for stack in fitted]
             reference = [METRIC_FUNCTIONS[name](rho) for rho in states for name in names]
             reference.append(fidelity(*states))
             assert all(np.ndim(v) == 0 for v in reference)
             assert np.abs(samples[trial] - reference).max() <= 1e-12
 
+    def test_fits_stopped_at_the_cap_are_counted(self, monkeypatch):
+        # 15 of these 100 trials leave the states and need Newton steps;
+        # capped at 3, they come back unconverged and the mask drops them.
+        monkeypatch.setattr(estimation, "MLE_MAX_ITER", 3)
+        tin = synthesize_input(werner(0.75), informationally_complete_pairs(), 0.03)
+        rng = np.random.default_rng(3)
+        fit = fit_batch(tin, [resample_rows(tin, rng) for _ in range(100)])
+        unconverged = int((~fit.converged).sum())
+        assert 0 < unconverged <= 20 and fit.iterations.max() == 3
+        samples, failures = monte_carlo_samples(
+            [tin], 100, np.random.default_rng(3), lambda states: purity(states[0])[:, None]
+        )
+        assert failures == unconverged
+        assert samples.shape == (100 - unconverged, 1)
+
+    def test_shipped_tables_lose_no_trial(self):
+        report = analyze_paper_data(
+            data_path(DATA_TOMOGRAPHY_IN),
+            tomography_out=data_path(DATA_TOMOGRAPHY_OUT),
+            trials=200,
+            seed=0,
+        )
+        assert report.mc_failures == 0
+
     def test_minimum_trials(self):
         with pytest.raises(ValueError):
             analyze_paper_data(data_path(DATA_TOMOGRAPHY_IN), trials=50)
+
+
+class TestChi2SurvivalFunction:
+    def test_matches_scipy(self):
+        from scipy.stats import chi2
+
+        for dof in range(1, 21):
+            for x in (0.0, 1e-6, 0.3, 1.0, dof - 0.5, dof + 3.0, 4.0 * dof + 10.0, 120.0):
+                assert chi2_sf(x, dof) == pytest.approx(chi2.sf(x, dof), rel=1e-12, abs=1e-300)
 
 
 class TestVisibilityFit:

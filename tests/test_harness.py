@@ -906,8 +906,14 @@ class TestAnalyzePaperData:
         assert "input" in payload["states"]
         assert payload["mc_failures"] == 0
         for stage in ("input", "output"):
-            assert payload["states"][stage]["n_converged"] == 1
-            assert payload["states"][stage]["iterations"] >= 0
+            state = payload["states"][stage]
+            assert state["n_converged"] == 1
+            assert state["iterations"] >= 0
+            assert state["chi2"] == 2.0 * state["residual"]
+            assert state["dof"] == 17
+            # Both shipped tables fit far inside their stated sigmas: chi2 / 2 is
+            # 3.1e-4 and ~1e-28 where ~8.5 is expected for 17 dof.
+            assert state["p_value"] > 0.999 and state["fits_inside_sigmas"] is True
         rows = report.rows()
         assert ("input", "fidelity_phi_plus") in [(r[0], r[1]) for r in rows]
 
