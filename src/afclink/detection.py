@@ -36,10 +36,6 @@ HISTOGRAM_CSV_HEADER = ("bin_start_ps", "count")
 
 DEFAULT_PEAK_HALFWIDTH_PS = 500
 
-# Start-stop pairs expanded at once by tdc_histogram_from_times; one start
-# whose own window holds more is expanded alone.
-HISTOGRAM_CHUNK_PAIRS = 2**18
-
 
 @dataclass(frozen=True)
 class AnalyzerSetting:
@@ -225,26 +221,27 @@ def tdc_histogram_from_times(
     """Histogram stop-minus-start delays for every start.
 
     Every stop in [start - window, start + window) counts once per start.
-    The start-stop pairs are expanded chunk by chunk of starts, at most
-    HISTOGRAM_CHUNK_PAIRS at a time, so memory stays bounded."""
+    Each start walks the sorted stops from the first one in its window: a
+    pass bins every start's current stop and drops the starts whose stop
+    has left their window.  Memory is O(starts + stops), with no pair-sized
+    temporary; time is O(pairs + starts) of vector work spread over as many
+    passes as the fullest window holds stops, so a burst of 1e5 stops in
+    one window costs 1e5 passes (~1 s) however few starts see it."""
     starts = np.sort(np.asarray(start_times_ps, dtype=np.int64))
     stops = np.sort(np.asarray(stop_times_ps, dtype=np.int64))
     hist = CoincidenceHistogram.empty(bin_width_ps, window_ps)
     counts = np.zeros(hist.n_bins, dtype=np.int64)
-    lo = np.searchsorted(stops, starts - window_ps, side="left")
-    m = np.searchsorted(stops, starts + window_ps, side="left") - lo
-    ends = np.cumsum(m)
-    first = 0
-    while first < starts.size:
-        limit = ends[first] - m[first] + HISTOGRAM_CHUNK_PAIRS
-        last = max(first + 1, int(np.searchsorted(ends, limit, side="right")))
-        mm = m[first:last]
-        # Expand the [lo, lo + m) ranges without a Python loop.
-        offsets = lo[first:last] - (np.cumsum(mm) - mm)
-        pos = np.arange(int(mm.sum())) + np.repeat(offsets, mm)
-        dts = stops[pos] - np.repeat(starts[first:last], mm)
-        counts += np.bincount((dts + window_ps) // bin_width_ps, minlength=counts.size)
-        first = last
+    origin = starts - window_ps  # each start's window opens here
+    idx = np.searchsorted(stops, origin, side="left")
+    # A sentinel stop past every window ends each walk in bounds.
+    stops = np.append(stops, starts[-1:] + window_ps)
+    while origin.size:
+        d = stops[idx] - origin
+        inside = np.flatnonzero(d < 2 * window_ps)
+        if inside.size < d.size:  # gather only when some walk has ended
+            origin, idx, d = origin[inside], idx[inside], d[inside]
+        counts += np.bincount(d // bin_width_ps, minlength=counts.size)
+        idx += 1
     return hist.with_counts(counts, n_starts=int(starts.size))
 
 

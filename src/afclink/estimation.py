@@ -465,6 +465,15 @@ def _pure_component(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return purity(m) >= 1.0 - 1e-12, v[..., 0]
 
 
+def _sandwich_root_eigenvalues(root, m):
+    """Square roots of the eigenvalues of root @ m @ root, descending.  An
+    eigenvalue below 1e-12 of the largest is round-off (or a fit's interior
+    residue), which sqrt would inflate to ~1e-6 of lambda_1: it counts as 0."""
+    inner = root @ m @ root
+    w, _ = hermitian_eigensystem((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
+    return np.sqrt(np.where(w > 1e-12 * w[..., :1], w, 0.0))
+
+
 def concurrence(rho):
     """Wootters concurrence of a two-qubit state or of each state of a stack."""
     m = _as_pair_density(rho)
@@ -473,12 +482,7 @@ def concurrence(rho):
     # chain loses digits there.
     c_pure = np.abs(np.einsum("...i,ij,...j->...", psi, _SIGMA_Y_PAIR, psi))
     flipped = _SIGMA_Y_PAIR @ m.conj() @ _SIGMA_Y_PAIR
-    root = matrix_sqrt_psd(m)
-    inner = root @ flipped @ root
-    w, _ = hermitian_eigensystem((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
-    # An eigenvalue below 1e-12 of the largest is round-off (or a fit's
-    # interior residue), which sqrt would inflate to ~1e-6 of lambda_1.
-    lams = np.sqrt(np.where(w > 1e-12 * w[..., :1], w, 0.0))
+    lams = _sandwich_root_eigenvalues(matrix_sqrt_psd(m), flipped)
     c_mixed = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
     return _scalar_or_stack(np.where(pure, c_pure, c_mixed))
 
@@ -506,10 +510,7 @@ def fidelity(rho, sigma):
     a, b = (np.asarray(x, dtype=complex) for x in (rho, sigma))
     if a.shape[-2:] != b.shape[-2:]:
         raise ValueError("states must share a dimension")
-    root = matrix_sqrt_psd(a)
-    inner = root @ b @ root
-    overlap_root = matrix_sqrt_psd((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
-    value = np.trace(overlap_root, axis1=-2, axis2=-1).real ** 2
+    value = _sandwich_root_eigenvalues(matrix_sqrt_psd(a), b).sum(axis=-1) ** 2
     # Rank-one arguments admit the exact overlap form <psi|other|psi>.
     for pure_one, other in ((b, a), (a, b)):
         pure, psi = _pure_component(pure_one)

@@ -1,13 +1,13 @@
-"""Dead-code guards: every function, class and method in afclink is used,
-and every defaulted parameter is passed by some call.
+"""Dead-code guards: every function, class, method and module constant in
+afclink is used, and every defaulted parameter is passed by some call.
 
-A top-level function or class counts as used when its name appears in the
-package source (as a name or an attribute) anywhere outside its own
-definition; a method or property only when it appears as an attribute
-(`x.name`), since a bare name can only be a local or a global.  Names are
-matched by spelling, not resolved, so two methods that share a name cover
-each other.  Dunder methods are called by
-Python itself and are skipped.  A name that no code in the package uses
+A top-level function, class or UPPER_CASE constant counts as used when its
+name appears in the package source (as a name or an attribute) anywhere
+outside its own definition or assignment; a method or property only when it
+appears as an attribute (`x.name`), since a bare name can only be a local or
+a global.  Names are matched by spelling, not resolved, so two methods that
+share a name cover each other.  Dunder methods are called by Python itself
+and are skipped.  A name that no code in the package uses
 stays only with a reason in KEEP.
 
 A defaulted parameter of a function or method counts as passed when a call
@@ -18,6 +18,8 @@ in KEEP_PARAMS.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import afclink
@@ -42,6 +44,7 @@ KEEP = {
     "estimation.tomography_to_csv": ROUND_TRIP,
     "estimation.visibility_fit": PUBLIC_API,
     "harness.chsh_simulation": PUBLIC_API,
+    "harness.DATA_SYNTHETIC_COMB": "names a shipped data file that only tests read",
     "harness.events_from_csv": ROUND_TRIP,
 }
 
@@ -60,6 +63,7 @@ KEEP_PARAMS = {
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _is_dunder(name: str) -> bool:
@@ -75,6 +79,14 @@ def scan():
         module = path.stem
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [
+                    (f"{module}.{name.id}", module, node, False)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and _CONSTANT.fullmatch(name.id)
+                ]
             if not isinstance(node, _DEFS):
                 continue
             defs.append((f"{module}.{node.name}", module, node, False))
@@ -96,7 +108,7 @@ def unreferenced():
     defs, refs = scan()
     out = []
     for qualname, module, node, is_method in defs:
-        name = node.name
+        name = qualname.rsplit(".", 1)[1]
         outside = (
             ref_module != module or not node.lineno <= line <= node.end_lineno
             for ref_name, ref_module, line, is_attribute in refs
@@ -183,3 +195,15 @@ def test_keep_params_lists_only_existing_unset_parameters():
     unset = set(unset_parameters())
     stale = sorted(set(KEEP_PARAMS) - unset)
     assert not stale, f"passed in src/afclink now, or gone; drop from KEEP_PARAMS: {stale}"
+
+
+def test_an_unread_constant_is_reported(tmp_path, monkeypatch):
+    # A constant left behind by the code that read it, as a deleted chunk
+    # loop would leave its chunk size.
+    (tmp_path / "kernel.py").write_text(
+        "CHUNK_PAIRS = 2**18\nWINDOW_PS, _BINS = 800, 20\n"
+        "def histogram():\n    return WINDOW_PS // _BINS\n"
+    )
+    (tmp_path / "cli.py").write_text("from .kernel import histogram\nhistogram()\n")
+    monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
+    assert unreferenced() == ["kernel.CHUNK_PAIRS"]

@@ -8,6 +8,7 @@ tr((E_a (x) E_b) rho), which the implementation must reproduce exactly.
 """
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -514,25 +515,42 @@ def brute_force_histogram(starts, stops, bin_width_ps, window_ps):
     return counts
 
 
-class TestHistogramFromTimes:
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 64, detection.HISTOGRAM_CHUNK_PAIRS])
-    def test_equals_brute_force(self, chunk, monkeypatch):
-        monkeypatch.setattr(detection, "HISTOGRAM_CHUNK_PAIRS", chunk)
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            n_start, n_stop = rng.integers(0, 60, 2)
-            starts = rng.integers(0, 6_000, n_start)
-            stops = rng.integers(0, 6_000, n_stop)
-            hist = tdc_histogram_from_times(starts, stops, 80, 800)
-            assert hist.n_starts == n_start
-            assert np.array_equal(
-                hist.counts, brute_force_histogram(starts, stops, 80, 800)
-            )
+def random_traffic(rng, kind):
+    """(starts, stops) of one kind of traffic for a window of 800 ps."""
+    n_start, n_stop = rng.integers(0, 60, 2)
+    if kind == "sparse":
+        return rng.integers(0, 6_000, n_start), rng.integers(0, 6_000, n_stop)
+    if kind == "dense":
+        # A burst of 50-120 stops inside one window, among sparse clicks.
+        centre = int(rng.integers(1_000, 5_000))
+        burst = rng.integers(centre - 800, centre + 800, rng.integers(50, 121))
+        starts = np.append(rng.integers(0, 6_000, n_start), centre)
+        return starts, np.concatenate([rng.integers(0, 6_000, n_stop), burst])
+    if kind == "negative":
+        return rng.integers(-6_000, 0, n_start), rng.integers(-6_000, 0, n_stop)
+    # "ties": few distinct times, on the bin grid, so duplicate starts,
+    # duplicate stops and stops at exactly +-800 ps and 0 from a start abound.
+    return 80 * rng.integers(0, 30, n_start), 80 * rng.integers(0, 30, n_stop)
 
-    def test_window_edges_and_chunk_edge(self, monkeypatch):
-        # Chunks of 3 pairs: the first start's 3 stops fill one chunk, so
-        # the second start begins the next chunk.
-        monkeypatch.setattr(detection, "HISTOGRAM_CHUNK_PAIRS", 3)
+
+class TestHistogramFromTimes:
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "negative", "ties"])
+    def test_equals_brute_force(self, kind):
+        rng = np.random.default_rng(17)
+        densest = 0
+        for _ in range(40):
+            starts, stops = random_traffic(rng, kind)
+            hist = tdc_histogram_from_times(starts, stops, 80, 800)
+            assert hist.n_starts == starts.size
+            expected = brute_force_histogram(starts, stops, 80, 800)
+            assert np.array_equal(hist.counts, expected)
+            seen = [np.sum((stops >= t - 800) & (stops < t + 800)) for t in starts]
+            densest = max(densest, *seen, 0)
+        if kind == "dense":
+            assert densest >= 50
+
+    def test_window_edges(self):
+        # Each start's walk runs from its -window stop to past its +window one.
         starts = np.array([10_000, 20_000])
         stops = np.array([10_000 - 800, 10_000, 10_000 + 799, 10_000 + 800,
                           20_000 - 800, 20_000 + 800])
@@ -543,6 +561,21 @@ class TestHistogramFromTimes:
         assert hist.counts[0] == 2
         assert hist.counts[-1] == 1
         assert hist.counts.sum() == 4
+
+    def test_pair_count_does_not_set_peak_memory(self):
+        # 2000 starts and 2000 stops inside one 70 ns window: 4e6 pairs,
+        # while no temporary holds more than one entry per start or stop.
+        rng = np.random.default_rng(5)
+        starts = rng.integers(0, 70_000, 2_000)
+        stops = rng.integers(0, 70_000, 2_000)
+        tracemalloc.start()
+        try:
+            hist = tdc_histogram_from_times(starts, stops, 80, 80_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.counts.sum() == 2_000 * 2_000
+        assert peak < 1_000_000
 
     def test_empty_inputs(self):
         assert tdc_histogram_from_times([], [5], 80, 800).counts.sum() == 0

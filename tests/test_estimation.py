@@ -581,8 +581,9 @@ class TestMonteCarlo:
         # Each drawn vector fitted alone gives the batched state to within
         # 1e-12, and each batched state scored as a single (4, 4) matrix gives
         # its sample to within 1e-12.  Concurrence and EoF of the single fit
-        # agree with the batched ones within 1e-10: the rank-deficient
-        # optima's round-off eigenvalues no longer reach sqrt(lambda).
+        # agree with the batched ones within 1e-10, and so does the
+        # input-output fidelity within 1e-9: the rank-deficient optima's
+        # round-off eigenvalues no longer reach sqrt(lambda).
         tins = [
             tomography_from_csv(data_path(name))
             for name in (DATA_TOMOGRAPHY_IN, DATA_TOMOGRAPHY_OUT)
@@ -598,12 +599,15 @@ class TestMonteCarlo:
         rng = np.random.default_rng(19)
         names = ("fidelity_phi_plus", "purity", "concurrence", "entanglement_of_formation")
         for trial in range(20):
+            alone = []
             for tin, stack in zip(tins, fitted):
-                alone = tomography_mle(with_probabilities(tin, resample_rows(tin, rng)))
-                assert np.abs(alone.rho.matrix - stack[trial]).max() <= 1e-12
+                fit = tomography_mle(with_probabilities(tin, resample_rows(tin, rng)))
+                alone.append(fit.rho.matrix)
+                assert np.abs(fit.rho.matrix - stack[trial]).max() <= 1e-12
                 for metric in (concurrence, entanglement_of_formation):
-                    assert abs(metric(alone.rho.matrix) - metric(stack[trial])) <= 1e-10
+                    assert abs(metric(fit.rho.matrix) - metric(stack[trial])) <= 1e-10
             states = [stack[trial] for stack in fitted]
+            assert abs(fidelity(*alone) - fidelity(*states)) <= 1e-9
             reference = [METRIC_FUNCTIONS[name](rho) for rho in states for name in names]
             reference.append(fidelity(*states))
             assert all(np.ndim(v) == 0 for v in reference)
