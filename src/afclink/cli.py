@@ -61,6 +61,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every --seed: numpy seeds are non-negative."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _flatten(value, prefix: str = ""):
     """Depth-first (key, scalar) rows for nested dicts and lists."""
     if isinstance(value, dict):
@@ -215,7 +226,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run the photon-pair chain and write event files")
     p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--seed", type=int, default=None, help="override run.seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override run.seed")
     p.add_argument("--out-dir", default="afclink-out", help="directory for events/histogram/summary")
     add_format(p)
     p.set_defaults(func=_cmd_simulate)
@@ -227,7 +238,7 @@ def build_parser() -> _Parser:
     p.add_argument("--chsh", default=data_path(DATA_CHSH), help="correlator CSV")
     p.add_argument("--no-chsh", dest="chsh", action="store_const", const=None, help="skip Bell sums")
     p.add_argument("--trials", type=int, default=200, help="Monte-Carlo resampling trials (0 disables)")
-    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
+    p.add_argument("--seed", type=_seed, default=0, help="Monte-Carlo seed")
     p.add_argument("--out-dir", default=None, help="also write report.json and state_metrics.csv here")
     add_format(p)
     p.set_defaults(func=_cmd_analyze)
@@ -271,7 +282,7 @@ def build_parser() -> _Parser:
     p.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--cycles", type=int, default=None, help="cycles per point (default: config)")
-    p.add_argument("--seed", type=int, default=None, help="override run.seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override run.seed")
     p.add_argument("--out", default=None, help="write the sweep CSV here")
     add_format(p)
     p.set_defaults(func=_cmd_sweep)
@@ -279,7 +290,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="analyze the shipped data tables into a report bundle")
     p.add_argument("--out-dir", default="afclink-report", help="directory for report.json and state_metrics.csv")
     p.add_argument("--trials", type=int, default=200, help="Monte-Carlo resampling trials (0 disables)")
-    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
+    p.add_argument("--seed", type=_seed, default=0, help="Monte-Carlo seed")
     add_format(p)
     p.set_defaults(func=_cmd_report)
 

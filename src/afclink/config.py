@@ -58,8 +58,8 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.cycles, int) or isinstance(self.cycles, bool) or self.cycles < 1:
             raise ValueError("cycles must be a positive integer")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,19 @@ time-sorted within a shard.
 
 The start-stop histogram is streamed shard by shard through
 detection.tdc_histogram_from_stream, with the floor below which no later
-shard has a click; it equals one pass over the whole run bit for bit.  Click
-arrays are kept only where events.csv or the CHSH matching needs them
-(simulate); sweep --parameter mu keeps one shard and the carried window.
+shard has a click; it equals one pass over the whole run bit for bit.
+run_simulation makes one pass over the shards and keeps no click arrays: the
+histogram, the events.csv writer and the summary tallies each take a shard in
+turn, and only the rows at or above the floor are carried to the next.  Only
+simulate(), for the CHSH matching and the phase sweep, joins a whole run's
+click arrays; sweep --parameter mu keeps one shard and the carried window.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -136,7 +140,11 @@ class ChannelRecord:
 
     @property
     def dark_count(self) -> int:
-        return int((self.origins == _ORIGIN_CODE[events.ORIGIN_DARK]).sum())
+        return _dark_count(self.origins)
+
+
+def _dark_count(origins: np.ndarray) -> int:
+    return int(np.count_nonzero(origins == _ORIGIN_CODE[events.ORIGIN_DARK]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +156,6 @@ class SimulationData:
     signal arrays, and the floor of every later click (None after the last)."""
 
     config: ExperimentConfig
-    n_cycles: int
     pair_classes: dict[str, int]
     p_detect: dict[str, float]
     channels: dict[str, ChannelRecord]
@@ -380,7 +387,7 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
         channels[ch] = ChannelRecord(channel=ch, **merged)
     classes = dict(zip(PAIR_CLASSES, map(int, totals)))
     p_detect = {ch: tab.p_detect for ch, tab in tables.channels.items()}
-    return SimulationData(cfg, cfg.run.cycles, classes, p_detect, channels, tuple(shards))
+    return SimulationData(cfg, classes, p_detect, channels, tuple(shards))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +396,6 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    data: SimulationData
     histogram: CoincidenceHistogram
     summary: dict
     events_path: Path
@@ -398,46 +404,60 @@ class SimulationResult:
     config_path: Path
 
 
-def _write_events_csv(data: SimulationData, path: Path) -> None:
-    """events.csv rows in (time, channel, cycle) order, formatted straight
-    from the code arrays into the bytes csv.writer would write."""
-    recs = [data.channels[ch] for ch in sorted(events.CHANNELS)]
-    cycles, times, bins, origins, outcomes = (
-        np.concatenate([getattr(r, key) for r in recs])
-        for key in ("cycles", "times", "bins", "origins", "outcomes")
-    )
-    chans = np.concatenate(
-        [np.full(r.times.size, i, dtype=np.int8) for i, r in enumerate(recs)]
-    )
-    order = np.lexsort((cycles, chans, times))
+# events.csv codes a row's channel by the channel's place in name order.
+_EVENT_CHANNELS = tuple(sorted(events.CHANNELS))
+_EVENT_KEYS = ("cycles", "times", "bins", "origins", "outcomes")
+
+
+def _write_events_csv(fh, rows: dict[str, np.ndarray], order: np.ndarray) -> None:
+    """Write the settled rows rows[order], already in (time, channel, cycle)
+    order, formatted straight from the code arrays into the bytes csv.writer
+    would write, at most _EVENTS_CHUNK_ROWS per write."""
     outcome_labels = [events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED]
-    top = int(outcomes.max(initial=_OUTCOME_TRANSMITTED))
+    top = int(rows["outcomes"].max(initial=_OUTCOME_TRANSMITTED))
     outcome_labels += [events.recalled_token(k) for k in range(top - 1)]
     # Each row is cycle, mid[channel], time, then one of the label tails,
     # indexed by (bin, origin, outcome) in row-major order.
-    mid = [f",{r.channel}," for r in recs]
+    mid = [f",{ch}," for ch in _EVENT_CHANNELS]
     tails = [
         f",{b},{o},{u}\r\n"
         for b in _BIN_LABELS for o in _ORIGIN_LABELS for u in outcome_labels
     ]
     n_origin, n_outcome = len(_ORIGIN_LABELS), len(outcome_labels)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(EVENT_CSV_HEADER) + "\r\n")
-        for first in range(0, order.size, _EVENTS_CHUNK_ROWS):
-            rows = order[first : first + _EVENTS_CHUNK_ROWS]
-            # intp: int8 bins times the label counts would overflow.
-            tail = bins[rows].astype(np.intp)
-            tail *= n_origin
-            tail += origins[rows]
-            tail *= n_outcome
-            tail += outcomes[rows]
-            columns = (col[rows].tolist() for col in (cycles, chans, times))
-            fh.write(
-                "".join(
-                    f"{c}{mid[h]}{t}{tails[k]}"
-                    for c, h, t, k in zip(*columns, tail.tolist())
-                )
+    for first in range(0, order.size, _EVENTS_CHUNK_ROWS):
+        idx = order[first : first + _EVENTS_CHUNK_ROWS]
+        # intp: int8 bins times the label counts would overflow.
+        tail = rows["bins"][idx].astype(np.intp)
+        tail *= n_origin
+        tail += rows["origins"][idx]
+        tail *= n_outcome
+        tail += rows["outcomes"][idx]
+        columns = (rows[key][idx].tolist() for key in ("cycles", "channels", "times"))
+        fh.write(
+            "".join(
+                f"{c}{mid[h]}{t}{tails[k]}"
+                for c, h, t, k in zip(*columns, tail.tolist())
             )
+        )
+
+
+def _settle_events(fh, carry, clicks, floor) -> dict[str, np.ndarray]:
+    """Write the rows of carry and of one shard's clicks that lie below the
+    floor, sorted by (time, channel, cycle); return the rest, sorted, to carry
+    to the next shard.  No later click lies below the floor, and rows of
+    different shards never tie (each shard has its own cycles), so the
+    stable sort puts the rows as one sort over the whole run would."""
+    parts = [carry] if carry else []
+    for i, ch in enumerate(_EVENT_CHANNELS):
+        rec = clicks[ch]
+        part = {key: rec[key] for key in _EVENT_KEYS}
+        part["channels"] = np.full(rec["times"].size, i, dtype=np.int8)
+        parts.append(part)
+    rows = {key: np.concatenate([p[key] for p in parts]) for key in parts[-1]}
+    order = np.lexsort((rows["cycles"], rows["channels"], rows["times"]))
+    settled = order.size if floor is None else np.count_nonzero(rows["times"] < floor)
+    _write_events_csv(fh, rows, order[:settled])
+    return {key: col[order[settled:]] for key, col in rows.items()}
 
 
 def _is_outcome_label(label: str) -> bool:
@@ -493,9 +513,11 @@ def _g2_payload(hist, delay_ps: int, cfg: ExperimentConfig) -> dict | None:
     }
 
 
-def _build_summary(data: SimulationData, hist: CoincidenceHistogram) -> dict:
-    cfg = data.config
-    span_s = data.n_cycles * cfg.source.rep_period_ps * 1e-12
+def _build_summary(cfg: ExperimentConfig, tallies: dict, hist: CoincidenceHistogram) -> dict:
+    """summary.json from the histogram and the run's tallies: pair_classes,
+    detection_probability and detections, in that order."""
+    n_cycles = cfg.run.cycles
+    span_s = n_cycles * cfg.source.rep_period_ps * 1e-12
     duty = cfg.duty_cycle.duty_factor
     peaks = []
     for peak in find_histogram_peaks(hist, min_height_fraction=_SUMMARY_PEAK_FRACTION):
@@ -504,27 +526,21 @@ def _build_summary(data: SimulationData, hist: CoincidenceHistogram) -> dict:
             {
                 "delay_ps": int(peak.delay_ps),
                 "count": int(peak.count),
-                "rate_per_cycle": peak.count / data.n_cycles,
+                "rate_per_cycle": peak.count / n_cycles,
                 "rate_hz_storage": rate_storage,
                 "rate_hz_wall_clock": rate_storage * duty,
                 "g2": _g2_payload(hist, peak.delay_ps, cfg),
             }
         )
     recall = recall_delay_ps(cfg)
-    detections = {}
-    for ch in events.CHANNELS:
-        rec = data.channels[ch]
-        detections[ch.lower()] = {"total": int(rec.times.size), "dark": rec.dark_count}
     return {
-        "cycles": int(data.n_cycles),
+        "cycles": int(n_cycles),
         "seed": int(cfg.run.seed),
         "rep_period_ps": int(cfg.source.rep_period_ps),
         "mean_pairs_per_pulse": float(cfg.source.mean_pairs_per_pulse),
         "duty_factor": float(duty),
-        "pairs_emitted": int(data.n_pairs),
-        "pair_classes": dict(data.pair_classes),
-        "detection_probability": {ch.lower(): q for ch, q in data.p_detect.items()},
-        "detections": detections,
+        "pairs_emitted": sum(tallies["pair_classes"].values()),
+        **tallies,
         "histogram": {
             "bin_width_ps": int(hist.bin_width_ps),
             "window_ps": int(hist.window_ps),
@@ -539,24 +555,56 @@ def _build_summary(data: SimulationData, hist: CoincidenceHistogram) -> dict:
 
 
 def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
-    """Simulate, then write events.csv, histogram.csv, summary.json and the
-    resolved config as config.json, from which the run can be repeated."""
+    """Simulate in one pass over the shards, then write events.csv,
+    histogram.csv, summary.json and the resolved config as config.json, from
+    which the run can be repeated.
+
+    Each shard feeds the histogram, the events.csv writer and the summary
+    tallies in turn and is then dropped, so memory does not grow with the
+    cycle count.  events.csv is written under a temporary name and renamed
+    once the pass is done: a pass that fails leaves none."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = simulate(cfg)
-    hist = data.histogram()
-    summary = _build_summary(data, hist)
+    tables = _build_tables(cfg)
+    classes = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
+    detections = {ch.lower(): {"total": 0, "dark": 0} for ch in events.CHANNELS}
+
+    def pieces(fh):
+        nonlocal classes
+        carry = None
+        for counts, clicks, floor in _shards(tables, cfg.run.cycles):
+            classes += counts
+            for ch, rec in clicks.items():
+                tally = detections[ch.lower()]
+                tally["total"] += int(rec["times"].size)
+                tally["dark"] += _dark_count(rec["origins"])
+            carry = _settle_events(fh, carry, clicks, floor)
+            yield clicks[events.IDLER_1535]["times"], clicks[events.SIGNAL_794]["times"], floor
+
     events_path = out / "events.csv"
+    partial = out / "events.csv.partial"
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.write(",".join(EVENT_CSV_HEADER) + "\r\n")
+            hist = tdc_histogram_from_stream(pieces(fh), cfg.tdc.bin_width_ps, cfg.tdc.window_ps)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, events_path)
+
+    tallies = {
+        "pair_classes": dict(zip(PAIR_CLASSES, map(int, classes))),
+        "detection_probability": {ch.lower(): tab.p_detect for ch, tab in tables.channels.items()},
+        "detections": detections,
+    }
+    summary = _build_summary(cfg, tallies, hist)
     histogram_path = out / "histogram.csv"
     summary_path = out / "summary.json"
     config_path = out / "config.json"
-    _write_events_csv(data, events_path)
     hist.to_csv(histogram_path)
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     save_config(cfg, config_path)
-    return SimulationResult(
-        data, hist, summary, events_path, histogram_path, summary_path, config_path
-    )
+    return SimulationResult(hist, summary, events_path, histogram_path, summary_path, config_path)
 
 
 # ---------------------------------------------------------------------------

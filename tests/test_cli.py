@@ -436,6 +436,42 @@ class TestReport:
         ]
 
 
+class TestNegativeSeed:
+    """A negative seed fails before any output is made, naming where it
+    came from: the --seed flag or the config's run.seed."""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "analyze", "report"])
+    def test_flag_is_usage_error(self, tmp_path, capsys, command):
+        cfg = str(write_config(tmp_path))
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", "--config", cfg, "--out-dir", str(out)],
+            "sweep": ["sweep", "--config", cfg, "--parameter", "mu", "--values", "0.05",
+                      "--out", str(out)],
+            "analyze": ["analyze", "--trials", "0", "--out-dir", str(out)],
+            "report": ["report", "--trials", "0", "--out-dir", str(out)],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "-1"])
+        assert excinfo.value.code == 2
+        obj = json.loads(capsys.readouterr().err)
+        assert obj == {
+            "error": "argument --seed: expected a non-negative integer, got '-1'",
+            "type": "UsageError",
+        }
+        assert not out.exists()
+
+    def test_config_seed_names_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        obj = stderr_error(
+            capsys,
+            ["simulate", "--config", str(write_config(tmp_path, seed=-1)),
+             "--out-dir", str(out)],
+        )
+        assert obj == {"error": "run: seed must be a non-negative integer", "type": "ConfigError"}
+        assert not out.exists()
+
+
 def test_module_runs_as_script():
     proc = subprocess.run(
         [

@@ -119,6 +119,12 @@ class TestStrictSchema:
         with pytest.raises(ConfigError, match="run.seed"):
             load_config(write_config(tmp_path, payload))
 
+    def test_negative_seed_names_key(self, tmp_path):
+        # numpy seeds are non-negative: the loader says so, not numpy.
+        payload = {"run": {"seed": -1}}
+        with pytest.raises(ConfigError, match="^run: seed must be a non-negative integer$"):
+            load_config(write_config(tmp_path, payload))
+
     def test_invariant_violation_names_section(self, tmp_path):
         payload = {
             "run": {"seed": 1},

@@ -44,6 +44,17 @@ KEEP = {
     "estimation.tomography_to_csv": ROUND_TRIP,
     "estimation.visibility_fit": PUBLIC_API,
     "harness.chsh_simulation": PUBLIC_API,
+    "harness.ChannelRecord.dark_count": (
+        "bench/tracing.py reads it from simulate(); goes with the next benchmark "
+        "change (ROADMAP)"
+    ),
+    "harness.SimulationData.n_pairs": (
+        "bench/tracing.py reads it from simulate(); goes with the next benchmark "
+        "change (ROADMAP)"
+    ),
+    "harness.SimulationData.histogram": (
+        "the README and acceptance criterion 6 take a run's histogram from simulate()"
+    ),
     "harness.DATA_SYNTHETIC_COMB": "names a shipped data file that only tests read",
     "harness.events_from_csv": ROUND_TRIP,
 }

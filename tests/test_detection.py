@@ -631,10 +631,11 @@ class TestHistogramFromStream:
 class TestCsvRoundTrips:
     def test_event_csv(self, tmp_path):
         # No memories: every click's memory outcome is NONE.
-        res = run_simulation(engine_config(seed=2), tmp_path)
+        cfg = engine_config(seed=2)
+        res = run_simulation(cfg, tmp_path)
         expected = [
             (c, channel, t, events.BINS[b], events.ORIGINS[o], events.OUTCOME_NONE)
-            for channel, rec in res.data.channels.items()
+            for channel, rec in simulate(cfg).channels.items()
             for c, t, b, o in zip(rec.cycles.tolist(), rec.times.tolist(),
                                   rec.bins.tolist(), rec.origins.tolist())
         ]

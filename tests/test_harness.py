@@ -267,6 +267,33 @@ THREE_ECHO_MEMORY = MemoryConfig(
 )
 
 
+def csv_writer_events(data) -> bytes:
+    """events.csv as csv.writer writes it from a run's click arrays: the
+    channels in name order, then a stable sort by (time, channel, cycle)."""
+    top = max(int(rec.outcomes.max(initial=1)) for rec in data.channels.values())
+    outcome_labels = [events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED] + [
+        events.recalled_token(k) for k in range(top - 1)
+    ]
+    keyed = []
+    for i, ch in enumerate(sorted(data.channels)):
+        rec = data.channels[ch]
+        for t, c, b, o, u in zip(
+            rec.times.tolist(),
+            rec.cycles.tolist(),
+            rec.bins.tolist(),
+            rec.origins.tolist(),
+            rec.outcomes.tolist(),
+        ):
+            row = [c, ch, t, events.BINS[b], events.ORIGINS[o], outcome_labels[u]]
+            keyed.append(((t, i, c), row))
+    keyed.sort(key=lambda item: item[0])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(EVENT_CSV_HEADER)
+    writer.writerows(row for _, row in keyed)
+    return buf.getvalue().encode()
+
+
 class TestEngineDraws:
     def test_pair_counts_per_cycle_are_poisson(self):
         mu, n_cycles, first = 0.5, 200_000, 3_000_000
@@ -460,10 +487,14 @@ class TestEngineDraws:
         cfg = load_config(ROOT / "configs" / "realistic.json")
         cfg = replace(cfg, run=replace(cfg.run, cycles=10_000_000))
         res = run_simulation(cfg, tmp_path)
-        data = res.data
+        data = simulate(cfg)
         assert res.summary["pair_classes"] == data.pair_classes
         assert res.summary["detection_probability"] == {
             ch.lower(): q for ch, q in data.p_detect.items()
+        }
+        assert res.summary["detections"] == {
+            ch.lower(): {"total": int(rec.times.size), "dark": rec.dark_count}
+            for ch, rec in data.channels.items()
         }
         q_s, q_i = (data.p_detect[ch] for ch in (events.SIGNAL_794, events.IDLER_1535))
         probs = {
@@ -498,33 +529,11 @@ class TestEngineDraws:
                 for ch in ("signal_794", "idler_1535")
             },
         )
-        data = simulate(cfg)
-        path = tmp_path / "events.csv"
-        harness._write_events_csv(data, path)
-
-        outcome_labels = [events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED] + [
-            events.recalled_token(k) for k in range(3)
-        ]
-        keyed = []
-        for i, ch in enumerate(sorted(data.channels)):
-            rec = data.channels[ch]
-            for t, c, b, o, u in zip(
-                rec.times.tolist(),
-                rec.cycles.tolist(),
-                rec.bins.tolist(),
-                rec.origins.tolist(),
-                rec.outcomes.tolist(),
-            ):
-                row = [c, ch, t, events.BINS[b], events.ORIGINS[o], outcome_labels[u]]
-                keyed.append(((t, i, c), row))
-        keyed.sort(key=lambda item: item[0])
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(EVENT_CSV_HEADER)
-        writer.writerows(row for _, row in keyed)
-        assert path.read_bytes() == buf.getvalue().encode()
+        res = run_simulation(cfg, tmp_path)
+        expected = csv_writer_events(simulate(cfg))
+        assert res.events_path.read_bytes() == expected
         # Every label kind was rendered.
-        text = buf.getvalue()
+        text = expected.decode()
         for label in (events.ORIGIN_DARK, events.ORIGIN_SPURIOUS_ECHO,
                       events.recalled_token(2), events.OUTCOME_TRANSMITTED):
             assert f",{label}" in text
@@ -633,6 +642,108 @@ class TestStreamedHistogram:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+# Both memories with a spurious echo on either side of the primary one, so
+# echoes reach over several one-cycle shards; 1 ns jitter, whose 40-sigma
+# lead spans more than one 12.5 ns cycle; and dark counts.
+NOISY_RUN = dict(
+    seed=23,
+    cycles=1_200,
+    mu=0.4,
+    memories={
+        ch: {
+            "coupling_efficiency": 0.6,
+            "device_efficiency": 0.5,
+            "mean_od": 0.7,
+            "echo_delays": [[16.129, 0.5], [32.258, 1.0], [64.516, 0.3]],
+        }
+        for ch in ("signal_794", "idler_1535")
+    },
+    detectors={
+        ch: {"efficiency": 0.8, "jitter_fwhm_ps": 1_000.0, "dark_rate_hz": 2e6}
+        for ch in ("signal_794", "idler_1535")
+    },
+)
+# Lossless and several pairs per cycle: clicks of one channel tie in time.
+TIED_RUN = dict(seed=29, cycles=1_200, mu=0.5, detectors=IDEAL_DETECTORS)
+
+
+class TestStreamedRun:
+    """run_simulation's one shard pass writes what whole-run click arrays
+    give: events.csv in a stable (time, channel, cycle) order, the
+    single-pass histogram and the summary of the run's tallies."""
+
+    @pytest.mark.parametrize("shard_cycles", [1, 7, 1000])
+    @pytest.mark.parametrize("run", [NOISY_RUN, TIED_RUN], ids=["noisy", "tied"])
+    def test_files_equal_whole_run_arrays(self, run, shard_cycles, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "SHARD_CYCLES", shard_cycles)
+        cfg = make_config(**run)
+        res = run_simulation(cfg, tmp_path / "run")
+        data = simulate(cfg)
+        assert len(data.shards) == -(-cfg.run.cycles // shard_cycles)
+
+        expected = csv_writer_events(data)
+        assert res.events_path.read_bytes() == expected
+        rows = [line.split(",") for line in expected.decode().splitlines()[1:]]
+        if run is NOISY_RUN:
+            for ch in events.CHANNELS:
+                labels = {label for row in rows if row[1] == ch for label in row[3:]}
+                assert {events.ORIGIN_DARK, events.ORIGIN_SPURIOUS_ECHO} <= labels, ch
+        else:
+            times = [(row[1], row[2]) for row in rows]
+            assert len(set(times)) < len(times)
+
+        tdc = cfg.tdc
+        single = tdc_histogram_from_times(
+            data.channels[events.IDLER_1535].times,
+            data.channels[events.SIGNAL_794].times,
+            tdc.bin_width_ps,
+            tdc.window_ps,
+        )
+        assert single.counts.sum() > 0
+        single.to_csv(tmp_path / "single.csv")
+        assert res.histogram_path.read_bytes() == (tmp_path / "single.csv").read_bytes()
+        tallies = {
+            "pair_classes": data.pair_classes,
+            "detection_probability": {ch.lower(): q for ch, q in data.p_detect.items()},
+            "detections": {
+                ch.lower(): {"total": int(rec.times.size), "dark": rec.dark_count}
+                for ch, rec in data.channels.items()
+            },
+        }
+        summary = harness._build_summary(cfg, tallies, single)
+        assert res.summary_path.read_text() == json.dumps(summary, indent=2) + "\n"
+
+    def test_failed_pass_leaves_no_events_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "SHARD_CYCLES", 7)
+        shard, calls = harness._simulate_shard, []
+
+        def third_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("shard 2 failed")
+            return shard(*args)
+
+        monkeypatch.setattr(harness, "_simulate_shard", third_call_fails)
+        with pytest.raises(RuntimeError, match="shard 2 failed"):
+            run_simulation(make_config(**NOISY_RUN), tmp_path)
+        assert len(calls) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_memory_independent_of_cycles(self, tmp_path):
+        # One pass keeps a shard and the carried rows, so ten times the
+        # cycles leaves the peak allocation where it was.
+        peaks = []
+        for cycles in (2_000_000, 20_000_000):
+            cfg = shipped_config("realistic", cycles)
+            tracemalloc.start()
+            try:
+                run_simulation(cfg, tmp_path / str(cycles))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 HEAD = ",".join(EVENT_CSV_HEADER) + "\n"
