@@ -22,9 +22,9 @@ detection.tdc_histogram_from_stream, with the floor below which no later
 shard has a click; it equals one pass over the whole run bit for bit.
 run_simulation makes one pass over the shards and keeps no click arrays: the
 histogram, the events.csv writer and the summary tallies each take a shard in
-turn, and only the rows at or above the floor are carried to the next.  Only
-simulate(), for the CHSH matching and the phase sweep, joins a whole run's
-click arrays; sweep --parameter mu keeps one shard and the carried window.
+turn, and only the rows at or above the floor are carried to the next; so do
+the CHSH matching and both sweeps.  No product path calls simulate(), which
+joins a whole run's click arrays for the Python API.
 """
 
 from __future__ import annotations
@@ -622,27 +622,41 @@ def recall_delay_ps(cfg: ExperimentConfig) -> int:
     return signal - idler
 
 
-def _central_port_counts(data: SimulationData) -> dict[tuple[int, int], int]:
-    """Coincidences between central-slot clicks, keyed by (signal, idler) port.
+def _central_keys(clicks: dict[str, np.ndarray]) -> np.ndarray:
+    sup = clicks["bins"] == _BIN_CODE[events.BIN_SUPERPOSED]
+    return clicks["times"][sup] * 2 + (clicks["ports"][sup] == 1)
 
-    Pairs are matched by arrival-time difference around the expected
-    recall-to-recall delay, within the configured peak halfwidth."""
-    cfg = data.config
-    hw = cfg.tdc.peak_halfwidth_ps
-    delta = recall_delay_ps(cfg)
-    sup = _BIN_CODE[events.BIN_SUPERPOSED]
-    sig = data.channels[events.SIGNAL_794]
-    idl = data.channels[events.IDLER_1535]
-    counts = {}
-    for pa in (+1, -1):
-        stops = np.sort(sig.times[(sig.bins == sup) & (sig.ports == pa)])
-        for pb in (+1, -1):
-            # Sorted keys keep the two searches cache-friendly.
-            starts = np.sort(idl.times[(idl.bins == sup) & (idl.ports == pb)])
-            lo = np.searchsorted(stops, starts + (delta - hw), side="left")
-            hi = np.searchsorted(stops, starts + (delta + hw), side="right")
-            counts[(pa, pb)] = int((hi - lo).sum())
-    return counts
+
+def _central_port_counts(starts: np.ndarray, stops: np.ndarray, delta: int, hw: int) -> np.ndarray:
+    """Coincidences of idler starts with the signal stops delta +- hw after
+    them, per (signal, idler) port (+1, +1), (+1, -1), (-1, +1), (-1, -1); keys
+    are time * 2 + (port == +1), and the sorted stops cover the starts' windows."""
+    first, end = np.searchsorted(stops, ((starts >> 1) + [[delta - hw], [delta + hw + 1]]) * 2)
+    plus_before = np.concatenate([[0], np.cumsum(stops & 1)])
+    plus = plus_before[end] - plus_before[first]
+    idler = (starts & 1).astype(bool)
+    return np.array([n[m].sum() for n in (plus, end - first - plus) for m in (idler, ~idler)])
+
+
+def _central_counts(cfg: ExperimentConfig) -> dict[tuple[int, int], int]:
+    """Coincidences between central-slot clicks, keyed by (signal, idler)
+    port, at the recall delay +- the peak halfwidth.  Counted shard by shard
+    with tdc_histogram_from_stream's floor rule."""
+    delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
+    totals = np.zeros(4, dtype=np.int64)
+    starts = stops = np.zeros(0, dtype=np.int64)
+    for _, clicks, floor in _shards(_build_tables(cfg), cfg.run.cycles):
+        # Popped, so no click array is held while the next shard is drawn.
+        starts = np.sort(np.concatenate([starts, _central_keys(clicks.pop(events.IDLER_1535))]))
+        stops = np.sort(np.concatenate([stops, _central_keys(clicks.pop(events.SIGNAL_794))]))
+        floor = np.iinfo(np.int64).max // 4 if floor is None else floor  # past every click
+        # No later click lies below the floor: a start's window, to start + delta + hw, is whole.
+        ready = np.searchsorted(starts, (floor - delta - hw) * 2)
+        totals += _central_port_counts(starts[:ready], stops, delta, hw)
+        starts = starts[ready:]
+        reach = min(floor, int(starts[0] >> 1) if starts.size else floor) + delta - hw
+        stops = stops[np.searchsorted(stops, reach * 2) :]
+    return dict(zip(((+1, +1), (+1, -1), (-1, +1), (-1, -1)), totals.tolist()))
 
 
 @dataclass(frozen=True)
@@ -674,7 +688,7 @@ def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
                 events.IDLER_1535: AnalyzerSetting.interferometer(sb.analyzer_phase()),
             },
         )
-        counts = _central_port_counts(simulate(sub))
+        counts = _central_counts(sub)
         same = counts[(+1, +1)] + counts[(-1, -1)]
         diff = counts[(+1, -1)] + counts[(-1, +1)]
         e, sigma = correlation_coefficient(same, diff)
@@ -986,7 +1000,7 @@ def sweep(
         def point(value):
             signal = AnalyzerSetting.interferometer(value)
             sub = replace(base, analyzers={events.SIGNAL_794: signal, events.IDLER_1535: idler})
-            counts = _central_port_counts(simulate(sub))
+            counts = _central_counts(sub)
             return value, float(counts[(+1, +1)])
 
     rows = []

@@ -795,6 +795,106 @@ class TestEventsCsv:
 # CHSH from simulation
 
 
+# Interferometers on both arms, so clicks land in the central slot; a
+# quarter turn apart, so every port pair is about as likely.
+CENTRAL_ANALYZERS = {
+    "signal_794": {"mode": "interferometer", "phase": 1.6},
+    "idler_1535": {"mode": "interferometer", "phase": 0.0},
+}
+
+
+def staggered_run(seed, signal_ns, idler_ns):
+    """NOISY_RUN's jitter and dark counts, with brighter memories whose
+    primary echoes come at signal_ns and idler_ns, and spurious echoes at
+    half and twice each."""
+    return dict(
+        NOISY_RUN,
+        seed=seed,
+        memories={
+            ch: {
+                "coupling_efficiency": 0.9,
+                "device_efficiency": 0.5,
+                "mean_od": 2.3,
+                "echo_delays": [[d / 2, 0.5], [d, 1.0], [2 * d, 0.3]],
+            }
+            for ch, d in (("signal_794", signal_ns), ("idler_1535", idler_ns))
+        },
+    )
+
+
+# Jitter-free, with spurious signal echoes one peak halfwidth (500 ps)
+# before and after the primary one: stops land on both edges of the window.
+EDGE_RUN = dict(
+    seed=43,
+    mu=0.3,
+    memories={
+        "signal_794": {
+            "coupling_efficiency": 0.9,
+            "device_efficiency": 0.5,
+            "mean_od": 2.3,
+            "echo_delays": [[31.758, 0.5], [32.258, 1.0], [32.758, 0.5]],
+        },
+        "idler_1535": {
+            "coupling_efficiency": 0.9,
+            "device_efficiency": 0.5,
+            "mean_od": 2.3,
+            "echo_delays": [[6.024, 1.0]],
+        },
+    },
+    detectors=IDEAL_DETECTORS,
+)
+
+# Runs for the central-slot counter: the sign of their recall delay, and ids.
+CENTRAL_RUNS = [
+    (staggered_run(23, 32.258, 32.258), 0),
+    (staggered_run(31, 16.129, 32.258), -1),
+    (staggered_run(37, 32.258, 16.129), 1),
+    (EDGE_RUN, 1),
+]
+CENTRAL_RUN_IDS = ["level", "late-idler", "late-signal", "window-edges"]
+
+# Acceptance criterion 4's stored pairs: memory efficiencies ~100x the
+# hardware values, ideal detectors.
+STORED_RUN = dict(
+    mu=0.016,
+    memories={
+        "signal_794": {
+            "coupling_efficiency": 0.2,
+            "device_efficiency": 0.5,
+            "mean_od": 2.3,
+            "echo_delays": [[32.258, 1.0]],
+        },
+        "idler_1535": {
+            "coupling_efficiency": 0.4,
+            "device_efficiency": 1.0,
+            "mean_od": 2.3,
+            "echo_delays": [[6.024, 1.0]],
+        },
+    },
+    detectors=IDEAL_DETECTORS,
+)
+
+
+def whole_run_central_counts(data):
+    """Central-slot coincidences of a run's joined click arrays, keyed by
+    (signal, idler) port: per port pair, every idler start against the
+    signal stops within the peak halfwidth of the recall delay."""
+    cfg = data.config
+    hw = cfg.tdc.peak_halfwidth_ps
+    delta = recall_delay_ps(cfg)
+    sup = events.BINS.index(events.BIN_SUPERPOSED)
+    sig, idl = data.channels[events.SIGNAL_794], data.channels[events.IDLER_1535]
+    counts = {}
+    for pa in (+1, -1):
+        stops = np.sort(sig.times[(sig.bins == sup) & (sig.ports == pa)])
+        for pb in (+1, -1):
+            starts = idl.times[(idl.bins == sup) & (idl.ports == pb)]
+            lo = np.searchsorted(stops, starts + (delta - hw), side="left")
+            hi = np.searchsorted(stops, starts + (delta + hw), side="right")
+            counts[(pa, pb)] = int((hi - lo).sum())
+    return counts
+
+
 class TestChshSimulation:
     def test_ideal_pairs_violate_bell_bound(self):
         # Low pair rate: multi-pair cycles add uncorrelated coincidences that
@@ -823,9 +923,10 @@ class TestChshSimulation:
         result = chsh_simulation(cfg)
         assert result.estimate.value < 2.0
 
-    def test_central_counts_ignore_click_order(self):
-        # Clicks leave a shard in no time order; the central-slot matcher
-        # must count the same coincidences on any order of the arrays.
+    def test_central_counts_ignore_click_order(self, monkeypatch):
+        # Clicks leave a shard in no time order; the streamed counter must
+        # count the same coincidences on any order of a shard's arrays.
+        monkeypatch.setattr(harness, "SHARD_CYCLES", 7_000)
         cfg = make_config(
             seed=64,
             cycles=50_000,
@@ -835,19 +936,90 @@ class TestChshSimulation:
                 "idler_1535": {"mode": "interferometer", "phase": 0.0},
             },
         )
-        data = simulate(cfg)
-        rng = np.random.default_rng(0)
-        shuffled = {}
-        for ch, rec in data.channels.items():
-            perm = rng.permutation(rec.times.size)
-            arrays = {
-                key: getattr(rec, key)[perm]
-                for key in ("times", "cycles", "ports", "bins", "origins", "outcomes")
-            }
-            shuffled[ch] = harness.ChannelRecord(channel=ch, **arrays)
-        counts = harness._central_port_counts(data)
+        counts = harness._central_counts(cfg)
         assert all(c > 0 for c in counts.values())
-        assert harness._central_port_counts(replace(data, channels=shuffled)) == counts
+        shard, rng = harness._simulate_shard, np.random.default_rng(0)
+
+        def shuffled(*args):
+            classes, clicks = shard(*args)
+            for ch, arrays in clicks.items():
+                perm = rng.permutation(arrays["times"].size)
+                clicks[ch] = {key: col[perm] for key, col in arrays.items()}
+            return classes, clicks
+
+        monkeypatch.setattr(harness, "_simulate_shard", shuffled)
+        assert harness._central_counts(cfg) == counts
+
+    @pytest.mark.parametrize("run, sign", CENTRAL_RUNS, ids=CENTRAL_RUN_IDS)
+    def test_streamed_counts_equal_whole_run(self, run, sign, monkeypatch):
+        # Two-cycle shards are 25 ns long: the echoes, the 1 ns jitter and
+        # the recall delay reach over several of them, forward or backward.
+        monkeypatch.setattr(harness, "SHARD_CYCLES", 2)
+        cfg = make_config(**dict(run, cycles=6_000, analyzers=CENTRAL_ANALYZERS))
+        assert np.sign(recall_delay_ps(cfg)) == sign
+        expected = whole_run_central_counts(simulate(cfg))
+        assert min(expected.values()) > 0
+        assert harness._central_counts(cfg) == expected
+
+    @pytest.mark.parametrize("run, sign", CENTRAL_RUNS, ids=CENTRAL_RUN_IDS)
+    def test_tight_floors_equal_whole_run(self, run, sign, monkeypatch):
+        # Synthetic pieces whose floor is their next click, so each start is
+        # counted in the last piece it can be; clicks tie in time.
+        cfg = make_config(**dict(run, analyzers=CENTRAL_ANALYZERS))
+        rng = np.random.default_rng(abs(recall_delay_ps(cfg)))
+        sup = events.BINS.index(events.BIN_SUPERPOSED)
+        run_clicks = {
+            ch: {
+                "times": rng.integers(0, 200_000, 4_000),
+                "ports": rng.choice(np.array([-1, 1], dtype=np.int8), 4_000),
+                "bins": np.full(4_000, sup, dtype=np.int8),
+            }
+            for ch in events.CHANNELS
+        }
+        edges = [-1, *np.sort(rng.integers(0, 200_000, 40)).tolist(), 200_000]
+        pieces = []
+        for a, b in zip(edges, edges[1:]):
+            later = [rec["times"][rec["times"] >= b] for rec in run_clicks.values()]
+            floor = min(int(t.min(initial=200_000)) for t in later) if b < 200_000 else None
+            piece = {
+                ch: {key: col[(rec["times"] >= a) & (rec["times"] < b)] for key, col in rec.items()}
+                for ch, rec in run_clicks.items()
+            }
+            pieces.append((None, piece, floor))
+        monkeypatch.setattr(harness, "_shards", lambda tables, cycles: iter(pieces))
+        channels = {ch: SimpleNamespace(**rec) for ch, rec in run_clicks.items()}
+        expected = whole_run_central_counts(SimpleNamespace(config=cfg, channels=channels))
+        assert min(expected.values()) > 0
+        assert harness._central_counts(cfg) == expected
+
+    @pytest.mark.parametrize("program", ["chsh", "phase-sweep"])
+    def test_peak_memory_independent_of_cycles(self, program):
+        # The counter keeps a shard's central-slot keys and the carried
+        # window, so ten times the cycles leaves the peak where it was.
+        peaks = []
+        for cycles in (2_000_000, 20_000_000):
+            cfg = make_config(cycles=cycles, **STORED_RUN)
+            tracemalloc.start()
+            try:
+                if program == "chsh":
+                    chsh_simulation(cfg)
+                else:
+                    sweep(cfg, "analyzer_phase", [0.0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
+    def test_no_product_path_joins_a_whole_run(self, tmp_path, monkeypatch):
+        def joined(cfg):
+            raise AssertionError("simulate() joins a whole run's click arrays")
+
+        monkeypatch.setattr(harness, "simulate", joined)
+        cfg = make_config(seed=65, cycles=20_000, analyzers=CENTRAL_ANALYZERS, **STORED_RUN)
+        chsh_simulation(cfg)
+        sweep(cfg, "mu", [0.05])
+        sweep(cfg, "analyzer_phase", [0.0, 1.0])
+        run_simulation(cfg, tmp_path)
 
     def test_deterministic(self):
         cfg = make_config(seed=63, cycles=50_000, mu=0.1, detectors=IDEAL_DETECTORS)
