@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import events
-from .csvio import csv_rows, write_csv
+from .csvio import write_csv
 from .linalg import ProjectorSetting, projector
 
 # The values are the config tokens of analyzers.<channel>.mode.
@@ -35,6 +35,10 @@ DEFAULT_JITTER_FWHM_PS = 250.0
 HISTOGRAM_CSV_HEADER = ("bin_start_ps", "count")
 
 DEFAULT_PEAK_HALFWIDTH_PS = 500
+
+# tdc_histogram_from_times walks the sorted starts this many at a time, so a
+# pass's temporaries hold one block: 256 kB per int64 array, cache-sized.
+_BLOCK_STARTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -191,27 +195,6 @@ class CoincidenceHistogram:
         write_csv(path, HISTOGRAM_CSV_HEADER, rows)
 
 
-def histogram_from_csv(path) -> CoincidenceHistogram:
-    """Read a histogram written by CoincidenceHistogram.to_csv."""
-    rows = []
-    for line_no, raw in csv_rows(path, HISTOGRAM_CSV_HEADER, "histogram"):
-        try:
-            rows.append((int(raw[0]), int(raw[1])))
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: non-integer field") from None
-    if len(rows) < 2:
-        raise ValueError(f"{path}: histogram needs at least two bins")
-    starts = np.array([r[0] for r in rows])
-    widths = np.diff(starts)
-    if not np.all(widths == widths[0]):
-        raise ValueError(f"{path}: histogram bins must be uniform")
-    counts = np.array([r[1] for r in rows], dtype=np.int64)
-    try:
-        return CoincidenceHistogram(int(widths[0]), -int(starts[0]), counts, n_starts=0)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def tdc_histogram_from_times(
     start_times_ps: np.ndarray,
     stop_times_ps: np.ndarray,
@@ -223,25 +206,29 @@ def tdc_histogram_from_times(
     Every stop in [start - window, start + window) counts once per start.
     Each start walks the sorted stops from the first one in its window: a
     pass bins every start's current stop and drops the starts whose stop
-    has left their window.  Memory is O(starts + stops), with no pair-sized
+    has left their window.  The sorted starts are walked in blocks of
+    _BLOCK_STARTS, each with its own passes, so memory is the sorted copies
+    of the starts and stops plus one block's temporaries, with no pair-sized
     temporary; time is O(pairs + starts) of vector work spread over as many
     passes as the fullest window holds stops, so a burst of 1e5 stops in
     one window costs 1e5 passes (~1 s) however few starts see it."""
     starts = np.sort(np.asarray(start_times_ps, dtype=np.int64))
-    stops = np.sort(np.asarray(stop_times_ps, dtype=np.int64))
+    # A sentinel at the last start's window end, which no window holds, ends
+    # each walk in bounds wherever it sorts; the one copy is sorted in place.
+    stops = np.append(np.asarray(stop_times_ps, dtype=np.int64), starts[-1:] + window_ps)
+    stops.sort()
     hist = CoincidenceHistogram.empty(bin_width_ps, window_ps)
     counts = np.zeros(hist.n_bins, dtype=np.int64)
-    origin = starts - window_ps  # each start's window opens here
-    idx = np.searchsorted(stops, origin, side="left")
-    # A sentinel stop past every window ends each walk in bounds.
-    stops = np.append(stops, starts[-1:] + window_ps)
-    while origin.size:
-        d = stops[idx] - origin
-        inside = np.flatnonzero(d < 2 * window_ps)
-        if inside.size < d.size:  # gather only when some walk has ended
-            origin, idx, d = origin[inside], idx[inside], d[inside]
-        counts += np.bincount(d // bin_width_ps, minlength=counts.size)
-        idx += 1
+    for first in range(0, starts.size, _BLOCK_STARTS):
+        origin = starts[first : first + _BLOCK_STARTS] - window_ps  # each window opens here
+        idx = np.searchsorted(stops, origin, side="left")
+        while origin.size:
+            d = stops[idx] - origin
+            inside = np.flatnonzero(d < 2 * window_ps)
+            if inside.size < d.size:  # gather only when some walk has ended
+                origin, idx, d = origin[inside], idx[inside], d[inside]
+            counts += np.bincount(d // bin_width_ps, minlength=counts.size)
+            idx += 1
     return hist.with_counts(counts, n_starts=int(starts.size))
 
 
@@ -264,6 +251,7 @@ def tdc_histogram_from_stream(pieces, bin_width_ps: int, window_ps: int) -> Coin
         floor = np.iinfo(np.int64).max if floor is None else floor
         starts = np.concatenate([starts, new_starts])
         stops = np.concatenate([stops, new_stops])
+        del new_starts, new_stops  # nothing of a piece is held while the next is drawn
         # A start's stops lie below start + window: once the floor is there,
         # no later click can join it.
         early = starts + window_ps <= floor
@@ -273,6 +261,7 @@ def tdc_histogram_from_stream(pieces, bin_width_ps: int, window_ps: int) -> Coin
         reach = min(floor, int(starts.min(initial=floor))) - window_ps
         stops = stops[stops >= reach]
         bound = max(bound, floor)
+        del early, ready
     return hist
 
 

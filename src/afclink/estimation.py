@@ -72,6 +72,7 @@ class G2Estimate:
     sigma: float
     peak_counts: int
     reference_counts: int
+    reference_periods: tuple[int, ...]
 
 
 def g2_cross(
@@ -109,7 +110,7 @@ def g2_cross(
     value = peak / mean_ref
     n_peak = max(peak, 1)
     sigma = (n_peak / mean_ref) * math.sqrt(1.0 / n_peak + 1.0 / total_ref)
-    return G2Estimate(value, sigma, peak, total_ref)
+    return G2Estimate(value, sigma, peak, total_ref, tuple(n_values))
 
 
 # ---------------------------------------------------------------------------

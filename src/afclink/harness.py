@@ -20,10 +20,10 @@ time-sorted within a shard.
 The start-stop histogram is streamed shard by shard through
 detection.tdc_histogram_from_stream, with the floor below which no later
 shard has a click; it equals one pass over the whole run bit for bit.
-run_simulation makes one pass over the shards and keeps no click arrays: the
-histogram, the events.csv writer and the summary tallies each take a shard in
-turn, and only the rows at or above the floor are carried to the next; so do
-the CHSH matching and both sweeps.  No product path calls simulate(), which
+run_simulation, the CHSH matching and both sweeps make one pass over the
+shards and keep no click arrays.  The mu sweep, and run_simulation once its
+events.csv rows and tallies are taken, keep only a shard's two times arrays,
+so no two shards are held at once.  No product path calls simulate(), which
 joins a whole run's click arrays for the Python API.
 """
 
@@ -93,7 +93,6 @@ DATA_TOMOGRAPHY_IN = "tomography_before_storage.csv"
 DATA_TOMOGRAPHY_OUT = "tomography_after_storage.csv"
 DATA_CHSH = "chsh_correlations.csv"
 DATA_WAVELENGTH = "wavelength_efficiency.csv"
-DATA_SYNTHETIC_COMB = "synthetic_comb.csv"
 
 SWEEP_PARAMETERS = ("mu", "analyzer_phase")
 
@@ -208,13 +207,14 @@ def _memory_table(config: MemoryConfig | None) -> _MemoryTable | None:
 @dataclass(frozen=True, eq=False)
 class _ChannelTable:
     """One arm: its analyzer outcomes (slot, port, bin), the cumulative
-    outcome table of a lone photon, its memory and detector, and the
-    probability q that one of its photons is detected."""
+    outcome table of a lone photon and its outcome in each joint one, its
+    memory and detector, and the probability q of detecting its photon."""
 
     slots: np.ndarray
     ports: np.ndarray
     bins: np.ndarray
     single_cum: np.ndarray
+    joint_pick: np.ndarray
     memory: _MemoryTable | None
     detector: DetectorConfig
     p_detect: float
@@ -226,7 +226,6 @@ class _EngineTables:
     mu: float
     rep_period_ps: int
     joint_cum: np.ndarray
-    n_out_idler: int
     channels: dict[str, _ChannelTable]
 
 
@@ -238,8 +237,10 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     # Rows: the signal arm, columns: the idler arm.  A lone photon, whose
     # partner goes undetected, draws from its arm's marginal.
     marginals = (joint.sum(axis=1), joint.sum(axis=0))
+    # Each arm's outcome in every joint outcome, in joint_cum's row-major order.
+    joint_picks = np.indices(joint.shape).reshape(2, -1)
     channels = {}
-    for ch, out, marginal in zip(events.CHANNELS, outs, marginals):
+    for ch, out, marginal, joint_pick in zip(events.CHANNELS, outs, marginals, joint_picks):
         memory = _memory_table(cfg.memory_config(ch))
         detector = cfg.detectors[ch]
         channels[ch] = _ChannelTable(
@@ -247,6 +248,7 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
             ports=np.array([o.port for o in out], dtype=np.int8),
             bins=np.array([_BIN_CODE[o.bin] for o in out], dtype=np.int8),
             single_cum=np.cumsum(marginal),
+            joint_pick=joint_pick,
             memory=memory,
             detector=detector,
             # The detector efficiency is the same for every memory outcome and port.
@@ -257,7 +259,6 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
         mu=src.mean_pairs_per_pulse,
         rep_period_ps=src.rep_period_ps,
         joint_cum=np.cumsum(joint.reshape(-1)),
-        n_out_idler=len(outs[1]),
         channels=channels,
     )
 
@@ -297,15 +298,15 @@ def _simulate_shard(
     probs = np.array([q_s * q_i, q_s * (1 - q_i), (1 - q_s) * q_i, (1 - q_s) * (1 - q_i)])
     classes = rng.poisson(t.mu * n_cycles * probs)
     n_both, n_sig, n_idl, _ = classes.tolist()
-    both_cycles = rng.integers(0, n_cycles, n_both)
-    lone_cycles = [rng.integers(0, n_cycles, n) for n in (n_sig, n_idl)]
-
-    joint_idx = np.divmod(_draw_outcomes(t.joint_cum, n_both, rng), t.n_out_idler)
+    end = first_cycle + n_cycles
+    both = rng.integers(first_cycle, end, n_both)
+    cycles = [np.concatenate([both, rng.integers(first_cycle, end, n)]) for n in (n_sig, n_idl)]
+    joint = _draw_outcomes(t.joint_cum, n_both, rng)
     picks = [
-        np.concatenate([joint, _draw_outcomes(tab.single_cum, lone.size, rng)])
-        for tab, joint, lone in zip(tabs, joint_idx, lone_cycles)
+        np.concatenate([tab.joint_pick[joint], _draw_outcomes(tab.single_cum, n, rng)])
+        for tab, n in zip(tabs, (n_sig, n_idl))
     ]
-    cycles = [np.concatenate([both_cycles, lone]) + first_cycle for lone in lone_cycles]
+    del both, joint  # copied into each channel's cycles and picks: freed now
     # A channel with no memory passes every photon unchanged; nothing is drawn.
     mem_picks = [
         None if tab.memory is None else _draw_memory(tab.memory, c.size, rng)
@@ -315,9 +316,12 @@ def _simulate_shard(
     span = n_cycles * t.rep_period_ps
     lo = first_cycle * t.rep_period_ps
     shard: dict[str, dict[str, np.ndarray]] = {}
-    for ch, tab, pick, cyc, mpick in zip(events.CHANNELS, tabs, picks, cycles, mem_picks):
+    for ch, tab in zip(events.CHANNELS, tabs):
+        # Popped, so no list holds a channel's picks once its arrays are built.
+        pick, cyc, mpick = picks.pop(0), cycles.pop(0), mem_picks.pop(0)
         mem, det = tab.memory, tab.detector
-        times = cyc * t.rep_period_ps + tab.slots[pick]
+        times = cyc * t.rep_period_ps
+        times += tab.slots[pick]
         if mem is None:
             origins = np.full(times.size, _ORIGIN_CODE[events.ORIGIN_PAIR], dtype=np.int8)
             outcomes = np.full(times.size, _OUTCOME_NONE, dtype=np.int16)
@@ -327,7 +331,7 @@ def _simulate_shard(
             outcomes = mem.codes[mpick]
         if det.jitter_sigma_ps > 0.0:
             shift = rng.normal(0.0, det.jitter_sigma_ps, times.size)
-            times += np.rint(shift).astype(np.int64)
+            times += np.rint(shift, out=shift).astype(np.int64)
         arrays = {
             "times": times,
             "cycles": cyc,
@@ -348,6 +352,11 @@ def _simulate_shard(
             arrays = {key: np.concatenate([val, fill[key]]) for key, val in arrays.items()}
         shard[ch] = arrays
     return classes, shard
+
+
+def _pop_times(clicks: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A shard's idler and signal times, popped so the rest of its clicks is freed."""
+    return clicks.pop(events.IDLER_1535)["times"], clicks.pop(events.SIGNAL_794)["times"]
 
 
 def _shards(t: _EngineTables, n_cycles: int):
@@ -510,6 +519,7 @@ def _g2_payload(hist, delay_ps: int, cfg: ExperimentConfig) -> dict | None:
         "sigma": float(est.sigma),
         "peak_counts": int(est.peak_counts),
         "reference_counts": int(est.reference_counts),
+        "reference_periods": list(est.reference_periods),
     }
 
 
@@ -574,12 +584,12 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
         carry = None
         for counts, clicks, floor in _shards(tables, cfg.run.cycles):
             classes += counts
-            for ch, rec in clicks.items():
+            for ch in events.CHANNELS:
                 tally = detections[ch.lower()]
-                tally["total"] += int(rec["times"].size)
-                tally["dark"] += _dark_count(rec["origins"])
+                tally["total"] += int(clicks[ch]["times"].size)
+                tally["dark"] += _dark_count(clicks[ch]["origins"])
             carry = _settle_events(fh, carry, clicks, floor)
-            yield clicks[events.IDLER_1535]["times"], clicks[events.SIGNAL_794]["times"], floor
+            yield *_pop_times(clicks), floor
 
     events_path = out / "events.csv"
     partial = out / "events.csv.partial"
@@ -980,7 +990,7 @@ def sweep(
             sub = replace(base, source=replace(base.source, mean_pairs_per_pulse=value))
             # Straight from the shards: no run's click arrays are kept.
             pieces = (
-                (clicks[events.IDLER_1535]["times"], clicks[events.SIGNAL_794]["times"], floor)
+                (*_pop_times(clicks), floor)
                 for _, clicks, floor in _shards(_build_tables(sub), sub.run.cycles)
             )
             est = g2_cross(

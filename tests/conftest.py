@@ -1,10 +1,16 @@
-"""Config and profile builders shared by the test modules (imported as
-`conftest`)."""
+"""Config and profile builders, and the readers of files that only tests
+read, shared by the test modules (imported as `conftest`)."""
 
 import numpy as np
 
 from afclink.config import config_from_dict
+from afclink.csvio import csv_rows
+from afclink.detection import HISTOGRAM_CSV_HEADER, CoincidenceHistogram
+from afclink.harness import data_path
 from afclink.memory import CombSpectrum
+
+# The shipped comb profile: only tests read it.
+SYNTHETIC_COMB = data_path("synthetic_comb.csv")
 
 # Every photon offered is detected, on time, and no dark counts.
 IDEAL_DETECTORS = {
@@ -30,3 +36,24 @@ def noisy_flat_profile(seed):
     on a 2001-point, 2 MHz grid."""
     rng = np.random.default_rng(seed)
     return CombSpectrum(np.arange(-2000.0, 2002.0, 2.0), 0.7 + rng.normal(0.0, 0.01, 2001))
+
+
+def histogram_from_csv(path) -> CoincidenceHistogram:
+    """Read a histogram written by CoincidenceHistogram.to_csv."""
+    rows = []
+    for line_no, raw in csv_rows(path, HISTOGRAM_CSV_HEADER, "histogram"):
+        try:
+            rows.append((int(raw[0]), int(raw[1])))
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: non-integer field") from None
+    if len(rows) < 2:
+        raise ValueError(f"{path}: histogram needs at least two bins")
+    starts = np.array([r[0] for r in rows])
+    widths = np.diff(starts)
+    if not np.all(widths == widths[0]):
+        raise ValueError(f"{path}: histogram bins must be uniform")
+    counts = np.array([r[1] for r in rows], dtype=np.int64)
+    try:
+        return CoincidenceHistogram(int(widths[0]), -int(starts[0]), counts, n_starts=0)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -7,10 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import noisy_flat_profile
+from conftest import SYNTHETIC_COMB, noisy_flat_profile
 
 from afclink.cli import main
-from afclink.harness import DATA_SYNTHETIC_COMB, data_path
 from afclink.memory import comb_to_csv
 
 
@@ -259,7 +258,7 @@ class TestComb:
     @pytest.mark.parametrize("command", ["fit", "echoes"])
     @pytest.mark.parametrize("grid, line", [("reversed", 3), ("uneven", 12)])
     def test_bad_detuning_grid_names_file_and_line(self, tmp_path, capsys, command, grid, line):
-        header, *rows = data_path(DATA_SYNTHETIC_COMB).read_text().splitlines()
+        header, *rows = SYNTHETIC_COMB.read_text().splitlines()
         if grid == "reversed":
             rows.reverse()
         else:
@@ -296,7 +295,7 @@ class TestComb:
 
     @pytest.mark.parametrize("threshold", ["nan", "-0.1"])
     def test_echoes_threshold_outside_unit_interval_exits_1(self, capsys, threshold):
-        comb = str(data_path(DATA_SYNTHETIC_COMB))
+        comb = str(SYNTHETIC_COMB)
         obj = stderr_error(
             capsys, ["comb", "echoes", "--input", comb, "--rel-threshold", threshold]
         )

@@ -32,7 +32,6 @@ ROUND_TRIP = "round-trip reader or writer of a file format the package writes or
 KEEP = {
     "cli._Parser.error": "argparse calls it to report a usage error",
     "detection.AnalyzerSetting.from_projector": "planned: simulated tomography (ROADMAP)",
-    "detection.histogram_from_csv": ROUND_TRIP,
     "estimation.__getattr__": (
         "module hook for the lazy scipy.optimize that bench/tracing.py wraps; "
         "goes with the next benchmark change (ROADMAP)"
@@ -58,7 +57,6 @@ KEEP = {
     "harness.simulate": (
         "the README's Python API, bench/tracing.py and bench/reference.py bind it"
     ),
-    "harness.DATA_SYNTHETIC_COMB": "names a shipped data file that only tests read",
     "harness.events_from_csv": ROUND_TRIP,
 }
 

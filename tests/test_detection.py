@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import IDEAL_DETECTORS, make_config
+from conftest import IDEAL_DETECTORS, histogram_from_csv, make_config
 from scipy.stats import chi2
 
 from afclink import detection, events, harness
@@ -23,7 +23,6 @@ from afclink.detection import (
     DetectorConfig,
     analyzer_outcomes,
     coincidence_rate,
-    histogram_from_csv,
     joint_outcome_table,
     tdc_histogram_from_times,
 )
@@ -533,9 +532,16 @@ def random_traffic(rng, kind):
     return 80 * rng.integers(0, 30, n_start), 80 * rng.integers(0, 30, n_stop)
 
 
+@pytest.fixture(params=[1, 3, None], ids=["block-1", "block-3", "block-default"])
+def block_starts(request, monkeypatch):
+    """Walk the starts in blocks of one, of three or of the default size."""
+    if request.param is not None:
+        monkeypatch.setattr(detection, "_BLOCK_STARTS", request.param)
+
+
 class TestHistogramFromTimes:
     @pytest.mark.parametrize("kind", ["sparse", "dense", "negative", "ties"])
-    def test_equals_brute_force(self, kind):
+    def test_equals_brute_force(self, kind, block_starts):
         rng = np.random.default_rng(17)
         densest = 0
         for _ in range(40):
@@ -549,7 +555,7 @@ class TestHistogramFromTimes:
         if kind == "dense":
             assert densest >= 50
 
-    def test_window_edges(self):
+    def test_window_edges(self, block_starts):
         # Each start's walk runs from its -window stop to past its +window one.
         starts = np.array([10_000, 20_000])
         stops = np.array([10_000 - 800, 10_000, 10_000 + 799, 10_000 + 800,
@@ -577,7 +583,32 @@ class TestHistogramFromTimes:
         assert hist.counts.sum() == 2_000 * 2_000
         assert peak < 1_000_000
 
-    def test_empty_inputs(self):
+    def test_peak_memory_is_the_sorted_inputs_and_one_block(self):
+        # 4e5 starts and 4e5 stops spread over 1 s: 13 blocks of
+        # starts, each walked with its own temporaries, beside one sorted
+        # copy of each input.
+        rng = np.random.default_rng(8)
+        starts = rng.integers(0, 10**12, 400_000)
+        stops = rng.integers(0, 10**12, 400_000)
+        tracemalloc.start()
+        try:
+            hist = tdc_histogram_from_times(starts, stops, 80, 70_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (starts.nbytes + stops.nbytes), peak
+        # Every start-stop pair in a window, listed directly.
+        stops = np.sort(stops)
+        first, end = np.searchsorted(stops, [starts - 70_000, starts + 70_000])
+        n = end - first
+        pair_stops = np.arange(n.sum()) + np.repeat(first - np.cumsum(n) + n, n)
+        delays = stops[pair_stops] - np.repeat(starts, n)
+        assert delays.size > 10_000
+        expected = np.bincount((delays + 70_000) // 80, minlength=hist.n_bins)
+        assert np.array_equal(hist.counts, expected)
+        assert hist.n_starts == starts.size
+
+    def test_empty_inputs(self, block_starts):
         assert tdc_histogram_from_times([], [5], 80, 800).counts.sum() == 0
         hist = tdc_histogram_from_times([5, 6], [], 80, 800)
         assert hist.counts.sum() == 0
@@ -606,7 +637,10 @@ def random_pieces(rng, n_pieces, span, spill):
 class TestHistogramFromStream:
     @pytest.mark.parametrize("window", [80, 800, 8_000])
     @pytest.mark.parametrize("span, spill", [(50, 0), (300, 200), (2_000, 1_500)])
-    def test_equals_single_pass(self, window, span, spill):
+    @pytest.mark.parametrize(
+        "block_starts", [1, None], ids=["block-1", "block-default"], indirect=True
+    )
+    def test_equals_single_pass(self, window, span, spill, block_starts):
         # Windows from a fraction of a piece to many pieces, with pieces
         # that reach back into their predecessors.
         rng = np.random.default_rng(window + span)

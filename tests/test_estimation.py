@@ -157,6 +157,7 @@ class TestG2Cross:
         h = put(put(put(flat_histogram(window_ps=20_000), 0, 90), -12_500, 20), 12_500, 10)
         est = g2_cross(h, delay_ps=0)
         assert est.reference_counts == 30
+        assert est.reference_periods == (-1, 1)
         assert est.value == pytest.approx(6.0, abs=1e-12)
         # +-12 ns holds no reference window at all.
         with pytest.raises(UndefinedEstimateError, match="g2 at 0 ps: .*12000 ps histogram; 0 references"):
@@ -181,6 +182,7 @@ class TestG2Cross:
             h = put(h, 26_230 + n * 12_500, 30)
         est = g2_cross(h, delay_ps=26_230)
         assert est.reference_counts == 8 * 30
+        assert est.reference_periods == (-5, -4, -3, -2, -1, 1, 2, 3)
         assert est.value == pytest.approx(10.0, abs=1e-12)
 
     def test_empty_peak_has_one_count_poisson_bound(self):

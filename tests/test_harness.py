@@ -16,16 +16,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import IDEAL_DETECTORS, make_config
+from conftest import IDEAL_DETECTORS, SYNTHETIC_COMB, histogram_from_csv, make_config
 
 import afclink
-from afclink import events, harness
+from afclink import detection, events, harness
 from afclink.cli import main as cli_main
 from afclink.config import load_config
 from afclink.detection import (
     analyzer_outcomes,
     coincidence_rate,
-    histogram_from_csv,
     tdc_histogram_from_times,
 )
 from afclink.errors import ConfigError, UndefinedEstimateError
@@ -33,7 +32,6 @@ from afclink.estimation import CHSH_PAIRS, g2_cross, visibility_fit
 from afclink.harness import (
     CHSH_CSV_HEADER,
     DATA_CHSH,
-    DATA_SYNTHETIC_COMB,
     DATA_TOMOGRAPHY_IN,
     DATA_TOMOGRAPHY_OUT,
     DATA_WAVELENGTH,
@@ -245,6 +243,26 @@ class TestRunSimulation:
             "numpy": np.__version__,
         }
         assert json.loads(res.summary_path.read_text()) == res.summary
+
+    def test_g2_payloads_list_their_reference_periods(self, tmp_path):
+        # Each g2 names the periods n whose windows, delay + n * 12.5 ns
+        # +- 500 ps, fit in the +-70 ns histogram, and pools exactly those.
+        cfg = load_config(ROOT / "configs" / "realistic.json")
+        res = run_simulation(cfg, tmp_path)
+        period, hw = cfg.source.rep_period_ps, cfg.tdc.peak_halfwidth_ps
+        window = cfg.tdc.window_ps
+        payloads = [(0, res.summary["g2_zero_delay"])]
+        payloads.append((res.summary["g2_recall"]["delay_ps"], res.summary["g2_recall"]["g2"]))
+        payloads += [(peak["delay_ps"], peak["g2"]) for peak in res.summary["peaks"]]
+        assert payloads[1][0] == 26_234
+        assert len(payloads) >= 4
+        for delay, g2 in payloads:
+            periods = [n for n in range(-5, 6) if n and abs(delay + n * period) + hw <= window]
+            assert g2["reference_periods"] == periods
+            refs = [coincidence_rate(res.histogram, delay + n * period, hw) for n in periods]
+            assert g2["reference_counts"] == sum(refs)
+        assert payloads[0][1]["reference_periods"] == [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
+        assert payloads[1][1]["reference_periods"] == [-5, -4, -3, -2, -1, 1, 2, 3]
 
     def test_out_dir_created(self, tmp_path):
         cfg = make_config(seed=1, cycles=1_000, mu=0.05)
@@ -617,15 +635,18 @@ class TestStreamedHistogram:
         self.assert_single_pass(data.histogram(), data)
         self.assert_single_pass(sweep_histogram(cfg, monkeypatch), data)
 
-    def test_window_spans_several_shards(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, None], ids=["block-1", "block-default"])
+    def test_window_spans_several_shards(self, block, monkeypatch):
         # Two-cycle shards are 25 ns long, so the +-70 ns window spans about
         # six of them; comb echoes, jitter and dark counts all cross shard
-        # edges.
+        # edges.  With blocks of one start, every start is walked alone.
         monkeypatch.setattr(harness, "SHARD_CYCLES", 2)
         cfg = shipped_config("demo", 1_501, mu=0.5, dark_rate_hz=5e6)
         data = simulate(cfg)
         assert len(data.shards) == 751
         assert min(rec.dark_count for rec in data.channels.values()) > 0
+        if block is not None:
+            monkeypatch.setattr(detection, "_BLOCK_STARTS", block)
         self.assert_single_pass(data.histogram(), data)
         self.assert_single_pass(sweep_histogram(cfg, monkeypatch), data)
 
@@ -642,6 +663,22 @@ class TestStreamedHistogram:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+    def test_sweep_peak_memory_is_about_one_shard(self):
+        # One point holds one shard's click arrays and the histogram's
+        # working set, never a second shard beside them.
+        cfg = shipped_config("source_only", SHARD_CYCLES)
+        sub = replace(cfg, source=replace(cfg.source, mean_pairs_per_pulse=0.128))
+        _, clicks = harness._simulate_shard(harness._build_tables(sub), 0, 0, SHARD_CYCLES)
+        shard_bytes = sum(a.nbytes for rec in clicks.values() for a in rec.values())
+        del clicks
+        tracemalloc.start()
+        try:
+            sweep(cfg, "mu", [0.128], cycles_per_point=SHARD_CYCLES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * shard_bytes, (peak, shard_bytes)
 
 
 # Both memories with a spurious echo on either side of the primary one, so
@@ -1297,7 +1334,7 @@ class TestWavelengthTable:
 
 class TestShippedCombFile:
     def test_fit_recovers_generation_parameters(self):
-        fit = fit_comb(comb_from_csv(data_path(DATA_SYNTHETIC_COMB)))
+        fit = fit_comb(comb_from_csv(SYNTHETIC_COMB))
         assert fit.delta_mhz == pytest.approx(31.0, abs=0.3)
         assert fit.finesse == pytest.approx(2.0, abs=0.05)
         assert fit.background_od == pytest.approx(0.3, abs=0.02)

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import SYNTHETIC_COMB
+
 REPO = Path(__file__).resolve().parents[1]
 
 _SCRIPT = r"""
@@ -22,7 +24,7 @@ from pathlib import Path
 import afclink.cli
 from afclink import cli, config, harness
 
-work, configs = Path(sys.argv[1]), Path(sys.argv[2])
+work, configs, comb = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
 
 
 def shrunk(name):
@@ -46,13 +48,11 @@ codes = [
          "--values", "0.05,0.1", "--cycles", "20000"]
     ),
     cli.main(["report", "--out-dir", str(work / "report"), "--trials", "100"]),
-    cli.main(["comb", "echoes", "--input", str(harness.data_path(harness.DATA_SYNTHETIC_COMB))]),
+    cli.main(["comb", "echoes", "--input", comb]),
 ]
 harness.chsh_simulation(config.load_config(bell))
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-codes.append(
-    cli.main(["comb", "fit", "--input", str(harness.data_path(harness.DATA_SYNTHETIC_COMB))])
-)
+codes.append(cli.main(["comb", "fit", "--input", comb]))
 fit_loaded = "scipy.optimize" in sys.modules
 
 from afclink import estimation
@@ -70,7 +70,7 @@ def test_product_paths_never_import_scipy(tmp_path):
         [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(tmp_path), str(REPO / "configs")],
+        [sys.executable, "-c", _SCRIPT, str(tmp_path), str(REPO / "configs"), str(SYNTHETIC_COMB)],
         capture_output=True,
         text=True,
         env=env,

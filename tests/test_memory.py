@@ -10,12 +10,12 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import IDEAL_DETECTORS, make_config, noisy_flat_profile
+from conftest import IDEAL_DETECTORS, SYNTHETIC_COMB, make_config, noisy_flat_profile
 
 from afclink import events, harness
 from afclink.errors import FitError
 from afclink.estimation import find_peaks
-from afclink.harness import DATA_SYNTHETIC_COMB, data_path, simulate
+from afclink.harness import simulate
 from afclink.memory import (
     CombSpectrum,
     MemoryConfig,
@@ -281,7 +281,7 @@ class TestFitComb:
         # fit_comb takes only a CombSpectrum, and a reversed or uneven grid
         # fails when that is built; scipy's fit would fail on such a grid
         # with a bound error that names nothing.
-        comb = comb_from_csv(data_path(DATA_SYNTHETIC_COMB))
+        comb = comb_from_csv(SYNTHETIC_COMB)
         detuning, od = comb.detuning_mhz.copy(), comb.od
         if bad == "reversed":
             detuning, od = detuning[::-1], od[::-1]
