@@ -16,6 +16,8 @@ photon's nominal arrival, with T the bin separation.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import starmap
 
 import numpy as np
 
@@ -232,37 +234,44 @@ def tdc_histogram_from_times(
     return hist.with_counts(counts, n_starts=int(starts.size))
 
 
-def tdc_histogram_from_stream(pieces, bin_width_ps: int, window_ps: int) -> CoincidenceHistogram:
-    """tdc_histogram_from_times over clicks that arrive in pieces, equal bit
-    for bit to one pass over all of them.
-
-    Each piece is (start times, stop times, floor): no click of a later piece
-    lies below the floor, which is None on the last piece.  A start is
-    histogrammed once the floor has passed its window, against the stops
-    seen so far, so it counts once with every stop it reaches.  Between
-    pieces only the pending starts and the stops that they or later starts
-    can reach are kept, about one window of clicks."""
-    hist = CoincidenceHistogram.empty(bin_width_ps, window_ps)
+def windowed_stream(pieces, lo_ps: int, hi_ps: int):
+    """Every start of clicks that arrive in pieces (starts, stops, floor), once
+    its window [start + lo, start + hi) is whole, with the stops seen so far
+    that the window can hold.  No click of a later piece lies below the floor
+    (None on the last piece): one that does raises ValueError.  Between pieces
+    only the pending starts and the stops they or later starts can reach stay."""
     starts = stops = np.zeros(0, dtype=np.int64)
     bound = np.iinfo(np.int64).min  # the highest floor so far
     for new_starts, new_stops, floor in pieces:
         if any(t.size and t.min() < bound for t in (new_starts, new_stops)):
             raise ValueError("a click lies below the floor of an earlier piece")
-        floor = np.iinfo(np.int64).max if floor is None else floor
         starts = np.concatenate([starts, new_starts])
         stops = np.concatenate([stops, new_stops])
         del new_starts, new_stops  # nothing of a piece is held while the next is drawn
-        # A start's stops lie below start + window: once the floor is there,
-        # no later click can join it.
-        early = starts + window_ps <= floor
+        if floor is None:  # the last piece: every pending start is ready
+            break
+        early = starts + hi_ps <= floor
         ready, starts = starts[early], starts[~early]
         if ready.size:
-            hist = hist.merge(tdc_histogram_from_times(ready, stops, bin_width_ps, window_ps))
-        reach = min(floor, int(starts.min(initial=floor))) - window_ps
-        stops = stops[stops >= reach]
-        bound = max(bound, floor)
+            yield ready, stops
         del early, ready
-    return hist
+        stops = stops[stops >= min(floor, int(starts.min(initial=floor))) + lo_ps]
+        bound = max(bound, floor)
+    if starts.size:
+        yield starts, stops
+
+
+def tdc_histogram_from_stream(pieces, bin_width_ps: int, window_ps: int) -> CoincidenceHistogram:
+    """tdc_histogram_from_times folded over windowed_stream's (-window,
+    +window) windows, equal bit for bit to one pass over every piece.
+    starmap drops each piece as its histogram returns, so none is held
+    while the next is drawn."""
+    hists = starmap(
+        lambda starts, stops: tdc_histogram_from_times(starts, stops, bin_width_ps, window_ps),
+        windowed_stream(pieces, -window_ps, window_ps),
+    )
+    empty = CoincidenceHistogram.empty(bin_width_ps, window_ps)
+    return reduce(CoincidenceHistogram.merge, hists, empty)
 
 
 def coincidence_rate(

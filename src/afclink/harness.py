@@ -17,14 +17,13 @@ channel by channel, detector jitter and dark counts.
 Changing that order would change every seeded result.  Click arrays are not
 time-sorted within a shard.
 
-The start-stop histogram is streamed shard by shard through
-detection.tdc_histogram_from_stream, with the floor below which no later
-shard has a click; it equals one pass over the whole run bit for bit.
-run_simulation, the CHSH matching and both sweeps make one pass over the
-shards and keep no click arrays.  The mu sweep, and run_simulation once its
-events.csv rows and tallies are taken, keep only a shard's two times arrays,
-so no two shards are held at once.  No product path calls simulate(), which
-joins a whole run's click arrays for the Python API.
+Each shard comes with the floor below which no later shard has a click.
+detection.windowed_stream is the one carry of that rule: the start-stop
+histogram (run_histogram, and run_simulation once a shard's events.csv rows
+and tallies are taken) and the central-slot counts (_central_counts) are
+folds over it, equal bit for bit to one pass over the whole run.  Each holds
+a shard's times or keys, never two shards.  No product path calls
+simulate(), which joins a whole run's click arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from itertools import starmap
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from .detection import (
     analyzer_outcomes,
     joint_outcome_table,
     tdc_histogram_from_stream,
+    windowed_stream,
 )
 from .errors import UndefinedEstimateError
 from .estimation import (
@@ -69,7 +71,7 @@ from .memory import MemoryConfig
 
 SHARD_CYCLES = 1_000_000
 # Detector jitter moves a click by less than this many sigma: a Gaussian draw
-# beyond it has P < 1e-300, and tdc_histogram_from_stream fails if one does.
+# beyond it has P < 1e-300; windowed_stream fails if one does, in either stream.
 _JITTER_BOUND_SIGMAS = 40
 # events.csv rows formatted per write; bounds the writer's memory.
 _EVENTS_CHUNK_ROWS = 1 << 14
@@ -149,31 +151,16 @@ def _dark_count(origins: np.ndarray) -> int:
 @dataclass(frozen=True, eq=False)
 class SimulationData:
     """Click arrays per channel, the emitted pairs counted per PAIR_CLASSES
-    class, and the configured detection probability of each channel.
-
-    `shards` holds, per shard, where its clicks end in the idler and the
-    signal arrays, and the floor of every later click (None after the last)."""
+    class, and the configured detection probability of each channel."""
 
     config: ExperimentConfig
     pair_classes: dict[str, int]
     p_detect: dict[str, float]
     channels: dict[str, ChannelRecord]
-    shards: tuple[tuple[int, int, int | None], ...]
 
     @property
     def n_pairs(self) -> int:
         return sum(self.pair_classes.values())
-
-    def histogram(self) -> CoincidenceHistogram:
-        """Idler starts against signal stops, streamed shard by shard."""
-        starts = self.channels[events.IDLER_1535].times
-        stops = self.channels[events.SIGNAL_794].times
-        pieces, i0, s0 = [], 0, 0
-        for i1, s1, floor in self.shards:
-            pieces.append((starts[i0:i1], stops[s0:s1], floor))
-            i0, s0 = i1, s1
-        tdc = self.config.tdc
-        return tdc_histogram_from_stream(pieces, tdc.bin_width_ps, tdc.window_ps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,11 +341,6 @@ def _simulate_shard(
     return classes, shard
 
 
-def _pop_times(clicks: dict) -> tuple[np.ndarray, np.ndarray]:
-    """A shard's idler and signal times, popped so the rest of its clicks is freed."""
-    return clicks.pop(events.IDLER_1535)["times"], clicks.pop(events.SIGNAL_794)["times"]
-
-
 def _shards(t: _EngineTables, n_cycles: int):
     """The class counts and click arrays of every shard in cycle order, each
     with the floor below which no later shard has a click (None after the
@@ -378,14 +360,10 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
     tables = _build_tables(cfg)
     parts: dict[str, list[dict[str, np.ndarray]]] = {ch: [] for ch in events.CHANNELS}
     totals = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
-    ends = dict.fromkeys(events.CHANNELS, 0)
-    shards = []
-    for classes, shard, floor in _shards(tables, cfg.run.cycles):
+    for classes, shard, _ in _shards(tables, cfg.run.cycles):
         totals += classes
         for ch in events.CHANNELS:
             parts[ch].append(shard[ch])
-            ends[ch] += shard[ch]["times"].size
-        shards.append((ends[events.IDLER_1535], ends[events.SIGNAL_794], floor))
     channels = {}
     for ch in events.CHANNELS:
         # Key by key, so each key's shard arrays are freed once joined.
@@ -396,7 +374,23 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
         channels[ch] = ChannelRecord(channel=ch, **merged)
     classes = dict(zip(PAIR_CLASSES, map(int, totals)))
     p_detect = {ch: tab.p_detect for ch, tab in tables.channels.items()}
-    return SimulationData(cfg, classes, p_detect, channels, tuple(shards))
+    return SimulationData(cfg, classes, p_detect, channels)
+
+
+def _stream_pieces(shards, key, scale: int):
+    """windowed_stream's pieces from shards: key(arrays) of a shard's idler,
+    then of its signal, and its floor times scale.  The two channels are
+    popped, so no frame holds a shard's clicks while the next is drawn."""
+    for _, clicks, floor in shards:
+        arrays = (key(clicks.pop(ch)) for ch in (events.IDLER_1535, events.SIGNAL_794))
+        yield (*arrays, None if floor is None else scale * floor)
+
+
+def run_histogram(cfg: ExperimentConfig) -> CoincidenceHistogram:
+    """Idler starts against signal stops over every configured cycle, in one
+    pass over the shards that keeps no click arrays."""
+    pieces = _stream_pieces(_shards(_build_tables(cfg), cfg.run.cycles), itemgetter("times"), 1)
+    return tdc_histogram_from_stream(pieces, cfg.tdc.bin_width_ps, cfg.tdc.window_ps)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +573,8 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     classes = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
     detections = {ch.lower(): {"total": 0, "dark": 0} for ch in events.CHANNELS}
 
-    def pieces(fh):
+    def settled(fh):
+        """The shards, each once its tallies and events.csv rows are taken."""
         nonlocal classes
         carry = None
         for counts, clicks, floor in _shards(tables, cfg.run.cycles):
@@ -589,14 +584,15 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
                 tally["total"] += int(clicks[ch]["times"].size)
                 tally["dark"] += _dark_count(clicks[ch]["origins"])
             carry = _settle_events(fh, carry, clicks, floor)
-            yield *_pop_times(clicks), floor
+            yield counts, clicks, floor
 
     events_path = out / "events.csv"
     partial = out / "events.csv.partial"
     try:
         with open(partial, "w", newline="") as fh:
             fh.write(",".join(EVENT_CSV_HEADER) + "\r\n")
-            hist = tdc_histogram_from_stream(pieces(fh), cfg.tdc.bin_width_ps, cfg.tdc.window_ps)
+            pieces = _stream_pieces(settled(fh), itemgetter("times"), 1)
+            hist = tdc_histogram_from_stream(pieces, cfg.tdc.bin_width_ps, cfg.tdc.window_ps)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -650,22 +646,17 @@ def _central_port_counts(starts: np.ndarray, stops: np.ndarray, delta: int, hw: 
 
 def _central_counts(cfg: ExperimentConfig) -> dict[tuple[int, int], int]:
     """Coincidences between central-slot clicks, keyed by (signal, idler)
-    port, at the recall delay +- the peak halfwidth.  Counted shard by shard
-    with tdc_histogram_from_stream's floor rule."""
+    port, at the recall delay +- the peak halfwidth: _central_port_counts,
+    on sorted keys, folded over windowed_stream.  A key floor is twice the
+    time floor, and [2(delta - hw) - 1, 2(delta + hw + 1)) holds a start
+    key's window whatever the ports."""
     delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
-    totals = np.zeros(4, dtype=np.int64)
-    starts = stops = np.zeros(0, dtype=np.int64)
-    for _, clicks, floor in _shards(_build_tables(cfg), cfg.run.cycles):
-        # Popped, so no click array is held while the next shard is drawn.
-        starts = np.sort(np.concatenate([starts, _central_keys(clicks.pop(events.IDLER_1535))]))
-        stops = np.sort(np.concatenate([stops, _central_keys(clicks.pop(events.SIGNAL_794))]))
-        floor = np.iinfo(np.int64).max // 4 if floor is None else floor  # past every click
-        # No later click lies below the floor: a start's window, to start + delta + hw, is whole.
-        ready = np.searchsorted(starts, (floor - delta - hw) * 2)
-        totals += _central_port_counts(starts[:ready], stops, delta, hw)
-        starts = starts[ready:]
-        reach = min(floor, int(starts[0] >> 1) if starts.size else floor) + delta - hw
-        stops = stops[np.searchsorted(stops, reach * 2) :]
+    pieces = _stream_pieces(_shards(_build_tables(cfg), cfg.run.cycles), _central_keys, 2)
+    counts = starmap(
+        lambda starts, stops: _central_port_counts(np.sort(starts), np.sort(stops), delta, hw),
+        windowed_stream(pieces, 2 * (delta - hw) - 1, 2 * (delta + hw + 1)),
+    )
+    totals = sum(counts, np.zeros(4, dtype=np.int64))
     return dict(zip(((+1, +1), (+1, -1), (-1, +1), (-1, -1)), totals.tolist()))
 
 
@@ -988,17 +979,7 @@ def sweep(
 
         def point(value):
             sub = replace(base, source=replace(base.source, mean_pairs_per_pulse=value))
-            # Straight from the shards: no run's click arrays are kept.
-            pieces = (
-                (*_pop_times(clicks), floor)
-                for _, clicks, floor in _shards(_build_tables(sub), sub.run.cycles)
-            )
-            est = g2_cross(
-                tdc_histogram_from_stream(pieces, sub.tdc.bin_width_ps, sub.tdc.window_ps),
-                0,
-                rep_period_ps=sub.source.rep_period_ps,
-                peak_halfwidth_ps=sub.tdc.peak_halfwidth_ps,
-            )
+            est = g2_cross(run_histogram(sub), 0, sub.source.rep_period_ps, sub.tdc.peak_halfwidth_ps)
             return value, est.value, est.sigma
 
     else:

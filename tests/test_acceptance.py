@@ -24,7 +24,7 @@ from afclink.harness import (
     analyze_paper_data,
     chsh_simulation,
     data_path,
-    simulate,
+    run_histogram,
 )
 from afclink.memory import build_comb, device_efficiency, echo_response
 
@@ -87,7 +87,7 @@ def test_criterion_3_heralded_g2_matches_poisson_oracle():
         }
     )
     est = g2_cross(
-        simulate(cfg).histogram(), 0, rep_period_ps=12_500, peak_halfwidth_ps=500
+        run_histogram(cfg), 0, rep_period_ps=12_500, peak_halfwidth_ps=500
     )
     elapsed = time.perf_counter() - t0
     oracle = 1.0 + 1.0 / 0.016
@@ -228,7 +228,7 @@ def test_criterion_6_coincidence_peak_taxonomy():
     # base storage time against the recalled idler: -6, 10, 26, 58 ns.
     targets = (-idl_ps, sig_ps[0] - idl_ps, sig_ps[1] - idl_ps, sig_ps[3] - idl_ps)
 
-    hist = simulate(cfg).histogram()
+    hist = run_histogram(cfg)
     peaks = find_histogram_peaks(hist, min_height_fraction=0.01, min_separation_ps=1000)
     found = [p.delay_ps for p in peaks]
 

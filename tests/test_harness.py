@@ -45,6 +45,7 @@ from afclink.harness import (
     data_path,
     events_from_csv,
     recall_delay_ps,
+    run_histogram,
     run_simulation,
     simulate,
     sweep,
@@ -587,6 +588,11 @@ def shipped_config(name, cycles, mu=None, dark_rate_hz=None):
     return cfg
 
 
+def shard_count(cfg):
+    """How many pieces harness._shards yields for cfg's run."""
+    return sum(1 for _ in harness._shards(harness._build_tables(cfg), cfg.run.cycles))
+
+
 def sweep_histogram(cfg, monkeypatch):
     """The histogram that sweep --parameter mu takes g2 from, at cfg's mu."""
     seen = []
@@ -631,8 +637,8 @@ class TestStreamedHistogram:
     def test_equals_single_pass(self, name, mu, monkeypatch):
         cfg = shipped_config(name, 2 * SHARD_CYCLES + 12_345, mu)
         data = simulate(cfg)
-        assert len(data.shards) == 3
-        self.assert_single_pass(data.histogram(), data)
+        assert shard_count(cfg) == 3
+        self.assert_single_pass(run_histogram(cfg), data)
         self.assert_single_pass(sweep_histogram(cfg, monkeypatch), data)
 
     @pytest.mark.parametrize("block", [1, None], ids=["block-1", "block-default"])
@@ -643,11 +649,11 @@ class TestStreamedHistogram:
         monkeypatch.setattr(harness, "SHARD_CYCLES", 2)
         cfg = shipped_config("demo", 1_501, mu=0.5, dark_rate_hz=5e6)
         data = simulate(cfg)
-        assert len(data.shards) == 751
+        assert shard_count(cfg) == 751
         assert min(rec.dark_count for rec in data.channels.values()) > 0
         if block is not None:
             monkeypatch.setattr(detection, "_BLOCK_STARTS", block)
-        self.assert_single_pass(data.histogram(), data)
+        self.assert_single_pass(run_histogram(cfg), data)
         self.assert_single_pass(sweep_histogram(cfg, monkeypatch), data)
 
     def test_sweep_peak_memory_independent_of_cycles(self):
@@ -664,9 +670,10 @@ class TestStreamedHistogram:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
 
-    def test_sweep_peak_memory_is_about_one_shard(self):
-        # One point holds one shard's click arrays and the histogram's
-        # working set, never a second shard beside them.
+    @staticmethod
+    def sweep_peak_and_shard_bytes(n_shards):
+        """The traced peak of one mu = 0.128 point of n_shards shards on
+        source_only.json, and the bytes of its first shard's click arrays."""
         cfg = shipped_config("source_only", SHARD_CYCLES)
         sub = replace(cfg, source=replace(cfg.source, mean_pairs_per_pulse=0.128))
         _, clicks = harness._simulate_shard(harness._build_tables(sub), 0, 0, SHARD_CYCLES)
@@ -674,11 +681,24 @@ class TestStreamedHistogram:
         del clicks
         tracemalloc.start()
         try:
-            sweep(cfg, "mu", [0.128], cycles_per_point=SHARD_CYCLES)
+            sweep(cfg, "mu", [0.128], cycles_per_point=n_shards * SHARD_CYCLES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, shard_bytes
+
+    def test_sweep_peak_memory_is_about_one_shard(self):
+        # One point holds one shard's click arrays and the histogram's
+        # working set, never a second shard beside them.
+        peak, shard_bytes = self.sweep_peak_and_shard_bytes(1)
         assert peak < 2 * shard_bytes, (peak, shard_bytes)
+
+    def test_sweep_holds_no_piece_while_the_next_shard_is_drawn(self):
+        # With three shards, a frame that kept the previous piece's starts
+        # or stops alive while the next shard is drawn adds about a third
+        # of a shard to the peak; one shard alone cannot show it.
+        peak, shard_bytes = self.sweep_peak_and_shard_bytes(3)
+        assert peak < 1.5 * shard_bytes, (peak, shard_bytes)
 
 
 # Both memories with a spurious echo on either side of the primary one, so
@@ -718,7 +738,7 @@ class TestStreamedRun:
         cfg = make_config(**run)
         res = run_simulation(cfg, tmp_path / "run")
         data = simulate(cfg)
-        assert len(data.shards) == -(-cfg.run.cycles // shard_cycles)
+        assert shard_count(cfg) == -(-cfg.run.cycles // shard_cycles)
 
         expected = csv_writer_events(data)
         assert res.events_path.read_bytes() == expected
@@ -1028,6 +1048,29 @@ class TestChshSimulation:
         expected = whole_run_central_counts(SimpleNamespace(config=cfg, channels=channels))
         assert min(expected.values()) > 0
         assert harness._central_counts(cfg) == expected
+
+    @pytest.mark.parametrize("channel", events.CHANNELS)
+    def test_click_below_an_earlier_floor_raises(self, channel, monkeypatch):
+        # The stream counts a start once the floor has passed its window; a
+        # later central-slot click below that floor would be missed, so the
+        # stream refuses it, for a start (idler) or a stop (signal) alike.
+        sup = events.BINS.index(events.BIN_SUPERPOSED)
+
+        def central(times):
+            return {
+                "times": np.array(times, dtype=np.int64),
+                "ports": np.ones(len(times), dtype=np.int8),
+                "bins": np.full(len(times), sup, dtype=np.int8),
+            }
+
+        first = {ch: central([1_000, 2_000]) for ch in events.CHANNELS}
+        late = {ch: central([9_000]) for ch in events.CHANNELS}
+        late[channel] = central([9_000, 4_000])  # below the first piece's floor
+        pieces = [(None, first, 5_000), (None, late, None)]
+        monkeypatch.setattr(harness, "_shards", lambda tables, cycles: iter(pieces))
+        cfg = make_config(analyzers=CENTRAL_ANALYZERS)
+        with pytest.raises(ValueError, match="below the floor of an earlier piece"):
+            harness._central_counts(cfg)
 
     @pytest.mark.parametrize("program", ["chsh", "phase-sweep"])
     def test_peak_memory_independent_of_cycles(self, program):
@@ -1387,8 +1430,15 @@ class TestSweep:
         cfg = make_config(seed=74, cycles=100_000, mu=0.05, detectors=IDEAL_DETECTORS)
         result = sweep(cfg, "mu", [0.05])
         assert len(result.rows) == 1
+        data = simulate(cfg)
+        single = tdc_histogram_from_times(
+            data.channels[events.IDLER_1535].times,
+            data.channels[events.SIGNAL_794].times,
+            cfg.tdc.bin_width_ps,
+            cfg.tdc.window_ps,
+        )
         direct = g2_cross(
-            simulate(cfg).histogram(),
+            single,
             0,
             rep_period_ps=cfg.source.rep_period_ps,
             peak_halfwidth_ps=cfg.tdc.peak_halfwidth_ps,
