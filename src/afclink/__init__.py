@@ -3,7 +3,7 @@ atomic-frequency-comb quantum memories.
 
 Subsystems:
 
-* :mod:`afclink.linalg` - two-qubit states, projectors, small Hermitian solvers
+* :mod:`afclink.linalg` - two-qubit states, projectors, Hermitian checks around LAPACK eigh
 * :mod:`afclink.source` - pulsed down-conversion pair source
 * :mod:`afclink.memory` - comb construction/fitting, recall efficiency, echoes
 * :mod:`afclink.detection` - analyzers, detectors, time-to-digital histograms

@@ -99,6 +99,8 @@ def _load_config(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
+    if getattr(args, "cycles", None) is not None:
+        cfg = replace(cfg, run=replace(cfg.run, cycles=args.cycles))
     return cfg
 
 
@@ -197,7 +199,7 @@ def _cmd_sweep(args):
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"--values must be comma-separated numbers, got {args.values!r}")
-    result = sweep(cfg, args.parameter, values, cycles_per_point=args.cycles)
+    result = sweep(cfg, args.parameter, values)
     if args.out is not None:
         result.to_csv(args.out)
     payload = {

@@ -1,5 +1,6 @@
 """Line-numbered reading of the CSV files the package reads back, and the
-one writer of the CSV files it writes.
+writer of every CSV file it writes but two: events.csv, whose rows harness
+formats itself, and the comb profile, which memory writes with numpy.
 
 Every reader reports a bad file the same way: ValueError(f"{path}: ...") for
 the file as a whole and ValueError(f"{path}: line {n}: ...") for one row,

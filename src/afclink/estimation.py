@@ -32,7 +32,7 @@ import numpy as np
 
 from .csvio import csv_rows, write_csv
 from .detection import CoincidenceHistogram, coincidence_rate
-from .errors import EstimationError, FitError, UndefinedEstimateError
+from .errors import EstimationError, UndefinedEstimateError
 from .linalg import (
     DensityMatrix,
     ProjectorSetting,
@@ -643,72 +643,6 @@ def monte_carlo_samples(
     if failures > MC_MAX_FAILURE_FRACTION * trials:
         raise EstimationError(f"{failures}/{trials} Monte-Carlo trials failed; results unreliable")
     return values[kept], failures
-
-
-# ---------------------------------------------------------------------------
-# Fringe visibility
-
-
-@dataclass(frozen=True)
-class VisibilityFitResult:
-    visibility: float
-    phase_offset: float
-    mean_level: float
-    visibility_sigma: float
-    phase_sigma: float
-    mean_sigma: float
-    phase_identifiable: bool
-
-
-def visibility_fit(sweep: Sequence[tuple[float, float]]) -> VisibilityFitResult:
-    """Fit N(theta) = N0 (1 + V cos(theta - theta0)) to a phase sweep.
-
-    The model is linear in (N0, N0 V cos(theta0), N0 V sin(theta0)), so the
-    fit is a plain least-squares solve; uncertainties come from the residual
-    variance.  When the fitted fringe amplitude is consistent with zero the
-    phase offset is flagged as unidentifiable.
-    """
-    pts = [(float(t), float(c)) for t, c in sweep]
-    if len(pts) < 6:
-        raise ValueError("need at least 6 phase points")
-    thetas = np.array([p[0] for p in pts])
-    counts = np.array([p[1] for p in pts])
-    if thetas.max() - thetas.min() <= math.pi:
-        raise ValueError("phase sweep must span more than pi")
-    design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
-    coef, _, rank, _ = np.linalg.lstsq(design, counts, rcond=None)
-    if rank < 3:
-        raise FitError("phase sweep design is rank deficient")
-    n0, a, b = coef
-    if n0 <= 0.0:
-        raise FitError("fitted mean level is not positive")
-    resid = counts - design @ coef
-    dof = len(pts) - 3
-    noise_var = float(resid @ resid) / dof
-    cov = noise_var * np.linalg.inv(design.T @ design)
-    amp = math.hypot(a, b)
-    visibility = min(max(amp / n0, 0.0), 1.0)
-    if amp > 0.0:
-        g_amp = np.array([0.0, a / amp, b / amp])
-        g_vis = np.array([-amp / n0**2, a / (amp * n0), b / (amp * n0)])
-        g_phase = np.array([0.0, -b / amp**2, a / amp**2])
-        amp_sigma = math.sqrt(max(g_amp @ cov @ g_amp, 0.0))
-        vis_sigma = math.sqrt(max(g_vis @ cov @ g_vis, 0.0))
-        phase_sigma = math.sqrt(max(g_phase @ cov @ g_phase, 0.0))
-    else:
-        amp_sigma = math.sqrt(max(cov[1, 1], cov[2, 2], 0.0))
-        vis_sigma = amp_sigma / n0
-        phase_sigma = math.pi
-    identifiable = amp > 3.0 * amp_sigma and visibility > 1e-9
-    return VisibilityFitResult(
-        visibility=visibility,
-        phase_offset=math.atan2(b, a),
-        mean_level=float(n0),
-        visibility_sigma=vis_sigma,
-        phase_sigma=phase_sigma,
-        mean_sigma=math.sqrt(max(cov[0, 0], 0.0)),
-        phase_identifiable=identifiable,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -258,8 +258,6 @@ def _draw_memory(table: _MemoryTable, n: int, rng: np.random.Generator) -> np.nd
 
 
 def _draw_outcomes(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
     k = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
     return np.minimum(k, cum.size - 1)
 
@@ -644,12 +642,18 @@ def _central_port_counts(starts: np.ndarray, stops: np.ndarray, delta: int, hw: 
     return np.array([n[m].sum() for n in (plus, end - first - plus) for m in (idler, ~idler)])
 
 
-def _central_counts(cfg: ExperimentConfig) -> dict[tuple[int, int], int]:
-    """Coincidences between central-slot clicks, keyed by (signal, idler)
-    port, at the recall delay +- the peak halfwidth: _central_port_counts,
-    on sorted keys, folded over windowed_stream.  A key floor is twice the
-    time floor, and [2(delta - hw) - 1, 2(delta + hw + 1)) holds a start
-    key's window whatever the ports."""
+def _central_counts(
+    cfg: ExperimentConfig, signal_phase: float, idler_phase: float
+) -> dict[tuple[int, int], int]:
+    """Central-slot coincidences of cfg's run with both analyzers switched
+    to interferometers at these phases (the central slot exists only in that
+    mode), keyed by (signal, idler) port, at the recall delay +- the peak
+    halfwidth: _central_port_counts, on sorted keys, folded over
+    windowed_stream.  A key floor is twice the time floor, and
+    [2(delta - hw) - 1, 2(delta + hw + 1)) holds a start key's window
+    whatever the ports."""
+    phases = zip(events.CHANNELS, (signal_phase, idler_phase))
+    cfg = replace(cfg, analyzers={ch: AnalyzerSetting.interferometer(p) for ch, p in phases})
     delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
     pieces = _stream_pieces(_shards(_build_tables(cfg), cfg.run.cycles), _central_keys, 2)
     counts = starmap(
@@ -681,15 +685,8 @@ def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
                 entropy=cfg.run.seed, spawn_key=(9001 + i,)
             ).generate_state(1)[0]
         )
-        sub = replace(
-            cfg,
-            run=replace(cfg.run, seed=seed),
-            analyzers={
-                events.SIGNAL_794: AnalyzerSetting.interferometer(sa.analyzer_phase()),
-                events.IDLER_1535: AnalyzerSetting.interferometer(sb.analyzer_phase()),
-            },
-        )
-        counts = _central_counts(sub)
+        sub = replace(cfg, run=replace(cfg.run, seed=seed))
+        counts = _central_counts(sub, sa.analyzer_phase(), sb.analyzer_phase())
         same = counts[(+1, +1)] + counts[(-1, -1)]
         diff = counts[(+1, -1)] + counts[(-1, +1)]
         e, sigma = correlation_coefficient(same, diff)
@@ -951,20 +948,15 @@ class SweepResult:
         write_csv(path, self.columns, self.rows)
 
 
-def sweep(
-    cfg: ExperimentConfig,
-    parameter: str,
-    values,
-    cycles_per_point: int | None = None,
-) -> SweepResult:
-    """Repeat the simulation over one swept parameter.
+def sweep(cfg: ExperimentConfig, parameter: str, values) -> SweepResult:
+    """Repeat cfg's run (cfg.run.cycles cycles) over one swept parameter.
 
-    mu reports the zero-delay cross-correlation; analyzer_phase sweeps the
-    signal analyzer phase and reports central-slot (+1, +1) coincidences.
-    Every point reuses the master seed, so a single-value sweep reproduces a
-    direct run exactly.  A point that fails (an undefined g2, or a value
-    the config rejects) raises an error that names the parameter and the
-    value."""
+    mu reports the zero-delay cross-correlation.  analyzer_phase reports the
+    central-slot (+1, +1) coincidences with the signal interferometer at each
+    phase and the idler's at its configured phase, 0 if it reads time of
+    arrival.  Every point reuses the master seed, so a single-value sweep
+    reproduces a direct run exactly.  A point that fails (an undefined g2, or
+    a value the config rejects) raises an error naming parameter and value."""
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
@@ -972,27 +964,21 @@ def sweep(
     points = [float(v) for v in values]
     if not points:
         raise ValueError("sweep needs at least one value")
-    run = cfg.run if cycles_per_point is None else replace(cfg.run, cycles=int(cycles_per_point))
-    base = replace(cfg, run=run)
     if parameter == "mu":
         columns = ("mu", "g2_zero", "g2_sigma")
 
         def point(value):
-            sub = replace(base, source=replace(base.source, mean_pairs_per_pulse=value))
+            sub = replace(cfg, source=replace(cfg.source, mean_pairs_per_pulse=value))
             est = g2_cross(run_histogram(sub), 0, sub.source.rep_period_ps, sub.tdc.peak_halfwidth_ps)
             return value, est.value, est.sigma
 
     else:
         columns = ("phase_rad", "central_coincidences")
-        idler = base.analyzers[events.IDLER_1535]
-        if idler.mode != MODE_INTERFEROMETER:
-            idler = AnalyzerSetting.interferometer(0.0)
+        idler = cfg.analyzers[events.IDLER_1535]
+        idler_phase = idler.phase if idler.mode == MODE_INTERFEROMETER else 0.0
 
         def point(value):
-            signal = AnalyzerSetting.interferometer(value)
-            sub = replace(base, analyzers={events.SIGNAL_794: signal, events.IDLER_1535: idler})
-            counts = _central_counts(sub)
-            return value, float(counts[(+1, +1)])
+            return value, float(_central_counts(cfg, value, idler_phase)[(+1, +1)])
 
     rows = []
     for value in points:

@@ -339,6 +339,28 @@ class TestSweep:
         assert rows[0] == ["mu", "g2_zero", "g2_sigma"]
         assert len(rows) == 3
 
+    def test_cycles_sets_the_run_of_every_point(self, tmp_path, capsys):
+        # --cycles N prints what the same config with run.cycles = N prints,
+        # and not what the config's own cycles give.
+        outs = []
+        runs = (("a", 20_000, ["--cycles", "30000"]), ("b", 30_000, []), ("c", 20_000, []))
+        for name, cycles, flag in runs:
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name, seed=7, cycles=cycles)
+            argv = ["sweep", "--config", str(cfg), "--parameter", "mu", "--values", "0.02,0.05"]
+            code, out, err = run_cli(capsys, [*argv, *flag])
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1] != outs[2]
+
+    def test_zero_cycles_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        obj = stderr_error(
+            capsys,
+            ["sweep", "--config", str(cfg), "--parameter", "mu", "--values", "0.05", "--cycles", "0"],
+        )
+        assert obj == {"error": "cycles must be a positive integer", "type": "ValueError"}
+
     def test_invalid_parameter_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as excinfo:

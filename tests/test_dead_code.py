@@ -22,9 +22,12 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import afclink
 
 PACKAGE = Path(afclink.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_API = "public API"
 ROUND_TRIP = "round-trip reader or writer of a file format the package writes or reads"
@@ -33,27 +36,27 @@ KEEP = {
     "cli._Parser.error": "argparse calls it to report a usage error",
     "detection.AnalyzerSetting.from_projector": "planned: simulated tomography (ROADMAP)",
     "estimation.__getattr__": (
-        "module hook for the lazy scipy.optimize that bench/tracing.py wraps; "
-        "goes with the next benchmark change (ROADMAP)"
+        "module hook for the lazy scipy.optimize that bench/tracing.py wraps as "
+        "`estimation.optimize`; goes with the next benchmark change (ROADMAP)"
     ),
     "estimation.born_correlation": PUBLIC_API,
     "estimation.efficiencies": PUBLIC_API,
     "estimation.informationally_complete_pairs": "planned: simulated tomography (ROADMAP)",
     "estimation.synthesize_input": "planned: simulated tomography (ROADMAP)",
     "estimation.tomography_to_csv": ROUND_TRIP,
-    "estimation.visibility_fit": PUBLIC_API,
     "harness.chsh_simulation": PUBLIC_API,
     "harness.ChannelRecord.dark_count": (
-        "bench/tracing.py reads it from simulate(); goes with the next benchmark "
-        "change (ROADMAP)"
+        "bench/tracing.py reads `record.dark_count` from simulate(); goes with the "
+        "next benchmark change (ROADMAP)"
     ),
     "harness.SimulationData.n_pairs": (
-        "bench/tracing.py reads it from simulate(); goes with the next benchmark "
-        "change (ROADMAP)"
+        "bench/tracing.py reads `result.n_pairs` from simulate(); goes with the "
+        "next benchmark change (ROADMAP)"
     ),
     "harness.simulate": (
-        "tests read whole-run click arrays from it, and bench/tracing.py and "
-        "bench/reference.py bind it; goes with the next benchmark change (ROADMAP)"
+        "tests read whole-run click arrays from it, bench/tracing.py binds "
+        "`harness.simulate` and bench/reference.py does `import simulate`; goes "
+        "with the next benchmark change (ROADMAP)"
     ),
     "harness.events_from_csv": ROUND_TRIP,
 }
@@ -65,14 +68,26 @@ SRC_LINE_CAP = 3550
 KEEP_PARAMS = {
     "cli.main(argv)": "the console entry point calls main() and reads sys.argv",
     "estimation.tomography_mle(n_starts)": (
-        "bench/reference.py passes it; goes with the next benchmark change (ROADMAP)"
+        "bench/reference.py passes `n_starts=`; goes with the next benchmark change "
+        "(ROADMAP)"
     ),
     "estimation.tomography_mle(seed)": (
-        "bench/reference.py passes it; goes with the next benchmark change (ROADMAP)"
+        "bench/reference.py passes `seed=0`; goes with the next benchmark change "
+        "(ROADMAP)"
     ),
     "estimation.find_histogram_peaks(min_separation_ps)": (
         "acceptance criterion 6 sets the peak separation"
     ),
+}
+
+# A reason that cites a bench/ file quotes, in backticks, the text by which
+# that file uses the name.
+_BENCH_FILE = re.compile(r"bench/\w+\.py")
+_QUOTED = re.compile(r"`([^`]+)`")
+_BENCH_CITED = {
+    name: reason
+    for name, reason in {**KEEP, **KEEP_PARAMS}.items()
+    if _BENCH_FILE.search(reason)
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -209,6 +224,19 @@ def test_keep_params_lists_only_existing_unset_parameters():
     unset = set(unset_parameters())
     stale = sorted(set(KEEP_PARAMS) - unset)
     assert not stale, f"passed in src/afclink now, or gone; drop from KEEP_PARAMS: {stale}"
+
+
+@pytest.mark.parametrize("name", sorted(_BENCH_CITED))
+def test_bench_citing_reason_quotes_text_the_bench_still_holds(name):
+    # When the benchmark stops using a name, this fails for its entry, and
+    # the entry (often the name itself) can go.
+    reason = _BENCH_CITED[name]
+    files = _BENCH_FILE.findall(reason)
+    quotes = _QUOTED.findall(reason)
+    assert quotes, f"{name}: the reason cites {files} but quotes none of their text"
+    texts = [(ROOT / path).read_text() for path in files]
+    gone = [quote for quote in quotes if not any(quote in text for text in texts)]
+    assert not gone, f"{name}: {gone} no longer occur in {files}"
 
 
 def test_package_stays_under_the_line_cap():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from afclink import estimation
-from afclink.errors import EstimationError, FitError, UndefinedEstimateError
+from afclink.errors import EstimationError, UndefinedEstimateError
 from afclink.estimation import (
     CHSH_PAIRS,
     METRIC_FUNCTIONS,
@@ -46,7 +46,6 @@ from afclink.estimation import (
     tomography_from_csv,
     tomography_mle,
     tomography_to_csv,
-    visibility_fit,
 )
 from afclink.detection import CoincidenceHistogram
 from afclink.harness import (
@@ -651,40 +650,6 @@ class TestChi2SurvivalFunction:
         for dof in range(1, 21):
             for x in (0.0, 1e-6, 0.3, 1.0, dof - 0.5, dof + 3.0, 4.0 * dof + 10.0, 120.0):
                 assert chi2_sf(x, dof) == pytest.approx(chi2.sf(x, dof), rel=1e-12, abs=1e-300)
-
-
-class TestVisibilityFit:
-    def test_perfect_sinusoid(self):
-        thetas = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
-        counts = 200.0 * (1.0 + 1.0 * np.cos(thetas - 0.8))
-        fit = visibility_fit(list(zip(thetas, counts)))
-        assert fit.visibility == pytest.approx(1.0, abs=1e-6)
-        assert fit.phase_offset == pytest.approx(0.8, abs=1e-6)
-        assert fit.mean_level == pytest.approx(200.0, rel=1e-6)
-        assert fit.phase_identifiable
-
-    def test_constant_data(self):
-        thetas = np.linspace(0.0, 2.0 * np.pi, 10, endpoint=False)
-        fit = visibility_fit([(t, 100.0) for t in thetas])
-        assert fit.visibility == pytest.approx(0.0, abs=1e-9)
-        assert not fit.phase_identifiable
-
-    def test_noisy_recovery(self):
-        rng = np.random.default_rng(19)
-        thetas = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-        counts = rng.poisson(300.0 * (1.0 + 0.8 * np.cos(thetas - 1.2))).astype(float)
-        fit = visibility_fit(list(zip(thetas, counts)))
-        assert abs(fit.visibility - 0.8) < 4.0 * fit.visibility_sigma + 0.02
-        assert abs((fit.phase_offset - 1.2 + np.pi) % (2 * np.pi) - np.pi) < 0.2
-
-    def test_span_precondition(self):
-        thetas = np.linspace(0.0, 2.0, 8)  # spans 2 rad < pi
-        with pytest.raises(ValueError):
-            visibility_fit([(t, 100.0) for t in thetas])
-
-    def test_point_count_precondition(self):
-        with pytest.raises(ValueError):
-            visibility_fit([(0.0, 1.0), (2.0, 1.0), (4.0, 1.0)])
 
 
 class TestEfficiencies:

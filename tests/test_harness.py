@@ -28,7 +28,7 @@ from afclink.detection import (
     tdc_histogram_from_times,
 )
 from afclink.errors import ConfigError, UndefinedEstimateError
-from afclink.estimation import CHSH_PAIRS, g2_cross, visibility_fit
+from afclink.estimation import CHSH_PAIRS, g2_cross
 from afclink.harness import (
     CHSH_CSV_HEADER,
     DATA_CHSH,
@@ -406,6 +406,15 @@ class TestEngineDraws:
         # The two photons of a both-detected pair share their cycle.
         assert np.array_equal(sig[:n_both], idl[:n_both])
 
+    def test_zero_size_outcome_draw_leaves_the_generator_alone(self):
+        # A shard whose class count is 0 draws no outcomes; every seeded
+        # output depends on that draw consuming nothing of the generator.
+        cum = np.cumsum([0.25, 0.25, 0.5])
+        rng, untouched = np.random.default_rng(8), np.random.default_rng(8)
+        picks = harness._draw_outcomes(cum, 0, rng)
+        assert picks.size == 0 and picks.dtype == np.intp
+        assert rng.random() == untouched.random()
+
     def test_survival_edge_cases(self, monkeypatch):
         rng = np.random.default_rng(2)
         # No memory: every photon passes with no outcome and no draw.
@@ -664,7 +673,7 @@ class TestStreamedHistogram:
         for cycles in (2_000_000, 8_000_000):
             tracemalloc.start()
             try:
-                sweep(cfg, "mu", [0.128], cycles_per_point=cycles)
+                sweep(replace(cfg, run=replace(cfg.run, cycles=cycles)), "mu", [0.128])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -681,7 +690,7 @@ class TestStreamedHistogram:
         del clicks
         tracemalloc.start()
         try:
-            sweep(cfg, "mu", [0.128], cycles_per_point=n_shards * SHARD_CYCLES)
+            sweep(replace(cfg, run=replace(cfg.run, cycles=n_shards * SHARD_CYCLES)), "mu", [0.128])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -854,9 +863,10 @@ class TestEventsCsv:
 
 # Interferometers on both arms, so clicks land in the central slot; a
 # quarter turn apart, so every port pair is about as likely.
+CENTRAL_PHASES = (1.6, 0.0)
 CENTRAL_ANALYZERS = {
-    "signal_794": {"mode": "interferometer", "phase": 1.6},
-    "idler_1535": {"mode": "interferometer", "phase": 0.0},
+    ch: {"mode": "interferometer", "phase": phase}
+    for ch, phase in zip(("signal_794", "idler_1535"), CENTRAL_PHASES)
 }
 
 
@@ -993,7 +1003,7 @@ class TestChshSimulation:
                 "idler_1535": {"mode": "interferometer", "phase": 0.0},
             },
         )
-        counts = harness._central_counts(cfg)
+        counts = harness._central_counts(cfg, 0.4, 0.0)
         assert all(c > 0 for c in counts.values())
         shard, rng = harness._simulate_shard, np.random.default_rng(0)
 
@@ -1005,7 +1015,18 @@ class TestChshSimulation:
             return classes, clicks
 
         monkeypatch.setattr(harness, "_simulate_shard", shuffled)
-        assert harness._central_counts(cfg) == counts
+        assert harness._central_counts(cfg, 0.4, 0.0) == counts
+
+    def test_central_counts_switch_both_analyzers_to_interferometers(self):
+        # The central slot exists only with interferometers, so the counter
+        # sets both arms itself: a time-of-arrival config counts as the
+        # interferometer config at the same phases.
+        arrival = make_config(seed=66, cycles=20_000, mu=0.1)
+        assert {a.mode for a in arrival.analyzers.values()} == {"time_of_arrival"}
+        interferometers = make_config(seed=66, cycles=20_000, mu=0.1, analyzers=CENTRAL_ANALYZERS)
+        counts = harness._central_counts(interferometers, *CENTRAL_PHASES)
+        assert min(counts.values()) > 0
+        assert harness._central_counts(arrival, *CENTRAL_PHASES) == counts
 
     @pytest.mark.parametrize("run, sign", CENTRAL_RUNS, ids=CENTRAL_RUN_IDS)
     def test_streamed_counts_equal_whole_run(self, run, sign, monkeypatch):
@@ -1016,7 +1037,7 @@ class TestChshSimulation:
         assert np.sign(recall_delay_ps(cfg)) == sign
         expected = whole_run_central_counts(simulate(cfg))
         assert min(expected.values()) > 0
-        assert harness._central_counts(cfg) == expected
+        assert harness._central_counts(cfg, *CENTRAL_PHASES) == expected
 
     @pytest.mark.parametrize("run, sign", CENTRAL_RUNS, ids=CENTRAL_RUN_IDS)
     def test_tight_floors_equal_whole_run(self, run, sign, monkeypatch):
@@ -1047,7 +1068,7 @@ class TestChshSimulation:
         channels = {ch: SimpleNamespace(**rec) for ch, rec in run_clicks.items()}
         expected = whole_run_central_counts(SimpleNamespace(config=cfg, channels=channels))
         assert min(expected.values()) > 0
-        assert harness._central_counts(cfg) == expected
+        assert harness._central_counts(cfg, *CENTRAL_PHASES) == expected
 
     @pytest.mark.parametrize("channel", events.CHANNELS)
     def test_click_below_an_earlier_floor_raises(self, channel, monkeypatch):
@@ -1070,7 +1091,7 @@ class TestChshSimulation:
         monkeypatch.setattr(harness, "_shards", lambda tables, cycles: iter(pieces))
         cfg = make_config(analyzers=CENTRAL_ANALYZERS)
         with pytest.raises(ValueError, match="below the floor of an earlier piece"):
-            harness._central_counts(cfg)
+            harness._central_counts(cfg, *CENTRAL_PHASES)
 
     @pytest.mark.parametrize("program", ["chsh", "phase-sweep"])
     def test_peak_memory_independent_of_cycles(self, program):
@@ -1421,10 +1442,19 @@ class TestSweep:
         phases = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         result = sweep(cfg, "analyzer_phase", list(phases))
         assert result.columns == ("phase_rad", "central_coincidences")
-        fit = visibility_fit([(row[0], row[1]) for row in result.rows])
-        assert fit.visibility > 0.9
-        assert fit.phase_identifiable
-        assert math.cos(fit.phase_offset) > 0.95
+        # N(theta) = N0 (1 + V cos(theta - theta0)) is linear in
+        # (N0, N0 V cos theta0, N0 V sin theta0).
+        theta, counts = np.array(result.rows).T
+        design = np.column_stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+        (n0, a, b), *_ = np.linalg.lstsq(design, counts, rcond=None)
+        assert math.hypot(a, b) / n0 > 0.9
+        assert math.cos(math.atan2(b, a)) > 0.95
+        # The phase is identified: the fringe amplitude lies over 3 sigma
+        # from 0, sigma from the residual variance.
+        resid = counts - design @ [n0, a, b]
+        cov = resid @ resid / (theta.size - 3) * np.linalg.inv(design.T @ design)
+        grad = np.array([0.0, a, b]) / math.hypot(a, b)
+        assert math.hypot(a, b) > 3.0 * math.sqrt(grad @ cov @ grad)
 
     def test_single_value_sweep_equals_direct_run(self):
         cfg = make_config(seed=74, cycles=100_000, mu=0.05, detectors=IDEAL_DETECTORS)
