@@ -15,7 +15,7 @@ which resolves the identity.  Slot offsets are 0, +T and +2T relative to the
 photon's nominal arrival, with T the bin separation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import starmap
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import events
 from .csvio import write_csv
-from .linalg import ProjectorSetting, projector
+from .linalg import ProjectorSetting, phase_projector, projector
 
 # The values are the config tokens of analyzers.<channel>.mode.
 MODE_TIME_OF_ARRIVAL = "time_of_arrival"
@@ -84,21 +84,18 @@ class AnalyzerOutcome:
 
 def analyzer_outcomes(setting: AnalyzerSetting, bin_separation_ps: int) -> list[AnalyzerOutcome]:
     t = int(bin_separation_ps)
+    early, late = (projector(ProjectorSetting.z(port)) for port in (+1, -1))
     if setting.mode == MODE_TIME_OF_ARRIVAL:
-        early = np.diag([1.0, 0.0]).astype(complex)
-        late = np.diag([0.0, 1.0]).astype(complex)
         return [
             AnalyzerOutcome(0, 0, events.BIN_EARLY, early),
             AnalyzerOutcome(t, 0, events.BIN_LATE, late),
         ]
-    outs = []
-    for port in (+1, -1):
-        outs.append(AnalyzerOutcome(0, port, events.BIN_EARLY, 0.25 * np.diag([1.0, 0.0]).astype(complex)))
-    for port in (+1, -1):
-        effect = 0.5 * projector(ProjectorSetting.phase(setting.phase, port))
-        outs.append(AnalyzerOutcome(t, port, events.BIN_SUPERPOSED, effect))
-    for port in (+1, -1):
-        outs.append(AnalyzerOutcome(2 * t, port, events.BIN_LATE, 0.25 * np.diag([0.0, 1.0]).astype(complex)))
+    outs = [AnalyzerOutcome(0, port, events.BIN_EARLY, 0.25 * early) for port in (+1, -1)]
+    outs += [
+        AnalyzerOutcome(t, port, events.BIN_SUPERPOSED, 0.5 * phase_projector(setting.phase, port))
+        for port in (+1, -1)
+    ]
+    outs += [AnalyzerOutcome(2 * t, port, events.BIN_LATE, 0.25 * late) for port in (+1, -1)]
     return outs
 
 
@@ -153,44 +150,23 @@ class CoincidenceHistogram:
 
     bin_width_ps: int
     window_ps: int
-    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
-    n_starts: int = 0
+    counts: np.ndarray
+    n_starts: int
 
     def __post_init__(self):
         if self.bin_width_ps <= 0:
             raise ValueError("bin_width_ps must be positive")
         if self.window_ps <= 0 or self.window_ps % self.bin_width_ps != 0:
             raise ValueError("window_ps must be a positive multiple of bin_width_ps")
-        n_bins = 2 * self.window_ps // self.bin_width_ps
-        counts = self.counts
-        if counts is None:
-            counts = np.zeros(n_bins, dtype=np.int64)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (n_bins,):
-                raise ValueError("counts length must match the binning")
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if counts.shape != (2 * self.window_ps // self.bin_width_ps,):
+            raise ValueError("counts length must match the binning")
         object.__setattr__(self, "counts", counts)
         if self.n_starts < 0:
             raise ValueError("n_starts must be nonnegative")
 
-    @classmethod
-    def empty(cls, bin_width_ps: int, window_ps: int) -> "CoincidenceHistogram":
-        return cls(bin_width_ps=bin_width_ps, window_ps=window_ps)
-
-    def with_counts(self, counts, n_starts: int) -> "CoincidenceHistogram":
-        return CoincidenceHistogram(self.bin_width_ps, self.window_ps, counts, n_starts)
-
-    @property
-    def n_bins(self) -> int:
-        return self.counts.shape[0]
-
     def bin_starts(self) -> np.ndarray:
-        return -self.window_ps + self.bin_width_ps * np.arange(self.n_bins)
-
-    def merge(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
-        if (self.bin_width_ps, self.window_ps) != (other.bin_width_ps, other.window_ps):
-            raise ValueError("histograms must share their binning to merge")
-        return self.with_counts(self.counts + other.counts, self.n_starts + other.n_starts)
+        return -self.window_ps + self.bin_width_ps * np.arange(self.counts.size)
 
     def to_csv(self, path) -> None:
         rows = ((int(s), int(c)) for s, c in zip(self.bin_starts(), self.counts))
@@ -219,8 +195,7 @@ def tdc_histogram_from_times(
     # each walk in bounds wherever it sorts; the one copy is sorted in place.
     stops = np.append(np.asarray(stop_times_ps, dtype=np.int64), starts[-1:] + window_ps)
     stops.sort()
-    hist = CoincidenceHistogram.empty(bin_width_ps, window_ps)
-    counts = np.zeros(hist.n_bins, dtype=np.int64)
+    counts = np.zeros(2 * window_ps // bin_width_ps, dtype=np.int64)
     for first in range(0, starts.size, _BLOCK_STARTS):
         origin = starts[first : first + _BLOCK_STARTS] - window_ps  # each window opens here
         idx = np.searchsorted(stops, origin, side="left")
@@ -231,7 +206,7 @@ def tdc_histogram_from_times(
                 origin, idx, d = origin[inside], idx[inside], d[inside]
             counts += np.bincount(d // bin_width_ps, minlength=counts.size)
             idx += 1
-    return hist.with_counts(counts, n_starts=int(starts.size))
+    return CoincidenceHistogram(bin_width_ps, window_ps, counts, int(starts.size))
 
 
 def windowed_stream(pieces, lo_ps: int, hi_ps: int):
@@ -263,15 +238,20 @@ def windowed_stream(pieces, lo_ps: int, hi_ps: int):
 
 def tdc_histogram_from_stream(pieces, bin_width_ps: int, window_ps: int) -> CoincidenceHistogram:
     """tdc_histogram_from_times folded over windowed_stream's (-window,
-    +window) windows, equal bit for bit to one pass over every piece.
-    starmap drops each piece as its histogram returns, so none is held
-    while the next is drawn."""
+    +window) windows, equal bit for bit to one pass over every piece: counts
+    and n_starts are summed from zero counts and no starts.  starmap drops
+    each piece as its histogram returns, so none is held while the next is
+    drawn."""
     hists = starmap(
         lambda starts, stops: tdc_histogram_from_times(starts, stops, bin_width_ps, window_ps),
         windowed_stream(pieces, -window_ps, window_ps),
     )
-    empty = CoincidenceHistogram.empty(bin_width_ps, window_ps)
-    return reduce(CoincidenceHistogram.merge, hists, empty)
+    counts, n_starts = reduce(
+        lambda total, hist: (total[0] + hist.counts, total[1] + hist.n_starts),
+        hists,
+        (np.zeros(2 * window_ps // bin_width_ps, dtype=np.int64), 0),
+    )
+    return CoincidenceHistogram(bin_width_ps, window_ps, counts, n_starts)
 
 
 def coincidence_rate(

@@ -442,9 +442,7 @@ def chi2_sf(chi2: float, dof: int) -> float:
 # ---------------------------------------------------------------------------
 # Entanglement and distance metrics
 
-_SIGMA_Y_PAIR = np.kron(
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.array([[0.0, -1.0j], [1.0j, 0.0]])
-)
+_SIGMA_Y_PAIR = np.kron(_PAULI_ONE[2], _PAULI_ONE[2])
 
 
 def _as_pair_density(rho) -> np.ndarray:

@@ -105,10 +105,8 @@ _SUMMARY_PEAK_FRACTION = 0.05
 # alone, the idler alone, neither.
 PAIR_CLASSES = ("both", "signal_only", "idler_only", "neither")
 
-_BIN_LABELS = events.BINS
-_BIN_CODE = {label: i for i, label in enumerate(_BIN_LABELS)}
-_ORIGIN_LABELS = events.ORIGINS
-_ORIGIN_CODE = {label: i for i, label in enumerate(_ORIGIN_LABELS)}
+_BIN_CODE = {label: i for i, label in enumerate(events.BINS)}
+_ORIGIN_CODE = {label: i for i, label in enumerate(events.ORIGINS)}
 
 # Memory outcome codes: 0 none, 1 transmitted, 2 + k for echo k.  Lost photons
 # are dropped before detection and never appear in the arrays.
@@ -131,7 +129,6 @@ class ChannelRecord:
     """All detected clicks of one channel as parallel arrays, shard after
     shard; within a shard the clicks are not in time order."""
 
-    channel: str
     times: np.ndarray
     cycles: np.ndarray
     ports: np.ndarray
@@ -369,7 +366,7 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
             key: np.concatenate([p.pop(key) for p in parts[ch]])
             for key in ("times", "cycles", "ports", "bins", "origins", "outcomes")
         }
-        channels[ch] = ChannelRecord(channel=ch, **merged)
+        channels[ch] = ChannelRecord(**merged)
     classes = dict(zip(PAIR_CLASSES, map(int, totals)))
     p_detect = {ch: tab.p_detect for ch, tab in tables.channels.items()}
     return SimulationData(cfg, classes, p_detect, channels)
@@ -422,9 +419,9 @@ def _write_events_csv(fh, rows: dict[str, np.ndarray], order: np.ndarray) -> Non
     mid = [f",{ch}," for ch in _EVENT_CHANNELS]
     tails = [
         f",{b},{o},{u}\r\n"
-        for b in _BIN_LABELS for o in _ORIGIN_LABELS for u in outcome_labels
+        for b in events.BINS for o in events.ORIGINS for u in outcome_labels
     ]
-    n_origin, n_outcome = len(_ORIGIN_LABELS), len(outcome_labels)
+    n_origin, n_outcome = len(events.ORIGINS), len(outcome_labels)
     for first in range(0, order.size, _EVENTS_CHUNK_ROWS):
         idx = order[first : first + _EVENTS_CHUNK_ROWS]
         # intp: int8 bins times the label counts would overflow.
@@ -459,41 +456,6 @@ def _settle_events(fh, carry, clicks, floor) -> dict[str, np.ndarray]:
     settled = order.size if floor is None else np.count_nonzero(rows["times"] < floor)
     _write_events_csv(fh, rows, order[:settled])
     return {key: col[order[settled:]] for key, col in rows.items()}
-
-
-def _is_outcome_label(label: str) -> bool:
-    """NONE, TRANSMITTED or RECALLED_k: the labels _write_events_csv writes."""
-    if label in (events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED):
-        return True
-    k = label.rpartition("_")[2]
-    return k.isdecimal() and events.recalled_token(int(k)) == label
-
-
-def events_from_csv(path) -> list[tuple]:
-    """Read events.csv back as rows of (cycle, channel, time_ps, bin, origin,
-    memory_outcome), cycle and time_ps as integers, the rest as labels."""
-    rows = []
-    for line_no, raw in csv_rows(path, EVENT_CSV_HEADER, "events"):
-        cycle, channel, time_ps, bin_label, origin, outcome = raw
-        try:
-            cycle, time_ps = int(cycle), int(time_ps)
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {line_no}: non-integer cycle or time_ps"
-            ) from None
-        for kind, label, known in (
-            ("channel", channel, events.CHANNELS),
-            ("bin", bin_label, _BIN_LABELS),
-            ("origin", origin, _ORIGIN_LABELS),
-        ):
-            if label not in known:
-                raise ValueError(f"{path}: line {line_no}: unknown {kind} {label!r}")
-        if not _is_outcome_label(outcome):
-            raise ValueError(
-                f"{path}: line {line_no}: unknown memory outcome {outcome!r}"
-            )
-        rows.append((cycle, channel, time_ps, bin_label, origin, outcome))
-    return rows
 
 
 def _g2_payload(hist, delay_ps: int, cfg: ExperimentConfig) -> dict | None:
@@ -642,16 +604,14 @@ def _central_port_counts(starts: np.ndarray, stops: np.ndarray, delta: int, hw: 
     return np.array([n[m].sum() for n in (plus, end - first - plus) for m in (idler, ~idler)])
 
 
-def _central_counts(
-    cfg: ExperimentConfig, signal_phase: float, idler_phase: float
-) -> dict[tuple[int, int], int]:
+def _central_counts(cfg: ExperimentConfig, signal_phase: float, idler_phase: float) -> np.ndarray:
     """Central-slot coincidences of cfg's run with both analyzers switched
     to interferometers at these phases (the central slot exists only in that
-    mode), keyed by (signal, idler) port, at the recall delay +- the peak
-    halfwidth: _central_port_counts, on sorted keys, folded over
-    windowed_stream.  A key floor is twice the time floor, and
-    [2(delta - hw) - 1, 2(delta + hw + 1)) holds a start key's window
-    whatever the ports."""
+    mode), as an int64 array in _central_port_counts' (signal, idler) port
+    order, at the recall delay +- the peak halfwidth: _central_port_counts,
+    on sorted keys, folded over windowed_stream.  A key floor is twice the
+    time floor, and [2(delta - hw) - 1, 2(delta + hw + 1)) holds a start
+    key's window whatever the ports."""
     phases = zip(events.CHANNELS, (signal_phase, idler_phase))
     cfg = replace(cfg, analyzers={ch: AnalyzerSetting.interferometer(p) for ch, p in phases})
     delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
@@ -660,8 +620,7 @@ def _central_counts(
         lambda starts, stops: _central_port_counts(np.sort(starts), np.sort(stops), delta, hw),
         windowed_stream(pieces, 2 * (delta - hw) - 1, 2 * (delta + hw + 1)),
     )
-    totals = sum(counts, np.zeros(4, dtype=np.int64))
-    return dict(zip(((+1, +1), (+1, -1), (-1, +1), (-1, -1)), totals.tolist()))
+    return sum(counts, np.zeros(4, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -686,15 +645,11 @@ def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
             ).generate_state(1)[0]
         )
         sub = replace(cfg, run=replace(cfg.run, seed=seed))
-        counts = _central_counts(sub, sa.analyzer_phase(), sb.analyzer_phase())
-        same = counts[(+1, +1)] + counts[(-1, -1)]
-        diff = counts[(+1, -1)] + counts[(-1, +1)]
-        e, sigma = correlation_coefficient(same, diff)
+        pp, pm, mp, mm = _central_counts(sub, sa.analyzer_phase(), sb.analyzer_phase()).tolist()
+        e, sigma = correlation_coefficient(pp + mm, pm + mp)
         e_values.append(e)
         sigmas.append(sigma)
-        per_counts.append(
-            (counts[(+1, +1)], counts[(+1, -1)], counts[(-1, +1)], counts[(-1, -1)])
-        )
+        per_counts.append((pp, pm, mp, mm))
     return ChshSimulation(
         counts=tuple(per_counts),
         e_values=tuple(e_values),
@@ -756,44 +711,29 @@ def chsh_from_csv(path) -> dict[str, tuple[tuple[float, ...], tuple[float, ...]]
     return out
 
 
-@dataclass(frozen=True)
-class WavelengthRow:
-    signal_nm: float
-    idler_nm: float
-    efficiency_794: float
-    efficiency_1535: float
-    link_efficiency: float
-
-
-@dataclass(frozen=True)
-class WavelengthTable:
-    rows: tuple[WavelengthRow, ...]
-
-    def best(self) -> WavelengthRow:
-        return max(self.rows, key=lambda r: r.link_efficiency)
-
-
-def wavelength_table_from_csv(path) -> WavelengthTable:
+def wavelength_table_from_csv(path) -> list[dict[str, float]]:
+    """The rows of a wavelength table, each a dict keyed by
+    WAVELENGTH_CSV_HEADER, checked as they are read."""
     rows = []
     for line_no, raw in csv_rows(path, WAVELENGTH_CSV_HEADER, "wavelength"):
-        row = WavelengthRow(*float_fields(path, line_no, raw))
-        if row.signal_nm <= 0.0 or row.idler_nm <= 0.0:
+        row = dict(zip(WAVELENGTH_CSV_HEADER, float_fields(path, line_no, raw)))
+        if row["signal_nm"] <= 0.0 or row["idler_nm"] <= 0.0:
             raise ValueError(f"{path}: line {line_no}: wavelengths must be positive")
-        for eff in (row.efficiency_794, row.efficiency_1535):
+        for eff in (row["efficiency_794"], row["efficiency_1535"]):
             if not 0.0 <= eff <= 1.0:
                 raise ValueError(
                     f"{path}: line {line_no}: efficiency {eff!r} outside [0, 1]"
                 )
-        product = row.efficiency_794 * row.efficiency_1535
-        if abs(row.link_efficiency - product) > 1e-6:
+        product = row["efficiency_794"] * row["efficiency_1535"]
+        if abs(row["link_efficiency"] - product) > 1e-6:
             raise ValueError(
-                f"{path}: line {line_no}: link efficiency {row.link_efficiency!r} "
+                f"{path}: line {line_no}: link efficiency {row['link_efficiency']!r} "
                 f"is not the per-memory product {product!r}"
             )
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no wavelength rows")
-    return WavelengthTable(tuple(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +918,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> SweepResult:
         idler_phase = idler.phase if idler.mode == MODE_INTERFEROMETER else 0.0
 
         def point(value):
-            return value, float(_central_counts(cfg, value, idler_phase)[(+1, +1)])
+            return value, float(_central_counts(cfg, value, idler_phase)[0])
 
     rows = []
     for value in points:
@@ -1013,13 +953,13 @@ def generate_report(
         trials=trials,
         seed=seed,
     )
-    table = wavelength_table_from_csv(data_path(DATA_WAVELENGTH))
-    best = table.best()
+    rows = wavelength_table_from_csv(data_path(DATA_WAVELENGTH))
+    best = max(rows, key=itemgetter("link_efficiency"))
     payload = {
         "state_analysis": report.to_json_dict(),
         "wavelength_link": {
-            "rows": [asdict(row) for row in table.rows],
-            "best": {"signal_nm": best.signal_nm, "link_efficiency": best.link_efficiency},
+            "rows": rows,
+            "best": {key: best[key] for key in ("signal_nm", "link_efficiency")},
         },
     }
     write_report_files(out_dir, payload, report)

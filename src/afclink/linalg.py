@@ -20,7 +20,7 @@ score every Monte-Carlo trial in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,16 +95,14 @@ _TOKEN_KINDS = {v: k for k, v in _KIND_TOKENS.items()}
 class ProjectorSetting:
     """One analyzer outcome: an axis plus an output port (+1 or -1).
 
-    kind is one of Z, X, Y, XPY, XMY or PHASE; a PHASE setting carries an
-    explicit analyzer phase in radians.
+    kind is one of Z, X, Y, XPY and XMY.
     """
 
     kind: str
     port: int = +1
-    theta: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.kind not in ("Z", "X", "Y", "XPY", "XMY", "PHASE"):
+        if self.kind not in _KIND_TOKENS:
             raise ValueError(f"unknown projector kind {self.kind!r}")
         if self.port not in (+1, -1):
             raise ValueError(f"projector port must be +1 or -1, got {self.port!r}")
@@ -122,10 +120,6 @@ class ProjectorSetting:
         return cls("Y", port)
 
     @classmethod
-    def phase(cls, theta: float, port: int = +1) -> "ProjectorSetting":
-        return cls("PHASE", port, float(theta))
-
-    @classmethod
     def from_token(cls, token: str) -> "ProjectorSetting":
         """Parse a CSV token: Z, X, Y, XpY, XmY, each optionally '-'-suffixed."""
         token = token.strip()
@@ -139,8 +133,6 @@ class ProjectorSetting:
         return cls(_TOKEN_KINDS[base], port)
 
     def token(self) -> str:
-        if self.kind == "PHASE":
-            raise ValueError("free-phase settings have no CSV token")
         base = _KIND_TOKENS[self.kind]
         return base + ("-" if self.port == -1 else "")
 
@@ -148,8 +140,6 @@ class ProjectorSetting:
         """The interferometer phase realizing this setting (Z has none)."""
         if self.kind == "Z":
             raise ValueError("Z settings are time-of-arrival, not interferometric")
-        if self.kind == "PHASE":
-            return self.theta
         return _KIND_PHASES[self.kind]
 
 
@@ -163,8 +153,12 @@ def projector(setting: ProjectorSetting) -> np.ndarray:
         if setting.port == +1:
             return np.diag([1.0, 0.0]).astype(complex)
         return np.diag([0.0, 1.0]).astype(complex)
-    theta = setting.analyzer_phase()
-    amp = setting.port * np.exp(1j * theta)
+    return phase_projector(setting.analyzer_phase(), setting.port)
+
+
+def phase_projector(theta: float, port: int) -> np.ndarray:
+    """The projector on (|e> + port * e^{i theta} |l>)/sqrt(2)."""
+    amp = port * np.exp(1j * theta)
     return 0.5 * np.array([[1.0, np.conj(amp)], [amp, 1.0]], dtype=complex)
 
 

@@ -3,10 +3,11 @@ read, shared by the test modules (imported as `conftest`)."""
 
 import numpy as np
 
+from afclink import events
 from afclink.config import config_from_dict
 from afclink.csvio import csv_rows
 from afclink.detection import HISTOGRAM_CSV_HEADER, CoincidenceHistogram
-from afclink.harness import data_path
+from afclink.harness import EVENT_CSV_HEADER, data_path
 from afclink.memory import CombSpectrum
 
 # The shipped comb profile: only tests read it.
@@ -57,3 +58,38 @@ def histogram_from_csv(path) -> CoincidenceHistogram:
         return CoincidenceHistogram(int(widths[0]), -int(starts[0]), counts, n_starts=0)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _is_outcome_label(label: str) -> bool:
+    """NONE, TRANSMITTED or RECALLED_k: the labels events.csv is written with."""
+    if label in (events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED):
+        return True
+    k = label.rpartition("_")[2]
+    return k.isdecimal() and events.recalled_token(int(k)) == label
+
+
+def events_from_csv(path) -> list[tuple]:
+    """Read events.csv back as rows of (cycle, channel, time_ps, bin, origin,
+    memory_outcome), cycle and time_ps as integers, the rest as labels."""
+    rows = []
+    for line_no, raw in csv_rows(path, EVENT_CSV_HEADER, "events"):
+        cycle, channel, time_ps, bin_label, origin, outcome = raw
+        try:
+            cycle, time_ps = int(cycle), int(time_ps)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {line_no}: non-integer cycle or time_ps"
+            ) from None
+        for kind, label, known in (
+            ("channel", channel, events.CHANNELS),
+            ("bin", bin_label, events.BINS),
+            ("origin", origin, events.ORIGINS),
+        ):
+            if label not in known:
+                raise ValueError(f"{path}: line {line_no}: unknown {kind} {label!r}")
+        if not _is_outcome_label(outcome):
+            raise ValueError(
+                f"{path}: line {line_no}: unknown memory outcome {outcome!r}"
+            )
+        rows.append((cycle, channel, time_ps, bin_label, origin, outcome))
+    return rows

@@ -1,5 +1,6 @@
-"""Dead-code guards: every function, class, method and module constant in
-afclink is used, and every defaulted parameter is passed by some call.
+"""Dead-code guards: every function, class, method, module constant and
+import in afclink is used, and every defaulted parameter is passed by some
+call.
 
 A top-level function, class or UPPER_CASE constant counts as used when its
 name appears in the package source (as a name or an attribute) anywhere
@@ -15,6 +16,10 @@ in the package, to a callee of the same spelling, passes it by keyword, by
 position (self and cls skipped) or through * or ** unpacking.  A parameter
 that no call passes is a constant in disguise; it stays only with a reason
 in KEEP_PARAMS.
+
+A name a module imports (from __future__ aside) counts as used when it
+occurs as a name in that module; the package has no linter to catch the
+imports a deletion leaves behind.
 """
 
 import ast
@@ -58,7 +63,6 @@ KEEP = {
         "`harness.simulate` and bench/reference.py does `import simulate`; goes "
         "with the next benchmark change (ROADMAP)"
     ),
-    "harness.events_from_csv": ROUND_TRIP,
 }
 
 # ROADMAP's cap on the lines of src/afclink/*.py: a change that crosses it
@@ -237,6 +241,40 @@ def test_bench_citing_reason_quotes_text_the_bench_still_holds(name):
     texts = [(ROOT / path).read_text() for path in files]
     gone = [quote for quote in quotes if not any(quote in text for text in texts)]
     assert not gone, f"{name}: {gone} no longer occur in {files}"
+
+
+def unused_imports():
+    """module.name of every name a module imports, from __future__ aside,
+    that occurs nowhere in that module as a name."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            bound = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            out += [f"{path.stem}.{name}" for name in bound if name not in used]
+    return out
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, f"imported but never used in src/afclink: {unused}"
+
+
+def test_an_unused_import_is_reported(tmp_path, monkeypatch):
+    # An import left behind by the code that called it, as a deleted branch
+    # would leave its helper.
+    (tmp_path / "kernel.py").write_text(
+        "from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+        "from .linalg import phase_projector, projector\n"
+        "def effect(theta):\n    return np.real(phase_projector(theta, +1))\n"
+    )
+    monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
+    assert unused_imports() == ["kernel.os", "kernel.projector"]
 
 
 def test_package_stays_under_the_line_cap():

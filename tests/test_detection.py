@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import IDEAL_DETECTORS, histogram_from_csv, make_config
+from conftest import IDEAL_DETECTORS, events_from_csv, histogram_from_csv, make_config
 from scipy.stats import chi2
 
 from afclink import detection, events, harness
@@ -469,28 +469,6 @@ class TestTdcHistogram:
         idx = int((12_510 + 20_000) // 80)
         assert hist.counts[idx] == 1
 
-    def test_merge_is_associative_and_commutative(self):
-        rng = np.random.default_rng(3)
-
-        def random_hist():
-            h = CoincidenceHistogram.empty(bin_width_ps=80, window_ps=800)
-            h = h.with_counts(rng.integers(0, 50, h.counts.shape[0]), n_starts=int(rng.integers(1, 9)))
-            return h
-
-        a, b, c = random_hist(), random_hist(), random_hist()
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert np.array_equal(left.counts, right.counts)
-        assert left.n_starts == right.n_starts
-        ab, ba = a.merge(b), b.merge(a)
-        assert np.array_equal(ab.counts, ba.counts)
-
-    def test_merge_requires_matching_binning(self):
-        a = CoincidenceHistogram.empty(80, 800)
-        b = CoincidenceHistogram.empty(40, 800)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_coincidence_rate_window(self):
         stops = [100_000 + dt for dt in (-450, -30, 0, 200, 480, 900)]
         hist = tdc_histogram_from_times([100_000], stops, bin_width_ps=80, window_ps=2_000)
@@ -499,7 +477,7 @@ class TestTdcHistogram:
         assert coincidence_rate(hist, 0, peak_halfwidth_ps=100) == 2
 
     def test_coincidence_rate_out_of_span(self):
-        hist = CoincidenceHistogram.empty(80, 800)
+        hist = CoincidenceHistogram(80, 800, np.zeros(20, dtype=np.int64), 0)
         with pytest.raises(ValueError):
             coincidence_rate(hist, 5_000)
 
@@ -604,7 +582,7 @@ class TestHistogramFromTimes:
         pair_stops = np.arange(n.sum()) + np.repeat(first - np.cumsum(n) + n, n)
         delays = stops[pair_stops] - np.repeat(starts, n)
         assert delays.size > 10_000
-        expected = np.bincount((delays + 70_000) // 80, minlength=hist.n_bins)
+        expected = np.bincount((delays + 70_000) // 80, minlength=hist.counts.size)
         assert np.array_equal(hist.counts, expected)
         assert hist.n_starts == starts.size
 
@@ -653,6 +631,13 @@ class TestHistogramFromStream:
             assert np.array_equal(streamed.counts, single.counts)
             assert streamed.n_starts == single.n_starts == starts.size
 
+    def test_no_clicks_give_zero_counts_in_the_requested_binning(self):
+        no_clicks = np.zeros(0, dtype=np.int64)
+        for pieces in ([], [(no_clicks, no_clicks, 1_000), (no_clicks, no_clicks, None)]):
+            hist = detection.tdc_histogram_from_stream(pieces, 80, 800)
+            assert (hist.bin_width_ps, hist.window_ps, hist.n_starts) == (80, 800, 0)
+            assert np.array_equal(hist.counts, np.zeros(20, dtype=np.int64))
+
     def test_click_below_an_earlier_floor_fails(self):
         pieces = [
             (np.array([100]), np.array([120]), 1_000),
@@ -674,7 +659,7 @@ class TestCsvRoundTrips:
                                   rec.bins.tolist(), rec.origins.tolist())
         ]
         assert len(expected) > 0
-        assert sorted(harness.events_from_csv(res.events_path)) == sorted(expected)
+        assert sorted(events_from_csv(res.events_path)) == sorted(expected)
 
     def test_histogram_csv(self, tmp_path):
         hist = tdc_histogram_from_times([50_000], [50_030], bin_width_ps=80, window_ps=240)

@@ -16,7 +16,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import IDEAL_DETECTORS, SYNTHETIC_COMB, histogram_from_csv, make_config
+from conftest import (
+    IDEAL_DETECTORS,
+    SYNTHETIC_COMB,
+    events_from_csv,
+    histogram_from_csv,
+    make_config,
+)
 
 import afclink
 from afclink import detection, events, harness
@@ -39,11 +45,11 @@ from afclink.harness import (
     SHARD_CYCLES,
     STAGE_INPUT,
     STAGE_OUTPUT,
+    WAVELENGTH_CSV_HEADER,
     analyze_paper_data,
     chsh_from_csv,
     chsh_simulation,
     data_path,
-    events_from_csv,
     recall_delay_ps,
     run_histogram,
     run_simulation,
@@ -943,22 +949,23 @@ STORED_RUN = dict(
 
 
 def whole_run_central_counts(data):
-    """Central-slot coincidences of a run's joined click arrays, keyed by
-    (signal, idler) port: per port pair, every idler start against the
-    signal stops within the peak halfwidth of the recall delay."""
+    """Central-slot coincidences of a run's joined click arrays, as a list
+    over (signal, idler) ports (+1, +1), (+1, -1), (-1, +1), (-1, -1): per
+    port pair, every idler start against the signal stops within the peak
+    halfwidth of the recall delay."""
     cfg = data.config
     hw = cfg.tdc.peak_halfwidth_ps
     delta = recall_delay_ps(cfg)
     sup = events.BINS.index(events.BIN_SUPERPOSED)
     sig, idl = data.channels[events.SIGNAL_794], data.channels[events.IDLER_1535]
-    counts = {}
+    counts = []
     for pa in (+1, -1):
         stops = np.sort(sig.times[(sig.bins == sup) & (sig.ports == pa)])
         for pb in (+1, -1):
             starts = idl.times[(idl.bins == sup) & (idl.ports == pb)]
             lo = np.searchsorted(stops, starts + (delta - hw), side="left")
             hi = np.searchsorted(stops, starts + (delta + hw), side="right")
-            counts[(pa, pb)] = int((hi - lo).sum())
+            counts.append(int((hi - lo).sum()))
     return counts
 
 
@@ -1004,7 +1011,7 @@ class TestChshSimulation:
             },
         )
         counts = harness._central_counts(cfg, 0.4, 0.0)
-        assert all(c > 0 for c in counts.values())
+        assert counts.min() > 0
         shard, rng = harness._simulate_shard, np.random.default_rng(0)
 
         def shuffled(*args):
@@ -1015,7 +1022,7 @@ class TestChshSimulation:
             return classes, clicks
 
         monkeypatch.setattr(harness, "_simulate_shard", shuffled)
-        assert harness._central_counts(cfg, 0.4, 0.0) == counts
+        assert np.array_equal(harness._central_counts(cfg, 0.4, 0.0), counts)
 
     def test_central_counts_switch_both_analyzers_to_interferometers(self):
         # The central slot exists only with interferometers, so the counter
@@ -1025,8 +1032,8 @@ class TestChshSimulation:
         assert {a.mode for a in arrival.analyzers.values()} == {"time_of_arrival"}
         interferometers = make_config(seed=66, cycles=20_000, mu=0.1, analyzers=CENTRAL_ANALYZERS)
         counts = harness._central_counts(interferometers, *CENTRAL_PHASES)
-        assert min(counts.values()) > 0
-        assert harness._central_counts(arrival, *CENTRAL_PHASES) == counts
+        assert counts.min() > 0
+        assert np.array_equal(harness._central_counts(arrival, *CENTRAL_PHASES), counts)
 
     @pytest.mark.parametrize("run, sign", CENTRAL_RUNS, ids=CENTRAL_RUN_IDS)
     def test_streamed_counts_equal_whole_run(self, run, sign, monkeypatch):
@@ -1036,8 +1043,8 @@ class TestChshSimulation:
         cfg = make_config(**dict(run, cycles=6_000, analyzers=CENTRAL_ANALYZERS))
         assert np.sign(recall_delay_ps(cfg)) == sign
         expected = whole_run_central_counts(simulate(cfg))
-        assert min(expected.values()) > 0
-        assert harness._central_counts(cfg, *CENTRAL_PHASES) == expected
+        assert min(expected) > 0
+        assert harness._central_counts(cfg, *CENTRAL_PHASES).tolist() == expected
 
     @pytest.mark.parametrize("run, sign", CENTRAL_RUNS, ids=CENTRAL_RUN_IDS)
     def test_tight_floors_equal_whole_run(self, run, sign, monkeypatch):
@@ -1067,8 +1074,8 @@ class TestChshSimulation:
         monkeypatch.setattr(harness, "_shards", lambda tables, cycles: iter(pieces))
         channels = {ch: SimpleNamespace(**rec) for ch, rec in run_clicks.items()}
         expected = whole_run_central_counts(SimpleNamespace(config=cfg, channels=channels))
-        assert min(expected.values()) > 0
-        assert harness._central_counts(cfg, *CENTRAL_PHASES) == expected
+        assert min(expected) > 0
+        assert harness._central_counts(cfg, *CENTRAL_PHASES).tolist() == expected
 
     @pytest.mark.parametrize("channel", events.CHANNELS)
     def test_click_below_an_earlier_floor_raises(self, channel, monkeypatch):
@@ -1351,17 +1358,18 @@ class TestAnalyzePaperData:
 
 class TestWavelengthTable:
     def test_shipped_table(self):
-        table = wavelength_table_from_csv(data_path(DATA_WAVELENGTH))
-        assert len(table.rows) == 4
-        for row in table.rows:
-            assert row.link_efficiency == pytest.approx(
-                row.efficiency_794 * row.efficiency_1535, abs=1e-6
+        rows = wavelength_table_from_csv(data_path(DATA_WAVELENGTH))
+        assert len(rows) == 4
+        for row in rows:
+            assert list(row) == list(WAVELENGTH_CSV_HEADER)
+            assert row["link_efficiency"] == pytest.approx(
+                row["efficiency_794"] * row["efficiency_1535"], abs=1e-6
             )
-            assert 0.0 < row.efficiency_794 < 1.0
-            assert 0.0 < row.efficiency_1535 < 1.0
-        best = table.best()
-        assert best.signal_nm == pytest.approx(794.68)
-        assert best.link_efficiency == pytest.approx(1.0e-4)
+            assert 0.0 < row["efficiency_794"] < 1.0
+            assert 0.0 < row["efficiency_1535"] < 1.0
+        best = max(rows, key=lambda row: row["link_efficiency"])
+        assert best["signal_nm"] == pytest.approx(794.68)
+        assert best["link_efficiency"] == pytest.approx(1.0e-4)
 
     def test_product_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -18,6 +18,7 @@ from afclink.linalg import (
     bell_phi_plus,
     hermitian_eigensystem,
     matrix_sqrt_psd,
+    phase_projector,
     projector,
 )
 from afclink.source import SourceConfig
@@ -187,15 +188,15 @@ class TestProjectors:
 
     def test_x_and_y_are_phase_settings(self):
         assert np.allclose(
-            projector(ProjectorSetting.x()), projector(ProjectorSetting.phase(0.0)), atol=1e-15
+            projector(ProjectorSetting.x()), phase_projector(0.0, +1), atol=1e-15
         )
         assert np.allclose(
-            projector(ProjectorSetting.y()), projector(ProjectorSetting.phase(np.pi / 2)), atol=1e-15
+            projector(ProjectorSetting.y()), phase_projector(np.pi / 2, +1), atol=1e-15
         )
 
     def test_phase_projector_explicit(self):
         theta = np.pi / 4
-        p = projector(ProjectorSetting.phase(theta, -1))
+        p = phase_projector(theta, -1)
         e = np.exp(1j * theta)
         expected = 0.5 * np.array([[1.0, -np.conj(e)], [-e, 1.0]])
         assert np.allclose(p, expected, atol=1e-15)
@@ -205,10 +206,9 @@ class TestProjectors:
         settings = [ProjectorSetting.z, ProjectorSetting.x, ProjectorSetting.y]
         for _ in range(2500):
             theta = rng.uniform(0.0, 2.0 * np.pi)
-            pairs = [(s(+1), s(-1)) for s in settings]
-            pairs.append((ProjectorSetting.phase(theta, +1), ProjectorSetting.phase(theta, -1)))
-            for plus, minus in pairs:
-                p, q = projector(plus), projector(minus)
+            pairs = [(projector(s(+1)), projector(s(-1))) for s in settings]
+            pairs.append((phase_projector(theta, +1), phase_projector(theta, -1)))
+            for p, q in pairs:
                 assert np.allclose(p, p.conj().T, atol=1e-12)
                 assert np.allclose(q, q.conj().T, atol=1e-12)
                 assert np.allclose(p + q, np.eye(2), atol=1e-12)
@@ -225,18 +225,23 @@ class TestProjectors:
         # XpY is the +45-degree phase port, XmY the -45-degree one.
         assert np.allclose(
             projector(ProjectorSetting.from_token("XpY")),
-            projector(ProjectorSetting.phase(np.pi / 4, +1)),
+            phase_projector(np.pi / 4, +1),
             atol=1e-15,
         )
         assert np.allclose(
             projector(ProjectorSetting.from_token("XmY-")),
-            projector(ProjectorSetting.phase(-np.pi / 4, -1)),
+            phase_projector(-np.pi / 4, -1),
             atol=1e-15,
         )
 
     def test_bad_token_rejected(self):
         with pytest.raises(ValueError):
             ProjectorSetting.from_token("Q")
+
+    def test_free_phase_is_not_a_projector_kind(self):
+        # A free analyzer phase goes through phase_projector, never a setting.
+        with pytest.raises(ValueError, match="unknown projector kind"):
+            ProjectorSetting("PHASE")
 
 
 class TestPairBasis:
