@@ -39,6 +39,7 @@ from .detection import (
     MODE_TIME_OF_ARRIVAL,
     AnalyzerSetting,
     DetectorConfig,
+    bin_count,
 )
 from .errors import ConfigError
 from .events import CHANNELS
@@ -96,10 +97,7 @@ class TdcConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer number of ps, got {value!r}")
-        if self.bin_width_ps <= 0:
-            raise ValueError("bin_width_ps must be positive")
-        if self.window_ps <= 0 or self.window_ps % self.bin_width_ps != 0:
-            raise ValueError("window_ps must be a positive multiple of bin_width_ps")
+        bin_count(self.bin_width_ps, self.window_ps)
         if not 0 < self.peak_halfwidth_ps <= self.window_ps:
             raise ValueError("peak_halfwidth_ps must lie in (0, window_ps]")
 

@@ -13,11 +13,14 @@ phase information.  The corresponding six-outcome POVM per arm is
 
 which resolves the identity.  Slot offsets are 0, +T and +2T relative to the
 photon's nominal arrival, with T the bin separation.
+
+Every coincidence count is one walk of sorted start and stop times, summed
+over a streamed run by windowed_fold: the TDC histogram bins the delays, and
+window_counts counts them in exact closed windows, for g2 and CHSH.
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import starmap
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,8 +41,8 @@ HISTOGRAM_CSV_HEADER = ("bin_start_ps", "count")
 
 DEFAULT_PEAK_HALFWIDTH_PS = 500
 
-# tdc_histogram_from_times walks the sorted starts this many at a time, so a
-# pass's temporaries hold one block: 256 kB per int64 array, cache-sized.
+# _walk takes the sorted starts this many at a time, so a pass's temporaries
+# hold one block: 256 kB per int64 array, cache-sized.
 _BLOCK_STARTS = 1 << 15
 
 
@@ -144,6 +147,15 @@ class DetectorConfig:
         return self.jitter_fwhm_ps / FWHM_TO_SIGMA
 
 
+def bin_count(bin_width_ps: int, window_ps: int) -> int:
+    """The number of bins over [-window, +window), once the binning is checked."""
+    if bin_width_ps <= 0:
+        raise ValueError("bin_width_ps must be positive")
+    if window_ps <= 0 or window_ps % bin_width_ps != 0:
+        raise ValueError("window_ps must be a positive multiple of bin_width_ps")
+    return 2 * window_ps // bin_width_ps
+
+
 @dataclass(frozen=True, eq=False)
 class CoincidenceHistogram:
     """Start-stop delay histogram over [-window, +window) with fixed bins."""
@@ -154,12 +166,8 @@ class CoincidenceHistogram:
     n_starts: int
 
     def __post_init__(self):
-        if self.bin_width_ps <= 0:
-            raise ValueError("bin_width_ps must be positive")
-        if self.window_ps <= 0 or self.window_ps % self.bin_width_ps != 0:
-            raise ValueError("window_ps must be a positive multiple of bin_width_ps")
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (2 * self.window_ps // self.bin_width_ps,):
+        if counts.shape != (bin_count(self.bin_width_ps, self.window_ps),):
             raise ValueError("counts length must match the binning")
         object.__setattr__(self, "counts", counts)
         if self.n_starts < 0:
@@ -173,49 +181,78 @@ class CoincidenceHistogram:
         write_csv(path, HISTOGRAM_CSV_HEADER, rows)
 
 
-def tdc_histogram_from_times(
-    start_times_ps: np.ndarray,
-    stop_times_ps: np.ndarray,
-    bin_width_ps: int,
-    window_ps: int,
-) -> CoincidenceHistogram:
-    """Histogram stop-minus-start delays for every start.
-
-    Every stop in [start - window, start + window) counts once per start.
-    Each start walks the sorted stops from the first one in its window: a
-    pass bins every start's current stop and drops the starts whose stop
-    has left their window.  The sorted starts are walked in blocks of
-    _BLOCK_STARTS, each with its own passes, so memory is the sorted copies
-    of the starts and stops plus one block's temporaries, with no pair-sized
-    temporary; time is O(pairs + starts) of vector work spread over as many
-    passes as the fullest window holds stops, so a burst of 1e5 stops in
-    one window costs 1e5 passes (~1 s) however few starts see it."""
-    starts = np.sort(np.asarray(start_times_ps, dtype=np.int64))
-    # A sentinel at the last start's window end, which no window holds, ends
-    # each walk in bounds wherever it sorts; the one copy is sorted in place.
-    stops = np.append(np.asarray(stop_times_ps, dtype=np.int64), starts[-1:] + window_ps)
+def _walk(starts, stops, lo: int, span: int):
+    """stop - start - lo of every pair with stop - start in [lo, lo + span),
+    pass by pass: each start walks the sorted stops from the first in its
+    reach, one a pass, until a stop (or the sentinel) leaves the reach.
+    Memory is a sorted copy of each input and one _BLOCK_STARTS block of
+    temporaries; time is O(pairs + starts) over as many passes as the
+    fullest reach holds stops (1e5 stops in one reach: ~1 s)."""
+    starts = np.sort(np.asarray(starts, dtype=np.int64))
+    stops = np.append(np.asarray(stops, dtype=np.int64), starts[-1:] + lo + span)
     stops.sort()
-    counts = np.zeros(2 * window_ps // bin_width_ps, dtype=np.int64)
     for first in range(0, starts.size, _BLOCK_STARTS):
-        origin = starts[first : first + _BLOCK_STARTS] - window_ps  # each window opens here
+        origin = starts[first : first + _BLOCK_STARTS] + lo  # each reach opens here
         idx = np.searchsorted(stops, origin, side="left")
         while origin.size:
             d = stops[idx] - origin
-            inside = np.flatnonzero(d < 2 * window_ps)
+            inside = np.flatnonzero(d < span)
             if inside.size < d.size:  # gather only when some walk has ended
                 origin, idx, d = origin[inside], idx[inside], d[inside]
-            counts += np.bincount(d // bin_width_ps, minlength=counts.size)
+            yield d
             idx += 1
-    return CoincidenceHistogram(bin_width_ps, window_ps, counts, int(starts.size))
 
 
-def windowed_stream(pieces, lo_ps: int, hi_ps: int):
-    """Every start of clicks that arrive in pieces (starts, stops, floor), once
-    its window [start + lo, start + hi) is whole, with the stops seen so far
-    that the window can hold.  No click of a later piece lies below the floor
-    (None on the last piece): one that does raises ValueError.  Between pieces
-    only the pending starts and the stops they or later starts can reach stay."""
+def tdc_histogram_from_times(
+    start_times_ps: np.ndarray, stop_times_ps: np.ndarray, bin_width_ps: int, window_ps: int
+) -> CoincidenceHistogram:
+    """Histogram stop-minus-start delays: every stop in [start - window,
+    start + window) counts once per start, in the bin delay // bin_width_ps."""
+    counts = np.zeros(bin_count(bin_width_ps, window_ps), dtype=np.int64)
+    for d in _walk(start_times_ps, stop_times_ps, -window_ps, 2 * window_ps):
+        counts += np.bincount(d // bin_width_ps, minlength=counts.size)
+    return CoincidenceHistogram(bin_width_ps, window_ps, counts, np.size(start_times_ps))
+
+
+@lru_cache(maxsize=8)
+def _segments(offsets: tuple[int, ...], hw: int):
+    """The lowest delay lo of the windows [o - hw, o + hw], the segment between
+    window edges of each delay d - lo, and the 0/1 (windows, segments) matrix
+    of the segments each window covers; cached, so built once per fold."""
+    opens = np.array(offsets, dtype=np.int64) - hw
+    lo = min(offsets, default=hw) - hw
+    edges = np.sort(np.concatenate([[0], opens - lo, opens - lo + 2 * hw + 1]))
+    segments = np.arange(edges.size - 1, dtype=np.min_scalar_type(edges.size))
+    inside = (edges[:-1] >= opens[:, None] - lo) & (edges[:-1] <= opens[:, None] - lo + 2 * hw)
+    return lo, np.repeat(segments, np.diff(edges)), inside.astype(np.int64)
+
+
+def window_counts(starts, stops, offsets, hw, start_labels=None, stop_labels=None) -> np.ndarray:
+    """For each offset o, the (start s, stop t) pairs with t in the closed
+    window [s + o - hw, s + o + hw]; each delay counts once, in its segment,
+    however the windows overlap.  With 0/1 labels a per start and b per stop,
+    split as [offset, a, b]: the walk runs on 4 s - 2 a and 4 t + b, whose
+    delay 4 (t - s) + 2 a + b keeps both labels in its two low bits."""
+    lo, table, inside = _segments(tuple(offsets), hw)
+    k = 1 if start_labels is None else 4
+    if k == 4:
+        starts = 4 * np.asarray(starts) - 2 * np.asarray(start_labels)
+        stops = 4 * np.asarray(stops) + np.asarray(stop_labels)
+    counts = np.zeros(k * inside.shape[1], dtype=np.int64)
+    for d in _walk(starts, stops, k * lo, k * table.size):
+        seg = table[d] if k == 1 else 4 * table[d >> 2].astype(np.intp) + (d & 3)
+        counts += np.bincount(seg, minlength=counts.size)
+    return (inside @ counts.reshape(inside.shape[1], k)).reshape((-1, 2, 2) if k == 4 else -1)
+
+
+def windowed_fold(pieces, lo_ps: int, hi_ps: int, kernel) -> tuple:
+    """The term-by-term sum of kernel(starts, stops), a tuple of counts, from no
+    clicks and over the starts of pieces (starts, stops, floor), each once its
+    window [start + lo, start + hi) is whole: for a kernel that counts pairs in
+    that window, one call on every piece bit for bit.  A click below an earlier
+    floor raises ValueError; only pending starts and their stops are carried."""
     starts = stops = np.zeros(0, dtype=np.int64)
+    total = kernel(starts, stops)
     bound = np.iinfo(np.int64).min  # the highest floor so far
     for new_starts, new_stops, floor in pieces:
         if any(t.size and t.min() < bound for t in (new_starts, new_stops)):
@@ -227,43 +264,8 @@ def windowed_stream(pieces, lo_ps: int, hi_ps: int):
             break
         early = starts + hi_ps <= floor
         ready, starts = starts[early], starts[~early]
-        if ready.size:
-            yield ready, stops
+        total = tuple(map(np.add, total, kernel(ready, stops)))
         del early, ready
         stops = stops[stops >= min(floor, int(starts.min(initial=floor))) + lo_ps]
         bound = max(bound, floor)
-    if starts.size:
-        yield starts, stops
-
-
-def tdc_histogram_from_stream(pieces, bin_width_ps: int, window_ps: int) -> CoincidenceHistogram:
-    """tdc_histogram_from_times folded over windowed_stream's (-window,
-    +window) windows, equal bit for bit to one pass over every piece: counts
-    and n_starts are summed from zero counts and no starts.  starmap drops
-    each piece as its histogram returns, so none is held while the next is
-    drawn."""
-    hists = starmap(
-        lambda starts, stops: tdc_histogram_from_times(starts, stops, bin_width_ps, window_ps),
-        windowed_stream(pieces, -window_ps, window_ps),
-    )
-    counts, n_starts = reduce(
-        lambda total, hist: (total[0] + hist.counts, total[1] + hist.n_starts),
-        hists,
-        (np.zeros(2 * window_ps // bin_width_ps, dtype=np.int64), 0),
-    )
-    return CoincidenceHistogram(bin_width_ps, window_ps, counts, n_starts)
-
-
-def coincidence_rate(
-    hist: CoincidenceHistogram,
-    delay_ps: int,
-    peak_halfwidth_ps: int = DEFAULT_PEAK_HALFWIDTH_PS,
-) -> int:
-    """Total counts in bins overlapping [delay - halfwidth, delay + halfwidth)."""
-    lo = delay_ps - peak_halfwidth_ps
-    hi = delay_ps + peak_halfwidth_ps
-    if lo < -hist.window_ps or hi > hist.window_ps:
-        raise ValueError("peak window extends beyond the histogram span")
-    starts = hist.bin_starts()
-    mask = (starts < hi) & (starts + hist.bin_width_ps > lo)
-    return int(hist.counts[mask].sum())
+    return tuple(map(np.add, total, kernel(starts, stops)))

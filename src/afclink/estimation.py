@@ -26,12 +26,12 @@ no CLI command other than the comb fit pays for importing scipy.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .csvio import csv_rows, write_csv
-from .detection import CoincidenceHistogram, coincidence_rate
+from .detection import CoincidenceHistogram
 from .errors import EstimationError, UndefinedEstimateError
 from .linalg import (
     DensityMatrix,
@@ -75,38 +75,36 @@ class G2Estimate:
     reference_periods: tuple[int, ...]
 
 
-def g2_cross(
-    hist: CoincidenceHistogram,
-    delay_ps: int = 0,
-    rep_period_ps: int = 12_500,
-    peak_halfwidth_ps: int = 500,
-) -> G2Estimate:
-    """Normalized cross-correlation at `delay_ps`.
+def g2_windows(delay_ps: int, rep_period_ps: int, peak_halfwidth_ps: int, window_ps: int) -> dict:
+    """{n: offset} of the windows a g2 at delay_ps counts: the peak (n = 0) and
+    the references n = +-1 .. +-5 periods away, those inside +-window_ps."""
+    offsets = ((n, delay_ps + n * rep_period_ps) for n in range(-5, 6))
+    return {n: o for n, o in offsets if abs(o) + peak_halfwidth_ps <= window_ps}
 
-    The peak rate is divided by the mean rate of the accidental peaks offset
-    by n = +-1 .. +-5 repetition periods, those whose window lies inside the
-    histogram; uncorrelated channels therefore give 1.  The uncertainty
-    follows from Poisson counting on both numerator and the pooled reference
-    counts; an empty peak is given the one-count Poisson bound, so it reports
-    0 with a nonzero sigma.  Raises UndefinedEstimateError unless the peak
-    and at least two reference windows fit and some reference has counts.
-    """
-    hw, window = peak_halfwidth_ps, hist.window_ps
-    n_values = [n for n in range(-5, 6) if n and abs(delay_ps + n * rep_period_ps) + hw <= window]
-    if abs(delay_ps) + hw > window or len(n_values) < 2:
+
+def g2_cross(
+    counts: Mapping, delay_ps: int, rep_period_ps: int, peak_halfwidth_ps: int, window_ps: int
+) -> G2Estimate:
+    """Cross-correlation at `delay_ps`: the peak over the mean reference, from
+    `counts` of each g2_windows window by offset.  The windows are closed,
+    [offset - halfwidth, offset + halfwidth], so all span 2 halfwidth + 1 ps
+    and uncorrelated channels give 1.  sigma is Poisson on the peak and the
+    pooled references, an empty peak taking the one-count bound.  Raises
+    UndefinedEstimateError unless the peak and two references fit and some
+    reference has counts."""
+    hw = peak_halfwidth_ps
+    windows = g2_windows(delay_ps, rep_period_ps, hw, window_ps)
+    n_values = [n for n in windows if n]
+    if 0 not in windows or len(n_values) < 2:
         raise UndefinedEstimateError(
             f"g2 at {delay_ps} ps: the peak and 2 reference windows of +-{hw} ps must "
-            f"lie inside the +-{window} ps histogram; {len(n_values)} references do"
+            f"lie inside the +-{window_ps} ps TDC window; {len(n_values)} references do"
         )
-    peak = coincidence_rate(hist, delay_ps, peak_halfwidth_ps)
-    references = [
-        coincidence_rate(hist, delay_ps + n * rep_period_ps, peak_halfwidth_ps)
-        for n in n_values
-    ]
-    total_ref = int(sum(references))
+    peak = counts[delay_ps]
+    total_ref = int(sum(counts[windows[n]] for n in n_values))
     if total_ref == 0:
         raise UndefinedEstimateError("all reference peaks are empty")
-    mean_ref = total_ref / len(references)
+    mean_ref = total_ref / len(n_values)
     value = peak / mean_ref
     n_peak = max(peak, 1)
     sigma = (n_peak / mean_ref) * math.sqrt(1.0 / n_peak + 1.0 / total_ref)

@@ -18,12 +18,12 @@ Changing that order would change every seeded result.  Click arrays are not
 time-sorted within a shard.
 
 Each shard comes with the floor below which no later shard has a click.
-detection.windowed_stream is the one carry of that rule: the start-stop
-histogram (run_histogram, and run_simulation once a shard's events.csv rows
-and tallies are taken) and the central-slot counts (_central_counts) are
-folds over it, equal bit for bit to one pass over the whole run.  Each holds
-a shard's times or keys, never two shards.  No product path calls
-simulate(), which joins a whole run's click arrays.
+detection.windowed_fold is the one carry of that rule: run_simulation's
+histogram and g2 windows, run_g2's windows (the mu sweep) and the
+central-slot counts (_central_counts) are folds of their kernels over the
+shards, equal bit for bit to one pass over the whole run, and each holds a
+shard's times or keys, never two shards.  No product path calls simulate(),
+which joins a whole run's click arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
-from itertools import starmap
 from operator import itemgetter
 from pathlib import Path
 
@@ -48,8 +47,9 @@ from .detection import (
     DetectorConfig,
     analyzer_outcomes,
     joint_outcome_table,
-    tdc_histogram_from_stream,
-    windowed_stream,
+    tdc_histogram_from_times,
+    window_counts,
+    windowed_fold,
 )
 from .errors import UndefinedEstimateError
 from .estimation import (
@@ -57,12 +57,14 @@ from .estimation import (
     MC_MIN_TRIALS,
     METRIC_FUNCTIONS,
     ChshEstimate,
+    G2Estimate,
     TomographyResult,
     chsh_s,
     correlation_coefficient,
     fidelity,
     find_histogram_peaks,
     g2_cross,
+    g2_windows,
     monte_carlo_samples,
     tomography_from_csv,
     tomography_mle,
@@ -71,7 +73,7 @@ from .memory import MemoryConfig
 
 SHARD_CYCLES = 1_000_000
 # Detector jitter moves a click by less than this many sigma: a Gaussian draw
-# beyond it has P < 1e-300; windowed_stream fails if one does, in either stream.
+# beyond it has P < 1e-300; windowed_fold fails if one does, in either stream.
 _JITTER_BOUND_SIGMAS = 40
 # events.csv rows formatted per write; bounds the writer's memory.
 _EVENTS_CHUNK_ROWS = 1 << 14
@@ -373,7 +375,7 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
 
 
 def _stream_pieces(shards, key, scale: int):
-    """windowed_stream's pieces from shards: key(arrays) of a shard's idler,
+    """windowed_fold's pieces from shards: key(arrays) of a shard's idler,
     then of its signal, and its floor times scale.  The two channels are
     popped, so no frame holds a shard's clicks while the next is drawn."""
     for _, clicks, floor in shards:
@@ -381,11 +383,22 @@ def _stream_pieces(shards, key, scale: int):
         yield (*arrays, None if floor is None else scale * floor)
 
 
-def run_histogram(cfg: ExperimentConfig) -> CoincidenceHistogram:
-    """Idler starts against signal stops over every configured cycle, in one
-    pass over the shards that keeps no click arrays."""
+def _g2_plan(cfg: ExperimentConfig, delays):
+    """The offsets of every window that g2 at these delays counts, and the
+    g2_cross of one delay from those windows' counts."""
+    rule = cfg.source.rep_period_ps, cfg.tdc.peak_halfwidth_ps, cfg.tdc.window_ps
+    offsets = sorted({o for d in delays for o in g2_windows(d, *rule).values()})
+    return offsets, lambda counts, d: g2_cross(dict(zip(offsets, counts.tolist())), d, *rule)
+
+
+def run_g2(cfg: ExperimentConfig, delays) -> list[G2Estimate]:
+    """g2 at each delay over every configured cycle, from the window counts
+    of one pass over the shards that keeps no click arrays."""
+    (offsets, g2), w, hw = _g2_plan(cfg, delays), cfg.tdc.window_ps, cfg.tdc.peak_halfwidth_ps
     pieces = _stream_pieces(_shards(_build_tables(cfg), cfg.run.cycles), itemgetter("times"), 1)
-    return tdc_histogram_from_stream(pieces, cfg.tdc.bin_width_ps, cfg.tdc.window_ps)
+    # A closed window can hold a delay of exactly +window.
+    (counts,) = windowed_fold(pieces, -w, w + 1, lambda s, t: (window_counts(s, t, offsets, hw),))
+    return [g2(counts, delay) for delay in delays]
 
 
 # ---------------------------------------------------------------------------
@@ -458,44 +471,30 @@ def _settle_events(fh, carry, clicks, floor) -> dict[str, np.ndarray]:
     return {key: col[order[settled:]] for key, col in rows.items()}
 
 
-def _g2_payload(hist, delay_ps: int, cfg: ExperimentConfig) -> dict | None:
+def _g2_payload(g2, counts: np.ndarray, delay_ps: int) -> dict | None:
     try:
-        est = g2_cross(
-            hist,
-            delay_ps,
-            rep_period_ps=cfg.source.rep_period_ps,
-            peak_halfwidth_ps=cfg.tdc.peak_halfwidth_ps,
-        )
+        est = asdict(g2(counts, delay_ps))
     except UndefinedEstimateError:
         return None
-    return {
-        "value": float(est.value),
-        "sigma": float(est.sigma),
-        "peak_counts": int(est.peak_counts),
-        "reference_counts": int(est.reference_counts),
-        "reference_periods": list(est.reference_periods),
-    }
+    return {**est, "reference_periods": list(est["reference_periods"])}
 
 
-def _build_summary(cfg: ExperimentConfig, tallies: dict, hist: CoincidenceHistogram) -> dict:
-    """summary.json from the histogram and the run's tallies: pair_classes,
-    detection_probability and detections, in that order."""
+def _build_summary(cfg: ExperimentConfig, tallies: dict, hist: CoincidenceHistogram, g2s) -> dict:
+    """summary.json from the histogram, the g2 payloads at 0 and the recall
+    delay, and the tallies: pair_classes, detection_probability, detections."""
     n_cycles = cfg.run.cycles
     span_s = n_cycles * cfg.source.rep_period_ps * 1e-12
     duty = cfg.duty_cycle.duty_factor
-    peaks = []
-    for peak in find_histogram_peaks(hist, min_height_fraction=_SUMMARY_PEAK_FRACTION):
-        rate_storage = peak.count / span_s
-        peaks.append(
-            {
-                "delay_ps": int(peak.delay_ps),
-                "count": int(peak.count),
-                "rate_per_cycle": peak.count / n_cycles,
-                "rate_hz_storage": rate_storage,
-                "rate_hz_wall_clock": rate_storage * duty,
-                "g2": _g2_payload(hist, peak.delay_ps, cfg),
-            }
-        )
+    peaks = [
+        {
+            "delay_ps": int(peak.delay_ps),
+            "count": int(peak.count),
+            "rate_per_cycle": peak.count / n_cycles,
+            "rate_hz_storage": peak.count / span_s,
+            "rate_hz_wall_clock": peak.count / span_s * duty,
+        }
+        for peak in find_histogram_peaks(hist, min_height_fraction=_SUMMARY_PEAK_FRACTION)
+    ]
     recall = recall_delay_ps(cfg)
     return {
         "cycles": int(n_cycles),
@@ -511,8 +510,8 @@ def _build_summary(cfg: ExperimentConfig, tallies: dict, hist: CoincidenceHistog
             "n_starts": int(hist.n_starts),
             "total_counts": int(hist.counts.sum()),
         },
-        "g2_zero_delay": _g2_payload(hist, 0, cfg),
-        "g2_recall": {"delay_ps": recall, "g2": _g2_payload(hist, recall, cfg)},
+        "g2_zero_delay": g2s[0],
+        "g2_recall": {"delay_ps": recall, "g2": g2s[1]},
         "peaks": peaks,
         "provenance": {"afclink": __version__, "numpy": np.__version__},
     }
@@ -523,15 +522,22 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     histogram.csv, summary.json and the resolved config as config.json, from
     which the run can be repeated.
 
-    Each shard feeds the histogram, the events.csv writer and the summary
-    tallies in turn and is then dropped, so memory does not grow with the
-    cycle count.  events.csv is written under a temporary name and renamed
-    once the pass is done: a pass that fails leaves none."""
+    Each shard feeds the events.csv writer, the summary tallies, the
+    histogram and the g2 windows in turn and is then dropped, so memory does
+    not grow with the cycle count.  events.csv is written under a temporary
+    name and renamed once the pass is done: a pass that fails leaves none."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tables = _build_tables(cfg)
     classes = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
     detections = {ch.lower(): {"total": 0, "dark": 0} for ch in events.CHANNELS}
+    tdc, delays = cfg.tdc, (0, recall_delay_ps(cfg))
+    (offsets, g2), reach = _g2_plan(cfg, delays), (-tdc.window_ps, tdc.window_ps + 1)
+
+    def kernel(starts, stops):
+        hist = tdc_histogram_from_times(starts, stops, tdc.bin_width_ps, tdc.window_ps)
+        windows = window_counts(starts, stops, offsets, tdc.peak_halfwidth_ps)
+        return hist.counts, hist.n_starts, windows
 
     def settled(fh):
         """The shards, each once its tallies and events.csv rows are taken."""
@@ -552,7 +558,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
         with open(partial, "w", newline="") as fh:
             fh.write(",".join(EVENT_CSV_HEADER) + "\r\n")
             pieces = _stream_pieces(settled(fh), itemgetter("times"), 1)
-            hist = tdc_histogram_from_stream(pieces, cfg.tdc.bin_width_ps, cfg.tdc.window_ps)
+            counts, n_starts, windows = windowed_fold(pieces, *reach, kernel)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -563,7 +569,9 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
         "detection_probability": {ch.lower(): tab.p_detect for ch, tab in tables.channels.items()},
         "detections": detections,
     }
-    summary = _build_summary(cfg, tallies, hist)
+    hist = CoincidenceHistogram(tdc.bin_width_ps, tdc.window_ps, counts, int(n_starts))
+    g2s = [_g2_payload(g2, windows, delay) for delay in delays]
+    summary = _build_summary(cfg, tallies, hist, g2s)
     histogram_path = out / "histogram.csv"
     summary_path = out / "summary.json"
     config_path = out / "config.json"
@@ -594,33 +602,27 @@ def _central_keys(clicks: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _central_port_counts(starts: np.ndarray, stops: np.ndarray, delta: int, hw: int) -> np.ndarray:
-    """Coincidences of idler starts with the signal stops delta +- hw after
-    them, per (signal, idler) port (+1, +1), (+1, -1), (-1, +1), (-1, -1); keys
-    are time * 2 + (port == +1), and the sorted stops cover the starts' windows."""
-    first, end = np.searchsorted(stops, ((starts >> 1) + [[delta - hw], [delta + hw + 1]]) * 2)
-    plus_before = np.concatenate([[0], np.cumsum(stops & 1)])
-    plus = plus_before[end] - plus_before[first]
-    idler = (starts & 1).astype(bool)
-    return np.array([n[m].sum() for n in (plus, end - first - plus) for m in (idler, ~idler)])
+    """Idler starts with the signal stops in [delta - hw, delta + hw] after
+    them, per (signal, idler) port (+1, +1), (+1, -1), (-1, +1), (-1, -1): one
+    labelled window_counts on keys time * 2 + (port == +1), in any order."""
+    counts = window_counts(starts >> 1, stops >> 1, [delta], hw, starts & 1, stops & 1)
+    return counts[0].T[::-1, ::-1].ravel()
 
 
 def _central_counts(cfg: ExperimentConfig, signal_phase: float, idler_phase: float) -> np.ndarray:
     """Central-slot coincidences of cfg's run with both analyzers switched
     to interferometers at these phases (the central slot exists only in that
     mode), as an int64 array in _central_port_counts' (signal, idler) port
-    order, at the recall delay +- the peak halfwidth: _central_port_counts,
-    on sorted keys, folded over windowed_stream.  A key floor is twice the
-    time floor, and [2(delta - hw) - 1, 2(delta + hw + 1)) holds a start
-    key's window whatever the ports."""
+    order, at the recall delay +- the peak halfwidth: _central_port_counts
+    folded over the stream of keys.  A key floor is twice the time floor,
+    and [2(delta - hw) - 1, 2(delta + hw + 1)) holds a start key's window
+    whatever the ports."""
     phases = zip(events.CHANNELS, (signal_phase, idler_phase))
     cfg = replace(cfg, analyzers={ch: AnalyzerSetting.interferometer(p) for ch, p in phases})
     delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
     pieces = _stream_pieces(_shards(_build_tables(cfg), cfg.run.cycles), _central_keys, 2)
-    counts = starmap(
-        lambda starts, stops: _central_port_counts(np.sort(starts), np.sort(stops), delta, hw),
-        windowed_stream(pieces, 2 * (delta - hw) - 1, 2 * (delta + hw + 1)),
-    )
-    return sum(counts, np.zeros(4, dtype=np.int64))
+    lo, hi = 2 * (delta - hw) - 1, 2 * (delta + hw + 1)
+    return windowed_fold(pieces, lo, hi, lambda s, t: (_central_port_counts(s, t, delta, hw),))[0]
 
 
 @dataclass(frozen=True)
@@ -909,7 +911,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> SweepResult:
 
         def point(value):
             sub = replace(cfg, source=replace(cfg.source, mean_pairs_per_pulse=value))
-            est = g2_cross(run_histogram(sub), 0, sub.source.rep_period_ps, sub.tdc.peak_halfwidth_ps)
+            (est,) = run_g2(sub, [0])
             return value, est.value, est.sigma
 
     else:

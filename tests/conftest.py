@@ -1,12 +1,20 @@
-"""Config and profile builders, and the readers of files that only tests
-read, shared by the test modules (imported as `conftest`)."""
+"""Config and profile builders, the readers of files that only tests read,
+and the streamed histogram of a run, which no product path folds alone;
+shared by the test modules (imported as `conftest`)."""
+
+from operator import itemgetter
 
 import numpy as np
 
-from afclink import events
+from afclink import events, harness
 from afclink.config import config_from_dict
 from afclink.csvio import csv_rows
-from afclink.detection import HISTOGRAM_CSV_HEADER, CoincidenceHistogram
+from afclink.detection import (
+    HISTOGRAM_CSV_HEADER,
+    CoincidenceHistogram,
+    tdc_histogram_from_times,
+    windowed_fold,
+)
 from afclink.harness import EVENT_CSV_HEADER, data_path
 from afclink.memory import CombSpectrum
 
@@ -93,3 +101,24 @@ def events_from_csv(path) -> list[tuple]:
             )
         rows.append((cycle, channel, time_ps, bin_label, origin, outcome))
     return rows
+
+
+def histogram_from_stream(pieces, bin_width_ps, window_ps) -> CoincidenceHistogram:
+    """tdc_histogram_from_times folded by windowed_fold over the [-window,
+    +window) windows of pieces (starts, stops, floor), as run_simulation
+    folds it beside its g2 windows."""
+
+    def kernel(starts, stops):
+        hist = tdc_histogram_from_times(starts, stops, bin_width_ps, window_ps)
+        return hist.counts, hist.n_starts
+
+    counts, n_starts = windowed_fold(pieces, -window_ps, window_ps, kernel)
+    return CoincidenceHistogram(bin_width_ps, window_ps, counts, int(n_starts))
+
+
+def run_histogram(cfg) -> CoincidenceHistogram:
+    """Idler starts against signal stops over every configured cycle, in one
+    pass over the shards that keeps no click arrays."""
+    shards = harness._shards(harness._build_tables(cfg), cfg.run.cycles)
+    pieces = harness._stream_pieces(shards, itemgetter("times"), 1)
+    return histogram_from_stream(pieces, cfg.tdc.bin_width_ps, cfg.tdc.window_ps)

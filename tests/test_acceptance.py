@@ -13,10 +13,10 @@ import math
 import time
 
 import pytest
-from conftest import IDEAL_DETECTORS
+from conftest import IDEAL_DETECTORS, run_histogram
 
 from afclink.config import config_from_dict
-from afclink.estimation import efficiencies, find_histogram_peaks, g2_cross
+from afclink.estimation import efficiencies, find_histogram_peaks
 from afclink.harness import (
     DATA_CHSH,
     DATA_TOMOGRAPHY_IN,
@@ -24,7 +24,7 @@ from afclink.harness import (
     analyze_paper_data,
     chsh_simulation,
     data_path,
-    run_histogram,
+    run_g2,
 )
 from afclink.memory import build_comb, device_efficiency, echo_response
 
@@ -86,9 +86,7 @@ def test_criterion_3_heralded_g2_matches_poisson_oracle():
             "detectors": IDEAL_DETECTORS,
         }
     )
-    est = g2_cross(
-        run_histogram(cfg), 0, rep_period_ps=12_500, peak_halfwidth_ps=500
-    )
+    (est,) = run_g2(cfg, [0])
     elapsed = time.perf_counter() - t0
     oracle = 1.0 + 1.0 / 0.016
     pull = (est.value - oracle) / est.sigma
@@ -241,9 +239,9 @@ def test_criterion_6_coincidence_peak_taxonomy():
     for k in (-2, -1, 1, 2):
         assert has_peak(targets[2] + k * 12_500), f"grid copy {k} missing"
 
-    # g2_cross takes only the reference windows inside the histogram:
+    # g2 takes only the reference windows inside the TDC window:
     # n = -5 .. -1 and 1 .. 3 periods around 26 ns in a +-70 ns window.
-    est = g2_cross(hist, targets[2], rep_period_ps=12_500, peak_halfwidth_ps=500)
+    (est,) = run_g2(cfg, [targets[2]])
     margin = (est.value - 2.0) / est.sigma
     print(
         f"criterion 6: peaks at {sorted(found)} ps; "

@@ -60,12 +60,17 @@ def test_traced_simulate_records_setup_and_spans(tmp_path):
         str(tmp_path / "out"),
         cwd=tmp_path,
     )
+    # The histogram, g2 and events.csv spans too: a pass that stopped calling
+    # one of their functions would zero its layer metrics without an error.
     assert {
         "config.load",
         "engine.tables",
         "engine.shard",
         "engine.memory_draw",
         "engine.analyzer_draw",
+        "detection.histogram",
+        "estimation.g2",
+        "io.events_csv",
     } <= span_names(record)
 
 

@@ -13,18 +13,23 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import IDEAL_DETECTORS, events_from_csv, histogram_from_csv, make_config
+from conftest import (
+    IDEAL_DETECTORS,
+    events_from_csv,
+    histogram_from_csv,
+    histogram_from_stream,
+    make_config,
+)
 from scipy.stats import chi2
 
 from afclink import detection, events, harness
 from afclink.detection import (
     AnalyzerSetting,
-    CoincidenceHistogram,
     DetectorConfig,
     analyzer_outcomes,
-    coincidence_rate,
     joint_outcome_table,
     tdc_histogram_from_times,
+    window_counts,
 )
 from afclink.harness import run_simulation, simulate
 from afclink.linalg import bell_phi_plus
@@ -469,17 +474,15 @@ class TestTdcHistogram:
         idx = int((12_510 + 20_000) // 80)
         assert hist.counts[idx] == 1
 
-    def test_coincidence_rate_window(self):
-        stops = [100_000 + dt for dt in (-450, -30, 0, 200, 480, 900)]
-        hist = tdc_histogram_from_times([100_000], stops, bin_width_ps=80, window_ps=2_000)
-        # Default halfwidth 500 ps picks up everything but the 900 ps stop.
-        assert coincidence_rate(hist, 0) == 5
-        assert coincidence_rate(hist, 0, peak_halfwidth_ps=100) == 2
-
-    def test_coincidence_rate_out_of_span(self):
-        hist = CoincidenceHistogram(80, 800, np.zeros(20, dtype=np.int64), 0)
-        with pytest.raises(ValueError):
-            coincidence_rate(hist, 5_000)
+    @pytest.mark.parametrize("width", [0, -80])
+    @pytest.mark.parametrize("kernel", ["times", "stream"])
+    def test_bad_bin_width_is_named(self, kernel, width):
+        # Both kernels check the binning before they size their counts.
+        with pytest.raises(ValueError, match="bin_width_ps must be positive"):
+            if kernel == "times":
+                tdc_histogram_from_times([1], [2], width, 800)
+            else:
+                histogram_from_stream([], width, 800)
 
 
 def brute_force_histogram(starts, stops, bin_width_ps, window_ps):
@@ -593,6 +596,56 @@ class TestHistogramFromTimes:
         assert hist.n_starts == 2
 
 
+def brute_force_windows(starts, stops, offsets, hw, start_labels, stop_labels):
+    """Every (start, stop) pair tested against every closed window, counted
+    by [offset, start label, stop label]."""
+    counts = np.zeros((len(offsets), 2, 2), dtype=np.int64)
+    delays = np.subtract.outer(np.asarray(stops), np.asarray(starts))  # [stop, start]
+    for k, offset in enumerate(offsets):
+        hit = np.abs(delays - offset) <= hw
+        for a in (0, 1):
+            for b in (0, 1):
+                counts[k, a, b] = hit[np.ix_(stop_labels == b, start_labels == a)].sum()
+    return counts
+
+
+# Window sets on the 800 ps traffic of random_traffic: overlapping windows,
+# a repeated offset, windows wider than their spacing (2 hw > 800), and
+# windows all on one side of zero.
+WINDOW_SETS = [
+    ([0, 300, -200, 800, 900, 900], 500),
+    ([-1_600, -800, 0, 800, 1_600], 500),
+    ([0], 0),
+    ([250, 2_000], 80),
+    ([-3_000, -2_500], 400),
+]
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize("offsets, hw", WINDOW_SETS)
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "negative", "ties"])
+    def test_equals_brute_force(self, kind, offsets, hw, block_starts):
+        rng = np.random.default_rng(len(kind) + hw)
+        for _ in range(20):
+            starts, stops = random_traffic(rng, kind)
+            start_labels, stop_labels = rng.integers(0, 2, starts.size), rng.integers(0, 2, stops.size)
+            expected = brute_force_windows(starts, stops, offsets, hw, start_labels, stop_labels)
+            labelled = window_counts(starts, stops, offsets, hw, start_labels, stop_labels)
+            assert labelled.shape == (len(offsets), 2, 2)
+            assert np.array_equal(labelled, expected)
+            assert np.array_equal(window_counts(starts, stops, offsets, hw), expected.sum(axis=(1, 2)))
+
+    def test_windows_are_closed(self):
+        # The stops at o - hw and o + hw count; those one ps outside do not.
+        stops = [10_000 + 700 + dt for dt in (-501, -500, 0, 500, 501)]
+        assert window_counts([10_000], stops, [700, -700], 500).tolist() == [3, 0]
+        assert window_counts([10_000], stops, [700], 0).tolist() == [1]
+
+    def test_empty_inputs(self, block_starts):
+        assert window_counts([], [5], [0, 800], 500).tolist() == [0, 0]
+        assert window_counts([5, 6], [], [0, 800], 500).tolist() == [0, 0]
+
+
 def random_pieces(rng, n_pieces, span, spill):
     """Unsorted start and stop times per piece; a piece's clicks fall in its
     own span or up to `spill` before it, and each floor is the earliest
@@ -626,7 +679,7 @@ class TestHistogramFromStream:
             pieces = random_pieces(rng, int(rng.integers(1, 30)), span, spill)
             starts = np.concatenate([p[0] for p in pieces])
             stops = np.concatenate([p[1] for p in pieces])
-            streamed = detection.tdc_histogram_from_stream(pieces, 80, window)
+            streamed = histogram_from_stream(pieces, 80, window)
             single = tdc_histogram_from_times(starts, stops, 80, window)
             assert np.array_equal(streamed.counts, single.counts)
             assert streamed.n_starts == single.n_starts == starts.size
@@ -634,7 +687,7 @@ class TestHistogramFromStream:
     def test_no_clicks_give_zero_counts_in_the_requested_binning(self):
         no_clicks = np.zeros(0, dtype=np.int64)
         for pieces in ([], [(no_clicks, no_clicks, 1_000), (no_clicks, no_clicks, None)]):
-            hist = detection.tdc_histogram_from_stream(pieces, 80, 800)
+            hist = histogram_from_stream(pieces, 80, 800)
             assert (hist.bin_width_ps, hist.window_ps, hist.n_starts) == (80, 800, 0)
             assert np.array_equal(hist.counts, np.zeros(20, dtype=np.int64))
 
@@ -644,7 +697,7 @@ class TestHistogramFromStream:
             (np.array([1_500]), np.array([900]), None),
         ]
         with pytest.raises(ValueError, match="below the floor"):
-            detection.tdc_histogram_from_stream(pieces, 80, 800)
+            histogram_from_stream(pieces, 80, 800)
 
 
 class TestCsvRoundTrips:

@@ -106,27 +106,21 @@ def random_pure(rng) -> DensityMatrix:
     return Ket(v / np.linalg.norm(v)).density()
 
 
-def flat_histogram(level: int = 0, window_ps: int = 70_000) -> CoincidenceHistogram:
-    counts = np.full(2 * window_ps // 80, level, dtype=np.int64)
-    return CoincidenceHistogram(bin_width_ps=80, window_ps=window_ps, counts=counts, n_starts=1000)
+REFERENCE_PERIODS = [*range(-5, 0), *range(1, 6)]
 
 
-def put(hist, delay_ps, count):
-    counts = hist.counts.copy()
-    counts[(delay_ps + hist.window_ps) // hist.bin_width_ps] += count
-    return replace(hist, counts=counts)
+def g2(counts, delay_ps=0, window_ps=70_000):
+    """g2_cross on the realistic TDC: 12.5 ns periods, +-500 ps windows."""
+    return g2_cross(counts, delay_ps, 12_500, 500, window_ps)
 
 
 class TestG2Cross:
     def synthetic(self, peak=500, side=50):
-        h = flat_histogram()
-        h = put(h, 0, peak)
-        for n in list(range(-5, 0)) + list(range(1, 6)):
-            h = put(h, n * 12_500, side)
-        return h
+        """Window counts by offset: the peak at 0, `side` in every reference."""
+        return {0: peak, **{n * 12_500: side for n in REFERENCE_PERIODS}}
 
     def test_exact_ratio(self):
-        est = g2_cross(self.synthetic(), delay_ps=0)
+        est = g2(self.synthetic())
         assert est.value == pytest.approx(10.0, abs=1e-12)
         assert est.sigma == pytest.approx(10.0 * math.sqrt(1 / 500 + 1 / 500), rel=1e-12)
 
@@ -138,53 +132,48 @@ class TestG2Cross:
             peak = int(rng.integers(10, 2000))
             side = int(rng.integers(5, 500))
             scale = int(rng.integers(2, 30))
-            h = self.synthetic(peak, side)
-            base = g2_cross(h, delay_ps=0)
-            scaled_h = replace(h, counts=h.counts * scale)
-            scaled = g2_cross(scaled_h, delay_ps=0)
+            counts = self.synthetic(peak, side)
+            base = g2(counts)
+            scaled = g2({offset: scale * c for offset, c in counts.items()})
             assert scaled.value == pytest.approx(base.value, rel=1e-12)
             assert scaled.sigma < base.sigma
 
     def test_empty_sidebands(self):
-        h = put(flat_histogram(), 0, 100)
         with pytest.raises(UndefinedEstimateError):
-            g2_cross(h, delay_ps=0)
+            g2(self.synthetic(peak=100, side=0))
 
     def test_sidebands_must_fit_in_span(self):
-        # +-20 ns holds the windows at n = +-1 (12.5 +- 0.5 ns) but not +-2.
-        h = put(put(put(flat_histogram(window_ps=20_000), 0, 90), -12_500, 20), 12_500, 10)
-        est = g2_cross(h, delay_ps=0)
+        # +-20 ns holds the windows at n = +-1 (12.5 +- 0.5 ns) but not +-2,
+        # whose counts are not read.
+        counts = {**self.synthetic(side=1_000), 0: 90, -12_500: 20, 12_500: 10}
+        est = g2(counts, window_ps=20_000)
         assert est.reference_counts == 30
         assert est.reference_periods == (-1, 1)
         assert est.value == pytest.approx(6.0, abs=1e-12)
         # +-12 ns holds no reference window at all.
-        with pytest.raises(UndefinedEstimateError, match="g2 at 0 ps: .*12000 ps histogram; 0 references"):
-            g2_cross(flat_histogram(level=1, window_ps=12_000), delay_ps=0)
+        with pytest.raises(UndefinedEstimateError, match="g2 at 0 ps: .*12000 ps TDC window; 0 references"):
+            g2(self.synthetic(), window_ps=12_000)
 
     def test_peak_must_fit_in_span(self):
         with pytest.raises(UndefinedEstimateError, match="g2 at 69800 ps: .*70000 ps"):
-            g2_cross(flat_histogram(level=1), delay_ps=69_800)
+            g2({}, delay_ps=69_800)
 
     def test_uncorrelated_streams_give_unity(self):
         rng = np.random.default_rng(5)
-        h = flat_histogram()
-        h = replace(h, counts=rng.poisson(100.0, h.counts.size).astype(np.int64))
-        est = g2_cross(h, delay_ps=0)
+        offsets = [n * 12_500 for n in range(-5, 6)]
+        est = g2(dict(zip(offsets, rng.poisson(1_300.0, len(offsets)).tolist())))
         assert abs(est.value - 1.0) < 4.0 * est.sigma
 
     def test_offset_peak(self):
-        h = flat_histogram()
-        h = put(h, 26_230, 300)
         # Inside +-70 ns: n = -5 .. -1 and 1 .. 3; n = 4 would end at 76.7 ns.
-        for n in list(range(-5, 0)) + list(range(1, 4)):
-            h = put(h, 26_230 + n * 12_500, 30)
-        est = g2_cross(h, delay_ps=26_230)
+        counts = {26_230: 300, **{26_230 + n * 12_500: 30 for n in (-5, -4, -3, -2, -1, 1, 2, 3)}}
+        est = g2(counts, delay_ps=26_230)
         assert est.reference_counts == 8 * 30
         assert est.reference_periods == (-5, -4, -3, -2, -1, 1, 2, 3)
         assert est.value == pytest.approx(10.0, abs=1e-12)
 
     def test_empty_peak_has_one_count_poisson_bound(self):
-        est = g2_cross(self.synthetic(peak=0, side=40), delay_ps=0)
+        est = g2(self.synthetic(peak=0, side=40))
         assert est.value == 0.0
         assert est.peak_counts == 0
         # One count over the mean reference of 40 counts, with the Poisson

@@ -22,17 +22,14 @@ from conftest import (
     events_from_csv,
     histogram_from_csv,
     make_config,
+    run_histogram,
 )
 
 import afclink
 from afclink import detection, events, harness
 from afclink.cli import main as cli_main
 from afclink.config import load_config
-from afclink.detection import (
-    analyzer_outcomes,
-    coincidence_rate,
-    tdc_histogram_from_times,
-)
+from afclink.detection import analyzer_outcomes, tdc_histogram_from_times
 from afclink.errors import ConfigError, UndefinedEstimateError
 from afclink.estimation import CHSH_PAIRS, g2_cross
 from afclink.harness import (
@@ -51,7 +48,7 @@ from afclink.harness import (
     chsh_simulation,
     data_path,
     recall_delay_ps,
-    run_histogram,
+    run_g2,
     run_simulation,
     simulate,
     sweep,
@@ -60,6 +57,22 @@ from afclink.harness import (
 from afclink.memory import MemoryConfig, comb_from_csv, fit_comb
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def direct_window_count(data, offset_ps, hw_ps):
+    """Idler starts against the signal stops in the closed window [start +
+    offset - hw, start + offset + hw], over a run's joined click arrays."""
+    stops = np.sort(data.channels[events.SIGNAL_794].times)
+    starts = data.channels[events.IDLER_1535].times
+    lo = np.searchsorted(stops, starts + (offset_ps - hw_ps), side="left")
+    hi = np.searchsorted(stops, starts + (offset_ps + hw_ps), side="right")
+    return int((hi - lo).sum())
+
+
+def histogram_sum(hist, lo_ps, hi_ps):
+    """The counts of the histogram bins that start in [lo, hi)."""
+    starts = hist.bin_starts()
+    return int(hist.counts[(starts >= lo_ps) & (starts < hi_ps)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +144,7 @@ class TestRunSimulation:
         assert len(events_from_csv(res.events_path)) == 2 * n_pairs
         # Both photons of a pair share bin and cycle, so every pair lands at
         # zero delay regardless of the early/late outcome.
-        assert coincidence_rate(res.histogram, 0, 500) >= n_pairs
+        assert histogram_sum(res.histogram, 0, 80) >= n_pairs
 
     def test_early_only_g2_matches_poisson_oracle(self, tmp_path):
         mu = 0.05
@@ -148,14 +161,8 @@ class TestRunSimulation:
         assert res.summary["g2_recall"] == {"delay_ps": 0, "g2": entry}
         oracle = 1.0 + 1.0 / mu
         assert abs(entry["value"] - oracle) <= 4.0 * entry["sigma"]
-        # The summary g2 must match a recomputation from the emitted file.
-        hist = histogram_from_csv(res.histogram_path)
-        again = g2_cross(
-            hist,
-            0,
-            rep_period_ps=cfg.source.rep_period_ps,
-            peak_halfwidth_ps=cfg.tdc.peak_halfwidth_ps,
-        )
+        # The summary g2 must equal run_g2's over the same run.
+        (again,) = run_g2(cfg, [0])
         assert entry["value"] == pytest.approx(again.value, abs=0.0)
 
     def test_memory_echo_moves_coincidence_peak(self, tmp_path):
@@ -177,8 +184,8 @@ class TestRunSimulation:
             },
         )
         res = run_simulation(cfg, tmp_path)
-        recalled = coincidence_rate(res.histogram, 32_258, 500)
-        direct = coincidence_rate(res.histogram, 0, 500)
+        recalled = histogram_sum(res.histogram, 32_258 - 500, 32_258 + 500)
+        direct = histogram_sum(res.histogram, -500, 500)
         expected = 30_000 * 0.1 * 0.5
         assert recalled > 0.8 * expected
         assert direct < 0.02 * expected
@@ -234,17 +241,20 @@ class TestRunSimulation:
         res = run_simulation(cfg, tmp_path)
         recall = res.summary["g2_recall"]
         assert recall["delay_ps"] == recall_delay_ps(cfg) == 26_249
-        # A direct count on the same histogram: the references inside
-        # +-70 ns are n = -5 .. -1 and 1 .. 3 periods away.
-        peak = coincidence_rate(res.histogram, 26_249, 500)
+        # A direct closed-window count over the run's clicks: the references
+        # inside +-70 ns are n = -5 .. -1 and 1 .. 3 periods away.
+        data = simulate(cfg)
+        peak = direct_window_count(data, 26_249, 500)
         refs = [
-            coincidence_rate(res.histogram, 26_249 + n * 12_500, 500)
+            direct_window_count(data, 26_249 + n * 12_500, 500)
             for n in (-5, -4, -3, -2, -1, 1, 2, 3)
         ]
         assert recall["g2"]["peak_counts"] == peak > 0
         assert recall["g2"]["reference_counts"] == sum(refs) > 0
         assert recall["g2"]["value"] == pytest.approx(peak / (sum(refs) / 8), rel=1e-12)
         assert recall["g2"]["value"] > 10.0
+        assert res.summary["peaks"]
+        assert all("g2" not in peak for peak in res.summary["peaks"])
         assert res.summary["provenance"] == {
             "afclink": afclink.__version__,
             "numpy": np.__version__,
@@ -253,20 +263,21 @@ class TestRunSimulation:
 
     def test_g2_payloads_list_their_reference_periods(self, tmp_path):
         # Each g2 names the periods n whose windows, delay + n * 12.5 ns
-        # +- 500 ps, fit in the +-70 ns histogram, and pools exactly those.
+        # +- 500 ps, fit in the +-70 ns TDC window, and pools exactly those,
+        # each counted over the closed window.
         cfg = load_config(ROOT / "configs" / "realistic.json")
         res = run_simulation(cfg, tmp_path)
+        data = simulate(cfg)
         period, hw = cfg.source.rep_period_ps, cfg.tdc.peak_halfwidth_ps
         window = cfg.tdc.window_ps
         payloads = [(0, res.summary["g2_zero_delay"])]
         payloads.append((res.summary["g2_recall"]["delay_ps"], res.summary["g2_recall"]["g2"]))
-        payloads += [(peak["delay_ps"], peak["g2"]) for peak in res.summary["peaks"]]
         assert payloads[1][0] == 26_234
-        assert len(payloads) >= 4
         for delay, g2 in payloads:
             periods = [n for n in range(-5, 6) if n and abs(delay + n * period) + hw <= window]
             assert g2["reference_periods"] == periods
-            refs = [coincidence_rate(res.histogram, delay + n * period, hw) for n in periods]
+            assert g2["peak_counts"] == direct_window_count(data, delay, hw)
+            refs = [direct_window_count(data, delay + n * period, hw) for n in periods]
             assert g2["reference_counts"] == sum(refs)
         assert payloads[0][1]["reference_periods"] == [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
         assert payloads[1][1]["reference_periods"] == [-5, -4, -3, -2, -1, 1, 2, 3]
@@ -608,25 +619,27 @@ def shard_count(cfg):
     return sum(1 for _ in harness._shards(harness._build_tables(cfg), cfg.run.cycles))
 
 
-def sweep_histogram(cfg, monkeypatch):
-    """The histogram that sweep --parameter mu takes g2 from, at cfg's mu."""
+def sweep_window_counts(cfg, monkeypatch):
+    """The window counts, by offset, that sweep --parameter mu takes g2
+    from, at cfg's mu."""
     seen = []
 
-    def keep(hist, *args, **kwargs):
-        seen.append(hist)
+    def keep(counts, *args, **kwargs):
+        seen.append(counts)
         return SimpleNamespace(value=0.0, sigma=0.0)
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "g2_cross", keep)
         sweep(cfg, "mu", [cfg.source.mean_pairs_per_pulse])
-    (hist,) = seen
-    return hist
+    (counts,) = seen
+    return counts
 
 
 class TestStreamedHistogram:
     """The histogram streamed shard by shard equals one
     tdc_histogram_from_times pass over a run's concatenated clicks: counts
-    bit for bit and the number of starts."""
+    bit for bit and the number of starts.  The mu sweep's g2 windows, counted
+    shard by shard, equal direct closed-window counts over those clicks."""
 
     @staticmethod
     def assert_single_pass(hist, data):
@@ -641,6 +654,14 @@ class TestStreamedHistogram:
         assert np.array_equal(hist.counts, single.counts)
         assert hist.n_starts == single.n_starts
 
+    @staticmethod
+    def assert_windows_single_pass(counts, data):
+        hw, period = data.config.tdc.peak_halfwidth_ps, data.config.source.rep_period_ps
+        assert sorted(counts) == [n * period for n in range(-5, 6)]
+        assert sum(counts.values()) > 0
+        for offset, count in counts.items():
+            assert count == direct_window_count(data, offset, hw), offset
+
     @pytest.mark.parametrize(
         "name, mu",
         [
@@ -654,7 +675,7 @@ class TestStreamedHistogram:
         data = simulate(cfg)
         assert shard_count(cfg) == 3
         self.assert_single_pass(run_histogram(cfg), data)
-        self.assert_single_pass(sweep_histogram(cfg, monkeypatch), data)
+        self.assert_windows_single_pass(sweep_window_counts(cfg, monkeypatch), data)
 
     @pytest.mark.parametrize("block", [1, None], ids=["block-1", "block-default"])
     def test_window_spans_several_shards(self, block, monkeypatch):
@@ -669,7 +690,7 @@ class TestStreamedHistogram:
         if block is not None:
             monkeypatch.setattr(detection, "_BLOCK_STARTS", block)
         self.assert_single_pass(run_histogram(cfg), data)
-        self.assert_single_pass(sweep_histogram(cfg, monkeypatch), data)
+        self.assert_windows_single_pass(sweep_window_counts(cfg, monkeypatch), data)
 
     def test_sweep_peak_memory_independent_of_cycles(self):
         # One sweep point keeps at most a shard and the carry, so
@@ -784,7 +805,12 @@ class TestStreamedRun:
                 for ch, rec in data.channels.items()
             },
         }
-        summary = harness._build_summary(cfg, tallies, single)
+        # g2 from direct closed-window counts over the same clicks.
+        delays = (0, recall_delay_ps(cfg))
+        offsets, g2 = harness._g2_plan(cfg, delays)
+        counts = np.array([direct_window_count(data, o, tdc.peak_halfwidth_ps) for o in offsets])
+        g2s = [harness._g2_payload(g2, counts, delay) for delay in delays]
+        summary = harness._build_summary(cfg, tallies, single, g2s)
         assert res.summary_path.read_text() == json.dumps(summary, indent=2) + "\n"
 
     def test_failed_pass_leaves_no_events_csv(self, tmp_path, monkeypatch):
@@ -969,6 +995,17 @@ def whole_run_central_counts(data):
     return counts
 
 
+def matcher_central_port_counts(starts, stops, delta, hw):
+    """The searchsorted and cumsum matcher that counted the central slot
+    before window_counts did, on keys time * 2 + (port == +1): the sorted
+    stops cover the starts' windows [delta - hw, delta + hw]."""
+    first, end = np.searchsorted(stops, ((starts >> 1) + [[delta - hw], [delta + hw + 1]]) * 2)
+    plus_before = np.concatenate([[0], np.cumsum(stops & 1)])
+    plus = plus_before[end] - plus_before[first]
+    idler = (starts & 1).astype(bool)
+    return [int(n[m].sum()) for n in (plus, end - first - plus) for m in (idler, ~idler)]
+
+
 class TestChshSimulation:
     def test_ideal_pairs_violate_bell_bound(self):
         # Low pair rate: multi-pair cycles add uncorrelated coincidences that
@@ -1045,6 +1082,23 @@ class TestChshSimulation:
         expected = whole_run_central_counts(simulate(cfg))
         assert min(expected) > 0
         assert harness._central_counts(cfg, *CENTRAL_PHASES).tolist() == expected
+
+    @pytest.mark.parametrize("run, sign", CENTRAL_RUNS, ids=CENTRAL_RUN_IDS)
+    def test_labelled_window_counts_equal_the_matcher(self, run, sign):
+        # The whole run's keys, through the one labelled window count and
+        # through the matcher it replaced, port pair by port pair.
+        cfg = make_config(**dict(run, cycles=6_000, analyzers=CENTRAL_ANALYZERS))
+        data = simulate(cfg)
+        starts, stops = (
+            np.sort(harness._central_keys(vars(data.channels[ch])))
+            for ch in (events.IDLER_1535, events.SIGNAL_794)
+        )
+        delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
+        expected = matcher_central_port_counts(starts, stops, delta, hw)
+        assert min(expected) > 0
+        assert harness._central_port_counts(starts, stops, delta, hw).tolist() == expected
+        shuffled = np.random.default_rng(sign + 2).permutation(stops)
+        assert harness._central_port_counts(starts, shuffled, delta, hw).tolist() == expected
 
     @pytest.mark.parametrize("run, sign", CENTRAL_RUNS, ids=CENTRAL_RUN_IDS)
     def test_tight_floors_equal_whole_run(self, run, sign, monkeypatch):
@@ -1469,18 +1523,9 @@ class TestSweep:
         result = sweep(cfg, "mu", [0.05])
         assert len(result.rows) == 1
         data = simulate(cfg)
-        single = tdc_histogram_from_times(
-            data.channels[events.IDLER_1535].times,
-            data.channels[events.SIGNAL_794].times,
-            cfg.tdc.bin_width_ps,
-            cfg.tdc.window_ps,
-        )
-        direct = g2_cross(
-            single,
-            0,
-            rep_period_ps=cfg.source.rep_period_ps,
-            peak_halfwidth_ps=cfg.tdc.peak_halfwidth_ps,
-        )
+        period, hw = cfg.source.rep_period_ps, cfg.tdc.peak_halfwidth_ps
+        counts = {n * period: direct_window_count(data, n * period, hw) for n in range(-5, 6)}
+        direct = g2_cross(counts, 0, period, hw, cfg.tdc.window_ps)
         assert result.rows[0][1] == direct.value
         assert result.rows[0][2] == direct.sigma
 
@@ -1499,6 +1544,17 @@ class TestSweep:
         with pytest.raises(UndefinedEstimateError) as excinfo:
             sweep(cfg, parameter, values)
         assert str(excinfo.value) == f"{message}: all reference peaks are empty"
+
+    def test_flat_background_gives_unity(self):
+        # Dark counts alone on the realistic TDC: starts and stops uniform in
+        # time, so every window of one width holds as many coincidences and
+        # g2(0) is 1.  The peak and each reference span 1001 ps; the 80 ps
+        # bins that overlap them would span 1120 ps against 1040 or 1120 ps
+        # and read 6.1 % high, over 5 sigma at this size.
+        cfg = shipped_config("realistic", 1_000_000, dark_rate_hz=4e7)
+        ((_, g2, sigma),) = sweep(cfg, "mu", [0.0]).rows
+        assert sigma < 0.061 / 5
+        assert abs(g2 - 1.0) < 3.0 * sigma
 
     def test_undefined_point_after_a_defined_one_names_its_value(self):
         # mu=0 with dark-free detectors gives no clicks; mu=0.05 before it is fine.
