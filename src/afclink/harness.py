@@ -32,6 +32,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -69,7 +70,6 @@ from .estimation import (
     tomography_from_csv,
     tomography_mle,
 )
-from .memory import MemoryConfig
 
 SHARD_CYCLES = 1_000_000
 # Detector jitter moves a click by less than this many sigma: a Gaussian draw
@@ -116,6 +116,11 @@ _OUTCOME_NONE = 0
 _OUTCOME_TRANSMITTED = 1
 _OUTCOME_RECALL_BASE = 2
 
+# A shard's arrays per channel.  A click's code indexes _EngineTables.labels.
+_CLICK_KEYS = ("times", "cycles", "codes")
+# The channels in events.csv name order, which sorts rows of equal time.
+_EVENT_CHANNELS = tuple(sorted(events.CHANNELS))
+
 
 def data_path(name: str) -> Path:
     """Path of a data file shipped inside the package."""
@@ -140,11 +145,7 @@ class ChannelRecord:
 
     @property
     def dark_count(self) -> int:
-        return _dark_count(self.origins)
-
-
-def _dark_count(origins: np.ndarray) -> int:
-    return int(np.count_nonzero(origins == _ORIGIN_CODE[events.ORIGIN_DARK]))
+        return int(np.count_nonzero(self.origins == _ORIGIN_CODE[events.ORIGIN_DARK]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,46 +165,44 @@ class SimulationData:
 
 @dataclass(frozen=True, eq=False)
 class _MemoryTable:
-    """The outcomes a photon can survive with, each with its code, delay and
-    origin; p_alive = 1 - p_lost."""
+    """The cumulative table of the outcomes a photon can survive with
+    (transmitted, then echo k), and p_alive = 1 - p_lost."""
 
     p_alive: float
     cumulative: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _Labels:
+    """Every click a run can produce, indexed by its code: the channel's
+    place in events.csv name order, the delay after the cycle's start
+    (analyzer slot plus echo delay; 0 for a dark count), the port and the
+    _BIN_CODE, _ORIGIN_CODE and _OUTCOME_* codes."""
+
+    channel: np.ndarray
     delay_ps: np.ndarray
-    codes: np.ndarray
-    origins: np.ndarray
-
-
-def _memory_table(config: MemoryConfig | None) -> _MemoryTable | None:
-    if config is None:
-        return None
-    probs = config.outcome_table()
-    echoes = range(len(config.echo_delays))
-    pair, spurious = (_ORIGIN_CODE[o] for o in (events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO))
-    origins = [pair if k == config.primary_echo_index else spurious for k in echoes]
-    return _MemoryTable(
-        p_alive=min(1.0, max(0.0, 1.0 - float(probs[-1]))),
-        cumulative=np.cumsum(probs[:-1]),
-        delay_ps=np.array([0] + [config.echo_delay_ps(k) for k in echoes], dtype=np.int64),
-        codes=np.arange(_OUTCOME_TRANSMITTED, _OUTCOME_RECALL_BASE + len(echoes), dtype=np.int16),
-        origins=np.array([pair] + origins, dtype=np.int8),
-    )
+    port: np.ndarray
+    bin: np.ndarray
+    origin: np.ndarray
+    outcome: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class _ChannelTable:
-    """One arm: its analyzer outcomes (slot, port, bin), the cumulative
-    outcome table of a lone photon and its outcome in each joint one, its
-    memory and detector, and the probability q of detecting its photon."""
+    """One arm: the cumulative outcome table of a lone photon and its
+    analyzer outcome in each joint one, its memory and detector, the
+    probability q of detecting its photon, and its codes: analyzer outcome
+    a and memory outcome m have code first_code + a * n_memory + m, and
+    dark_code follows them."""
 
-    slots: np.ndarray
-    ports: np.ndarray
-    bins: np.ndarray
     single_cum: np.ndarray
     joint_pick: np.ndarray
     memory: _MemoryTable | None
     detector: DetectorConfig
     p_detect: float
+    first_code: int
+    n_memory: int
+    dark_code: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +212,7 @@ class _EngineTables:
     rep_period_ps: int
     joint_cum: np.ndarray
     channels: dict[str, _ChannelTable]
+    labels: _Labels
 
 
 def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
@@ -225,49 +225,60 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     marginals = (joint.sum(axis=1), joint.sum(axis=0))
     # Each arm's outcome in every joint outcome, in joint_cum's row-major order.
     joint_picks = np.indices(joint.shape).reshape(2, -1)
+    pair, spurious, dark = (
+        _ORIGIN_CODE[o] for o in (events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO, events.ORIGIN_DARK)
+    )
+    labels = []  # per code: channel, delay, port, bin, origin, outcome
     channels = {}
     for ch, out, marginal, joint_pick in zip(events.CHANNELS, outs, marginals, joint_picks):
-        memory = _memory_table(cfg.memory_config(ch))
+        mem, memory = cfg.memory_config(ch), None
+        # (delay, origin, outcome) of each memory outcome a detected photon has.
+        passes = [(0, pair, _OUTCOME_NONE)]
+        if mem is not None:
+            probs = mem.outcome_table()
+            memory = _MemoryTable(min(1.0, max(0.0, 1.0 - float(probs[-1]))), np.cumsum(probs[:-1]))
+            passes = [(0, pair, _OUTCOME_TRANSMITTED)] + [
+                (mem.echo_delay_ps(k), pair if k == mem.primary_echo_index else spurious,
+                 _OUTCOME_RECALL_BASE + k)
+                for k in range(len(mem.echo_delays))
+            ]
+        h, first = _EVENT_CHANNELS.index(ch), len(labels)
+        labels += [(h, o.slot_offset_ps + d, o.port, _BIN_CODE[o.bin], *rest) for o in out for d, *rest in passes]
         detector = cfg.detectors[ch]
         channels[ch] = _ChannelTable(
-            slots=np.array([o.slot_offset_ps for o in out], dtype=np.int64),
-            ports=np.array([o.port for o in out], dtype=np.int8),
-            bins=np.array([_BIN_CODE[o.bin] for o in out], dtype=np.int8),
             single_cum=np.cumsum(marginal),
             joint_pick=joint_pick,
             memory=memory,
             detector=detector,
             # The detector efficiency is the same for every memory outcome and port.
             p_detect=(1.0 if memory is None else memory.p_alive) * detector.efficiency,
+            first_code=first,
+            n_memory=len(passes),
+            dark_code=len(labels),
         )
+        # A dark click has no port, bin or memory outcome.
+        labels.append((h, 0, 0, _BIN_CODE[events.BIN_NONE], dark, _OUTCOME_NONE))
+    dtypes = (np.int8, np.int64, np.int8, np.int8, np.int8, np.int16)
     return _EngineTables(
         seed=cfg.run.seed,
         mu=src.mean_pairs_per_pulse,
         rep_period_ps=src.rep_period_ps,
         joint_cum=np.cumsum(joint.reshape(-1)),
         channels=channels,
+        labels=_Labels(*(np.array(col, dtype=d) for col, d in zip(zip(*labels), dtypes))),
     )
 
 
 def _draw_memory(table: _MemoryTable, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome indices into table's arrays of n detected photons, drawn from
-    the table conditioned on survival."""
+    """Memory outcomes (0 transmitted, 1 + k echo k) of n detected photons,
+    drawn from the table conditioned on survival."""
     u = rng.random(n) * table.cumulative[-1]
-    return np.minimum(np.searchsorted(table.cumulative, u, side="right"), table.codes.size - 1)
+    return np.minimum(np.searchsorted(table.cumulative, u, side="right"), table.cumulative.size - 1)
 
 
 def _draw_outcomes(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     k = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
     return np.minimum(k, cum.size - 1)
-
-
-# A dark click has no port, bin or memory outcome.
-_DARK_FIELDS = {
-    "ports": 0,
-    "bins": _BIN_CODE[events.BIN_NONE],
-    "origins": _ORIGIN_CODE[events.ORIGIN_DARK],
-    "outcomes": _OUTCOME_NONE,
-}
 
 
 def _simulate_shard(
@@ -299,42 +310,31 @@ def _simulate_shard(
 
     span = n_cycles * t.rep_period_ps
     lo = first_cycle * t.rep_period_ps
+    dtype = np.min_scalar_type(t.labels.delay_ps.size - 1)
     shard: dict[str, dict[str, np.ndarray]] = {}
     for ch, tab in zip(events.CHANNELS, tabs):
         # Popped, so no list holds a channel's picks once its arrays are built.
-        pick, cyc, mpick = picks.pop(0), cycles.pop(0), mem_picks.pop(0)
-        mem, det = tab.memory, tab.detector
+        code, cyc, mpick = picks.pop(0), cycles.pop(0), mem_picks.pop(0)
+        # Codes built in place on the fresh analyzer picks.
+        if mpick is not None:
+            code *= tab.n_memory
+            code += mpick
+        code += tab.first_code
         times = cyc * t.rep_period_ps
-        times += tab.slots[pick]
-        if mem is None:
-            origins = np.full(times.size, _ORIGIN_CODE[events.ORIGIN_PAIR], dtype=np.int8)
-            outcomes = np.full(times.size, _OUTCOME_NONE, dtype=np.int16)
-        else:
-            times += mem.delay_ps[mpick]
-            origins = mem.origins[mpick]
-            outcomes = mem.codes[mpick]
+        times += t.labels.delay_ps[code]
+        code = code.astype(dtype)
+        det = tab.detector
         if det.jitter_sigma_ps > 0.0:
             shift = rng.normal(0.0, det.jitter_sigma_ps, times.size)
             times += np.rint(shift, out=shift).astype(np.int64)
-        arrays = {
-            "times": times,
-            "cycles": cyc,
-            "ports": tab.ports[pick],
-            "bins": tab.bins[pick],
-            "origins": origins,
-            "outcomes": outcomes,
-        }
+        arrays = (times, cyc, code)
         # Dark counts, uniform over the shard's span.
         n_dark = int(rng.poisson(det.dark_rate_hz * span * 1e-12))
         if n_dark:
             dark = rng.integers(lo, lo + span, size=n_dark)
-            fill = {"times": dark, "cycles": dark // t.rep_period_ps}
-            fill.update(
-                (key, np.full(n_dark, code, dtype=arrays[key].dtype))
-                for key, code in _DARK_FIELDS.items()
-            )
-            arrays = {key: np.concatenate([val, fill[key]]) for key, val in arrays.items()}
-        shard[ch] = arrays
+            fill = (dark, dark // t.rep_period_ps, np.full(n_dark, tab.dark_code, dtype=dtype))
+            arrays = [np.concatenate(pair) for pair in zip(arrays, fill)]
+        shard[ch] = dict(zip(_CLICK_KEYS, arrays))
     return classes, shard
 
 
@@ -353,7 +353,7 @@ def _shards(t: _EngineTables, n_cycles: int):
 
 
 def simulate(cfg: ExperimentConfig) -> SimulationData:
-    """Run the full chain for every configured cycle; returns click arrays."""
+    """Run the full chain for every configured cycle; returns decoded click arrays."""
     tables = _build_tables(cfg)
     parts: dict[str, list[dict[str, np.ndarray]]] = {ch: [] for ch in events.CHANNELS}
     totals = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
@@ -361,14 +361,13 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
         totals += classes
         for ch in events.CHANNELS:
             parts[ch].append(shard[ch])
-    channels = {}
+    lab, channels = tables.labels, {}
     for ch in events.CHANNELS:
         # Key by key, so each key's shard arrays are freed once joined.
-        merged = {
-            key: np.concatenate([p.pop(key) for p in parts[ch]])
-            for key in ("times", "cycles", "ports", "bins", "origins", "outcomes")
-        }
-        channels[ch] = ChannelRecord(**merged)
+        times, cycles, codes = (np.concatenate([p.pop(key) for p in parts[ch]]) for key in _CLICK_KEYS)
+        channels[ch] = ChannelRecord(
+            times, cycles, lab.port[codes], lab.bin[codes], lab.origin[codes], lab.outcome[codes]
+        )
     classes = dict(zip(PAIR_CLASSES, map(int, totals)))
     p_detect = {ch: tab.p_detect for ch, tab in tables.channels.items()}
     return SimulationData(cfg, classes, p_detect, channels)
@@ -415,59 +414,39 @@ class SimulationResult:
     config_path: Path
 
 
-# events.csv codes a row's channel by the channel's place in name order.
-_EVENT_CHANNELS = tuple(sorted(events.CHANNELS))
-_EVENT_KEYS = ("cycles", "times", "bins", "origins", "outcomes")
+def _outcome_label(code: int) -> str:
+    if code < _OUTCOME_RECALL_BASE:
+        return (events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED)[code]
+    return events.recalled_token(code - _OUTCOME_RECALL_BASE)
 
 
-def _write_events_csv(fh, rows: dict[str, np.ndarray], order: np.ndarray) -> None:
+def _write_events_csv(fh, labels: _Labels, rows: dict[str, np.ndarray], order: np.ndarray) -> None:
     """Write the settled rows rows[order], already in (time, channel, cycle)
     order, formatted straight from the code arrays into the bytes csv.writer
     would write, at most _EVENTS_CHUNK_ROWS per write."""
-    outcome_labels = [events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED]
-    top = int(rows["outcomes"].max(initial=_OUTCOME_TRANSMITTED))
-    outcome_labels += [events.recalled_token(k) for k in range(top - 1)]
-    # Each row is cycle, mid[channel], time, then one of the label tails,
-    # indexed by (bin, origin, outcome) in row-major order.
-    mid = [f",{ch}," for ch in _EVENT_CHANNELS]
-    tails = [
-        f",{b},{o},{u}\r\n"
-        for b in events.BINS for o in events.ORIGINS for u in outcome_labels
+    # Each row is cycle, mid[code], time, tail[code].
+    mid = [f",{_EVENT_CHANNELS[h]}," for h in labels.channel.tolist()]
+    tail = [
+        f",{events.BINS[b]},{events.ORIGINS[o]},{_outcome_label(u)}\r\n"
+        for b, o, u in zip(labels.bin.tolist(), labels.origin.tolist(), labels.outcome.tolist())
     ]
-    n_origin, n_outcome = len(events.ORIGINS), len(outcome_labels)
     for first in range(0, order.size, _EVENTS_CHUNK_ROWS):
         idx = order[first : first + _EVENTS_CHUNK_ROWS]
-        # intp: int8 bins times the label counts would overflow.
-        tail = rows["bins"][idx].astype(np.intp)
-        tail *= n_origin
-        tail += rows["origins"][idx]
-        tail *= n_outcome
-        tail += rows["outcomes"][idx]
-        columns = (rows[key][idx].tolist() for key in ("cycles", "channels", "times"))
-        fh.write(
-            "".join(
-                f"{c}{mid[h]}{t}{tails[k]}"
-                for c, h, t, k in zip(*columns, tail.tolist())
-            )
-        )
+        columns = (rows[key][idx].tolist() for key in ("cycles", "codes", "times"))
+        fh.write("".join(f"{c}{mid[k]}{t}{tail[k]}" for c, k, t in zip(*columns)))
 
 
-def _settle_events(fh, carry, clicks, floor) -> dict[str, np.ndarray]:
+def _settle_events(fh, labels: _Labels, carry, clicks, floor) -> dict[str, np.ndarray]:
     """Write the rows of carry and of one shard's clicks that lie below the
     floor, sorted by (time, channel, cycle); return the rest, sorted, to carry
     to the next shard.  No later click lies below the floor, and rows of
     different shards never tie (each shard has its own cycles), so the
     stable sort puts the rows as one sort over the whole run would."""
-    parts = [carry] if carry else []
-    for i, ch in enumerate(_EVENT_CHANNELS):
-        rec = clicks[ch]
-        part = {key: rec[key] for key in _EVENT_KEYS}
-        part["channels"] = np.full(rec["times"].size, i, dtype=np.int8)
-        parts.append(part)
-    rows = {key: np.concatenate([p[key] for p in parts]) for key in parts[-1]}
-    order = np.lexsort((rows["cycles"], rows["channels"], rows["times"]))
+    parts = ([carry] if carry else []) + [clicks[ch] for ch in _EVENT_CHANNELS]
+    rows = {key: np.concatenate([p[key] for p in parts]) for key in _CLICK_KEYS}
+    order = np.lexsort((rows["cycles"], labels.channel[rows["codes"]], rows["times"]))
     settled = order.size if floor is None else np.count_nonzero(rows["times"] < floor)
-    _write_events_csv(fh, rows, order[:settled])
+    _write_events_csv(fh, labels, rows, order[:settled])
     return {key: col[order[settled:]] for key, col in rows.items()}
 
 
@@ -530,7 +509,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     out.mkdir(parents=True, exist_ok=True)
     tables = _build_tables(cfg)
     classes = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
-    detections = {ch.lower(): {"total": 0, "dark": 0} for ch in events.CHANNELS}
+    code_counts = np.zeros(tables.labels.delay_ps.size, dtype=np.int64)
     tdc, delays = cfg.tdc, (0, recall_delay_ps(cfg))
     (offsets, g2), reach = _g2_plan(cfg, delays), (-tdc.window_ps, tdc.window_ps + 1)
 
@@ -541,15 +520,13 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
 
     def settled(fh):
         """The shards, each once its tallies and events.csv rows are taken."""
-        nonlocal classes
+        nonlocal classes, code_counts
         carry = None
         for counts, clicks, floor in _shards(tables, cfg.run.cycles):
             classes += counts
-            for ch in events.CHANNELS:
-                tally = detections[ch.lower()]
-                tally["total"] += int(clicks[ch]["times"].size)
-                tally["dark"] += _dark_count(clicks[ch]["origins"])
-            carry = _settle_events(fh, carry, clicks, floor)
+            for rec in clicks.values():
+                code_counts += np.bincount(rec["codes"], minlength=code_counts.size)
+            carry = _settle_events(fh, tables.labels, carry, clicks, floor)
             yield counts, clicks, floor
 
     events_path = out / "events.csv"
@@ -567,7 +544,13 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     tallies = {
         "pair_classes": dict(zip(PAIR_CLASSES, map(int, classes))),
         "detection_probability": {ch.lower(): tab.p_detect for ch, tab in tables.channels.items()},
-        "detections": detections,
+        "detections": {
+            ch.lower(): {
+                "total": int(code_counts[tab.first_code : tab.dark_code + 1].sum()),
+                "dark": int(code_counts[tab.dark_code]),
+            }
+            for ch, tab in tables.channels.items()
+        },
     }
     hist = CoincidenceHistogram(tdc.bin_width_ps, tdc.window_ps, counts, int(n_starts))
     g2s = [_g2_payload(g2, windows, delay) for delay in delays]
@@ -596,9 +579,11 @@ def recall_delay_ps(cfg: ExperimentConfig) -> int:
     return signal - idler
 
 
-def _central_keys(clicks: dict[str, np.ndarray]) -> np.ndarray:
-    sup = clicks["bins"] == _BIN_CODE[events.BIN_SUPERPOSED]
-    return clicks["times"][sup] * 2 + (clicks["ports"][sup] == 1)
+def _central_keys(labels: _Labels, clicks: dict[str, np.ndarray]) -> np.ndarray:
+    """Keys time * 2 + (port == +1) of a channel's central-slot clicks."""
+    codes = clicks["codes"]
+    sup = labels.bin[codes] == _BIN_CODE[events.BIN_SUPERPOSED]
+    return clicks["times"][sup] * 2 + (labels.port[codes[sup]] == 1)
 
 
 def _central_port_counts(starts: np.ndarray, stops: np.ndarray, delta: int, hw: int) -> np.ndarray:
@@ -620,7 +605,8 @@ def _central_counts(cfg: ExperimentConfig, signal_phase: float, idler_phase: flo
     phases = zip(events.CHANNELS, (signal_phase, idler_phase))
     cfg = replace(cfg, analyzers={ch: AnalyzerSetting.interferometer(p) for ch, p in phases})
     delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
-    pieces = _stream_pieces(_shards(_build_tables(cfg), cfg.run.cycles), _central_keys, 2)
+    tables = _build_tables(cfg)
+    pieces = _stream_pieces(_shards(tables, cfg.run.cycles), partial(_central_keys, tables.labels), 2)
     lo, hi = 2 * (delta - hw) - 1, 2 * (delta + hw + 1)
     return windowed_fold(pieces, lo, hi, lambda s, t: (_central_port_counts(s, t, delta, hw),))[0]
 

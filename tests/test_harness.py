@@ -54,7 +54,7 @@ from afclink.harness import (
     sweep,
     wavelength_table_from_csv,
 )
-from afclink.memory import MemoryConfig, comb_from_csv, fit_comb
+from afclink.memory import comb_from_csv, fit_comb
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -295,12 +295,12 @@ def within_5_sigma(count, n, p):
 
 
 # Three echoes, the middle one primary, so both spurious-echo outcomes occur.
-THREE_ECHO_MEMORY = MemoryConfig(
-    coupling_efficiency=0.6,
-    device_efficiency=0.5,
-    mean_od=0.7,
-    echo_delays=((16.129, 0.5), (32.258, 1.0), (64.516, 0.3)),
-)
+THREE_ECHO_MEMORY = {
+    "coupling_efficiency": 0.6,
+    "device_efficiency": 0.5,
+    "mean_od": 0.7,
+    "echo_delays": [[16.129, 0.5], [32.258, 1.0], [64.516, 0.3]],
+}
 
 
 def csv_writer_events(data) -> bytes:
@@ -351,11 +351,15 @@ class TestEngineDraws:
     def test_survivor_outcome_frequencies(self):
         # A detected photon draws its outcome conditioned on survival: the
         # outcome table without its lost entry, renormalised.
+        # Memory outcome m of the early, zero-slot analyzer outcome has code
+        # first_code + m.
         n = 400_000
-        mem = THREE_ECHO_MEMORY
-        table = harness._memory_table(mem)
-        picks = harness._draw_memory(table, n, np.random.default_rng(5))
-        code, delay, origin = table.codes[picks], table.delay_ps[picks], table.origins[picks]
+        cfg = make_config(memories={"signal_794": THREE_ECHO_MEMORY})
+        tables = harness._build_tables(cfg)
+        mem, tab = cfg.memory_config(events.SIGNAL_794), tables.channels[events.SIGNAL_794]
+        picks = tab.first_code + harness._draw_memory(tab.memory, n, np.random.default_rng(5))
+        lab = tables.labels
+        code, delay, origin = lab.outcome[picks], lab.delay_ps[picks], lab.origin[picks]
         probs = mem.outcome_table()
         alive = probs[:-1] / probs[:-1].sum()
         codes = [harness._OUTCOME_TRANSMITTED] + [
@@ -444,16 +448,19 @@ class TestEngineDraws:
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_draw_memory", no_draw)
             _, shard = harness._simulate_shard(tables, 0, 0, 1_000)
+        lab = tables.labels
         for ch, clicks in shard.items():
             assert clicks["times"].size > 0
-            assert np.all(clicks["outcomes"] == harness._OUTCOME_NONE)
+            assert np.all(lab.outcome[clicks["codes"]] == harness._OUTCOME_NONE)
             pair = harness._ORIGIN_CODE[events.ORIGIN_PAIR]
-            assert np.all(clicks["origins"] == pair)
+            assert np.all(lab.origin[clicks["codes"]] == pair)
             # Arrival = cycle start + analyzer slot, with no memory delay.
             offsets = clicks["times"] - clicks["cycles"] * cfg.source.rep_period_ps
-            assert set(offsets.tolist()) <= set(tables.channels[ch].slots.tolist())
+            outs = analyzer_outcomes(cfg.analyzers[ch], cfg.source.bin_separation_ps)
+            assert set(offsets.tolist()) <= {o.slot_offset_ps for o in outs}
         # No photons at all.
-        middle = harness._memory_table(THREE_ECHO_MEMORY)
+        cfg = make_config(memories={"signal_794": THREE_ECHO_MEMORY})
+        middle = harness._build_tables(cfg).channels[events.SIGNAL_794].memory
         assert harness._draw_memory(middle, 0, rng).size == 0
         # q = 0: zero coupling loses every signal photon, so no pair is
         # detected on that side.
@@ -484,9 +491,53 @@ class TestEngineDraws:
         classes, shard = harness._simulate_shard(tables, 0, 0, 10_000)
         n_both, n_sig, n_idl, n_none = classes.tolist()
         assert n_both > 0 and n_sig == n_idl == n_none == 0
-        outcomes = shard[events.SIGNAL_794]["outcomes"]
+        outcomes = tables.labels.outcome[shard[events.SIGNAL_794]["codes"]]
         assert outcomes.size == n_both
         assert np.all(outcomes == harness._OUTCOME_TRANSMITTED)
+
+    def test_shard_holds_times_cycles_and_codes(self):
+        # A click's code names its analyzer outcome a and memory outcome m,
+        # analyzer-outcome major: it lands slot(a) + echo delay(m) after its
+        # cycle's start.  A dark code carries no port, bin or outcome.
+        det = {"efficiency": 0.8, "jitter_fwhm_ps": 0.0, "dark_rate_hz": 2e6}
+        cfg = make_config(
+            seed=3,
+            cycles=20_000,
+            mu=0.2,
+            analyzers=CENTRAL_ANALYZERS,
+            memories={"signal_794": THREE_ECHO_MEMORY},
+            detectors={ch: det for ch in ("signal_794", "idler_1535")},
+        )
+        tables = harness._build_tables(cfg)
+        lab, period = tables.labels, cfg.source.rep_period_ps
+        _, shard = harness._simulate_shard(tables, 0, 0, cfg.run.cycles)
+        for ch, clicks in shard.items():
+            assert list(clicks) == ["times", "cycles", "codes"]
+            tab, mem = tables.channels[ch], cfg.memory_config(ch)
+            echoes = [0] if mem is None else [0, *map(mem.echo_delay_ps, range(len(mem.echo_delays)))]
+            outs = analyzer_outcomes(cfg.analyzers[ch], cfg.source.bin_separation_ps)
+            own = slice(tab.first_code, tab.dark_code + 1)
+            assert tab.dark_code - tab.first_code == len(outs) * len(echoes) == len(outs) * tab.n_memory
+            assert np.all(lab.channel[own] == sorted(events.CHANNELS).index(ch))
+            assert lab.delay_ps[own][:-1].tolist() == [o.slot_offset_ps + d for o in outs for d in echoes]
+            assert lab.port[own][:-1].tolist() == [o.port for o in outs for _ in echoes]
+            codes = clicks["codes"]
+            assert codes.min() >= tab.first_code and codes.max() == tab.dark_code
+            lit = codes != tab.dark_code
+            assert np.count_nonzero(lit) > 0
+            offsets = clicks["times"] - clicks["cycles"] * period
+            assert np.array_equal(offsets[lit], lab.delay_ps[codes[lit]])
+            assert np.all((offsets[~lit] >= 0) & (offsets[~lit] < period))
+            dark = tab.dark_code
+            decoded = (
+                int(lab.port[dark]),
+                events.BINS[lab.bin[dark]],
+                events.ORIGINS[lab.origin[dark]],
+                harness._outcome_label(int(lab.outcome[dark])),
+            )
+            assert decoded == (0, events.BIN_NONE, events.ORIGIN_DARK, events.OUTCOME_NONE)
+        signal, idler = (tables.channels[ch] for ch in events.CHANNELS)
+        assert idler.first_code == signal.dark_code + 1 and lab.channel.size == idler.dark_code + 1
 
     @pytest.mark.parametrize("pump_mode", ["BOTH_ARMS", "EARLY_ONLY"])
     @pytest.mark.parametrize("noise", [0.0, 0.4, 1.0])
@@ -709,11 +760,13 @@ class TestStreamedHistogram:
     @staticmethod
     def sweep_peak_and_shard_bytes(n_shards):
         """The traced peak of one mu = 0.128 point of n_shards shards on
-        source_only.json, and the bytes of its first shard's click arrays."""
+        source_only.json, and the bytes of its first shard's click arrays,
+        all of them and its times alone."""
         cfg = shipped_config("source_only", SHARD_CYCLES)
         sub = replace(cfg, source=replace(cfg.source, mean_pairs_per_pulse=0.128))
         _, clicks = harness._simulate_shard(harness._build_tables(sub), 0, 0, SHARD_CYCLES)
         shard_bytes = sum(a.nbytes for rec in clicks.values() for a in rec.values())
+        times_bytes = sum(rec["times"].nbytes for rec in clicks.values())
         del clicks
         tracemalloc.start()
         try:
@@ -721,20 +774,22 @@ class TestStreamedHistogram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak, shard_bytes
+        return peak, shard_bytes, times_bytes
 
     def test_sweep_peak_memory_is_about_one_shard(self):
         # One point holds one shard's click arrays and the histogram's
         # working set, never a second shard beside them.
-        peak, shard_bytes = self.sweep_peak_and_shard_bytes(1)
+        peak, shard_bytes, _ = self.sweep_peak_and_shard_bytes(1)
         assert peak < 2 * shard_bytes, (peak, shard_bytes)
 
     def test_sweep_holds_no_piece_while_the_next_shard_is_drawn(self):
         # With three shards, a frame that kept the previous piece's starts
         # or stops alive while the next shard is drawn adds about a third
-        # of a shard to the peak; one shard alone cannot show it.
-        peak, shard_bytes = self.sweep_peak_and_shard_bytes(3)
-        assert peak < 1.5 * shard_bytes, (peak, shard_bytes)
+        # of a shard to the peak, over the peak of one shard alone, which
+        # cannot show it.
+        one, _, times_bytes = self.sweep_peak_and_shard_bytes(1)
+        three, _, _ = self.sweep_peak_and_shard_bytes(3)
+        assert three < one + times_bytes / 4, (three, one, times_bytes)
 
 
 # Both memories with a spurious echo on either side of the primary one, so
@@ -974,6 +1029,15 @@ STORED_RUN = dict(
 )
 
 
+def central_codes(labels, channel):
+    """A central-slot click code of the channel for each port, -1 then +1."""
+    sup = events.BINS.index(events.BIN_SUPERPOSED)
+    own = labels.channel == sorted(events.CHANNELS).index(channel)
+    return np.array(
+        [np.flatnonzero(own & (labels.bin == sup) & (labels.port == port))[0] for port in (-1, 1)]
+    )
+
+
 def whole_run_central_counts(data):
     """Central-slot coincidences of a run's joined click arrays, as a list
     over (signal, idler) ports (+1, +1), (+1, -1), (-1, +1), (-1, -1): per
@@ -1088,9 +1152,10 @@ class TestChshSimulation:
         # The whole run's keys, through the one labelled window count and
         # through the matcher it replaced, port pair by port pair.
         cfg = make_config(**dict(run, cycles=6_000, analyzers=CENTRAL_ANALYZERS))
-        data = simulate(cfg)
+        tables = harness._build_tables(cfg)
+        _, clicks = harness._simulate_shard(tables, 0, 0, cfg.run.cycles)  # the whole run
         starts, stops = (
-            np.sort(harness._central_keys(vars(data.channels[ch])))
+            np.sort(harness._central_keys(tables.labels, clicks[ch]))
             for ch in (events.IDLER_1535, events.SIGNAL_794)
         )
         delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
@@ -1106,12 +1171,11 @@ class TestChshSimulation:
         # counted in the last piece it can be; clicks tie in time.
         cfg = make_config(**dict(run, analyzers=CENTRAL_ANALYZERS))
         rng = np.random.default_rng(abs(recall_delay_ps(cfg)))
-        sup = events.BINS.index(events.BIN_SUPERPOSED)
+        lab = harness._build_tables(cfg).labels
         run_clicks = {
             ch: {
                 "times": rng.integers(0, 200_000, 4_000),
-                "ports": rng.choice(np.array([-1, 1], dtype=np.int8), 4_000),
-                "bins": np.full(4_000, sup, dtype=np.int8),
+                "codes": rng.choice(central_codes(lab, ch), 4_000),
             }
             for ch in events.CHANNELS
         }
@@ -1126,7 +1190,10 @@ class TestChshSimulation:
             }
             pieces.append((None, piece, floor))
         monkeypatch.setattr(harness, "_shards", lambda tables, cycles: iter(pieces))
-        channels = {ch: SimpleNamespace(**rec) for ch, rec in run_clicks.items()}
+        channels = {
+            ch: SimpleNamespace(times=rec["times"], ports=lab.port[rec["codes"]], bins=lab.bin[rec["codes"]])
+            for ch, rec in run_clicks.items()
+        }
         expected = whole_run_central_counts(SimpleNamespace(config=cfg, channels=channels))
         assert min(expected) > 0
         assert harness._central_counts(cfg, *CENTRAL_PHASES).tolist() == expected
@@ -1136,21 +1203,18 @@ class TestChshSimulation:
         # The stream counts a start once the floor has passed its window; a
         # later central-slot click below that floor would be missed, so the
         # stream refuses it, for a start (idler) or a stop (signal) alike.
-        sup = events.BINS.index(events.BIN_SUPERPOSED)
+        cfg = make_config(analyzers=CENTRAL_ANALYZERS)
+        lab = harness._build_tables(cfg).labels
 
-        def central(times):
-            return {
-                "times": np.array(times, dtype=np.int64),
-                "ports": np.ones(len(times), dtype=np.int8),
-                "bins": np.full(len(times), sup, dtype=np.int8),
-            }
+        def central(ch, times):
+            plus = central_codes(lab, ch)[1]
+            return {"times": np.array(times, dtype=np.int64), "codes": np.full(len(times), plus)}
 
-        first = {ch: central([1_000, 2_000]) for ch in events.CHANNELS}
-        late = {ch: central([9_000]) for ch in events.CHANNELS}
-        late[channel] = central([9_000, 4_000])  # below the first piece's floor
+        first = {ch: central(ch, [1_000, 2_000]) for ch in events.CHANNELS}
+        late = {ch: central(ch, [9_000]) for ch in events.CHANNELS}
+        late[channel] = central(channel, [9_000, 4_000])  # below the first piece's floor
         pieces = [(None, first, 5_000), (None, late, None)]
         monkeypatch.setattr(harness, "_shards", lambda tables, cycles: iter(pieces))
-        cfg = make_config(analyzers=CENTRAL_ANALYZERS)
         with pytest.raises(ValueError, match="below the floor of an earlier piece"):
             harness._central_counts(cfg, *CENTRAL_PHASES)
 
