@@ -527,16 +527,16 @@ def purity(rho):
 
 
 def correlation_coefficient(c_same: int, c_diff: int) -> tuple[float, float]:
-    """(C_same - C_diff)/(C_same + C_diff) with binomial uncertainty."""
+    """(C_same - C_diff)/(C_same + C_diff); sigma is twice the Wilson score
+    half-width at z = 1 (Brown, Cai and DasGupta, Stat. Sci. 16, 101, 2001)."""
     if c_same < 0 or c_diff < 0:
         raise ValueError("counts must be nonnegative")
-    total = c_same + c_diff
-    if total == 0:
+    n = c_same + c_diff
+    if n == 0:
         raise UndefinedEstimateError("no coincidences in either port pairing")
-    e = (c_same - c_diff) / total
-    p_hat = c_same / total
-    sigma = 2.0 * math.sqrt(p_hat * (1.0 - p_hat) / total)
-    return e, sigma
+    p_hat = c_same / n
+    sigma = 2.0 * math.sqrt(p_hat * (1.0 - p_hat) / n + 0.25 / n**2) / (1.0 + 1.0 / n)
+    return (c_same - c_diff) / n, sigma
 
 
 def _observable(setting: ProjectorSetting) -> np.ndarray:

@@ -17,13 +17,20 @@ channel by channel, detector jitter and dark counts.
 Changing that order would change every seeded result.  Click arrays are not
 time-sorted within a shard.
 
+A shard holds three arrays per channel: the clicks' times (ps), cycles and
+codes.  A code names one click a run can produce, as _build_tables numbers
+them (_ChannelTable says how); one per-code table, _EngineTables.labels,
+holds each code's events.csv channel, delay, port, bin, origin and memory
+outcome, and every consumer looks its labels up there.
+
 Each shard comes with the floor below which no later shard has a click.
-detection.windowed_fold is the one carry of that rule: run_simulation's
+detection.windowed_fold carries that rule for every count: run_simulation's
 histogram and g2 windows, run_g2's windows (the mu sweep) and the
 central-slot counts (_central_counts) are folds of their kernels over the
 shards, equal bit for bit to one pass over the whole run, and each holds a
-shard's times or keys, never two shards.  No product path calls simulate(),
-which joins a whole run's click arrays.
+shard's times or keys, never two shards.  _settle_events carries the
+events.csv rows by the same floor.  No product path calls simulate(), which
+joins a whole run's click arrays.
 """
 
 from __future__ import annotations
@@ -174,10 +181,9 @@ class _MemoryTable:
 
 @dataclass(frozen=True, eq=False)
 class _Labels:
-    """Every click a run can produce, indexed by its code: the channel's
-    place in events.csv name order, the delay after the cycle's start
-    (analyzer slot plus echo delay; 0 for a dark count), the port and the
-    _BIN_CODE, _ORIGIN_CODE and _OUTCOME_* codes."""
+    """Per click code: the channel's place in events.csv name order, the
+    delay after the cycle's start (analyzer slot plus echo delay; 0 for a
+    dark count), the port and the _BIN_CODE, _ORIGIN_CODE and _OUTCOME_* codes."""
 
     channel: np.ndarray
     delay_ps: np.ndarray
@@ -225,9 +231,8 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     marginals = (joint.sum(axis=1), joint.sum(axis=0))
     # Each arm's outcome in every joint outcome, in joint_cum's row-major order.
     joint_picks = np.indices(joint.shape).reshape(2, -1)
-    pair, spurious, dark = (
-        _ORIGIN_CODE[o] for o in (events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO, events.ORIGIN_DARK)
-    )
+    origins = (events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO, events.ORIGIN_DARK)
+    pair, spurious, dark = map(_ORIGIN_CODE.get, origins)
     labels = []  # per code: channel, delay, port, bin, origin, outcome
     channels = {}
     for ch, out, marginal, joint_pick in zip(events.CHANNELS, outs, marginals, joint_picks):
@@ -243,7 +248,10 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
                 for k in range(len(mem.echo_delays))
             ]
         h, first = _EVENT_CHANNELS.index(ch), len(labels)
-        labels += [(h, o.slot_offset_ps + d, o.port, _BIN_CODE[o.bin], *rest) for o in out for d, *rest in passes]
+        labels += [
+            (h, o.slot_offset_ps + d, o.port, _BIN_CODE[o.bin], *rest)
+            for o in out for d, *rest in passes
+        ]
         detector = cfg.detectors[ch]
         channels[ch] = _ChannelTable(
             single_cum=np.cumsum(marginal),
@@ -364,7 +372,9 @@ def simulate(cfg: ExperimentConfig) -> SimulationData:
     lab, channels = tables.labels, {}
     for ch in events.CHANNELS:
         # Key by key, so each key's shard arrays are freed once joined.
-        times, cycles, codes = (np.concatenate([p.pop(key) for p in parts[ch]]) for key in _CLICK_KEYS)
+        times, cycles, codes = (
+            np.concatenate([p.pop(key) for p in parts[ch]]) for key in _CLICK_KEYS
+        )
         channels[ch] = ChannelRecord(
             times, cycles, lab.port[codes], lab.bin[codes], lab.origin[codes], lab.outcome[codes]
         )
@@ -448,6 +458,24 @@ def _settle_events(fh, labels: _Labels, carry, clicks, floor) -> dict[str, np.nd
     settled = order.size if floor is None else np.count_nonzero(rows["times"] < floor)
     _write_events_csv(fh, labels, rows, order[:settled])
     return {key: col[order[settled:]] for key, col in rows.items()}
+
+
+def _detections(tables: _EngineTables, code_counts: np.ndarray) -> dict:
+    """summary.json's detections from a run's clicks counted per code: per
+    channel the total, the dark counts and the other clicks per memory
+    outcome, keyed by their events.csv label."""
+    out = {}
+    for ch, tab in tables.channels.items():
+        own = code_counts[tab.first_code : tab.dark_code + 1]
+        # Codes run analyzer-outcome major: a row per analyzer outcome.
+        per_outcome = own[:-1].reshape(-1, tab.n_memory).sum(axis=0).tolist()
+        outcomes = tables.labels.outcome[tab.first_code : tab.first_code + tab.n_memory]
+        out[ch.lower()] = {
+            "total": int(own.sum()),
+            "dark": int(own[-1]),
+            "memory_outcomes": dict(zip(map(_outcome_label, outcomes.tolist()), per_outcome)),
+        }
+    return out
 
 
 def _g2_payload(g2, counts: np.ndarray, delay_ps: int) -> dict | None:
@@ -544,13 +572,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     tallies = {
         "pair_classes": dict(zip(PAIR_CLASSES, map(int, classes))),
         "detection_probability": {ch.lower(): tab.p_detect for ch, tab in tables.channels.items()},
-        "detections": {
-            ch.lower(): {
-                "total": int(code_counts[tab.first_code : tab.dark_code + 1].sum()),
-                "dark": int(code_counts[tab.dark_code]),
-            }
-            for ch, tab in tables.channels.items()
-        },
+        "detections": _detections(tables, code_counts),
     }
     hist = CoincidenceHistogram(tdc.bin_width_ps, tdc.window_ps, counts, int(n_starts))
     g2s = [_g2_payload(g2, windows, delay) for delay in delays]
@@ -606,7 +628,8 @@ def _central_counts(cfg: ExperimentConfig, signal_phase: float, idler_phase: flo
     cfg = replace(cfg, analyzers={ch: AnalyzerSetting.interferometer(p) for ch, p in phases})
     delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
     tables = _build_tables(cfg)
-    pieces = _stream_pieces(_shards(tables, cfg.run.cycles), partial(_central_keys, tables.labels), 2)
+    keys = partial(_central_keys, tables.labels)
+    pieces = _stream_pieces(_shards(tables, cfg.run.cycles), keys, 2)
     lo, hi = 2 * (delta - hw) - 1, 2 * (delta + hw + 1)
     return windowed_fold(pieces, lo, hi, lambda s, t: (_central_port_counts(s, t, delta, hw),))[0]
 
@@ -625,25 +648,15 @@ def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
 
     Each setting pair gets an independent seed derived from the master seed,
     and both analyzers are switched to the pair's interferometer phases."""
-    e_values, sigmas, per_counts = [], [], []
+    counts, correlators = [], []
     for i, (sa, sb) in enumerate(CHSH_PAIRS):
-        seed = int(
-            np.random.SeedSequence(
-                entropy=cfg.run.seed, spawn_key=(9001 + i,)
-            ).generate_state(1)[0]
-        )
-        sub = replace(cfg, run=replace(cfg.run, seed=seed))
+        seq = np.random.SeedSequence(entropy=cfg.run.seed, spawn_key=(9001 + i,))
+        sub = replace(cfg, run=replace(cfg.run, seed=int(seq.generate_state(1)[0])))
         pp, pm, mp, mm = _central_counts(sub, sa.analyzer_phase(), sb.analyzer_phase()).tolist()
-        e, sigma = correlation_coefficient(pp + mm, pm + mp)
-        e_values.append(e)
-        sigmas.append(sigma)
-        per_counts.append((pp, pm, mp, mm))
-    return ChshSimulation(
-        counts=tuple(per_counts),
-        e_values=tuple(e_values),
-        sigmas=tuple(sigmas),
-        estimate=chsh_s(e_values, sigmas),
-    )
+        counts.append((pp, pm, mp, mm))
+        correlators.append(correlation_coefficient(pp + mm, pm + mp))
+    e_values, sigmas = zip(*correlators)
+    return ChshSimulation(tuple(counts), e_values, sigmas, chsh_s(e_values, sigmas))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@
 
 rewrites tests/golden/digests.json from the package as it stands, with the
 Python and numpy versions it ran under; tests/test_golden.py recomputes the
-digests and compares.  numpy does not promise a Generator's stream across
-versions (NEP 19), so the digests hold only for the recorded versions.  A
-change that alters a seeded output on purpose regenerates the file and
-lists each changed output, and why, in CHANGES.md.
+digests and compares.  Before it rewrites the file it prints the name of
+each digest that differs from it.  numpy does not promise a Generator's
+stream across versions (NEP 19), so the digests hold only for the recorded
+versions.  A change that alters a seeded output on purpose regenerates the
+file and lists each changed output, and why, in CHANGES.md.
 """
 
 import contextlib
@@ -112,9 +113,19 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def changed(expected: dict[str, str], got: dict[str, str]) -> list[str]:
+    """The names whose digest differs between two digest maps, or that only
+    one of them has."""
+    names = expected.keys() | got.keys()
+    return sorted(name for name in names if got.get(name) != expected.get(name))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         payload = {**versions(), "digests": digests(Path(work))}
+    recorded = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
+    for name in changed(recorded, payload["digests"]):
+        print(f"changed: {name}")
     DIGESTS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"{DIGESTS}: {len(payload['digests'])} digests")
     return 0

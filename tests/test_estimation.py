@@ -446,16 +446,36 @@ class TestEntanglementMetrics:
         assert np.abs(against_one - single).max() <= 1e-12
 
 
+def wilson_sigma(c_same, c_diff):
+    """Twice the Wilson score half-width at z = 1: the centre
+    (p + 1/(2n))/(1 + 1/n) plus or minus sqrt(p(1-p)/n + 1/(4n^2))/(1 + 1/n)."""
+    n = c_same + c_diff
+    p = c_same / n
+    return 2.0 * math.sqrt(p * (1.0 - p) / n + 1.0 / (4.0 * n * n)) / (1.0 + 1.0 / n)
+
+
 class TestCorrelation:
     def test_balanced_counts(self):
         e, sigma = correlation_coefficient(500, 500)
         assert e == 0.0
-        assert sigma == pytest.approx(1.0 / math.sqrt(1000), rel=1e-12)
+        assert sigma == pytest.approx(wilson_sigma(500, 500), rel=1e-12)
 
     def test_perfect_correlation(self):
+        # One pairing empty: E sits at the edge and sigma is 1/(n + 1), not 0.
         e, sigma = correlation_coefficient(400, 0)
         assert e == 1.0
-        assert sigma == 0.0
+        assert sigma == pytest.approx(1.0 / 401, rel=1e-12)
+        assert correlation_coefficient(12, 0) == (1.0, pytest.approx(1.0 / 13, rel=1e-12))
+        assert correlation_coefficient(0, 12) == (-1.0, pytest.approx(1.0 / 13, rel=1e-12))
+
+    @pytest.mark.parametrize("c_same, c_diff", [(500, 500), (900, 100), (20, 980), (4321, 1234)])
+    def test_large_counts_keep_the_binomial_sigma(self, c_same, c_diff):
+        # At n >= 1000, with both pairings counted (n p (1 - p) >= 12), the
+        # Wilson sigma is the binomial 2 sqrt(p (1 - p) / n) within 1 %.
+        n = c_same + c_diff
+        p = c_same / n
+        _, sigma = correlation_coefficient(c_same, c_diff)
+        assert sigma == pytest.approx(2.0 * math.sqrt(p * (1.0 - p) / n), rel=0.01)
 
     def test_zero_denominator(self):
         with pytest.raises(UndefinedEstimateError):

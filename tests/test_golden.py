@@ -23,7 +23,7 @@ def test_seeded_outputs_match_the_golden_digests(tmp_path):
         "then on this one"
     )
     got = golden.digests(tmp_path)
-    changed = sorted(name for name in expected.keys() | got.keys() if got.get(name) != expected.get(name))
+    changed = golden.changed(expected, got)
     assert not changed, (
         f"seeded outputs changed: {changed}; if on purpose, run `{golden.REGENERATE}` "
         "and list each changed output, and why, in CHANGES.md"

@@ -514,12 +514,16 @@ class TestEngineDraws:
         for ch, clicks in shard.items():
             assert list(clicks) == ["times", "cycles", "codes"]
             tab, mem = tables.channels[ch], cfg.memory_config(ch)
-            echoes = [0] if mem is None else [0, *map(mem.echo_delay_ps, range(len(mem.echo_delays)))]
+            echoes = [0]
+            if mem is not None:
+                echoes += [mem.echo_delay_ps(k) for k in range(len(mem.echo_delays))]
             outs = analyzer_outcomes(cfg.analyzers[ch], cfg.source.bin_separation_ps)
             own = slice(tab.first_code, tab.dark_code + 1)
-            assert tab.dark_code - tab.first_code == len(outs) * len(echoes) == len(outs) * tab.n_memory
+            assert tab.n_memory == len(echoes)
+            assert tab.dark_code - tab.first_code == len(outs) * len(echoes)
             assert np.all(lab.channel[own] == sorted(events.CHANNELS).index(ch))
-            assert lab.delay_ps[own][:-1].tolist() == [o.slot_offset_ps + d for o in outs for d in echoes]
+            delays = [o.slot_offset_ps + d for o in outs for d in echoes]
+            assert lab.delay_ps[own][:-1].tolist() == delays
             assert lab.port[own][:-1].tolist() == [o.port for o in outs for _ in echoes]
             codes = clicks["codes"]
             assert codes.min() >= tab.first_code and codes.max() == tab.dark_code
@@ -589,7 +593,11 @@ class TestEngineDraws:
             ch.lower(): q for ch, q in data.p_detect.items()
         }
         assert res.summary["detections"] == {
-            ch.lower(): {"total": int(rec.times.size), "dark": rec.dark_count}
+            ch.lower(): {
+                "total": int(rec.times.size),
+                "dark": rec.dark_count,
+                "memory_outcomes": memory_outcome_counts(cfg, ch, rec),
+            }
             for ch, rec in data.channels.items()
         }
         q_s, q_i = (data.p_detect[ch] for ch in (events.SIGNAL_794, events.IDLER_1535))
@@ -817,6 +825,20 @@ NOISY_RUN = dict(
 TIED_RUN = dict(seed=29, cycles=1_200, mu=0.5, detectors=IDEAL_DETECTORS)
 
 
+def memory_outcome_counts(cfg, channel, rec):
+    """A bincount of the outcome codes of a channel's joined clicks that are
+    not dark, keyed by events.csv label: NONE without a memory, else
+    TRANSMITTED and RECALLED_k for each echo k."""
+    mem = cfg.memory_config(channel)
+    codes = [harness._OUTCOME_NONE]
+    if mem is not None:
+        top = harness._OUTCOME_RECALL_BASE + len(mem.echo_delays)
+        codes = range(harness._OUTCOME_TRANSMITTED, top)
+    lit = rec.origins != events.ORIGINS.index(events.ORIGIN_DARK)
+    counts = np.bincount(rec.outcomes[lit], minlength=max(codes) + 1).tolist()
+    return {harness._outcome_label(u): counts[u] for u in codes}
+
+
 class TestStreamedRun:
     """run_simulation's one shard pass writes what whole-run click arrays
     give: events.csv in a stable (time, channel, cycle) order, the
@@ -856,7 +878,11 @@ class TestStreamedRun:
             "pair_classes": data.pair_classes,
             "detection_probability": {ch.lower(): q for ch, q in data.p_detect.items()},
             "detections": {
-                ch.lower(): {"total": int(rec.times.size), "dark": rec.dark_count}
+                ch.lower(): {
+                    "total": int(rec.times.size),
+                    "dark": rec.dark_count,
+                    "memory_outcomes": memory_outcome_counts(cfg, ch, rec),
+                }
                 for ch, rec in data.channels.items()
             },
         }
@@ -867,6 +893,30 @@ class TestStreamedRun:
         g2s = [harness._g2_payload(g2, counts, delay) for delay in delays]
         summary = harness._build_summary(cfg, tallies, single, g2s)
         assert res.summary_path.read_text() == json.dumps(summary, indent=2) + "\n"
+
+    @pytest.mark.parametrize("run", [NOISY_RUN, TIED_RUN], ids=["noisy", "tied"])
+    def test_memory_outcome_counts_are_the_clicks_that_are_not_dark(self, run, tmp_path):
+        cfg = make_config(**run)
+        detections = run_simulation(cfg, tmp_path).summary["detections"]
+        for ch, rec in simulate(cfg).channels.items():
+            det = detections[ch.lower()]
+            assert sum(det["memory_outcomes"].values()) == det["total"] - det["dark"] > 0
+            assert det["memory_outcomes"] == memory_outcome_counts(cfg, ch, rec)
+
+    def test_memory_outcome_counts_follow_the_configured_funnel(self, tmp_path):
+        # Each memory outcome is detected from pairs x its configured
+        # probability x the detector efficiency, within 5 sigma.
+        cfg = shipped_config("realistic", 2_000_000)
+        summary = run_simulation(cfg, tmp_path).summary
+        pairs = summary["pairs_emitted"]
+        for ch in events.CHANNELS:
+            mem, efficiency = cfg.memory_config(ch), cfg.detectors[ch].efficiency
+            labels = [events.OUTCOME_TRANSMITTED]
+            labels += [events.recalled_token(k) for k in range(len(mem.echo_delays))]
+            counts = summary["detections"][ch.lower()]["memory_outcomes"]
+            assert list(counts) == labels
+            for label, p in zip(labels, mem.outcome_table()[:-1]):
+                assert within_5_sigma(counts[label], pairs, p * efficiency), (ch, label, counts)
 
     def test_failed_pass_leaves_no_events_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "SHARD_CYCLES", 7)
@@ -1191,7 +1241,9 @@ class TestChshSimulation:
             pieces.append((None, piece, floor))
         monkeypatch.setattr(harness, "_shards", lambda tables, cycles: iter(pieces))
         channels = {
-            ch: SimpleNamespace(times=rec["times"], ports=lab.port[rec["codes"]], bins=lab.bin[rec["codes"]])
+            ch: SimpleNamespace(
+                times=rec["times"], ports=lab.port[rec["codes"]], bins=lab.bin[rec["codes"]]
+            )
             for ch, rec in run_clicks.items()
         }
         expected = whole_run_central_counts(SimpleNamespace(config=cfg, channels=channels))
