@@ -791,10 +791,10 @@ class TestStreamedHistogram:
         assert peak < 2 * shard_bytes, (peak, shard_bytes)
 
     def test_sweep_holds_no_piece_while_the_next_shard_is_drawn(self):
-        # With three shards, a frame that kept the previous piece's starts
-        # or stops alive while the next shard is drawn adds about a third
-        # of a shard to the peak, over the peak of one shard alone, which
-        # cannot show it.
+        # A frame that kept the previous piece's starts or stops alive while
+        # the next shard is drawn lifts the three-shard peak above the
+        # one-shard peak by about half a shard's times (1.1 MB at this mu);
+        # one shard alone cannot show it.
         one, _, times_bytes = self.sweep_peak_and_shard_bytes(1)
         three, _, _ = self.sweep_peak_and_shard_bytes(3)
         assert three < one + times_bytes / 4, (three, one, times_bytes)
