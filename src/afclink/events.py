@@ -2,8 +2,8 @@
 
 Channels are named by their role: SIGNAL_794 is the short-wavelength pair
 member, IDLER_1535 the telecom member; CHANNELS lists both, in that order.
-Timestamps are integer picoseconds from the start of the run.  The order of
-BINS and ORIGINS fixes the integer codes the simulation engine stores.
+Timestamps are integer picoseconds from the start of the run.  The
+simulation engine's per-code table holds these tokens as they are written.
 """
 
 SIGNAL_794 = "SIGNAL_794"
@@ -14,12 +14,10 @@ BIN_EARLY = "EARLY"
 BIN_LATE = "LATE"
 BIN_SUPERPOSED = "SUPERPOSED"
 BIN_NONE = "NONE"  # dark counts carry no time-bin content
-BINS = (BIN_EARLY, BIN_LATE, BIN_SUPERPOSED, BIN_NONE)
 
 ORIGIN_PAIR = "PAIR"
 ORIGIN_DARK = "DARK"
 ORIGIN_SPURIOUS_ECHO = "SPURIOUS_ECHO"
-ORIGINS = (ORIGIN_PAIR, ORIGIN_DARK, ORIGIN_SPURIOUS_ECHO)
 
 OUTCOME_NONE = "NONE"
 OUTCOME_TRANSMITTED = "TRANSMITTED"

@@ -20,8 +20,9 @@ time-sorted within a shard.
 A shard holds three arrays per channel: the clicks' times (ps), cycles and
 codes.  A code names one click a run can produce, as _build_tables numbers
 them (_ChannelTable says how); one per-code table, _EngineTables.labels,
-holds each code's events.csv channel, delay, port, bin, origin and memory
-outcome, and every consumer looks its labels up there.
+holds each code's channel, delay and port, and its bin, origin and memory
+outcome as the tokens events.csv is written with; every consumer reads them
+there.
 
 Each shard comes with the floor below which no later shard has a click.
 detection.windowed_fold carries that rule for every count: run_simulation's
@@ -114,15 +115,6 @@ _SUMMARY_PEAK_FRACTION = 0.05
 # alone, the idler alone, neither.
 PAIR_CLASSES = ("both", "signal_only", "idler_only", "neither")
 
-_BIN_CODE = {label: i for i, label in enumerate(events.BINS)}
-_ORIGIN_CODE = {label: i for i, label in enumerate(events.ORIGINS)}
-
-# Memory outcome codes: 0 none, 1 transmitted, 2 + k for echo k.  Lost photons
-# are dropped before detection and never appear in the arrays.
-_OUTCOME_NONE = 0
-_OUTCOME_TRANSMITTED = 1
-_OUTCOME_RECALL_BASE = 2
-
 # A shard's arrays per channel.  A click's code indexes _EngineTables.labels.
 _CLICK_KEYS = ("times", "cycles", "codes")
 # The channels in events.csv name order, which sorts rows of equal time.
@@ -152,7 +144,7 @@ class ChannelRecord:
 
     @property
     def dark_count(self) -> int:
-        return int(np.count_nonzero(self.origins == _ORIGIN_CODE[events.ORIGIN_DARK]))
+        return int(np.count_nonzero(self.origins == events.ORIGIN_DARK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +175,9 @@ class _MemoryTable:
 class _Labels:
     """Per click code: the channel's place in events.csv name order, the
     delay after the cycle's start (analyzer slot plus echo delay; 0 for a
-    dark count), the port and the _BIN_CODE, _ORIGIN_CODE and _OUTCOME_* codes."""
+    dark count), the port, and the bin, origin and memory outcome as the
+    events.csv tokens of events.py.  Lost photons are dropped before
+    detection, so no code has a lost outcome."""
 
     channel: np.ndarray
     delay_ps: np.ndarray
@@ -231,25 +225,24 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     marginals = (joint.sum(axis=1), joint.sum(axis=0))
     # Each arm's outcome in every joint outcome, in joint_cum's row-major order.
     joint_picks = np.indices(joint.shape).reshape(2, -1)
-    origins = (events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO, events.ORIGIN_DARK)
-    pair, spurious, dark = map(_ORIGIN_CODE.get, origins)
+    pair, spurious = events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO
     labels = []  # per code: channel, delay, port, bin, origin, outcome
     channels = {}
     for ch, out, marginal, joint_pick in zip(events.CHANNELS, outs, marginals, joint_picks):
         mem, memory = cfg.memory_config(ch), None
         # (delay, origin, outcome) of each memory outcome a detected photon has.
-        passes = [(0, pair, _OUTCOME_NONE)]
+        passes = [(0, pair, events.OUTCOME_NONE)]
         if mem is not None:
             probs = mem.outcome_table()
             memory = _MemoryTable(min(1.0, max(0.0, 1.0 - float(probs[-1]))), np.cumsum(probs[:-1]))
-            passes = [(0, pair, _OUTCOME_TRANSMITTED)] + [
+            passes = [(0, pair, events.OUTCOME_TRANSMITTED)] + [
                 (mem.echo_delay_ps(k), pair if k == mem.primary_echo_index else spurious,
-                 _OUTCOME_RECALL_BASE + k)
+                 events.recalled_token(k))
                 for k in range(len(mem.echo_delays))
             ]
         h, first = _EVENT_CHANNELS.index(ch), len(labels)
         labels += [
-            (h, o.slot_offset_ps + d, o.port, _BIN_CODE[o.bin], *rest)
+            (h, o.slot_offset_ps + d, o.port, o.bin, *rest)
             for o in out for d, *rest in passes
         ]
         detector = cfg.detectors[ch]
@@ -265,8 +258,8 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
             dark_code=len(labels),
         )
         # A dark click has no port, bin or memory outcome.
-        labels.append((h, 0, 0, _BIN_CODE[events.BIN_NONE], dark, _OUTCOME_NONE))
-    dtypes = (np.int8, np.int64, np.int8, np.int8, np.int8, np.int16)
+        labels.append((h, 0, 0, events.BIN_NONE, events.ORIGIN_DARK, events.OUTCOME_NONE))
+    dtypes = (np.int8, np.int64, np.int8, object, object, object)
     return _EngineTables(
         seed=cfg.run.seed,
         mu=src.mean_pairs_per_pulse,
@@ -424,22 +417,13 @@ class SimulationResult:
     config_path: Path
 
 
-def _outcome_label(code: int) -> str:
-    if code < _OUTCOME_RECALL_BASE:
-        return (events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED)[code]
-    return events.recalled_token(code - _OUTCOME_RECALL_BASE)
-
-
 def _write_events_csv(fh, labels: _Labels, rows: dict[str, np.ndarray], order: np.ndarray) -> None:
     """Write the settled rows rows[order], already in (time, channel, cycle)
     order, formatted straight from the code arrays into the bytes csv.writer
     would write, at most _EVENTS_CHUNK_ROWS per write."""
     # Each row is cycle, mid[code], time, tail[code].
     mid = [f",{_EVENT_CHANNELS[h]}," for h in labels.channel.tolist()]
-    tail = [
-        f",{events.BINS[b]},{events.ORIGINS[o]},{_outcome_label(u)}\r\n"
-        for b, o, u in zip(labels.bin.tolist(), labels.origin.tolist(), labels.outcome.tolist())
-    ]
+    tail = [f",{b},{o},{u}\r\n" for b, o, u in zip(labels.bin, labels.origin, labels.outcome)]
     for first in range(0, order.size, _EVENTS_CHUNK_ROWS):
         idx = order[first : first + _EVENTS_CHUNK_ROWS]
         columns = (rows[key][idx].tolist() for key in ("cycles", "codes", "times"))
@@ -473,7 +457,7 @@ def _detections(tables: _EngineTables, code_counts: np.ndarray) -> dict:
         out[ch.lower()] = {
             "total": int(own.sum()),
             "dark": int(own[-1]),
-            "memory_outcomes": dict(zip(map(_outcome_label, outcomes.tolist()), per_outcome)),
+            "memory_outcomes": dict(zip(outcomes.tolist(), per_outcome)),
         }
     return out
 
@@ -601,10 +585,11 @@ def recall_delay_ps(cfg: ExperimentConfig) -> int:
     return signal - idler
 
 
-def _central_keys(labels: _Labels, clicks: dict[str, np.ndarray]) -> np.ndarray:
-    """Keys time * 2 + (port == +1) of a channel's central-slot clicks."""
+def _central_keys(labels: _Labels, central: np.ndarray, clicks: dict) -> np.ndarray:
+    """Keys time * 2 + (port == +1) of a channel's central-slot clicks;
+    central marks the central-slot codes."""
     codes = clicks["codes"]
-    sup = labels.bin[codes] == _BIN_CODE[events.BIN_SUPERPOSED]
+    sup = central[codes]
     return clicks["times"][sup] * 2 + (labels.port[codes[sup]] == 1)
 
 
@@ -628,7 +613,7 @@ def _central_counts(cfg: ExperimentConfig, signal_phase: float, idler_phase: flo
     cfg = replace(cfg, analyzers={ch: AnalyzerSetting.interferometer(p) for ch, p in phases})
     delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps
     tables = _build_tables(cfg)
-    keys = partial(_central_keys, tables.labels)
+    keys = partial(_central_keys, tables.labels, tables.labels.bin == events.BIN_SUPERPOSED)
     pieces = _stream_pieces(_shards(tables, cfg.run.cycles), keys, 2)
     lo, hi = 2 * (delta - hw) - 1, 2 * (delta + hw + 1)
     return windowed_fold(pieces, lo, hi, lambda s, t: (_central_port_counts(s, t, delta, hw),))[0]

@@ -12,8 +12,10 @@ parameters and comb_from_csv reads one from a file.  The echo spectrum is
 read off the profile directly; only fit_comb, which recovers the parameters
 from a profile, needs scipy.
 
-MemoryConfig holds the phenomenological recall model; the simulation engine
-in harness draws each photon's outcome from its outcome table:
+MemoryConfig holds the phenomenological recall model, and its outcome_table()
+is the one place that states the outcomes; the simulation engine in harness
+draws each photon's outcome from it, and events.csv names them TRANSMITTED
+and RECALLED_k:
 
 * transmitted (not absorbed): exp(-mean OD), then the coupling efficiency;
 * recalled in echo k: device efficiency times the echo's relative weight
@@ -284,8 +286,7 @@ class MemoryConfig:
     """Per-memory recall model: outcome probabilities and echo delays.
 
     echo_delays holds (delay_ns, weight) pairs with the primary echo at
-    weight 1; recall probability for echo k is
-    device_efficiency * weight_k * coupling_efficiency.
+    weight 1; outcome_table() holds the probability of every outcome.
     """
 
     coupling_efficiency: float
@@ -312,7 +313,8 @@ class MemoryConfig:
         if abs(weights.max() - 1.0) > 1e-9:
             raise ValueError("the primary echo weight must be 1")
         object.__setattr__(self, "echo_delays", echoes)
-        total = self.transmitted_probability + sum(self.recall_probabilities)
+        transmitted, *recall, _ = self.outcome_table().tolist()
+        total = transmitted + sum(recall)
         if total > 1.0 + 1e-9:
             raise ValueError(f"outcome probabilities sum to {total!r} > 1")
 
@@ -336,30 +338,16 @@ class MemoryConfig:
         )
 
     @property
-    def transmitted_probability(self) -> float:
-        return math.exp(-self.mean_od) * self.coupling_efficiency
-
-    @property
-    def recall_probabilities(self) -> tuple[float, ...]:
-        return tuple(
-            self.device_efficiency * w * self.coupling_efficiency for _, w in self.echo_delays
-        )
-
-    @property
     def primary_echo_index(self) -> int:
         weights = [w for _, w in self.echo_delays]
         return int(np.argmax(weights))
 
-    @property
-    def lost_probability(self) -> float:
-        return 1.0 - self.transmitted_probability - sum(self.recall_probabilities)
-
     def outcome_table(self) -> np.ndarray:
         """Probabilities of transmitted, recalled in echo 0, 1, ..., and lost
         (sums to 1 by construction)."""
-        return np.array(
-            [self.transmitted_probability, *self.recall_probabilities, self.lost_probability]
-        )
+        transmitted = math.exp(-self.mean_od) * self.coupling_efficiency
+        recall = [self.device_efficiency * w * self.coupling_efficiency for _, w in self.echo_delays]
+        return np.array([transmitted, *recall, 1.0 - transmitted - sum(recall)])
 
     def echo_delay_ps(self, echo_index: int) -> int:
         return int(round(self.echo_delays[echo_index][0] * 1000.0))

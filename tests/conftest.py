@@ -18,6 +18,11 @@ from afclink.detection import (
 from afclink.harness import EVENT_CSV_HEADER, data_path
 from afclink.memory import CombSpectrum
 
+# The bin and origin tokens events.csv can hold: only events_from_csv
+# enumerates them.
+BINS = (events.BIN_EARLY, events.BIN_LATE, events.BIN_SUPERPOSED, events.BIN_NONE)
+ORIGINS = (events.ORIGIN_PAIR, events.ORIGIN_DARK, events.ORIGIN_SPURIOUS_ECHO)
+
 # The shipped comb profile: only tests read it.
 SYNTHETIC_COMB = data_path("synthetic_comb.csv")
 
@@ -90,8 +95,8 @@ def events_from_csv(path) -> list[tuple]:
             ) from None
         for kind, label, known in (
             ("channel", channel, events.CHANNELS),
-            ("bin", bin_label, events.BINS),
-            ("origin", origin, events.ORIGINS),
+            ("bin", bin_label, BINS),
+            ("origin", origin, ORIGINS),
         ):
             if label not in known:
                 raise ValueError(f"{path}: line {line_no}: unknown {kind} {label!r}")

@@ -275,7 +275,7 @@ class TestAnalyzerSample:
             offsets = slot_offsets(rec)
             assert set(offsets.tolist()) == set(bin_of_offset)
             for offset, label in bin_of_offset.items():
-                assert np.all(rec.bins[offsets == offset] == events.BINS.index(label))
+                assert np.all(rec.bins[offsets == offset] == label)
             assert set(rec.ports.tolist()) == {+1, -1}
 
     def test_entangled_pair_never_splits_early_late(self):
@@ -348,7 +348,7 @@ class TestAnalyzerSample:
         )
         for rec in data.channels.values():
             assert rec.times.size == data.n_pairs > 0
-            assert np.all(rec.bins == events.BINS.index(events.BIN_EARLY))
+            assert np.all(rec.bins == events.BIN_EARLY)
             assert np.all(slot_offsets(rec) == 0)
 
 
@@ -442,9 +442,9 @@ class TestDarkEvents:
         data = self.dark_run(1e7, 1_000, seed=1)
         for rec in data.channels.values():
             assert rec.times.size > 0
-            assert np.all(rec.origins == events.ORIGINS.index(events.ORIGIN_DARK))
-            assert np.all(rec.bins == events.BINS.index(events.BIN_NONE))
-            assert np.all(rec.outcomes == harness._OUTCOME_NONE)
+            assert np.all(rec.origins == events.ORIGIN_DARK)
+            assert np.all(rec.bins == events.BIN_NONE)
+            assert np.all(rec.outcomes == events.OUTCOME_NONE)
             assert np.all(rec.ports == 0)
             assert np.all((rec.times >= 0) & (rec.times < 1_000 * REP))
             assert np.array_equal(rec.cycles, rec.times // REP)
@@ -706,7 +706,7 @@ class TestCsvRoundTrips:
         cfg = engine_config(seed=2)
         res = run_simulation(cfg, tmp_path)
         expected = [
-            (c, channel, t, events.BINS[b], events.ORIGINS[o], events.OUTCOME_NONE)
+            (c, channel, t, b, o, events.OUTCOME_NONE)
             for channel, rec in simulate(cfg).channels.items()
             for c, t, b, o in zip(rec.cycles.tolist(), rec.times.tolist(),
                                   rec.bins.tolist(), rec.origins.tolist())

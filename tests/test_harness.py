@@ -306,10 +306,6 @@ THREE_ECHO_MEMORY = {
 def csv_writer_events(data) -> bytes:
     """events.csv as csv.writer writes it from a run's click arrays: the
     channels in name order, then a stable sort by (time, channel, cycle)."""
-    top = max(int(rec.outcomes.max(initial=1)) for rec in data.channels.values())
-    outcome_labels = [events.OUTCOME_NONE, events.OUTCOME_TRANSMITTED] + [
-        events.recalled_token(k) for k in range(top - 1)
-    ]
     keyed = []
     for i, ch in enumerate(sorted(data.channels)):
         rec = data.channels[ch]
@@ -320,7 +316,7 @@ def csv_writer_events(data) -> bytes:
             rec.origins.tolist(),
             rec.outcomes.tolist(),
         ):
-            row = [c, ch, t, events.BINS[b], events.ORIGINS[o], outcome_labels[u]]
+            row = [c, ch, t, b, o, u]
             keyed.append(((t, i, c), row))
     keyed.sort(key=lambda item: item[0])
     buf = io.StringIO(newline="")
@@ -359,24 +355,21 @@ class TestEngineDraws:
         mem, tab = cfg.memory_config(events.SIGNAL_794), tables.channels[events.SIGNAL_794]
         picks = tab.first_code + harness._draw_memory(tab.memory, n, np.random.default_rng(5))
         lab = tables.labels
-        code, delay, origin = lab.outcome[picks], lab.delay_ps[picks], lab.origin[picks]
+        outcome, delay, origin = lab.outcome[picks], lab.delay_ps[picks], lab.origin[picks]
         probs = mem.outcome_table()
         alive = probs[:-1] / probs[:-1].sum()
-        codes = [harness._OUTCOME_TRANSMITTED] + [
-            harness._OUTCOME_RECALL_BASE + k for k in range(3)
-        ]
-        counts = [int((code == c).sum()) for c in codes]
+        recalled = [events.recalled_token(k) for k in range(3)]
+        counts = [int((outcome == u).sum()) for u in [events.OUTCOME_TRANSMITTED, *recalled]]
         assert sum(counts) == n
         for count, p in zip(counts, alive):
             assert within_5_sigma(count, n, p)
-        spurious = harness._ORIGIN_CODE[events.ORIGIN_SPURIOUS_ECHO]
-        pair = harness._ORIGIN_CODE[events.ORIGIN_PAIR]
-        for k in range(3):
-            echo = code == harness._OUTCOME_RECALL_BASE + k
+        pair = events.ORIGIN_PAIR
+        for k, token in enumerate(recalled):
+            echo = outcome == token
             assert np.all(delay[echo] == mem.echo_delay_ps(k))
-            expected = pair if k == mem.primary_echo_index else spurious
+            expected = pair if k == mem.primary_echo_index else events.ORIGIN_SPURIOUS_ECHO
             assert np.all(origin[echo] == expected)
-        transmitted = code == harness._OUTCOME_TRANSMITTED
+        transmitted = outcome == events.OUTCOME_TRANSMITTED
         assert np.all(delay[transmitted] == 0)
         assert np.all(origin[transmitted] == pair)
 
@@ -451,9 +444,8 @@ class TestEngineDraws:
         lab = tables.labels
         for ch, clicks in shard.items():
             assert clicks["times"].size > 0
-            assert np.all(lab.outcome[clicks["codes"]] == harness._OUTCOME_NONE)
-            pair = harness._ORIGIN_CODE[events.ORIGIN_PAIR]
-            assert np.all(lab.origin[clicks["codes"]] == pair)
+            assert np.all(lab.outcome[clicks["codes"]] == events.OUTCOME_NONE)
+            assert np.all(lab.origin[clicks["codes"]] == events.ORIGIN_PAIR)
             # Arrival = cycle start + analyzer slot, with no memory delay.
             offsets = clicks["times"] - clicks["cycles"] * cfg.source.rep_period_ps
             outs = analyzer_outcomes(cfg.analyzers[ch], cfg.source.bin_separation_ps)
@@ -493,7 +485,7 @@ class TestEngineDraws:
         assert n_both > 0 and n_sig == n_idl == n_none == 0
         outcomes = tables.labels.outcome[shard[events.SIGNAL_794]["codes"]]
         assert outcomes.size == n_both
-        assert np.all(outcomes == harness._OUTCOME_TRANSMITTED)
+        assert np.all(outcomes == events.OUTCOME_TRANSMITTED)
 
     def test_shard_holds_times_cycles_and_codes(self):
         # A click's code names its analyzer outcome a and memory outcome m,
@@ -533,12 +525,7 @@ class TestEngineDraws:
             assert np.array_equal(offsets[lit], lab.delay_ps[codes[lit]])
             assert np.all((offsets[~lit] >= 0) & (offsets[~lit] < period))
             dark = tab.dark_code
-            decoded = (
-                int(lab.port[dark]),
-                events.BINS[lab.bin[dark]],
-                events.ORIGINS[lab.origin[dark]],
-                harness._outcome_label(int(lab.outcome[dark])),
-            )
+            decoded = (int(lab.port[dark]), lab.bin[dark], lab.origin[dark], lab.outcome[dark])
             assert decoded == (0, events.BIN_NONE, events.ORIGIN_DARK, events.OUTCOME_NONE)
         signal, idler = (tables.channels[ch] for ch in events.CHANNELS)
         assert idler.first_code == signal.dark_code + 1 and lab.channel.size == idler.dark_code + 1
@@ -826,17 +813,16 @@ TIED_RUN = dict(seed=29, cycles=1_200, mu=0.5, detectors=IDEAL_DETECTORS)
 
 
 def memory_outcome_counts(cfg, channel, rec):
-    """A bincount of the outcome codes of a channel's joined clicks that are
-    not dark, keyed by events.csv label: NONE without a memory, else
-    TRANSMITTED and RECALLED_k for each echo k."""
+    """The memory outcomes of a channel's joined clicks that are not dark,
+    counted per events.csv token: NONE without a memory, else TRANSMITTED
+    and RECALLED_k for each echo k."""
     mem = cfg.memory_config(channel)
-    codes = [harness._OUTCOME_NONE]
+    outcomes = [events.OUTCOME_NONE]
     if mem is not None:
-        top = harness._OUTCOME_RECALL_BASE + len(mem.echo_delays)
-        codes = range(harness._OUTCOME_TRANSMITTED, top)
-    lit = rec.origins != events.ORIGINS.index(events.ORIGIN_DARK)
-    counts = np.bincount(rec.outcomes[lit], minlength=max(codes) + 1).tolist()
-    return {harness._outcome_label(u): counts[u] for u in codes}
+        recalled = [events.recalled_token(k) for k in range(len(mem.echo_delays))]
+        outcomes = [events.OUTCOME_TRANSMITTED, *recalled]
+    lit = rec.outcomes[rec.origins != events.ORIGIN_DARK]
+    return {u: int(np.count_nonzero(lit == u)) for u in outcomes}
 
 
 class TestStreamedRun:
@@ -1081,11 +1067,9 @@ STORED_RUN = dict(
 
 def central_codes(labels, channel):
     """A central-slot click code of the channel for each port, -1 then +1."""
-    sup = events.BINS.index(events.BIN_SUPERPOSED)
     own = labels.channel == sorted(events.CHANNELS).index(channel)
-    return np.array(
-        [np.flatnonzero(own & (labels.bin == sup) & (labels.port == port))[0] for port in (-1, 1)]
-    )
+    central = own & (labels.bin == events.BIN_SUPERPOSED)
+    return np.array([np.flatnonzero(central & (labels.port == port))[0] for port in (-1, 1)])
 
 
 def whole_run_central_counts(data):
@@ -1096,7 +1080,7 @@ def whole_run_central_counts(data):
     cfg = data.config
     hw = cfg.tdc.peak_halfwidth_ps
     delta = recall_delay_ps(cfg)
-    sup = events.BINS.index(events.BIN_SUPERPOSED)
+    sup = events.BIN_SUPERPOSED
     sig, idl = data.channels[events.SIGNAL_794], data.channels[events.IDLER_1535]
     counts = []
     for pa in (+1, -1):
@@ -1204,8 +1188,9 @@ class TestChshSimulation:
         cfg = make_config(**dict(run, cycles=6_000, analyzers=CENTRAL_ANALYZERS))
         tables = harness._build_tables(cfg)
         _, clicks = harness._simulate_shard(tables, 0, 0, cfg.run.cycles)  # the whole run
+        central = tables.labels.bin == events.BIN_SUPERPOSED
         starts, stops = (
-            np.sort(harness._central_keys(tables.labels, clicks[ch]))
+            np.sort(harness._central_keys(tables.labels, central, clicks[ch]))
             for ch in (events.IDLER_1535, events.SIGNAL_794)
         )
         delta, hw = recall_delay_ps(cfg), cfg.tdc.peak_halfwidth_ps

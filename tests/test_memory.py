@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import IDEAL_DETECTORS, SYNTHETIC_COMB, make_config, noisy_flat_profile
 
-from afclink import events, harness
+from afclink import events
 from afclink.errors import FitError
 from afclink.estimation import find_peaks
 from afclink.harness import simulate
@@ -358,9 +358,9 @@ class TestMemoryConfig:
         assert np.all(probs >= 0.0)
         # Transmission through the mean optical depth, then coupling loss.
         expected_trans = math.exp(-float(np.mean(comb.od))) * 0.2
-        assert cfg.transmitted_probability == pytest.approx(expected_trans, rel=1e-9)
+        assert probs[0] == pytest.approx(expected_trans, rel=1e-9)
         # The primary echo carries the full device efficiency.
-        assert cfg.recall_probabilities[cfg.primary_echo_index] == pytest.approx(
+        assert probs[1 + cfg.primary_echo_index] == pytest.approx(
             eta * 0.2, rel=1e-6
         )
 
@@ -406,10 +406,10 @@ class TestApplyMemory:
         data = self.run(seed=2024, cycles=200_000)
         n = data.n_pairs
         assert n > 30_000
-        codes = data.channels[events.SIGNAL_794].outcomes
-        counts = [int((codes == harness._OUTCOME_TRANSMITTED).sum())]
-        counts += [int((codes == harness._OUTCOME_RECALL_BASE + k).sum()) for k in range(2)]
-        counts.append(n - codes.size)  # lost photons leave no click
+        outcomes = data.channels[events.SIGNAL_794].outcomes
+        counts = [int((outcomes == events.OUTCOME_TRANSMITTED).sum())]
+        counts += [int((outcomes == events.recalled_token(k)).sum()) for k in range(2)]
+        counts.append(n - outcomes.size)  # lost photons leave no click
         probs = data.config.memory_config(events.SIGNAL_794).outcome_table()
         for count, p in zip(counts, probs):
             assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
@@ -419,18 +419,17 @@ class TestApplyMemory:
         # LATE one at the bin separation; the rest of the delay is the memory's.
         data = self.run(seed=11, cycles=50_000)
         rec = data.channels[events.SIGNAL_794]
-        late = rec.bins == events.BINS.index(events.BIN_LATE)
+        late = rec.bins == events.BIN_LATE
         delay = rec.times - rec.cycles * 12_500 - np.where(late, 1_400, 0)
-        pair = events.ORIGINS.index(events.ORIGIN_PAIR)
-        spurious = events.ORIGINS.index(events.ORIGIN_SPURIOUS_ECHO)
-        for code, expected_delay, origin in (
-            (harness._OUTCOME_TRANSMITTED, 0, pair),
-            (harness._OUTCOME_RECALL_BASE, 32_000, pair),
+        pair, spurious = events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO
+        for outcome, expected_delay, origin in (
+            (events.OUTCOME_TRANSMITTED, 0, pair),
+            (events.recalled_token(0), 32_000, pair),
             # Secondary echoes are tagged as spurious.
-            (harness._OUTCOME_RECALL_BASE + 1, 16_000, spurious),
+            (events.recalled_token(1), 16_000, spurious),
         ):
-            hit = rec.outcomes == code
-            assert hit.any(), code
+            hit = rec.outcomes == outcome
+            assert hit.any(), outcome
             assert np.all(delay[hit] == expected_delay)
             assert np.all(rec.origins[hit] == origin)
 
@@ -448,7 +447,8 @@ class TestApplyMemory:
         sig_row = dict(zip(sig.cycles.tolist(), range(sig.cycles.size)))
         idl_row = dict(zip(idl.cycles.tolist(), range(idl.cycles.size)))
         rows = [(sig_row[c], idl_row[c]) for c in single.tolist()]
-        assert sum(sig.outcomes[i] >= harness._OUTCOME_RECALL_BASE for i, _ in rows) > 100
+        recalled = {events.recalled_token(k) for k in range(2)}
+        assert sum(sig.outcomes[i] in recalled for i, _ in rows) > 100
         assert all(sig.bins[i] == idl.bins[j] for i, j in rows)
 
 

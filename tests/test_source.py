@@ -108,8 +108,7 @@ class TestEmittedPairs:
             assert set(offsets.tolist()) == {0, cfg.source.bin_separation_ps}
 
     def test_bins_follow_pump_mode(self):
-        early = events.BINS.index(events.BIN_EARLY)
-        late = events.BINS.index(events.BIN_LATE)
+        early, late = events.BIN_EARLY, events.BIN_LATE
         both = simulate(lossless_config(seed=2))
         for rec in both.channels.values():
             assert set(rec.bins.tolist()) == {early, late}
@@ -122,8 +121,8 @@ class TestEmittedPairs:
         data = simulate(lossless_config(seed=3))
         for rec in data.channels.values():
             assert rec.times.size > 0
-            assert np.all(rec.origins == events.ORIGINS.index(events.ORIGIN_PAIR))
-            assert np.all(rec.outcomes == harness._OUTCOME_NONE)
+            assert np.all(rec.origins == events.ORIGIN_PAIR)
+            assert np.all(rec.outcomes == events.OUTCOME_NONE)
 
 
 class TestChannelBalance:
