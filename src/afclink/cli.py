@@ -29,6 +29,7 @@ from .harness import (
     data_path,
     analyze_paper_data,
     generate_report,
+    provenance,
     run_simulation,
     sweep,
     write_report_files,
@@ -206,6 +207,9 @@ def _cmd_sweep(args):
         "parameter": result.parameter,
         "columns": list(result.columns),
         "rows": [list(row) for row in result.rows],
+        "seed": cfg.run.seed,
+        "cycles": cfg.run.cycles,
+        "provenance": provenance(),
     }
     rows = [result.columns, *result.rows]
     return payload, rows

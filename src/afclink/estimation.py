@@ -567,12 +567,15 @@ class ChshEstimate:
     minus_slot: int
 
 
-def chsh_s(e_values: Sequence[float], sigmas: Sequence[float]) -> ChshEstimate:
+def chsh_s(
+    e_values: Sequence[float], sigmas: Sequence[float], minus_slot: int | None = None
+) -> ChshEstimate:
     """Bell sum |E1 + E2 + E3 + E4 - 2*E_minus| with quadrature uncertainty.
 
-    One correlator enters with a minus sign; the slot is chosen to maximize
-    |S|, which keeps every candidate bounded by 2 for local models while
-    matching the published sign convention of the measured quadruples.
+    One correlator enters with a minus sign, in minus_slot.  Fixed before the
+    counts are seen, every candidate is bounded by 2 for local models.  None
+    takes the slot that maximizes |S| on these correlators, which matches the
+    published sign convention of the measured quadruples.
     """
     e = [float(v) for v in e_values]
     s = [float(v) for v in sigmas]
@@ -580,7 +583,7 @@ def chsh_s(e_values: Sequence[float], sigmas: Sequence[float]) -> ChshEstimate:
         raise ValueError("need exactly four correlators and four uncertainties")
     total = sum(e)
     candidates = [abs(total - 2.0 * e_i) for e_i in e]
-    slot = int(np.argmax(candidates))
+    slot = int(np.argmax(candidates)) if minus_slot is None else minus_slot
     sigma = math.sqrt(sum(v * v for v in s))
     return ChshEstimate(candidates[slot], sigma, slot)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from operator import itemgetter
@@ -68,6 +69,7 @@ from .estimation import (
     ChshEstimate,
     G2Estimate,
     TomographyResult,
+    born_correlation,
     chsh_s,
     correlation_coefficient,
     fidelity,
@@ -124,6 +126,12 @@ _EVENT_CHANNELS = tuple(sorted(events.CHANNELS))
 def data_path(name: str) -> Path:
     """Path of a data file shipped inside the package."""
     return Path(__file__).parent / "data" / name
+
+
+def provenance() -> dict[str, str]:
+    """The versions a seeded output depends on: numpy does not promise a
+    Generator's stream across its versions (NEP 19)."""
+    return {"afclink": __version__, "numpy": np.__version__, "python": platform.python_version()}
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +512,7 @@ def _build_summary(cfg: ExperimentConfig, tallies: dict, hist: CoincidenceHistog
         "g2_zero_delay": g2s[0],
         "g2_recall": {"delay_ps": recall, "g2": g2s[1]},
         "peaks": peaks,
-        "provenance": {"afclink": __version__, "numpy": np.__version__},
+        "provenance": provenance(),
     }
 
 
@@ -632,7 +640,13 @@ def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
     then the Bell sum.
 
     Each setting pair gets an independent seed derived from the master seed,
-    and both analyzers are switched to the pair's interferometer phases."""
+    and both analyzers are switched to the pair's interferometer phases.  The
+    minus slot of the Bell sum is fixed before counting: the one that
+    maximizes |S| on the Born correlators of the configured pair state.
+    Depolarizing noise scales every correlator alike, so it leaves the slot."""
+    rho = cfg.source.joint_state().density()
+    born = [born_correlation(rho, a, b) for a, b in CHSH_PAIRS]
+    minus_slot = chsh_s(born, [0.0] * len(born)).minus_slot
     counts, correlators = [], []
     for i, (sa, sb) in enumerate(CHSH_PAIRS):
         seq = np.random.SeedSequence(entropy=cfg.run.seed, spawn_key=(9001 + i,))
@@ -641,7 +655,7 @@ def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
         counts.append((pp, pm, mp, mm))
         correlators.append(correlation_coefficient(pp + mm, pm + mp))
     e_values, sigmas = zip(*correlators)
-    return ChshSimulation(tuple(counts), e_values, sigmas, chsh_s(e_values, sigmas))
+    return ChshSimulation(tuple(counts), e_values, sigmas, chsh_s(e_values, sigmas, minus_slot))
 
 
 # ---------------------------------------------------------------------------
@@ -747,14 +761,15 @@ class AnalysisReport:
     then of "output" when an output table was fitted, then
     ("link", "input_output_fidelity") when both were.  `chsh` maps each
     correlator stage of the table ("in", then "out") to its Bell sum.
-    `mc_failures` counts the Monte-Carlo trials dropped because a fit did not
-    converge or a metric failed."""
+    `seed` seeds the Monte-Carlo resampling; `mc_failures` counts its trials
+    dropped because a fit did not converge or a metric failed."""
 
     input_state: TomographyResult
     output_state: TomographyResult | None
     metrics: dict[tuple[str, str], tuple[float, float]]
     chsh: dict[str, ChshEstimate]
     trials: int
+    seed: int
     mc_failures: int
 
     def rows(self) -> list[tuple[str, str, float, float]]:
@@ -787,6 +802,7 @@ class AnalysisReport:
         }
         payload: dict = {
             "trials": self.trials,
+            "seed": self.seed,
             "mc_failures": self.mc_failures,
             "states": states,
         }
@@ -800,6 +816,7 @@ class AnalysisReport:
                 name: pair([100.0 * v for v in self.metrics[stage, name]])
                 for stage, name in _SUMMARY_PERCENT
             }
+        payload["provenance"] = provenance()
         return payload
 
 
@@ -856,6 +873,7 @@ def analyze_paper_data(
             stage: chsh_s(*correlators[stage]) for stage in _STAGE_NAMES if stage in correlators
         },
         trials=trials,
+        seed=seed,
         mc_failures=mc_failures,
     )
 

@@ -3,9 +3,10 @@
 bench/launch.py and bench/tracing.py hook package functions by name
 (harness._simulate_shard, tomography_mle, every span in
 tracing.install_layers).  A rename in src/ that breaks one of those hooks
-fails here, not only in a benchmark run.  The three engine workloads of
+fails here, not only in a benchmark run.  The four workloads of
 bench/run.py also run here once each, untraced, through their own output
-checks.
+checks: the three engine workloads, and paper-analysis, whose check reads
+the report.json that `afclink report` writes.
 """
 
 import importlib.util
@@ -91,7 +92,7 @@ def test_traced_bell_records_central_match(tmp_path):
     assert {"bell.chsh", "engine.shard", "bell.central_match"} <= span_names(record)
 
 
-@pytest.mark.parametrize("name", ["realistic-link", "g2-sweep", "bell-stored"])
+@pytest.mark.parametrize("name", ["realistic-link", "g2-sweep", "bell-stored", "paper-analysis"])
 def test_engine_workload_passes_its_check(tmp_path, monkeypatch, name):
     # bench/run.py imports its siblings (checks, common) by bare name.
     monkeypatch.syspath_prepend(str(BENCH))

@@ -10,6 +10,7 @@ import pytest
 from conftest import SYNTHETIC_COMB, noisy_flat_profile
 
 from afclink.cli import main
+from afclink.harness import provenance
 from afclink.memory import comb_to_csv
 
 
@@ -455,6 +456,28 @@ class TestReport:
             ["input", "chsh_s"],
             ["output", "chsh_s"],
         ]
+
+
+def test_seeded_json_outputs_name_their_seed_and_versions(tmp_path, capsys):
+    # What a seeded output depends on: its seed, its run length and the
+    # versions of afclink, numpy and Python it was made with.
+    versions = provenance()
+    assert set(versions) == {"afclink", "numpy", "python"}
+    cfg = str(write_config(tmp_path, seed=5, cycles=20_000))
+    summary = stdout_json(capsys, ["simulate", "--config", cfg, "--out-dir", str(tmp_path / "run")])
+    assert (summary["seed"], summary["cycles"], summary["provenance"]) == (5, 20_000, versions)
+    swept = stdout_json(
+        capsys,
+        ["sweep", "--config", cfg, "--parameter", "mu", "--values", "0.05", "--seed", "11"],
+    )
+    assert (swept["seed"], swept["cycles"], swept["provenance"]) == (11, 20_000, versions)
+    analysis = stdout_json(capsys, ["analyze", "--trials", "0", "--seed", "3"])
+    assert (analysis["trials"], analysis["seed"], analysis["provenance"]) == (0, 3, versions)
+    out = tmp_path / "report"
+    report = stdout_json(capsys, ["report", "--trials", "0", "--seed", "4", "--out-dir", str(out)])
+    assert json.loads((out / "report.json").read_text()) == report
+    state = report["state_analysis"]
+    assert (state["trials"], state["seed"], state["provenance"]) == (0, 4, versions)
 
 
 class TestNegativeSeed:

@@ -44,7 +44,6 @@ KEEP = {
         "module hook for the lazy scipy.optimize that bench/tracing.py wraps as "
         "`estimation.optimize`; goes with the next benchmark change (ROADMAP)"
     ),
-    "estimation.born_correlation": PUBLIC_API,
     "estimation.efficiencies": PUBLIC_API,
     "estimation.informationally_complete_pairs": "planned: simulated tomography (ROADMAP)",
     "estimation.synthesize_input": "planned: simulated tomography (ROADMAP)",

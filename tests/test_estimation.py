@@ -506,6 +506,12 @@ class TestChsh:
         assert est.value == pytest.approx(2.4, abs=1e-12)
         assert est.minus_slot == 3
 
+    def test_given_minus_slot_is_kept(self):
+        # A slot fixed in advance is used even where another candidate is larger.
+        est = chsh_s((0.6, 0.6, 0.6, -0.6), (0.01,) * 4, minus_slot=0)
+        assert est.value == pytest.approx(0.0, abs=1e-12)
+        assert est.minus_slot == 0
+
     def test_ideal_state_reaches_tsirelson(self):
         e = [born_correlation(PHI_PLUS, a, b) for a, b in CHSH_PAIRS]
         est = chsh_s(e, (0.0,) * 4)

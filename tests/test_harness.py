@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import platform
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import (
+    BINS,
     IDEAL_DETECTORS,
+    ORIGINS,
     SYNTHETIC_COMB,
     events_from_csv,
     histogram_from_csv,
@@ -31,7 +34,7 @@ from afclink.cli import main as cli_main
 from afclink.config import load_config
 from afclink.detection import analyzer_outcomes, tdc_histogram_from_times
 from afclink.errors import ConfigError, UndefinedEstimateError
-from afclink.estimation import CHSH_PAIRS, g2_cross
+from afclink.estimation import CHSH_PAIRS, chsh_s, g2_cross
 from afclink.harness import (
     CHSH_CSV_HEADER,
     DATA_CHSH,
@@ -258,6 +261,7 @@ class TestRunSimulation:
         assert res.summary["provenance"] == {
             "afclink": afclink.__version__,
             "numpy": np.__version__,
+            "python": platform.python_version(),
         }
         assert json.loads(res.summary_path.read_text()) == res.summary
 
@@ -529,6 +533,34 @@ class TestEngineDraws:
             assert decoded == (0, events.BIN_NONE, events.ORIGIN_DARK, events.OUTCOME_NONE)
         signal, idler = (tables.channels[ch] for ch in events.CHANNELS)
         assert idler.first_code == signal.dark_code + 1 and lab.channel.size == idler.dark_code + 1
+
+    @pytest.mark.parametrize("name", ["demo", "realistic", "source_only", "three-echo"])
+    def test_every_code_holds_events_csv_tokens(self, name):
+        # The table holds the tokens events.csv is written with.  A lit
+        # code's memory outcome runs NONE without a memory, else TRANSMITTED,
+        # RECALLED_0, ... in outcome_table() order, once per analyzer outcome.
+        if name == "three-echo":
+            cfg = make_config(memories={"signal_794": THREE_ECHO_MEMORY})
+        else:
+            cfg = load_config(ROOT / "configs" / f"{name}.json")
+        tables = harness._build_tables(cfg)
+        lab = tables.labels
+        for column, known in ((lab.bin, BINS), (lab.origin, ORIGINS)):
+            assert all(type(token) is str and token in known for token in column)
+        for ch, tab in tables.channels.items():
+            mem = cfg.memory_config(ch)
+            outcomes = [events.OUTCOME_NONE]
+            if mem is not None:
+                n_echoes = mem.outcome_table().size - 2  # less transmitted and lost
+                outcomes = [events.OUTCOME_TRANSMITTED]
+                outcomes += [events.recalled_token(k) for k in range(n_echoes)]
+            lit = lab.outcome[tab.first_code : tab.dark_code].tolist()
+            assert tab.n_memory == len(outcomes)
+            assert lit == outcomes * (len(lit) // tab.n_memory)
+            dark = tab.dark_code
+            assert (lab.bin[dark], lab.origin[dark], lab.outcome[dark]) == (
+                events.BIN_NONE, events.ORIGIN_DARK, events.OUTCOME_NONE
+            )
 
     @pytest.mark.parametrize("pump_mode", ["BOTH_ARMS", "EARLY_ONLY"])
     @pytest.mark.parametrize("noise", [0.0, 0.4, 1.0])
@@ -1120,6 +1152,15 @@ class TestChshSimulation:
         assert len(result.e_values) == 4
         for counts in result.counts:
             assert all(c > 0 for c in counts)
+
+    def test_minus_slot_comes_from_the_state(self):
+        # At pump phase 1.17 the state's candidates are |S| = 2.032 in slot 1
+        # and 1.967 in slot 2.  The counts of seed 3 favour slot 2; a slot
+        # chosen on them would select on the noise.
+        cfg = make_config(seed=3, cycles=100_000, mu=0.05, source={"pump_phase": 1.17})
+        result = chsh_simulation(cfg)
+        assert result.estimate.minus_slot == 1
+        assert chsh_s(result.e_values, result.sigmas).minus_slot == 2
 
     def test_depolarized_pairs_stay_classical(self):
         cfg = make_config(

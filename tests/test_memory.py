@@ -373,6 +373,18 @@ class TestMemoryConfig:
                 echo_delays=((32.0, 1.0), (16.0, 0.9)),
             )
 
+    @pytest.mark.parametrize("excess, raises", [(2e-9, True), (5e-10, False)])
+    def test_over_full_table_tolerance(self, excess, raises):
+        # No loss and no absorption: the table sums to 1 + device efficiency,
+        # and an excess up to 1e-9 passes as rounding.
+        kwargs = dict(coupling_efficiency=1.0, device_efficiency=excess, mean_od=0.0,
+                      echo_delays=((32.0, 1.0),))
+        if raises:
+            with pytest.raises(ValueError, match="outcome probabilities sum to"):
+                MemoryConfig(**kwargs)
+        else:
+            assert MemoryConfig(**kwargs).outcome_table()[:-1].sum() == 1.0 + excess
+
     def test_coupling_bounds(self):
         with pytest.raises(ValueError):
             MemoryConfig(
