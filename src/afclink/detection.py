@@ -87,7 +87,7 @@ class AnalyzerOutcome:
 
 def analyzer_outcomes(setting: AnalyzerSetting, bin_separation_ps: int) -> list[AnalyzerOutcome]:
     t = int(bin_separation_ps)
-    early, late = (projector(ProjectorSetting.z(port)) for port in (+1, -1))
+    early, late = (projector(ProjectorSetting("Z", port)) for port in (+1, -1))
     if setting.mode == MODE_TIME_OF_ARRIVAL:
         return [
             AnalyzerOutcome(0, 0, events.BIN_EARLY, early),

@@ -45,7 +45,7 @@ from .linalg import (
 MC_MIN_TRIALS = 100
 MC_MAX_FAILURE_FRACTION = 0.2
 
-_PHI_PLUS = bell_phi_plus().density().matrix
+_PHI_PLUS = bell_phi_plus().matrix
 
 TOMOGRAPHY_CSV_HEADER = ("setting_a", "setting_b", "probability", "sigma")
 
@@ -154,14 +154,7 @@ class TomographyInput:
 
 def informationally_complete_pairs() -> list[tuple[ProjectorSetting, ProjectorSetting]]:
     """Both ports of three analyzer axes per arm: 36 pairs of rank 16."""
-    one_arm = [
-        ProjectorSetting.z(+1),
-        ProjectorSetting.z(-1),
-        ProjectorSetting.x(+1),
-        ProjectorSetting.x(-1),
-        ProjectorSetting.y(+1),
-        ProjectorSetting.y(-1),
-    ]
+    one_arm = [ProjectorSetting(kind, port) for kind in ("Z", "X", "Y") for port in (+1, -1)]
     return [(a, b) for a in one_arm for b in one_arm]
 
 
@@ -555,8 +548,8 @@ def born_correlation(
 # a = X, a' = Y on the signal arm and b = X+Y, b' = X-Y on the idler arm.
 CHSH_PAIRS = tuple(
     (a, b)
-    for a in (ProjectorSetting.x(), ProjectorSetting.y())
-    for b in (ProjectorSetting("XPY"), ProjectorSetting("XMY"))
+    for a in (ProjectorSetting("X"), ProjectorSetting("Y"))
+    for b in (ProjectorSetting("XpY"), ProjectorSetting("XmY"))
 )
 
 

@@ -226,7 +226,7 @@ class _EngineTables:
 def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     src = cfg.source
     outs = [analyzer_outcomes(cfg.analyzers[ch], src.bin_separation_ps) for ch in events.CHANNELS]
-    rho = src.joint_state().density().matrix
+    rho = src.joint_state().matrix
     joint = joint_outcome_table(rho, *outs, depolarizing=src.depolarizing_noise).clip(0.0, None)
     # Rows: the signal arm, columns: the idler arm.  A lone photon, whose
     # partner goes undetected, draws from its arm's marginal.
@@ -644,7 +644,7 @@ def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
     minus slot of the Bell sum is fixed before counting: the one that
     maximizes |S| on the Born correlators of the configured pair state.
     Depolarizing noise scales every correlator alike, so it leaves the slot."""
-    rho = cfg.source.joint_state().density()
+    rho = cfg.source.joint_state()
     born = [born_correlation(rho, a, b) for a, b in CHSH_PAIRS]
     minus_slot = chsh_s(born, [0.0] * len(born)).minus_slot
     counts, correlators = [], []

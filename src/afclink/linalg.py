@@ -11,7 +11,10 @@ Conventions used everywhere in this package:
   transmitted (+1) port, onto (|e> + e^{i theta}|l>)/sqrt(2); the -1 port is
   the orthogonal state.
 
-States are 2x2 or 4x4.  hermitian_eigensystem wraps numpy.linalg.eigh
+States are 2x2 or 4x4 DensityMatrix values; a pure state, such as
+bell_phi_plus, is its rank-one density matrix.  An analyzer setting
+(ProjectorSetting) is spelled as its CSV token: Z, X, Y, XpY or XmY, with a
+'-' suffix for the -1 port.  hermitian_eigensystem wraps numpy.linalg.eigh
 (LAPACK heevd) with a Hermiticity check and descending order; positivity
 checks, matrix square roots and the state metrics all go through it.  It and
 matrix_sqrt_psd take one square matrix or a (..., n, n) stack, so the metrics
@@ -26,31 +29,7 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
-NORM_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
-
-
-@dataclass(frozen=True)
-class Ket:
-    """A pure state over the single-qubit or pair basis.
-
-    Amplitudes must have unit norm (within 1e-10) and dimension 2 or 4.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] not in (2, 4):
-            raise ValueError(f"ket dimension must be 2 or 4, got {amps.shape[0]}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"ket norm {norm!r} deviates from 1 by more than {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def density(self) -> "DensityMatrix":
-        """Rank-one density matrix |psi><psi|."""
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -78,63 +57,46 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-# Analyzer settings named by the single-qubit axis they project onto.  The
-# diagonal tokens XpY/XmY are the +-45 degree phase settings used by the
-# correlation measurements.
+# Analyzer settings named by their CSV token: the single-qubit axis they
+# project onto, with the interferometer phase that realizes it.  The diagonal
+# tokens XpY/XmY are the +-45 degree phase settings used by the correlation
+# measurements; Z is time of arrival and has no phase.
 _KIND_PHASES = {
     "X": 0.0,
     "Y": np.pi / 2.0,
-    "XPY": np.pi / 4.0,
-    "XMY": -np.pi / 4.0,
+    "XpY": np.pi / 4.0,
+    "XmY": -np.pi / 4.0,
 }
-_KIND_TOKENS = {"Z": "Z", "X": "X", "Y": "Y", "XPY": "XpY", "XMY": "XmY"}
-_TOKEN_KINDS = {v: k for k, v in _KIND_TOKENS.items()}
+_KINDS = ("Z", *_KIND_PHASES)
 
 
 @dataclass(frozen=True)
 class ProjectorSetting:
     """One analyzer outcome: an axis plus an output port (+1 or -1).
 
-    kind is one of Z, X, Y, XPY and XMY.
+    kind is one of the CSV tokens Z, X, Y, XpY and XmY.
     """
 
     kind: str
     port: int = +1
 
     def __post_init__(self):
-        if self.kind not in _KIND_TOKENS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown projector kind {self.kind!r}")
         if self.port not in (+1, -1):
             raise ValueError(f"projector port must be +1 or -1, got {self.port!r}")
 
     @classmethod
-    def z(cls, port: int = +1) -> "ProjectorSetting":
-        return cls("Z", port)
-
-    @classmethod
-    def x(cls, port: int = +1) -> "ProjectorSetting":
-        return cls("X", port)
-
-    @classmethod
-    def y(cls, port: int = +1) -> "ProjectorSetting":
-        return cls("Y", port)
-
-    @classmethod
     def from_token(cls, token: str) -> "ProjectorSetting":
         """Parse a CSV token: Z, X, Y, XpY, XmY, each optionally '-'-suffixed."""
         token = token.strip()
-        port = +1
-        base = token
-        if token.endswith("-"):
-            port = -1
-            base = token[:-1]
-        if base not in _TOKEN_KINDS:
+        base = token.removesuffix("-")
+        if base not in _KINDS:
             raise ValueError(f"unknown analyzer token {token!r}")
-        return cls(_TOKEN_KINDS[base], port)
+        return cls(base, -1 if token.endswith("-") else +1)
 
     def token(self) -> str:
-        base = _KIND_TOKENS[self.kind]
-        return base + ("-" if self.port == -1 else "")
+        return self.kind + ("-" if self.port == -1 else "")
 
     def analyzer_phase(self) -> float:
         """The interferometer phase realizing this setting (Z has none)."""
@@ -162,12 +124,13 @@ def phase_projector(theta: float, port: int) -> np.ndarray:
     return 0.5 * np.array([[1.0, np.conj(amp)], [amp, 1.0]], dtype=complex)
 
 
-def bell_phi_plus(relative_phase: float = 0.0) -> Ket:
-    """(|ee> + e^{i phase}|ll>)/sqrt(2)."""
+def bell_phi_plus(relative_phase: float = 0.0) -> DensityMatrix:
+    """The pure state (|ee> + e^{i phase}|ll>)/sqrt(2) as its density matrix."""
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0
     amps[3] = np.exp(1j * relative_phase)
-    return Ket(amps / np.sqrt(2.0))
+    amps /= np.sqrt(2.0)
+    return DensityMatrix(np.outer(amps, amps.conj()))
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,9 @@ EARLY_ONLY pumping (no interferometer) emits both photons in the early bin
 with no qubit degree of freedom, the configuration used for autocorrelation
 measurements.
 
-SourceConfig holds the parameters and the emitted state; the simulation
-engine in harness draws the pairs.
+SourceConfig holds the parameters and the emitted state, a pure state given
+as its density matrix (joint_state); the simulation engine in harness draws
+the pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .linalg import Ket, bell_phi_plus
+import numpy as np
+
+from .linalg import DensityMatrix, bell_phi_plus
 
 PUMP_BOTH_ARMS = "BOTH_ARMS"
 PUMP_EARLY_ONLY = "EARLY_ONLY"
@@ -67,9 +70,10 @@ class SourceConfig:
                 stacklevel=2,
             )
 
-    def joint_state(self) -> Ket:
-        """The emitted two-photon state: |ee> for single-mode (EARLY_ONLY)
-        pumping, which has no late bin, else the entangled state above."""
+    def joint_state(self) -> DensityMatrix:
+        """The emitted two-photon state as its density matrix: |ee><ee| for
+        single-mode (EARLY_ONLY) pumping, which has no late bin, else the
+        entangled state above."""
         if self.pump_mode == PUMP_EARLY_ONLY:
-            return Ket([1.0, 0.0, 0.0, 0.0])
+            return DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
         return bell_phi_plus(2.0 * self.pump_phase)

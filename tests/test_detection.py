@@ -86,7 +86,7 @@ class TestAnalyzerOutcomes:
 
 class TestJointTable:
     def grid_check(self, phi_s: float):
-        rho = bell_phi_plus(phi_s).density().matrix
+        rho = bell_phi_plus(phi_s).matrix
         for alpha in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
             for beta in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
                 outs_a = analyzer_outcomes(AnalyzerSetting.interferometer(alpha), BIN_SEP)
@@ -113,7 +113,7 @@ class TestJointTable:
         self.grid_check(0.6)
 
     def test_no_signaling(self):
-        rho = bell_phi_plus().density().matrix
+        rho = bell_phi_plus().matrix
         outs_a = analyzer_outcomes(AnalyzerSetting.interferometer(0.3), BIN_SEP)
         marginals = []
         for beta in (0.0, 0.9, 2.2, np.pi):
@@ -123,7 +123,7 @@ class TestJointTable:
             assert np.allclose(m, marginals[0], atol=1e-12)
 
     def test_depolarizing_mix(self):
-        rho = bell_phi_plus().density().matrix
+        rho = bell_phi_plus().matrix
         outs_a = analyzer_outcomes(AnalyzerSetting.interferometer(0.0), BIN_SEP)
         outs_b = analyzer_outcomes(AnalyzerSetting.interferometer(0.0), BIN_SEP)
         pure = joint_outcome_table(rho, outs_a, outs_b)
@@ -139,7 +139,7 @@ class TestJointTable:
         # The engine's lone-signal table against the Born rule on the signal
         # arm's reduced state, traced out of the emitted state here.
         cfg = engine_config(analyzers=interferometers(1.1, 0.0))
-        rho = bell_phi_plus().density().matrix.reshape(2, 2, 2, 2)
+        rho = bell_phi_plus().matrix.reshape(2, 2, 2, 2)
         reduced = np.einsum("ajbj->ab", rho)
         born = [np.trace(e @ reduced).real for _, _, e, _ in hand_effects(1.1)]
         cum = harness._build_tables(cfg).channels[events.SIGNAL_794].single_cum
@@ -203,7 +203,7 @@ class TestBatchSampling:
         # One Pearson chi-square per setting over the 28 possible outcomes
         # (early-late pairings never occur), 27 degrees of freedom, at a
         # false-alarm rate of 1e-4 for all 15 settings together.
-        rho = bell_phi_plus(1.2).density().matrix
+        rho = bell_phi_plus(1.2).matrix
         phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
         settings = [(alpha, 0.0) for alpha in phases]
         settings += [(0.0, beta) for beta in phases[1:]]

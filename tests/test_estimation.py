@@ -57,12 +57,17 @@ from afclink.harness import (
 )
 from afclink.linalg import (
     DensityMatrix,
-    Ket,
     ProjectorSetting,
     bell_phi_plus,
 )
 
-PHI_PLUS = bell_phi_plus().density()
+PHI_PLUS = bell_phi_plus()
+
+
+def pure(amps) -> DensityMatrix:
+    """The density matrix |psi><psi| of unit-norm amplitudes."""
+    v = np.asarray(amps, dtype=complex)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def random_density(rng) -> DensityMatrix:
@@ -103,7 +108,7 @@ def noisy_input(truth, sigma, rng):
 
 def random_pure(rng) -> DensityMatrix:
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return Ket(v / np.linalg.norm(v)).density()
+    return pure(v / np.linalg.norm(v))
 
 
 REFERENCE_PERIODS = [*range(-5, 0), *range(1, 6)]
@@ -209,7 +214,7 @@ class TestTomography:
 
     def test_rank_deficient_set_rejected(self):
         rows = [
-            TomographyRow(ProjectorSetting.z(pa), ProjectorSetting.z(pb), 0.25, 0.01)
+            TomographyRow(ProjectorSetting("Z", pa), ProjectorSetting("Z", pb), 0.25, 0.01)
             for pa in (+1, -1)
             for pb in (+1, -1)
         ]
@@ -319,7 +324,7 @@ class TestTomography:
                 fit_batch(exact, bad)
 
     def test_row_validation(self):
-        a = ProjectorSetting.x()
+        a = ProjectorSetting("X")
         with pytest.raises(ValueError):
             TomographyRow(a, a, 1.3, 0.01)
         with pytest.raises(ValueError):
@@ -356,10 +361,10 @@ class TestCsv:
 class TestEntanglementMetrics:
     def test_concurrence_oracles(self):
         assert concurrence(PHI_PLUS.matrix) == pytest.approx(1.0, abs=1e-9)
-        assert concurrence(bell_phi_plus(0.77).density().matrix) == pytest.approx(1.0, abs=1e-9)
+        assert concurrence(bell_phi_plus(0.77).matrix) == pytest.approx(1.0, abs=1e-9)
         assert concurrence(np.eye(4) / 4) == pytest.approx(0.0, abs=1e-9)
         assert concurrence(werner(0.75).matrix) == pytest.approx(0.625, abs=1e-9)
-        ee = Ket(np.array([1, 0, 0, 0], dtype=complex)).density()
+        ee = pure([1, 0, 0, 0])
         assert concurrence(ee.matrix) == pytest.approx(0.0, abs=1e-9)
 
     def test_concurrence_requires_two_qubits(self):
@@ -388,8 +393,8 @@ class TestEntanglementMetrics:
 
     def test_fidelity_oracles(self):
         assert fidelity(werner(0.75).matrix, werner(0.75).matrix) == pytest.approx(1.0, abs=1e-9)
-        ee = Ket(np.array([1, 0, 0, 0], dtype=complex)).density()
-        ll = Ket(np.array([0, 0, 0, 1], dtype=complex)).density()
+        ee = pure([1, 0, 0, 0])
+        ll = pure([0, 0, 0, 1])
         assert fidelity(ee.matrix, ll.matrix) == pytest.approx(0.0, abs=1e-9)
         assert fidelity(werner(0.75).matrix, PHI_PLUS.matrix) == pytest.approx(0.8125, abs=1e-9)
 
@@ -402,12 +407,11 @@ class TestEntanglementMetrics:
         for _ in range(1000):
             va = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             vb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            ka = Ket(va / np.linalg.norm(va))
-            kb = Ket(vb / np.linalg.norm(vb))
-            f_ab = fidelity(ka.density().matrix, kb.density().matrix)
-            f_ba = fidelity(kb.density().matrix, ka.density().matrix)
+            va, vb = va / np.linalg.norm(va), vb / np.linalg.norm(vb)
+            f_ab = fidelity(pure(va).matrix, pure(vb).matrix)
+            f_ba = fidelity(pure(vb).matrix, pure(va).matrix)
             assert abs(f_ab - f_ba) < 1e-9
-            overlap = abs(np.vdot(ka.amplitudes, kb.amplitudes)) ** 2
+            overlap = abs(np.vdot(va, vb)) ** 2
             assert f_ab == pytest.approx(overlap, abs=1e-9)
 
     def test_purity_oracles_and_range_property(self):
@@ -482,8 +486,8 @@ class TestCorrelation:
             correlation_coefficient(0, 0)
 
     def test_born_rule_value(self):
-        a = ProjectorSetting.x()
-        b = ProjectorSetting("XPY")
+        a = ProjectorSetting("X")
+        b = ProjectorSetting("XpY")
         assert born_correlation(PHI_PLUS, a, b) == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
 
 
@@ -531,7 +535,7 @@ class TestChsh:
             va = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             vb = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             psi = np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb))
-            rho = Ket(psi).density()
+            rho = pure(psi)
             e = [born_correlation(rho, a, b) for a, b in CHSH_PAIRS]
             assert chsh_s(e, (0.0,) * 4).value <= 2.0 + 1e-9
 
@@ -762,7 +766,7 @@ class TestFindPeaks:
 
 class TestResampleRows:
     def rows(self, p, sigma, n):
-        setting = ProjectorSetting.z()
+        setting = ProjectorSetting("Z")
         return TomographyInput(
             tuple(TomographyRow(setting, setting, p, sigma) for _ in range(n))
         )
@@ -789,7 +793,7 @@ class TestResampleRows:
                 assert min(probs) >= 0.0 and max(probs) <= 1.0
 
     def test_zero_sigma_rows_unchanged(self):
-        setting = ProjectorSetting.z()
+        setting = ProjectorSetting("Z")
         rows = (
             TomographyRow(setting, setting, 0.3, 0.0),
             TomographyRow(setting, setting, 0.4, 0.1),
@@ -808,7 +812,7 @@ class TestResampleRows:
     def test_draws_equal_explicit_normal_calls(self):
         # Trial by trial: one normal draw per sigma > 0 row, then one per row
         # still outside [0, 1], in row order, from the same generator.
-        setting = ProjectorSetting.z()
+        setting = ProjectorSetting("Z")
         probs, sigmas = [0.02, 0.5, 0.7, 0.98, 0.3], [0.05, 0.0, 0.2, 0.05, 0.4]
         tin = TomographyInput(
             tuple(TomographyRow(setting, setting, p, s) for p, s in zip(probs, sigmas))
@@ -827,7 +831,7 @@ class TestResampleRows:
         assert redraws > 10
 
     def test_non_finite_sigma_rejected(self):
-        setting = ProjectorSetting.z()
+        setting = ProjectorSetting("Z")
         for sigma in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 TomographyRow(setting, setting, 0.5, sigma)

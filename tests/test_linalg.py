@@ -13,7 +13,6 @@ from conftest import make_config
 from afclink import events, harness
 from afclink.linalg import (
     DensityMatrix,
-    Ket,
     ProjectorSetting,
     bell_phi_plus,
     hermitian_eigensystem,
@@ -31,22 +30,12 @@ def werner(p: float) -> np.ndarray:
     return p * phi + (1.0 - p) * np.eye(4) / 4.0
 
 
-class TestKet:
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            Ket(np.array([1.0, 1.0]))
-
-    def test_dimension_must_be_qubit_or_pair(self):
-        with pytest.raises(ValueError):
-            Ket(np.array([1.0, 0.0, 0.0]))
-
+class TestDensityMatrix:
     def test_density_of_pure_state(self):
-        k = Ket(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        rho = k.density()
+        amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        rho = DensityMatrix(np.outer(amps, amps.conj()))
         assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)), atol=1e-12)
 
-
-class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
@@ -85,7 +74,7 @@ class TestEigensystem:
         assert np.allclose(w, [0.8125, 0.0625, 0.0625, 0.0625], atol=1e-12)
         # The top eigenvector is the Bell state itself.
         top = v[:, 0]
-        overlap = abs(np.vdot(bell_phi_plus().amplitudes, top)) ** 2
+        overlap = np.vdot(top, bell_phi_plus().matrix @ top).real
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_descending_order_and_reconstruction_property(self):
@@ -173,25 +162,25 @@ class TestMatrixSqrt:
 
 class TestProjectors:
     def test_z_axes(self):
-        assert np.allclose(projector(ProjectorSetting.z()), np.diag([1.0, 0.0]), atol=1e-15)
-        assert np.allclose(projector(ProjectorSetting.z(-1)), np.diag([0.0, 1.0]), atol=1e-15)
+        assert np.allclose(projector(ProjectorSetting("Z")), np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(projector(ProjectorSetting("Z", -1)), np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_x_axes(self):
-        assert np.allclose(projector(ProjectorSetting.x()), 0.5 * np.array([[1, 1], [1, 1]]), atol=1e-15)
-        assert np.allclose(projector(ProjectorSetting.x(-1)), 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
+        assert np.allclose(projector(ProjectorSetting("X")), 0.5 * np.array([[1, 1], [1, 1]]), atol=1e-15)
+        assert np.allclose(projector(ProjectorSetting("X", -1)), 0.5 * np.array([[1, -1], [-1, 1]]), atol=1e-15)
 
     def test_y_axes(self):
         # |+y> = (|e> + i|l>)/sqrt(2) -> P = [[1, -i], [i, 1]]/2.
         expected = 0.5 * np.array([[1.0, -1.0j], [1.0j, 1.0]])
-        assert np.allclose(projector(ProjectorSetting.y()), expected, atol=1e-15)
-        assert np.allclose(projector(ProjectorSetting.y(-1)), expected.conj(), atol=1e-15)
+        assert np.allclose(projector(ProjectorSetting("Y")), expected, atol=1e-15)
+        assert np.allclose(projector(ProjectorSetting("Y", -1)), expected.conj(), atol=1e-15)
 
     def test_x_and_y_are_phase_settings(self):
         assert np.allclose(
-            projector(ProjectorSetting.x()), phase_projector(0.0, +1), atol=1e-15
+            projector(ProjectorSetting("X")), phase_projector(0.0, +1), atol=1e-15
         )
         assert np.allclose(
-            projector(ProjectorSetting.y()), phase_projector(np.pi / 2, +1), atol=1e-15
+            projector(ProjectorSetting("Y")), phase_projector(np.pi / 2, +1), atol=1e-15
         )
 
     def test_phase_projector_explicit(self):
@@ -203,10 +192,13 @@ class TestProjectors:
 
     def test_ports_resolve_identity_and_idempotence(self):
         rng = np.random.default_rng(5)
-        settings = [ProjectorSetting.z, ProjectorSetting.x, ProjectorSetting.y]
+        kinds = ("Z", "X", "Y")
         for _ in range(2500):
             theta = rng.uniform(0.0, 2.0 * np.pi)
-            pairs = [(projector(s(+1)), projector(s(-1))) for s in settings]
+            pairs = [
+                (projector(ProjectorSetting(k, +1)), projector(ProjectorSetting(k, -1)))
+                for k in kinds
+            ]
             pairs.append((phase_projector(theta, +1), phase_projector(theta, -1)))
             for p, q in pairs:
                 assert np.allclose(p, p.conj().T, atol=1e-12)
@@ -234,9 +226,29 @@ class TestProjectors:
             atol=1e-15,
         )
 
+    def test_shipped_table_tokens_round_trip(self):
+        # Every setting token of the shipped tomography and correlator tables.
+        tokens = set()
+        for name, columns in (
+            (harness.DATA_TOMOGRAPHY_IN, (0, 1)),
+            (harness.DATA_TOMOGRAPHY_OUT, (0, 1)),
+            (harness.DATA_CHSH, (1, 2)),
+        ):
+            rows = harness.data_path(name).read_text().splitlines()[1:]
+            tokens |= {row.split(",")[c].strip() for row in rows for c in columns}
+        assert {"Z", "X", "Y", "XpY", "XmY"} <= tokens
+        for tok in sorted(tokens):
+            assert ProjectorSetting.from_token(tok).token() == tok
+
     def test_bad_token_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown analyzer token"):
             ProjectorSetting.from_token("Q")
+
+    @pytest.mark.parametrize("kind", ["XPY", "XMY"])
+    def test_kind_is_the_csv_token(self, kind):
+        # The diagonal kinds are spelled as their tokens XpY and XmY.
+        with pytest.raises(ValueError, match="unknown projector kind"):
+            ProjectorSetting(kind)
 
     def test_free_phase_is_not_a_projector_kind(self):
         # A free analyzer phase goes through phase_projector, never a setting.
@@ -250,7 +262,8 @@ class TestPairBasis:
         # arrival-time analyzers the engine's joint table puts it in the
         # (late, early) cell, rows for the 794 nm arm, and the lone-photon
         # tables give the signal (early, late) = (0, 1), the idler (1, 0).
-        monkeypatch.setattr(SourceConfig, "joint_state", lambda self: Ket([0, 0, 1, 0]))
+        le = DensityMatrix(np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex))
+        monkeypatch.setattr(SourceConfig, "joint_state", lambda self: le)
         tables = harness._build_tables(make_config())
         joint = np.diff(tables.joint_cum, prepend=0.0)
         assert np.array_equal(joint, [0.0, 0.0, 1.0, 0.0])
@@ -261,9 +274,15 @@ class TestPairBasis:
 
 class TestBellState:
     def test_amplitudes(self):
-        k = bell_phi_plus()
-        assert np.allclose(k.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
+        amps = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        assert np.allclose(bell_phi_plus().matrix, np.outer(amps, amps), atol=1e-15)
 
     def test_relative_phase(self):
-        k = bell_phi_plus(0.6)
-        assert k.amplitudes[3] == pytest.approx(np.exp(0.6j) / np.sqrt(2), abs=1e-15)
+        rho = bell_phi_plus(0.6).matrix
+        assert rho[3, 0] == pytest.approx(np.exp(0.6j) / 2, abs=1e-15)
+        assert rho[0, 3] == pytest.approx(np.exp(-0.6j) / 2, abs=1e-15)
+
+    @pytest.mark.parametrize("phase", [0.0, 0.6, np.pi / 2, 2.34, -np.pi, 7.0])
+    def test_pure_at_every_phase(self, phase):
+        rho = bell_phi_plus(phase).matrix
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)

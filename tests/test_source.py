@@ -58,13 +58,17 @@ class TestSampleCycle:
         assert abs(data.n_pairs / n - 0.1) < 4.0 * sigma
 
     def test_pair_fields(self):
+        # The pure state is its density matrix: the outer product of the
+        # amplitudes, bit for bit.
         state = SourceConfig(pump_phase=0.3).joint_state()
-        expected = np.array([1.0, 0.0, 0.0, np.exp(2j * 0.3)]) / np.sqrt(2.0)
-        assert np.allclose(state.amplitudes, expected, atol=1e-12)
+        amps = np.array([1.0, 0.0, 0.0, np.exp(2j * 0.3)]) / np.sqrt(2.0)
+        assert np.array_equal(state.matrix, np.outer(amps, amps.conj()))
 
     def test_early_only_is_single_mode(self):
         cfg = lossless_config(source={"pump_mode": PUMP_EARLY_ONLY})
-        assert np.array_equal(cfg.source.joint_state().amplitudes, [1, 0, 0, 0])
+        amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        rho = cfg.source.joint_state().matrix
+        assert rho.dtype == complex and np.array_equal(rho, np.outer(amps, amps.conj()))
         # Both photons early: the joint arrival-time table is all (EARLY, EARLY).
         joint = np.diff(harness._build_tables(cfg).joint_cum, prepend=0.0)
         assert np.allclose(joint, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
