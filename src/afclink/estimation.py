@@ -581,6 +581,13 @@ def chsh_s(
     return ChshEstimate(candidates[slot], sigma, slot)
 
 
+def born_minus_slot(rho: DensityMatrix) -> int:
+    """The minus slot a state fixes before any count: the one that maximizes
+    |S| on its Born correlators on CHSH_PAIRS."""
+    born = [born_correlation(rho, a, b) for a, b in CHSH_PAIRS]
+    return chsh_s(born, [0.0] * len(born)).minus_slot
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo uncertainty propagation
 

@@ -69,7 +69,7 @@ from .estimation import (
     ChshEstimate,
     G2Estimate,
     TomographyResult,
-    born_correlation,
+    born_minus_slot,
     chsh_s,
     correlation_coefficient,
     fidelity,
@@ -80,6 +80,7 @@ from .estimation import (
     tomography_from_csv,
     tomography_mle,
 )
+from .linalg import bell_phi_plus
 
 SHARD_CYCLES = 1_000_000
 # Detector jitter moves a click by less than this many sigma: a Gaussian draw
@@ -452,20 +453,23 @@ def _settle_events(fh, labels: _Labels, carry, clicks, floor) -> dict[str, np.nd
     return {key: col[order[settled:]] for key, col in rows.items()}
 
 
-def _detections(tables: _EngineTables, code_counts: np.ndarray) -> dict:
+def _detections(tables: _EngineTables, code_counts: np.ndarray, pairs: int) -> dict:
     """summary.json's detections from a run's clicks counted per code: per
-    channel the total, the dark counts and the other clicks per memory
-    outcome, keyed by their events.csv label."""
+    channel the total, the dark counts, the other clicks per memory outcome,
+    keyed by their events.csv label, and z, those clicks' deviation from
+    pairs * q in binomial sigmas (None when that sigma is 0)."""
     out = {}
     for ch, tab in tables.channels.items():
         own = code_counts[tab.first_code : tab.dark_code + 1]
         # Codes run analyzer-outcome major: a row per analyzer outcome.
         per_outcome = own[:-1].reshape(-1, tab.n_memory).sum(axis=0).tolist()
         outcomes = tables.labels.outcome[tab.first_code : tab.first_code + tab.n_memory]
+        expected, var = pairs * tab.p_detect, pairs * tab.p_detect * (1.0 - tab.p_detect)
         out[ch.lower()] = {
             "total": int(own.sum()),
             "dark": int(own[-1]),
             "memory_outcomes": dict(zip(outcomes.tolist(), per_outcome)),
+            "z": (sum(per_outcome) - expected) / math.sqrt(var) if var > 0.0 else None,
         }
     return out
 
@@ -564,7 +568,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     tallies = {
         "pair_classes": dict(zip(PAIR_CLASSES, map(int, classes))),
         "detection_probability": {ch.lower(): tab.p_detect for ch, tab in tables.channels.items()},
-        "detections": _detections(tables, code_counts),
+        "detections": _detections(tables, code_counts, int(classes.sum())),
     }
     hist = CoincidenceHistogram(tdc.bin_width_ps, tdc.window_ps, counts, int(n_starts))
     g2s = [_g2_payload(g2, windows, delay) for delay in delays]
@@ -633,29 +637,30 @@ class ChshSimulation:
     e_values: tuple[float, ...]
     sigmas: tuple[float, ...]
     estimate: ChshEstimate
+    seeds: tuple[int, ...]
 
 
 def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
     """One simulation run of cfg.run.cycles per setting pair of CHSH_PAIRS,
     then the Bell sum.
 
-    Each setting pair gets an independent seed derived from the master seed,
-    and both analyzers are switched to the pair's interferometer phases.  The
-    minus slot of the Bell sum is fixed before counting: the one that
-    maximizes |S| on the Born correlators of the configured pair state.
-    Depolarizing noise scales every correlator alike, so it leaves the slot."""
-    rho = cfg.source.joint_state()
-    born = [born_correlation(rho, a, b) for a, b in CHSH_PAIRS]
-    minus_slot = chsh_s(born, [0.0] * len(born)).minus_slot
-    counts, correlators = [], []
+    Each setting pair gets an independent seed derived from the master seed
+    (returned as `seeds`), and both analyzers are switched to the pair's
+    interferometer phases.  The minus slot of the Bell sum is fixed before
+    counting, by born_minus_slot on the configured pair state.  Depolarizing
+    noise scales every correlator alike, so it leaves the slot."""
+    minus_slot = born_minus_slot(cfg.source.joint_state())
+    counts, correlators, seeds = [], [], []
     for i, (sa, sb) in enumerate(CHSH_PAIRS):
         seq = np.random.SeedSequence(entropy=cfg.run.seed, spawn_key=(9001 + i,))
-        sub = replace(cfg, run=replace(cfg.run, seed=int(seq.generate_state(1)[0])))
+        seeds.append(int(seq.generate_state(1)[0]))
+        sub = replace(cfg, run=replace(cfg.run, seed=seeds[-1]))
         pp, pm, mp, mm = _central_counts(sub, sa.analyzer_phase(), sb.analyzer_phase()).tolist()
         counts.append((pp, pm, mp, mm))
         correlators.append(correlation_coefficient(pp + mm, pm + mp))
     e_values, sigmas = zip(*correlators)
-    return ChshSimulation(tuple(counts), e_values, sigmas, chsh_s(e_values, sigmas, minus_slot))
+    estimate = chsh_s(e_values, sigmas, minus_slot)
+    return ChshSimulation(tuple(counts), e_values, sigmas, estimate, tuple(seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +765,8 @@ class AnalysisReport:
     [0, 1], in state_metrics.csv order: the four METRIC_FUNCTIONS of "input",
     then of "output" when an output table was fitted, then
     ("link", "input_output_fidelity") when both were.  `chsh` maps each
-    correlator stage of the table ("in", then "out") to its Bell sum.
+    correlator stage of the table ("in", then "out") to its Bell sum;
+    to_json_dict adds the slot Phi+ fixes before any count (phi_plus_slot).
     `seed` seeds the Monte-Carlo resampling; `mc_failures` counts its trials
     dropped because a fit did not converge or a metric failed."""
 
@@ -810,7 +816,8 @@ class AnalysisReport:
         for (stage, name), value_sigma in self.metrics.items():
             target = states[stage]["metrics"] if stage in states else payload
             target[name] = pair(value_sigma)
-        payload["chsh"] = {stage: asdict(est) for stage, est in self.chsh.items()}
+        slot = born_minus_slot(bell_phi_plus())  # fixed by Phi+ before any count
+        payload["chsh"] = {k: {**asdict(e), "phi_plus_slot": slot} for k, e in self.chsh.items()}
         if _IO_FIDELITY in self.metrics:
             payload["summary_percent"] = {
                 name: pair([100.0 * v for v in self.metrics[stage, name]])

@@ -112,9 +112,7 @@ def projector(setting: ProjectorSetting) -> np.ndarray:
     (|e> + port * e^{i theta} |l>)/sqrt(2) with theta the analyzer phase.
     """
     if setting.kind == "Z":
-        if setting.port == +1:
-            return np.diag([1.0, 0.0]).astype(complex)
-        return np.diag([0.0, 1.0]).astype(complex)
+        return np.diag([1.0, 0.0] if setting.port == +1 else [0.0, 1.0]).astype(complex)
     return phase_projector(setting.analyzer_phase(), setting.port)
 
 

@@ -26,6 +26,7 @@ from afclink.estimation import (
     _gradient,
     _objective,
     born_correlation,
+    born_minus_slot,
     chi2_sf,
     chsh_s,
     concurrence,
@@ -520,6 +521,14 @@ class TestChsh:
         e = [born_correlation(PHI_PLUS, a, b) for a, b in CHSH_PAIRS]
         est = chsh_s(e, (0.0,) * 4)
         assert est.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+
+    def test_born_minus_slot(self):
+        # Phi+ fixes slot 2, the slot both shipped stages pick from their data;
+        # at relative phase 2.34 the state's largest |S| sits in slot 1.
+        assert born_minus_slot(PHI_PLUS) == 2
+        rho = bell_phi_plus(2.34)
+        e = [born_correlation(rho, a, b) for a, b in CHSH_PAIRS]
+        assert born_minus_slot(rho) == chsh_s(e, (0.0,) * 4).minus_slot == 1
 
     def test_quantum_bound_property(self):
         rng = np.random.default_rng(41)

@@ -129,6 +129,8 @@ class TestRunSimulation:
         assert res.summary["g2_zero_delay"] is None
         assert res.summary["peaks"] == []
         assert res.summary["pairs_emitted"] > 0  # pairs were made, none seen
+        # q = 0: the funnel's binomial sigma is 0, so z is undefined.
+        assert all(d["z"] is None for d in res.summary["detections"].values())
 
     def test_ideal_chain_pair_bookkeeping(self, tmp_path):
         # No loss anywhere: every emitted pair must yield exactly one start
@@ -143,6 +145,8 @@ class TestRunSimulation:
         assert dets["signal_794"]["total"] == n_pairs
         assert dets["idler_1535"]["total"] == n_pairs
         assert dets["signal_794"]["dark"] == 0
+        # q = 1: the funnel's binomial sigma is 0, so z is undefined.
+        assert dets["signal_794"]["z"] is None and dets["idler_1535"]["z"] is None
         assert res.histogram.n_starts == n_pairs
         assert len(events_from_csv(res.events_path)) == 2 * n_pairs
         # Both photons of a pair share bin and cycle, so every pair lands at
@@ -296,6 +300,14 @@ class TestRunSimulation:
 def within_5_sigma(count, n, p):
     """count successes of n trials agree with probability p within 5 sigma."""
     return abs(count / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def funnel_z(rec, pairs, q):
+    """summary.json's detections z of a channel's whole-run clicks: the
+    clicks that are not dark against pairs * q, in binomial sigmas."""
+    var = pairs * q * (1.0 - q)
+    clicks = int(rec.times.size) - rec.dark_count
+    return (clicks - pairs * q) / math.sqrt(var) if var > 0.0 else None
 
 
 # Three echoes, the middle one primary, so both spurious-echo outcomes occur.
@@ -616,6 +628,7 @@ class TestEngineDraws:
                 "total": int(rec.times.size),
                 "dark": rec.dark_count,
                 "memory_outcomes": memory_outcome_counts(cfg, ch, rec),
+                "z": funnel_z(rec, data.n_pairs, data.p_detect[ch]),
             }
             for ch, rec in data.channels.items()
         }
@@ -900,6 +913,7 @@ class TestStreamedRun:
                     "total": int(rec.times.size),
                     "dark": rec.dark_count,
                     "memory_outcomes": memory_outcome_counts(cfg, ch, rec),
+                    "z": funnel_z(rec, data.n_pairs, data.p_detect[ch]),
                 }
                 for ch, rec in data.channels.items()
             },
@@ -935,6 +949,26 @@ class TestStreamedRun:
             assert list(counts) == labels
             for label, p in zip(labels, mem.outcome_table()[:-1]):
                 assert within_5_sigma(counts[label], pairs, p * efficiency), (ch, label, counts)
+
+    def test_detection_funnel_z_within_5_sigma(self, tmp_path):
+        # summary.json's z puts each channel's clicks that are not dark
+        # against pairs x q.  The seeds are fixed in advance; a signal arm
+        # with a memory (q = 0.2) and a bare idler arm (q = 0.7), ~4e4 pairs a
+        # seed, so a draw made with 1.05 q reads z ~ +15 on the idler.
+        memories = {
+            "signal_794": {
+                "coupling_efficiency": 0.5,
+                "device_efficiency": 0.4,
+                "mean_od": 2.0,
+                "echo_delays": [[50.0, 1.0], [100.0, 0.1]],
+            }
+        }
+        for seed in range(1, 11):
+            cfg = make_config(seed=seed, cycles=200_000, mu=0.2, memories=memories)
+            summary = run_simulation(cfg, tmp_path / str(seed)).summary
+            assert summary["pairs_emitted"] > 35_000
+            for ch, det in summary["detections"].items():
+                assert abs(det["z"]) < 5.0, (seed, ch, det["z"])
 
     def test_failed_pass_leaves_no_events_csv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "SHARD_CYCLES", 7)
@@ -1161,6 +1195,18 @@ class TestChshSimulation:
         result = chsh_simulation(cfg)
         assert result.estimate.minus_slot == 1
         assert chsh_s(result.e_values, result.sigmas).minus_slot == 2
+
+    def test_seeds_reproduce_each_setting_pair(self):
+        # The four derived sub-seeds, in CHSH_PAIRS order: a run of one
+        # setting pair on its seed gives that pair's counts again.
+        cfg = make_config(seed=5, cycles=30_000, mu=0.05)
+        result = chsh_simulation(cfg)
+        assert len(result.seeds) == len(CHSH_PAIRS) == len(set(result.seeds))
+        for seed, (sa, sb), counts in zip(result.seeds, CHSH_PAIRS, result.counts):
+            sub = replace(cfg, run=replace(cfg.run, seed=seed))
+            rerun = harness._central_counts(sub, sa.analyzer_phase(), sb.analyzer_phase())
+            assert tuple(rerun.tolist()) == counts
+        assert sum(map(sum, result.counts)) > 0
 
     def test_depolarized_pairs_stay_classical(self):
         cfg = make_config(
@@ -1503,6 +1549,27 @@ class TestAnalyzePaperData:
             assert state["p_value"] > 0.999 and state["fits_inside_sigmas"] is True
         rows = report.rows()
         assert ("input", "fidelity_phi_plus") in [(r[0], r[1]) for r in rows]
+
+    def test_phi_plus_slot_beside_the_data_slot(self, tmp_path):
+        # The data's argmax of |S| takes slot 3 here; Phi+ fixes slot 2.
+        chsh = tmp_path / "chsh.csv"
+        settings = [(a.token(), b.token()) for a, b in CHSH_PAIRS]
+        rows = [f"in,{a},{b},{e},0.01" for (a, b), e in zip(settings, (0.6, 0.6, 0.6, -0.6))]
+        chsh.write_text("\n".join([",".join(CHSH_CSV_HEADER), *rows]) + "\n")
+        report = analyze_paper_data(data_path(DATA_TOMOGRAPHY_IN), chsh=chsh, trials=0)
+        entry = report.to_json_dict()["chsh"]["in"]
+        assert entry["minus_slot"] == 3
+        assert entry["phi_plus_slot"] == 2
+        assert entry["value"] == pytest.approx(2.4, abs=1e-12)
+
+    def test_shipped_stages_take_the_phi_plus_slot(self):
+        report = analyze_paper_data(
+            data_path(DATA_TOMOGRAPHY_IN), chsh=data_path(DATA_CHSH), trials=0
+        )
+        payload = report.to_json_dict()["chsh"]
+        assert list(payload) == ["in", "out"]
+        for entry in payload.values():
+            assert entry["minus_slot"] == entry["phi_plus_slot"] == 2
 
     def test_rows_json_and_percent_share_one_layout(self, tmp_path):
         # The correlator table lists the out stage first.

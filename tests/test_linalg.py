@@ -36,6 +36,10 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.outer(amps, amps.conj()))
         assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)), atol=1e-12)
 
+    def test_dimension_must_be_qubit_or_pair(self):
+        with pytest.raises(ValueError, match="2x2 or 4x4"):
+            DensityMatrix(np.eye(3, dtype=complex) / 3.0)
+
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""The README's Python examples run as written against the package, and its
-configuration table documents every config field."""
+"""The README's Python examples run as written against the package, its
+configuration table documents every config field, and both module lists (the
+README's and the package docstring's) name every module."""
 
 import re
 import typing
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+import afclink
 from afclink.config import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(afclink.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
 
 
@@ -54,3 +58,18 @@ def config_fields() -> list[tuple[str, str]]:
 )
 def test_config_table_documents_every_field(section, name):
     assert f"`{name}`" in config_table_rows()[section]
+
+
+def readme_module_list() -> set:
+    """The modules the README's bullet list of the package names."""
+    text = README.read_text().split("The package covers the full chain:\n", 1)[1]
+    return set(re.findall(r"^\* `(\w+)`", text.lstrip().split("\n\n", 1)[0], flags=re.M))
+
+
+@pytest.mark.parametrize(
+    "listed",
+    [readme_module_list(), set(re.findall(r":mod:`afclink\.(\w+)`", afclink.__doc__))],
+    ids=["readme", "package-docstring"],
+)
+def test_module_lists_name_every_module(listed):
+    assert set(MODULES) <= listed, f"missing: {sorted(set(MODULES) - listed)}"
