@@ -14,9 +14,11 @@ import math
 def csv_rows(path, header: tuple[str, ...], kind: str):
     """Yield (line number, fields) for each non-blank row after the header.
 
-    Raises ValueError for an empty file ("empty {kind} file"), a header other
-    than `header`, and a row whose field count differs from the header's."""
-    with open(path, newline="") as fh:
+    The file is read as UTF-8, with or without the byte-order mark that some
+    spreadsheets put first.  Raises ValueError for an empty file ("empty
+    {kind} file"), a header other than `header`, and a row whose field count
+    differs from the header's."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             found = tuple(next(reader))
@@ -48,8 +50,8 @@ def float_fields(path, line_no: int, fields) -> list[float]:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write the header and then each row with csv.writer's defaults."""
-    with open(path, "w", newline="") as fh:
+    """Write the header and then each row as UTF-8 with csv.writer's defaults."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -556,7 +556,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     events_path = out / "events.csv"
     partial = out / "events.csv.partial"
     try:
-        with open(partial, "w", newline="") as fh:
+        with open(partial, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(EVENT_CSV_HEADER) + "\r\n")
             pieces = _stream_pieces(settled(fh), itemgetter("times"), 1)
             counts, n_starts, windows = windowed_fold(pieces, *reach, kernel)
@@ -577,7 +577,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     summary_path = out / "summary.json"
     config_path = out / "config.json"
     hist.to_csv(histogram_path)
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     save_config(cfg, config_path)
     return SimulationResult(hist, summary, events_path, histogram_path, summary_path, config_path)
 
@@ -948,7 +948,7 @@ def write_report_files(out_dir, payload: dict, report: AnalysisReport) -> None:
     """Write payload to report.json and report.rows() to state_metrics.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     write_csv(out / "state_metrics.csv", METRICS_CSV_HEADER, report.rows())
 
 

@@ -256,7 +256,8 @@ COMB_CSV_HEADER = ("detuning_MHz", "optical_depth")
 def comb_to_csv(comb: CombSpectrum, path) -> None:
     data = np.column_stack([comb.detuning_mhz, comb.od])
     header = ",".join(COMB_CSV_HEADER)
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.9g")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        np.savetxt(fh, data, delimiter=",", header=header, comments="", fmt="%.9g")
 
 
 def comb_from_csv(path) -> CombSpectrum:

@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, stdout payloads, files, error JSON."""
 
 import csv
+import ctypes
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +15,9 @@ from conftest import SYNTHETIC_COMB, noisy_flat_profile
 from afclink.cli import main
 from afclink.harness import provenance
 from afclink.memory import comb_to_csv
+
+REPO = Path(__file__).resolve().parents[1]
+SOURCE_ONLY = REPO / "configs" / "source_only.json"
 
 
 def write_config(tmp_path, seed=5, cycles=20_000, mu=0.05):
@@ -533,3 +539,96 @@ def test_module_runs_as_script():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["device_efficiency"] == pytest.approx(0.06392786120670757)
+
+
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env
+
+
+class TestFreedHeap:
+    """main() keeps freed heap mapped, so later shards reuse the pages of
+    earlier ones; without mallopt it runs exactly as before."""
+
+    @staticmethod
+    def minor_faults(argv) -> int:
+        """ru_minflt of `afclink argv` in a fresh interpreter."""
+        script = "import sys, afclink.cli; sys.exit(afclink.cli.main(sys.argv[1:]))"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *argv],
+            stdout=subprocess.DEVNULL,
+            env=_src_env(),
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_minflt
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_faults_do_not_grow_with_the_shard_count(self):
+        # Two and four 1e6-cycle shards.  With the heap top trimmed after
+        # each shard, the second run faults ~5000 more pages than the first.
+        faults = [
+            self.minor_faults(
+                ["sweep", "--config", str(SOURCE_ONLY), "--parameter", "mu",
+                 "--values", "0.128", "--cycles", str(cycles)]
+            )
+            for cycles in (2_000_000, 4_000_000)
+        ]
+        assert abs(faults[1] - faults[0]) < 1000, faults
+
+    @pytest.mark.parametrize("kind", ["cdll-raises", "no-mallopt"])
+    def test_output_unchanged_without_mallopt(self, monkeypatch, capsys, kind):
+        argv = ["sweep", "--config", str(SOURCE_ONLY), "--parameter", "mu",
+                "--values", "0.05,0.1", "--cycles", "20000"]
+        runs = [run_cli(capsys, argv) for _ in range(2)]
+        assert runs[0] == runs[1]
+        calls = []
+
+        def cdll(name, *args, **kwargs):
+            calls.append(name)
+            if kind == "cdll-raises":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert run_cli(capsys, argv) == runs[0]
+        assert calls == [None]
+
+
+_ENCODING_SCRIPT = r"""
+import sys
+from afclink.cli import main
+
+work, config = sys.argv[1], sys.argv[2]
+codes = [
+    main(["simulate", "--config", config, "--out-dir", work + "/sim"]),
+    main(["sweep", "--config", config, "--parameter", "mu", "--values", "0.05,0.1",
+          "--cycles", "20000", "--out", work + "/sweep.csv"]),
+    main(["report", "--out-dir", work + "/report", "--trials", "0"]),
+    main(["analyze", "--out-dir", work + "/analyze", "--trials", "0"]),
+    main(["comb", "build", "--delta-mhz", "31", "--finesse", "2", "--tooth-od", "2",
+          "--bandwidth-ghz", "1", "--grid-step-mhz", "2", "--out", work + "/comb.csv"]),
+    main(["comb", "echoes", "--input", work + "/comb.csv", "--out", work + "/echoes.csv"]),
+]
+sys.exit(max(codes))
+"""
+
+
+def test_outputs_name_their_encoding(tmp_path):
+    # Every file read or written names its encoding, so no platform default
+    # (cp1252, say) can change a byte.
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", _ENCODING_SCRIPT, str(tmp_path), str(SOURCE_ONLY)],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "sweep.csv").exists() and (tmp_path / "echoes.csv").exists()

@@ -5,13 +5,14 @@ Stochastic assertions use explicit statistical tolerances (so they hold for
 any seed); exact assertions pin determinism and pure arithmetic.
 """
 
+import codecs
 import csv
 import io
 import json
 import math
 import platform
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from afclink.cli import main as cli_main
 from afclink.config import load_config
 from afclink.detection import analyzer_outcomes, tdc_histogram_from_times
 from afclink.errors import ConfigError, UndefinedEstimateError
-from afclink.estimation import CHSH_PAIRS, chsh_s, g2_cross
+from afclink.estimation import CHSH_PAIRS, chsh_s, g2_cross, tomography_from_csv
 from afclink.harness import (
     CHSH_CSV_HEADER,
     DATA_CHSH,
@@ -1675,6 +1676,26 @@ class TestShippedCombFile:
         assert fit.background_od == pytest.approx(0.3, abs=0.02)
         assert fit.tooth_od == pytest.approx(2.0, abs=0.05)
         assert fit.residual_rms < 0.1
+
+
+# Each shipped table with its reader; a comb profile compares as its arrays.
+SHIPPED_READERS = {
+    DATA_TOMOGRAPHY_IN: tomography_from_csv,
+    DATA_TOMOGRAPHY_OUT: tomography_from_csv,
+    DATA_CHSH: chsh_from_csv,
+    DATA_WAVELENGTH: wavelength_table_from_csv,
+    "synthetic_comb.csv": lambda path: asdict(comb_from_csv(path)),
+}
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_READERS))
+    def test_bom_copy_loads_equal_to_the_original(self, tmp_path, name):
+        # Spreadsheets save "UTF-8 CSV" with EF BB BF in front of the header.
+        read, original = SHIPPED_READERS[name], data_path(name)
+        copy = tmp_path / name
+        copy.write_bytes(codecs.BOM_UTF8 + original.read_bytes())
+        np.testing.assert_equal(read(copy), read(original))
 
 
 # ---------------------------------------------------------------------------
