@@ -9,8 +9,10 @@ objects on stderr so callers never have to parse prose.
 On glibc, main() first keeps up to 64 MiB of freed heap mapped and leaves
 arrays under 32 MiB on the heap (mallopt), so each engine shard reuses the
 pages the last one freed instead of faulting them in again: a five-point mu
-sweep at 1e7 cycles a point falls from ~47 k to ~7.6 k minor page faults.
-Elsewhere this step does nothing; it changes no draw and no output byte.
+sweep at 1e7 cycles a point falls from ~42 k to ~7.7 k minor page faults on
+one CPU, and from ~50 k to ~15 k summed over the process and its forked
+child on two.  Elsewhere this step does nothing; it changes no draw and no
+output byte.
 """
 
 from __future__ import annotations

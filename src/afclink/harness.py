@@ -32,6 +32,11 @@ shards, equal bit for bit to one pass over the whole run, and each holds a
 shard's times or keys, never two shards.  _settle_events carries the
 events.csv rows by the same floor.  No product path calls simulate(), which
 joins a whole run's click arrays.
+
+A sweep's points and a CHSH run's setting pairs are independent runs, seeded
+in the caller.  _fan_out runs them on every CPU of the affinity mask: the
+caller runs the heaviest share and one forked child per other CPU runs the
+rest, so the results are those of the serial loop, which one CPU gives.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import platform
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -583,6 +589,88 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
 
 
 # ---------------------------------------------------------------------------
+# Independent runs on every CPU
+
+
+def _run_share(fn, items, share) -> list:
+    """(index, ok, value or exception) per item of share in order, up to the
+    first failure: no later item can be the lowest-index failure."""
+    records = []
+    for i in share:
+        try:
+            records.append((i, True, fn(items[i])))
+        except Exception as exc:
+            records.append((i, False, exc))
+            break
+    return records
+
+
+def _serve(fn, items, share, fd: int):
+    """A forked worker: pickle its share's records, as one list, into the
+    pipe end fd (a value that does not round-trip goes as a RuntimeError
+    naming its type), then leave by os._exit, so none of the caller's cleanup
+    runs twice."""
+    try:
+        records = []
+        for i, ok, value in _run_share(fn, items, share):
+            try:
+                pickle.loads(pickle.dumps(value))
+            except Exception as err:
+                why = f"{type(value).__name__}: {value} (not sent: {err})"
+                ok, value = False, RuntimeError(why)
+            records.append((i, ok, value))
+        with open(fd, "wb") as fh:
+            pickle.dump(records, fh)
+    finally:
+        os._exit(0)  # a list that never came is the error
+
+
+def _fan_out(fn, items, weights) -> list:
+    """[fn(x) for x in items] on one worker per CPU of the affinity mask, at
+    most one per item (one where the platform has no fork or
+    sched_getaffinity); the lowest-index failure is raised, as the serial
+    loop would raise it.  Items go heaviest first to the
+    least-loaded worker, then to the one with fewer.  The caller is worker 0
+    and so runs the heaviest item; each other worker is a forked child
+    (_serve).  Every child is SIGKILLed (a no-op once it has exited) and
+    reaped on the way out."""
+    items = list(items)
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n_workers = max(1, min(len(items), len(os.sched_getaffinity(0)) if can_fork else 1))
+    shares, loads = [[] for _ in range(n_workers)], [0.0] * n_workers
+    for i in sorted(range(len(items)), key=lambda i: -weights[i]):
+        k = min(range(n_workers), key=lambda k: (loads[k], len(shares[k])))
+        shares[k].append(i)
+        loads[k] += weights[i]
+    children = []  # (pid, the pipe's read end, share)
+    try:
+        for share in map(sorted, filter(None, shares[1:])):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _serve(fn, items, share, w)
+            os.close(w)
+            children.append((pid, open(r, "rb"), share))
+        records = _run_share(fn, items, sorted(shares[0]))
+        for pid, fh, share in children:
+            # A child whose first item lies above the lowest failure so far
+            # cannot change the outcome: it is not waited for.
+            if share[0] < min((i for i, ok, _ in records if not ok), default=len(items)):
+                try:
+                    records += pickle.load(fh)
+                except EOFError:
+                    records.append((share[0], False, RuntimeError(f"worker {pid} ended early")))
+    finally:
+        for pid, fh, _ in children:
+            fh.close()
+            os.kill(pid, 9)  # SIGKILL: importing signal costs every command ~0.7 ms
+            os.waitpid(pid, 0)
+    failures = [record for record in records if not record[1]]
+    if failures:
+        raise min(failures, key=itemgetter(0))[2]
+    return [value for _, _, value in sorted(records, key=itemgetter(0))]
+
+
+# ---------------------------------------------------------------------------
 # CHSH from simulated clicks
 
 
@@ -646,21 +734,23 @@ def chsh_simulation(cfg: ExperimentConfig) -> ChshSimulation:
 
     Each setting pair gets an independent seed derived from the master seed
     (returned as `seeds`), and both analyzers are switched to the pair's
-    interferometer phases.  The minus slot of the Bell sum is fixed before
+    interferometer phases; the seeds are drawn here and the pairs run on
+    every CPU (_fan_out).  The minus slot of the Bell sum is fixed before
     counting, by born_minus_slot on the configured pair state.  Depolarizing
     noise scales every correlator alike, so it leaves the slot."""
     minus_slot = born_minus_slot(cfg.source.joint_state())
-    counts, correlators, seeds = [], [], []
-    for i, (sa, sb) in enumerate(CHSH_PAIRS):
-        seq = np.random.SeedSequence(entropy=cfg.run.seed, spawn_key=(9001 + i,))
-        seeds.append(int(seq.generate_state(1)[0]))
-        sub = replace(cfg, run=replace(cfg.run, seed=seeds[-1]))
-        pp, pm, mp, mm = _central_counts(sub, sa.analyzer_phase(), sb.analyzer_phase()).tolist()
-        counts.append((pp, pm, mp, mm))
-        correlators.append(correlation_coefficient(pp + mm, pm + mp))
+    seqs = (np.random.SeedSequence(entropy=cfg.run.seed, spawn_key=(9001 + i,)) for i in range(4))
+    seeds = tuple(int(seq.generate_state(1)[0]) for seq in seqs)
+
+    def setting_pair(i):
+        (sa, sb), sub = CHSH_PAIRS[i], replace(cfg, run=replace(cfg.run, seed=seeds[i]))
+        return tuple(_central_counts(sub, sa.analyzer_phase(), sb.analyzer_phase()).tolist())
+
+    counts = _fan_out(setting_pair, range(4), [1] * 4)
+    correlators = (correlation_coefficient(pp + mm, pm + mp) for pp, pm, mp, mm in counts)
     e_values, sigmas = zip(*correlators)
     estimate = chsh_s(e_values, sigmas, minus_slot)
-    return ChshSimulation(tuple(counts), e_values, sigmas, estimate, tuple(seeds))
+    return ChshSimulation(tuple(counts), e_values, sigmas, estimate, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -906,8 +996,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> SweepResult:
     central-slot (+1, +1) coincidences with the signal interferometer at each
     phase and the idler's at its configured phase, 0 if it reads time of
     arrival.  Every point reuses the master seed, so a single-value sweep
-    reproduces a direct run exactly.  A point that fails (an undefined g2, or
-    a value the config rejects) raises an error naming parameter and value."""
+    reproduces a direct run exactly.  The points run on every CPU, the
+    heaviest (the largest mu) in the caller (_fan_out).  A point that fails
+    (an undefined g2, or a value the config rejects) raises an error naming
+    parameter and value; of several, the first in input order."""
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
@@ -931,12 +1023,14 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> SweepResult:
         def point(value):
             return value, float(_central_counts(cfg, value, idler_phase)[0])
 
-    rows = []
-    for value in points:
+    def named_point(value):
         try:
-            rows.append(point(value))
+            return point(value)
         except (UndefinedEstimateError, ValueError) as exc:
             raise type(exc)(f"{parameter}={value:g}: {exc}") from exc
+
+    weights = points if parameter == "mu" else [1] * len(points)
+    rows = _fan_out(named_point, points, weights)
     return SweepResult(parameter, columns, tuple(tuple(row) for row in rows))
 
 

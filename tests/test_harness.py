@@ -10,9 +10,12 @@ import csv
 import io
 import json
 import math
+import os
 import platform
+import time
 import tracemalloc
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -706,6 +709,11 @@ def shipped_config(name, cycles, mu=None, dark_rate_hz=None):
     return cfg
 
 
+def pin_cpus(monkeypatch, n):
+    """Give harness._fan_out an affinity mask of n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def shard_count(cfg):
     """How many pieces harness._shards yields for cfg's run."""
     return sum(1 for _ in harness._shards(harness._build_tables(cfg), cfg.run.cycles))
@@ -1344,9 +1352,12 @@ class TestChshSimulation:
             harness._central_counts(cfg, *CENTRAL_PHASES)
 
     @pytest.mark.parametrize("program", ["chsh", "phase-sweep"])
-    def test_peak_memory_independent_of_cycles(self, program):
+    def test_peak_memory_independent_of_cycles(self, program, monkeypatch):
         # The counter keeps a shard's central-slot keys and the carried
         # window, so ten times the cycles leaves the peak where it was.
+        # One CPU: tracemalloc sees this process alone, so the whole run
+        # must happen in it.
+        pin_cpus(monkeypatch, 1)
         peaks = []
         for cycles in (2_000_000, 20_000_000):
             cfg = make_config(cycles=cycles, **STORED_RUN)
@@ -1840,3 +1851,138 @@ class TestSweep:
         assert len(rows) == 1 + len(result.rows)
         for parsed, row in zip(rows[1:], result.rows):
             assert tuple(float(v) for v in parsed) == pytest.approx(row)
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but unpickling calls it with one argument and fails."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+class TestFanOut:
+    """sweep and chsh_simulation run their items on every CPU of the
+    affinity mask, the heaviest in the caller, and give what the serial loop
+    gives: the same results, or the same lowest-index error."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def on_one_and_two_cpus(monkeypatch, run):
+        results = []
+        for n in (1, 2):
+            pin_cpus(monkeypatch, n)
+            results.append(run())
+        return results
+
+    def test_mu_sweep_equals_serial(self, monkeypatch):
+        cfg = make_config(seed=76, cycles=40_000, detectors=IDEAL_DETECTORS)
+        mus = [0.03, 0.2, 0.05, 0.1, 0.07]
+        serial, fanned = self.on_one_and_two_cpus(monkeypatch, lambda: sweep(cfg, "mu", mus))
+        assert [row[0] for row in serial.rows] == mus
+        assert fanned == serial
+
+    def test_phase_sweep_equals_serial(self, monkeypatch):
+        cfg = make_config(seed=77, cycles=20_000, analyzers=CENTRAL_ANALYZERS, **STORED_RUN)
+        run = partial(sweep, cfg, "analyzer_phase", [0.0, 1.6, 3.2])
+        serial, fanned = self.on_one_and_two_cpus(monkeypatch, run)
+        assert fanned == serial
+
+    def test_chsh_equals_serial(self, monkeypatch):
+        cfg = make_config(seed=78, cycles=20_000, **STORED_RUN)
+        serial, fanned = self.on_one_and_two_cpus(monkeypatch, partial(chsh_simulation, cfg))
+        assert repr(fanned) == repr(serial)
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2,
+        reason="a one-CPU mask: nothing is forked",
+    )
+    def test_items_run_in_several_processes(self):
+        pids = harness._fan_out(lambda _: os.getpid(), range(4), [1] * 4)
+        assert len(set(pids)) >= 2
+        assert pids[0] == os.getpid()
+
+    def test_caller_runs_the_heaviest_item(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+        pids = harness._fan_out(lambda _: os.getpid(), range(3), [1, 5, 2])
+        assert pids[1] == os.getpid() != pids[2]
+
+    def test_caller_runs_shards(self, monkeypatch):
+        # bench/launch.py ends set-up at the launched process's first shard,
+        # so a run whose shards all ran in children would never end it.
+        pin_cpus(monkeypatch, 2)
+        shard, pids = harness._simulate_shard, []
+
+        def record(*args):
+            pids.append(os.getpid())
+            return shard(*args)
+
+        monkeypatch.setattr(harness, "_simulate_shard", record)
+        cfg = make_config(seed=79, cycles=20_000, **STORED_RUN)
+        for run in (partial(sweep, cfg, "mu", [0.02, 0.05, 0.03]), partial(chsh_simulation, cfg)):
+            pids.clear()
+            run()
+            assert pids and set(pids) == {os.getpid()}
+
+    @pytest.mark.parametrize(
+        "mus, exc_type, message",
+        [
+            ([0.05, 0.0], UndefinedEstimateError, "mu=0: all reference peaks are empty"),
+            ([0.0, 0.05, 0.02], UndefinedEstimateError, "mu=0: all reference peaks are empty"),
+            # The caller's mu = inf fails, but the child's lower index wins.
+            ([0.0, 0.05, math.inf], UndefinedEstimateError, "mu=0: all reference peaks are empty"),
+            ([math.inf, 0.0], ValueError, "mu=inf: mean pair number must be finite"),
+            ([0.0, 0.0], UndefinedEstimateError, "mu=0: all reference peaks are empty"),
+        ],
+    )
+    def test_lowest_index_failure_is_raised(self, monkeypatch, mus, exc_type, message):
+        cfg = make_config(cycles=20_000, detectors=IDEAL_DETECTORS)
+        errors = []
+        for n in (1, 2):
+            pin_cpus(monkeypatch, n)
+            with pytest.raises(exc_type) as excinfo:
+                sweep(cfg, "mu", mus)
+            errors.append(str(excinfo.value))
+        assert errors[1] == errors[0]
+        assert errors[0].startswith(message)
+
+    @pytest.mark.parametrize("kind", ["local-class", "unpickles-badly"])
+    def test_unpicklable_child_exception_names_its_type(self, monkeypatch, kind):
+        class LocalError(Exception):
+            """A local class: pickle cannot find it by name."""
+
+        def fail(x):
+            if x == 1:
+                raise LocalError("boom") if kind == "local-class" else NeedsTwoArguments("a", "b")
+            return x
+
+        pin_cpus(monkeypatch, 2)
+        name = "LocalError: boom" if kind == "local-class" else "NeedsTwoArguments: a b"
+        with pytest.raises(RuntimeError, match=name):
+            harness._fan_out(fail, [0, 1], [1, 0])
+
+    def test_child_that_dies_is_an_error(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="ended early"):
+            harness._fan_out(lambda x: x or os._exit(3), [1, 0], [1, 0])
+
+    @pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
+    def test_caller_failure_kills_children(self, monkeypatch, exc_type):
+        # The child's item sleeps for a minute; it has a higher index than the
+        # caller's failure, so it is killed, not waited for.
+        caller = os.getpid()
+
+        def run(x):
+            if os.getpid() == caller:
+                raise exc_type("caller")
+            time.sleep(60)
+
+        pin_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(exc_type):
+            harness._fan_out(run, [0, 1], [1, 0])
+        assert time.monotonic() - start < 10
