@@ -37,6 +37,9 @@ A sweep's points and a CHSH run's setting pairs are independent runs, seeded
 in the caller.  _fan_out runs them on every CPU of the affinity mask: the
 caller runs the heaviest share and one forked child per other CPU runs the
 rest, so the results are those of the serial loop, which one CPU gives.
+run_simulation hands it one contiguous block of shards per CPU; each block
+draws the shards beside it again for the clicks that cross its edges, so the
+joined files are the serial loop's byte for byte.
 """
 
 from __future__ import annotations
@@ -354,15 +357,21 @@ def _simulate_shard(
     return classes, shard
 
 
-def _shards(t: _EngineTables, n_cycles: int):
-    """The class counts and click arrays of every shard in cycle order, each
-    with the floor below which no later shard has a click (None after the
-    last).  Memory delays and analyzer slots only delay a click and dark
-    counts fall inside their shard, so only jitter moves a click before its
-    shard's first cycle."""
+def _jitter_lead(t: _EngineTables) -> int:
+    """How far (ps) detector jitter can move a click from its nominal time."""
     sigma = max(tab.detector.jitter_sigma_ps for tab in t.channels.values())
-    lead = math.ceil(_JITTER_BOUND_SIGMAS * sigma)
-    for shard_index, first in enumerate(range(0, n_cycles, SHARD_CYCLES)):
+    return math.ceil(_JITTER_BOUND_SIGMAS * sigma)
+
+
+def _shards(t: _EngineTables, n_cycles: int, part: slice = slice(None)):
+    """The class counts and click arrays of every shard in cycle order (of
+    the shard indices in part), each with the floor below which no later
+    shard has a click (None after the last).  Memory delays and analyzer
+    slots only delay a click and dark counts fall inside their shard, so only
+    jitter moves a click before its shard's first cycle."""
+    lead = _jitter_lead(t)
+    for shard_index in range(-(-n_cycles // SHARD_CYCLES))[part]:
+        first = shard_index * SHARD_CYCLES
         end = min(first + SHARD_CYCLES, n_cycles)
         floor = end * t.rep_period_ps - lead if end < n_cycles else None
         yield (*_simulate_shard(t, shard_index, first, end - first), floor)
@@ -446,16 +455,18 @@ def _write_events_csv(fh, labels: _Labels, rows: dict[str, np.ndarray], order: n
 
 
 def _settle_events(fh, labels: _Labels, carry, clicks, floor) -> dict[str, np.ndarray]:
-    """Write the rows of carry and of one shard's clicks that lie below the
-    floor, sorted by (time, channel, cycle); return the rest, sorted, to carry
-    to the next shard.  No later click lies below the floor, and rows of
-    different shards never tie (each shard has its own cycles), so the
-    stable sort puts the rows as one sort over the whole run would."""
+    """Write to fh (drop, if fh is None) the rows of carry and of one shard's
+    clicks that lie below the floor, sorted by (time, channel, cycle); return
+    the rest, sorted, to carry to the next shard.  No later click lies below
+    the floor, and rows of different shards never tie (each shard has its own
+    cycles), so the stable sort puts the rows as one sort over the whole run
+    would."""
     parts = ([carry] if carry else []) + [clicks[ch] for ch in _EVENT_CHANNELS]
     rows = {key: np.concatenate([p[key] for p in parts]) for key in _CLICK_KEYS}
     order = np.lexsort((rows["cycles"], labels.channel[rows["codes"]], rows["times"]))
     settled = order.size if floor is None else np.count_nonzero(rows["times"] < floor)
-    _write_events_csv(fh, labels, rows, order[:settled])
+    if fh is not None:
+        _write_events_csv(fh, labels, rows, order[:settled])
     return {key: col[order[settled:]] for key, col in rows.items()}
 
 
@@ -533,43 +544,85 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
 
     Each shard feeds the events.csv writer, the summary tallies, the
     histogram and the g2 windows in turn and is then dropped, so memory does
-    not grow with the cycle count.  events.csv is written under a temporary
-    name and renamed once the pass is done: a pass that fails leaves none."""
+    not grow with the cycle count.  The shards run as one contiguous block
+    per CPU (_fan_out), block 0 in the caller, and the blocks' tallies and
+    counts are summed.  A block tallies and counts only its own shards.  It
+    draws the k shards on each side of it again: their stops enter its
+    windows, and the lower ones give the rows the serial loop would carry
+    into it.  k shards span more than the largest delay, twice the jitter
+    lead and the window together, so no further shard can matter.  Block 0
+    writes events.csv under a temporary name and each other block a part
+    file, which the caller appends in block order; the file is renamed once
+    all is done, so a pass that fails leaves none of them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tables = _build_tables(cfg)
-    classes = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
-    code_counts = np.zeros(tables.labels.delay_ps.size, dtype=np.int64)
+    tables, n_cycles = _build_tables(cfg), cfg.run.cycles
     tdc, delays = cfg.tdc, (0, recall_delay_ps(cfg))
     (offsets, g2), reach = _g2_plan(cfg, delays), (-tdc.window_ps, tdc.window_ps + 1)
+    far = int(tables.labels.delay_ps.max()) + 2 * _jitter_lead(tables) + reach[1]
+    k = 1 + far // (SHARD_CYCLES * tables.rep_period_ps)
+    n_shards = -(-n_cycles // SHARD_CYCLES)
+    n_blocks = _workers(n_shards)
+    bounds = [-(-b * n_shards // n_blocks) for b in range(n_blocks + 1)]  # the first are largest
+    partial = out / "events.csv.partial"
+    paths = [partial] + [out / f"events.csv.part{b}" for b in range(1, n_blocks)]
 
     def kernel(starts, stops):
         hist = tdc_histogram_from_times(starts, stops, tdc.bin_width_ps, tdc.window_ps)
         windows = window_counts(starts, stops, offsets, tdc.peak_halfwidth_ps)
         return hist.counts, hist.n_starts, windows
 
-    def settled(fh):
-        """The shards, each once its tallies and events.csv rows are taken."""
-        nonlocal classes, code_counts
-        carry = None
-        for counts, clicks, floor in _shards(tables, cfg.run.cycles):
-            classes += counts
-            for rec in clicks.values():
-                code_counts += np.bincount(rec["codes"], minlength=code_counts.size)
-            carry = _settle_events(fh, tables.labels, carry, clicks, floor)
-            yield counts, clicks, floor
+    def block(b):
+        """Block b's class counts, per-code counts and fold; its events.csv
+        rows go to paths[b]."""
+        first, end = bounds[b], bounds[b + 1]
+        lo, hi = max(0, first - k), min(n_shards, end + k)
+        classes = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
+        code_counts = np.zeros(tables.labels.delay_ps.size, dtype=np.int64)
 
-    events_path = out / "events.csv"
-    partial = out / "events.csv.partial"
+        def settled(fh):
+            """The block's shards between its neighbours, each once its
+            tallies and events.csv rows are taken; a neighbour adds no tally,
+            no row and no start."""
+            nonlocal classes, code_counts
+            carry = None
+            for i, (counts, clicks, floor) in enumerate(_shards(tables, n_cycles, slice(lo, hi)), lo):
+                own = first <= i < end
+                if own:
+                    classes += counts
+                    for rec in clicks.values():
+                        code_counts += np.bincount(rec["codes"], minlength=code_counts.size)
+                if i < end:
+                    carry = _settle_events(fh if own else None, tables.labels, carry, clicks, floor)
+                if not own:
+                    clicks[events.IDLER_1535] = {"times": np.zeros(0, dtype=np.int64)}
+                yield counts, clicks, None if i == hi - 1 else floor
+
+        with open(paths[b], "w", newline="", encoding="utf-8") as fh:
+            if b == 0:
+                fh.write(",".join(EVENT_CSV_HEADER) + "\r\n")
+            fold = windowed_fold(_stream_pieces(settled(fh), itemgetter("times"), 1), *reach, kernel)
+        return classes, code_counts, *fold
+
+    cycles = [min(n_cycles, e * SHARD_CYCLES) - s * SHARD_CYCLES for s, e in zip(bounds, bounds[1:])]
     try:
-        with open(partial, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(EVENT_CSV_HEADER) + "\r\n")
-            pieces = _stream_pieces(settled(fh), itemgetter("times"), 1)
-            counts, n_starts, windows = windowed_fold(pieces, *reach, kernel)
+        results = _fan_out(block, range(n_blocks), cycles)
+        # sendfile cannot write to an O_APPEND descriptor: seek to the end.
+        with open(partial, "r+b") as fh:
+            fh.seek(0, os.SEEK_END)
+            for path in paths[1:]:
+                with open(path, "rb") as part:
+                    size, sent = os.fstat(part.fileno()).st_size, 0
+                    while sent < size:
+                        sent += os.sendfile(fh.fileno(), part.fileno(), sent, size - sent)
+                path.unlink()
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for path in paths:
+            path.unlink(missing_ok=True)
         raise
+    events_path = out / "events.csv"
     os.replace(partial, events_path)
+    classes, code_counts, counts, n_starts, windows = (sum(col) for col in zip(*results))
 
     tallies = {
         "pair_classes": dict(zip(PAIR_CLASSES, map(int, classes))),
@@ -625,18 +678,23 @@ def _serve(fn, items, share, fd: int):
         os._exit(0)  # a list that never came is the error
 
 
+def _workers(n_items: int) -> int:
+    """One worker per CPU of the affinity mask, at most one per item (one
+    where the platform has no fork or sched_getaffinity)."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return max(1, min(n_items, len(os.sched_getaffinity(0)) if can_fork else 1))
+
+
 def _fan_out(fn, items, weights) -> list:
-    """[fn(x) for x in items] on one worker per CPU of the affinity mask, at
-    most one per item (one where the platform has no fork or
-    sched_getaffinity); the lowest-index failure is raised, as the serial
-    loop would raise it.  Items go heaviest first to the
-    least-loaded worker, then to the one with fewer.  The caller is worker 0
+    """[fn(x) for x in items] on _workers(len(items)) workers; the
+    lowest-index failure is raised, as the serial loop would raise it.
+    Items go heaviest first to the least-loaded worker, then to the one with
+    fewer.  The caller is worker 0
     and so runs the heaviest item; each other worker is a forked child
     (_serve).  Every child is SIGKILLed (a no-op once it has exited) and
     reaped on the way out."""
     items = list(items)
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    n_workers = max(1, min(len(items), len(os.sched_getaffinity(0)) if can_fork else 1))
+    n_workers = _workers(len(items))
     shares, loads = [[] for _ in range(n_workers)], [0.0] * n_workers
     for i in sorted(range(len(items)), key=lambda i: -weights[i]):
         k = min(range(n_workers), key=lambda k: (loads[k], len(shares[k])))

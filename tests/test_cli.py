@@ -549,6 +549,34 @@ def _src_env():
     return env
 
 
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) < 2,
+    reason="a one-CPU mask: simulate runs one block",
+)
+def test_simulate_on_every_cpu_writes_the_one_cpu_files(tmp_path):
+    # Fresh interpreters, so the blocks run under main()'s mallopt and a
+    # real fork; the first is cut to one CPU before it starts.
+    cfg = json.loads((REPO / "configs" / "realistic.json").read_text(encoding="utf-8"))
+    cfg["run"]["cycles"] = 3_000_000
+    config = tmp_path / "realistic.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    one_cpu = min(os.sched_getaffinity(0))
+    files = []
+    for name, preexec in (("one", lambda: os.sched_setaffinity(0, {one_cpu})), ("every", None)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "afclink.cli", "simulate", "--config", str(config),
+             "--out-dir", str(tmp_path / name)],
+            capture_output=True,
+            env=_src_env(),
+            preexec_fn=preexec,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert sorted(files[0]) == ["config.json", "events.csv", "histogram.csv", "summary.json"]
+    assert files[1] == files[0]
+
+
 class TestFreedHeap:
     """main() keeps freed heap mapped, so later shards reuse the pages of
     earlier ones; without mallopt it runs exactly as before."""

@@ -980,6 +980,8 @@ class TestStreamedRun:
                 assert abs(det["z"]) < 5.0, (seed, ch, det["z"])
 
     def test_failed_pass_leaves_no_events_csv(self, tmp_path, monkeypatch):
+        # One CPU, so every shard is drawn, once, in this process.
+        pin_cpus(monkeypatch, 1)
         monkeypatch.setattr(harness, "SHARD_CYCLES", 7)
         shard, calls = harness._simulate_shard, []
 
@@ -995,9 +997,9 @@ class TestStreamedRun:
         assert len(calls) == 3
         assert list(tmp_path.iterdir()) == []
 
-    def test_peak_memory_independent_of_cycles(self, tmp_path):
-        # One pass keeps a shard and the carried rows, so ten times the
-        # cycles leaves the peak allocation where it was.
+    @staticmethod
+    def traced_peaks(tmp_path):
+        """The caller's traced peak of realistic.json runs at 2e6 and 2e7 cycles."""
         peaks = []
         for cycles in (2_000_000, 20_000_000):
             cfg = shipped_config("realistic", cycles)
@@ -1007,6 +1009,21 @@ class TestStreamedRun:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_peak_memory_independent_of_cycles(self, tmp_path, monkeypatch):
+        # One pass keeps a shard and the carried rows, so ten times the
+        # cycles leaves the peak allocation where it was.  One CPU, so
+        # tracemalloc sees the whole run.
+        pin_cpus(monkeypatch, 1)
+        peaks = self.traced_peaks(tmp_path)
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
+    def test_caller_peak_memory_independent_of_cycles_on_two_cpus(self, tmp_path, monkeypatch):
+        # The caller's block, its upper neighbour drawn again and the
+        # child's sums: still one shard at a time, at either cycle count.
+        pin_cpus(monkeypatch, 2)
+        peaks = self.traced_peaks(tmp_path)
         assert peaks[1] < 1.1 * peaks[0], peaks
 
 
@@ -1860,16 +1877,18 @@ class NeedsTwoArguments(Exception):
         super().__init__(f"{a} {b}")
 
 
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("no_child_left")
 class TestFanOut:
     """sweep and chsh_simulation run their items on every CPU of the
     affinity mask, the heaviest in the caller, and give what the serial loop
     gives: the same results, or the same lowest-index error."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def on_one_and_two_cpus(monkeypatch, run):
@@ -1986,3 +2005,76 @@ class TestFanOut:
         with pytest.raises(exc_type):
             harness._fan_out(run, [0, 1], [1, 0])
         assert time.monotonic() - start < 10
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestSimulationBlocks:
+    """run_simulation runs one contiguous block of shards per CPU, the first
+    in the caller, and writes what one CPU writes byte for byte, or raises
+    what one CPU raises and leaves no file."""
+
+    @pytest.mark.parametrize(
+        "shard_cycles, build",
+        [
+            # Three uneven shards: two blocks, or three of one shard each.
+            (SHARD_CYCLES, lambda: shipped_config("realistic", 2 * SHARD_CYCLES + 12_345)),
+            # Two shards: three CPUs run two blocks.
+            (SHARD_CYCLES, lambda: shipped_config("realistic", SHARD_CYCLES + 1)),
+            # Echoes, jitter and dark counts reach over several shards.
+            (1, lambda: make_config(**NOISY_RUN)),
+            (2, lambda: make_config(**NOISY_RUN)),
+            (7, lambda: make_config(**NOISY_RUN)),
+        ],
+        ids=["realistic-3-shards", "realistic-2-shards", "noisy-1", "noisy-2", "noisy-7"],
+    )
+    def test_files_equal_one_cpu(self, shard_cycles, build, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "SHARD_CYCLES", shard_cycles)
+        cfg, files = build(), []
+        for n in (1, 2, 3):
+            pin_cpus(monkeypatch, n)
+            run_simulation(cfg, tmp_path / str(n))
+            files.append({p.name: p.read_bytes() for p in (tmp_path / str(n)).iterdir()})
+        assert sorted(files[0]) == ["config.json", "events.csv", "histogram.csv", "summary.json"]
+        assert files[1] == files[0]
+        assert files[2] == files[0]
+
+    def test_caller_runs_the_first_block(self, tmp_path, monkeypatch):
+        # bench/launch.py ends set-up at the launched process's first shard.
+        monkeypatch.setattr(harness, "SHARD_CYCLES", 7)
+        cfg = make_config(**NOISY_RUN)
+        n_shards = shard_count(cfg)
+        shard, seen = harness._simulate_shard, []
+
+        def record(t, shard_index, *args):
+            seen.append((os.getpid(), shard_index))
+            return shard(t, shard_index, *args)
+
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "_simulate_shard", record)
+        run_simulation(cfg, tmp_path)
+        pids, indices = zip(*seen)
+        assert set(pids) == {os.getpid()}
+        assert indices == tuple(range(len(indices)))  # its block, then its upper neighbours
+        assert len(indices) < n_shards
+
+    @pytest.mark.parametrize("where", ["caller", "child", "both"])
+    def test_failed_block_raises_the_serial_error_and_leaves_no_file(
+        self, where, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "SHARD_CYCLES", 7)
+        cfg = make_config(**NOISY_RUN)
+        last = shard_count(cfg) - 1
+        bad = {"caller": {2}, "child": {last - 1}, "both": {2, last - 1}}[where]
+        shard = harness._simulate_shard
+
+        def fails(t, shard_index, *args):
+            if shard_index in bad:
+                raise RuntimeError(f"shard {shard_index} failed")
+            return shard(t, shard_index, *args)
+
+        monkeypatch.setattr(harness, "_simulate_shard", fails)
+        for n in (1, 2):
+            pin_cpus(monkeypatch, n)
+            with pytest.raises(RuntimeError, match=f"^shard {min(bad)} failed$"):
+                run_simulation(cfg, tmp_path)
+            assert list(tmp_path.iterdir()) == []
