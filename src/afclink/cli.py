@@ -23,7 +23,7 @@ import ctypes
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import load_config
@@ -181,16 +181,9 @@ def _cmd_comb_build(args):
 def _cmd_comb_fit(args):
     fit = fit_comb(comb_from_csv(args.input))
     payload = {
-        "delta_mhz": fit.delta_mhz,
-        "finesse": fit.finesse,
-        "background_od": fit.background_od,
-        "tooth_od": fit.tooth_od,
-        "offset_mhz": fit.offset_mhz,
-        "residual_rms": fit.residual_rms,
+        **asdict(fit),
         "storage_time_ns": storage_time_ns(fit.delta_mhz),
-        "device_efficiency": device_efficiency(
-            fit.background_od, fit.tooth_od, fit.finesse
-        ),
+        "device_efficiency": device_efficiency(fit.background_od, fit.tooth_od, fit.finesse),
     }
     return payload, _key_value_rows(payload)
 

@@ -21,7 +21,7 @@ finite is dropped by mask.
 Everything here needs numpy alone.  The histogram peak finder (find_peaks,
 with the semantics of scipy.signal.find_peaks) and the truncated-normal
 resampler (resample_rows, exact rejection sampling) are written out, so that
-no CLI command other than the comb fit pays for importing scipy.
+no CLI command, the comb fit included, pays for importing scipy.
 """
 
 import math

@@ -9,8 +9,8 @@ throughout, so storage times come out in ns via 1000/Delta.
 
 CombSpectrum is the sampled profile alone: build_comb makes one from comb
 parameters and comb_from_csv reads one from a file.  The echo spectrum is
-read off the profile directly; only fit_comb, which recovers the parameters
-from a profile, needs scipy.
+read off the profile directly; fit_comb recovers the parameters from it by
+a bounded Levenberg-Marquardt fit in numpy.
 
 MemoryConfig holds the phenomenological recall model, and its outcome_table()
 is the one place that states the outcomes; the simulation engine in harness
@@ -86,6 +86,13 @@ def storage_time_ns(delta_mhz: float) -> float:
     return 1000.0 / delta_mhz
 
 
+def _require_finite(params: dict) -> None:
+    """Name the first of a call's parameters, given as locals(), that is NaN or infinite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def build_comb(
     delta_mhz: float,
     finesse: float,
@@ -102,6 +109,7 @@ def build_comb(
     heights between d1*(1+m) and d1*(1-m), a period-2*Delta structure that
     produces the half- and double-delay spurious echoes.
     """
+    _require_finite(locals())
     if not delta_mhz > 0.0:
         raise ValueError("delta_mhz must be positive")
     if not finesse > 1.0:
@@ -136,6 +144,7 @@ def device_efficiency(background_od: float, tooth_od: float, finesse: float) -> 
     (d1/F)^2 * exp(-d1/F) * exp(-7/F^2) * exp(-d0): absorption/re-emission by
     the effective depth d1/F, tooth-shape dephasing, background absorption.
     """
+    _require_finite(locals())
     if background_od < 0.0 or tooth_od < 0.0:
         raise ValueError("optical depths must be non-negative")
     if not finesse > 1.0:
@@ -186,38 +195,70 @@ class FittedComb:
     residual_rms: float
 
 
-def _comb_model(detuning: np.ndarray, d0, d1, finesse, delta, offset) -> np.ndarray:
-    width = delta / finesse
-    lo = detuning[0] - 3.0 * width
-    hi = detuning[-1] + 3.0 * width
-    k_lo = int(math.floor((lo - offset) / delta))
-    k_hi = int(math.ceil((hi - offset) / delta))
-    centers = offset + delta * np.arange(k_lo, k_hi + 1)
-    gauss = np.exp(-FOUR_LN2 * ((detuning[:, None] - centers[None, :]) / width) ** 2)
-    return d0 + d1 * gauss.sum(axis=1)
+def _comb_model(detuning: np.ndarray, delta, finesse, d0, d1, offset):
+    """The profile at (Delta, F, d0, d1, offset), FittedComb's field order, and
+    its (points, 5) Jacobian in those parameters.  Each point sums the teeth
+    within 3 FWHM of it; a farther one adds < 2e-11 of its depth."""
+    width, reach = delta / finesse, int(3.0 / finesse) + 1
+    k = np.rint((detuning - offset) / delta)[:, None] + np.arange(-reach, reach + 1)
+    u = (detuning[:, None] - offset - delta * k) / width
+    gauss = np.exp(-FOUR_LN2 * u**2)
+    slope = 2.0 * FOUR_LN2 * d1 * gauss * u  # -d(d1 * gauss)/du
+    moment = (slope * u).sum(axis=1)
+    jac = np.column_stack(
+        [(finesse * (slope * k).sum(axis=1) + moment) / delta, -moment / finesse,
+         np.ones_like(detuning), gauss.sum(axis=1), slope.sum(axis=1) / width]
+    )
+    return d0 + d1 * gauss.sum(axis=1), jac
+
+
+# The comb fit's Levenberg-Marquardt steps before it gives up.
+COMB_FIT_MAX_STEPS = 100
+
+
+def _least_squares(model, y, x, lower, upper):
+    """Bounded Levenberg-Marquardt with Marquardt's diagonal scaling (More,
+    LNM 630, 1978) on model(x) = (prediction, Jacobian): a parameter on a bound
+    whose gradient points out of the box is held for the step, and a trial is
+    clipped to the box and kept only if it lowers the sum of squares.  Stops
+    when a step moves every parameter by < 1e-10 relative, or when no damping
+    lowers the sum; returns (x, residuals)."""
+    (pred, jac), lam, scale = model(x), 1e-3, 0.0
+    r = pred - y
+    for _ in range(COMB_FIT_MAX_STEPS):
+        grad = jac.T @ r
+        free = ~((x <= lower) & (grad > 0) | (x >= upper) & (grad < 0))
+        scale = np.maximum(scale, (jac**2).sum(axis=0))
+        hess = jac[:, free].T @ jac[:, free]
+        for lam in lam * 10.0 ** np.arange(20):
+            trial = x.copy()
+            trial[free] -= np.linalg.solve(hess + lam * np.diag(scale[free]), grad[free])
+            trial = np.clip(trial, lower, upper)
+            pred, jac_trial = model(trial)
+            if (pred - y) @ (pred - y) < r @ r:
+                break
+        else:
+            return x, r
+        done = np.all(np.abs(trial - x) <= 1e-10 * np.abs(x))
+        x, r, jac, lam = trial, pred - y, jac_trial, lam / 10.0
+        if done:
+            return x, r
+    raise FitError(f"comb fit did not converge in {COMB_FIT_MAX_STEPS} steps")
 
 
 def fit_comb(comb: CombSpectrum) -> FittedComb:
-    """Fit (d0, d1, F, Delta) to a sampled profile; raises FitError when the
-    profile carries no resolvable periodic structure or scipy is missing."""
-    # Imported here, not at module level: scipy is the optional `comb` extra,
-    # and only the comb fit loads it.
-    try:
-        from scipy.optimize import least_squares
-    except ImportError as exc:
-        raise FitError("the comb fit needs scipy: pip install afclink[comb]") from exc
-
+    """Fit (Delta, F, d0, d1, offset) to a sampled profile; raises FitError
+    when the profile carries no resolvable periodic structure."""
     det, y = comb.detuning_mhz, comb.od
     if det.shape[0] < 16:
         raise ValueError("the comb fit needs at least 16 points")
-    step = comb.grid_step_mhz
     contrast = float(np.ptp(y))
     if contrast <= 1e-9:
         raise FitError("profile is flat; no comb structure to fit")
 
     # Period seed from the dominant spectral component.
     spec = np.abs(np.fft.rfft(y - y.mean()))
-    freqs = np.fft.rfftfreq(y.shape[0], d=step)
+    freqs = np.fft.rfftfreq(y.shape[0], d=comb.grid_step_mhz)
     k = int(np.argmax(spec[1:])) + 1
     if spec[k] < 1e-3 * y.shape[0] * contrast / 2.0:
         raise FitError("no dominant periodicity found in the profile")
@@ -225,29 +266,13 @@ def fit_comb(comb: CombSpectrum) -> FittedComb:
     offset0 = float(det[int(np.argmax(y))])
     offset0 = (offset0 + delta0 / 2.0) % delta0 - delta0 / 2.0
 
-    x0 = np.array([max(float(y.min()), 0.0), contrast, 2.0, delta0, offset0])
-    lower = [0.0, 1e-6, 1.0 + 1e-6, 0.5 * delta0, offset0 - delta0]
-    upper = [np.inf, np.inf, np.inf, 1.5 * delta0, offset0 + delta0]
-    x0 = np.clip(x0, lower, upper)
-
-    def residuals(x):
-        return _comb_model(det, *x) - y
-
-    result = least_squares(residuals, x0, bounds=(lower, upper), method="trf")
-    if not result.success:
-        raise FitError(f"comb fit did not converge: {result.message}")
-    d0, d1, finesse, delta, offset = result.x
-    if d1 < 1e-4 * contrast:
+    lower = np.array([0.5 * delta0, 1.0 + 1e-6, 0.0, 1e-6, offset0 - delta0])
+    upper = np.array([1.5 * delta0, np.inf, np.inf, np.inf, offset0 + delta0])
+    x0 = np.clip([delta0, 2.0, max(float(y.min()), 0.0), contrast, offset0], lower, upper)
+    x, r = _least_squares(lambda p: _comb_model(det, *p), y, x0, lower, upper)
+    if x[3] < 1e-4 * contrast:
         raise FitError("fitted tooth depth is negligible; no comb structure")
-    rms = float(np.sqrt(np.mean(result.fun**2)))
-    return FittedComb(
-        delta_mhz=float(delta),
-        finesse=float(finesse),
-        background_od=float(d0),
-        tooth_od=float(d1),
-        offset_mhz=float(offset),
-        residual_rms=rms,
-    )
+    return FittedComb(*x.tolist(), residual_rms=float(np.sqrt(np.mean(r**2))))
 
 
 COMB_CSV_HEADER = ("detuning_MHz", "optical_depth")

@@ -223,6 +223,10 @@ class TestComb:
         )
         assert comb_path.exists()
         payload = stdout_json(capsys, ["comb", "fit", "--input", str(comb_path)])
+        assert list(payload) == [
+            "delta_mhz", "finesse", "background_od", "tooth_od", "offset_mhz",
+            "residual_rms", "storage_time_ns", "device_efficiency",
+        ]
         assert payload["delta_mhz"] == pytest.approx(31.0, abs=0.1)
         assert payload["finesse"] == pytest.approx(2.0, abs=0.1)
         assert payload["storage_time_ns"] == pytest.approx(1000.0 / 31.0, rel=0.01)
@@ -322,6 +326,36 @@ class TestComb:
             ],
         )
         assert "grid_step_mhz" in obj["error"]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("efficiency", "--tooth-od", "nan"),
+            ("efficiency", "--background-od", "inf"),
+            ("efficiency", "--finesse", "-inf"),
+            ("build", "--tooth-od", "inf"),
+            ("build", "--background-od", "nan"),
+            ("build", "--bandwidth-ghz", "inf"),
+            ("build", "--grid-step-mhz", "nan"),
+            ("build", "--modulation-depth", "nan"),
+        ],
+    )
+    def test_non_finite_parameter_exits_1(self, tmp_path, capsys, command, flag, value):
+        args = {"--tooth-od": "2", "--finesse": "2", "--background-od": "0.3"}
+        if command == "build":
+            out = tmp_path / "comb.csv"
+            args.update({"--delta-mhz": "31", "--bandwidth-ghz": "2",
+                         "--grid-step-mhz": "0.5", "--out": str(out)})
+        args[flag] = value
+        argv = ["comb", command, *(f"{key}={val}" for key, val in args.items())]
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1
+        assert stdout == "" and err.count("\n") == 1
+        name = flag[2:].replace("-", "_")
+        assert json.loads(err) == {
+            "error": f"{name} must be finite, got {float(value)!r}", "type": "ValueError"
+        }
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

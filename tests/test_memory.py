@@ -2,23 +2,26 @@
 
 Oracles: the device-efficiency formula is re-evaluated inline from its
 definition; echo delays are checked against 1/spacing arithmetic; the comb
-fit is checked as a synthetic round trip.
+fit is checked as a synthetic round trip and against scipy's trust-region
+least squares from the same start, and its model's Jacobian against central
+differences.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from conftest import IDEAL_DETECTORS, SYNTHETIC_COMB, make_config, noisy_flat_profile
 
-from afclink import events
+from afclink import events, memory
 from afclink.errors import FitError
 from afclink.estimation import find_peaks
 from afclink.harness import simulate
 from afclink.memory import (
     CombSpectrum,
+    FittedComb,
     MemoryConfig,
+    _comb_model,
     build_comb,
     comb_from_csv,
     comb_to_csv,
@@ -40,6 +43,18 @@ def era_comb(**overrides):
     )
     kwargs.update(overrides)
     return build_comb(**kwargs)
+
+
+def noisy_comb():
+    """A comb (Delta 31 MHz, F 3) with Gaussian noise of sigma 0.01 OD."""
+    comb = build_comb(31.0, 3.0, 0.2, 1.5, 10.0, 1.0)
+    rng = np.random.default_rng(42)
+    noisy = np.clip(comb.od + rng.normal(0.0, 0.01, comb.od.shape), 0.0, None)
+    return CombSpectrum(comb.detuning_mhz, noisy)
+
+
+def modulated_comb():
+    return build_comb(31.0, 2.0, 0.3, 2.0, 4.0, 0.25, modulation_depth=0.5)
 
 
 class TestBuildComb:
@@ -254,10 +269,7 @@ class TestFitComb:
         assert fit.tooth_od == pytest.approx(2.0, rel=0.01)
 
     def test_round_trip_with_noise(self):
-        comb = build_comb(31.0, 3.0, 0.2, 1.5, 10.0, 1.0)
-        rng = np.random.default_rng(42)
-        noisy = np.clip(comb.od + rng.normal(0.0, 0.01, comb.od.shape), 0.0, None)
-        fit = fit_comb(CombSpectrum(comb.detuning_mhz, noisy))
+        fit = fit_comb(noisy_comb())
         assert fit.delta_mhz == pytest.approx(31.0, rel=0.01)
         assert fit.finesse == pytest.approx(3.0, rel=0.05)
         assert fit.tooth_od == pytest.approx(1.5, rel=0.05)
@@ -290,11 +302,85 @@ class TestFitComb:
         with pytest.raises(ValueError, match="strictly increasing and uniform"):
             fit_comb(CombSpectrum(detuning, od))
 
-    def test_missing_scipy_names_the_extra(self, monkeypatch):
-        comb = era_comb()
-        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
-        with pytest.raises(FitError, match=r"pip install afclink\[comb\]"):
-            fit_comb(comb)
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(memory, "COMB_FIT_MAX_STEPS", 1)
+        with pytest.raises(FitError, match="comb fit did not converge"):
+            fit_comb(era_comb())
+
+
+def assert_jacobian_matches_central_differences(x, grid):
+    _, jac = _comb_model(grid, *x)
+    numeric = np.empty_like(jac)
+    # Steps on each parameter's own scale; the offset's is the tooth FWHM.
+    delta, finesse = x[:2]
+    for i, h in enumerate(1e-7 * np.array([delta, finesse, 1.0, 1.0, delta / finesse])):
+        step = np.eye(5)[i] * h
+        hi, _ = _comb_model(grid, *(np.array(x) + step))
+        lo, _ = _comb_model(grid, *(np.array(x) - step))
+        numeric[:, i] = (hi - lo) / (2.0 * h)
+    err = np.abs(jac - numeric).max(axis=0)
+    assert np.all(err <= 1e-6 * np.abs(jac).max(axis=0)), err
+
+
+class TestCombModelJacobian:
+    """The analytic Jacobian against central differences: a wrong sign or
+    factor there still converges, only slowly, so no fit test would catch it."""
+
+    @pytest.mark.parametrize(
+        "x, grid",
+        [
+            ((166.0, 2.0, 0.1, 2.0, 0.0), era_comb().detuning_mhz),
+            ((31.0, 6.0, 0.0, 1.5, 3.0), modulated_comb().detuning_mhz),
+            ((166.0, 2.0, 0.1, 2.0, 0.499 * 166.0), era_comb().detuning_mhz),
+            ((166.0, 1.2, 0.1, 2.0, -0.499 * 166.0), era_comb().detuning_mhz),
+        ],
+        ids=["plain", "fine-teeth", "offset+half", "offset-half"],
+    )
+    def test_matches_central_differences(self, x, grid):
+        assert_jacobian_matches_central_differences(x, grid)
+
+    def test_matches_central_differences_at_a_modulated_fit(self):
+        comb = modulated_comb()
+        fit = fit_comb(comb)
+        x = [fit.delta_mhz, fit.finesse, fit.background_od, fit.tooth_od, fit.offset_mhz]
+        assert_jacobian_matches_central_differences(x, comb.detuning_mhz)
+
+
+class TestFitCombAgainstScipy:
+    """fit_comb against scipy.optimize.least_squares (trust-region reflective,
+    finite-difference Jacobian) from the same start and bounds, which
+    _least_squares is handed."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: comb_from_csv(SYNTHETIC_COMB),
+            era_comb,
+            noisy_comb,
+            lambda: era_comb(background_od=0.0),
+            modulated_comb,
+        ],
+        ids=["synthetic-csv", "era", "noisy", "no-background", "modulated"],
+    )
+    def test_same_optimum(self, monkeypatch, make):
+        optimize = pytest.importorskip("scipy.optimize")
+        calls = []
+
+        def recording(model, y, x0, lower, upper):
+            calls.append((model, y, x0, lower, upper))
+            return solve(model, y, x0, lower, upper)
+
+        solve = memory._least_squares
+        monkeypatch.setattr(memory, "_least_squares", recording)
+        fit = fit_comb(make())
+        [(model, y, x0, lower, upper)] = calls
+        ref = optimize.least_squares(
+            lambda x: model(x)[0] - y, x0, bounds=(lower, upper), method="trf"
+        )
+        assert ref.success
+        expected = FittedComb(*ref.x.tolist(), float(np.sqrt(np.mean(ref.fun**2))))
+        for name, value in vars(expected).items():
+            assert getattr(fit, name) == pytest.approx(value, abs=1e-6), name
 
 
 class TestCombCsv:
