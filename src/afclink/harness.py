@@ -31,7 +31,7 @@ central-slot counts (_central_counts) are folds of their kernels over the
 shards, equal bit for bit to one pass over the whole run, and each holds a
 shard's times or keys, never two shards.  _settle_events carries the
 events.csv rows by the same floor.  No product path calls simulate(), which
-joins a whole run's click arrays.
+joins a whole run's shards, in this format, for the tests.
 
 A sweep's points and a CHSH run's setting pairs are independent runs, seeded
 in the caller.  _fan_out runs them on every CPU of the affinity mask: the
@@ -146,38 +146,6 @@ def provenance() -> dict[str, str]:
 
 # ---------------------------------------------------------------------------
 # Simulation engine
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRecord:
-    """All detected clicks of one channel as parallel arrays, shard after
-    shard; within a shard the clicks are not in time order."""
-
-    times: np.ndarray
-    cycles: np.ndarray
-    ports: np.ndarray
-    bins: np.ndarray
-    origins: np.ndarray
-    outcomes: np.ndarray
-
-    @property
-    def dark_count(self) -> int:
-        return int(np.count_nonzero(self.origins == events.ORIGIN_DARK))
-
-
-@dataclass(frozen=True, eq=False)
-class SimulationData:
-    """Click arrays per channel, the emitted pairs counted per PAIR_CLASSES
-    class, and the configured detection probability of each channel."""
-
-    config: ExperimentConfig
-    pair_classes: dict[str, int]
-    p_detect: dict[str, float]
-    channels: dict[str, ChannelRecord]
-
-    @property
-    def n_pairs(self) -> int:
-        return sum(self.pair_classes.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,27 +345,18 @@ def _shards(t: _EngineTables, n_cycles: int, part: slice = slice(None)):
         yield (*_simulate_shard(t, shard_index, first, end - first), floor)
 
 
-def simulate(cfg: ExperimentConfig) -> SimulationData:
-    """Run the full chain for every configured cycle; returns decoded click arrays."""
+def simulate(cfg: ExperimentConfig) -> tuple[_EngineTables, np.ndarray, dict]:
+    """A whole run joined in the engine's own format: the tables, the pairs
+    per PAIR_CLASSES class, and per channel the clicks' times, cycles and codes."""
     tables = _build_tables(cfg)
-    parts: dict[str, list[dict[str, np.ndarray]]] = {ch: [] for ch in events.CHANNELS}
-    totals = np.zeros(len(PAIR_CLASSES), dtype=np.int64)
+    totals, parts = np.zeros(len(PAIR_CLASSES), dtype=np.int64), []
     for classes, shard, _ in _shards(tables, cfg.run.cycles):
         totals += classes
-        for ch in events.CHANNELS:
-            parts[ch].append(shard[ch])
-    lab, channels = tables.labels, {}
-    for ch in events.CHANNELS:
-        # Key by key, so each key's shard arrays are freed once joined.
-        times, cycles, codes = (
-            np.concatenate([p.pop(key) for p in parts[ch]]) for key in _CLICK_KEYS
-        )
-        channels[ch] = ChannelRecord(
-            times, cycles, lab.port[codes], lab.bin[codes], lab.origin[codes], lab.outcome[codes]
-        )
-    classes = dict(zip(PAIR_CLASSES, map(int, totals)))
-    p_detect = {ch: tab.p_detect for ch, tab in tables.channels.items()}
-    return SimulationData(cfg, classes, p_detect, channels)
+        parts.append(shard)
+    # Key by key, so each key's shard arrays are freed once joined.
+    clicks = {ch: {key: np.concatenate([p[ch].pop(key) for p in parts]) for key in _CLICK_KEYS}
+              for ch in events.CHANNELS}
+    return tables, totals, clicks
 
 
 def _stream_pieces(shards, key, scale: int):

@@ -69,6 +69,8 @@ class CombSpectrum:
             raise ValueError("detuning and OD must be matching 1-d arrays (>= 8 points)")
         if _bad_grid_steps(det).any():
             raise ValueError("detuning grid must be strictly increasing and uniform")
+        if not np.isfinite(od).all():
+            raise ValueError("OD must be finite")
         object.__setattr__(self, "detuning_mhz", det)
         object.__setattr__(self, "od", od)
 

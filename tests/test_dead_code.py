@@ -49,16 +49,8 @@ KEEP = {
     "estimation.synthesize_input": "planned: simulated tomography (ROADMAP)",
     "estimation.tomography_to_csv": ROUND_TRIP,
     "harness.chsh_simulation": PUBLIC_API,
-    "harness.ChannelRecord.dark_count": (
-        "bench/tracing.py reads `record.dark_count` from simulate(); goes with the "
-        "next benchmark change (ROADMAP)"
-    ),
-    "harness.SimulationData.n_pairs": (
-        "bench/tracing.py reads `result.n_pairs` from simulate(); goes with the "
-        "next benchmark change (ROADMAP)"
-    ),
     "harness.simulate": (
-        "tests read whole-run click arrays from it, bench/tracing.py binds "
+        "tests join a run's shards through it, bench/tracing.py binds "
         "`harness.simulate` and bench/reference.py does `import simulate`; goes "
         "with the next benchmark change (ROADMAP)"
     ),

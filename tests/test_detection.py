@@ -175,7 +175,7 @@ def interferometers(alpha, beta):
 
 def slot_offsets(rec):
     """Each click's delay from the start of its pump cycle."""
-    return rec.times - rec.cycles * REP
+    return rec["times"] - rec["cycles"] * REP
 
 
 def draw_counts(cum, n, rng):
@@ -265,18 +265,22 @@ class TestBatchSampling:
 
 class TestAnalyzerSample:
     """Analyzer outcomes as the engine draws them: stage draws on the joint
-    and single tables, and the slots, ports and bins `simulate` reports."""
+    and single tables, and the slots, ports and bins of the clicks `simulate`
+    joins."""
 
     def test_timestamps_ports_and_bins(self):
-        data = simulate(engine_config(seed=7, analyzers=interferometers(0.0, 0.0)))
+        tables, classes, clicks = simulate(
+            engine_config(seed=7, analyzers=interferometers(0.0, 0.0))
+        )
+        lab = tables.labels
         bin_of_offset = {0: "EARLY", BIN_SEP: "SUPERPOSED", 2 * BIN_SEP: "LATE"}
-        for rec in data.channels.values():
-            assert rec.times.size == data.n_pairs > 0
+        for rec in clicks.values():
+            assert rec["times"].size == classes.sum() > 0
             offsets = slot_offsets(rec)
             assert set(offsets.tolist()) == set(bin_of_offset)
             for offset, label in bin_of_offset.items():
-                assert np.all(rec.bins[offsets == offset] == label)
-            assert set(rec.ports.tolist()) == {+1, -1}
+                assert np.all(lab.bin[rec["codes"]][offsets == offset] == label)
+            assert set(lab.port[rec["codes"]].tolist()) == {+1, -1}
 
     def test_entangled_pair_never_splits_early_late(self):
         # |ee> + |ll> has no |el>/|le> component: one photon early-slot and the
@@ -310,10 +314,10 @@ class TestAnalyzerSample:
             analyzers=interferometers(0.7, 0.0),
             memories={"idler_1535": DEAD_MEMORY},
         )
-        data = simulate(cfg)
-        offsets = slot_offsets(data.channels[events.SIGNAL_794])
+        _, classes, clicks = simulate(cfg)
+        offsets = slot_offsets(clicks[events.SIGNAL_794])
         n = offsets.size
-        assert n == data.n_pairs > 0
+        assert n == classes.sum() > 0
         for offset, p in ((0, 0.25), (BIN_SEP, 0.5), (2 * BIN_SEP, 0.25)):
             assert within(int((offsets == offset).sum()), n, p, 4.5)
 
@@ -321,34 +325,34 @@ class TestAnalyzerSample:
         cfg = engine_config(
             mu=0.2, memories={"signal_794": DEAD_MEMORY, "idler_1535": DEAD_MEMORY}
         )
-        data = simulate(cfg)
-        assert data.n_pairs > 0
-        assert all(rec.times.size == 0 for rec in data.channels.values())
+        _, classes, clicks = simulate(cfg)
+        assert classes.sum() > 0
+        assert all(rec["times"].size == 0 for rec in clicks.values())
 
     def test_time_of_arrival_on_entangled_pair(self):
         # Perfect correlations in the arrival-time basis: in every cycle that
         # holds one pair, both photons arrive in the same bin.
-        data = simulate(engine_config(seed=17, mu=0.1, analyzers=TIME_OF_ARRIVAL))
-        sig = data.channels[events.SIGNAL_794]
-        idl = data.channels[events.IDLER_1535]
-        single = np.flatnonzero(np.bincount(sig.cycles) == 1)
+        _, _, clicks = simulate(engine_config(seed=17, mu=0.1, analyzers=TIME_OF_ARRIVAL))
+        sig = clicks[events.SIGNAL_794]
+        idl = clicks[events.IDLER_1535]
+        single = np.flatnonzero(np.bincount(sig["cycles"]) == 1)
         assert single.size > 1000
-        sig_offset = dict(zip(sig.cycles.tolist(), slot_offsets(sig).tolist()))
-        idl_offset = dict(zip(idl.cycles.tolist(), slot_offsets(idl).tolist()))
+        sig_offset = dict(zip(sig["cycles"].tolist(), slot_offsets(sig).tolist()))
+        idl_offset = dict(zip(idl["cycles"].tolist(), slot_offsets(idl).tolist()))
         same = [sig_offset[c] == idl_offset[c] for c in single.tolist()]
         assert all(same)
         early = sum(sig_offset[c] == 0 for c in single.tolist())
         assert within(early, single.size, 0.5, 5.0)
 
     def test_single_mode_pair_time_of_arrival(self):
-        data = simulate(
+        tables, classes, clicks = simulate(
             engine_config(
                 seed=23, source={"pump_mode": "EARLY_ONLY"}, analyzers=TIME_OF_ARRIVAL
             )
         )
-        for rec in data.channels.values():
-            assert rec.times.size == data.n_pairs > 0
-            assert np.all(rec.bins == events.BIN_EARLY)
+        for rec in clicks.values():
+            assert rec["times"].size == classes.sum() > 0
+            assert np.all(tables.labels.bin[rec["codes"]] == events.BIN_EARLY)
             assert np.all(slot_offsets(rec) == 0)
 
 
@@ -357,9 +361,9 @@ class TestDetect:
     detector efficiency, Gaussian timing jitter, nothing from lost photons."""
 
     def test_ideal_detector_is_identity(self):
-        data = simulate(engine_config(seed=3, analyzers=TIME_OF_ARRIVAL))
-        for rec in data.channels.values():
-            assert rec.times.size == data.n_pairs > 0
+        _, classes, clicks = simulate(engine_config(seed=3, analyzers=TIME_OF_ARRIVAL))
+        for rec in clicks.values():
+            assert rec["times"].size == classes.sum() > 0
             assert set(slot_offsets(rec).tolist()) == {0, BIN_SEP}
 
     def test_zero_efficiency_drops_everything(self):
@@ -367,14 +371,14 @@ class TestDetect:
         cfg = engine_config(
             mu=0.2, detectors={"signal_794": dead, "idler_1535": dead}
         )
-        data = simulate(cfg)
-        assert data.n_pairs > 0
-        assert all(rec.times.size == 0 for rec in data.channels.values())
+        _, classes, clicks = simulate(cfg)
+        assert classes.sum() > 0
+        assert all(rec["times"].size == 0 for rec in clicks.values())
 
     def test_lost_photons_never_detected(self):
-        data = simulate(engine_config(mu=0.2, memories={"signal_794": DEAD_MEMORY}))
-        assert data.channels[events.SIGNAL_794].times.size == 0
-        assert data.channels[events.IDLER_1535].times.size == data.n_pairs > 0
+        _, classes, clicks = simulate(engine_config(mu=0.2, memories={"signal_794": DEAD_MEMORY}))
+        assert clicks[events.SIGNAL_794]["times"].size == 0
+        assert clicks[events.IDLER_1535]["times"].size == classes.sum() > 0
 
     def test_efficiency_thinning_statistics(self):
         # Lossless source and no memories: every pair offers one photon per
@@ -384,10 +388,11 @@ class TestDetect:
             seed=4, cycles=1_000_000, mu=0.2,
             detectors={"signal_794": det, "idler_1535": det},
         )
-        data = simulate(cfg)
-        assert data.n_pairs > 150_000
-        for rec in data.channels.values():
-            assert within(rec.times.size, data.n_pairs, 0.7, 5.0)
+        _, classes, clicks = simulate(cfg)
+        n_pairs = int(classes.sum())
+        assert n_pairs > 150_000
+        for rec in clicks.values():
+            assert within(rec["times"].size, n_pairs, 0.7, 5.0)
 
     def test_jitter_statistics(self):
         # Time-of-arrival slots sit at 0 and T = 1400 ps, over 6 jitter sigmas
@@ -399,12 +404,12 @@ class TestDetect:
             seed=8, cycles=200_000, mu=0.1, analyzers=TIME_OF_ARRIVAL,
             detectors={"signal_794": det, "idler_1535": det},
         )
-        data = simulate(cfg)
-        for rec in data.channels.values():
+        _, classes, clicks = simulate(cfg)
+        for rec in clicks.values():
             offsets = slot_offsets(rec)
             shifts = (offsets - np.where(offsets > BIN_SEP / 2, BIN_SEP, 0)).astype(float)
             n = shifts.size
-            assert n == data.n_pairs > 10_000
+            assert n == classes.sum() > 10_000
             assert abs(shifts.mean()) < 4.0 * sigma_ps / math.sqrt(n)
             # s.d. of a sample s.d. of n Gaussian draws: sigma / sqrt(2 n).
             assert abs(shifts.std() - sigma_ps) < 5.0 * sigma_ps / math.sqrt(2.0 * n)
@@ -431,23 +436,25 @@ class TestDarkEvents:
     def test_poisson_rate(self):
         # Two shards; 1e5 Hz over 25 ms is 2500 expected per channel.
         n_cycles = 2_000_000
-        data = self.dark_run(1e5, n_cycles, seed=12)
+        tables, classes, clicks = self.dark_run(1e5, n_cycles, seed=12)
         expected = 1e5 * n_cycles * REP * 1e-12
-        assert data.n_pairs == 0
-        for rec in data.channels.values():
-            assert abs(rec.times.size - expected) < 5.0 * math.sqrt(expected)
-            assert rec.dark_count == rec.times.size
+        assert classes.sum() == 0
+        for ch, rec in clicks.items():
+            assert abs(rec["times"].size - expected) < 5.0 * math.sqrt(expected)
+            assert np.all(rec["codes"] == tables.channels[ch].dark_code)
 
     def test_fields_and_range(self):
-        data = self.dark_run(1e7, 1_000, seed=1)
-        for rec in data.channels.values():
-            assert rec.times.size > 0
-            assert np.all(rec.origins == events.ORIGIN_DARK)
-            assert np.all(rec.bins == events.BIN_NONE)
-            assert np.all(rec.outcomes == events.OUTCOME_NONE)
-            assert np.all(rec.ports == 0)
-            assert np.all((rec.times >= 0) & (rec.times < 1_000 * REP))
-            assert np.array_equal(rec.cycles, rec.times // REP)
+        tables, _, clicks = self.dark_run(1e7, 1_000, seed=1)
+        lab = tables.labels
+        for rec in clicks.values():
+            times, codes = rec["times"], rec["codes"]
+            assert times.size > 0
+            assert np.all(lab.origin[codes] == events.ORIGIN_DARK)
+            assert np.all(lab.bin[codes] == events.BIN_NONE)
+            assert np.all(lab.outcome[codes] == events.OUTCOME_NONE)
+            assert np.all(lab.port[codes] == 0)
+            assert np.all((times >= 0) & (times < 1_000 * REP))
+            assert np.array_equal(rec["cycles"], times // REP)
 
 
 class TestTdcHistogram:
@@ -705,11 +712,14 @@ class TestCsvRoundTrips:
         # No memories: every click's memory outcome is NONE.
         cfg = engine_config(seed=2)
         res = run_simulation(cfg, tmp_path)
+        tables, _, clicks = simulate(cfg)
+        lab = tables.labels
         expected = [
             (c, channel, t, b, o, events.OUTCOME_NONE)
-            for channel, rec in simulate(cfg).channels.items()
-            for c, t, b, o in zip(rec.cycles.tolist(), rec.times.tolist(),
-                                  rec.bins.tolist(), rec.origins.tolist())
+            for channel, rec in clicks.items()
+            for c, t, b, o in zip(rec["cycles"].tolist(), rec["times"].tolist(),
+                                  lab.bin[rec["codes"]].tolist(),
+                                  lab.origin[rec["codes"]].tolist())
         ]
         assert len(expected) > 0
         assert sorted(events_from_csv(res.events_path)) == sorted(expected)

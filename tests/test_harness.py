@@ -66,11 +66,11 @@ from afclink.memory import comb_from_csv, fit_comb
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def direct_window_count(data, offset_ps, hw_ps):
+def direct_window_count(clicks, offset_ps, hw_ps):
     """Idler starts against the signal stops in the closed window [start +
     offset - hw, start + offset + hw], over a run's joined click arrays."""
-    stops = np.sort(data.channels[events.SIGNAL_794].times)
-    starts = data.channels[events.IDLER_1535].times
+    stops = np.sort(clicks[events.SIGNAL_794]["times"])
+    starts = clicks[events.IDLER_1535]["times"]
     lo = np.searchsorted(stops, starts + (offset_ps - hw_ps), side="left")
     hi = np.searchsorted(stops, starts + (offset_ps + hw_ps), side="right")
     return int((hi - lo).sum())
@@ -210,20 +210,21 @@ class TestRunSimulation:
         cfg = make_config(
             seed=41, cycles=SHARD_CYCLES + 64, mu=0.02, detectors=IDEAL_DETECTORS
         )
-        data = simulate(cfg)
-        n_sig = data.channels[events.SIGNAL_794].times.size
-        n_idl = data.channels[events.IDLER_1535].times.size
-        assert n_sig == data.n_pairs
-        assert n_idl == data.n_pairs
+        _, classes, clicks = simulate(cfg)
+        n_sig = clicks[events.SIGNAL_794]["times"].size
+        n_idl = clicks[events.IDLER_1535]["times"].size
+        assert n_sig == classes.sum()
+        assert n_idl == classes.sum()
 
     def test_simulate_deterministic(self):
         cfg = make_config(seed=43, cycles=40_000, mu=0.05)
-        a = simulate(cfg)
-        b = simulate(cfg)
-        assert a.n_pairs == b.n_pairs
+        tables_a, classes_a, a = simulate(cfg)
+        tables_b, classes_b, b = simulate(cfg)
+        assert classes_a.sum() == classes_b.sum()
         for ch in (events.SIGNAL_794, events.IDLER_1535):
-            assert np.array_equal(a.channels[ch].times, b.channels[ch].times)
-            assert np.array_equal(a.channels[ch].ports, b.channels[ch].ports)
+            assert np.array_equal(a[ch]["times"], b[ch]["times"])
+            ports_a = tables_a.labels.port[a[ch]["codes"]]
+            assert np.array_equal(ports_a, tables_b.labels.port[b[ch]["codes"]])
 
     def test_rates_raw_and_duty_normalized(self, tmp_path):
         cfg = make_config(
@@ -254,10 +255,10 @@ class TestRunSimulation:
         assert recall["delay_ps"] == recall_delay_ps(cfg) == 26_249
         # A direct closed-window count over the run's clicks: the references
         # inside +-70 ns are n = -5 .. -1 and 1 .. 3 periods away.
-        data = simulate(cfg)
-        peak = direct_window_count(data, 26_249, 500)
+        _, _, clicks = simulate(cfg)
+        peak = direct_window_count(clicks, 26_249, 500)
         refs = [
-            direct_window_count(data, 26_249 + n * 12_500, 500)
+            direct_window_count(clicks, 26_249 + n * 12_500, 500)
             for n in (-5, -4, -3, -2, -1, 1, 2, 3)
         ]
         assert recall["g2"]["peak_counts"] == peak > 0
@@ -279,7 +280,7 @@ class TestRunSimulation:
         # each counted over the closed window.
         cfg = load_config(ROOT / "configs" / "realistic.json")
         res = run_simulation(cfg, tmp_path)
-        data = simulate(cfg)
+        _, _, clicks = simulate(cfg)
         period, hw = cfg.source.rep_period_ps, cfg.tdc.peak_halfwidth_ps
         window = cfg.tdc.window_ps
         payloads = [(0, res.summary["g2_zero_delay"])]
@@ -288,8 +289,8 @@ class TestRunSimulation:
         for delay, g2 in payloads:
             periods = [n for n in range(-5, 6) if n and abs(delay + n * period) + hw <= window]
             assert g2["reference_periods"] == periods
-            assert g2["peak_counts"] == direct_window_count(data, delay, hw)
-            refs = [direct_window_count(data, delay + n * period, hw) for n in periods]
+            assert g2["peak_counts"] == direct_window_count(clicks, delay, hw)
+            refs = [direct_window_count(clicks, delay + n * period, hw) for n in periods]
             assert g2["reference_counts"] == sum(refs)
         assert payloads[0][1]["reference_periods"] == [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
         assert payloads[1][1]["reference_periods"] == [-5, -4, -3, -2, -1, 1, 2, 3]
@@ -306,12 +307,26 @@ def within_5_sigma(count, n, p):
     return abs(count / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def funnel_z(rec, pairs, q):
+def funnel_z(tab, rec, pairs):
     """summary.json's detections z of a channel's whole-run clicks: the
     clicks that are not dark against pairs * q, in binomial sigmas."""
+    q = tab.p_detect
     var = pairs * q * (1.0 - q)
-    clicks = int(rec.times.size) - rec.dark_count
+    clicks = int(np.count_nonzero(rec["codes"] != tab.dark_code))
     return (clicks - pairs * q) / math.sqrt(var) if var > 0.0 else None
+
+
+def whole_run_detections(cfg, tables, clicks, pairs):
+    """summary.json's detections, from a run's joined click arrays."""
+    return {
+        ch.lower(): {
+            "total": int(rec["times"].size),
+            "dark": int(np.count_nonzero(rec["codes"] == tables.channels[ch].dark_code)),
+            "memory_outcomes": memory_outcome_counts(cfg, ch, tables.labels, rec),
+            "z": funnel_z(tables.channels[ch], rec, pairs),
+        }
+        for ch, rec in clicks.items()
+    }
 
 
 # Three echoes, the middle one primary, so both spurious-echo outcomes occur.
@@ -323,18 +338,18 @@ THREE_ECHO_MEMORY = {
 }
 
 
-def csv_writer_events(data) -> bytes:
+def csv_writer_events(tables, clicks) -> bytes:
     """events.csv as csv.writer writes it from a run's click arrays: the
     channels in name order, then a stable sort by (time, channel, cycle)."""
-    keyed = []
-    for i, ch in enumerate(sorted(data.channels)):
-        rec = data.channels[ch]
+    lab, keyed = tables.labels, []
+    for i, ch in enumerate(sorted(clicks)):
+        rec = clicks[ch]
         for t, c, b, o, u in zip(
-            rec.times.tolist(),
-            rec.cycles.tolist(),
-            rec.bins.tolist(),
-            rec.origins.tolist(),
-            rec.outcomes.tolist(),
+            rec["times"].tolist(),
+            rec["cycles"].tolist(),
+            lab.bin[rec["codes"]].tolist(),
+            lab.origin[rec["codes"]].tolist(),
+            lab.outcome[rec["codes"]].tolist(),
         ):
             row = [c, ch, t, b, o, u]
             keyed.append(((t, i, c), row))
@@ -622,34 +637,27 @@ class TestEngineDraws:
         cfg = load_config(ROOT / "configs" / "realistic.json")
         cfg = replace(cfg, run=replace(cfg.run, cycles=10_000_000))
         res = run_simulation(cfg, tmp_path)
-        data = simulate(cfg)
-        assert res.summary["pair_classes"] == data.pair_classes
+        tables, classes, clicks = simulate(cfg)
+        pair_classes = dict(zip(harness.PAIR_CLASSES, classes.tolist()))
+        assert res.summary["pair_classes"] == pair_classes
         assert res.summary["detection_probability"] == {
-            ch.lower(): q for ch, q in data.p_detect.items()
+            ch.lower(): tab.p_detect for ch, tab in tables.channels.items()
         }
-        assert res.summary["detections"] == {
-            ch.lower(): {
-                "total": int(rec.times.size),
-                "dark": rec.dark_count,
-                "memory_outcomes": memory_outcome_counts(cfg, ch, rec),
-                "z": funnel_z(rec, data.n_pairs, data.p_detect[ch]),
-            }
-            for ch, rec in data.channels.items()
-        }
-        q_s, q_i = (data.p_detect[ch] for ch in (events.SIGNAL_794, events.IDLER_1535))
+        n = int(classes.sum())
+        assert res.summary["detections"] == whole_run_detections(cfg, tables, clicks, n)
+        q_s, q_i = (tables.channels[ch].p_detect for ch in (events.SIGNAL_794, events.IDLER_1535))
         probs = {
             "both": q_s * q_i,
             "signal_only": q_s * (1 - q_i),
             "idler_only": (1 - q_s) * q_i,
             "neither": (1 - q_s) * (1 - q_i),
         }
-        n = data.n_pairs
-        assert set(data.pair_classes) == set(probs)
+        assert set(pair_classes) == set(probs)
         for name, p in probs.items():
-            assert within_5_sigma(data.pair_classes[name], n, p), name
-        for ch, q in data.p_detect.items():
-            clicks = data.channels[ch].times.size - data.channels[ch].dark_count
-            assert within_5_sigma(clicks, n, q), ch
+            assert within_5_sigma(pair_classes[name], n, p), name
+        for ch, tab in tables.channels.items():
+            lit = int(np.count_nonzero(clicks[ch]["codes"] != tab.dark_code))
+            assert within_5_sigma(lit, n, tab.p_detect), ch
 
     def test_events_csv_matches_csv_writer(self, tmp_path):
         cfg = make_config(
@@ -670,7 +678,8 @@ class TestEngineDraws:
             },
         )
         res = run_simulation(cfg, tmp_path)
-        expected = csv_writer_events(simulate(cfg))
+        tables, _, clicks = simulate(cfg)
+        expected = csv_writer_events(tables, clicks)
         assert res.events_path.read_bytes() == expected
         # Every label kind was rendered.
         text = expected.decode()
@@ -687,10 +696,11 @@ class TestEngineDraws:
             detectors={"signal_794": det, "idler_1535": det},
         )
         span = n_cycles * cfg.source.rep_period_ps
-        for rec in simulate(cfg).channels.values():
-            n = rec.times.size
+        _, _, clicks = simulate(cfg)
+        for rec in clicks.values():
+            n = rec["times"].size
             assert n > 20_000
-            deciles = np.bincount(rec.times * 10 // span, minlength=10)
+            deciles = np.bincount(rec["times"] * 10 // span, minlength=10)
             assert deciles.size == 10
             for count in deciles:
                 assert within_5_sigma(int(count), n, 0.1)
@@ -742,11 +752,11 @@ class TestStreamedHistogram:
     shard by shard, equal direct closed-window counts over those clicks."""
 
     @staticmethod
-    def assert_single_pass(hist, data):
-        tdc = data.config.tdc
+    def assert_single_pass(hist, cfg, clicks):
+        tdc = cfg.tdc
         single = tdc_histogram_from_times(
-            data.channels[events.IDLER_1535].times,
-            data.channels[events.SIGNAL_794].times,
+            clicks[events.IDLER_1535]["times"],
+            clicks[events.SIGNAL_794]["times"],
             tdc.bin_width_ps,
             tdc.window_ps,
         )
@@ -755,12 +765,12 @@ class TestStreamedHistogram:
         assert hist.n_starts == single.n_starts
 
     @staticmethod
-    def assert_windows_single_pass(counts, data):
-        hw, period = data.config.tdc.peak_halfwidth_ps, data.config.source.rep_period_ps
+    def assert_windows_single_pass(counts, cfg, clicks):
+        hw, period = cfg.tdc.peak_halfwidth_ps, cfg.source.rep_period_ps
         assert sorted(counts) == [n * period for n in range(-5, 6)]
         assert sum(counts.values()) > 0
         for offset, count in counts.items():
-            assert count == direct_window_count(data, offset, hw), offset
+            assert count == direct_window_count(clicks, offset, hw), offset
 
     @pytest.mark.parametrize(
         "name, mu",
@@ -772,10 +782,10 @@ class TestStreamedHistogram:
     )
     def test_equals_single_pass(self, name, mu, monkeypatch):
         cfg = shipped_config(name, 2 * SHARD_CYCLES + 12_345, mu)
-        data = simulate(cfg)
+        _, _, clicks = simulate(cfg)
         assert shard_count(cfg) == 3
-        self.assert_single_pass(run_histogram(cfg), data)
-        self.assert_windows_single_pass(sweep_window_counts(cfg, monkeypatch), data)
+        self.assert_single_pass(run_histogram(cfg), cfg, clicks)
+        self.assert_windows_single_pass(sweep_window_counts(cfg, monkeypatch), cfg, clicks)
 
     @pytest.mark.parametrize("block", [1, None], ids=["block-1", "block-default"])
     def test_window_spans_several_shards(self, block, monkeypatch):
@@ -784,13 +794,16 @@ class TestStreamedHistogram:
         # edges.  With blocks of one start, every start is walked alone.
         monkeypatch.setattr(harness, "SHARD_CYCLES", 2)
         cfg = shipped_config("demo", 1_501, mu=0.5, dark_rate_hz=5e6)
-        data = simulate(cfg)
+        tables, _, clicks = simulate(cfg)
         assert shard_count(cfg) == 751
-        assert min(rec.dark_count for rec in data.channels.values()) > 0
+        assert min(
+            np.count_nonzero(rec["codes"] == tables.channels[ch].dark_code)
+            for ch, rec in clicks.items()
+        ) > 0
         if block is not None:
             monkeypatch.setattr(detection, "_BLOCK_STARTS", block)
-        self.assert_single_pass(run_histogram(cfg), data)
-        self.assert_windows_single_pass(sweep_window_counts(cfg, monkeypatch), data)
+        self.assert_single_pass(run_histogram(cfg), cfg, clicks)
+        self.assert_windows_single_pass(sweep_window_counts(cfg, monkeypatch), cfg, clicks)
 
     def test_sweep_peak_memory_independent_of_cycles(self):
         # One sweep point keeps at most a shard and the carry, so
@@ -866,7 +879,7 @@ NOISY_RUN = dict(
 TIED_RUN = dict(seed=29, cycles=1_200, mu=0.5, detectors=IDEAL_DETECTORS)
 
 
-def memory_outcome_counts(cfg, channel, rec):
+def memory_outcome_counts(cfg, channel, lab, rec):
     """The memory outcomes of a channel's joined clicks that are not dark,
     counted per events.csv token: NONE without a memory, else TRANSMITTED
     and RECALLED_k for each echo k."""
@@ -875,7 +888,8 @@ def memory_outcome_counts(cfg, channel, rec):
     if mem is not None:
         recalled = [events.recalled_token(k) for k in range(len(mem.echo_delays))]
         outcomes = [events.OUTCOME_TRANSMITTED, *recalled]
-    lit = rec.outcomes[rec.origins != events.ORIGIN_DARK]
+    codes = rec["codes"]
+    lit = lab.outcome[codes][lab.origin[codes] != events.ORIGIN_DARK]
     return {u: int(np.count_nonzero(lit == u)) for u in outcomes}
 
 
@@ -890,10 +904,10 @@ class TestStreamedRun:
         monkeypatch.setattr(harness, "SHARD_CYCLES", shard_cycles)
         cfg = make_config(**run)
         res = run_simulation(cfg, tmp_path / "run")
-        data = simulate(cfg)
+        tables, classes, clicks = simulate(cfg)
         assert shard_count(cfg) == -(-cfg.run.cycles // shard_cycles)
 
-        expected = csv_writer_events(data)
+        expected = csv_writer_events(tables, clicks)
         assert res.events_path.read_bytes() == expected
         rows = [line.split(",") for line in expected.decode().splitlines()[1:]]
         if run is NOISY_RUN:
@@ -906,8 +920,8 @@ class TestStreamedRun:
 
         tdc = cfg.tdc
         single = tdc_histogram_from_times(
-            data.channels[events.IDLER_1535].times,
-            data.channels[events.SIGNAL_794].times,
+            clicks[events.IDLER_1535]["times"],
+            clicks[events.SIGNAL_794]["times"],
             tdc.bin_width_ps,
             tdc.window_ps,
         )
@@ -915,22 +929,16 @@ class TestStreamedRun:
         single.to_csv(tmp_path / "single.csv")
         assert res.histogram_path.read_bytes() == (tmp_path / "single.csv").read_bytes()
         tallies = {
-            "pair_classes": data.pair_classes,
-            "detection_probability": {ch.lower(): q for ch, q in data.p_detect.items()},
-            "detections": {
-                ch.lower(): {
-                    "total": int(rec.times.size),
-                    "dark": rec.dark_count,
-                    "memory_outcomes": memory_outcome_counts(cfg, ch, rec),
-                    "z": funnel_z(rec, data.n_pairs, data.p_detect[ch]),
-                }
-                for ch, rec in data.channels.items()
+            "pair_classes": dict(zip(harness.PAIR_CLASSES, classes.tolist())),
+            "detection_probability": {
+                ch.lower(): tab.p_detect for ch, tab in tables.channels.items()
             },
+            "detections": whole_run_detections(cfg, tables, clicks, int(classes.sum())),
         }
         # g2 from direct closed-window counts over the same clicks.
         delays = (0, recall_delay_ps(cfg))
         offsets, g2 = harness._g2_plan(cfg, delays)
-        counts = np.array([direct_window_count(data, o, tdc.peak_halfwidth_ps) for o in offsets])
+        counts = np.array([direct_window_count(clicks, o, tdc.peak_halfwidth_ps) for o in offsets])
         g2s = [harness._g2_payload(g2, counts, delay) for delay in delays]
         summary = harness._build_summary(cfg, tallies, single, g2s)
         assert res.summary_path.read_text() == json.dumps(summary, indent=2) + "\n"
@@ -939,10 +947,11 @@ class TestStreamedRun:
     def test_memory_outcome_counts_are_the_clicks_that_are_not_dark(self, run, tmp_path):
         cfg = make_config(**run)
         detections = run_simulation(cfg, tmp_path).summary["detections"]
-        for ch, rec in simulate(cfg).channels.items():
+        tables, _, clicks = simulate(cfg)
+        for ch, rec in clicks.items():
             det = detections[ch.lower()]
             assert sum(det["memory_outcomes"].values()) == det["total"] - det["dark"] > 0
-            assert det["memory_outcomes"] == memory_outcome_counts(cfg, ch, rec)
+            assert det["memory_outcomes"] == memory_outcome_counts(cfg, ch, tables.labels, rec)
 
     def test_memory_outcome_counts_follow_the_configured_funnel(self, tmp_path):
         # Each memory outcome is detected from pairs x its configured
@@ -1164,21 +1173,21 @@ def central_codes(labels, channel):
     return np.array([np.flatnonzero(central & (labels.port == port))[0] for port in (-1, 1)])
 
 
-def whole_run_central_counts(data):
+def whole_run_central_counts(cfg, lab, clicks):
     """Central-slot coincidences of a run's joined click arrays, as a list
     over (signal, idler) ports (+1, +1), (+1, -1), (-1, +1), (-1, -1): per
     port pair, every idler start against the signal stops within the peak
     halfwidth of the recall delay."""
-    cfg = data.config
     hw = cfg.tdc.peak_halfwidth_ps
     delta = recall_delay_ps(cfg)
     sup = events.BIN_SUPERPOSED
-    sig, idl = data.channels[events.SIGNAL_794], data.channels[events.IDLER_1535]
+    sig, idl = clicks[events.SIGNAL_794], clicks[events.IDLER_1535]
+    sig_sup, idl_sup = (lab.bin[rec["codes"]] == sup for rec in (sig, idl))
     counts = []
     for pa in (+1, -1):
-        stops = np.sort(sig.times[(sig.bins == sup) & (sig.ports == pa)])
+        stops = np.sort(sig["times"][sig_sup & (lab.port[sig["codes"]] == pa)])
         for pb in (+1, -1):
-            starts = idl.times[(idl.bins == sup) & (idl.ports == pb)]
+            starts = idl["times"][idl_sup & (lab.port[idl["codes"]] == pb)]
             lo = np.searchsorted(stops, starts + (delta - hw), side="left")
             hi = np.searchsorted(stops, starts + (delta + hw), side="right")
             counts.append(int((hi - lo).sum()))
@@ -1290,7 +1299,8 @@ class TestChshSimulation:
         monkeypatch.setattr(harness, "SHARD_CYCLES", 2)
         cfg = make_config(**dict(run, cycles=6_000, analyzers=CENTRAL_ANALYZERS))
         assert np.sign(recall_delay_ps(cfg)) == sign
-        expected = whole_run_central_counts(simulate(cfg))
+        tables, _, clicks = simulate(cfg)
+        expected = whole_run_central_counts(cfg, tables.labels, clicks)
         assert min(expected) > 0
         assert harness._central_counts(cfg, *CENTRAL_PHASES).tolist() == expected
 
@@ -1338,13 +1348,7 @@ class TestChshSimulation:
             }
             pieces.append((None, piece, floor))
         monkeypatch.setattr(harness, "_shards", lambda tables, cycles: iter(pieces))
-        channels = {
-            ch: SimpleNamespace(
-                times=rec["times"], ports=lab.port[rec["codes"]], bins=lab.bin[rec["codes"]]
-            )
-            for ch, rec in run_clicks.items()
-        }
-        expected = whole_run_central_counts(SimpleNamespace(config=cfg, channels=channels))
+        expected = whole_run_central_counts(cfg, lab, run_clicks)
         assert min(expected) > 0
         assert harness._central_counts(cfg, *CENTRAL_PHASES).tolist() == expected
 
@@ -1780,9 +1784,9 @@ class TestSweep:
         cfg = make_config(seed=74, cycles=100_000, mu=0.05, detectors=IDEAL_DETECTORS)
         result = sweep(cfg, "mu", [0.05])
         assert len(result.rows) == 1
-        data = simulate(cfg)
+        _, _, clicks = simulate(cfg)
         period, hw = cfg.source.rep_period_ps, cfg.tdc.peak_halfwidth_ps
-        counts = {n * period: direct_window_count(data, n * period, hw) for n in range(-5, 6)}
+        counts = {n * period: direct_window_count(clicks, n * period, hw) for n in range(-5, 6)}
         direct = g2_cross(counts, 0, period, hw, cfg.tdc.window_ps)
         assert result.rows[0][1] == direct.value
         assert result.rows[0][2] == direct.sigma

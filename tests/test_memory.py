@@ -493,32 +493,33 @@ class TestApplyMemory:
     }
 
     def run(self, seed, cycles, mu=0.2):
-        return simulate(
-            make_config(
-                seed=seed, cycles=cycles, mu=mu,
-                memories={"signal_794": self.MEMORY}, detectors=IDEAL_DETECTORS,
-            )
+        """The config and what simulate returns for it."""
+        cfg = make_config(
+            seed=seed, cycles=cycles, mu=mu,
+            memories={"signal_794": self.MEMORY}, detectors=IDEAL_DETECTORS,
         )
+        return cfg, *simulate(cfg)
 
     def test_outcome_frequencies(self):
-        data = self.run(seed=2024, cycles=200_000)
-        n = data.n_pairs
+        cfg, tables, classes, clicks = self.run(seed=2024, cycles=200_000)
+        n = int(classes.sum())
         assert n > 30_000
-        outcomes = data.channels[events.SIGNAL_794].outcomes
+        outcomes = tables.labels.outcome[clicks[events.SIGNAL_794]["codes"]]
         counts = [int((outcomes == events.OUTCOME_TRANSMITTED).sum())]
         counts += [int((outcomes == events.recalled_token(k)).sum()) for k in range(2)]
         counts.append(n - outcomes.size)  # lost photons leave no click
-        probs = data.config.memory_config(events.SIGNAL_794).outcome_table()
+        probs = cfg.memory_config(events.SIGNAL_794).outcome_table()
         for count, p in zip(counts, probs):
             assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
 
     def test_timestamps_and_tags(self):
         # Time-of-arrival analyzers: an EARLY click leaves its slot at 0, a
         # LATE one at the bin separation; the rest of the delay is the memory's.
-        data = self.run(seed=11, cycles=50_000)
-        rec = data.channels[events.SIGNAL_794]
-        late = rec.bins == events.BIN_LATE
-        delay = rec.times - rec.cycles * 12_500 - np.where(late, 1_400, 0)
+        _, tables, _, clicks = self.run(seed=11, cycles=50_000)
+        lab, rec = tables.labels, clicks[events.SIGNAL_794]
+        outcomes, origins = lab.outcome[rec["codes"]], lab.origin[rec["codes"]]
+        late = lab.bin[rec["codes"]] == events.BIN_LATE
+        delay = rec["times"] - rec["cycles"] * 12_500 - np.where(late, 1_400, 0)
         pair, spurious = events.ORIGIN_PAIR, events.ORIGIN_SPURIOUS_ECHO
         for outcome, expected_delay, origin in (
             (events.OUTCOME_TRANSMITTED, 0, pair),
@@ -526,28 +527,31 @@ class TestApplyMemory:
             # Secondary echoes are tagged as spurious.
             (events.recalled_token(1), 16_000, spurious),
         ):
-            hit = rec.outcomes == outcome
+            hit = outcomes == outcome
             assert hit.any(), outcome
             assert np.all(delay[hit] == expected_delay)
-            assert np.all(rec.origins[hit] == origin)
+            assert np.all(origins[hit] == origin)
 
     def test_lost_partner_keeps_qubit_fields(self):
         # Storage leaves the time-bin qubit alone: in every cycle that holds
         # one pair, the stored signal photon and its direct idler partner
         # still share their arrival bin.
-        data = self.run(seed=0, cycles=200_000, mu=0.05)
-        sig = data.channels[events.SIGNAL_794]
-        idl = data.channels[events.IDLER_1535]
+        _, tables, _, clicks = self.run(seed=0, cycles=200_000, mu=0.05)
+        lab = tables.labels
+        sig = clicks[events.SIGNAL_794]
+        idl = clicks[events.IDLER_1535]
         single = np.flatnonzero(
-            (np.bincount(sig.cycles, minlength=200_000) == 1)
-            & (np.bincount(idl.cycles, minlength=200_000) == 1)
+            (np.bincount(sig["cycles"], minlength=200_000) == 1)
+            & (np.bincount(idl["cycles"], minlength=200_000) == 1)
         )
-        sig_row = dict(zip(sig.cycles.tolist(), range(sig.cycles.size)))
-        idl_row = dict(zip(idl.cycles.tolist(), range(idl.cycles.size)))
+        sig_row = dict(zip(sig["cycles"].tolist(), range(sig["cycles"].size)))
+        idl_row = dict(zip(idl["cycles"].tolist(), range(idl["cycles"].size)))
         rows = [(sig_row[c], idl_row[c]) for c in single.tolist()]
         recalled = {events.recalled_token(k) for k in range(2)}
-        assert sum(sig.outcomes[i] in recalled for i, _ in rows) > 100
-        assert all(sig.bins[i] == idl.bins[j] for i, j in rows)
+        sig_outcomes = lab.outcome[sig["codes"]]
+        sig_bins, idl_bins = lab.bin[sig["codes"]], lab.bin[idl["codes"]]
+        assert sum(sig_outcomes[i] in recalled for i, _ in rows) > 100
+        assert all(sig_bins[i] == idl_bins[j] for i, j in rows)
 
 
 class TestCombSpectrumValidation:
@@ -566,3 +570,12 @@ class TestCombSpectrumValidation:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match=r"\(>= 8 points\)"):
             CombSpectrum(detuning_mhz=np.arange(7.0), od=np.ones(7))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_od_rejected(self, value):
+        # One bad sample in a built profile, which no CSV reader has checked.
+        comb = build_comb(31.0, 2.0, 0.3, 2.0, 1.0, 0.5)
+        od = comb.od.copy()
+        od[10] = value
+        with pytest.raises(ValueError, match="^OD must be finite$"):
+            CombSpectrum(detuning_mhz=comb.detuning_mhz, od=od)

@@ -53,9 +53,9 @@ class TestSampleCycle:
 
     def test_poisson_mean(self):
         n = 50_000
-        data = simulate(lossless_config(seed=5, cycles=n, mu=0.1))
+        _, classes, _ = simulate(lossless_config(seed=5, cycles=n, mu=0.1))
         sigma = np.sqrt(0.1 / n)
-        assert abs(data.n_pairs / n - 0.1) < 4.0 * sigma
+        assert abs(classes.sum() / n - 0.1) < 4.0 * sigma
 
     def test_pair_fields(self):
         # The pure state is its density matrix: the outer product of the
@@ -97,36 +97,39 @@ class TestEmittedPairs:
     """Pairs as they leave a lossless chain: one photon per channel each."""
 
     def test_two_events_per_pair(self):
-        data = simulate(lossless_config(seed=4, mu=0.3))
-        sig = data.channels[events.SIGNAL_794]
-        idl = data.channels[events.IDLER_1535]
-        assert sig.times.size == idl.times.size == data.n_pairs > 0
+        _, classes, clicks = simulate(lossless_config(seed=4, mu=0.3))
+        sig = clicks[events.SIGNAL_794]
+        idl = clicks[events.IDLER_1535]
+        assert sig["times"].size == idl["times"].size == classes.sum() > 0
         # Partners share their cycle, so both channels count alike per cycle.
-        assert np.array_equal(np.sort(sig.cycles), np.sort(idl.cycles))
+        assert np.array_equal(np.sort(sig["cycles"]), np.sort(idl["cycles"]))
 
     def test_timestamps_on_cycle_grid(self):
         cfg = lossless_config(seed=7)
-        data = simulate(cfg)
-        for rec in data.channels.values():
-            offsets = rec.times - rec.cycles * cfg.source.rep_period_ps
+        _, _, clicks = simulate(cfg)
+        for rec in clicks.values():
+            offsets = rec["times"] - rec["cycles"] * cfg.source.rep_period_ps
             assert set(offsets.tolist()) == {0, cfg.source.bin_separation_ps}
 
     def test_bins_follow_pump_mode(self):
         early, late = events.BIN_EARLY, events.BIN_LATE
-        both = simulate(lossless_config(seed=2))
-        for rec in both.channels.values():
-            assert set(rec.bins.tolist()) == {early, late}
-        single = simulate(lossless_config(seed=2, source={"pump_mode": PUMP_EARLY_ONLY}))
-        for rec in single.channels.values():
-            assert rec.times.size > 0
-            assert set(rec.bins.tolist()) == {early}
+        tables, _, clicks = simulate(lossless_config(seed=2))
+        for rec in clicks.values():
+            assert set(tables.labels.bin[rec["codes"]].tolist()) == {early, late}
+        tables, _, clicks = simulate(
+            lossless_config(seed=2, source={"pump_mode": PUMP_EARLY_ONLY})
+        )
+        for rec in clicks.values():
+            assert rec["times"].size > 0
+            assert set(tables.labels.bin[rec["codes"]].tolist()) == {early}
 
     def test_origin_is_pair(self):
-        data = simulate(lossless_config(seed=3))
-        for rec in data.channels.values():
-            assert rec.times.size > 0
-            assert np.all(rec.origins == events.ORIGIN_PAIR)
-            assert np.all(rec.outcomes == events.OUTCOME_NONE)
+        tables, _, clicks = simulate(lossless_config(seed=3))
+        lab = tables.labels
+        for rec in clicks.values():
+            assert rec["times"].size > 0
+            assert np.all(lab.origin[rec["codes"]] == events.ORIGIN_PAIR)
+            assert np.all(lab.outcome[rec["codes"]] == events.OUTCOME_NONE)
 
 
 class TestChannelBalance:
@@ -139,7 +142,7 @@ class TestChannelBalance:
             mu = float(rng.uniform(0.05, 0.45))
             mode = PUMP_BOTH_ARMS if case % 2 == 0 else PUMP_EARLY_ONLY
             cfg = lossless_config(seed=case, cycles=20, mu=mu, source={"pump_mode": mode})
-            data = simulate(cfg)
-            n_signal = data.channels[events.SIGNAL_794].times.size
-            n_idler = data.channels[events.IDLER_1535].times.size
-            assert n_signal == n_idler == data.n_pairs
+            _, classes, clicks = simulate(cfg)
+            n_signal = clicks[events.SIGNAL_794]["times"].size
+            n_idler = clicks[events.IDLER_1535]["times"].size
+            assert n_signal == n_idler == classes.sum()
