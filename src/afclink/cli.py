@@ -243,20 +243,19 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="afclink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json",
-            help="stdout payload format (files are always canonical)",
-        )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format", choices=("json", "csv"), default="json",
+        help="stdout payload format (files are always canonical)",
+    )
 
-    p = sub.add_parser("simulate", help="run the photon-pair chain and write event files")
+    p = sub.add_parser("simulate", parents=[fmt], help="run the photon-pair chain and write event files")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--seed", type=_seed, default=None, help="override run.seed")
     p.add_argument("--out-dir", default="afclink-out", help="directory for events/histogram/summary")
-    add_format(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("analyze", help="tomography, state metrics and Bell sums from CSV tables")
+    p = sub.add_parser("analyze", parents=[fmt], help="tomography, state metrics and Bell sums from CSV tables")
     p.add_argument("--tomography-in", default=data_path(DATA_TOMOGRAPHY_IN), help="input-state tomography CSV")
     p.add_argument("--tomography-out", default=data_path(DATA_TOMOGRAPHY_OUT), help="output-state tomography CSV (omit metrics comparisons with --no-output)")
     p.add_argument("--no-output", dest="tomography_out", action="store_const", const=None, help="analyze the input state only")
@@ -265,13 +264,12 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=200, help="Monte-Carlo resampling trials (0 disables)")
     p.add_argument("--seed", type=_seed, default=0, help="Monte-Carlo seed")
     p.add_argument("--out-dir", default=None, help="also write report.json and state_metrics.csv here")
-    add_format(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("comb", help="atomic-frequency-comb tools")
     comb_sub = p.add_subparsers(dest="comb_command", required=True, parser_class=_Parser)
 
-    q = comb_sub.add_parser("build", help="sample an ideal comb profile to CSV")
+    q = comb_sub.add_parser("build", parents=[fmt], help="sample an ideal comb profile to CSV")
     q.add_argument("--delta-mhz", type=float, required=True)
     q.add_argument("--finesse", type=float, required=True)
     q.add_argument("--background-od", type=float, default=0.0)
@@ -280,43 +278,37 @@ def build_parser() -> _Parser:
     q.add_argument("--grid-step-mhz", type=float, required=True)
     q.add_argument("--modulation-depth", type=float, default=0.0)
     q.add_argument("--out", required=True, help="comb CSV path")
-    add_format(q)
     q.set_defaults(func=_cmd_comb_build)
 
-    q = comb_sub.add_parser("fit", help="recover comb parameters from a sampled profile")
+    q = comb_sub.add_parser("fit", parents=[fmt], help="recover comb parameters from a sampled profile")
     q.add_argument("--input", required=True, help="comb CSV path")
-    add_format(q)
     q.set_defaults(func=_cmd_comb_fit)
 
-    q = comb_sub.add_parser("efficiency", help="recall efficiency from comb parameters")
+    q = comb_sub.add_parser("efficiency", parents=[fmt], help="recall efficiency from comb parameters")
     q.add_argument("--tooth-od", type=float, required=True)
     q.add_argument("--finesse", type=float, required=True)
     q.add_argument("--background-od", type=float, default=0.0)
-    add_format(q)
     q.set_defaults(func=_cmd_comb_efficiency)
 
-    q = comb_sub.add_parser("echoes", help="echo delays from a sampled comb profile")
+    q = comb_sub.add_parser("echoes", parents=[fmt], help="echo delays from a sampled comb profile")
     q.add_argument("--input", required=True, help="comb CSV path")
     q.add_argument("--rel-threshold", type=float, default=0.05)
     q.add_argument("--out", default=None, help="write (delay_ns, amplitude) CSV here")
-    add_format(q)
     q.set_defaults(func=_cmd_comb_echoes)
 
-    p = sub.add_parser("sweep", help="repeat the simulation over one parameter")
+    p = sub.add_parser("sweep", parents=[fmt], help="repeat the simulation over one parameter")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--cycles", type=int, default=None, help="cycles per point (default: config)")
     p.add_argument("--seed", type=_seed, default=None, help="override run.seed")
     p.add_argument("--out", default=None, help="write the sweep CSV here")
-    add_format(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("report", help="analyze the shipped data tables into a report bundle")
+    p = sub.add_parser("report", parents=[fmt], help="analyze the shipped data tables into a report bundle")
     p.add_argument("--out-dir", default="afclink-report", help="directory for report.json and state_metrics.csv")
     p.add_argument("--trials", type=int, default=200, help="Monte-Carlo resampling trials (0 disables)")
     p.add_argument("--seed", type=_seed, default=0, help="Monte-Carlo seed")
-    add_format(p)
     p.set_defaults(func=_cmd_report)
 
     return parser

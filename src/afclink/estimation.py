@@ -179,21 +179,14 @@ def tomography_to_csv(tin: TomographyInput, path) -> None:
     write_csv(path, TOMOGRAPHY_CSV_HEADER, rows)
 
 
+def _tomography_row(fields) -> TomographyRow:
+    token_a, token_b, prob, sig = fields
+    a, b = ProjectorSetting.from_token(token_a), ProjectorSetting.from_token(token_b)
+    return TomographyRow(a, b, float(prob), float(sig))
+
+
 def tomography_from_csv(path) -> TomographyInput:
-    rows = []
-    for line_no, raw in csv_rows(path, TOMOGRAPHY_CSV_HEADER, "tomography"):
-        token_a, token_b, prob, sig = raw
-        try:
-            rows.append(
-                TomographyRow(
-                    ProjectorSetting.from_token(token_a),
-                    ProjectorSetting.from_token(token_b),
-                    float(prob),
-                    float(sig),
-                )
-            )
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+    rows = [row for _, row in csv_rows(path, TOMOGRAPHY_CSV_HEADER, "tomography", _tomography_row)]
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
     return TomographyInput(tuple(rows))

@@ -49,6 +49,7 @@ import math
 import os
 import pickle
 import platform
+import shutil
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from operator import itemgetter
@@ -58,7 +59,7 @@ import numpy as np
 
 from . import __version__, events
 from .config import ExperimentConfig, save_config
-from .csvio import csv_rows, float_fields, write_csv
+from .csvio import csv_rows, floats, write_csv
 from .detection import (
     MODE_INTERFEROMETER,
     AnalyzerSetting,
@@ -149,15 +150,6 @@ def provenance() -> dict[str, str]:
 
 
 @dataclass(frozen=True, eq=False)
-class _MemoryTable:
-    """The cumulative table of the outcomes a photon can survive with
-    (transmitted, then echo k), and p_alive = 1 - p_lost."""
-
-    p_alive: float
-    cumulative: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class _Labels:
     """Per click code: the channel's place in events.csv name order, the
     delay after the cycle's start (analyzer slot plus echo delay; 0 for a
@@ -176,14 +168,15 @@ class _Labels:
 @dataclass(frozen=True, eq=False)
 class _ChannelTable:
     """One arm: the cumulative outcome table of a lone photon and its
-    analyzer outcome in each joint one, its memory and detector, the
-    probability q of detecting its photon, and its codes: analyzer outcome
-    a and memory outcome m have code first_code + a * n_memory + m, and
-    dark_code follows them."""
+    analyzer outcome in each joint one, the cumulative table of the memory
+    outcomes a photon can survive with (transmitted, then echo k; None with
+    no memory), its detector, the probability q of detecting its photon, and
+    its codes: analyzer outcome a and memory outcome m have code
+    first_code + a * n_memory + m, and dark_code follows them."""
 
     single_cum: np.ndarray
     joint_pick: np.ndarray
-    memory: _MemoryTable | None
+    memory: np.ndarray | None
     detector: DetectorConfig
     p_detect: float
     first_code: int
@@ -215,12 +208,12 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     labels = []  # per code: channel, delay, port, bin, origin, outcome
     channels = {}
     for ch, out, marginal, joint_pick in zip(events.CHANNELS, outs, marginals, joint_picks):
-        mem, memory = cfg.memory_config(ch), None
+        mem, memory, p_alive = cfg.memory_config(ch), None, 1.0
         # (delay, origin, outcome) of each memory outcome a detected photon has.
         passes = [(0, pair, events.OUTCOME_NONE)]
         if mem is not None:
             probs = mem.outcome_table()
-            memory = _MemoryTable(min(1.0, max(0.0, 1.0 - float(probs[-1]))), np.cumsum(probs[:-1]))
+            memory, p_alive = np.cumsum(probs[:-1]), min(1.0, max(0.0, 1.0 - float(probs[-1])))
             passes = [(0, pair, events.OUTCOME_TRANSMITTED)] + [
                 (mem.echo_delay_ps(k), pair if k == mem.primary_echo_index else spurious,
                  events.recalled_token(k))
@@ -238,7 +231,7 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
             memory=memory,
             detector=detector,
             # The detector efficiency is the same for every memory outcome and port.
-            p_detect=(1.0 if memory is None else memory.p_alive) * detector.efficiency,
+            p_detect=p_alive * detector.efficiency,
             first_code=first,
             n_memory=len(passes),
             dark_code=len(labels),
@@ -256,11 +249,11 @@ def _build_tables(cfg: ExperimentConfig) -> _EngineTables:
     )
 
 
-def _draw_memory(table: _MemoryTable, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_memory(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Memory outcomes (0 transmitted, 1 + k echo k) of n detected photons,
-    drawn from the table conditioned on survival."""
-    u = rng.random(n) * table.cumulative[-1]
-    return np.minimum(np.searchsorted(table.cumulative, u, side="right"), table.cumulative.size - 1)
+    drawn from the survivor table cum, so conditioned on survival."""
+    u = rng.random(n) * cum[-1]
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
 
 
 def _draw_outcomes(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -566,14 +559,10 @@ def run_simulation(cfg: ExperimentConfig, out_dir) -> SimulationResult:
     cycles = [min(n_cycles, e * SHARD_CYCLES) - s * SHARD_CYCLES for s, e in zip(bounds, bounds[1:])]
     try:
         results = _fan_out(block, range(n_blocks), cycles)
-        # sendfile cannot write to an O_APPEND descriptor: seek to the end.
-        with open(partial, "r+b") as fh:
-            fh.seek(0, os.SEEK_END)
+        with open(partial, "ab") as fh:
             for path in paths[1:]:
                 with open(path, "rb") as part:
-                    size, sent = os.fstat(part.fileno()).st_size, 0
-                    while sent < size:
-                        sent += os.sendfile(fh.fileno(), part.fileno(), sent, size - sent)
+                    shutil.copyfileobj(part, fh)
                 path.unlink()
     except BaseException:
         for path in paths:
@@ -778,71 +767,57 @@ def chsh_from_csv(path) -> dict[str, tuple[tuple[float, ...], tuple[float, ...]]
     """Read correlators per stage; returns {stage: (e_values, sigmas)} with
     the four values in CHSH_PAIRS order (a,b), (a,b'), (a',b), (a',b')."""
     slot_of = {(a.token(), b.token()): i for i, (a, b) in enumerate(CHSH_PAIRS)}
-    stages: dict[str, dict[int, tuple[float, float]]] = {}
-    n_rows = 0
-    for line_no, raw in csv_rows(path, CHSH_CSV_HEADER, "correlator"):
-        stage, tok_a, tok_b, corr_s, sigma_s = (v.strip() for v in raw)
+    stages: dict[str, list[tuple[float, float] | None]] = {}
+
+    def row(fields):
+        stage, tok_a, tok_b, corr_s, sigma_s = (v.strip() for v in fields)
         if stage not in (STAGE_INPUT, STAGE_OUTPUT):
-            raise ValueError(f"{path}: line {line_no}: unknown stage {stage!r}")
-        corr, sigma = float_fields(path, line_no, (corr_s, sigma_s))
+            raise ValueError(f"unknown stage {stage!r}")
+        corr, sigma = floats((corr_s, sigma_s))
         if not -1.0 <= corr <= 1.0:
-            raise ValueError(
-                f"{path}: line {line_no}: correlation {corr!r} outside [-1, 1]"
-            )
+            raise ValueError(f"correlation {corr!r} outside [-1, 1]")
         if sigma < 0.0:
-            raise ValueError(f"{path}: line {line_no}: negative sigma")
+            raise ValueError("negative sigma")
         slot = slot_of.get((tok_a, tok_b))
         if slot is None:
-            raise ValueError(
-                f"{path}: line {line_no}: ({tok_a}, {tok_b}) is not one of "
-                "the four correlator setting pairs"
-            )
-        per = stages.setdefault(stage, {})
-        if slot in per:
-            raise ValueError(
-                f"{path}: line {line_no}: duplicate correlator for "
-                f"({tok_a}, {tok_b})"
-            )
+            raise ValueError(f"({tok_a}, {tok_b}) is not one of the four correlator setting pairs")
+        per = stages.setdefault(stage, [None] * 4)
+        if per[slot] is not None:
+            raise ValueError(f"duplicate correlator for ({tok_a}, {tok_b})")
         per[slot] = (corr, sigma)
-        n_rows += 1
-    if n_rows == 0:
+
+    for _ in csv_rows(path, CHSH_CSV_HEADER, "correlator", row):
+        pass  # row fills stages
+    if not stages:
         raise ValueError(f"{path}: no correlator rows")
-    out = {}
     for stage, per in stages.items():
-        for i in range(4):
-            if i not in per:
-                a, b = CHSH_PAIRS[i]
-                raise ValueError(
-                    f"{path}: stage {stage!r}: missing correlator for "
-                    f"({a.token()}, {b.token()})"
-                )
-        out[stage] = (
-            tuple(per[i][0] for i in range(4)),
-            tuple(per[i][1] for i in range(4)),
+        if None in per:
+            a, b = CHSH_PAIRS[per.index(None)]
+            raise ValueError(
+                f"{path}: stage {stage!r}: missing correlator for ({a.token()}, {b.token()})"
+            )
+    return {stage: tuple(zip(*per)) for stage, per in stages.items()}
+
+
+def _wavelength_row(fields) -> dict[str, float]:
+    row = dict(zip(WAVELENGTH_CSV_HEADER, floats(fields)))
+    if row["signal_nm"] <= 0.0 or row["idler_nm"] <= 0.0:
+        raise ValueError("wavelengths must be positive")
+    for eff in (row["efficiency_794"], row["efficiency_1535"]):
+        if not 0.0 <= eff <= 1.0:
+            raise ValueError(f"efficiency {eff!r} outside [0, 1]")
+    product = row["efficiency_794"] * row["efficiency_1535"]
+    if abs(row["link_efficiency"] - product) > 1e-6:
+        raise ValueError(
+            f"link efficiency {row['link_efficiency']!r} is not the per-memory product {product!r}"
         )
-    return out
+    return row
 
 
 def wavelength_table_from_csv(path) -> list[dict[str, float]]:
     """The rows of a wavelength table, each a dict keyed by
     WAVELENGTH_CSV_HEADER, checked as they are read."""
-    rows = []
-    for line_no, raw in csv_rows(path, WAVELENGTH_CSV_HEADER, "wavelength"):
-        row = dict(zip(WAVELENGTH_CSV_HEADER, float_fields(path, line_no, raw)))
-        if row["signal_nm"] <= 0.0 or row["idler_nm"] <= 0.0:
-            raise ValueError(f"{path}: line {line_no}: wavelengths must be positive")
-        for eff in (row["efficiency_794"], row["efficiency_1535"]):
-            if not 0.0 <= eff <= 1.0:
-                raise ValueError(
-                    f"{path}: line {line_no}: efficiency {eff!r} outside [0, 1]"
-                )
-        product = row["efficiency_794"] * row["efficiency_1535"]
-        if abs(row["link_efficiency"] - product) > 1e-6:
-            raise ValueError(
-                f"{path}: line {line_no}: link efficiency {row['link_efficiency']!r} "
-                f"is not the per-memory product {product!r}"
-            )
-        rows.append(row)
+    rows = [row for _, row in csv_rows(path, WAVELENGTH_CSV_HEADER, "wavelength", _wavelength_row)]
     if not rows:
         raise ValueError(f"{path}: no wavelength rows")
     return rows

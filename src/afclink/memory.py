@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import csv_rows, float_fields
+from .csvio import csv_rows, floats
 from .errors import FitError
 from .estimation import find_peaks
 
@@ -290,10 +290,7 @@ def comb_to_csv(comb: CombSpectrum, path) -> None:
 def comb_from_csv(path) -> CombSpectrum:
     """Read a (detuning, OD) profile; the header line is required, and the
     detuning grid must be strictly increasing and uniform."""
-    rows = [
-        [line_no, *float_fields(path, line_no, raw)]
-        for line_no, raw in csv_rows(path, COMB_CSV_HEADER, "comb")
-    ]
+    rows = [[line_no, *values] for line_no, values in csv_rows(path, COMB_CSV_HEADER, "comb", floats)]
     if not rows:
         raise ValueError(f"{path}: no comb rows")
     lines, detuning, od = np.array(rows).T

@@ -55,7 +55,7 @@ def noisy_flat_profile(seed):
 def histogram_from_csv(path) -> CoincidenceHistogram:
     """Read a histogram written by CoincidenceHistogram.to_csv."""
     rows = []
-    for line_no, raw in csv_rows(path, HISTOGRAM_CSV_HEADER, "histogram"):
+    for line_no, raw in csv_rows(path, HISTOGRAM_CSV_HEADER, "histogram", list):
         try:
             rows.append((int(raw[0]), int(raw[1])))
         except ValueError:
@@ -85,7 +85,7 @@ def events_from_csv(path) -> list[tuple]:
     """Read events.csv back as rows of (cycle, channel, time_ps, bin, origin,
     memory_outcome), cycle and time_ps as integers, the rest as labels."""
     rows = []
-    for line_no, raw in csv_rows(path, EVENT_CSV_HEADER, "events"):
+    for line_no, raw in csv_rows(path, EVENT_CSV_HEADER, "events", list):
         cycle, channel, time_ps, bin_label, origin, outcome = raw
         try:
             cycle, time_ps = int(cycle), int(time_ps)

@@ -438,7 +438,7 @@ class TestEngineDraws:
         )
         tables = harness._build_tables(cfg)
         q_s, q_i = (
-            tables.channels[ch].memory.p_alive * cfg.detectors[ch].efficiency
+            (1.0 - float(cfg.memory_config(ch).outcome_table()[-1])) * cfg.detectors[ch].efficiency
             for ch in (events.SIGNAL_794, events.IDLER_1535)
         )
         assert tables.channels[events.SIGNAL_794].p_detect == q_s
@@ -1447,8 +1447,9 @@ class TestChshFromCsv:
         path.write_text(
             ",".join(CHSH_CSV_HEADER) + "\nin,X,XpY,0.6\n"
         )
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError) as excinfo:
             chsh_from_csv(path)
+        assert str(excinfo.value) == f"{path}: line 2: expected 5 fields, got 4"
 
     def test_bad_correlation_value_names_line(self, tmp_path):
         path = tmp_path / "nan.csv"
@@ -1456,14 +1457,18 @@ class TestChshFromCsv:
             ",".join(CHSH_CSV_HEADER)
             + "\nin,X,XpY,0.6,0.01\nin,X,XmY,oops,0.01\n"
         )
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError) as excinfo:
             chsh_from_csv(path)
+        assert str(excinfo.value) == f"{path}: line 3: non-numeric field"
 
     def test_unknown_setting_pair_names_line(self, tmp_path):
         path = tmp_path / "pair.csv"
         path.write_text(",".join(CHSH_CSV_HEADER) + "\nin,Z,XpY,0.6,0.01\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError) as excinfo:
             chsh_from_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: line 2: (Z, XpY) is not one of the four correlator setting pairs"
+        )
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -1471,14 +1476,16 @@ class TestChshFromCsv:
             ",".join(CHSH_CSV_HEADER)
             + "\nin,X,XpY,0.6,0.01\nin,X,XpY,0.7,0.01\n"
         )
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError) as excinfo:
             chsh_from_csv(path)
+        assert str(excinfo.value) == f"{path}: line 3: duplicate correlator for (X, XpY)"
 
     def test_incomplete_stage_rejected(self, tmp_path):
         path = tmp_path / "missing.csv"
         path.write_text(",".join(CHSH_CSV_HEADER) + "\nin,X,XpY,0.6,0.01\n")
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError) as excinfo:
             chsh_from_csv(path)
+        assert str(excinfo.value) == f"{path}: stage 'in': missing correlator for (X, XmY)"
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_names_line(self, tmp_path, sigma):
@@ -1673,8 +1680,11 @@ class TestWavelengthTable:
             "signal_nm,idler_nm,efficiency_794,efficiency_1535,link_efficiency\n"
             "794.0,1535.0,0.01,0.01,0.05\n"
         )
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError) as excinfo:
             wavelength_table_from_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: line 2: link efficiency 0.05 is not the per-memory product {0.01 * 0.01!r}"
+        )
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
